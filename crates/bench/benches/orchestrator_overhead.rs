@@ -1,25 +1,24 @@
-//! Microbenchmark: the unified orchestrator's loop overhead against
-//! hand-rolled PR-4-era loops, plus the cost of an active restart policy.
+//! Microbenchmark: the orchestrator's loop overhead against a hand-rolled
+//! walk loop, plus the cost of an active restart policy.
 //!
-//! After PR 5, `WalkSession`, `MultiWalkSession`, `MultiWalkRunner`, and
-//! `CoalescingDispatcher` are wrappers over one execution core
-//! (`osn_walks::orchestrator`). This bench pins what that deduplication
-//! costs on the hot path:
+//! Both execution engines — the serial core (`WalkSession`,
+//! `WalkOrchestrator::run_serial`) and the reactor — run one step core
+//! (`osn_walks::orchestrator`). This bench pins what that sharing costs on
+//! the hot path:
 //!
-//! * `handrolled_serial` — the literal pre-orchestrator `WalkSession` loop
-//!   (match on `walker.step`, push to a `Vec`), inlined here as the
-//!   baseline;
+//! * `handrolled_serial` — a plain walk loop (match on `walker.step`, push
+//!   to a `Vec`), inlined here as the baseline;
 //! * `orchestrator_serial_never` — the same walk through
 //!   `WalkOrchestrator::run_serial` under the `Never` policy (identical
 //!   trace; measures cell/driver bookkeeping);
 //! * `orchestrator_serial_k4_never` — 4 walkers round-robin, the active-set
-//!   scheduling the serial driver adds;
+//!   scheduling the serial core adds;
 //! * `orchestrator_serial_k4_steal` — the same fleet with `WorkStealing`
 //!   enabled: per-step observation (window push, visited-set insert,
 //!   frontier publish) plus cadence checks — the price of the policy, not
 //!   of the refactor;
-//! * `orchestrator_coalesced_never` — the coalesced driver at B=8 for
-//!   cross-reference with the `batch_dispatch` bench.
+//! * `orchestrator_reactor_never` — the same 4-walker fleet on the reactor
+//!   at B=8: the dispatch cost of the batch engine.
 //!
 //! `scripts/perf_check.sh` tracks the serial path's steps/sec through
 //! `repro perf` (the committed `BENCH_walkers.json` baseline, 15% warn
@@ -52,8 +51,8 @@ fn orchestrator_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("orchestrator_overhead");
     group.throughput(Throughput::Elements(STEPS as u64));
 
-    // The pre-orchestrator serial loop, verbatim: the baseline every
-    // orchestrated number is read against.
+    // A plain serial loop: the baseline every orchestrated number is read
+    // against.
     group.bench_function(BenchmarkId::from_parameter("handrolled_serial"), |b| {
         let mut seed = 0u64;
         b.iter(|| {
@@ -131,7 +130,7 @@ fn orchestrator_overhead(c: &mut Criterion) {
     );
 
     group.bench_function(
-        BenchmarkId::from_parameter("orchestrator_coalesced_never"),
+        BenchmarkId::from_parameter("orchestrator_reactor_never"),
         |b| {
             let mut seed = 0u64;
             b.iter(|| {
@@ -141,7 +140,7 @@ fn orchestrator_overhead(c: &mut Criterion) {
                     BatchConfig::new(8).with_in_flight(4),
                 );
                 WalkOrchestrator::new(4, STEPS / 4, seed)
-                    .run_coalesced(&mut client, make_walker, |v| v.index() as f64, &Never)
+                    .run_reactor(&mut client, make_walker, |v| v.index() as f64, &Never)
                     .trace
                     .total_steps()
             });

@@ -1,27 +1,23 @@
-//! Microbenchmark: how each multi-walker backend scales with fleet size.
+//! Microbenchmark: how both execution engines scale with fleet size.
 //!
 //! The grid runs CNRW fleets of 1 / 100 / 10_000 walkers at fixed
-//! steps-per-walker through (a) the poll-driven reactor, (b) the lockstep
-//! coalescing dispatcher, and (c) the threaded `MultiWalkRunner` over a
-//! lock-striped `SharedOsn`. The threaded arm stops at 100 walkers: it
-//! spawns one OS thread per walker, so a 10k fleet would measure the
-//! scheduler's thrashing, not the walk — the reactor exists precisely so
-//! 10k walkers cost 10k small state machines instead of 10k stacks.
-//! Throughput is normalized to walker-steps so the three arms are
-//! comparable at every fleet size.
+//! steps-per-walker through (a) the poll-driven reactor against a batch
+//! endpoint and (b) the serial core's round-robin waves against the plain
+//! client — the same traces, so the gap is the reactor's dispatch cost
+//! (dedup, parking, batch I/O simulation). Throughput is normalized to
+//! walker-steps so the two arms are comparable at every fleet size.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use osn_client::{BatchConfig, SharedOsn, SimulatedBatchOsn, SimulatedOsn};
+use osn_client::{BatchConfig, SimulatedBatchOsn, SimulatedOsn};
 use osn_datasets::{gplus_like, Scale};
 use osn_graph::NodeId;
-use osn_walks::{Cnrw, HistoryBackend, MultiWalkRunner, Never, RandomWalk, WalkOrchestrator};
+use osn_walks::{Cnrw, HistoryBackend, Never, RandomWalk, WalkOrchestrator};
 
 const STEPS_PER_WALKER: usize = 64;
 const FLEETS: [usize; 3] = [1, 100, 10_000];
-const THREADED_CAP: usize = 100;
 
 fn endpoint(network: &Arc<osn_graph::attributes::AttributedGraph>) -> SimulatedBatchOsn {
     SimulatedBatchOsn::new(
@@ -61,37 +57,19 @@ fn reactor_scale(c: &mut Criterion) {
         );
 
         group.bench_function(
-            BenchmarkId::from_parameter(format!("coalesced_k{walkers}")),
+            BenchmarkId::from_parameter(format!("serial_k{walkers}")),
             |b| {
                 let mut seed = 0u64;
                 b.iter(|| {
                     seed += 1;
-                    let mut client = endpoint(&network);
+                    let mut client = SimulatedOsn::new_shared(network.clone());
                     WalkOrchestrator::new(walkers, STEPS_PER_WALKER, seed)
-                        .run_coalesced(&mut client, make_walker(n), |v| v.index() as f64, &Never)
+                        .run_serial(&mut client, make_walker(n), |v| v.index() as f64, &Never)
                         .trace
                         .total_steps()
                 });
             },
         );
-
-        if walkers <= THREADED_CAP {
-            group.bench_function(
-                BenchmarkId::from_parameter(format!("threaded_k{walkers}")),
-                |b| {
-                    let mut seed = 0u64;
-                    b.iter(|| {
-                        seed += 1;
-                        let client =
-                            SharedOsn::with_stripes(SimulatedOsn::new_shared(network.clone()), 16);
-                        MultiWalkRunner::new(walkers, STEPS_PER_WALKER, seed)
-                            .run(&client, make_walker(n), |v| v.index() as f64)
-                            .trace
-                            .total_steps()
-                    });
-                },
-            );
-        }
     }
     group.finish();
 

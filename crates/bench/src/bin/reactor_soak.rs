@@ -1,5 +1,5 @@
-//! `reactor_soak` — CI smoke for the poll-driven reactor backend at fleet
-//! sizes the lockstep backends were never asked to carry.
+//! `reactor_soak` — CI smoke for the poll-driven reactor at fleet sizes a
+//! thread-per-walker or lockstep design could not carry.
 //!
 //! ```text
 //! reactor_soak [--walkers K] [--steps N] [--seed S] [--max-secs SECS]
@@ -15,9 +15,9 @@
 //! 2. **memory bound** — the loop's peak in-flight batches never exceed
 //!    the endpoint's in-flight window: reactor memory is O(active
 //!    batches), not O(fleet);
-//! 3. **equivalence spot-check** — the identical spec replayed through
-//!    the coalesced backend produces bit-identical traces, stops, and
-//!    estimate (schedule independence under `Never` with no budget);
+//! 3. **equivalence spot-check** — the identical spec replayed on the
+//!    serial core produces bit-identical traces, stops, and estimate
+//!    (schedule independence under `Never` with no budget);
 //! 4. **replay determinism** — a second reactor run from the same seed
 //!    reproduces the first bit-for-bit.
 //!
@@ -175,21 +175,21 @@ fn main() {
         client.clock().elapsed_secs()
     );
 
-    // Phase 2: equivalence spot-check against the coalesced backend.
+    // Phase 2: equivalence spot-check against the serial core.
     guard(&deadline, "equivalence");
-    let mut subject = endpoint(&network, &opts);
-    let coalesced = orch.run_coalesced(&mut subject, make_walker(n), |v| v.index() as f64, &Never);
-    if coalesced.trace.per_walker != reference.trace.per_walker {
-        fail("reactor traces diverged from the coalesced backend".into());
+    let mut subject = SimulatedOsn::new_shared(network.clone());
+    let serial = orch.run_serial(&mut subject, make_walker(n), |v| v.index() as f64, &Never);
+    if serial.trace.per_walker != reference.trace.per_walker {
+        fail("reactor traces diverged from the serial core".into());
     }
-    if coalesced.stops != reference.stops {
-        fail("reactor stops diverged from the coalesced backend".into());
+    if serial.stops != reference.stops {
+        fail("reactor stops diverged from the serial core".into());
     }
-    if coalesced.estimate.mean().map(f64::to_bits) != reference.estimate.mean().map(f64::to_bits) {
-        fail("reactor estimate diverged from the coalesced backend".into());
+    if serial.estimate.mean().map(f64::to_bits) != reference.estimate.mean().map(f64::to_bits) {
+        fail("reactor estimate diverged from the serial core".into());
     }
     eprintln!(
-        "reactor_soak: equivalence OK — {} walkers bit-identical to run_coalesced",
+        "reactor_soak: equivalence OK — {} walkers bit-identical to run_serial",
         opts.walkers
     );
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--quick|--full] [--web] [--max-secs N] [--out DIR] [--record PATH] [--baseline PATH]
-//!       [table1|fig6|fig6par|fig6batch|fig6steal|fig7|fig8|fig9|fig10|fig11|theorem3|ablation|
+//!       [table1|fig6|fig6batch|fig6steal|fig7|fig8|fig9|fig10|fig11|theorem3|ablation|
 //!        fig_service|fig_reactor|fig_evolving|fig_scale|perf|all]
 //! ```
 //!
@@ -32,9 +32,8 @@ use std::path::PathBuf;
 use osn_bench::perf;
 use osn_datasets::Scale;
 use osn_experiments::{
-    ablation, fig10, fig11, fig6, fig6_batch, fig6_parallel, fig6_steal, fig7, fig8, fig9,
-    fig_evolving, fig_reactor, fig_scale, fig_service, table1, theorem3, Deadline,
-    ExperimentResult,
+    ablation, fig10, fig11, fig6, fig6_batch, fig6_steal, fig7, fig8, fig9, fig_evolving,
+    fig_reactor, fig_scale, fig_service, table1, theorem3, Deadline, ExperimentResult,
 };
 
 struct Options {
@@ -113,7 +112,7 @@ fn parse_args() -> Options {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: repro [--quick|--full] [--web] [--max-secs N] [--out DIR] [--record PATH] \
-                     [--baseline PATH] [table1|fig6|fig6par|fig6batch|fig6steal|fig7|fig8|\
+                     [--baseline PATH] [table1|fig6|fig6batch|fig6steal|fig7|fig8|\
                      fig9|fig10|fig11|theorem3|ablation|fig_service|fig_reactor|fig_evolving|\
                      fig_scale|perf|all]..."
                 );
@@ -130,7 +129,6 @@ fn parse_args() -> Options {
         let standard: Vec<String> = [
             "table1",
             "fig6",
-            "fig6par",
             "fig6batch",
             "fig6steal",
             "fig7",
@@ -320,17 +318,6 @@ fn main() {
                     }
                 };
                 emit(&fig6::run(&config), &opts.out);
-            }
-            "fig6par" => {
-                let config = if opts.quick {
-                    fig6_parallel::Fig6ParallelConfig::quick()
-                } else {
-                    fig6_parallel::Fig6ParallelConfig {
-                        scale: opts.scale(),
-                        ..Default::default()
-                    }
-                };
-                emit(&fig6_parallel::run(&config), &opts.out);
             }
             "fig6batch" => {
                 let config = if opts.quick {

@@ -77,8 +77,8 @@ pub struct BatchLimits {
 /// request shows congestion (a retry, a permanent drop, or a completion
 /// slower than [`Self::latency_target_secs`]), and creeps back up
 /// additively on every clean, fast completion. Callers that re-read
-/// `limits()` before each submission — as the orchestrator's coalescing
-/// pump does — pick up the new size automatically; the fixed
+/// `limits()` before each submission — as the reactor's pump does — pick
+/// up the new size automatically; the fixed
 /// [`BatchConfig::max_batch_size`] stays the hard ceiling and
 /// [`Self::min_batch`] the floor.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -389,8 +389,8 @@ pub trait BatchOsnClient {
     /// so re-fetching it is free. The orchestrator hook that lets restart
     /// decisions ride the batch queue cheaply: the work-stealing policy
     /// prefers relocation targets the endpoint already served, and anything
-    /// else it picks is fetched through the next coalesced batch like any
-    /// other walker request. The default `false` is always safe.
+    /// else it picks is fetched through the next batch like any other
+    /// walker request. The default `false` is always safe.
     fn is_cached(&self, _u: NodeId) -> bool {
         false
     }
@@ -461,7 +461,7 @@ impl SimulatedBatchOsn {
     /// Fully configured constructor: an optional hard unique-query budget
     /// on top of the batch model. Accounting already performed by `osn` is
     /// preserved, and the budget is charged for unique queries already
-    /// spent — mirroring [`crate::SharedOsn::configured`].
+    /// spent.
     pub fn configured(osn: SimulatedOsn, config: BatchConfig, budget: Option<u64>) -> Self {
         let tokens = config
             .rate_limit

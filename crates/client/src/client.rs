@@ -319,62 +319,6 @@ impl SimulatedOsn {
         self.queried = queried;
         self.stats = stats;
     }
-
-    /// Decompose into `(snapshot, queried flags, stats)` — used by
-    /// [`crate::SharedOsn`] to distribute the cache state over lock stripes.
-    /// A live overlay is **folded** into a rebuilt snapshot first (the
-    /// striped client reads topology lock-free from the shared `Arc`, so it
-    /// cannot consult a per-handle overlay).
-    pub(crate) fn into_parts(self) -> (Arc<AttributedGraph>, Vec<bool>, QueryStats) {
-        // A compact-backed client is materialized to a plain CSR here: the
-        // striped client's lock-free reads need borrowed neighbor slices,
-        // which the packed form cannot hand out.
-        let network = match &self.compact {
-            Some(t) => {
-                let graph = t
-                    .graph
-                    .rebuilt(&self.overlay)
-                    .and_then(|g| g.to_csr())
-                    .expect("mutations were validated when applied");
-                let attributes = self.network.attributes.clone();
-                Arc::new(
-                    AttributedGraph::new(graph, attributes)
-                        .expect("mutations never change the node count"),
-                )
-            }
-            None if self.overlay.is_empty() => self.network,
-            None => {
-                let graph = self
-                    .network
-                    .graph
-                    .rebuilt(&self.overlay)
-                    .expect("mutations were validated when applied");
-                let attributes = self.network.attributes.clone();
-                Arc::new(
-                    AttributedGraph::new(graph, attributes)
-                        .expect("mutations never change the node count"),
-                )
-            }
-        };
-        (network, self.queried, self.stats)
-    }
-
-    /// Rebuild from parts — the inverse of [`Self::into_parts`], used when a
-    /// [`crate::SharedOsn`] collapses back into a plain simulator.
-    pub(crate) fn from_parts(
-        network: Arc<AttributedGraph>,
-        queried: Vec<bool>,
-        stats: QueryStats,
-    ) -> Self {
-        debug_assert_eq!(queried.len(), network.graph.node_count());
-        SimulatedOsn {
-            network,
-            overlay: DeltaOverlay::new(),
-            compact: None,
-            queried,
-            stats,
-        }
-    }
 }
 
 impl OsnClient for SimulatedOsn {

@@ -21,18 +21,14 @@
 //! algorithms "over the simulated interface" of downloaded snapshots —
 //! exactly what this crate provides.
 //!
-//! For **parallel multi-walker sampling** (one crawler, many walker threads),
-//! [`SharedOsn`] shares one snapshot and one cache between cloned handles
-//! through an N-way lock-striped cache (stripe = `fnv(node) % N`) with
-//! per-stripe hit/miss/contention counters ([`StripeStats`]) and an optional
-//! budget enforced atomically across all handles — see [`shared`].
-//!
 //! For **batched I/O** — real platforms expose batch endpoints with bounded
 //! in-flight windows and transient failures — [`BatchOsnClient`] models the
 //! submit/poll interaction and [`SimulatedBatchOsn`] simulates it over the
 //! same cache/budget/rate-limit machinery (latency + seeded jitter,
 //! deterministic drop-every-`k`-th failure injection, bounded retry, budget
-//! charged at most once per unique node) — see [`batch`].
+//! charged at most once per unique node) — see [`batch`]. Walker fleets of
+//! any size share one batch endpoint through the `osn-walks` reactor, which
+//! parks each walker on the in-flight batch carrying its next neighbor list.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +37,6 @@ pub mod batch;
 pub mod budget;
 mod client;
 pub mod rate;
-pub mod shared;
 mod stats;
 
 pub use batch::{
@@ -51,5 +46,4 @@ pub use batch::{
 pub use budget::{BudgetExhausted, BudgetedClient};
 pub use client::{OsnClient, SimulatedOsn};
 pub use rate::{RateLimitConfig, RateLimitedOsn, VirtualClock};
-pub use shared::{SharedOsn, StripeStats, DEFAULT_STRIPES};
 pub use stats::QueryStats;

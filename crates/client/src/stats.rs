@@ -19,8 +19,8 @@ pub struct QueryStats {
 
 impl QueryStats {
     /// Record one call; `was_unique` says whether it was charged. Public so
-    /// external drivers (e.g. the coalescing batch dispatcher in
-    /// `osn-walks`) can keep walker-side accounting in the same shape.
+    /// external drivers (e.g. the reactor in `osn-walks`) can keep
+    /// walker-side accounting in the same shape.
     pub fn record(&mut self, was_unique: bool) {
         self.issued += 1;
         if was_unique {
@@ -30,12 +30,14 @@ impl QueryStats {
         }
     }
 
-    /// Fold another accounting snapshot into this one (used to sum the
-    /// per-stripe counters of a striped shared cache).
-    pub fn merge(&mut self, other: &QueryStats) {
-        self.issued += other.issued;
-        self.unique += other.unique;
-        self.cache_hits += other.cache_hits;
+    /// The calls made since `base` was taken from the same counters — the
+    /// accounting one run added to a long-lived client.
+    pub fn since(&self, base: &QueryStats) -> QueryStats {
+        QueryStats {
+            issued: self.issued - base.issued,
+            unique: self.unique - base.unique,
+            cache_hits: self.cache_hits - base.cache_hits,
+        }
     }
 
     /// Fraction of calls served from cache (0 when none issued).
@@ -61,6 +63,17 @@ mod tests {
         assert_eq!(s.unique, 1);
         assert_eq!(s.cache_hits, 2);
         assert!((s.cache_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn since_subtracts_a_base_snapshot() {
+        let mut s = QueryStats::default();
+        s.record(true);
+        let base = s;
+        s.record(true);
+        s.record(false);
+        let delta = s.since(&base);
+        assert_eq!((delta.issued, delta.unique, delta.cache_hits), (2, 1, 1));
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! walker whose own neighborhood has gone sterile **steals** a position
 //! discovered by another walker instead of burning budget where coverage is
 //! saturated. Degree-biased retention mirrors the frontier sampler's
-//! degree-proportional position choice; the striping mirrors
-//! `osn_client::SharedOsn`'s cache so publishes from concurrent walker
-//! threads rarely contend.
+//! degree-proportional position choice; the stripes decide which
+//! candidates survive, so the pool's contents are a deterministic function
+//! of the publish sequence.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -138,8 +138,7 @@ struct FrontierStripe {
 /// Lock-striped pool of restart candidates shared by cooperating walkers.
 ///
 /// Walkers [`publish`](SharedFrontier::publish) every node they depart from;
-/// each stripe (`fnv(node) % stripes`, the same mapping
-/// `osn_client::SharedOsn` stripes its cache with) retains its
+/// each stripe (`fnv(node) % stripes`) retains its
 /// `per_stripe_cap` highest-degree candidates, so the pool as a whole keeps
 /// the fleet's best-connected discovered territory in `O(stripes × cap)`
 /// memory. [`steal`](SharedFrontier::steal) removes and returns the best
@@ -147,7 +146,7 @@ struct FrontierStripe {
 /// id on ties, cached candidates preferred — which is fully deterministic
 /// given the pool contents.
 ///
-/// Clones share the pool (the handle is an `Arc`), mirroring `SharedOsn`.
+/// Clones share the pool (the handle is an `Arc`).
 #[derive(Clone, Debug)]
 pub struct SharedFrontier {
     stripes: Arc<Vec<Mutex<FrontierStripe>>>,

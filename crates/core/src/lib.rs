@@ -59,18 +59,20 @@
 //! (stationary distributions, asymptotic variance via the fundamental
 //! matrix) used to validate the walkers against theory.
 //!
-//! ## One execution core
+//! ## Two execution engines
 //!
-//! Every run mode funnels through the unified [`orchestrator`]:
-//! [`WalkOrchestrator`] owns the step loop, the SplitMix64 per-walker RNG
-//! streams, budget cut-off, and stop bookkeeping, parameterized by an
-//! execution backend (serial round-robin, one OS thread per walker over
-//! `osn_client::SharedOsn`, or coalesced batches over
-//! `osn_client::BatchOsnClient`) and a [`RestartPolicy`] — [`Never`] for
-//! bit-exact classic runs, [`WorkStealing`] for frontier restarts of
-//! stalled walkers driven by the online windowed split-R̂. The historical
-//! drivers ([`WalkSession`], [`MultiWalkSession`], [`MultiWalkRunner`],
-//! [`CoalescingDispatcher`]) remain as thin bit-compatible wrappers.
+//! Walker fleets run on one of two engines behind [`WalkOrchestrator`]
+//! (see [`orchestrator`]): the synchronous **serial core** for any
+//! `osn_client::OsnClient` ([`WalkSession`] for one walker,
+//! [`WalkOrchestrator::run_serial`] for k), and the poll-driven
+//! **reactor** for any `osn_client::BatchOsnClient`
+//! ([`WalkOrchestrator::run_reactor`], and the resumable
+//! [`ReactorWalkRun`] — see [`reactor`]). Both share one step core,
+//! per-walker SplitMix64 RNG streams, budget cut-off and stop bookkeeping,
+//! and take a [`RestartPolicy`] — [`Never`] for bit-exact classic runs,
+//! [`WorkStealing`] for frontier restarts of stalled walkers driven by the
+//! online windowed split-R̂. Every multi-walker run reports one
+//! [`OrchestratorReport`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -83,7 +85,6 @@ pub mod grouping;
 pub mod groupplan;
 pub mod history;
 pub mod markov;
-pub mod multiwalk;
 pub mod orchestrator;
 pub mod reactor;
 mod session;
@@ -94,13 +95,9 @@ pub use circulation::HistoryBackend;
 pub use frontier::{FrontierEntry, FrontierSampler, SharedFrontier};
 pub use grouping::{ByAttribute, ByDegree, ByHash, ByNode, GroupingStrategy, ValueBucketing};
 pub use groupplan::{AliasTable, DegenerateGrouping, DrawBatch, GroupPlan, NodeGroups, PlanMode};
-pub use multiwalk::{
-    BatchDispatchReport, CoalescingDispatcher, MultiWalkReport, MultiWalkRunner, MultiWalkSession,
-    MultiWalkTrace,
-};
 pub use orchestrator::{
-    CoalescedWalkRun, Never, OrchestratorReport, RestartEvent, RestartPolicy, RestartReason,
-    SerialWalkRun, WalkOrchestrator, WorkStealing,
+    MultiWalkTrace, Never, OrchestratorReport, RestartEvent, RestartPolicy, RestartReason,
+    WalkOrchestrator, WorkStealing,
 };
 pub use reactor::{ReactorStats, ReactorWalkRun, WalkerFsm};
 pub use session::{WalkConfig, WalkSession, WalkStop, WalkTrace};

@@ -1,28 +1,33 @@
-//! The unified walk orchestrator: **one execution core** behind every run
-//! mode in this workspace.
+//! The walk orchestrator: the **serial core** and the [`WalkOrchestrator`]
+//! entry point to both execution engines.
 //!
-//! Before this module existed the repo had drifted into three hand-rolled
-//! step loops — the serial [`crate::WalkSession`], the threaded
-//! [`crate::MultiWalkRunner`], and the batched
-//! [`crate::CoalescingDispatcher`] — with no shared place to put restart or
-//! termination policy. [`WalkOrchestrator`] deduplicates them: the per-step
-//! bookkeeping (trace recording, estimator pushes, stop accounting, policy
-//! observation) lives once in this module's walker-cell core, and the three
-//! *execution backends* only differ in how steps are scheduled:
+//! CNRW and GNRW are drop-in replacements for a random walk, so an engine
+//! only has to fetch a neighbor list and take a step. Two engines do that:
 //!
-//! | Backend | Entry point | Scheduling |
-//! |---|---|---|
-//! | **Serial** | [`WalkOrchestrator::run_serial`] | round-robin waves on the calling thread against any [`OsnClient`] |
-//! | **Threaded** | [`WalkOrchestrator::run_threaded`] | one scoped OS thread per walker over clones of a thread-safe client (built for [`osn_client::SharedOsn`]) |
-//! | **Coalesced** | [`WalkOrchestrator::run_coalesced`] | round-based queue → dedup → charge → fan-out against a [`BatchOsnClient`] |
-//! | **Reactor** | [`WalkOrchestrator::run_reactor`] | poll-driven event loop: walkers park as [`crate::reactor::WalkerFsm`] state machines on in-flight batches, one completion event at a time (see [`crate::reactor`]) |
+//! | Engine | Client | Entry points | Scheduling |
+//! |---|---|---|---|
+//! | **Serial core** | any [`OsnClient`] | [`crate::WalkSession`] (one walker), [`WalkOrchestrator::run_serial`] (k walkers) | round-robin waves on the calling thread |
+//! | **Reactor** | any [`BatchOsnClient`](osn_client::BatchOsnClient) | [`WalkOrchestrator::run_reactor`], [`WalkOrchestrator::start_reactor`] / [`WalkOrchestrator::resume_reactor`] ([`crate::ReactorWalkRun`]) | poll-driven event loop: walkers park as [`crate::reactor::WalkerFsm`] state machines on in-flight batches (see [`crate::reactor`]) |
 //!
-//! Every backend takes a [`RestartPolicy`]:
+//! The per-step bookkeeping (trace recording, estimator pushes, stop
+//! accounting, policy observation) lives once in this module's walker-cell
+//! core; both engines only schedule calls into it.
 //!
-//! * [`Never`] — the identity policy. Traces are **bit-identical** to the
-//!   pre-orchestrator loops (pinned by the golden fixtures and cross-mode
+//! Walkers sharing one client share its **cache**. The paper's related
+//! work cites Alon et al., *"Many random walks are faster than one"* \[3\];
+//! in the restricted-access setting a node queried by any walker is free
+//! for all others, so `k` walkers cover ground faster without multiplying
+//! the unique-query bill. The walkers are independent chains with the same
+//! stationary distribution, so pooled samples feed the usual estimators
+//! unchanged and multi-chain diagnostics
+//! (`osn_estimate::diagnostics::split_rhat`) apply.
+//!
+//! Both engines take a [`RestartPolicy`]:
+//!
+//! * [`Never`] — the identity policy. Traces are **bit-identical** to a
+//!   plain walk loop (pinned by the golden fixtures and cross-engine
 //!   equivalence suites); observation hooks are skipped entirely, so the
-//!   unified loop costs nothing it did not already pay.
+//!   core costs nothing a hand-written loop would not pay.
 //! * [`WorkStealing`] — walkers publish the nodes they walk through into a
 //!   lock-striped [`SharedFrontier`]; every `check_every` steps a walker
 //!   whose recent window discovered nothing new (component exhausted) or
@@ -34,23 +39,17 @@
 //!
 //! ## Determinism
 //!
-//! The serial and coalesced backends consult the policy at **round
-//! boundaries** (all active walkers have stepped equally often), so given a
-//! seed the whole run — restart schedule included — is deterministic, and
-//! the two backends produce the *same* schedule. In the coalesced backend
-//! the boundary sits **before** the gather phase, so a restarted walker's
-//! first fetch rides the next coalesced batch like any other request (the
-//! dispatcher hook; see [`BatchOsnClient::is_cached`]). The threaded
-//! backend checks after each step on each walker's own thread: per-walker
-//! traces stay scheduling-independent under [`Never`], but under
-//! [`WorkStealing`] the interleaving of frontier publishes — and therefore
-//! the steal outcomes — depends on thread timing.
+//! The serial core consults the policy at **round boundaries** (all active
+//! walkers have stepped equally often), so given a seed the whole run —
+//! restart schedule included — is deterministic. The reactor consults it
+//! after every completion event; when one batch holds the whole fleet its
+//! events coincide with the serial rounds, and absent a budget the two
+//! engines produce the *same* traces, estimates and restart schedule
+//! (pinned by the `reactor_equivalence` suite).
 
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use osn_client::batch::{BatchNodeError, BatchOsnClient};
-use osn_client::{BudgetExhausted, OsnClient, QueryStats};
+use osn_client::{OsnClient, QueryStats};
 use osn_estimate::{RatioEstimator, WindowedSplitRhat};
 use osn_graph::NodeId;
 use osn_serde::Value;
@@ -58,9 +57,8 @@ use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
 use crate::circulation::HistoryBackend;
-use crate::fnv::{FnvHashMap, FnvHashSet};
+use crate::fnv::FnvHashSet;
 use crate::frontier::SharedFrontier;
-use crate::multiwalk::MultiWalkTrace;
 use crate::walker::RandomWalk;
 use crate::WalkStop;
 
@@ -98,14 +96,13 @@ pub struct RestartEvent {
 }
 
 /// Decides when a walker should abandon its position and where it should
-/// restart. Shared by reference across walker threads in the threaded
-/// backend, hence `Sync` and `&self` methods (implementations use interior
-/// mutability).
+/// restart. Methods take `&self` (implementations use interior
+/// mutability); `Sync` lets one policy value ride a trial plan shared
+/// across experiment threads.
 pub trait RestartPolicy: Sync {
     /// Whether this policy can ever request a restart. `false` (only
-    /// [`Never`] returns it) lets the drivers skip per-step observation
-    /// entirely, keeping the policy-free hot loop identical to the
-    /// pre-orchestrator loops.
+    /// [`Never`] returns it) lets the engines skip per-step observation
+    /// entirely, keeping the policy-free hot loop a plain walk loop.
     fn enabled(&self) -> bool {
         true
     }
@@ -131,9 +128,9 @@ pub trait RestartPolicy: Sync {
     /// `current_degree`) with `steps_done` performed steps — should restart
     /// now, and from which node. `cached(u)` reports whether `u`'s neighbor
     /// list is free to re-fetch (see [`OsnClient::is_cached`] /
-    /// [`BatchOsnClient::is_cached`]); policies use it as a preference, not
-    /// a filter — an uncached target simply rides the next fetch like any
-    /// other request.
+    /// [`osn_client::BatchOsnClient::is_cached`]); policies use it as a
+    /// preference, not a filter — an uncached target simply rides the next
+    /// fetch like any other request.
     fn restart_target(
         &self,
         _walker: usize,
@@ -161,13 +158,13 @@ pub trait RestartPolicy: Sync {
         None
     }
 
-    /// Notification that the driver performed the restart it was told to.
+    /// Notification that the engine performed the restart it was told to.
     fn after_restart(&self, _walker: usize) {}
 }
 
 /// The identity policy: never restarts, never observes. All golden-trace
-/// and cross-mode equivalence suites run under it — orchestrated runs with
-/// `Never` are bit-identical to the pre-orchestrator loops.
+/// and cross-engine equivalence suites run under it — orchestrated runs
+/// with `Never` are bit-identical to a plain walk loop.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Never;
 
@@ -400,10 +397,10 @@ impl RestartPolicy for WorkStealing {
     }
 }
 
-/// Per-walker bookkeeping shared by every execution backend: the trace, the
-/// running estimator, and why (if) the walker stopped. This — plus
-/// [`advance_walker`] and [`maybe_restart`] below — *is* the unified
-/// execution core; the drivers only schedule calls into it.
+/// Per-walker bookkeeping shared by both engines: the trace, the running
+/// estimator, and why (if) the walker stopped. This — plus
+/// [`advance_walker`], [`maybe_restart`] and [`maybe_rescue`] below — *is*
+/// the execution core; the engines only schedule calls into it.
 pub(crate) struct Cell {
     pub(crate) trace: Vec<NodeId>,
     pub(crate) est: RatioEstimator,
@@ -411,11 +408,10 @@ pub(crate) struct Cell {
 }
 
 impl Cell {
-    /// `capacity_hint = 0` starts the trace empty (the historical behavior
-    /// of the multi-walker loops — a budgeted fleet may stop after a few
-    /// steps, so preallocating `max_steps` per walker would waste memory);
-    /// the single-walker session path passes its step cap, as `WalkSession`
-    /// always did.
+    /// `capacity_hint = 0` starts the trace empty (multi-walker fleets — a
+    /// budgeted fleet may stop after a few steps, so preallocating
+    /// `max_steps` per walker would waste memory); the single-walker
+    /// session path passes its step cap.
     pub(crate) fn new(capacity_hint: usize) -> Self {
         Cell {
             trace: Vec::with_capacity(capacity_hint.min(1 << 20)),
@@ -430,10 +426,10 @@ impl Cell {
 }
 
 /// One transition of walker `i`: step, record, observe. The single place
-/// where a walker meets a client — every backend funnels through here.
+/// where a walker meets a client — both engines funnel through here.
 /// `value: None` skips estimator maintenance entirely (the trace-only
-/// drivers `WalkSession`/`MultiWalkSession` — SRW steps in a handful of
-/// nanoseconds, so even one spurious degree peek per step is measurable).
+/// `WalkSession` — SRW steps in a handful of nanoseconds, so even one
+/// spurious degree peek per step is measurable).
 pub(crate) fn advance_walker<C, R, F, P>(
     i: usize,
     walker: &mut dyn RandomWalk,
@@ -498,8 +494,8 @@ pub(crate) fn maybe_restart<P>(
 
 /// Offer a just-refused walker to the policy for rescue: on success its
 /// stop is cleared, the relocation performed and recorded, and the walker
-/// steps again from the **next** scheduling wave (every backend charges a
-/// refusal one lost step, keeping the round-based schedules aligned).
+/// steps again from the **next** scheduling wave (both engines charge a
+/// refusal one lost step, keeping their schedules aligned).
 pub(crate) fn maybe_rescue<P>(
     i: usize,
     walker: &mut dyn RandomWalk,
@@ -528,14 +524,14 @@ pub(crate) fn maybe_rescue<P>(
     }
 }
 
-/// Outcome of a round-based driver ([`drive_round_robin`]).
+/// Outcome of the serial core ([`drive_round_robin`]).
 pub(crate) struct RoundOutcome {
     pub(crate) cells: Vec<Cell>,
     pub(crate) restarts: Vec<RestartEvent>,
     pub(crate) rounds: usize,
 }
 
-/// The serial driver: step every live walker once per round (walker-index
+/// The serial core: step every live walker once per round (walker-index
 /// order), consulting the policy at round boundaries. With one walker and
 /// [`Never`] this degenerates to exactly the classic tight walk loop.
 pub(crate) fn drive_round_robin<C, R, F, P>(
@@ -583,18 +579,51 @@ where
         };
     }
     let mut active: Vec<usize> = (0..k).collect();
-    while serial_round(
-        client,
-        walkers,
-        rngs,
-        max_steps,
-        value,
-        policy,
-        &mut cells,
-        &mut restarts,
-        &mut active,
-    ) {
+    loop {
+        active.retain(|&i| cells[i].live(max_steps));
+        if active.is_empty() {
+            break;
+        }
         rounds += 1;
+        if policy.enabled() {
+            for &i in &active {
+                let cached = |u: NodeId| client.is_cached(u);
+                let degree_of = |u: NodeId| client.peek_degree(u);
+                maybe_restart(
+                    i,
+                    &mut *walkers[i],
+                    &cells[i],
+                    policy,
+                    &degree_of,
+                    &cached,
+                    &mut restarts,
+                );
+            }
+        }
+        for &i in &active {
+            advance_walker(
+                i,
+                &mut *walkers[i],
+                &mut rngs[i],
+                client,
+                value,
+                policy,
+                &mut cells[i],
+            );
+            if policy.enabled() && cells[i].stop.is_some() {
+                // Refused step (no transition performed): offer a rescue —
+                // the walker resumes from the next round if relocated.
+                let cached = |u: NodeId| client.is_cached(u);
+                maybe_rescue(
+                    i,
+                    &mut *walkers[i],
+                    &mut cells[i],
+                    policy,
+                    &cached,
+                    &mut restarts,
+                );
+            }
+        }
     }
     RoundOutcome {
         cells,
@@ -603,436 +632,69 @@ where
     }
 }
 
-/// One scheduling wave of the serial driver: retain the live walkers,
-/// consult the policy, step each live walker once. Returns `false` (doing
-/// nothing) once every walker is done. Shared by [`drive_round_robin`] and
-/// the resumable [`SerialWalkRun`], so the sliced execution path cannot
-/// drift from the one-shot driver.
-#[allow(clippy::too_many_arguments)]
-fn serial_round<C, R, F, P>(
-    client: &mut C,
-    walkers: &mut [&mut dyn RandomWalk],
-    rngs: &mut [R],
-    max_steps: usize,
-    value: Option<&F>,
-    policy: &P,
-    cells: &mut [Cell],
-    restarts: &mut Vec<RestartEvent>,
-    active: &mut Vec<usize>,
-) -> bool
-where
-    C: OsnClient,
-    R: RngCore,
-    F: Fn(NodeId) -> f64 + ?Sized,
-    P: RestartPolicy + ?Sized,
-{
-    active.retain(|&i| cells[i].live(max_steps));
-    if active.is_empty() {
-        return false;
-    }
-    if policy.enabled() {
-        for &i in &*active {
-            let cached = |u: NodeId| client.is_cached(u);
-            let degree_of = |u: NodeId| client.peek_degree(u);
-            maybe_restart(
-                i,
-                &mut *walkers[i],
-                &cells[i],
-                policy,
-                &degree_of,
-                &cached,
-                restarts,
-            );
-        }
-    }
-    for &i in &*active {
-        advance_walker(
-            i,
-            &mut *walkers[i],
-            &mut rngs[i],
-            client,
-            value,
-            policy,
-            &mut cells[i],
-        );
-        if policy.enabled() && cells[i].stop.is_some() {
-            // Refused step (no transition performed): offer a rescue —
-            // the walker resumes from the next round if relocated.
-            let cached = |u: NodeId| client.is_cached(u);
-            maybe_rescue(
-                i,
-                &mut *walkers[i],
-                &mut cells[i],
-                policy,
-                &cached,
-                restarts,
-            );
-        }
-    }
-    true
+/// Per-walker visit sequences of a multi-walker run, plus its walker-side
+/// query accounting.
+#[derive(Clone, Debug)]
+pub struct MultiWalkTrace {
+    /// Per-walker visit sequences (one entry per performed step).
+    pub per_walker: Vec<Vec<NodeId>>,
+    /// Query statistics of the run (shared across walkers).
+    pub stats: QueryStats,
 }
 
-/// Dispatcher-level cap on resubmissions of a node whose requests keep
-/// coming back permanently dropped. Past it the node is abandoned and the
-/// walkers waiting on it terminate (with a budget-style error) instead of
-/// spinning forever against a dead interface.
-pub const DEFAULT_NODE_ATTEMPT_CAP: u32 = 32;
+impl MultiWalkTrace {
+    /// Total steps across all walkers.
+    pub fn total_steps(&self) -> usize {
+        self.per_walker.iter().map(Vec::len).sum()
+    }
 
-/// Mutable bookkeeping shared by the coalesced driver loop and the
-/// per-walker [`PrefetchedClient`] views of one run.
-#[derive(Default)]
-pub(crate) struct DispatchState {
-    /// Neighbor lists fetched so far (the dispatcher's shared cache).
-    pub(crate) cache: FnvHashMap<u32, Vec<NodeId>>,
-    /// Nodes the run will never deliver: budget-refused or abandoned.
-    pub(crate) refused: FnvHashSet<u32>,
-    /// Dispatcher-level resubmission counts for dropped nodes.
-    pub(crate) node_attempts: FnvHashMap<u32, u32>,
-    /// Nodes ever queried by any walker (walker-side unique/hit split).
-    pub(crate) seen: FnvHashSet<u32>,
-    /// Walker-side accounting (serial-shaped `issued`/`unique`/`hits`).
-    pub(crate) stats: QueryStats,
-    /// Distinct budget-refused nodes.
-    pub(crate) refused_nodes: usize,
-    /// Distinct nodes abandoned after the resubmission cap.
-    pub(crate) abandoned_nodes: usize,
-    /// The budget limit observed in refusals, so walker-facing errors
-    /// report the same value a serial `BudgetedClient` would.
-    pub(crate) budget_in_force: Option<u64>,
-}
+    /// Iterator over all samples, pooled across walkers.
+    pub fn pooled(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.per_walker.iter().flatten().copied()
+    }
 
-/// Fetch every id in `pending` through the batch endpoint: fan out in
-/// window-respecting batches, resubmit drops (bounded per node by
-/// `node_attempt_cap`), and record deliveries into the state's cache /
-/// refusals into its refused-set.
-pub(crate) fn fetch_all<B: BatchOsnClient>(
-    client: &mut B,
-    mut pending: VecDeque<NodeId>,
-    state: &mut DispatchState,
-    node_attempt_cap: u32,
-) {
-    let limits = client.limits();
-    let mut batch: Vec<NodeId> = Vec::with_capacity(limits.max_batch_size);
-    while !pending.is_empty() || client.in_flight() > 0 {
-        // Fill the in-flight window with max-size batches.
-        while client.in_flight() < limits.max_in_flight && !pending.is_empty() {
-            batch.clear();
-            while batch.len() < limits.max_batch_size {
-                let Some(u) = pending.pop_front() else { break };
-                batch.push(u);
-            }
-            client.submit(&batch).expect("window and size checked");
-        }
-        let Some(outcome) = client.poll() else { break };
-        for (u, result) in outcome.per_node {
-            match result {
-                Ok(neighbors) => {
-                    state.cache.insert(u.0, neighbors);
-                }
-                Err(BatchNodeError::Budget(e)) => {
-                    // Remember the budget in force so walker-facing errors
-                    // report the same value a serial `BudgetedClient` would.
-                    state.budget_in_force = Some(e.budget);
-                    if state.refused.insert(u.0) {
-                        state.refused_nodes += 1;
-                    }
-                }
-                Err(BatchNodeError::Dropped) => {
-                    let attempts = state.node_attempts.entry(u.0).or_insert(0);
-                    *attempts += 1;
-                    if *attempts >= node_attempt_cap {
-                        // Dead interface for this node: give up so the
-                        // walkers parked on it terminate cleanly.
-                        if state.refused.insert(u.0) {
-                            state.abandoned_nodes += 1;
-                        }
-                    } else {
-                        pending.push_back(u);
-                    }
-                }
-            }
-        }
+    /// Per-walker traces as `f64` sequences of `f(node)` — the shape the
+    /// multi-chain diagnostics expect. Note `osn_estimate::split_rhat`
+    /// requires equal-length chains; truncate explicitly when some walkers
+    /// stopped early.
+    pub fn chains<F: Fn(NodeId) -> f64>(&self, f: F) -> Vec<Vec<f64>> {
+        self.per_walker
+            .iter()
+            .map(|c| c.iter().map(|&v| f(v)).collect())
+            .collect()
     }
 }
 
-/// The per-step client view the coalesced driver hands each walker:
-/// neighbor lists come from the dispatcher cache (walker-side accounting
-/// recorded), metadata peeks pass through to the endpoint for free. A query
-/// for a node that was *not* prefetched (no walker in this crate issues
-/// one, but the [`RandomWalk`] trait allows it) falls back to an on-demand
-/// synchronous batch of one, with the same refusal/abandon bookkeeping.
-pub(crate) struct PrefetchedClient<'a, B: BatchOsnClient> {
-    pub(crate) client: &'a mut B,
-    pub(crate) state: &'a mut DispatchState,
-    pub(crate) node_attempt_cap: u32,
-}
-
-impl<B: BatchOsnClient> OsnClient for PrefetchedClient<'_, B> {
-    fn neighbors(&mut self, u: NodeId) -> Result<&[NodeId], BudgetExhausted> {
-        if !self.state.cache.contains_key(&u.0) && !self.state.refused.contains(&u.0) {
-            // Off-protocol query: fetch on demand through the endpoint.
-            fetch_all(
-                self.client,
-                VecDeque::from([u]),
-                self.state,
-                self.node_attempt_cap,
-            );
-        }
-        match self.state.cache.get(&u.0) {
-            Some(neighbors) => {
-                self.state.stats.record(self.state.seen.insert(u.0));
-                Ok(neighbors)
-            }
-            // Refused: report the budget a serial `BudgetedClient` would
-            // name. Abandoned nodes on an unbudgeted client have no honest
-            // value for the trait's error type; fall back to the remaining
-            // budget (0 for "the interface gave this up").
-            None => Err(BudgetExhausted {
-                budget: self
-                    .state
-                    .budget_in_force
-                    .or(self.client.remaining_budget())
-                    .unwrap_or(0),
-            }),
-        }
-    }
-
-    fn peek_degree(&self, u: NodeId) -> usize {
-        self.client.peek_degree(u)
-    }
-
-    fn peek_attribute(&self, u: NodeId, name: &str) -> Option<f64> {
-        self.client.peek_attribute(u, name)
-    }
-
-    fn stats(&self) -> QueryStats {
-        self.state.stats
-    }
-
-    fn remaining_budget(&self) -> Option<u64> {
-        self.client.remaining_budget()
-    }
-
-    fn is_cached(&self, u: NodeId) -> bool {
-        self.state.cache.contains_key(&u.0) || self.client.is_cached(u)
-    }
-}
-
-/// Outcome of the coalesced driver ([`drive_coalesced`]).
-pub(crate) struct CoalescedOutcome {
-    pub(crate) cells: Vec<Cell>,
-    pub(crate) restarts: Vec<RestartEvent>,
-    pub(crate) rounds: usize,
-    pub(crate) state: DispatchState,
-    /// Interface-side accounting delta for this run.
-    pub(crate) interface: QueryStats,
-}
-
-/// The coalesced driver: deterministic rounds of **policy → gather → dedup
-/// → charge → fan-out** against a batch endpoint. Identical to the serial
-/// driver's round structure, with the unique parked ids fanned out in
-/// window-respecting batches before the walkers step; the policy runs
-/// before the gather so a restarted walker's first fetch rides the same
-/// coalesced batch as everyone else's requests.
-pub(crate) fn drive_coalesced<B, R, F, P>(
-    client: &mut B,
-    walkers: &mut [&mut dyn RandomWalk],
-    rngs: &mut [R],
-    max_steps: usize,
-    node_attempt_cap: u32,
-    value: Option<&F>,
-    policy: &P,
-) -> CoalescedOutcome
-where
-    B: BatchOsnClient,
-    R: RngCore,
-    F: Fn(NodeId) -> f64 + ?Sized,
-    P: RestartPolicy + ?Sized,
-{
-    let k = walkers.len();
-    assert_eq!(k, rngs.len(), "one RNG stream per walker");
-    policy.begin_run(k);
-    let interface_before = client.stats();
-    let mut state = DispatchState::default();
-    let mut cells: Vec<Cell> = (0..k).map(|_| Cell::new(0)).collect();
-    let mut restarts = Vec::new();
-    let mut rounds = 0usize;
-    let mut active: Vec<usize> = (0..k).collect();
-
-    while coalesced_round(
-        client,
-        walkers,
-        rngs,
-        max_steps,
-        node_attempt_cap,
-        value,
-        policy,
-        &mut state,
-        &mut cells,
-        &mut restarts,
-        &mut active,
-    ) {
-        rounds += 1;
-    }
-
-    let mut interface = client.stats();
-    interface.issued -= interface_before.issued;
-    interface.unique -= interface_before.unique;
-    interface.cache_hits -= interface_before.cache_hits;
-    CoalescedOutcome {
-        cells,
-        restarts,
-        rounds,
-        state,
-        interface,
-    }
-}
-
-/// One deterministic round of the coalesced driver: **policy → gather →
-/// dedup → charge → fan-out**. Returns `false` (doing nothing) once every
-/// walker is done. Shared by [`drive_coalesced`] and the resumable
-/// [`CoalescedWalkRun`], so the sliced execution path cannot drift from
-/// the one-shot driver.
-#[allow(clippy::too_many_arguments)]
-fn coalesced_round<B, R, F, P>(
-    client: &mut B,
-    walkers: &mut [&mut dyn RandomWalk],
-    rngs: &mut [R],
-    max_steps: usize,
-    node_attempt_cap: u32,
-    value: Option<&F>,
-    policy: &P,
-    state: &mut DispatchState,
-    cells: &mut [Cell],
-    restarts: &mut Vec<RestartEvent>,
-    active: &mut Vec<usize>,
-) -> bool
-where
-    B: BatchOsnClient,
-    R: RngCore,
-    F: Fn(NodeId) -> f64 + ?Sized,
-    P: RestartPolicy + ?Sized,
-{
-    active.retain(|&i| cells[i].live(max_steps));
-    if active.is_empty() {
-        return false;
-    }
-    // Policy: restart decisions happen *before* the gather, so a
-    // relocated walker's new position joins this round's batch.
-    if policy.enabled() {
-        for &i in &*active {
-            let cached = |u: NodeId| state.cache.contains_key(&u.0) || client.is_cached(u);
-            let degree_of = |u: NodeId| client.peek_degree(u);
-            maybe_restart(
-                i,
-                &mut *walkers[i],
-                &cells[i],
-                policy,
-                &degree_of,
-                &cached,
-                restarts,
-            );
-        }
-    }
-    // Gather + dedup: the node each active walker is parked on, in
-    // walker order, minus ids already cached or refused.
-    let mut pending: VecDeque<NodeId> = VecDeque::new();
-    let mut queued: FnvHashSet<u32> = FnvHashSet::default();
-    for &i in &*active {
-        let u = walkers[i].current();
-        if !state.cache.contains_key(&u.0) && !state.refused.contains(&u.0) && queued.insert(u.0) {
-            pending.push_back(u);
-        }
-    }
-    // Charge: fan the deduped ids out through the batch endpoint.
-    fetch_all(client, pending, state, node_attempt_cap);
-    // Fan-out: step every active walker from its own RNG stream.
-    for &i in &*active {
-        if state.refused.contains(&walkers[i].current().0) {
-            // The node this walker needs was refused (budget) or
-            // abandoned (dead interface): terminate it, exactly as a
-            // serial walk ends on its first refused query — unless the
-            // policy rescues it, in which case it resumes from the
-            // next round (the serial driver also charges a refusal one
-            // lost step, keeping the two schedules aligned) and its
-            // new position rides the next round's batch.
-            cells[i].stop = Some(WalkStop::BudgetExhausted);
-            if policy.enabled() {
-                let cached = |u: NodeId| state.cache.contains_key(&u.0) || client.is_cached(u);
-                maybe_rescue(
-                    i,
-                    &mut *walkers[i],
-                    &mut cells[i],
-                    policy,
-                    &cached,
-                    restarts,
-                );
-            }
-            continue;
-        }
-        let mut view = PrefetchedClient {
-            client: &mut *client,
-            state: &mut *state,
-            node_attempt_cap,
-        };
-        advance_walker(
-            i,
-            &mut *walkers[i],
-            &mut rngs[i],
-            &mut view,
-            value,
-            policy,
-            &mut cells[i],
-        );
-        if policy.enabled() && cells[i].stop.is_some() {
-            // Off-protocol refusal surfaced mid-step: same rescue offer.
-            let cached = |u: NodeId| state.cache.contains_key(&u.0) || client.is_cached(u);
-            maybe_rescue(
-                i,
-                &mut *walkers[i],
-                &mut cells[i],
-                policy,
-                &cached,
-                restarts,
-            );
-        }
-    }
-    true
-}
-
-/// Outcome of an orchestrated run, uniform across backends.
+/// Outcome of an orchestrated run — the one multi-walker report, uniform
+/// across both engines.
 #[derive(Clone, Debug)]
 pub struct OrchestratorReport {
     /// Per-walker visit sequences plus walker-side accounting (for the
-    /// coalesced backend this is the serial-shaped view; see
-    /// [`Self::interface`]).
+    /// reactor this is the serial-shaped view over its dispatcher cache;
+    /// see [`Self::interface`]).
     pub trace: MultiWalkTrace,
     /// Per-walker ratio estimators merged in walker-index order.
     pub estimate: RatioEstimator,
     /// Why each walker stopped, in walker order.
     pub stops: Vec<WalkStop>,
-    /// Every restart the policy performed, in schedule order (round-based
-    /// backends) or walker-then-step order (threaded backend).
+    /// Every restart the policy performed, in schedule order.
     pub restarts: Vec<RestartEvent>,
-    /// Scheduling waves executed by the round-based backends (`0` for the
-    /// threaded backend, which has no rounds).
+    /// Scheduling waves executed by the serial core, or completion events
+    /// processed by the reactor.
     pub rounds: usize,
-    /// Interface-side accounting of the coalesced backend (`None` for the
-    /// serial and threaded backends, whose walker-side stats *are* the
-    /// interface stats).
+    /// Interface-side accounting of the reactor (`None` for the serial
+    /// core, whose walker-side stats *are* the interface stats).
     pub interface: Option<QueryStats>,
-    /// Nodes the budget refused (coalesced backend; each terminated the
-    /// walkers parked on it).
+    /// Nodes the budget refused (reactor; each terminated the walkers
+    /// parked on it).
     pub refused_nodes: usize,
-    /// Nodes abandoned after repeated permanent drops (coalesced backend).
+    /// Nodes abandoned after repeated permanent drops (reactor).
     pub abandoned_nodes: usize,
 }
 
 impl OrchestratorReport {
-    /// Fold per-walker cells into the uniform report shape: estimators
-    /// merged and stops defaulted in walker-index order. The compatibility
-    /// wrappers in `multiwalk` reuse this fold so they cannot drift from
-    /// the unified API.
+    /// Fold per-walker cells into the report shape: estimators merged and
+    /// stops defaulted in walker-index order.
     pub(crate) fn from_cells(
         cells: Vec<Cell>,
         restarts: Vec<RestartEvent>,
@@ -1060,11 +722,11 @@ impl OrchestratorReport {
     }
 }
 
-/// The unified entry point: owns the fleet size, the per-walker step cap,
-/// the SplitMix64-derived per-walker RNG streams, and the history-backend
-/// knob — then runs the fleet on the execution backend of your choice under
-/// a [`RestartPolicy`]. See the module docs for the backend × policy
-/// matrix.
+/// The entry point to both engines: owns the fleet size, the per-walker
+/// step cap, the SplitMix64-derived per-walker RNG streams, and the
+/// history-backend knob — then runs the fleet on the serial core
+/// ([`Self::run_serial`]) or the reactor ([`Self::run_reactor`]) under a
+/// [`RestartPolicy`]. See the module docs for the engine table.
 ///
 /// ```
 /// use osn_client::SimulatedOsn;
@@ -1128,8 +790,9 @@ impl WalkOrchestrator {
         self.max_steps_per_walker
     }
 
-    /// The deterministic RNG seed for walker `i`'s private stream — the
-    /// same SplitMix64 derivation every run mode in the workspace uses.
+    /// The deterministic RNG seed for walker `i`'s private stream —
+    /// [`osn_graph::mix::splitmix64_stream`], the workspace's one seed
+    /// mixer (walker streams here, trial seeds in `osn-experiments`).
     pub fn walker_seed(&self, i: usize) -> u64 {
         osn_graph::mix::splitmix64_stream(self.seed, i as u64)
     }
@@ -1188,141 +851,6 @@ impl WalkOrchestrator {
         )
     }
 
-    /// Run the fleet on one scoped OS thread per walker against cloned
-    /// handles of a thread-safe client (built for
-    /// [`osn_client::SharedOsn`]: clones share the cache, accounting, and
-    /// optional atomic budget).
-    ///
-    /// Per-walker traces are bit-identical to serial replay under [`Never`]
-    /// (absent a shared budget); under [`WorkStealing`] the restart
-    /// schedule depends on thread interleaving — see the module docs.
-    ///
-    /// # Panics
-    /// Propagates a panic from any walker thread after all threads joined.
-    pub fn run_threaded<C, W, F, P>(
-        &self,
-        client: &C,
-        make_walker: W,
-        value: F,
-        policy: &P,
-    ) -> OrchestratorReport
-    where
-        C: OsnClient + Clone + Send,
-        W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send> + Sync,
-        F: Fn(NodeId) -> f64 + Sync,
-        P: RestartPolicy + ?Sized,
-    {
-        let max_steps = self.max_steps_per_walker;
-        let backend = self.backend;
-        policy.begin_run(self.walkers);
-        let (cells, restarts) = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.walkers)
-                .map(|i| {
-                    let mut client = client.clone();
-                    let make_walker = &make_walker;
-                    let value = &value;
-                    let rng_seed = self.walker_seed(i);
-                    scope.spawn(move || {
-                        let mut walker = make_walker(i, backend);
-                        let mut rng = ChaCha12Rng::seed_from_u64(rng_seed);
-                        let mut cell = Cell::new(0);
-                        let mut restarts = Vec::new();
-                        while cell.live(max_steps) {
-                            advance_walker(
-                                i,
-                                walker.as_mut(),
-                                &mut rng,
-                                &mut client,
-                                Some(value),
-                                policy,
-                                &mut cell,
-                            );
-                            if policy.enabled() {
-                                let cached = |u: NodeId| client.is_cached(u);
-                                if cell.stop.is_some() {
-                                    maybe_rescue(
-                                        i,
-                                        walker.as_mut(),
-                                        &mut cell,
-                                        policy,
-                                        &cached,
-                                        &mut restarts,
-                                    );
-                                } else {
-                                    let degree_of = |u: NodeId| client.peek_degree(u);
-                                    maybe_restart(
-                                        i,
-                                        walker.as_mut(),
-                                        &cell,
-                                        policy,
-                                        &degree_of,
-                                        &cached,
-                                        &mut restarts,
-                                    );
-                                }
-                            }
-                        }
-                        (cell, restarts)
-                    })
-                })
-                .collect();
-            // Join in walker-index order: the merge order (and therefore
-            // the merged floating-point sums) never depends on which thread
-            // finished first.
-            let mut cells = Vec::with_capacity(self.walkers);
-            let mut all_restarts = Vec::new();
-            for handle in handles {
-                let (cell, restarts) = handle.join().expect("walker thread panicked");
-                all_restarts.extend(restarts);
-                cells.push(cell);
-            }
-            (cells, all_restarts)
-        });
-        OrchestratorReport::from_cells(cells, restarts, 0, client.stats())
-    }
-
-    /// Run the fleet against a batch endpoint through the coalescing
-    /// queue: deterministic rounds of policy → gather → dedup → charge →
-    /// fan-out, walker `i` consuming the identical RNG stream the other
-    /// backends use, so per-walker traces under [`Never`] are bit-identical
-    /// across all three modes (absent a budget).
-    pub fn run_coalesced<B, W, F, P>(
-        &self,
-        client: &mut B,
-        make_walker: W,
-        value: F,
-        policy: &P,
-    ) -> OrchestratorReport
-    where
-        B: BatchOsnClient,
-        W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
-        F: Fn(NodeId) -> f64,
-        P: RestartPolicy + ?Sized,
-    {
-        let (mut fleet, mut rngs) = self.build_fleet(make_walker);
-        let mut refs: Vec<&mut dyn RandomWalk> =
-            fleet.iter_mut().map(|w| w.as_mut() as _).collect();
-        let outcome = drive_coalesced(
-            client,
-            &mut refs,
-            &mut rngs,
-            self.max_steps_per_walker,
-            DEFAULT_NODE_ATTEMPT_CAP,
-            Some(&value),
-            policy,
-        );
-        let mut report = OrchestratorReport::from_cells(
-            outcome.cells,
-            outcome.restarts,
-            outcome.rounds,
-            outcome.state.stats,
-        );
-        report.interface = Some(outcome.interface);
-        report.refused_nodes = outcome.state.refused_nodes;
-        report.abandoned_nodes = outcome.state.abandoned_nodes;
-        report
-    }
-
     /// The snapshot-embedded description of this orchestrator's
     /// construction-time spec, checked (not restored) at resume time:
     /// resuming requires reconstructing the *same* run.
@@ -1366,667 +894,19 @@ impl WalkOrchestrator {
         }
         Ok(())
     }
-
-    /// Begin a pausable serial run (see [`SerialWalkRun`]). Driving it to
-    /// completion is bit-identical to [`Self::run_serial`] under [`Never`].
-    pub fn start_serial<W>(&self, make_walker: W) -> SerialWalkRun
-    where
-        W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
-    {
-        let (fleet, rngs) = self.build_fleet(make_walker);
-        SerialWalkRun {
-            spec: *self,
-            fleet,
-            rngs,
-            cells: (0..self.walkers).map(|_| Cell::new(0)).collect(),
-            rounds: 0,
-            active: (0..self.walkers).collect(),
-        }
-    }
-
-    /// Restore a [`SerialWalkRun`] from a [`SerialWalkRun::snapshot`]
-    /// value. The orchestrator spec (fleet size, step cap, seed, history
-    /// backend) must match the one that produced the snapshot, and
-    /// `make_walker` must rebuild walkers of the same algorithm/strategy —
-    /// walker state import fails loudly on backend mismatches, but the
-    /// algorithm itself is the caller's contract, exactly as for
-    /// [`RandomWalk::import_state`].
-    pub fn resume_serial<W>(&self, state: &Value, make_walker: W) -> Result<SerialWalkRun, String>
-    where
-        W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
-    {
-        let (fleet, rngs, cells, rounds) =
-            self.resume_fleet(state, "serial", "rounds", make_walker)?;
-        Ok(SerialWalkRun {
-            spec: *self,
-            fleet,
-            rngs,
-            cells,
-            rounds,
-            active: (0..self.walkers).collect(),
-        })
-    }
-
-    /// Begin a pausable coalesced run against a batch endpoint (see
-    /// [`CoalescedWalkRun`]). Driving it to completion is bit-identical to
-    /// [`Self::run_coalesced`] under [`Never`].
-    pub fn start_coalesced<W>(&self, make_walker: W) -> CoalescedWalkRun
-    where
-        W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
-    {
-        let (fleet, rngs) = self.build_fleet(make_walker);
-        CoalescedWalkRun {
-            spec: *self,
-            fleet,
-            rngs,
-            cells: (0..self.walkers).map(|_| Cell::new(0)).collect(),
-            rounds: 0,
-            active: (0..self.walkers).collect(),
-            state: DispatchState::default(),
-            node_attempt_cap: DEFAULT_NODE_ATTEMPT_CAP,
-            interface_base: None,
-        }
-    }
-
-    /// Restore a [`CoalescedWalkRun`] from a [`CoalescedWalkRun::snapshot`]
-    /// value — including the dispatcher cache, so already-fetched neighbor
-    /// lists are not re-charged after resume. Spec and walker contracts are
-    /// as for [`Self::resume_serial`].
-    pub fn resume_coalesced<W>(
-        &self,
-        state: &Value,
-        make_walker: W,
-    ) -> Result<CoalescedWalkRun, String>
-    where
-        W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
-    {
-        let (fleet, rngs, cells, rounds) =
-            self.resume_fleet(state, "coalesced", "rounds", make_walker)?;
-        let dispatch = dispatch_from_value(state.field("dispatch")?)?;
-        let node_attempt_cap: u32 = state.field("attempt_cap")?.decode()?;
-        Ok(CoalescedWalkRun {
-            spec: *self,
-            fleet,
-            rngs,
-            cells,
-            rounds,
-            active: (0..self.walkers).collect(),
-            state: dispatch,
-            node_attempt_cap,
-            interface_base: None,
-        })
-    }
-
-    /// The fleet-restoration core shared by both resume entry points.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn resume_fleet<W>(
-        &self,
-        state: &Value,
-        kind: &str,
-        counter: &str,
-        make_walker: W,
-    ) -> Result<
-        (
-            Vec<Box<dyn RandomWalk + Send>>,
-            Vec<ChaCha12Rng>,
-            Vec<Cell>,
-            usize,
-        ),
-        String,
-    >
-    where
-        W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
-    {
-        let found = state.field("kind")?.as_str()?;
-        if found != kind {
-            return Err(format!(
-                "snapshot kind mismatch: `{found}`, expected `{kind}`"
-            ));
-        }
-        self.check_spec(state.field("spec")?)?;
-        let rounds: usize = state.field(counter)?.decode()?;
-        let walker_states = state.field("walkers")?.as_array()?;
-        let rng_states = state.field("rngs")?.as_array()?;
-        let cell_states = state.field("cells")?.as_array()?;
-        if walker_states.len() != self.walkers
-            || rng_states.len() != self.walkers
-            || cell_states.len() != self.walkers
-        {
-            return Err(format!(
-                "snapshot fleet size mismatch: {} walker / {} rng / {} cell states for a {}-walker run",
-                walker_states.len(),
-                rng_states.len(),
-                cell_states.len(),
-                self.walkers
-            ));
-        }
-        let mut fleet = Vec::with_capacity(self.walkers);
-        for (i, ws) in walker_states.iter().enumerate() {
-            let mut walker = make_walker(i, self.backend);
-            walker
-                .import_state(ws)
-                .map_err(|e| format!("walker {i}: {e}"))?;
-            fleet.push(walker);
-        }
-        let rngs = rng_states
-            .iter()
-            .map(rng_from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let cells = cell_states
-            .iter()
-            .map(cell_from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok((fleet, rngs, cells, rounds))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Resumable runs: pause between rounds, snapshot the whole run to an
-// `osn-serde` [`Value`], resume bit-identically — the execution substrate
-// of the `osn-service` job server.
-// ---------------------------------------------------------------------------
-
-pub(crate) fn nodes_to_value(nodes: &[NodeId]) -> Value {
-    Value::Arr(nodes.iter().map(|n| Value::Uint(u64::from(n.0))).collect())
-}
-
-pub(crate) fn nodes_from_value(value: &Value) -> Result<Vec<NodeId>, String> {
-    value
-        .as_array()?
-        .iter()
-        .map(|v| Ok(NodeId(v.decode::<u32>()?)))
-        .collect()
-}
-
-/// Hash sets hold membership only — serialize sorted so snapshots are
-/// byte-deterministic.
-fn sorted_set_value(set: &FnvHashSet<u32>) -> Value {
-    let mut ids: Vec<u32> = set.iter().copied().collect();
-    ids.sort_unstable();
-    Value::Arr(ids.into_iter().map(|u| Value::Uint(u64::from(u))).collect())
-}
-
-fn set_from_value(value: &Value) -> Result<FnvHashSet<u32>, String> {
-    let mut set = FnvHashSet::default();
-    for v in value.as_array()? {
-        if !set.insert(v.decode::<u32>()?) {
-            return Err("duplicate id in serialized set".into());
-        }
-    }
-    Ok(set)
-}
-
-pub(crate) fn rng_to_value(rng: &ChaCha12Rng) -> Value {
-    Value::Arr(rng.get_state().iter().map(|&w| Value::Uint(w)).collect())
-}
-
-pub(crate) fn rng_from_value(value: &Value) -> Result<ChaCha12Rng, String> {
-    let words = value.as_array()?;
-    if words.len() != 4 {
-        return Err(format!("RNG state must hold 4 words, got {}", words.len()));
-    }
-    let mut state = [0u64; 4];
-    for (slot, word) in state.iter_mut().zip(words) {
-        *slot = word.decode()?;
-    }
-    Ok(ChaCha12Rng::from_state(state))
-}
-
-fn stop_to_value(stop: Option<WalkStop>) -> Value {
-    match stop {
-        None => Value::Null,
-        Some(WalkStop::MaxSteps) => Value::Str("max-steps".into()),
-        Some(WalkStop::BudgetExhausted) => Value::Str("budget-exhausted".into()),
-    }
-}
-
-fn stop_from_value(value: &Value) -> Result<Option<WalkStop>, String> {
-    match value {
-        Value::Null => Ok(None),
-        other => match other.as_str()? {
-            "max-steps" => Ok(Some(WalkStop::MaxSteps)),
-            "budget-exhausted" => Ok(Some(WalkStop::BudgetExhausted)),
-            unknown => Err(format!("unknown walk stop `{unknown}`")),
-        },
-    }
-}
-
-pub(crate) fn cell_to_value(cell: &Cell) -> Value {
-    let (weighted_sum, weight_total, count) = cell.est.parts();
-    Value::obj([
-        ("trace", nodes_to_value(&cell.trace)),
-        (
-            "est",
-            Value::obj([
-                ("weighted_sum", Value::Num(weighted_sum)),
-                ("weight_total", Value::Num(weight_total)),
-                ("count", Value::Uint(count as u64)),
-            ]),
-        ),
-        ("stop", stop_to_value(cell.stop)),
-    ])
-}
-
-pub(crate) fn cell_from_value(value: &Value) -> Result<Cell, String> {
-    let est = value.field("est")?;
-    Ok(Cell {
-        trace: nodes_from_value(value.field("trace")?)?,
-        est: RatioEstimator::from_parts(
-            est.field("weighted_sum")?.decode()?,
-            est.field("weight_total")?.decode()?,
-            est.field("count")?.decode()?,
-        ),
-        stop: stop_from_value(value.field("stop")?)?,
-    })
-}
-
-fn stats_to_value(stats: QueryStats) -> Value {
-    Value::obj([
-        ("issued", Value::Uint(stats.issued)),
-        ("unique", Value::Uint(stats.unique)),
-        ("cache_hits", Value::Uint(stats.cache_hits)),
-    ])
-}
-
-fn stats_from_value(value: &Value) -> Result<QueryStats, String> {
-    Ok(QueryStats {
-        issued: value.field("issued")?.decode()?,
-        unique: value.field("unique")?.decode()?,
-        cache_hits: value.field("cache_hits")?.decode()?,
-    })
-}
-
-pub(crate) fn dispatch_to_value(state: &DispatchState) -> Value {
-    let mut cache: Vec<(&u32, &Vec<NodeId>)> = state.cache.iter().collect();
-    cache.sort_unstable_by_key(|(u, _)| **u);
-    let mut attempts: Vec<(&u32, &u32)> = state.node_attempts.iter().collect();
-    attempts.sort_unstable_by_key(|(u, _)| **u);
-    Value::obj([
-        (
-            "cache",
-            Value::Arr(
-                cache
-                    .into_iter()
-                    .map(|(u, neighbors)| {
-                        Value::obj([
-                            ("node", Value::Uint(u64::from(*u))),
-                            ("neighbors", nodes_to_value(neighbors)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("refused", sorted_set_value(&state.refused)),
-        (
-            "attempts",
-            Value::Arr(
-                attempts
-                    .into_iter()
-                    .map(|(u, n)| {
-                        Value::obj([
-                            ("node", Value::Uint(u64::from(*u))),
-                            ("count", Value::Uint(u64::from(*n))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("seen", sorted_set_value(&state.seen)),
-        ("stats", stats_to_value(state.stats)),
-        ("refused_nodes", Value::Uint(state.refused_nodes as u64)),
-        ("abandoned_nodes", Value::Uint(state.abandoned_nodes as u64)),
-        (
-            "budget",
-            match state.budget_in_force {
-                Some(b) => Value::Uint(b),
-                None => Value::Null,
-            },
-        ),
-    ])
-}
-
-pub(crate) fn dispatch_from_value(value: &Value) -> Result<DispatchState, String> {
-    let mut cache = FnvHashMap::default();
-    for entry in value.field("cache")?.as_array()? {
-        let node: u32 = entry.field("node")?.decode()?;
-        let neighbors = nodes_from_value(entry.field("neighbors")?)?;
-        if cache.insert(node, neighbors).is_some() {
-            return Err(format!("duplicate cache entry for node {node}"));
-        }
-    }
-    let mut node_attempts = FnvHashMap::default();
-    for entry in value.field("attempts")?.as_array()? {
-        let node: u32 = entry.field("node")?.decode()?;
-        let count: u32 = entry.field("count")?.decode()?;
-        if node_attempts.insert(node, count).is_some() {
-            return Err(format!("duplicate attempt entry for node {node}"));
-        }
-    }
-    Ok(DispatchState {
-        cache,
-        refused: set_from_value(value.field("refused")?)?,
-        node_attempts,
-        seen: set_from_value(value.field("seen")?)?,
-        stats: stats_from_value(value.field("stats")?)?,
-        refused_nodes: value.field("refused_nodes")?.decode()?,
-        abandoned_nodes: value.field("abandoned_nodes")?.decode()?,
-        budget_in_force: match value.field("budget")? {
-            Value::Null => None,
-            other => Some(other.decode()?),
-        },
-    })
-}
-
-/// A serial orchestrated run that pauses between scheduling rounds,
-/// snapshots to an `osn-serde` [`Value`], and resumes **bit-identically** —
-/// the execution substrate of the `osn-service` job server, where many
-/// concurrent jobs advance in interleaved round slices and a killed server
-/// must restore every job mid-walk.
-///
-/// Semantically this is [`WalkOrchestrator::run_serial`] under the
-/// [`Never`] policy, sliced: driving a run to completion produces the
-/// identical traces, estimate, and stops (pinned by the facade-level
-/// resume suite). Restart policies are intentionally **not** supported on
-/// the resumable path — [`WorkStealing`] keeps non-serializable interior
-/// diagnostics (the windowed split-R̂ accumulators, per-walker visit
-/// filters, the lock-striped frontier), so a mid-run snapshot could not
-/// restore the restart schedule. Use [`WalkOrchestrator::run_serial`] for
-/// policy-driven runs.
-pub struct SerialWalkRun {
-    spec: WalkOrchestrator,
-    fleet: Vec<Box<dyn RandomWalk + Send>>,
-    rngs: Vec<ChaCha12Rng>,
-    cells: Vec<Cell>,
-    rounds: usize,
-    active: Vec<usize>,
-}
-
-impl SerialWalkRun {
-    /// Whether every walker has finished (step cap reached or budget
-    /// refused). Further [`Self::run_rounds`] calls are no-ops.
-    pub fn done(&self) -> bool {
-        let max = self.spec.max_steps_per_walker;
-        self.cells.iter().all(|c| !c.live(max))
-    }
-
-    /// Scheduling rounds executed so far.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// Total transitions performed across the fleet so far.
-    pub fn steps_taken(&self) -> usize {
-        self.cells.iter().map(|c| c.trace.len()).sum()
-    }
-
-    /// Advance up to `rounds` scheduling waves against `client`, returning
-    /// the number actually executed (fewer once the fleet finishes).
-    /// `value` must be the same function across slices for the estimate to
-    /// mean anything; pass `usize::MAX` to drive the run to completion.
-    pub fn run_rounds<C, F>(&mut self, client: &mut C, value: &F, rounds: usize) -> usize
-    where
-        C: OsnClient,
-        F: Fn(NodeId) -> f64 + ?Sized,
-    {
-        let mut refs: Vec<&mut dyn RandomWalk> =
-            self.fleet.iter_mut().map(|w| w.as_mut() as _).collect();
-        let mut no_restarts = Vec::new();
-        let mut executed = 0;
-        while executed < rounds
-            && serial_round(
-                client,
-                &mut refs,
-                &mut self.rngs,
-                self.spec.max_steps_per_walker,
-                Some(value),
-                &Never,
-                &mut self.cells,
-                &mut no_restarts,
-                &mut self.active,
-            )
-        {
-            executed += 1;
-            self.rounds += 1;
-        }
-        executed
-    }
-
-    /// Notify the fleet that each node in `nodes` had an incident edge
-    /// inserted or deleted (through an [`osn_graph::DeltaOverlay`] applied
-    /// to the client): every walker drops the circulation state keyed by
-    /// that node, so coverage restarts on the post-mutation neighborhood.
-    /// The serial backend holds no dispatcher cache — the client itself is
-    /// the source of truth for neighbor lists. Returns the total number of
-    /// per-edge histories dropped across the fleet.
-    pub fn invalidate_nodes(&mut self, nodes: &[NodeId]) -> usize {
-        let mut dropped = 0;
-        for w in &mut self.fleet {
-            for &v in nodes {
-                dropped += w.invalidate_node(v);
-            }
-        }
-        dropped
-    }
-
-    /// Serialize the complete run state — walker positions and circulation
-    /// histories, RNG stream words, per-walker traces, estimator
-    /// accumulators, stop flags, round counter — as a byte-deterministic
-    /// [`Value`]. Restore with [`WalkOrchestrator::resume_serial`].
-    pub fn snapshot(&self) -> Value {
-        Value::obj([
-            ("kind", Value::Str("serial".into())),
-            ("spec", self.spec.spec_value()),
-            ("rounds", Value::Uint(self.rounds as u64)),
-            (
-                "walkers",
-                Value::Arr(self.fleet.iter().map(|w| w.export_state()).collect()),
-            ),
-            (
-                "rngs",
-                Value::Arr(self.rngs.iter().map(rng_to_value).collect()),
-            ),
-            (
-                "cells",
-                Value::Arr(self.cells.iter().map(cell_to_value).collect()),
-            ),
-        ])
-    }
-
-    /// Fold the run into the uniform report shape. `stats` is the client's
-    /// accounting (the serial backend's walker-side stats *are* the
-    /// interface stats, exactly as in [`WalkOrchestrator::run_serial`]).
-    pub fn into_report(self, stats: QueryStats) -> OrchestratorReport {
-        OrchestratorReport::from_cells(self.cells, Vec::new(), self.rounds, stats)
-    }
-}
-
-/// A coalesced orchestrated run that pauses between rounds and snapshots —
-/// the batched sibling of [`SerialWalkRun`], carrying the dispatcher state
-/// (shared cache, refusals, resubmission counts, walker-side accounting)
-/// through the snapshot so a resumed run re-charges nothing it already
-/// paid for. Driving it to completion is bit-identical to
-/// [`WalkOrchestrator::run_coalesced`] under [`Never`].
-pub struct CoalescedWalkRun {
-    spec: WalkOrchestrator,
-    fleet: Vec<Box<dyn RandomWalk + Send>>,
-    rngs: Vec<ChaCha12Rng>,
-    cells: Vec<Cell>,
-    rounds: usize,
-    active: Vec<usize>,
-    state: DispatchState,
-    node_attempt_cap: u32,
-    /// Endpoint accounting at the first `run_rounds` call of this process
-    /// lifetime, so [`Self::into_report`] reports the interface delta this
-    /// run (segment) caused. Not serialized: endpoint counters do not
-    /// survive the process, so a resumed segment's delta starts fresh.
-    interface_base: Option<QueryStats>,
-}
-
-impl CoalescedWalkRun {
-    /// Whether every walker has finished.
-    pub fn done(&self) -> bool {
-        let max = self.spec.max_steps_per_walker;
-        self.cells.iter().all(|c| !c.live(max))
-    }
-
-    /// Scheduling rounds executed so far.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// Total transitions performed across the fleet so far.
-    pub fn steps_taken(&self) -> usize {
-        self.cells.iter().map(|c| c.trace.len()).sum()
-    }
-
-    /// Walker-side accounting so far (the serial-shaped `issued` /
-    /// `unique` / `cache_hits` view over the dispatcher cache).
-    pub fn walker_stats(&self) -> QueryStats {
-        self.state.stats
-    }
-
-    /// Cap on dispatcher-level resubmissions of a permanently-dropped node
-    /// (default [`DEFAULT_NODE_ATTEMPT_CAP`]).
-    #[must_use]
-    pub fn with_node_attempt_cap(mut self, cap: u32) -> Self {
-        self.node_attempt_cap = cap.max(1);
-        self
-    }
-
-    /// Advance up to `rounds` deterministic **policy-free** rounds of
-    /// gather → dedup → charge → fan-out against `client`, returning the
-    /// number actually executed. Pass `usize::MAX` to drive to completion.
-    pub fn run_rounds<B, F>(&mut self, client: &mut B, value: &F, rounds: usize) -> usize
-    where
-        B: BatchOsnClient,
-        F: Fn(NodeId) -> f64 + ?Sized,
-    {
-        if self.interface_base.is_none() {
-            self.interface_base = Some(client.stats());
-        }
-        let mut refs: Vec<&mut dyn RandomWalk> =
-            self.fleet.iter_mut().map(|w| w.as_mut() as _).collect();
-        let mut no_restarts = Vec::new();
-        let mut executed = 0;
-        while executed < rounds
-            && coalesced_round(
-                client,
-                &mut refs,
-                &mut self.rngs,
-                self.spec.max_steps_per_walker,
-                self.node_attempt_cap,
-                Some(value),
-                &Never,
-                &mut self.state,
-                &mut self.cells,
-                &mut no_restarts,
-                &mut self.active,
-            )
-        {
-            executed += 1;
-            self.rounds += 1;
-        }
-        executed
-    }
-
-    /// Notify the fleet that each node in `nodes` had an incident edge
-    /// inserted or deleted (through an [`osn_graph::DeltaOverlay`] applied
-    /// to the endpoint): every walker drops the circulation state keyed by
-    /// that node, and the dispatcher cache evicts the node's neighbor list
-    /// (plus its `seen` mark) so the next visit re-fetches — and re-charges
-    /// — the post-mutation list honestly. Returns the total number of
-    /// per-edge histories dropped across the fleet.
-    pub fn invalidate_nodes(&mut self, nodes: &[NodeId]) -> usize {
-        let mut dropped = 0;
-        for &v in nodes {
-            self.state.cache.remove(&v.0);
-            self.state.seen.remove(&v.0);
-            for w in &mut self.fleet {
-                dropped += w.invalidate_node(v);
-            }
-        }
-        dropped
-    }
-
-    /// Serialize the complete run state — fleet as in
-    /// [`SerialWalkRun::snapshot`], plus the dispatcher cache/refusals/
-    /// attempt counts/accounting. Restore with
-    /// [`WalkOrchestrator::resume_coalesced`].
-    pub fn snapshot(&self) -> Value {
-        Value::obj([
-            ("kind", Value::Str("coalesced".into())),
-            ("spec", self.spec.spec_value()),
-            ("rounds", Value::Uint(self.rounds as u64)),
-            (
-                "walkers",
-                Value::Arr(self.fleet.iter().map(|w| w.export_state()).collect()),
-            ),
-            (
-                "rngs",
-                Value::Arr(self.rngs.iter().map(rng_to_value).collect()),
-            ),
-            (
-                "cells",
-                Value::Arr(self.cells.iter().map(cell_to_value).collect()),
-            ),
-            ("dispatch", dispatch_to_value(&self.state)),
-            ("attempt_cap", Value::Uint(u64::from(self.node_attempt_cap))),
-        ])
-    }
-
-    /// Fold the run into the uniform report shape, reading the endpoint's
-    /// interface-side accounting delta for this process lifetime from
-    /// `client` (deltas are measured from the first `run_rounds` call
-    /// after construction or resume; endpoint counters do not survive the
-    /// process).
-    pub fn into_report<B: BatchOsnClient>(self, client: &B) -> OrchestratorReport {
-        let refused_nodes = self.state.refused_nodes;
-        let abandoned_nodes = self.state.abandoned_nodes;
-        let mut report =
-            OrchestratorReport::from_cells(self.cells, Vec::new(), self.rounds, self.state.stats);
-        let mut interface = client.stats();
-        if let Some(base) = self.interface_base {
-            interface.issued -= base.issued;
-            interface.unique -= base.unique;
-            interface.cache_hits -= base.cache_hits;
-        }
-        report.interface = Some(interface);
-        report.refused_nodes = refused_nodes;
-        report.abandoned_nodes = abandoned_nodes;
-        report
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::walkers::{Cnrw, Srw};
-    use osn_client::batch::{BatchConfig, SimulatedBatchOsn};
-    use osn_client::{BudgetedClient, SharedOsn, SimulatedOsn};
+    use osn_client::{BudgetedClient, SimulatedOsn};
     use osn_graph::generators::{barbell, clustered_cliques, ClusteredCliquesConfig};
 
     fn clustered_client() -> SimulatedOsn {
         SimulatedOsn::from_graph(
             clustered_cliques(&ClusteredCliquesConfig::default()).expect("static config"),
         )
-    }
-
-    #[test]
-    fn serial_never_equals_threaded_never_bit_identically() {
-        let orch = WalkOrchestrator::new(3, 200, 11);
-        let make = |i: usize, b: HistoryBackend| {
-            Box::new(Cnrw::with_backend(NodeId(i as u32 * 5), b)) as Box<dyn RandomWalk + Send>
-        };
-        let mut serial_client = SimulatedOsn::from_graph(barbell(9, 9).unwrap());
-        let serial = orch.run_serial(&mut serial_client, make, |v| v.index() as f64, &Never);
-        let shared = SharedOsn::new(SimulatedOsn::from_graph(barbell(9, 9).unwrap()));
-        let threaded = orch.run_threaded(&shared, make, |v| v.index() as f64, &Never);
-        assert_eq!(serial.trace.per_walker, threaded.trace.per_walker);
-        assert_eq!(serial.estimate.count(), threaded.estimate.count());
-        assert_eq!(serial.estimate.mean(), threaded.estimate.mean());
-        assert!(serial.restarts.is_empty() && threaded.restarts.is_empty());
-        assert_eq!(serial.rounds, 200);
-        assert!(serial.stops.iter().all(|s| *s == WalkStop::MaxSteps));
     }
 
     #[test]
@@ -2068,41 +948,6 @@ mod tests {
                 e.to
             );
         }
-    }
-
-    #[test]
-    fn serial_and_coalesced_work_stealing_schedules_match() {
-        // Both round-based backends consult the policy at the same
-        // boundaries over the same RNG streams: identical traces AND
-        // identical restart schedules, batching notwithstanding.
-        let make = |i: usize, b: HistoryBackend| {
-            Box::new(Cnrw::with_backend(NodeId(i as u32 % 10), b)) as Box<dyn RandomWalk + Send>
-        };
-        let orch = WalkOrchestrator::new(4, 300, 9);
-        let serial_policy = WorkStealing::new(1.1, 16, SharedFrontier::with_stripes(8, 16));
-        let mut serial_client = clustered_client();
-        let serial = orch.run_serial(
-            &mut serial_client,
-            make,
-            |v| v.index() as f64,
-            &serial_policy,
-        );
-
-        let coalesced_policy = WorkStealing::new(1.1, 16, SharedFrontier::with_stripes(8, 16));
-        let mut batch_client =
-            SimulatedBatchOsn::new(clustered_client(), BatchConfig::new(4).with_in_flight(2));
-        let coalesced = orch.run_coalesced(
-            &mut batch_client,
-            make,
-            |v| v.index() as f64,
-            &coalesced_policy,
-        );
-        assert_eq!(serial.restarts, coalesced.restarts);
-        assert_eq!(serial.trace.per_walker, coalesced.trace.per_walker);
-        assert!(
-            !serial.restarts.is_empty(),
-            "scenario must exercise stealing"
-        );
     }
 
     #[test]

@@ -1,18 +1,18 @@
-//! The poll-driven reactor backend: **10k+ walkers as state machines on
-//! one loop, no threads, O(active batches) memory**.
+//! The reactor: the poll-driven engine for any [`BatchOsnClient`] —
+//! **10k+ walkers as state machines on one loop, no threads, O(active
+//! batches) memory**.
 //!
-//! The threaded backend spends an OS thread (and a stack) per walker; the
-//! coalesced backend proved walkers can park on I/O but still marches the
-//! whole fleet through lock-step rounds. This module refactors the
-//! per-walker step into an explicit state machine ([`WalkerFsm`]) whose
+//! Each walker's step is an explicit state machine ([`WalkerFsm`]) whose
 //! completion source is the [`BatchOsnClient`] `submit`/`poll` pair: one
 //! reactor loop parks tens of thousands of walkers on in-flight batches and
-//! advances exactly the walkers each completed batch unblocks. Memory
-//! beyond the fleet itself is bounded by the endpoint's in-flight window
-//! (tracked tickets × batch size) plus the queued-id backlog — there is no
-//! per-walker stack, thread, or round-robin wave slot
-//! ([`ReactorStats`] reports the observed peaks so soak tests can pin the
-//! bound).
+//! advances exactly the walkers each completed batch unblocks. Requests
+//! coalesce: a node id is fetched (and charged) once however many walkers
+//! wait on it, and resolved neighbor lists stay in the run's dispatcher
+//! cache. Memory beyond the fleet itself is bounded by the endpoint's
+//! in-flight window (tracked tickets × batch size) plus the queued-id
+//! backlog — there is no per-walker stack, thread, or round-robin wave
+//! slot ([`ReactorStats`] reports the observed peaks so soak tests can pin
+//! the bound).
 //!
 //! ## The event loop
 //!
@@ -30,9 +30,9 @@
 //! 3. **act** — the walkers unblocked by this event plus those left ready
 //!    by the previous one step **in walker-index order** (the tiebreak that
 //!    makes the schedule canonical). At most one step per walker per event,
-//!    so policy cadences stay aligned with the round-based backends.
+//!    so policy cadences stay aligned with the serial core's rounds.
 //! 4. **policy** — [`RestartPolicy`] checks run for every live walker in
-//!    walker-index order, exactly where the coalesced backend consults the
+//!    walker-index order, exactly where the serial core consults the
 //!    policy between rounds.
 //! 5. **classify** — every walker that stepped (or was relocated) is
 //!    parked on its new current node: already-cached or refused nodes make
@@ -43,22 +43,25 @@
 //!
 //! Given a seed the whole schedule — traces, estimator pushes, charge
 //! order, restart schedule — is a pure function of the endpoint's
-//! completion times. When every wave fits one batch (`max_batch_size ≥`
-//! fleet size) the reactor's events coincide 1:1 with the coalesced
-//! backend's rounds and the two are **bit-identical** end to end: traces,
-//! estimates, stops, charges, and restart schedules (pinned by the
-//! `reactor_equivalence` suite). With smaller batches the reactor
-//! pipelines waves through the in-flight window; under [`Never`] with no
-//! budget the traces remain bit-identical (they are schedule-independent),
-//! while budget charge order may legitimately diverge — the documented
-//! boundary of the equivalence claim.
+//! completion times. Under [`Never`] with no budget the traces are
+//! schedule-independent: for any batch shape the reactor reproduces the
+//! serial core's ([`WalkOrchestrator::run_serial`]) traces, stops and
+//! estimate bit for bit. When every wave fits one batch
+//! (`max_batch_size ≥` fleet size) the reactor's events coincide 1:1 with
+//! the serial rounds, so a [`RestartPolicy`]'s restart schedule matches
+//! too. Under a budget the endpoint charges nodes in batch order: each
+//! walker's trace is a prefix of its unbudgeted trace and the endpoint
+//! never charges past the budget, but *which* walker meets the cut-off
+//! first may differ from the serial core — the documented boundary of the
+//! equivalence claim (all pinned by the `reactor_equivalence` suite).
 //!
 //! [`VirtualClock`]: osn_client::VirtualClock
 
 use std::collections::VecDeque;
 
 use osn_client::batch::{BatchNodeError, BatchOsnClient, BatchOutcome, TicketId};
-use osn_client::QueryStats;
+use osn_client::{BudgetExhausted, OsnClient, QueryStats};
+use osn_estimate::RatioEstimator;
 use osn_graph::NodeId;
 use osn_serde::Value;
 use rand::RngCore;
@@ -67,13 +70,183 @@ use rand_chacha::ChaCha12Rng;
 use crate::circulation::HistoryBackend;
 use crate::fnv::{FnvHashMap, FnvHashSet};
 use crate::orchestrator::{
-    advance_walker, cell_to_value, dispatch_from_value, dispatch_to_value, maybe_rescue,
-    maybe_restart, nodes_from_value, nodes_to_value, rng_to_value, Cell, DispatchState, Never,
-    OrchestratorReport, PrefetchedClient, RestartEvent, RestartPolicy, WalkOrchestrator,
-    DEFAULT_NODE_ATTEMPT_CAP,
+    advance_walker, maybe_rescue, maybe_restart, Cell, Never, OrchestratorReport, RestartEvent,
+    RestartPolicy, WalkOrchestrator,
 };
 use crate::walker::RandomWalk;
 use crate::WalkStop;
+
+/// Dispatcher-level cap on resubmissions of a node whose requests keep
+/// coming back permanently dropped. Past it the node is abandoned and the
+/// walkers waiting on it terminate (with a budget-style error) instead of
+/// spinning forever against a dead interface.
+pub const DEFAULT_NODE_ATTEMPT_CAP: u32 = 32;
+
+/// Mutable bookkeeping shared by the reactor loop and the per-walker
+/// [`PrefetchedClient`] views of one run.
+#[derive(Default)]
+struct DispatchState {
+    /// Neighbor lists fetched so far (the dispatcher's shared cache).
+    cache: FnvHashMap<u32, Vec<NodeId>>,
+    /// Nodes the run will never deliver: budget-refused or abandoned.
+    refused: FnvHashSet<u32>,
+    /// Dispatcher-level resubmission counts for dropped nodes.
+    node_attempts: FnvHashMap<u32, u32>,
+    /// Nodes ever queried by any walker (walker-side unique/hit split).
+    seen: FnvHashSet<u32>,
+    /// Walker-side accounting (serial-shaped `issued`/`unique`/`hits`).
+    stats: QueryStats,
+    /// Distinct budget-refused nodes.
+    refused_nodes: usize,
+    /// Distinct nodes abandoned after the resubmission cap.
+    abandoned_nodes: usize,
+    /// The budget limit observed in refusals, so walker-facing errors
+    /// report the same value a serial `BudgetedClient` would.
+    budget_in_force: Option<u64>,
+}
+
+impl DispatchState {
+    /// Absorb one per-node result of a completed batch: a delivery caches
+    /// the list, a budget refusal refuses the node, and a drop counts an
+    /// attempt — abandoning (refusing) the node at `node_attempt_cap`.
+    /// Returns whether `u` resolved; `false` means resubmit it.
+    fn absorb(
+        &mut self,
+        u: NodeId,
+        result: Result<Vec<NodeId>, BatchNodeError>,
+        node_attempt_cap: u32,
+    ) -> bool {
+        match result {
+            Ok(neighbors) => {
+                self.cache.insert(u.0, neighbors);
+            }
+            Err(BatchNodeError::Budget(e)) => {
+                // Remember the budget in force so walker-facing errors
+                // report the same value a serial `BudgetedClient` would.
+                self.budget_in_force = Some(e.budget);
+                if self.refused.insert(u.0) {
+                    self.refused_nodes += 1;
+                }
+            }
+            Err(BatchNodeError::Dropped) => {
+                let attempts = self.node_attempts.entry(u.0).or_insert(0);
+                *attempts += 1;
+                if *attempts < node_attempt_cap {
+                    return false;
+                }
+                // Dead interface for this node: give up so the walkers
+                // parked on it terminate cleanly.
+                if self.refused.insert(u.0) {
+                    self.abandoned_nodes += 1;
+                }
+            }
+        }
+        true
+    }
+
+    /// Whether `u`'s neighbor list is resolved: delivered or refused.
+    fn resolved(&self, u: NodeId) -> bool {
+        self.cache.contains_key(&u.0) || self.refused.contains(&u.0)
+    }
+}
+
+/// Fetch every id in `pending` synchronously through the batch endpoint:
+/// fan out in window-respecting batches, resubmit drops (bounded per node
+/// by `node_attempt_cap`), and absorb every result into `state`. The
+/// fallback behind [`PrefetchedClient`] for a query the reactor did not
+/// prefetch.
+fn fetch_all<B: BatchOsnClient>(
+    client: &mut B,
+    mut pending: VecDeque<NodeId>,
+    state: &mut DispatchState,
+    node_attempt_cap: u32,
+) {
+    let limits = client.limits();
+    let mut batch: Vec<NodeId> = Vec::with_capacity(limits.max_batch_size);
+    while !pending.is_empty() || client.in_flight() > 0 {
+        // Fill the in-flight window with max-size batches.
+        while client.in_flight() < limits.max_in_flight && !pending.is_empty() {
+            batch.clear();
+            while batch.len() < limits.max_batch_size {
+                let Some(u) = pending.pop_front() else { break };
+                batch.push(u);
+            }
+            client.submit(&batch).expect("window and size checked");
+        }
+        let Some(outcome) = client.poll() else { break };
+        for (u, result) in outcome.per_node {
+            if !state.absorb(u, result, node_attempt_cap) {
+                pending.push_back(u);
+            }
+        }
+    }
+}
+
+/// The per-step client view the reactor hands each walker: neighbor lists
+/// come from the dispatcher cache (walker-side accounting recorded),
+/// metadata peeks pass through to the endpoint for free. A query for a node
+/// that is *not* cached — one a walker asks for off-protocol (no walker in
+/// this crate does, but the [`RandomWalk`] trait allows it), or one
+/// [`ReactorWalkRun::invalidate_nodes`] evicted under a ready walker —
+/// falls back to an on-demand synchronous batch of one through
+/// [`fetch_all`], with the same refusal/abandon bookkeeping.
+struct PrefetchedClient<'a, B: BatchOsnClient> {
+    client: &'a mut B,
+    state: &'a mut DispatchState,
+    node_attempt_cap: u32,
+}
+
+impl<B: BatchOsnClient> OsnClient for PrefetchedClient<'_, B> {
+    fn neighbors(&mut self, u: NodeId) -> Result<&[NodeId], BudgetExhausted> {
+        if !self.state.resolved(u) {
+            // Not prefetched (off-protocol, or evicted by
+            // `invalidate_nodes`): fetch on demand through the endpoint.
+            fetch_all(
+                self.client,
+                VecDeque::from([u]),
+                self.state,
+                self.node_attempt_cap,
+            );
+        }
+        match self.state.cache.get(&u.0) {
+            Some(neighbors) => {
+                self.state.stats.record(self.state.seen.insert(u.0));
+                Ok(neighbors)
+            }
+            // Refused: report the budget a serial `BudgetedClient` would
+            // name. Abandoned nodes on an unbudgeted client have no honest
+            // value for the trait's error type; fall back to the remaining
+            // budget (0 for "the interface gave this up").
+            None => Err(BudgetExhausted {
+                budget: self
+                    .state
+                    .budget_in_force
+                    .or(self.client.remaining_budget())
+                    .unwrap_or(0),
+            }),
+        }
+    }
+
+    fn peek_degree(&self, u: NodeId) -> usize {
+        self.client.peek_degree(u)
+    }
+
+    fn peek_attribute(&self, u: NodeId, name: &str) -> Option<f64> {
+        self.client.peek_attribute(u, name)
+    }
+
+    fn stats(&self) -> QueryStats {
+        self.state.stats
+    }
+
+    fn remaining_budget(&self) -> Option<u64> {
+        self.client.remaining_budget()
+    }
+
+    fn is_cached(&self, u: NodeId) -> bool {
+        self.state.cache.contains_key(&u.0) || self.client.is_cached(u)
+    }
+}
 
 /// The lifecycle of one walker inside the reactor loop.
 ///
@@ -118,7 +291,7 @@ pub enum WalkerFsm {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReactorStats {
     /// Completion events processed (synthetic ticks included). With
-    /// single-batch waves this equals the coalesced backend's round count.
+    /// single-batch waves this equals the serial core's round count.
     pub events: usize,
     /// Events with nothing in flight (walkers stepping through
     /// already-cached territory).
@@ -134,8 +307,8 @@ pub struct ReactorStats {
 
 /// The reactor's scheduling state: per-walker FSMs plus the queues that
 /// connect them to the batch endpoint. Owns no walkers, cells, or
-/// dispatcher cache — those stay in the same structures every other
-/// backend uses, which is what makes the backends bit-comparable.
+/// dispatcher cache — walkers and cells are the serial core's own
+/// structures, which is what keeps the two engines bit-comparable.
 struct ReactorCore {
     max_steps: usize,
     node_attempt_cap: u32,
@@ -189,7 +362,7 @@ impl ReactorCore {
     /// already resolved (cached or refused — the act phase turns refusals
     /// into stops), otherwise a waiter, with `u` enqueued once.
     fn classify(&mut self, i: usize, u: NodeId, state: &DispatchState) {
-        if state.cache.contains_key(&u.0) || state.refused.contains(&u.0) {
+        if state.resolved(u) {
             self.fsm[i] = WalkerFsm::Stepping;
             self.ready.push(i);
         } else {
@@ -205,20 +378,27 @@ impl ReactorCore {
     }
 
     /// Seed the FSMs from the fleet's current state, walker-index order.
+    /// `ready` (sorted) lists walkers a snapshot recorded as ready: they
+    /// stay ready even when [`ReactorWalkRun::invalidate_nodes`] evicted
+    /// their node, exactly as in the run that took the snapshot.
     fn init(
         &mut self,
         current_of: &mut dyn FnMut(usize) -> NodeId,
         cells: &[Cell],
         state: &DispatchState,
+        ready: &[usize],
     ) {
         for (i, cell) in cells.iter().enumerate() {
-            if cell.live(self.max_steps) {
-                self.classify(i, current_of(i), state);
-            } else {
+            if !cell.live(self.max_steps) {
                 self.fsm[i] = match cell.stop {
                     Some(WalkStop::BudgetExhausted) => WalkerFsm::Refused,
                     _ => WalkerFsm::Done,
                 };
+            } else if ready.binary_search(&i).is_ok() {
+                self.fsm[i] = WalkerFsm::Stepping;
+                self.ready.push(i);
+            } else {
+                self.classify(i, current_of(i), state);
             }
         }
     }
@@ -270,43 +450,18 @@ impl ReactorCore {
     }
 
     /// Phase 2 bookkeeping: absorb one completed batch into the dispatcher
-    /// state — deliveries cache and wake, budget refusals refuse and wake,
-    /// per-id drops resubmit (bounded per node by the attempt cap, then
-    /// abandon and wake into the refusal path). The same accounting
-    /// `fetch_all` performs for the coalesced backend, event-at-a-time.
+    /// state ([`DispatchState::absorb`]) — resolved ids (delivered,
+    /// refused, or abandoned) wake their waiters, dropped ones queue for
+    /// resubmission.
     fn absorb(&mut self, outcome: BatchOutcome, state: &mut DispatchState, acted: &mut Vec<usize>) {
         self.inflight
             .retain(|(ticket, _)| *ticket != outcome.ticket);
         for (u, result) in outcome.per_node {
-            match result {
-                Ok(neighbors) => {
-                    state.cache.insert(u.0, neighbors);
-                    self.queued.remove(&u.0);
-                    self.wake(u.0, acted);
-                }
-                Err(BatchNodeError::Budget(e)) => {
-                    state.budget_in_force = Some(e.budget);
-                    if state.refused.insert(u.0) {
-                        state.refused_nodes += 1;
-                    }
-                    self.queued.remove(&u.0);
-                    self.wake(u.0, acted);
-                }
-                Err(BatchNodeError::Dropped) => {
-                    let attempts = state.node_attempts.entry(u.0).or_insert(0);
-                    *attempts += 1;
-                    if *attempts >= self.node_attempt_cap {
-                        // Dead interface for this node: abandon it so the
-                        // walkers parked on it terminate cleanly.
-                        if state.refused.insert(u.0) {
-                            state.abandoned_nodes += 1;
-                        }
-                        self.queued.remove(&u.0);
-                        self.wake(u.0, acted);
-                    } else {
-                        self.retry.push_back(u);
-                    }
-                }
+            if state.absorb(u, result, self.node_attempt_cap) {
+                self.queued.remove(&u.0);
+                self.wake(u.0, acted);
+            } else {
+                self.retry.push_back(u);
             }
         }
     }
@@ -326,7 +481,7 @@ impl ReactorCore {
         let mut woken = Vec::new();
         for (_, ids) in drained {
             for u in ids {
-                if state.cache.contains_key(&u.0) || state.refused.contains(&u.0) {
+                if state.resolved(u) {
                     self.queued.remove(&u.0);
                     self.wake(u.0, &mut woken);
                 } else {
@@ -401,7 +556,7 @@ impl ReactorCore {
                 // abandoned (dead interface): terminate it — unless the
                 // policy rescues it, in which case it re-enters the next
                 // wave (a refusal costs one lost event, exactly as the
-                // round-based backends charge it one lost round).
+                // serial core charges it one lost round).
                 cells[i].stop = Some(WalkStop::BudgetExhausted);
                 self.fsm[i] = WalkerFsm::Refused;
                 if policy.enabled() {
@@ -466,7 +621,7 @@ impl ReactorCore {
         let now_in_flight = client.in_flight();
         self.repair(now_in_flight, state);
         // Phase 4: policy checks for every live walker, walker-index order
-        // — the coalesced backend's between-rounds boundary. A relocated
+        // — the serial core's between-rounds boundary. A relocated
         // walker abandons any stale wait and reclassifies in phase 5, so
         // its new position rides the next wave's batch.
         if policy.enabled() {
@@ -522,76 +677,86 @@ impl ReactorCore {
     }
 }
 
-/// Outcome of the reactor driver ([`drive_reactor`]).
-struct ReactorOutcome {
-    cells: Vec<Cell>,
-    restarts: Vec<RestartEvent>,
-    state: DispatchState,
-    interface: QueryStats,
-    stats: ReactorStats,
-}
-
-/// The one-shot reactor driver: init, then turns until idle.
-fn drive_reactor<B, R, F, P>(
+/// Run `walkers` on the reactor until every one stops: walker `i` steps
+/// with `rngs[i]`, for at most `max_steps` transitions, against `client`
+/// under `policy`, with `value(v)` the quantity estimated at node `v`. The
+/// engine behind [`WalkOrchestrator::run_reactor_with_stats`], public for
+/// callers that build their own fleet and RNG streams (e.g. one walker
+/// seeded exactly like a [`crate::WalkSession`]).
+///
+/// # Panics
+/// If `walkers` and `rngs` differ in length.
+pub fn drive_reactor<B, R, F, P>(
     client: &mut B,
     walkers: &mut [&mut dyn RandomWalk],
     rngs: &mut [R],
     max_steps: usize,
-    node_attempt_cap: u32,
-    value: Option<&F>,
+    value: F,
     policy: &P,
-) -> ReactorOutcome
+) -> (OrchestratorReport, ReactorStats)
 where
     B: BatchOsnClient,
     R: RngCore,
-    F: Fn(NodeId) -> f64 + ?Sized,
+    F: Fn(NodeId) -> f64,
     P: RestartPolicy + ?Sized,
 {
     let k = walkers.len();
     assert_eq!(k, rngs.len(), "one RNG stream per walker");
     policy.begin_run(k);
-    let interface_before = client.stats();
+    let interface_base = client.stats();
     let mut state = DispatchState::default();
     let mut cells: Vec<Cell> = (0..k).map(|_| Cell::new(0)).collect();
     let mut restarts = Vec::new();
-    let mut core = ReactorCore::new(k, max_steps, node_attempt_cap);
-    core.init(&mut |i| walkers[i].current(), &cells, &state);
+    let mut core = ReactorCore::new(k, max_steps, DEFAULT_NODE_ATTEMPT_CAP);
+    core.init(&mut |i| walkers[i].current(), &cells, &state, &[]);
     while core.turn(
         client,
         walkers,
         rngs,
-        value,
+        Some(&value),
         policy,
         &mut state,
         &mut cells,
         &mut restarts,
         true,
     ) {}
-    let mut interface = client.stats();
-    interface.issued -= interface_before.issued;
-    interface.unique -= interface_before.unique;
-    interface.cache_hits -= interface_before.cache_hits;
-    ReactorOutcome {
+    let report = fold_report(
         cells,
         restarts,
+        core.stats.events,
         state,
-        interface,
-        stats: core.stats,
-    }
+        client.stats().since(&interface_base),
+    );
+    (report, core.stats)
+}
+
+/// Fold a finished (or paused) reactor run into the report shape.
+fn fold_report(
+    cells: Vec<Cell>,
+    restarts: Vec<RestartEvent>,
+    events: usize,
+    state: DispatchState,
+    interface: QueryStats,
+) -> OrchestratorReport {
+    let mut report = OrchestratorReport::from_cells(cells, restarts, events, state.stats);
+    report.interface = Some(interface);
+    report.refused_nodes = state.refused_nodes;
+    report.abandoned_nodes = state.abandoned_nodes;
+    report
 }
 
 impl WalkOrchestrator {
-    /// Run the fleet on the poll-driven reactor backend: one event loop
-    /// drives every walker as a [`WalkerFsm`] parked on in-flight batches
-    /// of `client` — no threads, no per-walker stack, memory bounded by
-    /// the in-flight window (see the [`crate::reactor`] module docs).
+    /// Run the fleet on the poll-driven reactor: one event loop drives
+    /// every walker as a [`WalkerFsm`] parked on in-flight batches of
+    /// `client` — no threads, no per-walker stack, memory bounded by the
+    /// in-flight window (see the [`crate::reactor`] module docs).
     ///
     /// Deterministic given the seed: events are delivered in completion-
-    /// time order with walker-index tiebreaks. With `max_batch_size ≥`
-    /// fleet size the result is bit-identical to [`Self::run_coalesced`] —
-    /// traces, estimate, stops, charges, and the restart schedule under
-    /// any [`RestartPolicy`]; with smaller batches waves pipeline and the
-    /// trace equivalence holds under [`Never`] absent a budget.
+    /// time order with walker-index tiebreaks. Under [`Never`] absent a
+    /// budget, traces, stops and estimate are bit-identical to
+    /// [`Self::run_serial`] for any batch shape; with `max_batch_size ≥`
+    /// fleet size the restart schedule of any [`RestartPolicy`] matches
+    /// too.
     pub fn run_reactor<B, W, F, P>(
         &self,
         client: &mut B,
@@ -628,25 +793,14 @@ impl WalkOrchestrator {
         let (mut fleet, mut rngs) = self.build_fleet(make_walker);
         let mut refs: Vec<&mut dyn RandomWalk> =
             fleet.iter_mut().map(|w| w.as_mut() as _).collect();
-        let outcome = drive_reactor(
+        drive_reactor(
             client,
             &mut refs,
             &mut rngs,
             self.max_steps_per_walker(),
-            DEFAULT_NODE_ATTEMPT_CAP,
-            Some(&value),
+            value,
             policy,
-        );
-        let mut report = OrchestratorReport::from_cells(
-            outcome.cells,
-            outcome.restarts,
-            outcome.stats.events,
-            outcome.state.stats,
-        );
-        report.interface = Some(outcome.interface);
-        report.refused_nodes = outcome.state.refused_nodes;
-        report.abandoned_nodes = outcome.state.abandoned_nodes;
-        (report, outcome.stats)
+        )
     }
 
     /// Begin a pausable reactor run (see [`ReactorWalkRun`]). Driving it to
@@ -667,7 +821,7 @@ impl WalkOrchestrator {
         );
         {
             let mut current_of = |i: usize| fleet[i].current();
-            core.init(&mut current_of, &cells, &state);
+            core.init(&mut current_of, &cells, &state, &[]);
         }
         ReactorWalkRun {
             spec: *self,
@@ -683,22 +837,66 @@ impl WalkOrchestrator {
     /// Restore a [`ReactorWalkRun`] from a [`ReactorWalkRun::snapshot`]
     /// value — dispatcher cache and fetch queues included, so a resumed
     /// run re-charges nothing and resubmits in the snapshot's queue order.
-    /// Spec and walker contracts are as for [`Self::resume_serial`].
+    ///
+    /// The orchestrator spec (fleet size, step cap, seed, history backend)
+    /// must match the one that produced the snapshot, and `make_walker`
+    /// must rebuild walkers of the same algorithm/strategy — walker state
+    /// import fails loudly on backend mismatches, but the algorithm itself
+    /// is the caller's contract, exactly as for
+    /// [`RandomWalk::import_state`].
+    ///
+    /// # Errors
+    /// On a malformed snapshot, a snapshot of another run kind (the error
+    /// names the kind found), or a spec mismatch.
     pub fn resume_reactor<W>(&self, state: &Value, make_walker: W) -> Result<ReactorWalkRun, String>
     where
         W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
     {
-        let (fleet, rngs, cells, events) =
-            self.resume_fleet(state, "reactor", "events", make_walker)?;
+        let found = state.field("kind")?.as_str()?;
+        if found != "reactor" {
+            return Err(format!(
+                "snapshot kind mismatch: `{found}`, expected `reactor`"
+            ));
+        }
+        self.check_spec(state.field("spec")?)?;
+        let events: usize = state.field("events")?.decode()?;
+        let walker_states = state.field("walkers")?.as_array()?;
+        let rng_states = state.field("rngs")?.as_array()?;
+        let cell_states = state.field("cells")?.as_array()?;
+        let k = self.walker_count();
+        if walker_states.len() != k || rng_states.len() != k || cell_states.len() != k {
+            return Err(format!(
+                "snapshot fleet size mismatch: {} walker / {} rng / {} cell states for a {k}-walker run",
+                walker_states.len(),
+                rng_states.len(),
+                cell_states.len(),
+            ));
+        }
+        let mut fleet = Vec::with_capacity(k);
+        for (i, ws) in walker_states.iter().enumerate() {
+            let mut walker = make_walker(i, self.backend());
+            walker
+                .import_state(ws)
+                .map_err(|e| format!("walker {i}: {e}"))?;
+            fleet.push(walker);
+        }
+        let rngs = rng_states
+            .iter()
+            .map(rng_from_value)
+            .collect::<Result<Vec<_>, _>>()?;
+        let cells = cell_states
+            .iter()
+            .map(cell_from_value)
+            .collect::<Result<Vec<_>, _>>()?;
         let dispatch = dispatch_from_value(state.field("dispatch")?)?;
         let node_attempt_cap: u32 = state.field("attempt_cap")?.decode()?;
         let retry = nodes_from_value(state.field("retry")?)?;
         let pending = nodes_from_value(state.field("pending")?)?;
-        let mut core = ReactorCore::new(
-            self.walker_count(),
-            self.max_steps_per_walker(),
-            node_attempt_cap,
-        );
+        let ready: Vec<usize> = state.field("ready")?.decode()?;
+        if !ready.windows(2).all(|w| w[0] < w[1]) || ready.last().is_some_and(|&i| i >= k) {
+            return Err("reactor snapshot ready set is not sorted walker indices".into());
+        }
+        let mut core = ReactorCore::new(k, self.max_steps_per_walker(), node_attempt_cap);
         core.stats.events = events;
         // Seed the queues *before* classifying the fleet: classify dedups
         // against `queued`, so the snapshot's submission order survives the
@@ -712,7 +910,7 @@ impl WalkOrchestrator {
         core.pending.extend(pending);
         {
             let mut current_of = |i: usize| fleet[i].current();
-            core.init(&mut current_of, &cells, &dispatch);
+            core.init(&mut current_of, &cells, &dispatch, &ready);
         }
         Ok(ReactorWalkRun {
             spec: *self,
@@ -726,16 +924,18 @@ impl WalkOrchestrator {
     }
 }
 
-/// A reactor run that pauses between completion events and snapshots — the
-/// event-driven sibling of [`crate::CoalescedWalkRun`] and the job-slice
-/// engine of the `osn-service` session server: one slice advances a
-/// bounded number of events instead of whole fleet-wide rounds, so a
-/// 10k-walker job interleaves with its tenants at event granularity.
+/// A reactor run that pauses between completion events, snapshots to an
+/// `osn-serde` [`Value`], and resumes **bit-identically** — the one
+/// resumable run, and the job-slice engine of the `osn-service` session
+/// server: one slice advances a bounded number of events, so a 10k-walker
+/// job interleaves with its tenants at event granularity and a killed
+/// server restores every job mid-walk.
 ///
-/// Policy-free ([`Never`]) like every resumable run: [`WorkStealing`]
-/// keeps non-serializable interior diagnostics, so a mid-run snapshot
-/// could not restore the restart schedule. Use
-/// [`WalkOrchestrator::run_reactor`] for policy-driven runs.
+/// Policy-free ([`Never`]): [`WorkStealing`] keeps non-serializable
+/// interior diagnostics (the windowed split-R̂ accumulators, per-walker
+/// visit filters, the lock-striped frontier), so a mid-run snapshot could
+/// not restore the restart schedule. Use [`WalkOrchestrator::run_reactor`]
+/// or [`WalkOrchestrator::run_serial`] for policy-driven runs.
 ///
 /// Every [`Self::run_events`] call leaves the endpoint **quiescent**
 /// (nothing in flight): trailing drain turns deliver outstanding batches
@@ -753,7 +953,9 @@ pub struct ReactorWalkRun {
     state: DispatchState,
     core: ReactorCore,
     /// Endpoint accounting at the first `run_events` call of this process
-    /// lifetime (see [`crate::CoalescedWalkRun`] for the delta contract).
+    /// lifetime, so [`Self::into_report`] reports the interface delta this
+    /// run (segment) caused. Not serialized: endpoint counters do not
+    /// survive the process, so a resumed segment's delta starts fresh.
     interface_base: Option<QueryStats>,
 }
 
@@ -876,8 +1078,8 @@ impl ReactorWalkRun {
     }
 
     /// Serialize the complete run state — fleet, RNG streams, cells,
-    /// dispatcher state, and the reactor's fetch queues (in order) — as a
-    /// byte-deterministic [`Value`]. Restore with
+    /// dispatcher state, the reactor's fetch queues (in order) and its
+    /// ready set — as a byte-deterministic [`Value`]. Restore with
     /// [`WalkOrchestrator::resume_reactor`]. Only valid between
     /// [`Self::run_events`] calls, where nothing is in flight.
     pub fn snapshot(&self) -> Value {
@@ -887,6 +1089,8 @@ impl ReactorWalkRun {
         );
         let pending: Vec<NodeId> = self.core.pending.iter().copied().collect();
         let retry: Vec<NodeId> = self.core.retry.iter().copied().collect();
+        let mut ready = self.core.ready.clone();
+        ready.sort_unstable();
         Value::obj([
             ("kind", Value::Str("reactor".into())),
             ("spec", self.spec.spec_value()),
@@ -910,32 +1114,221 @@ impl ReactorWalkRun {
             ),
             ("pending", nodes_to_value(&pending)),
             ("retry", nodes_to_value(&retry)),
+            ("ready", Value::arr(&ready)),
         ])
     }
 
-    /// Fold the run into the uniform report shape (the `rounds` field
-    /// carries the event count), reading the endpoint's interface-side
-    /// accounting delta from `client` as [`crate::CoalescedWalkRun`] does.
+    /// Fold the run into the report shape (the `rounds` field carries the
+    /// event count), reading the endpoint's interface-side accounting delta
+    /// for this process lifetime from `client` (measured from the first
+    /// [`Self::run_events`] call after construction or resume).
     pub fn into_report<B: BatchOsnClient>(self, client: &B) -> OrchestratorReport {
-        let refused_nodes = self.state.refused_nodes;
-        let abandoned_nodes = self.state.abandoned_nodes;
-        let mut report = OrchestratorReport::from_cells(
+        let base = self.interface_base.unwrap_or_default();
+        let interface = client.stats().since(&base);
+        fold_report(
             self.cells,
             Vec::new(),
             self.core.stats.events,
-            self.state.stats,
-        );
-        let mut interface = client.stats();
-        if let Some(base) = self.interface_base {
-            interface.issued -= base.issued;
-            interface.unique -= base.unique;
-            interface.cache_hits -= base.cache_hits;
-        }
-        report.interface = Some(interface);
-        report.refused_nodes = refused_nodes;
-        report.abandoned_nodes = abandoned_nodes;
-        report
+            self.state,
+            interface,
+        )
     }
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot encoding of a `ReactorWalkRun`: byte-deterministic `osn-serde`
+// values for every piece of run state.
+// ---------------------------------------------------------------------------
+
+fn nodes_to_value(nodes: &[NodeId]) -> Value {
+    Value::Arr(nodes.iter().map(|n| Value::Uint(u64::from(n.0))).collect())
+}
+
+fn nodes_from_value(value: &Value) -> Result<Vec<NodeId>, String> {
+    value
+        .as_array()?
+        .iter()
+        .map(|v| Ok(NodeId(v.decode::<u32>()?)))
+        .collect()
+}
+
+/// Hash sets hold membership only — serialize sorted so snapshots are
+/// byte-deterministic.
+fn sorted_set_value(set: &FnvHashSet<u32>) -> Value {
+    let mut ids: Vec<u32> = set.iter().copied().collect();
+    ids.sort_unstable();
+    Value::Arr(ids.into_iter().map(|u| Value::Uint(u64::from(u))).collect())
+}
+
+fn set_from_value(value: &Value) -> Result<FnvHashSet<u32>, String> {
+    let mut set = FnvHashSet::default();
+    for v in value.as_array()? {
+        if !set.insert(v.decode::<u32>()?) {
+            return Err("duplicate id in serialized set".into());
+        }
+    }
+    Ok(set)
+}
+
+fn rng_to_value(rng: &ChaCha12Rng) -> Value {
+    Value::Arr(rng.get_state().iter().map(|&w| Value::Uint(w)).collect())
+}
+
+fn rng_from_value(value: &Value) -> Result<ChaCha12Rng, String> {
+    let words = value.as_array()?;
+    if words.len() != 4 {
+        return Err(format!("RNG state must hold 4 words, got {}", words.len()));
+    }
+    let mut state = [0u64; 4];
+    for (slot, word) in state.iter_mut().zip(words) {
+        *slot = word.decode()?;
+    }
+    Ok(ChaCha12Rng::from_state(state))
+}
+
+fn stop_to_value(stop: Option<WalkStop>) -> Value {
+    match stop {
+        None => Value::Null,
+        Some(WalkStop::MaxSteps) => Value::Str("max-steps".into()),
+        Some(WalkStop::BudgetExhausted) => Value::Str("budget-exhausted".into()),
+    }
+}
+
+fn stop_from_value(value: &Value) -> Result<Option<WalkStop>, String> {
+    match value {
+        Value::Null => Ok(None),
+        other => match other.as_str()? {
+            "max-steps" => Ok(Some(WalkStop::MaxSteps)),
+            "budget-exhausted" => Ok(Some(WalkStop::BudgetExhausted)),
+            unknown => Err(format!("unknown walk stop `{unknown}`")),
+        },
+    }
+}
+
+fn cell_to_value(cell: &Cell) -> Value {
+    let (weighted_sum, weight_total, count) = cell.est.parts();
+    Value::obj([
+        ("trace", nodes_to_value(&cell.trace)),
+        (
+            "est",
+            Value::obj([
+                ("weighted_sum", Value::Num(weighted_sum)),
+                ("weight_total", Value::Num(weight_total)),
+                ("count", Value::Uint(count as u64)),
+            ]),
+        ),
+        ("stop", stop_to_value(cell.stop)),
+    ])
+}
+
+fn cell_from_value(value: &Value) -> Result<Cell, String> {
+    let est = value.field("est")?;
+    Ok(Cell {
+        trace: nodes_from_value(value.field("trace")?)?,
+        est: RatioEstimator::from_parts(
+            est.field("weighted_sum")?.decode()?,
+            est.field("weight_total")?.decode()?,
+            est.field("count")?.decode()?,
+        ),
+        stop: stop_from_value(value.field("stop")?)?,
+    })
+}
+
+fn stats_to_value(stats: QueryStats) -> Value {
+    Value::obj([
+        ("issued", Value::Uint(stats.issued)),
+        ("unique", Value::Uint(stats.unique)),
+        ("cache_hits", Value::Uint(stats.cache_hits)),
+    ])
+}
+
+fn stats_from_value(value: &Value) -> Result<QueryStats, String> {
+    Ok(QueryStats {
+        issued: value.field("issued")?.decode()?,
+        unique: value.field("unique")?.decode()?,
+        cache_hits: value.field("cache_hits")?.decode()?,
+    })
+}
+
+fn dispatch_to_value(state: &DispatchState) -> Value {
+    let mut cache: Vec<(&u32, &Vec<NodeId>)> = state.cache.iter().collect();
+    cache.sort_unstable_by_key(|(u, _)| **u);
+    let mut attempts: Vec<(&u32, &u32)> = state.node_attempts.iter().collect();
+    attempts.sort_unstable_by_key(|(u, _)| **u);
+    Value::obj([
+        (
+            "cache",
+            Value::Arr(
+                cache
+                    .into_iter()
+                    .map(|(u, neighbors)| {
+                        Value::obj([
+                            ("node", Value::Uint(u64::from(*u))),
+                            ("neighbors", nodes_to_value(neighbors)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        ("refused", sorted_set_value(&state.refused)),
+        (
+            "attempts",
+            Value::Arr(
+                attempts
+                    .into_iter()
+                    .map(|(u, n)| {
+                        Value::obj([
+                            ("node", Value::Uint(u64::from(*u))),
+                            ("count", Value::Uint(u64::from(*n))),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        ("seen", sorted_set_value(&state.seen)),
+        ("stats", stats_to_value(state.stats)),
+        ("refused_nodes", Value::Uint(state.refused_nodes as u64)),
+        ("abandoned_nodes", Value::Uint(state.abandoned_nodes as u64)),
+        (
+            "budget",
+            match state.budget_in_force {
+                Some(b) => Value::Uint(b),
+                None => Value::Null,
+            },
+        ),
+    ])
+}
+
+fn dispatch_from_value(value: &Value) -> Result<DispatchState, String> {
+    let mut cache = FnvHashMap::default();
+    for entry in value.field("cache")?.as_array()? {
+        let node: u32 = entry.field("node")?.decode()?;
+        let neighbors = nodes_from_value(entry.field("neighbors")?)?;
+        if cache.insert(node, neighbors).is_some() {
+            return Err(format!("duplicate cache entry for node {node}"));
+        }
+    }
+    let mut node_attempts = FnvHashMap::default();
+    for entry in value.field("attempts")?.as_array()? {
+        let node: u32 = entry.field("node")?.decode()?;
+        let count: u32 = entry.field("count")?.decode()?;
+        if node_attempts.insert(node, count).is_some() {
+            return Err(format!("duplicate attempt entry for node {node}"));
+        }
+    }
+    Ok(DispatchState {
+        cache,
+        refused: set_from_value(value.field("refused")?)?,
+        node_attempts,
+        seen: set_from_value(value.field("seen")?)?,
+        stats: stats_from_value(value.field("stats")?)?,
+        refused_nodes: value.field("refused_nodes")?.decode()?,
+        abandoned_nodes: value.field("abandoned_nodes")?.decode()?,
+        budget_in_force: match value.field("budget")? {
+            Value::Null => None,
+            other => Some(other.decode()?),
+        },
+    })
 }
 
 #[cfg(test)]
@@ -962,44 +1355,42 @@ mod tests {
     }
 
     #[test]
-    fn reactor_matches_coalesced_bit_identically_with_single_batch_waves() {
+    fn reactor_matches_serial_bit_identically_with_single_batch_waves() {
         let orch = WalkOrchestrator::new(8, 120, 42);
+        let serial = orch.run_serial(&mut clustered(), make_cnrw, |v| v.index() as f64, &Never);
         let mut batch = SimulatedBatchOsn::new(
             clustered(),
             BatchConfig::new(16).with_latency(0.01, 0.002).with_seed(5),
         );
-        let coalesced = orch.run_coalesced(&mut batch, make_cnrw, |v| v.index() as f64, &Never);
-        let mut batch2 = SimulatedBatchOsn::new(
-            clustered(),
-            BatchConfig::new(16).with_latency(0.01, 0.002).with_seed(5),
-        );
         let (reactor, stats) =
-            orch.run_reactor_with_stats(&mut batch2, make_cnrw, |v| v.index() as f64, &Never);
-        assert_eq!(coalesced.trace.per_walker, reactor.trace.per_walker);
-        assert_eq!(coalesced.stops, reactor.stops);
-        assert_eq!(coalesced.trace.stats, reactor.trace.stats);
-        assert_eq!(coalesced.interface, reactor.interface);
-        assert_eq!(coalesced.estimate.mean(), reactor.estimate.mean());
-        assert_eq!(coalesced.rounds, stats.events);
+            orch.run_reactor_with_stats(&mut batch, make_cnrw, |v| v.index() as f64, &Never);
+        assert_eq!(serial.trace.per_walker, reactor.trace.per_walker);
+        assert_eq!(serial.stops, reactor.stops);
+        assert_eq!(serial.trace.stats, reactor.trace.stats);
+        assert_eq!(
+            reactor.interface.map(|s| s.unique),
+            Some(serial.trace.stats.unique)
+        );
+        assert_eq!(serial.estimate.mean(), reactor.estimate.mean());
+        assert_eq!(serial.rounds, stats.events);
     }
 
     #[test]
-    fn reactor_work_stealing_schedule_matches_coalesced() {
+    fn reactor_work_stealing_schedule_matches_serial() {
         let orch = WalkOrchestrator::new(6, 200, 9);
         let make = |i: usize, backend: crate::HistoryBackend| {
             // Clumped starts inside one clique force restarts.
             Box::new(Cnrw::with_backend(osn_graph::NodeId(i as u32), backend))
                 as Box<dyn RandomWalk + Send>
         };
-        let mut batch = SimulatedBatchOsn::new(clustered(), BatchConfig::new(16));
         let policy = WorkStealing::new(1.05, 16, SharedFrontier::with_stripes(8, 16));
-        let coalesced = orch.run_coalesced(&mut batch, make, |v| v.index() as f64, &policy);
-        let mut batch2 = SimulatedBatchOsn::new(clustered(), BatchConfig::new(16));
+        let serial = orch.run_serial(&mut clustered(), make, |v| v.index() as f64, &policy);
+        let mut batch = SimulatedBatchOsn::new(clustered(), BatchConfig::new(16));
         let policy2 = WorkStealing::new(1.05, 16, SharedFrontier::with_stripes(8, 16));
-        let reactor = orch.run_reactor(&mut batch2, make, |v| v.index() as f64, &policy2);
-        assert_eq!(coalesced.restarts, reactor.restarts);
-        assert_eq!(coalesced.trace.per_walker, reactor.trace.per_walker);
-        assert!(!coalesced.restarts.is_empty(), "fixture should restart");
+        let reactor = orch.run_reactor(&mut batch, make, |v| v.index() as f64, &policy2);
+        assert_eq!(serial.restarts, reactor.restarts);
+        assert_eq!(serial.trace.per_walker, reactor.trace.per_walker);
+        assert!(!serial.restarts.is_empty(), "fixture should restart");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The walk driver: runs any walker against any client, recording the trace.
 //!
-//! Since PR 5 the step loop itself lives in the unified
-//! [`crate::orchestrator`] core — [`WalkSession`] is its single-walker
-//! serial entry point with the classic raw-seed RNG construction, so every
-//! historical trace replays bit-identically.
+//! The step loop itself is the serial core of [`crate::orchestrator`] —
+//! [`WalkSession`] is its single-walker entry point with the classic
+//! raw-seed RNG construction, so every historical trace replays
+//! bit-identically.
 
 use osn_client::{OsnClient, QueryStats};
 use osn_graph::NodeId;
@@ -89,9 +89,9 @@ pub struct WalkTrace {
 
 impl WalkTrace {
     /// Assemble a trace from an external driver's parts (no burn-in, no
-    /// thinning) — used by the batched dispatch path of
-    /// `osn-experiments::TrialPlan`, whose walks are driven by
-    /// [`crate::CoalescingDispatcher`] rather than a [`WalkSession`].
+    /// thinning) — used by the batched and restart-policy paths of
+    /// `osn-experiments::TrialPlan`, whose walks run on the reactor or the
+    /// multi-walker orchestrator rather than a [`WalkSession`].
     pub fn from_parts(
         start: NodeId,
         nodes: Vec<NodeId>,

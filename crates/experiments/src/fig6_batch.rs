@@ -1,18 +1,16 @@
 //! Batched variant of the Figure 6 setting: **charged unique queries vs
-//! walker count**, coalescing dispatcher against independent walkers.
+//! walker count**, coalesced batch requests against independent walkers.
 //!
 //! The paper charges one unit per unique neighbor-list fetch (§2.3). A
-//! production crawler running `k` walkers can pay that bill three ways:
+//! production crawler running `k` walkers can pay that bill two ways:
 //!
 //! * **independent** — each walker crawls with its own cache (the naive
 //!   fleet): a node visited by `j` walkers is charged `j` times;
-//! * **shared cache** — the `fig6_parallel` setting: one cache, charged
-//!   once per node, but still one interface call per walker step;
 //! * **coalesced batches** (this sweep) — walkers park their neighbor
-//!   requests in a queue and a dispatcher dedups in-flight ids across
-//!   walkers before fanning them out in batches of at most `B` over the
+//!   requests on the reactor, which dedups in-flight ids across walkers
+//!   before fanning them out in batches of at most `B` over the
 //!   rate-limited batch endpoint
-//!   ([`osn_walks::CoalescingDispatcher`] over
+//!   ([`osn_walks::WalkOrchestrator::run_reactor`] over
 //!   [`osn_client::SimulatedBatchOsn`]).
 //!
 //! Per-walker trajectories are **identical across the arms** (same
@@ -28,9 +26,9 @@ use std::sync::Arc;
 use osn_client::{BatchConfig, SimulatedBatchOsn, SimulatedOsn};
 use osn_datasets::{gplus_like, Scale};
 use osn_graph::attributes::AttributedGraph;
+use osn_graph::mix::splitmix64_stream;
 use osn_graph::NodeId;
-use osn_walks::multiwalk::stream_seed;
-use osn_walks::{Cnrw, MultiWalkRunner, RandomWalk, WalkConfig, WalkSession};
+use osn_walks::{Cnrw, Never, RandomWalk, WalkConfig, WalkOrchestrator, WalkSession};
 
 use crate::output::{ExperimentResult, Series};
 use crate::runner::trial_seed;
@@ -83,8 +81,7 @@ impl Fig6BatchConfig {
     }
 }
 
-/// Start node for walker `i` of a trial (spread deterministically, same
-/// rule as the parallel Figure 6 sweep).
+/// Start node for walker `i` of a trial (spread deterministically).
 fn start_node(seed: u64, i: usize, n: usize) -> NodeId {
     NodeId(((seed as usize + i * 31) % n) as u32)
 }
@@ -98,7 +95,7 @@ fn independent_charged(network: &Arc<AttributedGraph>, k: usize, steps: usize, s
         .map(|i| {
             let mut client = SimulatedOsn::new_shared(network.clone());
             let mut walker = Cnrw::new(start_node(seed, i, n));
-            let config = WalkConfig::steps(steps).with_seed(stream_seed(seed, i as u64));
+            let config = WalkConfig::steps(steps).with_seed(splitmix64_stream(seed, i as u64));
             WalkSession::new(config)
                 .run(&mut walker, &mut client)
                 .stats
@@ -107,8 +104,8 @@ fn independent_charged(network: &Arc<AttributedGraph>, k: usize, steps: usize, s
         .sum()
 }
 
-/// Coalesced arm: the same `k` trajectories through the batching
-/// dispatcher; returns `(charged unique, requests issued)`.
+/// Coalesced arm: the same `k` trajectories through the reactor; returns
+/// `(charged unique, requests issued)`.
 fn coalesced_charged(
     network: &Arc<AttributedGraph>,
     k: usize,
@@ -122,15 +119,19 @@ fn coalesced_charged(
         SimulatedOsn::new_shared(network.clone()),
         BatchConfig::new(batch_size).with_in_flight(in_flight),
     );
-    let report = MultiWalkRunner::new(k, steps, seed).run_batched(
+    let report = WalkOrchestrator::new(k, steps, seed).run_reactor(
         &mut client,
         |i, backend| {
             Box::new(Cnrw::with_backend(start_node(seed, i, n), backend))
                 as Box<dyn RandomWalk + Send>
         },
         |v| v.index() as f64,
+        &Never,
     );
-    (report.interface.unique, client.batch_stats().submitted)
+    let charged = report
+        .interface
+        .expect("the reactor reports interface stats");
+    (charged.unique, client.batch_stats().submitted)
 }
 
 /// Run the batched Figure 6 sweep: charged queries vs walker count, one
@@ -140,8 +141,8 @@ pub fn run(config: &Fig6BatchConfig) -> ExperimentResult {
     let steps = config.steps_per_walker;
     let mut result = ExperimentResult::new(
         "fig6_batch",
-        "Google Plus stand-in: charged unique queries at equal steps — coalescing batch \
-         dispatcher vs independent CNRW walkers",
+        "Google Plus stand-in: charged unique queries at equal steps — coalesced batch \
+         requests vs independent CNRW walkers",
         "Concurrent Walkers",
         "Charged Unique Queries (mean)",
     )
@@ -241,8 +242,8 @@ mod tests {
     #[test]
     fn coalescing_charges_measurably_fewer_queries_than_independent_walkers() {
         // The acceptance property: with 8 walkers on the gplus-like graph
-        // at equal steps, the coalescing dispatcher's charged unique count
-        // is measurably below 8 independent walkers' summed bill.
+        // at equal steps, the coalesced fleet's charged unique count is
+        // measurably below 8 independent walkers' summed bill.
         let network = Arc::new(gplus_like(Scale::Test, 0x0F16_BA7C).network);
         let (steps, seed) = (400usize, trial_seed(0x0F16_BA7C, 1));
         let independent = independent_charged(&network, 8, steps, seed);

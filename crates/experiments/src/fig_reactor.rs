@@ -22,8 +22,8 @@
 //! batches, window not yet filled) must yield `None`, never a fabricated
 //! verdict; the figure counts both.
 //!
-//! A per-fleet **equivalence spot-check** reruns small fleets through
-//! [`osn_walks::WalkOrchestrator::run_coalesced`] and asserts trace
+//! A per-fleet **equivalence spot-check** reruns small fleets on the serial
+//! core ([`osn_walks::WalkOrchestrator::run_serial`]) and asserts trace
 //! bit-identity (under `Never` with no budget, traces are
 //! schedule-independent).
 
@@ -54,8 +54,8 @@ pub struct FigReactorConfig {
     pub probe_chains: usize,
     /// Exact (unclamped) probe window, in samples per chain.
     pub probe_window: usize,
-    /// Fleets up to this size are spot-checked against the coalesced
-    /// backend for trace bit-identity.
+    /// Fleets up to this size are spot-checked against the serial core for
+    /// trace bit-identity.
     pub equivalence_cap: usize,
     /// Experiment seed.
     pub seed: u64,
@@ -196,17 +196,17 @@ pub fn run(config: &FigReactorConfig) -> ExperimentResult {
 
         if k <= config.equivalence_cap {
             // Under `Never` with no budget, traces are schedule-independent:
-            // the coalesced backend must reproduce them bit-for-bit.
+            // the serial core must reproduce them bit-for-bit.
             let orch = WalkOrchestrator::new(k, config.max_steps, config.seed);
+            let mut reference = SimulatedOsn::new_shared(network.clone());
+            let serial =
+                orch.run_serial(&mut reference, make_walker(n), |v| v.index() as f64, &Never);
             let mut subject = config.endpoint(&network);
-            let coalesced =
-                orch.run_coalesced(&mut subject, make_walker(n), |v| v.index() as f64, &Never);
-            let mut reference = config.endpoint(&network);
             let reactor =
-                orch.run_reactor(&mut reference, make_walker(n), |v| v.index() as f64, &Never);
+                orch.run_reactor(&mut subject, make_walker(n), |v| v.index() as f64, &Never);
             assert_eq!(
-                coalesced.trace.per_walker, reactor.trace.per_walker,
-                "fleet {k}: reactor diverged from coalesced"
+                serial.trace.per_walker, reactor.trace.per_walker,
+                "fleet {k}: reactor diverged from the serial core"
             );
             equivalence_checked += 1;
         }
@@ -242,7 +242,7 @@ pub fn run(config: &FigReactorConfig) -> ExperimentResult {
     ))
     .with_note(format!(
         "equivalence spot-check: {equivalence_checked} fleet(s) <= {} walkers replayed \
-         through the coalesced backend with bit-identical traces",
+         on the serial core with bit-identical traces",
         config.equivalence_cap
     ))
     .with_note(format!(

@@ -10,8 +10,7 @@
 //! |---|---|
 //! | [`table1`] | Table 1 — dataset summary statistics |
 //! | [`fig6`] | Figure 6 — Google Plus: avg-degree relative error vs query cost, 5 algorithms |
-//! | [`fig6_parallel`] | Figure 6, parallel variant — k concurrent CNRW walkers on one shared budget |
-//! | [`fig6_batch`] | Figure 6, batched variant — coalescing batch dispatcher vs independent walkers |
+//! | [`fig6_batch`] | Figure 6, batched variant — reactor fleet with coalesced batch requests vs independent walkers |
 //! | [`fig6_steal`] | Figure 6, work-stealing variant — frontier restarts vs never, NRMSE at fixed budget |
 //! | [`fig7`] | Figure 7 — Facebook KL / ℓ2 / error vs cost; Youtube error vs cost |
 //! | [`fig8`] | Figure 8 — sampling distribution vs theoretical, nodes ordered by degree |
@@ -25,11 +24,8 @@
 //! | [`fig_evolving`] | Evolving-graph extension — delta-corrected continuation vs restart-from-scratch on a mutating network |
 //! | [`fig_scale`] | Web-scale extension — walker throughput and resident bytes, compact vs plain substrate, as the stand-in grows |
 //!
-//! All runs are seeded and deterministic (including under parallelism: trial
-//! seeds are derived, not scheduler-dependent). The one exception is
-//! [`fig6_parallel`] with more than one walker, where a shared atomic budget
-//! necessarily makes each walker's cut-off point scheduling-dependent; its
-//! trial seeds and budget totals remain exact.
+//! All runs are seeded and deterministic, including under parallelism:
+//! trial seeds are derived, not scheduler-dependent.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +36,6 @@ pub mod fig10;
 pub mod fig11;
 pub mod fig6;
 pub mod fig6_batch;
-pub mod fig6_parallel;
 pub mod fig6_steal;
 pub mod fig7;
 pub mod fig8;

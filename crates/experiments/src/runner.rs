@@ -8,17 +8,18 @@ use osn_graph::attributes::AttributedGraph;
 use osn_graph::compact::CompactCsr;
 use osn_graph::NodeId;
 use osn_walks::{
-    CoalescingDispatcher, HistoryBackend, OrchestratorReport, RandomWalk, RestartPolicy,
-    WalkConfig, WalkOrchestrator, WalkSession, WalkTrace,
+    HistoryBackend, OrchestratorReport, RandomWalk, RestartPolicy, WalkConfig, WalkOrchestrator,
+    WalkSession, WalkTrace,
 };
 
 use crate::algorithms::Algorithm;
 
 /// Derive a per-trial seed from an experiment seed and trial index with
 /// SplitMix64 mixing. Stable across platforms and thread schedules. Shares
-/// one mixer with the multi-walker engine's per-walker RNG streams.
+/// one mixer ([`osn_graph::mix::splitmix64_stream`]) with the
+/// orchestrator's per-walker RNG streams.
 pub fn trial_seed(experiment_seed: u64, trial: u64) -> u64 {
-    osn_walks::multiwalk::stream_seed(experiment_seed, trial)
+    osn_graph::mix::splitmix64_stream(experiment_seed, trial)
 }
 
 /// The plan for one budget-limited walk trial over a shared snapshot.
@@ -29,17 +30,17 @@ pub fn trial_seed(experiment_seed: u64, trial: u64) -> u64 {
 /// [`TrialPlan::steps`] remain as documented shorthands that forward to
 /// the builder; nothing is deprecated.
 ///
-/// Both dispatch modes execute on the unified orchestrator core of
-/// `osn-walks` (PR 5): the synchronous path through [`WalkSession`] (the
-/// orchestrator's single-walker serial entry point) and the batched path
-/// through the [`CoalescingDispatcher`] (its coalesced driver), both under
-/// the `Never` restart policy — which is what keeps the two modes
-/// bit-identical per seed. [`TrialPlan::with_restarts`] opts a plan into a
-/// [`RestartPolicy`] instead (single-walker steal ablations); that path
-/// runs on [`WalkOrchestrator`] and its derived per-walker RNG stream, so
-/// it matches orchestrator runs rather than the policy-free session
-/// stream. Multi-walker experiments with restart policies (e.g.
-/// `fig6_steal`) use [`WalkOrchestrator`] directly.
+/// The two dispatch modes run on the two engines of `osn-walks`: the
+/// synchronous path through [`WalkSession`] (the serial core's
+/// single-walker entry point) and the batched path through the reactor
+/// ([`osn_walks::reactor::drive_reactor`]), both under the `Never` restart
+/// policy and over the same raw-seeded RNG stream — which is what keeps
+/// the two modes bit-identical per seed. [`TrialPlan::with_restarts`]
+/// opts a plan into a [`RestartPolicy`] instead (single-walker steal
+/// ablations); that path runs on [`WalkOrchestrator`] and its derived
+/// per-walker RNG stream, so it matches orchestrator runs rather than the
+/// policy-free session stream. Multi-walker experiments with restart
+/// policies (e.g. `fig6_steal`) use [`WalkOrchestrator`] directly.
 #[derive(Clone)]
 pub struct TrialPlan {
     /// The snapshot every trial runs against (shared, never copied).
@@ -54,10 +55,9 @@ pub struct TrialPlan {
     pub backend: HistoryBackend,
     /// Dispatch mode: `None` drives the walk synchronously through a
     /// [`WalkSession`]; `Some(config)` routes every neighbor fetch through
-    /// a [`SimulatedBatchOsn`] batch endpoint via the
-    /// [`CoalescingDispatcher`]. Both modes consume the identical RNG
-    /// stream, so traces are bit-identical — the cross-mode equivalence
-    /// `tests/batch_client_props.rs` pins.
+    /// a [`SimulatedBatchOsn`] batch endpoint via the reactor. Both modes
+    /// consume the identical RNG stream, so traces are bit-identical — the
+    /// cross-mode equivalence `tests/batch_client_props.rs` pins.
     pub batch: Option<BatchConfig>,
     /// Restart policy for single-walker steal ablations (`None` = the
     /// policy-free fast path). Set via [`Self::with_restarts`].
@@ -144,7 +144,7 @@ impl TrialPlan {
         self
     }
 
-    /// Same plan routed through a batch endpoint (the coalescing dispatch
+    /// Same plan routed through a batch endpoint (the reactor dispatch
     /// mode; see [`Self::batch`]).
     #[must_use]
     pub fn with_batch(mut self, config: BatchConfig) -> Self {
@@ -154,8 +154,8 @@ impl TrialPlan {
 
     /// Same plan under a [`RestartPolicy`] (single-walker steal ablations).
     ///
-    /// Trials run on [`WalkOrchestrator`] — serial or coalesced per
-    /// [`Self::batch`] — with the walker consuming the orchestrator's
+    /// Trials run on [`WalkOrchestrator`] — the serial core or the reactor
+    /// per [`Self::batch`] — with the walker consuming the orchestrator's
     /// derived RNG stream. Use [`Self::run_report`] to see restart
     /// diagnostics; [`Self::run`] flattens to the walker's trace.
     #[must_use]
@@ -210,10 +210,10 @@ impl TrialPlan {
 
     /// Run one trial of `algorithm` with the given seed, returning the trace.
     ///
-    /// With [`Self::batch`] set, the walk is driven by the coalescing batch
-    /// dispatcher instead of a synchronous session — over the **same** RNG
-    /// stream, so the trace is bit-identical to the synchronous mode
-    /// (budget cut-off included).
+    /// With [`Self::batch`] set, the walk is driven by the reactor against
+    /// a batch endpoint instead of a synchronous session — over the
+    /// **same** RNG stream, so the trace is bit-identical to the
+    /// synchronous mode (budget cut-off included).
     pub fn run(&self, algorithm: &Algorithm, seed: u64) -> WalkTrace {
         let start = self.start_node(seed);
         if self.restarts.is_some() {
@@ -246,25 +246,25 @@ impl TrialPlan {
         }
     }
 
-    /// The batched leg of [`Self::run`]: one walker through the
-    /// [`CoalescingDispatcher`] against a [`SimulatedBatchOsn`], seeded
-    /// exactly like the synchronous [`WalkSession`].
+    /// The batched leg of [`Self::run`]: one walker on the reactor against
+    /// a [`SimulatedBatchOsn`], seeded exactly like the synchronous
+    /// [`WalkSession`].
     fn run_batched(
         &self,
-        walker: Box<dyn RandomWalk + Send>,
+        mut walker: Box<dyn RandomWalk + Send>,
         start: NodeId,
         batch: BatchConfig,
         seed: u64,
     ) -> WalkTrace {
         use rand::SeedableRng;
         let mut client = SimulatedBatchOsn::configured(self.make_client(), batch, self.budget);
-        let mut walkers = vec![walker];
-        let mut rngs = vec![rand_chacha::ChaCha12Rng::seed_from_u64(seed)];
-        let report = CoalescingDispatcher::new(self.max_steps).run(
+        let (report, _) = osn_walks::reactor::drive_reactor(
             &mut client,
-            &mut walkers,
-            &mut rngs,
+            &mut [walker.as_mut()],
+            &mut [rand_chacha::ChaCha12Rng::seed_from_u64(seed)],
+            self.max_steps,
             |_| 1.0,
+            &osn_walks::Never,
         );
         let nodes = report
             .trace
@@ -293,7 +293,7 @@ impl TrialPlan {
             Some(batch) => {
                 let mut client =
                     SimulatedBatchOsn::configured(self.make_client(), batch.clone(), self.budget);
-                orchestrator.run_coalesced(&mut client, make, |_| 1.0, policy)
+                orchestrator.run_reactor(&mut client, make, |_| 1.0, policy)
             }
             None => match self.budget {
                 Some(b) => {
@@ -447,8 +447,8 @@ mod tests {
 
     #[test]
     fn batched_trial_is_bit_identical_to_serial() {
-        // Same plan, same seed, serial session vs coalescing batch
-        // dispatcher: identical trace, identical accounting, identical
+        // Same plan, same seed, serial session vs the reactor behind a
+        // batch endpoint: identical trace, identical accounting, identical
         // budget cut-off — for several batch shapes.
         let plan = TrialPlan::budgeted(shared_net(), 40);
         for algorithm in [Algorithm::Cnrw, Algorithm::Srw] {

@@ -2,9 +2,10 @@
 //! deterministic streams.
 //!
 //! Like [`crate::fnv`], this lives at the bottom of the dependency graph so
-//! every crate derives streams the same way: walker RNG streams and trial
-//! seeds (`osn_walks::multiwalk::stream_seed` delegates here) and the batch
-//! endpoint's latency-jitter stream in `osn-client`. One implementation,
+//! every crate derives streams the same way: walker RNG streams
+//! (`osn_walks::WalkOrchestrator::walker_seed`), trial seeds
+//! (`osn_experiments::trial_seed`) and the batch endpoint's latency-jitter
+//! stream in `osn-client`. One implementation,
 //! one set of constants — a tweak here moves every derived stream together
 //! instead of silently desynchronizing copies.
 

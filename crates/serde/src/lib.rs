@@ -5,7 +5,9 @@
 //! JSON writer (byte-compatible with the layout the experiment harness has
 //! always emitted — existing `*.json` artifacts round-trip unchanged), a
 //! **compact** one-line writer for snapshots, and a parser reporting
-//! [`ParseError`]s with byte offsets.
+//! [`ParseError`]s with byte offsets. The parser caps container nesting at
+//! [`MAX_DEPTH`] levels, so hostile input deep enough to exhaust the stack
+//! is refused with an error instead of aborting the process.
 //!
 //! The build environment has no registry access for `serde`, and the
 //! workspace's schemas (experiment artifacts, job snapshots) are small
@@ -32,6 +34,11 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+
+/// The deepest container nesting [`Value::parse`] accepts. Every snapshot
+/// this workspace writes sits far below it; anything deeper is refused with
+/// a [`ParseError`] rather than recursing until the stack overflows.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed or constructed value tree (the JSON data model, with exact
 /// integers split out from floats).
@@ -188,11 +195,13 @@ impl Value {
     /// keep exactness, see [`Value::Uint`]).
     ///
     /// # Errors
-    /// Returns a [`ParseError`] carrying the byte offset of the problem.
+    /// Returns a [`ParseError`] carrying the byte offset of the problem —
+    /// including containers nested deeper than [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Value, ParseError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -370,6 +379,8 @@ fn write_compact(v: &Value, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -408,8 +419,21 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(
+                        self.err_at(self.pos, format!("nesting deeper than {MAX_DEPTH} levels"))
+                    );
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Value::Str(self.string_value()?)),
             b't' | b'f' | b'n' => self.keyword(),
             _ => self.number(),
@@ -951,5 +975,25 @@ mod tests {
         assert_eq!(Value::Arr(vec![]).to_pretty(), "[]");
         assert_eq!(Value::parse("{}").unwrap(), Value::Obj(vec![]));
         assert_eq!(Value::parse(" [ ] ").unwrap(), Value::Arr(vec![]));
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_with_an_offset() {
+        // A million open brackets used to recurse once per level until the
+        // stack overflowed and the process aborted.
+        let err = Value::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+
+        let chain = format!("{}1{}", r#"{"a":"#.repeat(200_000), "}".repeat(200_000));
+        let err = Value::parse(&chain).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH * r#"{"a":"#.len());
+
+        // Mixed containers count alike, and the cap itself still parses.
+        let half = MAX_DEPTH / 2;
+        let at_cap = format!("{}0{}", r#"[{"k":"#.repeat(half), "}]".repeat(half));
+        assert!(Value::parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert!(Value::parse(&past_cap).is_err());
     }
 }

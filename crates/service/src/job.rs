@@ -3,8 +3,8 @@
 //! A [`JobSpec`] is pure data — algorithm, estimand, fleet shape, seed,
 //! arrival time — so it serializes losslessly into a server snapshot and
 //! reconstructs the exact same [`osn_walks::WalkOrchestrator`] run on
-//! resume. The running state of an admitted job lives in a
-//! [`osn_walks::CoalescedWalkRun`], which carries its own snapshot format.
+//! resume. The running state of an admitted job lives in an
+//! [`osn_walks::ReactorWalkRun`], which carries its own snapshot format.
 
 use std::sync::Arc;
 
@@ -296,8 +296,8 @@ pub enum JobState {
     /// Submitted; its virtual arrival time has not been reached or no
     /// scheduling slice has admitted it yet.
     Queued,
-    /// Admitted: a live [`osn_walks::CoalescedWalkRun`] advances in
-    /// scheduler-granted round slices.
+    /// Admitted: a live [`osn_walks::ReactorWalkRun`] advances in
+    /// scheduler-granted slices of completion events.
     Running,
     /// Every walker stopped (step cap or budget); the result is final.
     Done,
@@ -336,7 +336,7 @@ pub struct JobResult {
     pub estimate: Option<f64>,
     /// Steps performed across the fleet.
     pub steps: usize,
-    /// Scheduling rounds the run consumed.
+    /// Reactor completion events the run consumed.
     pub rounds: usize,
 }
 

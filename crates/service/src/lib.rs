@@ -5,8 +5,8 @@
 //!
 //! A [`SessionServer`] owns a single [`osn_client::SimulatedBatchOsn`]
 //! (cache, unique-query budget, token-bucket rate limit, virtual clock) and
-//! runs many concurrent **jobs**, each a sliced
-//! [`osn_walks::WalkOrchestrator`] run with its own walker fleet,
+//! runs many concurrent **jobs**, each a sliced, resumable reactor run
+//! ([`osn_walks::ReactorWalkRun`]) with its own walker fleet,
 //! [`Algorithm`], [`Estimand`], and seed. A weighted fair-share scheduler
 //! allocates the shared budget: every scheduling slice goes to the tenant
 //! with the lowest charged-queries-to-weight ratio, so while tenants stay
@@ -37,5 +37,5 @@ mod server;
 pub mod traffic;
 
 pub use job::{Algorithm, Estimand, JobResult, JobSpec, JobState};
-pub use server::{ServerConfig, SessionServer, SliceEngine, TenantSpec, TenantStats};
+pub use server::{ServerConfig, SessionServer, TenantSpec, TenantStats};
 pub use traffic::TrafficConfig;

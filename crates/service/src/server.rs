@@ -8,12 +8,11 @@
 //! passed, picks the tenant with the lowest charged-queries-to-weight ratio
 //! (classic max-min weighted fair share over the cumulative charge), picks
 //! that tenant's next running job round-robin, and grants it
-//! [`ServerConfig::rounds_per_slice`] units of work against the shared
-//! endpoint — coalesced scheduling rounds under the default
-//! [`SliceEngine::Rounds`], reactor completion events under
-//! [`SliceEngine::Reactor`]. Everything — tenant choice, job choice, walker
-//! randomness, endpoint failures — is a deterministic function of specs and
-//! seeds, so a server run replays bit-identically.
+//! [`ServerConfig::rounds_per_slice`] completion events of its
+//! [`ReactorWalkRun`] against the shared endpoint. Everything — tenant
+//! choice, job choice, walker randomness, endpoint failures — is a
+//! deterministic function of specs and seeds, so a server run replays
+//! bit-identically.
 //!
 //! ## Why sharing beats sequential
 //!
@@ -39,8 +38,7 @@ use osn_client::{BatchOsnClient, QueryStats, SimulatedBatchOsn};
 use osn_graph::attributes::AttributedGraph;
 use osn_graph::{EdgeMutation, NodeId};
 use osn_serde::Value;
-use osn_walks::orchestrator::OrchestratorReport;
-use osn_walks::{CoalescedWalkRun, ReactorWalkRun};
+use osn_walks::ReactorWalkRun;
 
 use crate::job::{JobResult, JobSpec, JobState};
 
@@ -92,45 +90,19 @@ impl TenantStats {
     }
 }
 
-/// Which walk-run engine drives a job's scheduling slices.
-///
-/// Both engines funnel through the same [`osn_walks::WalkOrchestrator`]
-/// step core and are bit-compatible where their schedules coincide; they
-/// differ in how a slice's work is metered against the shared endpoint.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SliceEngine {
-    /// Lockstep coalesced rounds ([`CoalescedWalkRun`]): every walker in a
-    /// job steps once per round, one gather per round. The default, and
-    /// the engine all pre-existing pinned snapshots were taken under.
-    #[default]
-    Rounds,
-    /// Poll-driven reactor events ([`ReactorWalkRun`]): walkers park as
-    /// state machines on in-flight batches and a slice grants completion
-    /// *events* instead of rounds — see [`osn_walks::reactor`]. Scales to
-    /// 10k+ walkers per job with O(active batches) slice memory.
-    Reactor,
-}
-
 /// Server-wide configuration (construction-time spec, not serialized).
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Work granted per slice: coalesced scheduling rounds under
-    /// [`SliceEngine::Rounds`], completion events under
-    /// [`SliceEngine::Reactor`]. Smaller slices track the fair shares
-    /// tighter at more scheduling overhead.
+    /// Reactor completion events granted per slice (the `events` budget of
+    /// each slice's [`ReactorWalkRun::run_events`] call). Smaller slices
+    /// track the fair shares tighter at more scheduling overhead.
     pub rounds_per_slice: usize,
-    /// Engine newly admitted jobs run under. Resume keys each job off its
-    /// own run snapshot, so a server restored with a different engine
-    /// continues old runs unchanged and applies the new engine only to
-    /// jobs admitted afterwards.
-    pub engine: SliceEngine,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             rounds_per_slice: 8,
-            engine: SliceEngine::Rounds,
         }
     }
 }
@@ -141,87 +113,40 @@ impl ServerConfig {
         Self::default()
     }
 
-    /// Set the slice length (clamped to at least 1 round).
+    /// Set the slice length (clamped to at least 1 event).
     #[must_use]
     pub fn with_rounds_per_slice(mut self, rounds: usize) -> Self {
         self.rounds_per_slice = rounds.max(1);
         self
     }
-
-    /// Select the engine newly admitted jobs run under.
-    #[must_use]
-    pub fn with_engine(mut self, engine: SliceEngine) -> Self {
-        self.engine = engine;
-        self
-    }
 }
 
-/// A job's in-progress walk, under whichever engine admitted it. Both
-/// variants are boxed: run state is hundreds of bytes and `Job` vectors
-/// should stay slim regardless of which engine a job runs under.
-enum JobRun {
-    Rounds(Box<CoalescedWalkRun>),
-    Reactor(Box<ReactorWalkRun>),
-}
-
-impl JobRun {
-    fn done(&self) -> bool {
-        match self {
-            JobRun::Rounds(run) => run.done(),
-            JobRun::Reactor(run) => run.done(),
-        }
+/// Check a job spec against the server's tenants and snapshot — the one
+/// gate both [`SessionServer::submit`] and [`SessionServer::resume`] pass
+/// every spec through.
+fn check_spec(spec: &JobSpec, tenants: usize, network: &AttributedGraph) -> Result<(), String> {
+    if spec.tenant >= tenants {
+        return Err(format!(
+            "job names tenant {} but only {tenants} are registered",
+            spec.tenant
+        ));
     }
-
-    fn steps_taken(&self) -> usize {
-        match self {
-            JobRun::Rounds(run) => run.steps_taken(),
-            JobRun::Reactor(run) => run.steps_taken(),
-        }
+    let n = network.graph.node_count();
+    if spec.start.index() >= n {
+        return Err(format!(
+            "start node {} outside the {n}-node snapshot",
+            spec.start
+        ));
     }
-
-    /// Grant one slice of work: `n` rounds or `n` completion events,
-    /// depending on the engine the job was admitted under.
-    fn run_slice<F>(&mut self, endpoint: &mut SimulatedBatchOsn, value: &F, n: usize)
-    where
-        F: Fn(osn_graph::NodeId) -> f64 + ?Sized,
-    {
-        match self {
-            JobRun::Rounds(run) => {
-                run.run_rounds(endpoint, value, n);
-            }
-            JobRun::Reactor(run) => {
-                run.run_events(endpoint, value, n);
-            }
-        }
-    }
-
-    fn invalidate_nodes(&mut self, nodes: &[NodeId]) -> usize {
-        match self {
-            JobRun::Rounds(run) => run.invalidate_nodes(nodes),
-            JobRun::Reactor(run) => run.invalidate_nodes(nodes),
-        }
-    }
-
-    fn snapshot(&self) -> Value {
-        match self {
-            JobRun::Rounds(run) => run.snapshot(),
-            JobRun::Reactor(run) => run.snapshot(),
-        }
-    }
-
-    fn into_report(self, endpoint: &SimulatedBatchOsn) -> OrchestratorReport {
-        match self {
-            JobRun::Rounds(run) => run.into_report(endpoint),
-            JobRun::Reactor(run) => run.into_report(endpoint),
-        }
-    }
+    Ok(())
 }
 
 /// One job's full server-side record.
 struct Job {
     spec: JobSpec,
     state: JobState,
-    run: Option<JobRun>,
+    /// Boxed: run state is hundreds of bytes, and the job list stays slim.
+    run: Option<Box<ReactorWalkRun>>,
     result: Option<JobResult>,
 }
 
@@ -270,20 +195,7 @@ impl SessionServer {
     /// When the spec names an unregistered tenant or a start node outside
     /// the snapshot.
     pub fn submit(&mut self, spec: JobSpec) -> Result<usize, String> {
-        if spec.tenant >= self.tenants.len() {
-            return Err(format!(
-                "job names tenant {} but only {} are registered",
-                spec.tenant,
-                self.tenants.len()
-            ));
-        }
-        let n = self.network.graph.node_count();
-        if spec.start.index() >= n {
-            return Err(format!(
-                "start node {} outside the {n}-node snapshot",
-                spec.start
-            ));
-        }
+        check_spec(&spec, self.tenants.len(), &self.network)?;
         self.jobs.push(Job {
             spec,
             state: JobState::Queued,
@@ -373,7 +285,7 @@ impl SessionServer {
 
     /// Admit every queued job whose arrival time has passed, in submission
     /// order. Jobs arriving after the shared budget is exhausted are
-    /// refused; the rest start a coalesced run.
+    /// refused; the rest start a reactor run.
     fn admit_due(&mut self) {
         let now = self.endpoint.clock().elapsed_secs();
         let exhausted = self.endpoint.remaining_budget() == Some(0);
@@ -386,14 +298,7 @@ impl SessionServer {
                 self.stats[job.spec.tenant].jobs_refused += 1;
             } else {
                 let orch = job.spec.orchestrator();
-                job.run = Some(match self.config.engine {
-                    SliceEngine::Rounds => {
-                        JobRun::Rounds(Box::new(orch.start_coalesced(job.spec.make_walker())))
-                    }
-                    SliceEngine::Reactor => {
-                        JobRun::Reactor(Box::new(orch.start_reactor(job.spec.make_walker())))
-                    }
-                });
+                job.run = Some(Box::new(orch.start_reactor(job.spec.make_walker())));
                 job.state = JobState::Running;
             }
         }
@@ -456,7 +361,7 @@ impl SessionServer {
         let run = job.run.as_mut().expect("running job has a live run");
         let steps_before = run.steps_taken();
         let value = job.spec.estimand.value_fn(&self.network);
-        run.run_slice(&mut self.endpoint, &*value, self.config.rounds_per_slice);
+        run.run_events(&mut self.endpoint, &*value, self.config.rounds_per_slice);
         let after = self.endpoint.stats();
 
         let stats = &mut self.stats[t];
@@ -548,6 +453,7 @@ impl SessionServer {
             return Err(format!("expected a session-server snapshot, got `{kind}`"));
         }
         endpoint.import_state(state.field("endpoint")?)?;
+        let network = endpoint.inner().network_shared();
 
         let mut tenants = Vec::new();
         let mut stats = Vec::new();
@@ -576,31 +482,17 @@ impl SessionServer {
         for (id, jv) in state.field("jobs")?.as_array()?.iter().enumerate() {
             let spec =
                 JobSpec::from_value(jv.field("spec")?).map_err(|e| format!("job {id}: {e}"))?;
-            if spec.tenant >= tenants.len() {
-                return Err(format!("job {id} names unknown tenant {}", spec.tenant));
-            }
+            check_spec(&spec, tenants.len(), &network).map_err(|e| format!("job {id}: {e}"))?;
             let job_state = JobState::from_label(jv.field("state")?.as_str()?)
                 .map_err(|e| format!("job {id}: {e}"))?;
             let run = match job_state {
-                JobState::Running => {
-                    // Each run snapshot names its own engine: a server
-                    // resumed under a different `config.engine` continues
-                    // old runs with the engine that started them.
-                    let rv = jv.field("run")?;
-                    let run = match rv.field("kind")?.as_str()? {
-                        "reactor" => JobRun::Reactor(Box::new(
-                            spec.orchestrator()
-                                .resume_reactor(rv, spec.make_walker())
-                                .map_err(|e| format!("job {id}: {e}"))?,
-                        )),
-                        _ => JobRun::Rounds(Box::new(
-                            spec.orchestrator()
-                                .resume_coalesced(rv, spec.make_walker())
-                                .map_err(|e| format!("job {id}: {e}"))?,
-                        )),
-                    };
-                    Some(run)
-                }
+                // A run snapshot of any other kind than `reactor` is
+                // refused by name.
+                JobState::Running => Some(Box::new(
+                    spec.orchestrator()
+                        .resume_reactor(jv.field("run")?, spec.make_walker())
+                        .map_err(|e| format!("job {id}: {e}"))?,
+                )),
                 _ => None,
             };
             let result = match job_state {
@@ -618,7 +510,6 @@ impl SessionServer {
             });
         }
 
-        let network = endpoint.inner().network_shared();
         Ok(SessionServer {
             endpoint,
             network,

@@ -1,7 +1,7 @@
 //! Integration tests of the session server: weighted fair-share
 //! proportionality under contention, admission refusals, cross-tenant
-//! cache synergy, traffic-generator determinism, and kill-at-slice-k
-//! snapshot/resume bit-identity.
+//! cache synergy, traffic-generator determinism, kill-at-slice-k
+//! snapshot/resume bit-identity, and the refusal of tampered snapshots.
 
 use proptest::prelude::*;
 
@@ -12,7 +12,8 @@ use osn_graph::{
 };
 use osn_serde::Value;
 use osn_service::traffic::{populate, TrafficConfig};
-use osn_service::{Algorithm, JobSpec, JobState, ServerConfig, SessionServer, SliceEngine};
+use osn_service::{Algorithm, JobSpec, JobState, ServerConfig, SessionServer};
+use osn_walks::{Never, WalkOrchestrator};
 
 /// A connected `n`-node graph: ring, chords, and a hub over the even
 /// nodes — enough structure that walks spread and caches overlap.
@@ -197,12 +198,10 @@ fn traffic_exercises_per_id_drops_and_retries() {
     assert!(retries > 0, "whole-request failure injection never fired");
 }
 
-fn engine_server(engine: SliceEngine, budget: Option<u64>, seed: u64) -> SessionServer {
+fn traffic_server(budget: Option<u64>, seed: u64) -> SessionServer {
     let mut server = SessionServer::new(
         soak_endpoint(400, budget),
-        ServerConfig::new()
-            .with_rounds_per_slice(6)
-            .with_engine(engine),
+        ServerConfig::new().with_rounds_per_slice(6),
     );
     let traffic = TrafficConfig::new(5, 3)
         .with_seed(seed)
@@ -214,43 +213,51 @@ fn engine_server(engine: SliceEngine, budget: Option<u64>, seed: u64) -> Session
 }
 
 #[test]
-fn reactor_engine_matches_rounds_estimates_without_budget() {
-    // Absent a budget, traces are schedule-independent: the reactor engine
-    // must reproduce the rounds engine's per-job estimates and step counts
-    // bit-for-bit even though its slices are metered in completion events.
-    let run = |engine| {
-        let mut server = engine_server(engine, None, 11);
-        server.run_to_completion();
-        assert!(server.done());
-        (0..server.job_count())
-            .map(|id| {
-                server
-                    .job_result(id)
-                    .map(|r| (r.estimate.map(f64::to_bits), r.steps))
-            })
-            .collect::<Vec<_>>()
-    };
-    let rounds = run(SliceEngine::Rounds);
-    assert!(rounds.iter().any(Option::is_some), "no job completed");
-    assert_eq!(rounds, run(SliceEngine::Reactor));
+fn reactor_jobs_match_serial_runs_of_their_specs_without_budget() {
+    // Absent a budget, traces are schedule-independent: every job's
+    // estimate and step count must equal a serial-core run built from its
+    // spec, bit for bit, even though the server meters its slices in
+    // reactor completion events over a faulty, rate-limited endpoint.
+    let mut server = traffic_server(None, 11);
+    server.run_to_completion();
+    assert!(server.done());
+    let network = server.network().clone();
+    let mut completed = 0;
+    for id in 0..server.job_count() {
+        let Some(result) = server.job_result(id) else {
+            continue;
+        };
+        let spec = server.job_spec(id).clone();
+        let serial = WalkOrchestrator::new(spec.walkers, spec.max_steps, spec.seed)
+            .with_backend(spec.backend)
+            .run_serial(
+                &mut SimulatedOsn::new_shared(network.clone()),
+                |_, backend| spec.algorithm.make(spec.start, backend),
+                spec.estimand.value_fn(&network),
+                &Never,
+            );
+        assert_eq!(
+            result.estimate.map(f64::to_bits),
+            spec.estimand.read(&serial.estimate).map(f64::to_bits),
+            "job {id}"
+        );
+        assert_eq!(result.steps, serial.trace.total_steps(), "job {id}");
+        completed += 1;
+    }
+    assert!(completed > 0, "no job completed");
 }
 
 #[test]
-fn reactor_engine_kill_mid_slice_resumes_bit_identically() {
-    // Full-realism endpoint (rate limit, failures, drops, shared budget)
-    // under the reactor engine: kill after k slices, persist through text,
-    // resume, finish — byte-identical to the uninterrupted run. Once every
-    // job has been admitted, the resumed server is configured with the
-    // *Rounds* engine to prove resume keys each mid-walk job off its own
-    // run snapshot, not off the server config (the config engine only
-    // applies to jobs still queued at the kill).
-    let mut reference = engine_server(SliceEngine::Reactor, Some(700), 21);
+fn kill_mid_slice_resumes_bit_identically_under_budget() {
+    // Full-realism endpoint (rate limit, failures, drops, shared budget):
+    // kill after k slices, persist through text, resume, finish —
+    // byte-identical to the uninterrupted run.
+    let mut reference = traffic_server(Some(700), 21);
     reference.run_to_completion();
     let reference_final = reference.snapshot().unwrap().to_pretty();
 
-    let mut saw_cross_engine_resume = false;
     for k in [1usize, 7, 23] {
-        let mut killed = engine_server(SliceEngine::Reactor, Some(700), 21);
+        let mut killed = traffic_server(Some(700), 21);
         for _ in 0..k {
             if !killed.step() {
                 break;
@@ -267,25 +274,13 @@ fn reactor_engine_kill_mid_slice_resumes_bit_identically() {
         if k > 1 {
             assert!(reactor_runs > 0, "k={k}: no mid-walk reactor run captured");
         }
-        let queued = jobs
-            .iter()
-            .filter(|jv| jv.field("state").unwrap().as_str().unwrap() == "queued")
-            .count();
-        let resume_engine = if queued == 0 {
-            saw_cross_engine_resume = true;
-            SliceEngine::Rounds
-        } else {
-            SliceEngine::Reactor
-        };
         let text = snap.to_pretty();
         drop(killed);
 
         let parsed = Value::parse(&text).unwrap();
         let mut resumed = SessionServer::resume(
             soak_endpoint(400, Some(700)),
-            ServerConfig::new()
-                .with_rounds_per_slice(6)
-                .with_engine(resume_engine),
+            ServerConfig::new().with_rounds_per_slice(6),
             &parsed,
         )
         .unwrap();
@@ -296,10 +291,126 @@ fn reactor_engine_kill_mid_slice_resumes_bit_identically() {
             "k={k}"
         );
     }
-    assert!(
-        saw_cross_engine_resume,
-        "no kill point had every job admitted; cross-engine resume untested"
+}
+
+/// The field `key` of object `v`, mutably — for tampering with snapshots.
+fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    match v {
+        Value::Obj(fields) => {
+            &mut fields
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .unwrap_or_else(|| panic!("no field `{key}`"))
+                .1
+        }
+        other => panic!("expected an object, got {}", other.type_name()),
+    }
+}
+
+/// Job `id` of a server snapshot, mutably.
+fn job_mut(snapshot: &mut Value, id: usize) -> &mut Value {
+    match field_mut(snapshot, "jobs") {
+        Value::Arr(jobs) => &mut jobs[id],
+        other => panic!("expected an array, got {}", other.type_name()),
+    }
+}
+
+fn resume_small(snapshot: &Value) -> Result<SessionServer, String> {
+    let endpoint = SimulatedBatchOsn::new(
+        SimulatedOsn::from_graph(test_graph(20)),
+        BatchConfig::new(4),
     );
+    SessionServer::resume(endpoint, ServerConfig::new(), snapshot)
+}
+
+#[test]
+fn resume_refuses_a_start_node_outside_the_graph() {
+    // `submit` refuses a start outside the snapshot; a tampered snapshot
+    // must not smuggle one past `resume` (it used to resume fine and
+    // panic on the first neighbor fetch once the job was admitted).
+    let endpoint = SimulatedBatchOsn::new(
+        SimulatedOsn::from_graph(test_graph(20)),
+        BatchConfig::new(4),
+    );
+    let mut server = SessionServer::new(endpoint, ServerConfig::new());
+    let t = server.add_tenant("only", 1.0);
+    server
+        .submit(JobSpec::new(t, Algorithm::Cnrw, NodeId(3)).with_arrival(5.0))
+        .unwrap();
+    let mut snap = server.snapshot().unwrap();
+    assert!(resume_small(&snap).is_ok());
+
+    *field_mut(field_mut(job_mut(&mut snap, 0), "spec"), "start") = Value::Uint(4_000_000);
+    let err = resume_small(&snap)
+        .err()
+        .expect("out-of-range start resumed");
+    assert!(err.contains("outside"), "unexpected error: {err}");
+
+    // Same gate as submit: an unknown tenant is refused too.
+    *field_mut(field_mut(job_mut(&mut snap, 0), "spec"), "start") = Value::Uint(3);
+    *field_mut(field_mut(job_mut(&mut snap, 0), "spec"), "tenant") = Value::Uint(9);
+    let err = resume_small(&snap).err().expect("unknown tenant resumed");
+    assert!(err.contains("tenant"), "unexpected error: {err}");
+}
+
+#[test]
+fn resume_refuses_run_snapshots_of_other_kinds() {
+    // Every running job is a reactor run. A snapshot naming any other run
+    // kind — a lockstep `coalesced` run from before the engines were
+    // folded, or anything unknown — is refused, and the error names it.
+    let endpoint = SimulatedBatchOsn::new(
+        SimulatedOsn::from_graph(test_graph(20)),
+        BatchConfig::new(4),
+    );
+    let mut server = SessionServer::new(endpoint, ServerConfig::new().with_rounds_per_slice(1));
+    let t = server.add_tenant("only", 1.0);
+    server
+        .submit(
+            JobSpec::new(t, Algorithm::Cnrw, NodeId(3))
+                .with_walkers(3)
+                .with_max_steps(100),
+        )
+        .unwrap();
+    assert!(server.step());
+    let snap = server.snapshot().unwrap();
+    assert_eq!(server.job_state(0), JobState::Running);
+    assert!(resume_small(&snap).is_ok());
+
+    for kind in ["coalesced", "serial", "warp-drive"] {
+        let mut tampered = snap.clone();
+        *field_mut(field_mut(job_mut(&mut tampered, 0), "run"), "kind") = Value::Str(kind.into());
+        let err = resume_small(&tampered)
+            .err()
+            .unwrap_or_else(|| panic!("run kind `{kind}` resumed"));
+        assert!(err.contains(kind), "error does not name `{kind}`: {err}");
+    }
+}
+
+#[test]
+fn real_snapshots_round_trip_well_inside_the_parser_depth_cap() {
+    // The parser refuses nesting past `osn_serde::MAX_DEPTH`; a live
+    // server snapshot — tenants, jobs, mid-walk reactor runs — must parse
+    // back unchanged with ample headroom.
+    fn depth(v: &Value) -> usize {
+        match v {
+            Value::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+            Value::Obj(fields) => 1 + fields.iter().map(|(_, f)| depth(f)).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+    let mut server = soak_server(3);
+    for _ in 0..12 {
+        server.step();
+    }
+    let snap = server.snapshot().unwrap();
+    assert!(
+        depth(&snap) * 4 <= osn_serde::MAX_DEPTH,
+        "depth {}",
+        depth(&snap)
+    );
+    for text in [snap.to_pretty(), snap.to_compact()] {
+        assert_eq!(Value::parse(&text).unwrap(), snap);
+    }
 }
 
 /// Seeded mutation batches for the overlay arm, keyed to the scheduling

@@ -1,4 +1,4 @@
-//! Many concurrent walkers on the unified orchestrator, with and without
+//! Many walkers on the orchestrator's two engines, with and without
 //! work-stealing restarts.
 //!
 //! ```text
@@ -10,12 +10,12 @@
 //! its **cache**, so every node any walker queries is free for all of them
 //! — coverage rises with the walker count at no extra query cost. This
 //! example drives the fleet through [`WalkOrchestrator`]: first on the
-//! **threaded** backend over a lock-striped [`SharedOsn`] (one OS thread
-//! per walker) with the [`Never`] policy — the classic PR-2 run — and then
-//! on the deterministic **serial** backend under [`WorkStealing`], where
-//! walkers publish the nodes they walk through into a [`SharedFrontier`]
-//! and stalled or budget-refused walkers restart from territory the others
-//! discovered.
+//! **reactor** against a budgeted batch endpoint ([`SimulatedBatchOsn`];
+//! walkers park on in-flight batches and share one dispatcher cache) with
+//! the [`Never`] policy, and then on the **serial core** under
+//! [`WorkStealing`], where walkers publish the nodes they walk through
+//! into a [`SharedFrontier`] and stalled or budget-refused walkers restart
+//! from territory the others discovered.
 //!
 //! The first table shows the catch the diagnostics exist for: pooling
 //! chains that disagree weights regions by walker count instead of by the
@@ -41,23 +41,23 @@ fn main() {
     );
 
     let budget = 70u64;
-    let stripes = 16;
-    println!("shared budget: {budget} unique queries, {stripes} cache stripes\n");
-    println!("— threaded backend, Never policy (the classic fleet) —");
+    let batch = 8;
+    println!("shared budget: {budget} unique queries, batches of up to {batch} ids\n");
+    println!("— reactor, Never policy (the classic fleet) —");
     println!(
         "{:>8} {:>10} {:>12} {:>10} {:>11} {:>10}",
-        "walkers", "coverage", "rel. error", "split-R^", "cache hits", "contended"
+        "walkers", "coverage", "rel. error", "split-R^", "cache hits", "requests"
     );
 
     for k in [1usize, 2, 4, 8] {
-        let client = SharedOsn::configured(
+        let mut client = SimulatedBatchOsn::configured(
             SimulatedOsn::new_shared(network.clone()),
-            stripes,
+            BatchConfig::new(batch).with_in_flight(2),
             Some(budget),
         );
         let graph = &network.graph;
-        let report = WalkOrchestrator::new(k, 4_000, 99).run_threaded(
-            &client,
+        let report = WalkOrchestrator::new(k, 4_000, 99).run_reactor(
+            &mut client,
             |i, backend| {
                 // Spread starts across the clusters.
                 let start = NodeId(((i * 31) % n) as u32);
@@ -74,8 +74,9 @@ fn main() {
             .map(|e| (e - truth).abs() / truth)
             .unwrap_or(1.0);
         let seen: std::collections::HashSet<NodeId> = report.trace.pooled().collect();
-        // A shared budget is first-come-first-served: walkers scheduled late
-        // may be refused after a handful of steps ("starved"). split_rhat
+        // A shared budget is first-come-first-served: walkers whose next node
+        // arrives after the budget ran out are refused after a handful of
+        // steps ("starved"). split_rhat
         // demands equal-length chains, so truncate to the shortest usable
         // chain explicitly — and say so when starved chains were dropped.
         let chains: Vec<Vec<f64>> = report
@@ -98,13 +99,13 @@ fn main() {
             "{k:>8} {:>9}/{n} {err:>12.4} {rhat:>10} {:>11} {:>10}",
             seen.len(),
             stats.cache_hits,
-            client.total_contention(),
+            client.batch_stats().submitted,
         );
     }
 
     println!(
         "\nmore walkers cover more territory for the same unique-query\n\
-         budget (shared striped cache), but pooling chains that have not\n\
+         budget (one shared cache), but pooling chains that have not\n\
          mixed weights clusters by walker count, not by the stationary\n\
          distribution — watch the error grow as R^ explodes. A shared\n\
          budget is also first-come-first-served: late walkers can starve\n\
@@ -112,10 +113,10 @@ fn main() {
          diagnostics, not the coverage, tell you when pooling is safe.\n"
     );
 
-    // The orchestrator's answer: the same fleets on the serial backend,
+    // The orchestrator's answer: the same fleets on the serial core,
     // Never vs WorkStealing, all walkers clumped in the smallest clique
     // (the adversarial start the fig6_steal experiment sweeps).
-    println!("— serial backend, clumped starts: Never vs WorkStealing —");
+    println!("— serial core, clumped starts: Never vs WorkStealing —");
     println!(
         "{:>8} {:>14} {:>14} {:>13}",
         "walkers", "never NRMSE", "steal NRMSE", "relocations"

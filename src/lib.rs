@@ -31,35 +31,29 @@
 //! * [`experiments`] (`osn-experiments`) — the harness regenerating every
 //!   table and figure of the paper's evaluation, plus the service figure.
 //!
-//! Beyond the paper, the workspace scales to **parallel multi-walker
-//! sampling**: [`client::SharedOsn`] is a lock-striped shared cache
-//! (stripe = `fnv(node) % N`, per-stripe hit/miss/contention counters, an
-//! optional atomic global budget) and [`walks::MultiWalkRunner`] schedules K
-//! seeded walkers over scoped threads with deterministic per-walker RNG
-//! streams, merging their estimates through [`estimate::RatioEstimator`].
-//! For **batched I/O** — real OSN APIs expose batch endpoints with bounded
-//! in-flight windows and transient failures — [`client::SimulatedBatchOsn`]
-//! models the endpoint (latency/jitter, deterministic failure injection,
-//! bounded retry, budget charged once per unique node) and
-//! [`walks::CoalescingDispatcher`] parks walker requests in a queue, dedups
-//! ids across walkers, and fans them out in batches, with per-walker traces
-//! bit-identical to serial replay.
-//!
-//! All three run modes execute on **one unified core**,
-//! [`walks::WalkOrchestrator`]: serial, threaded, and coalesced backends
-//! share the step loop, the per-walker RNG streams, and the stop
-//! bookkeeping, parameterized by a [`walks::RestartPolicy`] —
-//! [`walks::Never`] replays the classic runs bit-identically, while
-//! [`walks::WorkStealing`] restarts stalled or budget-refused walkers from
-//! a lock-striped [`walks::SharedFrontier`] of territory other walkers
-//! discovered, triggered by an online windowed split-R̂
-//! ([`estimate::WindowedSplitRhat`]). On top of all of it sits the
-//! **service layer**: [`service::SessionServer`] multiplexes many tenants'
-//! jobs over one shared endpoint under deterministic weighted fair-share
-//! scheduling, and snapshots/resumes the entire mid-flight server
-//! byte-identically through [`serde::Value`]. See `ARCHITECTURE.md` for the
-//! paper-concept → code map, the backend × policy matrix, and the service
-//! layer's scheduler and snapshot format.
+//! Beyond the paper, the workspace scales to **multi-walker sampling**
+//! on two engines behind [`walks::WalkOrchestrator`]. The synchronous
+//! serial core drives any [`client::OsnClient`] round-robin; the
+//! poll-driven reactor drives 10k+ walkers against a **batch endpoint** —
+//! real OSN APIs expose bounded in-flight windows and transient failures,
+//! which [`client::SimulatedBatchOsn`] models (latency/jitter,
+//! deterministic failure injection, bounded retry, budget charged once per
+//! unique node) — parking each walker on the in-flight batch that carries
+//! its next neighbor list, with per-walker traces bit-identical to the
+//! serial core. Both engines share the step loop, the per-walker RNG
+//! streams, and the stop bookkeeping, parameterized by a
+//! [`walks::RestartPolicy`] — [`walks::Never`] replays the classic runs
+//! bit-identically, while [`walks::WorkStealing`] restarts stalled or
+//! budget-refused walkers from a lock-striped [`walks::SharedFrontier`] of
+//! territory other walkers discovered, triggered by an online windowed
+//! split-R̂ ([`estimate::WindowedSplitRhat`]). On top sits the **service
+//! layer**: [`service::SessionServer`] multiplexes many tenants' jobs over
+//! one shared endpoint under deterministic weighted fair-share scheduling,
+//! runs each job as a resumable [`walks::ReactorWalkRun`], and
+//! snapshots/resumes the entire mid-flight server byte-identically through
+//! [`serde::Value`]. See `ARCHITECTURE.md` for the paper-concept → code
+//! map, the two-engine table, and the service layer's scheduler and
+//! snapshot format.
 //!
 //! ## Quickstart
 //!
@@ -107,7 +101,7 @@ pub use osn_walks as walks;
 pub mod prelude {
     pub use osn_client::{
         BatchConfig, BatchOsnClient, BudgetedClient, OsnClient, RateLimitConfig, RateLimitedOsn,
-        SharedOsn, SimulatedBatchOsn, SimulatedOsn, StripeStats,
+        SimulatedBatchOsn, SimulatedOsn,
     };
     pub use osn_datasets::{Dataset, Scale};
     pub use osn_estimate::{DeltaCorrectedEstimator, RatioEstimator, UniformMeanEstimator};
@@ -118,15 +112,14 @@ pub mod prelude {
     };
     pub use osn_serde::Value;
     pub use osn_service::{
-        Estimand, JobResult, JobSpec, JobState, ServerConfig, SessionServer, SliceEngine,
-        TenantSpec, TenantStats, TrafficConfig,
+        Estimand, JobResult, JobSpec, JobState, ServerConfig, SessionServer, TenantSpec,
+        TenantStats, TrafficConfig,
     };
     pub use osn_walks::{
-        ByAttribute, ByDegree, ByHash, Cnrw, CoalescedWalkRun, CoalescingDispatcher,
-        FrontierSampler, Gnrw, GroupPlan, HistoryBackend, Mhrw, MultiWalkReport, MultiWalkRunner,
-        MultiWalkSession, NbCnrw, NbSrw, Never, NodeCnrw, OrchestratorReport, PlanMode, RandomWalk,
-        ReactorStats, ReactorWalkRun, RestartEvent, RestartPolicy, RestartReason, SerialWalkRun,
-        SharedFrontier, Srw, WalkConfig, WalkOrchestrator, WalkSession, WalkerFsm, WorkStealing,
+        ByAttribute, ByDegree, ByHash, Cnrw, FrontierSampler, Gnrw, GroupPlan, HistoryBackend,
+        Mhrw, NbCnrw, NbSrw, Never, NodeCnrw, OrchestratorReport, PlanMode, RandomWalk,
+        ReactorStats, ReactorWalkRun, RestartEvent, RestartPolicy, RestartReason, SharedFrontier,
+        Srw, WalkConfig, WalkOrchestrator, WalkSession, WalkerFsm, WorkStealing,
     };
 }
 

@@ -1,11 +1,11 @@
 //! Golden-trace regression test for the batched dispatch path.
 //!
 //! A committed fixture (`tests/fixtures/cnrw_batch_clustered.txt`) pins the
-//! exact node sequences of two CNRW walkers driven by the coalescing
-//! dispatcher over the clustered graph, fault injection included. Any
-//! future dispatcher refactor that reorders RNG consumption, changes batch
-//! composition in a way that leaks into trajectories, or perturbs the
-//! charged accounting will fail this test instead of silently drifting.
+//! exact node sequences of two CNRW walkers driven by the reactor over the
+//! clustered graph, fault injection included. Any future reactor refactor
+//! that reorders RNG consumption, changes batch composition in a way that
+//! leaks into trajectories, or perturbs the charged accounting will fail
+//! this test instead of silently drifting.
 //!
 //! To regenerate after an *intentional* behavior change:
 //!
@@ -33,19 +33,23 @@ fn render_golden() -> String {
         .with_failure_every(7)
         .with_max_retries(2);
     let mut client = SimulatedBatchOsn::new(SimulatedOsn::new_shared(network.clone()), config);
-    let report = MultiWalkRunner::new(WALKERS, STEPS, SEED).run_batched(
+    let report = WalkOrchestrator::new(WALKERS, STEPS, SEED).run_reactor(
         &mut client,
         |i, backend| {
             Box::new(Cnrw::with_backend(NodeId(((i * 17) % n) as u32), backend))
                 as Box<dyn RandomWalk + Send>
         },
         |v| v.index() as f64,
+        &Never,
     );
+    let charged = report
+        .interface
+        .expect("the reactor reports interface stats");
     let stats = client.batch_stats();
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "# CNRW over the clustered graph through the coalescing batch dispatcher."
+        "# CNRW over the clustered graph through the reactor's batch endpoint."
     );
     let _ = writeln!(
         out,
@@ -63,7 +67,7 @@ fn render_golden() -> String {
         let nodes: Vec<String> = trace.iter().map(|v| v.0.to_string()).collect();
         let _ = writeln!(out, "walker{i}: {}", nodes.join(" "));
     }
-    let _ = writeln!(out, "charged_unique: {}", report.interface.unique);
+    let _ = writeln!(out, "charged_unique: {}", charged.unique);
     let _ = writeln!(out, "requests: {}", stats.submitted);
     let _ = writeln!(out, "attempts: {}", stats.attempts);
     let _ = writeln!(out, "retries: {}", stats.retries);

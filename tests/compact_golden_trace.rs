@@ -4,7 +4,7 @@
 //! A committed fixture (`tests/fixtures/walks_compact_clustered.txt`) pins
 //! the exact node sequences of CNRW, GNRW, and NB-CNRW over the clustered
 //! graph's [`CompactCsr`] snapshot — both the serial step loop and the
-//! coalescing batch dispatcher — plus the charged accounting. The same
+//! reactor behind a batch endpoint — plus the charged accounting. The same
 //! run is also asserted bit-identical to the plain-CSR client in-process,
 //! so the fixture pins *absolute* trajectories while the differential
 //! check localizes a failure: fixture-only drift means the walk stack
@@ -66,18 +66,18 @@ fn render_golden() -> String {
     );
     let _ = writeln!(
         out,
-        "# {STEPS} steps, run seed {SEED:#x}; `serial` is the step loop, `coalesced`"
+        "# {STEPS} steps, run seed {SEED:#x}; `serial` is the step loop, `reactor`"
     );
     let _ = writeln!(
         out,
-        "# the batch dispatcher (size 2, in-flight window 3, endpoint seed 13)."
+        "# the batch engine (size 2, in-flight window 3, endpoint seed 13)."
     );
     let _ = writeln!(
         out,
         "# Regenerate: UPDATE_FIXTURES=1 cargo test --test compact_golden_trace"
     );
     for alg in algorithms() {
-        for (mode, plan) in [("serial", packed.clone()), ("coalesced", batched(&packed))] {
+        for (mode, plan) in [("serial", packed.clone()), ("reactor", batched(&packed))] {
             let trace = plan.run(&alg, SEED);
             let nodes: Vec<String> = trace.nodes().iter().map(|v| v.0.to_string()).collect();
             let _ = writeln!(out, "{}[{mode}]: {}", alg.label(), nodes.join(" "));
@@ -111,7 +111,7 @@ fn compact_walks_reproduce_committed_golden_trace() {
 }
 
 /// The differential half: the identical seeds over the plain CSR produce
-/// the identical traces and accounting, serial and coalesced, so the
+/// the identical traces and accounting, serial and reactor, so the
 /// compressed substrate is a drop-in replacement for the walk stack.
 #[test]
 fn compact_walks_are_bit_identical_to_plain() {
@@ -124,8 +124,8 @@ fn compact_walks_are_bit_identical_to_plain() {
             assert_eq!(a.stats, b.stats, "{} serial accounting", alg.label());
             let a = batched(&packed).run(&alg, seed);
             let b = batched(&plain).run(&alg, seed);
-            assert_eq!(a.nodes(), b.nodes(), "{} coalesced", alg.label());
-            assert_eq!(a.stats, b.stats, "{} coalesced accounting", alg.label());
+            assert_eq!(a.nodes(), b.nodes(), "{} reactor", alg.label());
+            assert_eq!(a.stats, b.stats, "{} reactor accounting", alg.label());
         }
     }
 }

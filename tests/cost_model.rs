@@ -57,10 +57,14 @@ fn budget_composes_with_rate_limit_and_multiwalk() {
     let limited = RateLimitedOsn::new(inner, RateLimitConfig::twitter());
     let mut client = BudgetedClient::new(limited, 30, n);
 
-    let mut walkers: Vec<Box<dyn RandomWalk + Send>> = (0..3)
-        .map(|i| Box::new(Cnrw::new(NodeId(i * 7))) as Box<dyn RandomWalk + Send>)
-        .collect();
-    let trace = MultiWalkSession::new(2_000, 5).run(&mut walkers, &mut client);
+    let trace = WalkOrchestrator::new(3, 2_000, 5)
+        .run_serial(
+            &mut client,
+            |i, backend| Box::new(Cnrw::with_backend(NodeId(i as u32 * 7), backend)) as _,
+            |_| 1.0,
+            &Never,
+        )
+        .trace;
     assert!(
         trace.stats.unique <= 30,
         "budget leaked: {}",

@@ -1,11 +1,11 @@
-//! Orchestrator-level snapshot/resume: pause a multi-walker run between
-//! scheduling rounds, serialize the **whole run** (walker circulation
-//! state, RNG stream words, traces, estimator accumulators, dispatcher
-//! cache) through the `osn-serde` text form, and resume — the completed
-//! run must be bit-identical to the uninterrupted one, on both the serial
-//! and coalesced execution backends across both history backends. This is
-//! the contract the `osn-service` job server's kill-and-resume story
-//! stands on.
+//! Orchestrator-level snapshot/resume: pause a multi-walker reactor run
+//! between completion events, serialize the **whole run** (walker
+//! circulation state, RNG stream words, traces, estimator accumulators,
+//! dispatcher cache, fetch queues) through the `osn-serde` text form, and
+//! resume — the completed run must be bit-identical to the uninterrupted
+//! one, and to the serial core's run of the same spec, across both history
+//! backends. [`ReactorWalkRun`] is the one resumable run; this is the
+//! contract the `osn-service` job server's kill-and-resume story stands on.
 
 use proptest::prelude::*;
 
@@ -60,14 +60,15 @@ fn assert_matches_reference(report: &OrchestratorReport, reference: &Orchestrato
     );
     assert_eq!(report.estimate.count(), reference.estimate.count());
     assert_eq!(report.stops, reference.stops);
-    assert_eq!(report.rounds, reference.rounds);
+    // Walker-side accounting rides the snapshot too.
+    assert_eq!(report.trace.stats, reference.trace.stats);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn serial_resume_is_bit_identical(
+    fn reactor_resume_is_bit_identical(
         backend_idx in 0usize..2,
         pause in 0usize..300,
         slice in 1usize..7,
@@ -77,100 +78,90 @@ proptest! {
         let orch = WalkOrchestrator::new(4, 250, seed).with_backend(backend);
 
         // Uninterrupted reference run.
-        let mut client = SimulatedOsn::from_graph(test_graph());
-        let reference = orch.run_serial(&mut client, make_walker, value_of, &Never);
+        let mut endpoint = batch_endpoint();
+        let reference = orch.run_reactor(&mut endpoint, make_walker, value_of, &Never);
 
-        // Killed after `pause` rounds: snapshot through the text form (as
-        // the job server persists it), then resume against a cold client
-        // and drive to completion in `slice`-round increments.
-        let mut client = SimulatedOsn::from_graph(test_graph());
-        let mut run = orch.start_serial(make_walker);
-        run.run_rounds(&mut client, &value_of, pause);
+        // Killed after `pause` events: snapshot through the text form (as
+        // the job server persists it), then resume against a *fresh*
+        // endpoint — the dispatcher cache rides the snapshot, so nothing
+        // already fetched is re-requested — and drive to completion in
+        // `slice`-event increments.
+        let mut endpoint = batch_endpoint();
+        let mut run = orch.start_reactor(make_walker);
+        run.run_events(&mut endpoint, &value_of, pause);
         let text = run.snapshot().to_pretty();
         drop(run);
 
         let parsed = Value::parse(&text).map_err(|e| e.to_string())?;
         let mut resumed = orch
-            .resume_serial(&parsed, make_walker)
+            .resume_reactor(&parsed, make_walker)
             .map_err(|e| format!("resume failed: {e}"))?;
-        let mut client = SimulatedOsn::from_graph(test_graph());
-        while resumed.run_rounds(&mut client, &value_of, slice) > 0 {}
+        let mut endpoint = batch_endpoint();
+        while resumed.run_events(&mut endpoint, &value_of, slice) > 0 {}
         prop_assert!(resumed.done());
-        let report = resumed.into_report(client.stats());
+        let report = resumed.into_report(&endpoint);
         assert_matches_reference(&report, &reference);
     }
 
+    /// The serial core is the reference a resumed run answers to as well:
+    /// under `Never` with no budget, traces are schedule-independent, so a
+    /// reactor run killed after `pause` events and resumed over a fresh
+    /// endpoint of any batch shape finishes on the serial core's traces,
+    /// stops, walker-side accounting and estimate.
     #[test]
-    fn coalesced_resume_is_bit_identical(
+    fn reactor_resume_matches_the_serial_core(
         backend_idx in 0usize..2,
         pause in 0usize..300,
-        slice in 1usize..7,
+        batch_size in 1usize..6,
+        window in 1usize..4,
         seed in 0u64..1000,
     ) {
         let backend = HistoryBackend::ALL[backend_idx];
         let orch = WalkOrchestrator::new(4, 250, seed).with_backend(backend);
+        let mut client = SimulatedOsn::from_graph(test_graph());
+        let reference = orch.run_serial(&mut client, make_walker, value_of, &Never);
 
-        let mut endpoint = batch_endpoint();
-        let reference = orch.run_coalesced(&mut endpoint, make_walker, value_of, &Never);
-
-        // Killed after `pause` rounds. The resumed segment runs against a
-        // *fresh* endpoint — the dispatcher cache rides the snapshot, so
-        // nothing already fetched is re-requested.
-        let mut endpoint = batch_endpoint();
-        let mut run = orch.start_coalesced(make_walker);
-        run.run_rounds(&mut endpoint, &value_of, pause);
+        let endpoint = || {
+            SimulatedBatchOsn::new(
+                SimulatedOsn::from_graph(test_graph()),
+                BatchConfig::new(batch_size).with_in_flight(window),
+            )
+        };
+        let mut client = endpoint();
+        let mut run = orch.start_reactor(make_walker);
+        run.run_events(&mut client, &value_of, pause);
         let text = run.snapshot().to_pretty();
         drop(run);
 
         let parsed = Value::parse(&text).map_err(|e| e.to_string())?;
         let mut resumed = orch
-            .resume_coalesced(&parsed, make_walker)
+            .resume_reactor(&parsed, make_walker)
             .map_err(|e| format!("resume failed: {e}"))?;
-        let mut endpoint = batch_endpoint();
-        while resumed.run_rounds(&mut endpoint, &value_of, slice) > 0 {}
+        let mut client = endpoint();
+        resumed.run_events(&mut client, &value_of, usize::MAX);
         prop_assert!(resumed.done());
-        let report = resumed.into_report(&endpoint);
+        let report = resumed.into_report(&client);
         assert_matches_reference(&report, &reference);
-        // Walker-side accounting also survives the snapshot.
-        prop_assert_eq!(report.trace.stats, reference.trace.stats);
+        prop_assert_eq!(report.refused_nodes, 0);
+        prop_assert_eq!(report.abandoned_nodes, 0);
     }
 }
 
 #[test]
-fn sliced_serial_run_equals_one_shot() {
-    for backend in HistoryBackend::ALL {
-        let orch = WalkOrchestrator::new(5, 300, 17).with_backend(backend);
-        let mut client = SimulatedOsn::from_graph(test_graph());
-        let reference = orch.run_serial(&mut client, make_walker, value_of, &Never);
-
-        let mut client = SimulatedOsn::from_graph(test_graph());
-        let mut run = orch.start_serial(make_walker);
-        let mut slice = 1;
-        while run.run_rounds(&mut client, &value_of, slice) > 0 {
-            slice = slice % 7 + 1; // uneven slices: 1,2,…,7,1,…
-        }
-        let report = run.into_report(client.stats());
-        assert_matches_reference(&report, &reference);
-        assert_eq!(report.trace.stats, reference.trace.stats, "{backend}");
-    }
-}
-
-#[test]
-fn sliced_coalesced_run_equals_one_shot() {
+fn sliced_reactor_run_equals_one_shot() {
     for backend in HistoryBackend::ALL {
         let orch = WalkOrchestrator::new(5, 300, 23).with_backend(backend);
         let mut endpoint = batch_endpoint();
-        let reference = orch.run_coalesced(&mut endpoint, make_walker, value_of, &Never);
+        let reference = orch.run_reactor(&mut endpoint, make_walker, value_of, &Never);
 
         let mut endpoint = batch_endpoint();
-        let mut run = orch.start_coalesced(make_walker);
+        let mut run = orch.start_reactor(make_walker);
         let mut slice = 1;
-        while run.run_rounds(&mut endpoint, &value_of, slice) > 0 {
-            slice = slice % 5 + 1;
+        while run.run_events(&mut endpoint, &value_of, slice) > 0 {
+            slice = slice % 5 + 1; // uneven slices: 1,2,…,5,1,…
         }
         let report = run.into_report(&endpoint);
         assert_matches_reference(&report, &reference);
-        assert_eq!(report.trace.stats, reference.trace.stats, "{backend}");
         assert_eq!(report.interface, reference.interface, "{backend}");
     }
 }
@@ -180,19 +171,19 @@ fn run_snapshots_are_byte_deterministic() {
     let snap = || {
         let orch = WalkOrchestrator::new(4, 200, 31);
         let mut endpoint = batch_endpoint();
-        let mut run = orch.start_coalesced(make_walker);
-        run.run_rounds(&mut endpoint, &value_of, 120);
+        let mut run = orch.start_reactor(make_walker);
+        run.run_events(&mut endpoint, &value_of, 120);
         run.snapshot().to_pretty()
     };
     assert_eq!(snap(), snap(), "hash-map order leaked into a run snapshot");
 }
 
 #[test]
-fn resume_rejects_mismatched_spec() {
+fn resume_rejects_mismatched_spec_and_kind() {
     let orch = WalkOrchestrator::new(3, 100, 7);
-    let mut client = SimulatedOsn::from_graph(test_graph());
-    let mut run = orch.start_serial(make_walker);
-    run.run_rounds(&mut client, &value_of, 5);
+    let mut endpoint = batch_endpoint();
+    let mut run = orch.start_reactor(make_walker);
+    run.run_events(&mut endpoint, &value_of, 5);
     let snap = run.snapshot();
 
     for wrong in [
@@ -201,11 +192,22 @@ fn resume_rejects_mismatched_spec() {
         WalkOrchestrator::new(3, 100, 8), // seed
         WalkOrchestrator::new(3, 100, 7).with_backend(HistoryBackend::Legacy), // backend
     ] {
-        let err = wrong.resume_serial(&snap, make_walker).err().unwrap();
+        let err = wrong.resume_reactor(&snap, make_walker).err().unwrap();
         assert!(err.contains("mismatch"), "unexpected error: {err}");
     }
-    // A serial snapshot is not a coalesced one.
-    assert!(orch.resume_coalesced(&snap, make_walker).is_err());
+    // Snapshots of the retired serial/coalesced run kinds are refused by
+    // name.
+    for kind in ["serial", "coalesced"] {
+        let Value::Obj(mut fields) = snap.clone() else {
+            panic!("run snapshots are objects");
+        };
+        fields[0] = ("kind".into(), Value::Str(kind.into()));
+        let err = orch
+            .resume_reactor(&Value::Obj(fields), make_walker)
+            .err()
+            .unwrap();
+        assert!(err.contains(kind), "unexpected error: {err}");
+    }
     // The matching spec resumes fine.
-    assert!(orch.resume_serial(&snap, make_walker).is_ok());
+    assert!(orch.resume_reactor(&snap, make_walker).is_ok());
 }

@@ -9,12 +9,13 @@
 //!   a visited trace node, or a previously stolen target — which by
 //!   induction bottoms out in starts and trace nodes. The frontier can
 //!   never invent territory the fleet did not pay to discover.
-//! * **Seeded determinism** — the serial (round-robin) backend's whole run,
-//!   restart schedule included, is a pure function of the seed.
-//! * **Cross-backend schedule equality** — the serial and coalesced
-//!   backends consult the policy at the same round boundaries over the
-//!   same RNG streams, so they produce identical traces *and* identical
-//!   restart schedules, batching notwithstanding.
+//! * **Seeded determinism** — the serial core's whole run, restart
+//!   schedule included, is a pure function of the seed.
+//! * **Cross-engine schedule equality** — when one batch holds the fleet,
+//!   the reactor consults the policy at the serial core's round
+//!   boundaries over the same RNG streams, so the two engines produce
+//!   identical traces *and* identical restart schedules. With smaller
+//!   batches the schedules may part ways, but budget and provenance hold.
 
 use proptest::prelude::*;
 
@@ -43,7 +44,7 @@ fn clustered_network() -> Arc<AttributedGraph> {
     Arc::new(osn_sampling::datasets::clustered_graph().network)
 }
 
-/// Run the clumped-start clustered scenario on the serial backend.
+/// Run the clumped-start clustered scenario on the serial core.
 fn serial_steal_run(
     network: &Arc<AttributedGraph>,
     k: usize,
@@ -182,10 +183,11 @@ fn rescues_target_cached_territory_and_respect_the_budget() {
 }
 
 #[test]
-fn serial_and_coalesced_backends_agree_on_traces_and_restart_schedule() {
-    // The unified core's headline cross-backend property, exercised with
-    // an *active* policy (the `Never` equivalences are pinned elsewhere):
-    // round-based backends share boundaries, streams, and steal outcomes.
+fn serial_and_reactor_engines_agree_on_traces_and_restart_schedule() {
+    // The headline cross-engine property, exercised with an *active*
+    // policy (the `Never` equivalences are pinned elsewhere): with one
+    // batch holding the fleet, reactor events are serial rounds, sharing
+    // boundaries, streams, and steal outcomes.
     let network = clustered_network();
     let graph = network.graph.clone();
     let make = |i: usize, b| {
@@ -202,28 +204,25 @@ fn serial_and_coalesced_backends_agree_on_traces_and_restart_schedule() {
         &serial_policy,
     );
 
-    for batch_size in [1usize, 4, 16] {
-        let coalesced_policy = WorkStealing::new(1.1, 16, SharedFrontier::with_stripes(8, 16));
+    for batch_size in [5usize, 16] {
+        let reactor_policy = WorkStealing::new(1.1, 16, SharedFrontier::with_stripes(8, 16));
         let mut batch_client = SimulatedBatchOsn::new(
             SimulatedOsn::new_shared(network.clone()),
             BatchConfig::new(batch_size).with_in_flight(2),
         );
-        let coalesced = orch.run_coalesced(
+        let reactor = orch.run_reactor(
             &mut batch_client,
             make,
             |v| graph.degree(v) as f64,
-            &coalesced_policy,
+            &reactor_policy,
         );
         assert_eq!(
-            serial.trace.per_walker, coalesced.trace.per_walker,
+            serial.trace.per_walker, reactor.trace.per_walker,
             "batch_size={batch_size}"
         );
-        assert_eq!(
-            serial.restarts, coalesced.restarts,
-            "batch_size={batch_size}"
-        );
-        assert_eq!(serial.estimate.count(), coalesced.estimate.count());
-        assert_eq!(serial.estimate.mean(), coalesced.estimate.mean());
+        assert_eq!(serial.restarts, reactor.restarts, "batch_size={batch_size}");
+        assert_eq!(serial.estimate.count(), reactor.estimate.count());
+        assert_eq!(serial.estimate.mean(), reactor.estimate.mean());
     }
     assert!(
         !serial.restarts.is_empty(),
@@ -232,30 +231,48 @@ fn serial_and_coalesced_backends_agree_on_traces_and_restart_schedule() {
 }
 
 #[test]
-fn threaded_backend_runs_work_stealing_without_perturbing_accounting() {
-    // Thread interleaving may reorder publishes (the restart schedule is
-    // allowed to differ from the serial backend's), but the run must
-    // complete, respect the shared budget, and only relocate into visited
-    // territory.
+fn reactor_below_fleet_batch_runs_work_stealing_without_perturbing_accounting() {
+    // With batches smaller than the fleet, reactor events split serial
+    // rounds, so the restart schedule may differ from the serial core's —
+    // but the run must still complete, never charge past the shared
+    // budget, and only relocate walkers into territory the fleet occupied.
     let network = clustered_network();
+    let graph = network.graph.clone();
     let budget = 45u64;
     let k = 4usize;
-    let client = SharedOsn::configured(SimulatedOsn::new_shared(network.clone()), 8, Some(budget));
-    let graph = network.graph.clone();
-    let policy = WorkStealing::new(1.1, 16, SharedFrontier::with_stripes(8, 16));
-    let report = WalkOrchestrator::new(k, 500, 3).run_threaded(
-        &client,
-        |i, b| Box::new(Cnrw::with_backend(NodeId((i % 10) as u32), b)) as _,
-        |v| graph.degree(v) as f64,
-        &policy,
-    );
-    assert!(report.trace.stats.unique <= budget);
-    let seen = occupied(&report, k);
-    for event in &report.restarts {
-        assert!(
-            seen.contains(&event.to.0),
-            "target {:?} unvisited",
-            event.to
+    for batch_size in [1usize, 2] {
+        let policy = WorkStealing::new(1.1, 16, SharedFrontier::with_stripes(8, 16));
+        let mut client = SimulatedBatchOsn::configured(
+            SimulatedOsn::new_shared(network.clone()),
+            BatchConfig::new(batch_size).with_in_flight(2),
+            Some(budget),
         );
+        let report = WalkOrchestrator::new(k, 500, 3).run_reactor(
+            &mut client,
+            |i, b| Box::new(Cnrw::with_backend(NodeId((i % 10) as u32), b)) as _,
+            |v| graph.degree(v) as f64,
+            &policy,
+        );
+        assert!(
+            !report.restarts.is_empty(),
+            "batch_size={batch_size}: scenario must exercise the policy"
+        );
+        let interface = report
+            .interface
+            .expect("the reactor reports interface stats");
+        assert!(interface.unique <= budget, "batch_size={batch_size}");
+        assert_eq!(report.trace.stats.unique, interface.unique);
+        assert_eq!(report.stops.len(), k);
+        for trace in &report.trace.per_walker {
+            assert!(trace.len() <= 500);
+        }
+        let seen = occupied(&report, k);
+        for event in &report.restarts {
+            assert!(
+                seen.contains(&event.to.0),
+                "batch_size={batch_size}: target {:?} unvisited",
+                event.to
+            );
+        }
     }
 }

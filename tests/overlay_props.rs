@@ -9,14 +9,14 @@
 //! * **Reads** — neighbor lists and degrees through the overlay match the
 //!   rebuilt graph node for node (undirected and directed snapshots).
 //! * **Walks** — traces over the overlay client are bit-identical to
-//!   traces over the rebuilt client, for CNRW, NB-CNRW, and GNRW, across
-//!   all three execution backends: the serial step loop, the coalescing
-//!   dispatcher, and the poll-driven reactor (full-report equality,
-//!   accounting included).
+//!   traces over the rebuilt client, for CNRW, NB-CNRW, and GNRW, on both
+//!   execution engines: the serial step loop and the poll-driven reactor
+//!   (full-report equality, accounting included, for a pipelining and a
+//!   lockstep batch shape).
 //! * **Mid-walk mutation** — applying a batch between slices and calling
-//!   `invalidate_nodes` keeps serial, coalesced, and reactor runs in
-//!   lockstep with each other (trace-for-trace), so no backend's cache
-//!   can serve a stale neighbor list.
+//!   `invalidate_nodes` keeps serial and reactor runs in lockstep with
+//!   each other (trace-for-trace), so no cache can serve a stale neighbor
+//!   list.
 //! * **Coverage after invalidation** — Theorem 4's exactly-once
 //!   circulation guarantee restarts on the *post-mutation* neighborhood:
 //!   windows of draws after repeated transits of a hot edge are exact
@@ -28,7 +28,7 @@ use rand_chacha::ChaCha12Rng;
 
 use osn_sampling::graph::generators::erdos_renyi;
 use osn_sampling::prelude::*;
-use osn_sampling::walks::OrchestratorReport;
+use osn_sampling::walks::{OrchestratorReport, WalkStop};
 
 /// A connected-ish random graph with 5..60 nodes (same recipe as
 /// `tests/reactor_equivalence.rs`).
@@ -104,7 +104,20 @@ fn make_fleet(
     }
 }
 
-/// Full-report equality (same shape as `tests/reactor_equivalence.rs`).
+/// One hand-stepped serial walker: the walker, its RNG stream, its trace.
+type SerialWalker = (Box<dyn RandomWalk + Send>, ChaCha12Rng, Vec<NodeId>);
+
+/// Step every walker of `fleet` until its trace holds `upto` nodes.
+fn step_fleet(fleet: &mut [SerialWalker], client: &mut SimulatedOsn, upto: usize) {
+    for (walker, rng, trace) in fleet {
+        while trace.len() < upto {
+            trace.push(walker.step(client, rng).expect("no budget"));
+        }
+    }
+}
+
+/// Full-report equality: traces, stops, walker- and interface-side
+/// accounting, refusals, estimate.
 fn assert_reports_identical(a: &OrchestratorReport, b: &OrchestratorReport) {
     assert_eq!(a.trace.per_walker, b.trace.per_walker);
     assert_eq!(a.stops, b.stops);
@@ -186,9 +199,10 @@ proptest! {
         }
     }
 
-    /// Orchestrated coalesced and reactor runs over the overlay produce
-    /// the full report — traces, stops, interface accounting, estimate —
-    /// of the identical run over the rebuilt snapshot.
+    /// Orchestrated reactor runs over the overlay — pipelined (batch 2)
+    /// and lockstep (batch K) — produce the full report — traces, stops,
+    /// interface accounting, estimate — of the identical run over the
+    /// rebuilt snapshot.
     #[test]
     fn orchestrated_backends_are_bit_identical_over_overlay(
         g in arb_graph(),
@@ -209,23 +223,19 @@ proptest! {
         let orch = WalkOrchestrator::new(k, steps, seed);
         let value = |v: NodeId| v.index() as f64;
 
-        let mut a = endpoint(client.clone(), 2);
-        let mut b = endpoint(rebuilt.clone(), 2);
-        let coal_a = orch.run_coalesced(&mut a, make_fleet(kind, starts.clone()), value, &Never);
-        let coal_b = orch.run_coalesced(&mut b, make_fleet(kind, starts.clone()), value, &Never);
-        assert_reports_identical(&coal_a, &coal_b);
-
-        let mut a = endpoint(client.clone(), k);
-        let mut b = endpoint(rebuilt.clone(), k);
-        let react_a = orch.run_reactor(&mut a, make_fleet(kind, starts.clone()), value, &Never);
-        let react_b = orch.run_reactor(&mut b, make_fleet(kind, starts.clone()), value, &Never);
-        assert_reports_identical(&react_a, &react_b);
+        for batch in [2, k] {
+            let mut a = endpoint(client.clone(), batch);
+            let mut b = endpoint(rebuilt.clone(), batch);
+            let react_a = orch.run_reactor(&mut a, make_fleet(kind, starts.clone()), value, &Never);
+            let react_b = orch.run_reactor(&mut b, make_fleet(kind, starts.clone()), value, &Never);
+            assert_reports_identical(&react_a, &react_b);
+        }
     }
 
-    /// Mid-walk mutation: apply the same batch to each backend's client at
-    /// the same slice boundary, `invalidate_nodes` the touched set, and
-    /// the three backends stay in lockstep — trace for trace, stop for
-    /// stop. No dispatcher or reactor cache may serve a stale list.
+    /// Mid-walk mutation: apply the same batch to each engine's client at
+    /// the same slice boundary, invalidate the touched set, and the two
+    /// engines stay in lockstep — trace for trace, stop for stop. No
+    /// reactor cache may serve a stale list.
     #[test]
     fn midwalk_mutation_keeps_backends_in_lockstep(
         g in arb_graph(),
@@ -251,27 +261,31 @@ proptest! {
         let value = |v: NodeId| v.index() as f64;
         let cut = cut.min(steps.saturating_sub(1)).max(1);
 
-        // Serial.
+        // Serial core, stepped by hand: with no budget every walker steps
+        // once per round, so `cut` rounds are each walker's first `cut`
+        // steps. Mutate, invalidate every walker, finish.
         let mut sc = base.clone();
-        let mut serial = orch.start_serial(make_fleet(kind, starts.clone()));
-        serial.run_rounds(&mut sc, &value, cut);
+        let make = make_fleet(kind, starts.clone());
+        let mut serial: Vec<SerialWalker> = (0..k)
+            .map(|i| {
+                let rng = ChaCha12Rng::seed_from_u64(orch.walker_seed(i));
+                (make(i, orch.backend()), rng, Vec::new())
+            })
+            .collect();
+        step_fleet(&mut serial, &mut sc, cut);
         let touched = sc.apply_mutations(&batch);
-        serial.invalidate_nodes(&touched);
-        serial.run_rounds(&mut sc, &value, usize::MAX);
-        let serial_report = serial.into_report(sc.stats());
+        for (walker, _, _) in &mut serial {
+            for &v in &touched {
+                walker.invalidate_node(v);
+            }
+        }
+        step_fleet(&mut serial, &mut sc, steps);
+        let serial_traces: Vec<Vec<NodeId>> =
+            serial.into_iter().map(|(_, _, trace)| trace).collect();
 
-        // Coalesced, lockstep shape (batch >= K): one round per event.
-        let mut cc = endpoint(base.clone(), k);
-        let mut coalesced = orch.start_coalesced(make_fleet(kind, starts.clone()));
-        coalesced.run_rounds(&mut cc, &value, cut);
-        let touched_c = cc.apply_mutations(&batch);
-        prop_assert_eq!(&touched, &touched_c);
-        coalesced.invalidate_nodes(&touched_c);
-        coalesced.run_rounds(&mut cc, &value, usize::MAX);
-        let coalesced_report = coalesced.into_report(&cc);
-
-        // Reactor, same lockstep shape: slices quiesce in-flight I/O, so
-        // `cut` events land on the same step boundary as `cut` rounds.
+        // Reactor, lockstep shape (batch >= K): slices quiesce in-flight
+        // I/O, so `cut` events land on the same step boundary as `cut`
+        // serial rounds.
         let mut rc = endpoint(base.clone(), k);
         let mut reactor = orch.start_reactor(make_fleet(kind, starts.clone()));
         reactor.run_events(&mut rc, &value, cut);
@@ -281,14 +295,8 @@ proptest! {
         reactor.run_events(&mut rc, &value, usize::MAX);
         let reactor_report = reactor.into_report(&rc);
 
-        prop_assert_eq!(&serial_report.trace.per_walker, &coalesced_report.trace.per_walker);
-        prop_assert_eq!(&serial_report.stops, &coalesced_report.stops);
-        prop_assert_eq!(&coalesced_report.trace.per_walker, &reactor_report.trace.per_walker);
-        prop_assert_eq!(&coalesced_report.stops, &reactor_report.stops);
-        prop_assert_eq!(
-            coalesced_report.estimate.mean().map(f64::to_bits),
-            reactor_report.estimate.mean().map(f64::to_bits)
-        );
+        prop_assert_eq!(&serial_traces, &reactor_report.trace.per_walker);
+        prop_assert!(reactor_report.stops.iter().all(|s| *s == WalkStop::MaxSteps));
     }
 }
 

@@ -1,5 +1,5 @@
-//! The reactor backend's determinism/equivalence pin (see
-//! `osn_sampling::walks::reactor`).
+//! The reactor's determinism/equivalence pin (see
+//! `osn_sampling::walks::reactor`), against the serial core as reference.
 //!
 //! Three equivalence arms, each a property over arbitrary graphs, fleet
 //! sizes, budgets, and endpoint shapes:
@@ -8,15 +8,18 @@
 //!   traces depend only on the walk randomness, not on how I/O is
 //!   scheduled: for *any* batch shape, latency model, whole-request
 //!   failure injection, and per-id drops (as long as nothing is
-//!   abandoned), the reactor reproduces the coalesced run's traces,
-//!   stops, and estimate bit-for-bit.
-//! * **Arm B — lockstep bit-identity.** With `max_batch_size >= K` every
-//!   reactor event is one coalesced round, so the *entire* report —
-//!   charges, interface accounting, refusals under a budget, round
-//!   counts — is identical.
-//! * **Arm C — restart schedules.** The lockstep equivalence extends to
-//!   [`WorkStealing`]: the full restart schedule (who, when, where to)
-//!   matches the coalesced run's.
+//!   abandoned), the reactor reproduces the serial core's traces, stops,
+//!   walker-side accounting, and estimate bit-for-bit.
+//! * **Arm B — budget cut-off.** Under a shared budget the endpoint
+//!   charges nodes in batch order, so which walker meets the cut-off first
+//!   is the reactor's own; the reference needs no second engine: every
+//!   walker's trace is a prefix of its unbudgeted serial trace, a walker
+//!   that stopped on its step cap walked all of it, and the endpoint never
+//!   charges past the budget.
+//! * **Arm C — restart schedules.** With `max_batch_size >= K` every
+//!   reactor event is one serial round, so under [`WorkStealing`] the full
+//!   restart schedule (who, when, where to) matches the serial core's,
+//!   restart for restart.
 //!
 //! Plus seeded determinism (same seed → same run, different seed →
 //! different run) and a 10k-walker case witnessing the O(active batches)
@@ -26,7 +29,7 @@ use proptest::prelude::*;
 
 use osn_sampling::graph::generators::erdos_renyi;
 use osn_sampling::prelude::*;
-use osn_sampling::walks::OrchestratorReport;
+use osn_sampling::walks::{OrchestratorReport, WalkStop};
 
 /// A connected random graph with 5..60 nodes (same recipe as
 /// `tests/property_based.rs`).
@@ -93,21 +96,36 @@ fn make_cnrw(n: usize) -> impl Fn(usize, HistoryBackend) -> Box<dyn RandomWalk +
     }
 }
 
-/// Full-report equality: traces, stops, walker-side stats, interface-side
-/// stats, estimate, refusal/abandonment accounting, restart schedule.
-fn assert_reports_identical(a: &OrchestratorReport, b: &OrchestratorReport) {
-    assert_eq!(a.trace.per_walker, b.trace.per_walker);
-    assert_eq!(a.stops, b.stops);
-    assert_eq!(a.trace.stats, b.trace.stats);
-    assert_eq!(a.interface, b.interface);
-    assert_eq!(a.restarts, b.restarts);
-    assert_eq!(a.refused_nodes, b.refused_nodes);
-    assert_eq!(a.abandoned_nodes, b.abandoned_nodes);
+/// The serial core's run of the same spec over the plain client — the
+/// reference every arm compares the reactor against.
+fn serial_run<P: RestartPolicy>(
+    orch: &WalkOrchestrator,
+    g: &CsrGraph,
+    policy: &P,
+) -> OrchestratorReport {
+    let mut client = SimulatedOsn::from_graph(g.clone());
+    orch.run_serial(
+        &mut client,
+        make_cnrw(g.node_count()),
+        |v| v.index() as f64,
+        policy,
+    )
+}
+
+/// Equality with the serial reference: traces, stops, walker-side stats,
+/// estimate, restart schedule — and nothing refused or abandoned.
+fn assert_matches_serial(serial: &OrchestratorReport, reactor: &OrchestratorReport) {
+    assert_eq!(serial.trace.per_walker, reactor.trace.per_walker);
+    assert_eq!(serial.stops, reactor.stops);
+    assert_eq!(serial.trace.stats, reactor.trace.stats);
+    assert_eq!(serial.restarts, reactor.restarts);
+    assert_eq!(reactor.refused_nodes, 0);
+    assert_eq!(reactor.abandoned_nodes, 0);
     assert_eq!(
-        a.estimate.mean().map(f64::to_bits),
-        b.estimate.mean().map(f64::to_bits)
+        serial.estimate.mean().map(f64::to_bits),
+        reactor.estimate.mean().map(f64::to_bits)
     );
-    assert_eq!(a.estimate.count(), b.estimate.count());
+    assert_eq!(serial.estimate.count(), reactor.estimate.count());
 }
 
 proptest! {
@@ -125,70 +143,80 @@ proptest! {
     ) {
         let n = g.node_count();
         let orch = WalkOrchestrator::new(k, steps, seed);
-
-        let mut reference = endpoint(&g, &shape, None);
-        let coalesced =
-            orch.run_coalesced(&mut reference, make_cnrw(n), |v| v.index() as f64, &Never);
+        let serial = serial_run(&orch, &g, &Never);
         let mut subject = endpoint(&g, &shape, None);
         let reactor =
             orch.run_reactor(&mut subject, make_cnrw(n), |v| v.index() as f64, &Never);
 
         // Abandonment (a node dropped past the attempt cap) is the one
         // fault that may legitimately alter a trajectory; skip such cases.
-        if coalesced.abandoned_nodes > 0 || reactor.abandoned_nodes > 0 {
+        if reactor.abandoned_nodes > 0 {
             return Ok(());
         }
-
-        prop_assert_eq!(&coalesced.trace.per_walker, &reactor.trace.per_walker);
-        prop_assert_eq!(&coalesced.stops, &reactor.stops);
-        prop_assert_eq!(coalesced.trace.stats, reactor.trace.stats);
+        assert_matches_serial(&serial, &reactor);
+        // The dispatcher cache absorbs every revisit: the interface
+        // charged each node the walkers queried exactly once.
         prop_assert_eq!(
-            coalesced.estimate.mean().map(f64::to_bits),
-            reactor.estimate.mean().map(f64::to_bits)
+            reactor.interface.map(|s| s.unique),
+            Some(reactor.trace.stats.unique)
         );
     }
 
-    /// Arm B: with `max_batch_size >= K` every event is one coalesced
-    /// round — the whole report is bit-identical, budget included.
+    /// Arm B: under a shared budget every walker's trace is a prefix of
+    /// its unbudgeted serial trace, and the endpoint never charges past
+    /// the budget.
     #[test]
-    fn arm_b_lockstep_is_bit_identical_with_budget(
+    fn arm_b_budgeted_traces_are_prefixes_of_the_serial_run(
         g in arb_graph(),
         k in 1usize..10,
         steps in 1usize..150,
         seed in 0u64..500,
-        // < 5 means unlimited; otherwise a live shared budget.
-        raw_budget in 0u64..200,
+        budget in 1u64..200,
+        batch in 1usize..12,
         latency in 0u8..3,
     ) {
-        let budget = (raw_budget >= 5).then_some(raw_budget);
         let n = g.node_count();
         let orch = WalkOrchestrator::new(k, steps, seed);
         let shape = Shape {
-            batch: k.max(1),
+            batch,
             window: 4,
             latency: (latency as f64 * 0.01, 0.002),
             per_id: 0.0,
             failure_every: 0,
             drop_every: 0,
         };
+        let unbudgeted = serial_run(&orch, &g, &Never);
+        let mut subject = endpoint(&g, &shape, Some(budget));
+        let reactor =
+            orch.run_reactor(&mut subject, make_cnrw(n), |v| v.index() as f64, &Never);
 
-        let mut reference = endpoint(&g, &shape, budget);
-        let coalesced =
-            orch.run_coalesced(&mut reference, make_cnrw(n), |v| v.index() as f64, &Never);
-        let mut subject = endpoint(&g, &shape, budget);
-        let (reactor, stats) = orch.run_reactor_with_stats(
-            &mut subject,
-            make_cnrw(n),
-            |v| v.index() as f64,
-            &Never,
-        );
-
-        assert_reports_identical(&coalesced, &reactor);
-        prop_assert_eq!(coalesced.rounds, stats.events);
+        let charged = reactor.interface.expect("the reactor reports interface stats");
+        prop_assert!(charged.unique <= budget, "charged {} > budget {budget}", charged.unique);
+        prop_assert!(reactor.trace.stats.unique <= budget);
+        for (i, (trace, full)) in reactor
+            .trace
+            .per_walker
+            .iter()
+            .zip(&unbudgeted.trace.per_walker)
+            .enumerate()
+        {
+            prop_assert!(
+                full.starts_with(trace),
+                "walker {i}: budgeted trace is not a prefix of the serial trace"
+            );
+            if reactor.stops[i] == WalkStop::MaxSteps {
+                prop_assert_eq!(trace.len(), steps, "walker {} stopped early", i);
+            } else {
+                prop_assert!(trace.len() < steps, "walker {} refused at its cap", i);
+            }
+        }
+        if reactor.stops.contains(&WalkStop::BudgetExhausted) {
+            prop_assert!(reactor.refused_nodes > 0, "a walker stopped with nothing refused");
+        }
     }
 
-    /// Arm C: the lockstep equivalence extends to `WorkStealing` — the
-    /// restart schedule matches the coalesced run's, restart for restart.
+    /// Arm C: with one batch holding the fleet, the `WorkStealing` restart
+    /// schedule matches the serial core's, restart for restart.
     #[test]
     fn arm_c_work_stealing_schedules_match(
         g in arb_graph(),
@@ -209,16 +237,14 @@ proptest! {
         };
         let rhat = 1.02 + threshold as f64 * 0.04;
 
-        let mut reference = endpoint(&g, &shape, None);
         let policy = WorkStealing::new(rhat, 16, SharedFrontier::with_stripes(8, 16));
-        let coalesced =
-            orch.run_coalesced(&mut reference, make_cnrw(n), |v| v.index() as f64, &policy);
+        let serial = serial_run(&orch, &g, &policy);
         let mut subject = endpoint(&g, &shape, None);
         let policy2 = WorkStealing::new(rhat, 16, SharedFrontier::with_stripes(8, 16));
         let reactor =
             orch.run_reactor(&mut subject, make_cnrw(n), |v| v.index() as f64, &policy2);
 
-        assert_reports_identical(&coalesced, &reactor);
+        assert_matches_serial(&serial, &reactor);
     }
 
     /// Seeded determinism: the reactor is a pure function of (spec, seed,
@@ -252,11 +278,11 @@ proptest! {
     }
 }
 
-/// The issue's headline: 10k+ walkers through one reactor loop, bit-
-/// identical to the coalesced run, with in-flight memory bounded by the
-/// endpoint's window — not the fleet size.
+/// The headline: 10k+ walkers through one reactor loop, bit-identical to
+/// the serial core, with in-flight memory bounded by the endpoint's
+/// window — not the fleet size.
 #[test]
-fn ten_thousand_walkers_match_coalesced_bit_identically() {
+fn ten_thousand_walkers_match_serial_bit_identically() {
     let g = erdos_renyi(2000, 0.01, 77).unwrap();
     let n = g.node_count();
     let k = 10_000;
@@ -270,14 +296,17 @@ fn ten_thousand_walkers_match_coalesced_bit_identically() {
         drop_every: 0,
     };
 
-    let mut reference = endpoint(&g, &shape, None);
-    let coalesced = orch.run_coalesced(&mut reference, make_cnrw(n), |v| v.index() as f64, &Never);
+    let serial = serial_run(&orch, &g, &Never);
     let mut subject = endpoint(&g, &shape, None);
     let (reactor, stats) =
         orch.run_reactor_with_stats(&mut subject, make_cnrw(n), |v| v.index() as f64, &Never);
 
-    assert_reports_identical(&coalesced, &reactor);
-    assert_eq!(coalesced.rounds, stats.events);
+    assert_matches_serial(&serial, &reactor);
+    assert_eq!(serial.rounds, stats.events);
+    assert_eq!(
+        reactor.interface.map(|s| s.unique),
+        Some(serial.trace.stats.unique)
+    );
     assert_eq!(reactor.trace.per_walker.len(), k);
     // The memory bound: in-flight batches track the endpoint window, and
     // at least once the whole 10k fleet was parked on pending I/O.

@@ -154,6 +154,43 @@ fn split_batches(g: &CsrGraph, events: usize, seed: u64) -> (Vec<EdgeMutation>, 
     (first, second)
 }
 
+/// The jittered batch endpoint the mid-schedule resume properties walk.
+fn jittered_endpoint(g: &CsrGraph) -> SimulatedBatchOsn {
+    SimulatedBatchOsn::new(
+        SimulatedOsn::from_graph(g.clone()),
+        BatchConfig::new(2)
+            .with_in_flight(3)
+            .with_latency(0.01, 0.002)
+            .with_seed(9),
+    )
+}
+
+/// CNRW walkers spread over the test graph's 60 nodes.
+fn spread_cnrw(i: usize, backend: HistoryBackend) -> Box<dyn RandomWalk + Send> {
+    Box::new(Cnrw::with_backend(NodeId(((i * 7) % 60) as u32), backend))
+}
+
+/// Kill a run and its endpoint as a server would: persist both through
+/// their serialized text forms, then restore them over a pristine endpoint.
+fn kill_and_resume(
+    orch: &WalkOrchestrator,
+    g: &CsrGraph,
+    run: ReactorWalkRun,
+    client: SimulatedBatchOsn,
+) -> Result<(ReactorWalkRun, SimulatedBatchOsn), String> {
+    let run_text = run.snapshot().to_pretty();
+    let client_text = client.export_state()?.to_pretty();
+    drop(run);
+    drop(client);
+    let mut client = jittered_endpoint(g);
+    client.import_state(&Value::parse(&client_text).map_err(|e| e.to_string())?)?;
+    let run = orch.resume_reactor(
+        &Value::parse(&run_text).map_err(|e| e.to_string())?,
+        spread_cnrw,
+    )?;
+    Ok((run, client))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -176,22 +213,12 @@ proptest! {
     ) {
         let g = test_graph();
         let (batch1, batch2) = split_batches(&g, events, seed ^ 0x5EED);
-        let make_endpoint = || {
-            SimulatedBatchOsn::new(
-                SimulatedOsn::from_graph(g.clone()),
-                BatchConfig::new(2).with_in_flight(3).with_latency(0.01, 0.002).with_seed(9),
-            )
-        };
-        let make = |i: usize, backend: HistoryBackend| {
-            Box::new(Cnrw::with_backend(NodeId(((i * 7) % 60) as u32), backend))
-                as Box<dyn RandomWalk + Send>
-        };
         let value = |v: NodeId| v.index() as f64;
         let orch = WalkOrchestrator::new(k, steps, seed);
 
         // Uninterrupted reference: slice, mutate, slice, mutate, finish.
-        let mut client = make_endpoint();
-        let mut run = orch.start_reactor(make);
+        let mut client = jittered_endpoint(&g);
+        let mut run = orch.start_reactor(spread_cnrw);
         run.run_events(&mut client, &value, e1);
         let touched = client.apply_mutations(&batch1);
         run.invalidate_nodes(&touched);
@@ -202,29 +229,16 @@ proptest! {
         let full = run.into_report(&client);
 
         // Killed after the first batch + e2 more events, persisted as text.
-        let mut client = make_endpoint();
-        let mut run = orch.start_reactor(make);
+        let mut client = jittered_endpoint(&g);
+        let mut run = orch.start_reactor(spread_cnrw);
         run.run_events(&mut client, &value, e1);
         let touched = client.apply_mutations(&batch1);
         run.invalidate_nodes(&touched);
         run.run_events(&mut client, &value, e2);
-        let run_text = run.snapshot().to_pretty();
-        let client_text = client
-            .export_state()
-            .map_err(|e| format!("export: {e}"))?
-            .to_pretty();
-        drop(run);
-        drop(client);
 
         // Resume over a pristine endpoint and replay the schedule's tail.
-        let mut client = make_endpoint();
-        client
-            .import_state(&Value::parse(&client_text).map_err(|e| e.to_string())?)
-            .map_err(|e| format!("import: {e}"))?;
+        let (mut run, mut client) = kill_and_resume(&orch, &g, run, client)?;
         prop_assert_eq!(client.inner().mutation_log(), batch1.as_slice());
-        let mut run = orch
-            .resume_reactor(&Value::parse(&run_text).map_err(|e| e.to_string())?, make)
-            .map_err(|e| format!("resume: {e}"))?;
         let touched = client.apply_mutations(&batch2);
         run.invalidate_nodes(&touched);
         run.run_events(&mut client, &value, usize::MAX);
@@ -237,6 +251,61 @@ proptest! {
             resumed.estimate.mean().map(f64::to_bits),
             full.estimate.mean().map(f64::to_bits)
         );
+    }
+
+    /// Killed **between** `invalidate_nodes` and the next slice — the
+    /// moment a ready walker can sit on a node whose list was just
+    /// evicted. The resumed run keeps that walker ready (it re-fetches
+    /// through the synchronous fallback, as the uninterrupted run does)
+    /// instead of re-parking it on a fresh batch, so the charge schedule
+    /// matches too: same completion events, same endpoint accounting,
+    /// same request traffic, same virtual clock.
+    #[test]
+    fn reactor_resume_right_after_invalidation_is_bit_identical(
+        seed in 0u64..2000,
+        k in 1usize..7,
+        steps in 8usize..60,
+        e1 in 1usize..24,
+        events in 4usize..40,
+    ) {
+        let g = test_graph();
+        let (batch1, _) = split_batches(&g, events, seed ^ 0x1A7E);
+        let value = |v: NodeId| v.index() as f64;
+        let orch = WalkOrchestrator::new(k, steps, seed);
+        let slice_and_invalidate = || {
+            let mut client = jittered_endpoint(&g);
+            let mut run = orch.start_reactor(spread_cnrw);
+            run.run_events(&mut client, &value, e1);
+            let touched = client.apply_mutations(&batch1);
+            run.invalidate_nodes(&touched);
+            (run, client)
+        };
+
+        // Uninterrupted reference.
+        let (mut run, mut client) = slice_and_invalidate();
+        run.run_events(&mut client, &value, usize::MAX);
+        let full = run.into_report(&client);
+        let full_endpoint = (client.stats(), client.batch_stats(), client.clock().elapsed_secs());
+
+        // Same run, killed right after the invalidation.
+        let (run, client) = slice_and_invalidate();
+        let (mut run, mut client) = kill_and_resume(&orch, &g, run, client)?;
+        run.run_events(&mut client, &value, usize::MAX);
+        prop_assert!(run.done());
+        let resumed = run.into_report(&client);
+
+        prop_assert_eq!(&resumed.trace.per_walker, &full.trace.per_walker);
+        prop_assert_eq!(&resumed.stops, &full.stops);
+        prop_assert_eq!(resumed.trace.stats, full.trace.stats);
+        prop_assert_eq!(resumed.rounds, full.rounds, "completion events");
+        prop_assert_eq!(
+            resumed.estimate.mean().map(f64::to_bits),
+            full.estimate.mean().map(f64::to_bits)
+        );
+        let (stats, batch_stats, clock) = full_endpoint;
+        prop_assert_eq!(client.stats(), stats);
+        prop_assert_eq!(client.batch_stats(), batch_stats);
+        prop_assert_eq!(client.clock().elapsed_secs().to_bits(), clock.to_bits());
     }
 }
 
