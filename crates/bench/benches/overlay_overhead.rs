@@ -13,13 +13,18 @@
 //! Plus the end-to-end view: a CNRW walk over a `SimulatedOsn` with a
 //! pristine vs a patched overlay, which is the per-step price
 //! `fig_evolving`'s delta arm actually pays.
+//!
+//! And the write side: `fleet_invalidate` drops one mutation epoch's
+//! touched set from a warm CNRW fleet three ways — node-major per-node
+//! calls, walker-major per-node calls, and one batched
+//! `RandomWalk::invalidate_nodes` call per walker.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use osn_client::SimulatedOsn;
 use osn_datasets::{gplus_like, Scale};
 use osn_graph::{CsrGraph, DeltaOverlay, MutationSchedule, NodeId, ScheduleSpec};
-use osn_walks::{Cnrw, RandomWalk};
+use osn_walks::{Cnrw, RandomWalk, TouchedNodes};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
@@ -94,5 +99,75 @@ fn walk_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, neighbor_reads, walk_overhead);
+/// Fleet-wide history invalidation after one mutation epoch: 2,000 CNRW
+/// walkers warmed 256 steps each (the `evolving_fleet` fleet), then the
+/// touched set of the first of 8 epochs of a 200-event schedule. Arms:
+///
+/// * `node_major` — for each touched node, every walker's
+///   `invalidate_node`: one history sweep per node per walker;
+/// * `walker_major` — for each walker, `invalidate_node` per touched node:
+///   the same sweeps in walker order, which is what the trait's default
+///   `invalidate_nodes` gives a wrapper that overrides only the per-node
+///   method;
+/// * `batched` — the touched set built once, then one `invalidate_nodes`
+///   sweep per walker.
+///
+/// A sweep costs the same whether or not a slot matches, so every
+/// iteration after the first (which drops the matches) measures the same
+/// work on the same fleet.
+fn fleet_invalidate(c: &mut Criterion) {
+    const WALKERS: usize = 2_000;
+    const WARM_STEPS: usize = 256;
+    let g = gplus_like(Scale::Default, SEED).network.graph;
+    let n = g.node_count();
+    let mut client = SimulatedOsn::from_graph(g);
+    let mut rng = ChaCha12Rng::seed_from_u64(SEED);
+    let mut fleet: Vec<Cnrw> = (0..WALKERS)
+        .map(|i| Cnrw::new(NodeId(((i * 13) % n) as u32)))
+        .collect();
+    for walker in &mut fleet {
+        for _ in 0..WARM_STEPS {
+            walker.step(&mut client, &mut rng).unwrap();
+        }
+    }
+    let spec = ScheduleSpec::new(200, 8.0, SEED).with_delete_fraction(0.4);
+    let mut schedule = MutationSchedule::generate(client.graph(), &spec);
+    let touched = client.apply_mutations(schedule.due(1.0));
+    let mut group = c.benchmark_group("fleet_invalidate");
+    group.throughput(Throughput::Elements(WALKERS as u64));
+    group.bench_function(BenchmarkId::new("cnrw", "node_major"), |b| {
+        b.iter(|| {
+            let mut dropped = 0;
+            for &v in &touched {
+                for walker in &mut fleet {
+                    dropped += walker.invalidate_node(v);
+                }
+            }
+            dropped
+        })
+    });
+    group.bench_function(BenchmarkId::new("cnrw", "walker_major"), |b| {
+        b.iter(|| {
+            let mut dropped = 0;
+            for walker in &mut fleet {
+                for &v in &touched {
+                    dropped += walker.invalidate_node(v);
+                }
+            }
+            dropped
+        })
+    });
+    group.bench_function(BenchmarkId::new("cnrw", "batched"), |b| {
+        b.iter(|| {
+            let set = TouchedNodes::new(&touched);
+            fleet
+                .iter_mut()
+                .map(|walker| walker.invalidate_nodes(&set))
+                .sum::<usize>()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, neighbor_reads, walk_overhead, fleet_invalidate);
 criterion_main!(benches);

@@ -176,6 +176,19 @@ fn promotable(used: usize, plen: usize, threshold: usize) -> bool {
     used + 1 < plen && (2 * used >= plen || (used >= threshold && plen <= PROMOTION_SPAN * used))
 }
 
+/// Remove every entry of a per-edge state map whose circulated node — the
+/// key's low 32 bits — `is_touched` accepts, in one pass; returns how many
+/// were removed. The single invalidation sweep behind both engines and the
+/// legacy history maps.
+pub(crate) fn drop_targets<S>(
+    slots: &mut FnvHashMap<u64, S>,
+    is_touched: impl Fn(u32) -> bool,
+) -> usize {
+    let before = slots.len();
+    slots.retain(|&key, _| !is_touched(key as u32));
+    before - slots.len()
+}
+
 /// Per-edge state of the node engine: staged from inline through spill to
 /// an owned arena slice (see the module docs).
 #[derive(Clone, Debug)]
@@ -281,21 +294,21 @@ impl CirculationEngine {
     }
 
     /// Drop every slot whose circulation population is the neighbor list of
-    /// `target` — the evolving-graph invalidation hook. Keys pack the
-    /// circulated node in the **low 32 bits** (`edge_key(u, v)` draws from
-    /// `N(v)`; the node-keyed ablation packs `(v, v)`), so a mutation at
-    /// `v` invalidates exactly the keys with low word `v`. Dropping (rather
-    /// than rewinding) is required for correctness: a promoted slot's arena
-    /// permutation materializes the *old* population, and both its length
-    /// and contents are stale after the mutation. Returns the number of
-    /// slots dropped. Arena slices of dropped promoted slots leak until the
-    /// next [`Self::clear`] — bounded by [`PROMOTION_SPAN`], same as
+    /// a node `is_touched` accepts — the evolving-graph invalidation hook.
+    /// Keys pack the circulated node in the **low 32 bits** (`edge_key(u,
+    /// v)` draws from `N(v)`; the node-keyed ablation packs `(v, v)`), so a
+    /// mutation at `v` invalidates exactly the keys with low word `v`.
+    /// Dropping (rather than rewinding) is required for correctness: a
+    /// promoted slot's arena permutation materializes the *old* population,
+    /// and both its length and contents are stale after the mutation.
+    ///
+    /// One pass over the slot map, whatever the number of touched nodes:
+    /// `O(slots)` predicate probes. Returns the number of slots dropped.
+    /// Arena slices of dropped promoted slots leak until the next
+    /// [`Self::clear`] — bounded by [`PROMOTION_SPAN`], same as
     /// re-promotion churn.
-    pub fn invalidate_target(&mut self, target: u32) -> usize {
-        let before = self.slots.len();
-        self.slots
-            .retain(|&key, _| (key & 0xFFFF_FFFF) as u32 != target);
-        before - self.slots.len()
+    pub fn invalidate_targets(&mut self, is_touched: impl Fn(u32) -> bool) -> usize {
+        drop_targets(&mut self.slots, is_touched)
     }
 
     /// Serialize the engine's full state to a [`Value`] tree for
@@ -730,20 +743,17 @@ impl GroupEngine {
         self.plan_items.capacity()
     }
 
-    /// Drop every slot keyed on `target` as the circulated node (low 32
-    /// bits of the packed edge key) — the evolving-graph invalidation hook,
-    /// mirroring [`CirculationEngine::invalidate_target`]. This is how
-    /// "`GroupPlan` slots for `v` rebuild lazily": the per-edge plan state
-    /// (`GroupSlot::PlanInline`/`GroupSlot::PlanSpill`/
-    /// `GroupSlot::PlanSliced`) is dropped here and re-created from the
-    /// plan on the next visit. Arena slices of dropped sliced slots leak
-    /// until the next [`Self::clear`] — bounded, same as re-promotion
-    /// churn. Returns the number of slots dropped.
-    pub fn invalidate_target(&mut self, target: u32) -> usize {
-        let before = self.slots.len();
-        self.slots
-            .retain(|&key, _| (key & 0xFFFF_FFFF) as u32 != target);
-        before - self.slots.len()
+    /// Drop every slot whose circulated node (low 32 bits of the packed
+    /// edge key) `is_touched` accepts — the evolving-graph invalidation
+    /// hook, mirroring [`CirculationEngine::invalidate_targets`]: one pass
+    /// over the slot map. This is how "`GroupPlan` slots for `v` rebuild
+    /// lazily": the per-edge plan state (`GroupSlot::PlanInline`/
+    /// `GroupSlot::PlanSpill`/`GroupSlot::PlanSliced`) is dropped here and
+    /// re-created from the plan on the next visit. Arena slices of dropped
+    /// sliced slots leak until the next [`Self::clear`] — bounded, same as
+    /// re-promotion churn. Returns the number of slots dropped.
+    pub fn invalidate_targets(&mut self, is_touched: impl Fn(u32) -> bool) -> usize {
+        drop_targets(&mut self.slots, is_touched)
     }
 
     /// Serialize the engine's full state to a [`Value`] tree for

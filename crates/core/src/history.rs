@@ -46,7 +46,7 @@ use osn_graph::NodeId;
 use osn_serde::Value;
 use rand::Rng;
 
-use crate::circulation::{CirculationEngine, GroupEngine, MAX_REJECTION_ITERS};
+use crate::circulation::{drop_targets, CirculationEngine, GroupEngine, MAX_REJECTION_ITERS};
 pub use crate::circulation::{HistoryBackend, PlanEdgeView, INLINE_CAP};
 use crate::fnv::{FnvHashMap, FnvHashSet};
 use crate::groupplan::DrawBatch;
@@ -119,6 +119,74 @@ impl CirculationSet {
 #[inline]
 pub(crate) fn edge_key(u: NodeId, v: NodeId) -> u64 {
     (u64::from(u.0) << 32) | u64::from(v.0)
+}
+
+/// The nodes whose neighbor lists one batch of mutations changed, as a set
+/// every history can probe — the argument of
+/// [`RandomWalk::invalidate_nodes`](crate::RandomWalk::invalidate_nodes).
+///
+/// Built once per batch and shared by every walker of a fleet, so the
+/// fleet pays one sweep per walker history (one probe per slot) instead of
+/// one sweep per touched node. The constructor accepts any order and
+/// duplicates; it sorts and deduplicates, which is what makes
+/// [`contains`](Self::contains) exact — no caller-side precondition.
+#[derive(Clone, Debug)]
+pub struct TouchedNodes {
+    /// Ascending, no duplicates.
+    sorted: Vec<NodeId>,
+    /// One bit per [`filter_bit`] value, set for every member: about 16
+    /// bits per member, so one load rejects almost every non-member —
+    /// which is almost every slot a sweep probes — before the binary
+    /// search.
+    filter: Vec<u64>,
+    /// `32 − log2(filter bits)`.
+    shift: u32,
+}
+
+/// Filter bit of `v`: the top bits of a multiplicative hash, so ids that
+/// share low bits still spread.
+#[inline]
+fn filter_bit(v: NodeId, shift: u32) -> usize {
+    (v.0.wrapping_mul(0x9E37_79B9) >> shift) as usize
+}
+
+impl TouchedNodes {
+    /// The set of `nodes`, in any order, duplicates allowed.
+    pub fn new(nodes: &[NodeId]) -> Self {
+        let mut sorted = nodes.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let log2_bits = sorted
+            .len()
+            .saturating_mul(16)
+            .next_power_of_two()
+            .trailing_zeros()
+            .clamp(6, 31);
+        let shift = 32 - log2_bits;
+        let mut filter = vec![0u64; 1 << (log2_bits - 6)];
+        for &v in &sorted {
+            let b = filter_bit(v, shift);
+            filter[b / 64] |= 1 << (b % 64);
+        }
+        TouchedNodes {
+            sorted,
+            filter,
+            shift,
+        }
+    }
+
+    /// Whether `node` is in the set: one filter load, then a binary search
+    /// for the few that pass it.
+    #[inline]
+    pub fn contains(&self, node: NodeId) -> bool {
+        let b = filter_bit(node, self.shift);
+        self.filter[b / 64] & (1 << (b % 64)) != 0 && self.sorted.binary_search(&node).is_ok()
+    }
+
+    /// The members, ascending, each once.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.sorted.iter().copied()
+    }
 }
 
 /// CNRW's full history: `(u, v) -> b(u, v)`, behind a [`HistoryBackend`].
@@ -237,21 +305,19 @@ impl EdgeHistory {
         }
     }
 
-    /// Drop the circulation state of every directed edge `(*, target)` —
-    /// every key whose population is `N(target)`. The evolving-graph
-    /// invalidation rule: after a mutation at `target`, the old
-    /// circulations tracked subsets of a population that no longer exists,
-    /// so they are dropped and Theorem 4's exactly-once coverage restarts
-    /// on the post-mutation neighborhood. Returns the number of edges
-    /// dropped.
-    pub fn invalidate_target(&mut self, target: NodeId) -> usize {
+    /// Drop the circulation state of every directed edge `(*, v)` with `v`
+    /// accepted by `is_touched` — every key whose population is such an
+    /// `N(v)`. The evolving-graph invalidation rule: after a mutation at
+    /// `v`, the old circulations tracked subsets of a population that no
+    /// longer exists, so they are dropped and Theorem 4's exactly-once
+    /// coverage restarts on the post-mutation neighborhood. One pass over
+    /// the history, however many nodes the predicate accepts. Returns the
+    /// number of edges dropped.
+    pub fn invalidate_targets(&mut self, is_touched: impl Fn(NodeId) -> bool) -> usize {
+        let is_touched = |v: u32| is_touched(NodeId(v));
         match &mut self.backend {
-            EdgeBackend::Legacy(map) => {
-                let before = map.len();
-                map.retain(|&key, _| (key & 0xFFFF_FFFF) as u32 != target.0);
-                before - map.len()
-            }
-            EdgeBackend::Arena(engine) => engine.invalidate_target(target.0),
+            EdgeBackend::Legacy(map) => drop_targets(map, is_touched),
+            EdgeBackend::Arena(engine) => engine.invalidate_targets(is_touched),
         }
     }
 
@@ -486,19 +552,16 @@ impl GroupHistory {
         }
     }
 
-    /// Drop the state of every directed edge `(*, target)` — the
-    /// evolving-graph invalidation rule, mirroring
-    /// [`EdgeHistory::invalidate_target`]. Plan-backed slots for `target`
-    /// are dropped here and lazily rebuilt from the plan on the next visit.
-    /// Returns the number of edges dropped.
-    pub fn invalidate_target(&mut self, target: NodeId) -> usize {
+    /// Drop the state of every directed edge `(*, v)` with `v` accepted by
+    /// `is_touched`, in one pass — the evolving-graph invalidation rule,
+    /// mirroring [`EdgeHistory::invalidate_targets`]. Plan-backed slots for
+    /// a touched `v` are dropped here and lazily rebuilt from the plan on
+    /// the next visit. Returns the number of edges dropped.
+    pub fn invalidate_targets(&mut self, is_touched: impl Fn(NodeId) -> bool) -> usize {
+        let is_touched = |v: u32| is_touched(NodeId(v));
         match &mut self.backend {
-            GroupBackend::Legacy(map) => {
-                let before = map.len();
-                map.retain(|&key, _| (key & 0xFFFF_FFFF) as u32 != target.0);
-                before - map.len()
-            }
-            GroupBackend::Arena(engine) => engine.invalidate_target(target.0),
+            GroupBackend::Legacy(map) => drop_targets(map, is_touched),
+            GroupBackend::Arena(engine) => engine.invalidate_targets(is_touched),
         }
     }
 
@@ -699,6 +762,27 @@ mod tests {
     }
 
     const BOTH: [HistoryBackend; 2] = [HistoryBackend::Legacy, HistoryBackend::Arena];
+
+    #[test]
+    fn touched_nodes_membership_is_exact_for_any_input() {
+        // Unsorted input with repeats, at sizes on both sides of the
+        // filter's 64-bit floor.
+        for len in [0u32, 1, 3, 50, 5_000] {
+            let mut rng = ChaCha12Rng::seed_from_u64(u64::from(len));
+            let nodes: Vec<NodeId> = (0..2 * len)
+                .map(|_| NodeId(rng.gen_range(0..=4 * len)))
+                .collect();
+            let set = TouchedNodes::new(&nodes);
+            let want: std::collections::BTreeSet<NodeId> = nodes.iter().copied().collect();
+            assert!(set.iter().eq(want.iter().copied()), "len {len}");
+            for v in (0..8 * len + 64).map(NodeId) {
+                assert_eq!(set.contains(v), want.contains(&v), "len {len}, node {v:?}");
+            }
+        }
+        let ends = TouchedNodes::new(&[NodeId(u32::MAX), NodeId(0), NodeId(u32::MAX)]);
+        assert!(ends.iter().eq([NodeId(0), NodeId(u32::MAX)]));
+        assert!(ends.contains(NodeId(u32::MAX)) && !ends.contains(NodeId(1)));
+    }
 
     #[test]
     fn draw_covers_population_each_cycle() {

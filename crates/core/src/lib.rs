@@ -95,6 +95,7 @@ pub use circulation::HistoryBackend;
 pub use frontier::{FrontierEntry, FrontierSampler, SharedFrontier};
 pub use grouping::{ByAttribute, ByDegree, ByHash, ByNode, GroupingStrategy, ValueBucketing};
 pub use groupplan::{AliasTable, DegenerateGrouping, DrawBatch, GroupPlan, NodeGroups, PlanMode};
+pub use history::TouchedNodes;
 pub use orchestrator::{
     MultiWalkTrace, Never, OrchestratorReport, RestartEvent, RestartPolicy, RestartReason,
     WalkOrchestrator, WorkStealing,

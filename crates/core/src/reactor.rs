@@ -69,6 +69,7 @@ use rand_chacha::ChaCha12Rng;
 
 use crate::circulation::HistoryBackend;
 use crate::fnv::{FnvHashMap, FnvHashSet};
+use crate::history::TouchedNodes;
 use crate::orchestrator::{
     advance_walker, maybe_rescue, maybe_restart, Cell, Never, OrchestratorReport, RestartEvent,
     RestartPolicy, WalkOrchestrator,
@@ -1065,16 +1066,22 @@ impl ReactorWalkRun {
     /// was evicted re-fetches it on demand through the endpoint's
     /// synchronous fallback at its next act. Returns the total number of
     /// per-edge histories dropped across the fleet.
+    ///
+    /// `nodes` may come in any order and repeat. The call sorts them into
+    /// one [`TouchedNodes`] set and makes one
+    /// [`RandomWalk::invalidate_nodes`] pass per walker: one probe per
+    /// history slot across the fleet, not one sweep of every walker's
+    /// history per touched node.
     pub fn invalidate_nodes(&mut self, nodes: &[NodeId]) -> usize {
-        let mut dropped = 0;
-        for &v in nodes {
+        let touched = TouchedNodes::new(nodes);
+        for v in touched.iter() {
             self.state.cache.remove(&v.0);
             self.state.seen.remove(&v.0);
-            for w in &mut self.fleet {
-                dropped += w.invalidate_node(v);
-            }
         }
-        dropped
+        self.fleet
+            .iter_mut()
+            .map(|w| w.invalidate_nodes(&touched))
+            .sum()
     }
 
     /// Serialize the complete run state — fleet, RNG streams, cells,

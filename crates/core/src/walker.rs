@@ -5,6 +5,8 @@ use osn_graph::NodeId;
 use osn_serde::Value;
 use rand::RngCore;
 
+use crate::history::TouchedNodes;
+
 /// A random walk over an online social network accessed through the
 /// restricted interface.
 ///
@@ -69,8 +71,28 @@ pub trait RandomWalk {
     /// neighborhood; memoryless walkers (SRW, MHRW, NB-SRW) need no action
     /// — the default is a no-op. Returns the number of per-edge histories
     /// dropped.
+    ///
+    /// This is the one-node case of [`invalidate_nodes`](Self::invalidate_nodes),
+    /// which is what fleets call: a walker that keeps history overrides
+    /// both, as the same sweep over its state. A wrapper (a tracing or
+    /// budget decorator) may override only this method — the default
+    /// `invalidate_nodes` forwards here, node by node.
     fn invalidate_node(&mut self, _node: NodeId) -> usize {
         0
+    }
+
+    /// Batched [`invalidate_node`](Self::invalidate_node): drop the history
+    /// drawn from `N(v)` for every `v` in `nodes`, returning the total
+    /// dropped — always equal to calling `invalidate_node` once per member,
+    /// and leaving the same state.
+    ///
+    /// The default forwards to `invalidate_node` for each member, which
+    /// costs one pass over the walker's history per node. History-keeping
+    /// walkers (CNRW, NB-CNRW, node-keyed CNRW, GNRW) override it to make a
+    /// single pass whatever `nodes` holds; a new history-keeping walker
+    /// should override both methods the same way.
+    fn invalidate_nodes(&mut self, nodes: &TouchedNodes) -> usize {
+        nodes.iter().map(|v| self.invalidate_node(v)).sum()
     }
 }
 

@@ -5,7 +5,7 @@ use osn_graph::NodeId;
 use osn_serde::Value;
 use rand::RngCore;
 
-use crate::history::{EdgeHistory, HistoryBackend};
+use crate::history::{EdgeHistory, HistoryBackend, TouchedNodes};
 use crate::walker::{check_backend, prev_from_value, prev_to_value, uniform_pick, RandomWalk};
 
 /// Circulated Neighbors Random Walk (paper §3, Algorithm 1).
@@ -138,7 +138,11 @@ impl RandomWalk for Cnrw {
     }
 
     fn invalidate_node(&mut self, node: NodeId) -> usize {
-        self.history.invalidate_target(node)
+        self.history.invalidate_targets(|v| v == node)
+    }
+
+    fn invalidate_nodes(&mut self, nodes: &TouchedNodes) -> usize {
+        self.history.invalidate_targets(|v| nodes.contains(v))
     }
 }
 

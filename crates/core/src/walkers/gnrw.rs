@@ -9,8 +9,8 @@ use rand::{Rng, RngCore};
 
 use crate::fnv::FnvHashMap;
 use crate::grouping::GroupingStrategy;
-use crate::groupplan::{DrawBatch, GroupPlan, PlanMode};
-use crate::history::{EdgeHistory, GroupEdgeView, GroupHistory, HistoryBackend};
+use crate::groupplan::{DrawBatch, GroupPlan, NodeGroups, PlanMode};
+use crate::history::{EdgeHistory, GroupEdgeView, GroupHistory, HistoryBackend, TouchedNodes};
 use crate::walker::{check_backend, prev_from_value, prev_to_value, uniform_pick, RandomWalk};
 
 /// GroupBy Neighbors Random Walk (paper §4, Algorithm 2).
@@ -62,6 +62,11 @@ use crate::walker::{check_backend, prev_from_value, prev_to_value, uniform_pick,
 ///   (single group / all singletons) are detected by the plan and the
 ///   walker then delegates wholesale to the CNRW circulation —
 ///   bit-identical to [`Cnrw`](crate::walkers::Cnrw) by construction.
+///   On an evolving graph the plan keeps the partition of each `N(v)` it
+///   was built over: at a node whose live degree no longer matches the
+///   plan, the step uses the one-group partition of the live `N(v)` (any
+///   grouping keeps Theorem 4), so the walk stays correct after
+///   [`RandomWalk::invalidate_node`] without a rebuilt plan.
 pub struct Gnrw {
     prev: Option<NodeId>,
     current: NodeId,
@@ -98,6 +103,9 @@ struct PlanState {
     cnrw: Option<EdgeHistory>,
     /// Per-group remaining counts, reused across steps.
     rem_scratch: Vec<u32>,
+    /// Members `0..deg(v)` of the one-group partition a step uses where the
+    /// plan no longer matches the live degree, reused across steps.
+    live_members: Vec<u32>,
 }
 
 impl Gnrw {
@@ -166,6 +174,7 @@ impl Gnrw {
                 batch: DrawBatch::new(),
                 cnrw,
                 rem_scratch: Vec::new(),
+                live_members: Vec::new(),
             }),
         )
     }
@@ -252,6 +261,18 @@ impl Gnrw {
         self.fresh_group_allocs
     }
 
+    /// Drop the state of every edge `(*, v)` with `v` accepted by
+    /// `is_touched`: both the group circulation `S(u, v)` and the global set
+    /// `b(u, v)` are populations derived from `N(v)`. On the degenerate plan
+    /// path the state lives in the CNRW delegate instead.
+    fn invalidate_targets(&mut self, is_touched: impl Fn(NodeId) -> bool) -> usize {
+        let mut dropped = self.history.invalidate_targets(&is_touched);
+        if let Some(cnrw) = self.plan.as_mut().and_then(|ps| ps.cnrw.as_mut()) {
+            dropped += cnrw.invalidate_targets(&is_touched);
+        }
+        dropped
+    }
+
     /// One plan-backed step (`self.plan` is `Some`). Split out of
     /// [`RandomWalk::step`] to keep field borrows tractable.
     fn plan_step(
@@ -266,6 +287,7 @@ impl Gnrw {
             batch,
             cnrw,
             rem_scratch,
+            live_members,
         } = self.plan.as_mut().expect("plan_step requires a plan");
         let neighbors = client.neighbors(v)?;
         if neighbors.is_empty() {
@@ -282,12 +304,26 @@ impl Gnrw {
                     .expect("non-empty neighbor list"),
             }
         } else {
-            let groups = plan.groups(v);
-            debug_assert_eq!(
-                groups.len(),
-                neighbors.len(),
-                "plan built over a different snapshot"
-            );
+            // The plan partitions `N(v)` as it was when the plan was built.
+            // If a mutation has since changed `deg(v)`, its member indices
+            // no longer cover the live list: step with the one-group
+            // partition of the live `N(v)` instead. Theorem 4 holds for any
+            // grouping, and invalidation already dropped the edge state
+            // built on the old list.
+            let planned = plan.groups(v);
+            let stale = planned.len() != neighbors.len();
+            let live_end = [neighbors.len() as u32];
+            let groups = if stale {
+                live_members.clear();
+                live_members.extend(0..neighbors.len() as u32);
+                NodeGroups {
+                    members: live_members,
+                    ends: &live_end,
+                    keys: &[0],
+                }
+            } else {
+                planned
+            };
             match self.prev {
                 // No incoming edge yet: plain SRW step. Drawn through the
                 // batch — the k-th ranged draw consumes the k-th u64 of the
@@ -296,8 +332,9 @@ impl Gnrw {
                 None => neighbors[batch.range(neighbors.len(), rng)],
                 Some(u) => match mode {
                     PlanMode::Alias => {
+                        let alias = if stale { None } else { plan.alias(v) };
                         let mut view = self.history.plan_view(u, v, &groups);
-                        let idx = view.draw(&groups, plan.alias(v), batch, rng, rem_scratch);
+                        let idx = view.draw(&groups, alias, batch, rng, rem_scratch);
                         neighbors[idx]
                     }
                     PlanMode::Exact => {
@@ -579,16 +616,11 @@ impl RandomWalk for Gnrw {
     }
 
     fn invalidate_node(&mut self, node: NodeId) -> usize {
-        // Both the group circulation `S(u, node)` and the global set
-        // `b(u, node)` are populations derived from `N(node)`; on the
-        // degenerate plan path the state lives in the CNRW delegate instead.
-        let mut dropped = self.history.invalidate_target(node);
-        if let Some(ps) = &mut self.plan {
-            if let Some(cnrw) = &mut ps.cnrw {
-                dropped += cnrw.invalidate_target(node);
-            }
-        }
-        dropped
+        self.invalidate_targets(|v| v == node)
+    }
+
+    fn invalidate_nodes(&mut self, nodes: &TouchedNodes) -> usize {
+        self.invalidate_targets(|v| nodes.contains(v))
     }
 }
 

@@ -5,7 +5,7 @@ use osn_graph::NodeId;
 use osn_serde::Value;
 use rand::RngCore;
 
-use crate::history::{EdgeHistory, HistoryBackend};
+use crate::history::{EdgeHistory, HistoryBackend, TouchedNodes};
 use crate::walker::{check_backend, prev_from_value, prev_to_value, uniform_pick, RandomWalk};
 
 /// Non-backtracking CNRW — the §5 discussion's composition of the circulated
@@ -122,9 +122,13 @@ impl RandomWalk for NbCnrw {
     }
 
     fn invalidate_node(&mut self, node: NodeId) -> usize {
-        // The circulated population for `(u, node)` is `N(node) \ {u}` — a
-        // function of `N(node)`, so the same target rule applies.
-        self.history.invalidate_target(node)
+        self.history.invalidate_targets(|v| v == node)
+    }
+
+    fn invalidate_nodes(&mut self, nodes: &TouchedNodes) -> usize {
+        // The circulated population for `(u, v)` is `N(v) \ {u}` — a
+        // function of `N(v)`, so the same target rule applies.
+        self.history.invalidate_targets(|v| nodes.contains(v))
     }
 }
 

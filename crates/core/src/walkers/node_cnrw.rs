@@ -20,7 +20,7 @@ use osn_graph::NodeId;
 use osn_serde::Value;
 use rand::RngCore;
 
-use crate::history::{EdgeHistory, HistoryBackend};
+use crate::history::{EdgeHistory, HistoryBackend, TouchedNodes};
 use crate::walker::{check_backend, RandomWalk};
 
 /// CNRW variant with **node-keyed** history `b(v)` (ablation of §3.2's
@@ -109,8 +109,12 @@ impl RandomWalk for NodeCnrw {
     }
 
     fn invalidate_node(&mut self, node: NodeId) -> usize {
+        self.history.invalidate_targets(|v| v == node)
+    }
+
+    fn invalidate_nodes(&mut self, nodes: &TouchedNodes) -> usize {
         // Node-keyed history packs `(v, v)`, so the low-word rule matches.
-        self.history.invalidate_target(node)
+        self.history.invalidate_targets(|v| nodes.contains(v))
     }
 }
 

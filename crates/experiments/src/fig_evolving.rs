@@ -9,7 +9,7 @@
 //! * **delta** — one continuous CNRW walk over the
 //!   [`osn_client::SimulatedOsn`] delta overlay. After each mutation epoch
 //!   the walker drops the circulation state of touched nodes
-//!   ([`osn_walks::RandomWalk::invalidate_node`] — Theorem 4's exactly-once
+//!   ([`osn_walks::RandomWalk::invalidate_nodes`] — Theorem 4's exactly-once
 //!   coverage restarts on the new neighborhood) and the
 //!   [`osn_estimate::DeltaCorrectedEstimator`] re-weights the touched
 //!   nodes' past samples to their new degrees instead of discarding them.
@@ -29,7 +29,7 @@ use osn_client::{OsnClient, SimulatedOsn};
 use osn_datasets::{gplus_like, Scale};
 use osn_estimate::DeltaCorrectedEstimator;
 use osn_graph::{MutationSchedule, NodeId, ScheduleSpec};
-use osn_walks::{Cnrw, RandomWalk};
+use osn_walks::{Cnrw, RandomWalk, TouchedNodes};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
@@ -116,8 +116,8 @@ fn run_delta(
         }
         let due = schedule.due((epoch + 1) as f64).to_vec();
         let touched = client.apply_mutations(&due);
+        walker.invalidate_nodes(&TouchedNodes::new(&touched));
         for &v in &touched {
-            walker.invalidate_node(v);
             let k = client.peek_degree(v);
             est.apply_degree_delta(v, k as f64, k);
         }

@@ -119,7 +119,7 @@ pub mod prelude {
         ByAttribute, ByDegree, ByHash, Cnrw, FrontierSampler, Gnrw, GroupPlan, HistoryBackend,
         Mhrw, NbCnrw, NbSrw, Never, NodeCnrw, OrchestratorReport, PlanMode, RandomWalk,
         ReactorStats, ReactorWalkRun, RestartEvent, RestartPolicy, RestartReason, SharedFrontier,
-        Srw, WalkConfig, WalkOrchestrator, WalkSession, WalkerFsm, WorkStealing,
+        Srw, TouchedNodes, WalkConfig, WalkOrchestrator, WalkSession, WalkerFsm, WorkStealing,
     };
 }
 

@@ -20,12 +20,20 @@
 //! * **Coverage after invalidation** — Theorem 4's exactly-once
 //!   circulation guarantee restarts on the *post-mutation* neighborhood:
 //!   windows of draws after repeated transits of a hot edge are exact
-//!   permutations of the new neighbor set.
+//!   permutations of the new neighbor set (CNRW and plan-backed GNRW).
+//! * **Batched invalidation** — `invalidate_nodes` over a node set equals
+//!   `invalidate_node` per node for every history-keeping walker (count,
+//!   snapshot, later trace), and the reactor's `invalidate_nodes` ignores
+//!   the order and repeats of its input.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
+use osn_sampling::graph::attributes::{AttributedGraph, NodeAttributes};
 use osn_sampling::graph::generators::erdos_renyi;
 use osn_sampling::prelude::*;
 use osn_sampling::walks::{OrchestratorReport, WalkStop};
@@ -298,6 +306,142 @@ proptest! {
         prop_assert_eq!(&serial_traces, &reactor_report.trace.per_walker);
         prop_assert!(reactor_report.stops.iter().all(|s| *s == WalkStop::MaxSteps));
     }
+
+    /// Batched invalidation is the per-node invalidation, done once: for
+    /// every history-keeping walker, `invalidate_nodes` over a node set
+    /// (the touched nodes of a mutation batch plus arbitrary ids, some
+    /// never visited or outside the graph, repeats included) drops the
+    /// same number of histories as `invalidate_node` once per listed node,
+    /// leaves a byte-identical snapshot, and the two walkers then walk the
+    /// mutated graph step for step.
+    #[test]
+    fn batched_invalidation_matches_per_node(
+        g in arb_graph(),
+        events in 0usize..30,
+        seed in 0u64..1000,
+        warm in 1usize..200,
+        after in 1usize..100,
+        extra in prop::collection::vec(0u32..80, 0..12),
+    ) {
+        let batch = safe_batch(&g, events, 0.4, seed);
+        let starts = alive_starts(&g);
+        if starts.is_empty() {
+            return Ok(());
+        }
+        let network = AttributedGraph::new(g.clone(), NodeAttributes::for_graph(&g)).unwrap();
+        let plan = Arc::new(GroupPlan::build(&network, &ByDegree::log2()));
+        let single = Arc::new(GroupPlan::build(&network, &ByHash::new(1)));
+        let start = starts[seed as usize % starts.len()];
+        let batched = historied_walkers(start, &plan, &single);
+        let per_node = historied_walkers(start, &plan, &single);
+        for (i, (mut a, mut b)) in batched.into_iter().zip(per_node).enumerate() {
+            let mut client = SimulatedOsn::from_graph(g.clone());
+            let mut rng_a = ChaCha12Rng::seed_from_u64(seed ^ i as u64);
+            let mut rng_b = rng_a.clone();
+            for _ in 0..warm {
+                a.step(&mut client, &mut rng_a).unwrap();
+                b.step(&mut client, &mut rng_b).unwrap();
+            }
+            let mut nodes = client.apply_mutations(&batch);
+            nodes.extend(extra.iter().map(|&v| NodeId(v)));
+            let dropped_a = a.invalidate_nodes(&TouchedNodes::new(&nodes));
+            let dropped_b: usize = nodes.iter().map(|&v| b.invalidate_node(v)).sum();
+            prop_assert_eq!(dropped_a, dropped_b, "walker {} ({})", i, a.name());
+            prop_assert_eq!(
+                a.export_state().to_compact(),
+                b.export_state().to_compact(),
+                "walker {} ({})", i, a.name()
+            );
+            for step in 0..after {
+                let va = a.step(&mut client, &mut rng_a).unwrap();
+                let vb = b.step(&mut client, &mut rng_b).unwrap();
+                prop_assert_eq!(va, vb, "walker {} ({}) diverged at step {}", i, a.name(), step);
+            }
+        }
+    }
+
+    /// The reactor's `invalidate_nodes` takes the touched list in any order
+    /// and with repeats: a shuffled, duplicated list drops the same count
+    /// and leaves the same run snapshot — fleet, dispatcher cache, `seen`
+    /// marks — as the sorted, deduplicated one.
+    #[test]
+    fn reactor_invalidation_ignores_order_and_repeats(
+        g in arb_graph(),
+        events in 1usize..40,
+        seed in 0u64..1000,
+        k in 1usize..6,
+        steps in 4usize..80,
+        cut in 1usize..40,
+        extra in prop::collection::vec(0u32..80, 0..8),
+    ) {
+        let batch = safe_batch(&g, events, 0.4, seed);
+        let starts = alive_starts(&g);
+        if starts.is_empty() {
+            return Ok(());
+        }
+        let orch = WalkOrchestrator::new(k, steps, seed);
+        let value = |v: NodeId| v.index() as f64;
+        let [(mut run_a, mut client_a, touched), (mut run_b, mut client_b, _)] =
+            [(); 2].map(|_| {
+                let mut client = endpoint(SimulatedOsn::from_graph(g.clone()), 2);
+                let mut run = orch.start_reactor(make_fleet(Kind::Cnrw, starts.clone()));
+                run.run_events(&mut client, &value, cut);
+                let touched = client.apply_mutations(&batch);
+                (run, client, touched)
+            });
+        let mut clean = touched;
+        clean.extend(extra.iter().map(|&v| NodeId(v)));
+        let mut messy = clean.clone();
+        messy.extend(clean.iter().rev());
+        messy.shuffle(&mut ChaCha12Rng::seed_from_u64(seed));
+        clean.sort_unstable();
+        clean.dedup();
+        prop_assert_eq!(run_a.invalidate_nodes(&clean), run_b.invalidate_nodes(&messy));
+        prop_assert_eq!(run_a.snapshot().to_compact(), run_b.snapshot().to_compact());
+        run_a.run_events(&mut client_a, &value, usize::MAX);
+        run_b.run_events(&mut client_b, &value, usize::MAX);
+        assert_reports_identical(&run_a.into_report(&client_a), &run_b.into_report(&client_b));
+    }
+}
+
+/// One walker of every history-keeping configuration: CNRW, NB-CNRW,
+/// node-keyed CNRW, scratch GNRW, exact-mode plan GNRW and a degenerate
+/// (single-group, CNRW-delegating) plan GNRW on both history backends,
+/// plus alias-mode plan GNRW, which runs on the arena only.
+fn historied_walkers(
+    start: NodeId,
+    plan: &Arc<GroupPlan>,
+    single: &Arc<GroupPlan>,
+) -> Vec<Box<dyn RandomWalk>> {
+    let mut walkers: Vec<Box<dyn RandomWalk>> = Vec::new();
+    for backend in HistoryBackend::ALL {
+        walkers.push(Box::new(Cnrw::with_backend(start, backend)));
+        walkers.push(Box::new(NbCnrw::with_backend(start, backend)));
+        walkers.push(Box::new(NodeCnrw::with_backend(start, backend)));
+        walkers.push(Box::new(Gnrw::with_backend(
+            start,
+            Box::new(ByDegree::log2()),
+            backend,
+        )));
+        walkers.push(Box::new(Gnrw::with_plan_backend(
+            start,
+            Arc::clone(plan),
+            PlanMode::Exact,
+            backend,
+        )));
+        walkers.push(Box::new(Gnrw::with_plan_backend(
+            start,
+            Arc::clone(single),
+            PlanMode::Exact,
+            backend,
+        )));
+    }
+    walkers.push(Box::new(Gnrw::with_plan(
+        start,
+        Arc::clone(plan),
+        PlanMode::Alias,
+    )));
+    walkers
 }
 
 /// Theorem 4's exactly-once coverage restarts on the **post-mutation**
@@ -305,7 +449,8 @@ proptest! {
 /// transit through one hot edge (as in `tests/circulation_props.rs`);
 /// after mutating `N(1)` mid-walk and invalidating, windows of draws
 /// following subsequent transits must be exact permutations of the *new*
-/// `N(1)`.
+/// `N(1)` — for CNRW and for plan-backed GNRW in both plan modes, whose
+/// plan still partitions the pre-mutation neighborhoods.
 #[test]
 fn invalidation_restarts_coverage_on_the_new_neighborhood() {
     let g = osn_sampling::graph::GraphBuilder::new()
@@ -332,11 +477,31 @@ fn invalidation_restarts_coverage_on_the_new_neighborhood() {
             vec![0, 2, 3, 4, 5],
         ),
     ];
+    // Degree-log2 groups split N(1) into {0} and {2, 3, 4}: not degenerate,
+    // so the plan walkers run their own group circulation.
+    let network = AttributedGraph::new(g.clone(), NodeAttributes::for_graph(&g)).unwrap();
+    let plan = Arc::new(GroupPlan::build(&network, &ByDegree::log2()));
+    assert!(plan.degenerate().is_none());
+    let make = |walker: usize| -> Box<dyn RandomWalk> {
+        match walker {
+            0 => Box::new(Cnrw::new(NodeId(0))),
+            1 => Box::new(Gnrw::with_plan(
+                NodeId(0),
+                Arc::clone(&plan),
+                PlanMode::Exact,
+            )),
+            _ => Box::new(Gnrw::with_plan(
+                NodeId(0),
+                Arc::clone(&plan),
+                PlanMode::Alias,
+            )),
+        }
+    };
     for (mutation, want) in cases {
-        for seed in 0..12u64 {
+        for (walker, seed) in (0..3).flat_map(|w| (0..12u64).map(move |s| (w, s))) {
             let mut client = SimulatedOsn::from_graph(g.clone());
             let mut rng = ChaCha12Rng::seed_from_u64(seed);
-            let mut w = Cnrw::new(NodeId(0));
+            let mut w = make(walker);
             // Track (predecessor, position) so a draw from the (0,1)
             // circulation is recognized even when the invalidation lands
             // while the walker is already sitting on node 1.
@@ -371,7 +536,7 @@ fn invalidation_restarts_coverage_on_the_new_neighborhood() {
                 ids.sort_unstable();
                 assert_eq!(
                     ids, want,
-                    "window not a cover of the new N(1) (seed {seed}, {mutation:?})"
+                    "window not a cover of the new N(1) (walker {walker}, seed {seed}, {mutation:?})"
                 );
             }
         }
