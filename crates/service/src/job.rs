@@ -180,6 +180,7 @@ pub struct JobSpec {
     /// Circulation history backend.
     pub backend: HistoryBackend,
     /// Virtual-clock time at which the job becomes admissible, in seconds.
+    /// The server refuses a spec whose arrival is negative or not finite.
     pub arrival_secs: f64,
 }
 

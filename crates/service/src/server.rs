@@ -14,6 +14,16 @@
 //! deterministic function of specs and seeds, so a server run replays
 //! bit-identically.
 //!
+//! The scheduler keeps an index that is updated where its state changes,
+//! so a slice reads only the tenant and job it serves: the runnable
+//! tenants ordered by `(charged / weight, index)`, each tenant's running
+//! job ids in ascending order, and the queued jobs ordered by arrival. A
+//! slice costs O(log T + the picked tenant's running jobs) for T tenants
+//! and picks exactly what a scan of every tenant and job would pick. The
+//! index's order relies on finite, positive weights and finite,
+//! non-negative arrivals, which registration, [`SessionServer::submit`]
+//! and [`SessionServer::resume`] enforce.
+//!
 //! ## Why sharing beats sequential
 //!
 //! All jobs ride **one** endpoint cache: when tenant B's walker lands on a
@@ -32,6 +42,8 @@
 //! the lot into a freshly constructed endpoint and continues every job
 //! mid-walk bit-identically.
 
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
 use osn_client::{BatchOsnClient, QueryStats, SimulatedBatchOsn};
@@ -48,7 +60,8 @@ pub struct TenantSpec {
     /// Display name (reports, snapshots).
     pub name: String,
     /// Fair-share weight; charged queries are allocated proportionally to
-    /// it while tenants stay backlogged. Clamped positive at registration.
+    /// it while tenants stay backlogged. Always finite and positive:
+    /// registration stores 1.0 in place of any other value.
     pub weight: f64,
 }
 
@@ -125,6 +138,12 @@ impl ServerConfig {
 /// gate both [`SessionServer::submit`] and [`SessionServer::resume`] pass
 /// every spec through.
 fn check_spec(spec: &JobSpec, tenants: usize, network: &AttributedGraph) -> Result<(), String> {
+    if !(spec.arrival_secs.is_finite() && spec.arrival_secs >= 0.0) {
+        return Err(format!(
+            "arrival time {} is not finite and non-negative",
+            spec.arrival_secs
+        ));
+    }
     if spec.tenant >= tenants {
         return Err(format!(
             "job names tenant {} but only {tenants} are registered",
@@ -141,13 +160,38 @@ fn check_spec(spec: &JobSpec, tenants: usize, network: &AttributedGraph) -> Resu
     Ok(())
 }
 
+/// The integer whose order is [`f64::total_cmp`]'s, so the scheduler's
+/// ordered indexes sort and break ties exactly as a `min_by(total_cmp)`
+/// scan over the same floats would.
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
 /// One job's full server-side record.
 struct Job {
     spec: JobSpec,
     state: JobState,
-    /// Boxed: run state is hundreds of bytes, and the job list stays slim.
-    run: Option<Box<ReactorWalkRun>>,
+    /// Present exactly while the job is running. Boxed: run state is
+    /// hundreds of bytes, and the job list stays slim.
+    live: Option<Box<Live>>,
     result: Option<JobResult>,
+}
+
+/// A running job's reactor run and the estimand closure its slices
+/// sample, both built once, at admission or resume.
+struct Live {
+    run: ReactorWalkRun,
+    value: Box<dyn Fn(NodeId) -> f64 + Send>,
+}
+
+impl Live {
+    fn new(run: ReactorWalkRun, spec: &JobSpec, network: &Arc<AttributedGraph>) -> Box<Self> {
+        Box::new(Live {
+            run,
+            value: spec.estimand.value_fn(network),
+        })
+    }
 }
 
 /// The sampling-as-a-service session server (see module docs).
@@ -161,6 +205,13 @@ pub struct SessionServer {
     /// granted, used to rotate across its running jobs.
     cursors: Vec<u64>,
     jobs: Vec<Job>,
+    /// Tenants with a running job, keyed by `(total_key(charged / weight),
+    /// index)`: the first entry is the next slice's tenant.
+    runnable: BTreeSet<(i64, usize)>,
+    /// Each tenant's running job ids, ascending — the round-robin order.
+    running: Vec<Vec<usize>>,
+    /// Queued job ids keyed by `total_key(arrival)`, earliest first.
+    queued: BinaryHeap<Reverse<(i64, usize)>>,
 }
 
 impl SessionServer {
@@ -175,17 +226,26 @@ impl SessionServer {
             stats: Vec::new(),
             cursors: Vec::new(),
             jobs: Vec::new(),
+            runnable: BTreeSet::new(),
+            running: Vec::new(),
+            queued: BinaryHeap::new(),
         }
     }
 
-    /// Register a tenant; returns its index for [`JobSpec::tenant`].
+    /// Register a tenant; returns its index for [`JobSpec::tenant`]. A
+    /// weight that is not finite and positive is stored as 1.0.
     pub fn add_tenant(&mut self, name: impl Into<String>, weight: f64) -> usize {
         self.tenants.push(TenantSpec {
             name: name.into(),
-            weight: if weight > 0.0 { weight } else { 1.0 },
+            weight: if weight.is_finite() && weight > 0.0 {
+                weight
+            } else {
+                1.0
+            },
         });
         self.stats.push(TenantStats::default());
         self.cursors.push(0);
+        self.running.push(Vec::new());
         self.tenants.len() - 1
     }
 
@@ -193,16 +253,18 @@ impl SessionServer {
     ///
     /// # Errors
     /// When the spec names an unregistered tenant or a start node outside
-    /// the snapshot.
+    /// the snapshot, or its arrival time is negative or not finite.
     pub fn submit(&mut self, spec: JobSpec) -> Result<usize, String> {
         check_spec(&spec, self.tenants.len(), &self.network)?;
         self.jobs.push(Job {
             spec,
             state: JobState::Queued,
-            run: None,
+            live: None,
             result: None,
         });
-        Ok(self.jobs.len() - 1)
+        let id = self.jobs.len() - 1;
+        self.index_job(id);
+        Ok(id)
     }
 
     /// The registered tenants, in registration order.
@@ -268,8 +330,8 @@ impl SessionServer {
         let touched = self.endpoint.apply_mutations(ms);
         if !touched.is_empty() {
             for job in &mut self.jobs {
-                if let Some(run) = &mut job.run {
-                    run.invalidate_nodes(&touched);
+                if let Some(live) = &mut job.live {
+                    live.run.invalidate_nodes(&touched);
                 }
             }
         }
@@ -278,100 +340,109 @@ impl SessionServer {
 
     /// Whether every job has settled (done or refused).
     pub fn done(&self) -> bool {
-        self.jobs
-            .iter()
-            .all(|j| matches!(j.state, JobState::Done | JobState::Refused))
+        self.queued.is_empty() && self.runnable.is_empty()
     }
 
-    /// Admit every queued job whose arrival time has passed, in submission
-    /// order. Jobs arriving after the shared budget is exhausted are
-    /// refused; the rest start a reactor run.
+    /// Tenant `t`'s key in the runnable set.
+    fn fair_key(&self, t: usize) -> i64 {
+        total_key(self.stats[t].charged as f64 / self.tenants[t].weight)
+    }
+
+    /// Enter job `id` in the scheduler index by its state: a queued job by
+    /// arrival, a running one in its tenant's list, making the tenant
+    /// runnable if it was not.
+    fn index_job(&mut self, id: usize) {
+        let job = &self.jobs[id];
+        let t = job.spec.tenant;
+        match job.state {
+            JobState::Queued => {
+                let key = total_key(job.spec.arrival_secs);
+                self.queued.push(Reverse((key, id)));
+            }
+            JobState::Running => {
+                if self.running[t].is_empty() {
+                    let key = self.fair_key(t);
+                    self.runnable.insert((key, t));
+                }
+                let at = self.running[t]
+                    .binary_search(&id)
+                    .expect_err("a job is indexed once");
+                self.running[t].insert(at, id);
+            }
+            JobState::Done | JobState::Refused => {}
+        }
+    }
+
+    /// Admit every queued job whose arrival time has passed. Jobs arriving
+    /// after the shared budget is exhausted are refused; the rest start a
+    /// reactor run. Each admission touches only its own job and tenant, so
+    /// the order they happen in is not observable.
     fn admit_due(&mut self) {
         let now = self.endpoint.clock().elapsed_secs();
         let exhausted = self.endpoint.remaining_budget() == Some(0);
-        for job in &mut self.jobs {
-            if job.state != JobState::Queued || job.spec.arrival_secs > now {
-                continue;
+        while let Some(&Reverse((_, id))) = self.queued.peek() {
+            let job = &mut self.jobs[id];
+            if job.spec.arrival_secs > now {
+                break;
             }
+            self.queued.pop();
             if exhausted {
                 job.state = JobState::Refused;
                 self.stats[job.spec.tenant].jobs_refused += 1;
             } else {
-                let orch = job.spec.orchestrator();
-                job.run = Some(Box::new(orch.start_reactor(job.spec.make_walker())));
+                let run = job
+                    .spec
+                    .orchestrator()
+                    .start_reactor(job.spec.make_walker());
+                job.live = Some(Live::new(run, &job.spec, &self.network));
                 job.state = JobState::Running;
+                self.index_job(id);
             }
         }
-    }
-
-    /// The runnable tenant with the lowest charged/weight ratio (weighted
-    /// max-min fair share); ties break toward the lower index.
-    fn pick_tenant(&self) -> Option<usize> {
-        (0..self.tenants.len())
-            .filter(|&t| {
-                self.jobs
-                    .iter()
-                    .any(|j| j.spec.tenant == t && j.state == JobState::Running)
-            })
-            .min_by(|&a, &b| {
-                let fa = self.stats[a].charged as f64 / self.tenants[a].weight;
-                let fb = self.stats[b].charged as f64 / self.tenants[b].weight;
-                fa.total_cmp(&fb)
-            })
-    }
-
-    /// Of tenant `t`'s running jobs, the one its round-robin cursor points
-    /// at this slice.
-    fn pick_job(&mut self, t: usize) -> usize {
-        let running: Vec<usize> = self
-            .jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| j.spec.tenant == t && j.state == JobState::Running)
-            .map(|(id, _)| id)
-            .collect();
-        let id = running[(self.cursors[t] % running.len() as u64) as usize];
-        self.cursors[t] += 1;
-        id
     }
 
     /// Run one scheduling slice. Returns `false` once every job has
     /// settled and no future arrivals remain — the server is done.
     pub fn step(&mut self) -> bool {
         self.admit_due();
-        let Some(t) = self.pick_tenant() else {
+        // The runnable tenant with the lowest charged/weight ratio (weighted
+        // max-min fair share); ties break toward the lower index.
+        let Some(&(key, t)) = self.runnable.first() else {
             // Nothing runnable. If arrivals lie in the future, jump the
             // virtual clock to the next one; otherwise we are done.
-            let next = self
-                .jobs
-                .iter()
-                .filter(|j| j.state == JobState::Queued)
-                .map(|j| j.spec.arrival_secs)
-                .min_by(f64::total_cmp);
-            let Some(next) = next else {
+            let Some(&Reverse((_, next))) = self.queued.peek() else {
                 return false;
             };
-            self.endpoint.advance_clock_to(next);
+            self.endpoint
+                .advance_clock_to(self.jobs[next].spec.arrival_secs);
             return true;
         };
-        let id = self.pick_job(t);
+        // Of the tenant's running jobs, the one its round-robin cursor
+        // points at this slice.
+        let running = &mut self.running[t];
+        let id = running[(self.cursors[t] % running.len() as u64) as usize];
+        self.cursors[t] += 1;
 
         let before = self.endpoint.stats();
         let job = &mut self.jobs[id];
-        let run = job.run.as_mut().expect("running job has a live run");
-        let steps_before = run.steps_taken();
-        let value = job.spec.estimand.value_fn(&self.network);
-        run.run_events(&mut self.endpoint, &*value, self.config.rounds_per_slice);
+        let live = job.live.as_mut().expect("running job has a live run");
+        let steps_before = live.run.steps_taken();
+        live.run.run_events(
+            &mut self.endpoint,
+            &*live.value,
+            self.config.rounds_per_slice,
+        );
         let after = self.endpoint.stats();
 
+        let charged = after.unique - before.unique;
         let stats = &mut self.stats[t];
-        stats.charged += after.unique - before.unique;
+        stats.charged += charged;
         stats.cache_hits += after.cache_hits - before.cache_hits;
-        stats.steps += (run.steps_taken() - steps_before) as u64;
+        stats.steps += (live.run.steps_taken() - steps_before) as u64;
 
-        if run.done() {
-            let run = job.run.take().expect("checked above");
-            let report = run.into_report(&self.endpoint);
+        if live.run.done() {
+            let live = job.live.take().expect("checked above");
+            let report = live.run.into_report(&self.endpoint);
             job.result = Some(JobResult {
                 estimate: job.spec.estimand.read(&report.estimate),
                 steps: report.trace.total_steps(),
@@ -379,6 +450,19 @@ impl SessionServer {
             });
             job.state = JobState::Done;
             stats.jobs_completed += 1;
+            let at = running
+                .binary_search(&id)
+                .expect("a running job is in its tenant's list");
+            running.remove(at);
+        }
+        // Only this tenant's key can have moved.
+        let still_runnable = !running.is_empty();
+        if charged > 0 || !still_runnable {
+            self.runnable.remove(&(key, t));
+            if still_runnable {
+                let key = self.fair_key(t);
+                self.runnable.insert((key, t));
+            }
         }
         true
     }
@@ -415,8 +499,8 @@ impl SessionServer {
                     ("spec", job.spec.to_value()),
                     ("state", Value::Str(job.state.label().into())),
                 ];
-                if let Some(run) = &job.run {
-                    fields.push(("run", run.snapshot()));
+                if let Some(live) = &job.live {
+                    fields.push(("run", live.run.snapshot()));
                 }
                 if let Some(result) = job.result {
                     fields.push(("result", result.to_value()));
@@ -441,8 +525,9 @@ impl SessionServer {
     /// exporting server's). Every mid-walk job resumes bit-identically.
     ///
     /// # Errors
-    /// On a malformed snapshot or any spec mismatch between the snapshot
-    /// and the provided endpoint.
+    /// On a malformed snapshot, a tenant weight that is not finite and
+    /// positive, a job spec [`SessionServer::submit`] would refuse, or any
+    /// spec mismatch between the snapshot and the provided endpoint.
     pub fn resume(
         mut endpoint: SimulatedBatchOsn,
         config: ServerConfig,
@@ -457,11 +542,15 @@ impl SessionServer {
 
         let mut tenants = Vec::new();
         let mut stats = Vec::new();
-        for tv in state.field("tenants")?.as_array()? {
-            tenants.push(TenantSpec {
-                name: tv.field("name")?.as_str()?.to_string(),
-                weight: tv.field("weight")?.decode()?,
-            });
+        for (t, tv) in state.field("tenants")?.as_array()?.iter().enumerate() {
+            let name = tv.field("name")?.as_str()?.to_string();
+            let weight: f64 = tv.field("weight")?.decode()?;
+            if !(weight.is_finite() && weight > 0.0) {
+                return Err(format!(
+                    "tenant {t} (`{name}`): weight {weight} is not finite and positive"
+                ));
+            }
+            tenants.push(TenantSpec { name, weight });
             stats.push(TenantStats::from_value(tv.field("stats")?)?);
         }
         let cursors: Vec<u64> = state
@@ -485,14 +574,16 @@ impl SessionServer {
             check_spec(&spec, tenants.len(), &network).map_err(|e| format!("job {id}: {e}"))?;
             let job_state = JobState::from_label(jv.field("state")?.as_str()?)
                 .map_err(|e| format!("job {id}: {e}"))?;
-            let run = match job_state {
+            let live = match job_state {
                 // A run snapshot of any other kind than `reactor` is
                 // refused by name.
-                JobState::Running => Some(Box::new(
-                    spec.orchestrator()
+                JobState::Running => {
+                    let run = spec
+                        .orchestrator()
                         .resume_reactor(jv.field("run")?, spec.make_walker())
-                        .map_err(|e| format!("job {id}: {e}"))?,
-                )),
+                        .map_err(|e| format!("job {id}: {e}"))?;
+                    Some(Live::new(run, &spec, &network))
+                }
                 _ => None,
             };
             let result = match job_state {
@@ -505,19 +596,26 @@ impl SessionServer {
             jobs.push(Job {
                 spec,
                 state: job_state,
-                run,
+                live,
                 result,
             });
         }
 
-        Ok(SessionServer {
+        let mut server = SessionServer {
             endpoint,
             network,
             config,
+            running: vec![Vec::new(); tenants.len()],
             tenants,
             stats,
             cursors,
             jobs,
-        })
+            runnable: BTreeSet::new(),
+            queued: BinaryHeap::new(),
+        };
+        for id in 0..server.jobs.len() {
+            server.index_job(id);
+        }
+        Ok(server)
     }
 }

@@ -1,7 +1,8 @@
 //! Integration tests of the session server: weighted fair-share
 //! proportionality under contention, admission refusals, cross-tenant
-//! cache synergy, traffic-generator determinism, kill-at-slice-k
-//! snapshot/resume bit-identity, and the refusal of tampered snapshots.
+//! cache synergy, traffic-generator determinism, the indexed scheduler's
+//! picks against the reference rule, kill-at-slice-k snapshot/resume
+//! bit-identity, and the refusal of tampered snapshots and specs.
 
 use proptest::prelude::*;
 
@@ -134,9 +135,54 @@ fn submit_validates_tenant_and_start() {
         .submit(JobSpec::new(t, Algorithm::Srw, NodeId(50)))
         .unwrap_err()
         .contains("outside"));
+    // The field is public, so an arrival can bypass `with_arrival`'s clamp.
+    for arrival in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+        let mut spec = JobSpec::new(t, Algorithm::Srw, NodeId(49));
+        spec.arrival_secs = arrival;
+        let err = server.submit(spec).unwrap_err();
+        assert!(err.contains("arrival"), "arrival {arrival}: {err}");
+    }
     assert!(server
         .submit(JobSpec::new(t, Algorithm::Srw, NodeId(49)))
         .is_ok());
+}
+
+#[test]
+fn tenant_weights_must_be_finite_and_positive() {
+    // A tenant of infinite weight would win every pick (its charged/weight
+    // is always 0), so registration stores 1.0 for any weight that is not
+    // finite and positive, and resume refuses one by tenant.
+    let endpoint = SimulatedBatchOsn::new(
+        SimulatedOsn::from_graph(test_graph(20)),
+        BatchConfig::new(4),
+    );
+    let mut server = SessionServer::new(endpoint, ServerConfig::new());
+    let kept = server.add_tenant("kept", 2.5);
+    for weight in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -1.0] {
+        let t = server.add_tenant("odd", weight);
+        assert_eq!(server.tenants()[t].weight, 1.0, "weight {weight}");
+    }
+    assert_eq!(server.tenants()[kept].weight, 2.5);
+    server
+        .submit(JobSpec::new(kept, Algorithm::Cnrw, NodeId(3)))
+        .unwrap();
+    let snap = server.snapshot().unwrap();
+    assert!(resume_small(&snap).is_ok());
+
+    // Non-finite floats travel as strings in the text form.
+    for weight in [
+        Value::Num(-1.0),
+        Value::Num(0.0),
+        Value::Str("NaN".into()),
+        Value::Str("inf".into()),
+    ] {
+        let mut tampered = snap.clone();
+        *field_mut(entry_mut(&mut tampered, "tenants", kept), "weight") = weight.clone();
+        let err = resume_small(&tampered)
+            .err()
+            .unwrap_or_else(|| panic!("weight {weight:?} resumed"));
+        assert!(err.contains("tenant 0"), "weight {weight:?}: {err}");
+    }
 }
 
 /// The endpoint used by the traffic and resume tests: every realism knob
@@ -293,6 +339,160 @@ fn kill_mid_slice_resumes_bit_identically_under_budget() {
     }
 }
 
+/// What the scheduling rule picks for the next slice, computed from public
+/// state alone: admit every queued job that has arrived (refused once the
+/// budget is spent), take the tenant with a running job and the lowest
+/// charged/weight (`total_cmp`, lower index on ties), then that tenant's
+/// running job at `cursor % len` in id order. Returns every job's state
+/// after admission and the picked `(tenant, job)`, if any.
+fn reference_pick(
+    server: &SessionServer,
+    cursors: &[u64],
+) -> (Vec<JobState>, Option<(usize, usize)>) {
+    let now = server.elapsed_secs();
+    let exhausted = server.remaining_budget() == Some(0);
+    let states: Vec<JobState> = (0..server.job_count())
+        .map(|id| match server.job_state(id) {
+            JobState::Queued if server.job_spec(id).arrival_secs <= now => {
+                if exhausted {
+                    JobState::Refused
+                } else {
+                    JobState::Running
+                }
+            }
+            state => state,
+        })
+        .collect();
+    let running = |t: usize| -> Vec<usize> {
+        (0..states.len())
+            .filter(|&id| states[id] == JobState::Running && server.job_spec(id).tenant == t)
+            .collect()
+    };
+    let share = |t: usize| server.tenant_stats(t).charged as f64 / server.tenants()[t].weight;
+    let pick = (0..server.tenants().len())
+        .filter(|&t| !running(t).is_empty())
+        .min_by(|&a, &b| share(a).total_cmp(&share(b)))
+        .map(|t| {
+            let jobs = running(t);
+            (t, jobs[(cursors[t] % jobs.len() as u64) as usize])
+        });
+    (states, pick)
+}
+
+fn cursors_of(snapshot: &Value) -> Vec<u64> {
+    let cursors = snapshot.field("cursors").unwrap().as_array().unwrap();
+    cursors.iter().map(|c| c.decode().unwrap()).collect()
+}
+
+fn run_of(snapshot: &Value, id: usize) -> Option<&Value> {
+    snapshot.field("jobs").unwrap().as_array().unwrap()[id]
+        .field("run")
+        .ok()
+}
+
+#[test]
+fn indexed_scheduler_picks_what_the_reference_rule_picks() {
+    // Staggered arrivals, five jobs per tenant (one submitted out of
+    // arrival order), a budget that runs out while jobs are still arriving,
+    // and a kill and resume partway: before every slice the reference rule
+    // names a tenant and a job, and the slice must advance exactly that
+    // tenant's cursor and that job's run.
+    let budget = Some(120);
+    let config = ServerConfig::new().with_rounds_per_slice(2);
+    let mut server = SessionServer::new(soak_endpoint(400, budget), config);
+    let traffic = TrafficConfig::new(7, 4)
+        .with_seed(5)
+        .with_mean_interarrival(1.0)
+        .with_max_steps(120)
+        .with_max_walkers(2);
+    for t in populate(&mut server, &traffic) {
+        // Arrives before most of the tenant's earlier-submitted jobs, so
+        // admission order differs from id order.
+        let spec = JobSpec::new(t, Algorithm::ALL[t], NodeId(50 * t as u32))
+            .with_max_steps(80)
+            .with_seed(t as u64)
+            .with_arrival(0.3 + 0.2 * t as f64);
+        server.submit(spec).unwrap();
+    }
+    let settled = |server: &SessionServer, state| {
+        (0..server.job_count())
+            .filter(|&id| server.job_state(id) == state)
+            .count()
+    };
+    let events = |run: Option<&Value>| -> u64 {
+        run.map_or(0, |r| r.field("events").unwrap().decode().unwrap())
+    };
+    let (mut slices, mut picks, mut shared_picks) = (0usize, 0usize, 0usize);
+    let kill_at = 90;
+    loop {
+        if slices == kill_at {
+            // Resume rebuilds the index from a mix of job states.
+            for state in [JobState::Queued, JobState::Running, JobState::Done] {
+                assert!(settled(&server, state) > 0, "no {} job", state.label());
+            }
+            let text = server.snapshot().unwrap().to_pretty();
+            let parsed = Value::parse(&text).unwrap();
+            server = SessionServer::resume(soak_endpoint(400, budget), config, &parsed).unwrap();
+        }
+        let before = server.snapshot().unwrap();
+        let cursors = cursors_of(&before);
+        let (states, pick) = reference_pick(&server, &cursors);
+        let more = server.step();
+        slices += 1;
+        let after = server.snapshot().unwrap();
+
+        let mut expected = cursors;
+        if let Some((t, _)) = pick {
+            expected[t] += 1;
+            picks += 1;
+        } else {
+            // Idle: the clock jumps to the next arrival, if any is left.
+            let next = (0..states.len())
+                .filter(|&id| states[id] == JobState::Queued)
+                .map(|id| server.job_spec(id).arrival_secs)
+                .min_by(f64::total_cmp);
+            assert_eq!(more, next.is_some(), "slice {slices}");
+            if let Some(next) = next {
+                assert_eq!(server.elapsed_secs(), next, "slice {slices}: clock");
+            }
+        }
+        assert_eq!(cursors_of(&after), expected, "slice {slices}: cursors");
+        for (id, &state) in states.iter().enumerate() {
+            let (was, now) = (run_of(&before, id), run_of(&after, id));
+            if let Some((t, _)) = pick.filter(|&(_, job)| job == id) {
+                if now.is_none() {
+                    assert_eq!(server.job_state(id), JobState::Done, "slice {slices}");
+                } else {
+                    assert!(events(now) > events(was), "slice {slices}: job {id} idle");
+                }
+                let runners = (0..states.len())
+                    .filter(|&j| states[j] == JobState::Running && server.job_spec(j).tenant == t)
+                    .count();
+                shared_picks += usize::from(runners > 1);
+                continue;
+            }
+            assert_eq!(server.job_state(id), state, "slice {slices}: job {id}");
+            if was.is_none() && now.is_some() {
+                // Admitted this slice but not picked: a fresh run.
+                assert_eq!(events(now), 0, "slice {slices}: job {id} ran unpicked");
+            } else {
+                assert_eq!(was, now, "slice {slices}: job {id} ran unpicked");
+            }
+        }
+        if !more {
+            break;
+        }
+    }
+    assert!(server.done());
+    assert!(slices > kill_at, "the run ended before the kill point");
+    assert!(
+        settled(&server, JobState::Refused) > 0,
+        "no late arrival refused"
+    );
+    assert!(shared_picks > 0, "no tenant ever ran two jobs at once");
+    assert!(picks < slices - 1, "the clock never jumped to an arrival");
+}
+
 /// The field `key` of object `v`, mutably — for tampering with snapshots.
 fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
     match v {
@@ -307,10 +507,10 @@ fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
     }
 }
 
-/// Job `id` of a server snapshot, mutably.
-fn job_mut(snapshot: &mut Value, id: usize) -> &mut Value {
-    match field_mut(snapshot, "jobs") {
-        Value::Arr(jobs) => &mut jobs[id],
+/// Entry `i` of the array field `key` of a server snapshot, mutably.
+fn entry_mut<'a>(snapshot: &'a mut Value, key: &str, i: usize) -> &'a mut Value {
+    match field_mut(snapshot, key) {
+        Value::Arr(items) => &mut items[i],
         other => panic!("expected an array, got {}", other.type_name()),
     }
 }
@@ -340,17 +540,35 @@ fn resume_refuses_a_start_node_outside_the_graph() {
     let mut snap = server.snapshot().unwrap();
     assert!(resume_small(&snap).is_ok());
 
-    *field_mut(field_mut(job_mut(&mut snap, 0), "spec"), "start") = Value::Uint(4_000_000);
+    *field_mut(field_mut(entry_mut(&mut snap, "jobs", 0), "spec"), "start") =
+        Value::Uint(4_000_000);
     let err = resume_small(&snap)
         .err()
         .expect("out-of-range start resumed");
     assert!(err.contains("outside"), "unexpected error: {err}");
 
     // Same gate as submit: an unknown tenant is refused too.
-    *field_mut(field_mut(job_mut(&mut snap, 0), "spec"), "start") = Value::Uint(3);
-    *field_mut(field_mut(job_mut(&mut snap, 0), "spec"), "tenant") = Value::Uint(9);
+    *field_mut(field_mut(entry_mut(&mut snap, "jobs", 0), "spec"), "start") = Value::Uint(3);
+    *field_mut(field_mut(entry_mut(&mut snap, "jobs", 0), "spec"), "tenant") = Value::Uint(9);
     let err = resume_small(&snap).err().expect("unknown tenant resumed");
     assert!(err.contains("tenant"), "unexpected error: {err}");
+
+    // And so is an arrival time that is negative or not finite.
+    *field_mut(field_mut(entry_mut(&mut snap, "jobs", 0), "spec"), "tenant") = Value::Uint(0);
+    for arrival in ["NaN", "inf", "-inf"]
+        .map(|s| Value::Str(s.into()))
+        .into_iter()
+        .chain([Value::Num(-1.0)])
+    {
+        *field_mut(
+            field_mut(entry_mut(&mut snap, "jobs", 0), "spec"),
+            "arrival_secs",
+        ) = arrival.clone();
+        let err = resume_small(&snap)
+            .err()
+            .unwrap_or_else(|| panic!("arrival {arrival:?} resumed"));
+        assert!(err.contains("arrival"), "arrival {arrival:?}: {err}");
+    }
 }
 
 #[test]
@@ -378,7 +596,10 @@ fn resume_refuses_run_snapshots_of_other_kinds() {
 
     for kind in ["coalesced", "serial", "warp-drive"] {
         let mut tampered = snap.clone();
-        *field_mut(field_mut(job_mut(&mut tampered, 0), "run"), "kind") = Value::Str(kind.into());
+        *field_mut(
+            field_mut(entry_mut(&mut tampered, "jobs", 0), "run"),
+            "kind",
+        ) = Value::Str(kind.into());
         let err = resume_small(&tampered)
             .err()
             .unwrap_or_else(|| panic!("run kind `{kind}` resumed"));
