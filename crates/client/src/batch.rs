@@ -11,7 +11,8 @@
 //! * [`BatchOsnClient`] — the trait: `submit` up to
 //!   [`BatchLimits::max_batch_size`] node ids as one request (refused while
 //!   [`BatchLimits::max_in_flight`] requests are outstanding), then `poll`
-//!   completions in virtual-completion-time order.
+//!   completions in virtual-completion-time order; `delivered` reads a
+//!   delivered list back for free.
 //! * [`SimulatedBatchOsn`] — the simulation, layered over the same
 //!   machinery the synchronous path uses: a [`SimulatedOsn`] snapshot/cache
 //!   for unique-query accounting, an optional hard unique-query budget, and
@@ -393,6 +394,17 @@ pub trait BatchOsnClient {
     /// walker request. The default `false` is always safe.
     fn is_cached(&self, _u: NodeId) -> bool {
         false
+    }
+
+    /// Borrowed read-back of a neighbor list this endpoint delivered, so a
+    /// caller can hold ids instead of copies. For an id the endpoint
+    /// delivered, and that no later mutation touched, it returns the same
+    /// list it delivered. The read is free: query and batch accounting,
+    /// budget, clock, rate tokens and counters are left as they are. The
+    /// default `None` ("cannot read back") is always safe — the reactor then
+    /// keeps its own copy of each list the endpoint delivers.
+    fn delivered(&mut self, _u: NodeId) -> Option<&[NodeId]> {
+        None
     }
 }
 
@@ -977,6 +989,13 @@ impl BatchOsnClient for SimulatedBatchOsn {
     fn is_cached(&self, u: NodeId) -> bool {
         self.inner.is_cached(u)
     }
+
+    /// The current list of any node in the graph, delivered or not — a run
+    /// resumed against a fresh endpoint reads back lists that endpoint
+    /// never served. `None` for an id outside the graph.
+    fn delivered(&mut self, u: NodeId) -> Option<&[NodeId]> {
+        self.inner.current_neighbors(u)
+    }
 }
 
 #[cfg(test)]
@@ -1426,6 +1445,71 @@ mod tests {
         let mut fresh = SimulatedBatchOsn::new(star_osn(10), config);
         fresh.import_state(&snap).unwrap();
         assert_eq!(fresh.effective_batch(), shrunk);
+    }
+
+    #[test]
+    fn delivered_reads_back_for_free_on_plain_and_compact_graphs() {
+        use osn_graph::compact::CompactCsr;
+        use std::sync::Arc;
+
+        let graph = || {
+            let mut b = GraphBuilder::new();
+            for i in 1..=7 {
+                b.push_edge(0, i);
+                b.push_edge(i, i % 7 + 1);
+            }
+            b.build().unwrap()
+        };
+        let compact = SimulatedOsn::from_compact(Arc::new(CompactCsr::from_csr(&graph())));
+        for osn in [SimulatedOsn::from_graph(graph()), compact] {
+            let config = BatchConfig::new(3)
+                .with_rate_limit(RateLimitConfig {
+                    calls_per_window: 2,
+                    window_secs: 10.0,
+                })
+                .with_latency(0.25, 0.1)
+                .with_seed(3);
+            let mut c = SimulatedBatchOsn::configured(osn, config, Some(6));
+            c.submit(&[NodeId(0), NodeId(2), NodeId(5)]).unwrap();
+            let outcome = c.poll().unwrap();
+            let accounting = |c: &SimulatedBatchOsn| {
+                (
+                    c.stats(),
+                    c.batch_stats(),
+                    c.remaining_budget(),
+                    c.clock().elapsed_secs().to_bits(),
+                    c.export_state().unwrap().to_pretty(),
+                )
+            };
+            let before = accounting(&c);
+            // A delivered id reads back the list it was delivered with.
+            for (u, list) in &outcome.per_node {
+                assert_eq!(c.delivered(*u), Some(list.as_ref().unwrap().as_slice()));
+            }
+            // Any node of the graph reads back, delivered or not; an id
+            // outside it does not. No read charges or counts anything.
+            for u in 0..8 {
+                assert!(c.delivered(NodeId(u)).is_some(), "node {u}");
+            }
+            assert_eq!(c.delivered(NodeId(8)), None);
+            assert_eq!(accounting(&c), before, "the read-back charged something");
+
+            // After mutations the read-back is the post-mutation list the
+            // synchronous simulator serves.
+            c.apply_mutations(&[
+                EdgeMutation::delete(1.0, NodeId(0), NodeId(2)),
+                EdgeMutation::insert(1.5, NodeId(2), NodeId(5)),
+                EdgeMutation::insert(2.0, NodeId(5), NodeId(3)),
+            ]);
+            let mut reference = c.inner().clone();
+            for u in (0..8).map(NodeId) {
+                assert_eq!(
+                    c.delivered(u),
+                    Some(reference.neighbors(u).unwrap()),
+                    "node {u} after mutations"
+                );
+            }
+        }
     }
 
     #[test]

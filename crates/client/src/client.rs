@@ -306,6 +306,26 @@ impl SimulatedOsn {
         self.queried.get(u.index()).copied().unwrap_or(false)
     }
 
+    /// The current neighbor list of `u` — through the overlay, and through
+    /// the decode cache on a compact snapshot — **without** recording a
+    /// query; `None` when `u` is outside the graph. [`OsnClient::neighbors`]
+    /// is this read plus the accounting, and the batch endpoint's free
+    /// read-back of a delivered list is this read alone.
+    pub(crate) fn current_neighbors(&mut self, u: NodeId) -> Option<&[NodeId]> {
+        if u.index() >= self.queried.len() {
+            return None;
+        }
+        Some(match &mut self.compact {
+            // Mutated nodes are served from the overlay's patch; everything
+            // else decodes through the slice cache.
+            Some(t) => match self.overlay.patched(u) {
+                Some(patch) => patch,
+                None => t.cache.neighbors(&t.graph, u),
+            },
+            None => self.overlay.neighbors(&self.network.graph, u),
+        })
+    }
+
     /// The per-node queried flags (cache membership) — used by the batch
     /// endpoint's snapshot export.
     pub(crate) fn queried_flags(&self) -> &[bool] {
@@ -326,18 +346,9 @@ impl OsnClient for SimulatedOsn {
         let seen = &mut self.queried[u.index()];
         self.stats.record(!*seen);
         *seen = true;
-        match &mut self.compact {
-            Some(t) => {
-                // Mutated nodes are served from the overlay's patch;
-                // everything else decodes through the slice cache.
-                if let Some(patch) = self.overlay.patched(u) {
-                    Ok(patch)
-                } else {
-                    Ok(t.cache.neighbors(&t.graph, u))
-                }
-            }
-            None => Ok(self.overlay.neighbors(&self.network.graph, u)),
-        }
+        Ok(self
+            .current_neighbors(u)
+            .expect("in range: its queried flag was just set"))
     }
 
     fn peek_degree(&self, u: NodeId) -> usize {

@@ -28,7 +28,10 @@
 //! deterministic drop-every-`k`-th failure injection, bounded retry, budget
 //! charged at most once per unique node) — see [`batch`]. Walker fleets of
 //! any size share one batch endpoint through the `osn-walks` reactor, which
-//! parks each walker on the in-flight batch carrying its next neighbor list.
+//! parks each walker on the in-flight batch carrying its next neighbor list
+//! and reads delivered lists back through the endpoint's free
+//! [`BatchOsnClient::delivered`], so each list is held once, by the
+//! endpoint.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

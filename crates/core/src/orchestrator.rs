@@ -670,8 +670,8 @@ impl MultiWalkTrace {
 #[derive(Clone, Debug)]
 pub struct OrchestratorReport {
     /// Per-walker visit sequences plus walker-side accounting (for the
-    /// reactor this is the serial-shaped view over its dispatcher cache;
-    /// see [`Self::interface`]).
+    /// reactor this is the serial-shaped view over the ids delivered to the
+    /// run; see [`Self::interface`]).
     pub trace: MultiWalkTrace,
     /// Per-walker ratio estimators merged in walker-index order.
     pub estimate: RatioEstimator,

@@ -7,12 +7,13 @@
 //! reactor loop parks tens of thousands of walkers on in-flight batches and
 //! advances exactly the walkers each completed batch unblocks. Requests
 //! coalesce: a node id is fetched (and charged) once however many walkers
-//! wait on it, and resolved neighbor lists stay in the run's dispatcher
-//! cache. Memory beyond the fleet itself is bounded by the endpoint's
-//! in-flight window (tracked tickets × batch size) plus the queued-id
-//! backlog — there is no per-walker stack, thread, or round-robin wave
-//! slot ([`ReactorStats`] reports the observed peaks so soak tests can pin
-//! the bound).
+//! wait on it. The run keeps **one id per fetched node**, not the list: each
+//! list is held once, by the endpoint, and read back through
+//! [`BatchOsnClient::delivered`]. Beyond the fleet and that id set, memory
+//! is bounded by the endpoint's in-flight window (tracked tickets × batch
+//! size) plus the queued-id backlog — there is no per-walker stack, thread,
+//! or round-robin wave slot ([`ReactorStats`] reports the observed peaks so
+//! soak tests can pin the bound).
 //!
 //! ## The event loop
 //!
@@ -26,7 +27,7 @@
 //!    [`VirtualClock`]*, ties broken by ticket — see
 //!    [`BatchOsnClient::next_ready_at`]). When nothing is in flight the
 //!    turn is a *synthetic tick* driving walkers whose next neighbor list
-//!    was already cached.
+//!    was already delivered.
 //! 3. **act** — the walkers unblocked by this event plus those left ready
 //!    by the previous one step **in walker-index order** (the tiebreak that
 //!    makes the schedule canonical). At most one step per walker per event,
@@ -35,9 +36,9 @@
 //!    walker-index order, exactly where the serial core consults the
 //!    policy between rounds.
 //! 5. **classify** — every walker that stepped (or was relocated) is
-//!    parked on its new current node: already-cached or refused nodes make
-//!    it ready for the next event, anything else enqueues (deduplicated)
-//!    for the next pump.
+//!    parked on its new current node: already-delivered or refused nodes
+//!    make it ready for the next event, anything else enqueues
+//!    (deduplicated) for the next pump.
 //!
 //! ## Determinism and equivalence
 //!
@@ -87,8 +88,13 @@ pub const DEFAULT_NODE_ATTEMPT_CAP: u32 = 32;
 /// [`PrefetchedClient`] views of one run.
 #[derive(Default)]
 struct DispatchState {
-    /// Neighbor lists fetched so far (the dispatcher's shared cache).
-    cache: FnvHashMap<u32, Vec<NodeId>>,
+    /// Ids the endpoint delivered; their lists are read back from it
+    /// ([`BatchOsnClient::delivered`]).
+    delivered: FnvHashSet<u32>,
+    /// **Shim**: copies of the lists an endpoint that cannot read back
+    /// delivered. Not serialized; delete once every endpoint forwards
+    /// [`BatchOsnClient::delivered`].
+    copies: FnvHashMap<u32, Vec<NodeId>>,
     /// Nodes the run will never deliver: budget-refused or abandoned.
     refused: FnvHashSet<u32>,
     /// Dispatcher-level resubmission counts for dropped nodes.
@@ -107,19 +113,24 @@ struct DispatchState {
 }
 
 impl DispatchState {
-    /// Absorb one per-node result of a completed batch: a delivery caches
-    /// the list, a budget refusal refuses the node, and a drop counts an
+    /// Absorb one per-node result of a completed batch: a delivery records
+    /// the id, a budget refusal refuses the node, and a drop counts an
     /// attempt — abandoning (refusing) the node at `node_attempt_cap`.
     /// Returns whether `u` resolved; `false` means resubmit it.
-    fn absorb(
+    fn absorb<B: BatchOsnClient>(
         &mut self,
+        client: &mut B,
         u: NodeId,
         result: Result<Vec<NodeId>, BatchNodeError>,
         node_attempt_cap: u32,
     ) -> bool {
         match result {
             Ok(neighbors) => {
-                self.cache.insert(u.0, neighbors);
+                self.delivered.insert(u.0);
+                // Shim: copy only a list the endpoint cannot read back.
+                if client.delivered(u).is_none() {
+                    self.copies.insert(u.0, neighbors);
+                }
             }
             Err(BatchNodeError::Budget(e)) => {
                 // Remember the budget in force so walker-facing errors
@@ -147,7 +158,7 @@ impl DispatchState {
 
     /// Whether `u`'s neighbor list is resolved: delivered or refused.
     fn resolved(&self, u: NodeId) -> bool {
-        self.cache.contains_key(&u.0) || self.refused.contains(&u.0)
+        self.delivered.contains(&u.0) || self.refused.contains(&u.0)
     }
 }
 
@@ -176,21 +187,22 @@ fn fetch_all<B: BatchOsnClient>(
         }
         let Some(outcome) = client.poll() else { break };
         for (u, result) in outcome.per_node {
-            if !state.absorb(u, result, node_attempt_cap) {
+            if !state.absorb(client, u, result, node_attempt_cap) {
                 pending.push_back(u);
             }
         }
     }
 }
 
-/// The per-step client view the reactor hands each walker: neighbor lists
-/// come from the dispatcher cache (walker-side accounting recorded),
-/// metadata peeks pass through to the endpoint for free. A query for a node
-/// that is *not* cached — one a walker asks for off-protocol (no walker in
-/// this crate does, but the [`RandomWalk`] trait allows it), or one
-/// [`ReactorWalkRun::invalidate_nodes`] evicted under a ready walker —
-/// falls back to an on-demand synchronous batch of one through
-/// [`fetch_all`], with the same refusal/abandon bookkeeping.
+/// The per-step client view the reactor hands each walker: a delivered
+/// node's list is read back from the endpoint (walker-side accounting
+/// recorded), metadata peeks pass through to the endpoint for free. A query
+/// for a node that is *not* delivered — one a walker asks for off-protocol
+/// (no walker in this crate does, but the [`RandomWalk`] trait allows it),
+/// one [`ReactorWalkRun::invalidate_nodes`] evicted under a ready walker, or
+/// one whose list nobody holds any more — falls back to an on-demand
+/// synchronous batch of one through [`fetch_all`], with the same
+/// refusal/abandon bookkeeping.
 struct PrefetchedClient<'a, B: BatchOsnClient> {
     client: &'a mut B,
     state: &'a mut DispatchState,
@@ -199,32 +211,42 @@ struct PrefetchedClient<'a, B: BatchOsnClient> {
 
 impl<B: BatchOsnClient> OsnClient for PrefetchedClient<'_, B> {
     fn neighbors(&mut self, u: NodeId) -> Result<&[NodeId], BudgetExhausted> {
-        if !self.state.resolved(u) {
+        let state = &mut *self.state;
+        if state.delivered.contains(&u.0)
+            && !state.copies.contains_key(&u.0)
+            && self.client.delivered(u).is_none()
+        {
+            // Nobody holds the list (a run resumed over an endpoint that
+            // cannot read back): fetch it again, like an evicted node.
+            state.delivered.remove(&u.0);
+        }
+        if !state.resolved(u) {
             // Not prefetched (off-protocol, or evicted by
             // `invalidate_nodes`): fetch on demand through the endpoint.
             fetch_all(
                 self.client,
                 VecDeque::from([u]),
-                self.state,
+                state,
                 self.node_attempt_cap,
             );
         }
-        match self.state.cache.get(&u.0) {
-            Some(neighbors) => {
-                self.state.stats.record(self.state.seen.insert(u.0));
-                Ok(neighbors)
-            }
-            // Refused: report the budget a serial `BudgetedClient` would
-            // name. Abandoned nodes on an unbudgeted client have no honest
-            // value for the trait's error type; fall back to the remaining
-            // budget (0 for "the interface gave this up").
-            None => Err(BudgetExhausted {
-                budget: self
-                    .state
-                    .budget_in_force
-                    .or(self.client.remaining_budget())
-                    .unwrap_or(0),
-            }),
+        // Refused: report the budget a serial `BudgetedClient` would name.
+        // Abandoned nodes on an unbudgeted client have no honest value for
+        // the trait's error type; fall back to the remaining budget (0 for
+        // "the interface gave this up").
+        let remaining = self.client.remaining_budget();
+        let refused = BudgetExhausted {
+            budget: state.budget_in_force.or(remaining).unwrap_or(0),
+        };
+        if !state.delivered.contains(&u.0) {
+            return Err(refused);
+        }
+        state.stats.record(state.seen.insert(u.0));
+        match state.copies.get(&u.0) {
+            Some(copy) => Ok(copy),
+            // The endpoint served `u` just above (here or in the fetch's
+            // `absorb`); `None` would break the read-back contract.
+            None => self.client.delivered(u).ok_or(refused),
         }
     }
 
@@ -245,17 +267,17 @@ impl<B: BatchOsnClient> OsnClient for PrefetchedClient<'_, B> {
     }
 
     fn is_cached(&self, u: NodeId) -> bool {
-        self.state.cache.contains_key(&u.0) || self.client.is_cached(u)
+        self.state.delivered.contains(&u.0) || self.client.is_cached(u)
     }
 }
 
 /// The lifecycle of one walker inside the reactor loop.
 ///
 /// ```text
-///             ┌────────────────┐  node uncached: enqueue + park
+///             ┌────────────────┐  node not delivered: enqueue + park
 ///   start ──► │ NeedNeighbors  ├──────────────────┐
 ///             └──────┬─────────┘                  ▼
-///                    │ node cached        ┌───────────────┐
+///                    │ node delivered     ┌───────────────┐
 ///                    │ (or refused)       │ AwaitingBatch │
 ///                    ▼                    └──────┬────────┘
 ///             ┌────────────┐    batch resolved   │
@@ -272,8 +294,8 @@ impl<B: BatchOsnClient> OsnClient for PrefetchedClient<'_, B> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WalkerFsm {
     /// Just stepped (or just started / just relocated): its current node
-    /// has not yet been classified against the dispatcher cache. Transient
-    /// — the classify phase immediately moves it on.
+    /// has not yet been classified against the delivered ids. Transient —
+    /// the classify phase immediately moves it on.
     NeedNeighbors,
     /// Parked: its current node's neighbor list is queued or in flight.
     AwaitingBatch,
@@ -295,7 +317,7 @@ pub struct ReactorStats {
     /// single-batch waves this equals the serial core's round count.
     pub events: usize,
     /// Events with nothing in flight (walkers stepping through
-    /// already-cached territory).
+    /// already-delivered territory).
     pub synthetic_ticks: usize,
     /// Most batches simultaneously in flight.
     pub peak_in_flight: usize,
@@ -308,7 +330,7 @@ pub struct ReactorStats {
 
 /// The reactor's scheduling state: per-walker FSMs plus the queues that
 /// connect them to the batch endpoint. Owns no walkers, cells, or
-/// dispatcher cache — walkers and cells are the serial core's own
+/// dispatcher state — walkers and cells are the serial core's own
 /// structures, which is what keeps the two engines bit-comparable.
 struct ReactorCore {
     max_steps: usize,
@@ -360,8 +382,8 @@ impl ReactorCore {
     }
 
     /// Park walker `i` on its current node `u`: ready now if `u` is
-    /// already resolved (cached or refused — the act phase turns refusals
-    /// into stops), otherwise a waiter, with `u` enqueued once.
+    /// already resolved (delivered or refused — the act phase turns
+    /// refusals into stops), otherwise a waiter, with `u` enqueued once.
     fn classify(&mut self, i: usize, u: NodeId, state: &DispatchState) {
         if state.resolved(u) {
             self.fsm[i] = WalkerFsm::Stepping;
@@ -437,7 +459,7 @@ impl ReactorCore {
 
     /// Remove walker `i` from the waiters of node `u` (it was relocated by
     /// the policy while parked). The id itself stays queued — the fetch may
-    /// already be in flight — and resolves into the cache with no waiters.
+    /// already be in flight — and resolves with no waiters.
     fn unpark(&mut self, i: usize, u: u32) {
         if let Some(walkers) = self.waiters.get_mut(&u) {
             if let Some(pos) = walkers.iter().position(|&w| w == i) {
@@ -454,11 +476,17 @@ impl ReactorCore {
     /// state ([`DispatchState::absorb`]) — resolved ids (delivered,
     /// refused, or abandoned) wake their waiters, dropped ones queue for
     /// resubmission.
-    fn absorb(&mut self, outcome: BatchOutcome, state: &mut DispatchState, acted: &mut Vec<usize>) {
+    fn absorb<B: BatchOsnClient>(
+        &mut self,
+        client: &mut B,
+        outcome: BatchOutcome,
+        state: &mut DispatchState,
+        acted: &mut Vec<usize>,
+    ) {
         self.inflight
             .retain(|(ticket, _)| *ticket != outcome.ticket);
         for (u, result) in outcome.per_node {
-            if state.absorb(u, result, self.node_attempt_cap) {
+            if state.absorb(client, u, result, self.node_attempt_cap) {
                 self.queued.remove(&u.0);
                 self.wake(u.0, acted);
             } else {
@@ -526,13 +554,14 @@ impl ReactorCore {
             self.pump(client);
         }
         // Phase 2: acquire one completion event (or a synthetic tick when
-        // nothing is in flight and walkers are stepping through cache).
+        // nothing is in flight and walkers are stepping through delivered
+        // territory).
         let mut acted = std::mem::take(&mut self.ready);
         if self.inflight.is_empty() {
             self.stats.synthetic_ticks += 1;
         } else {
             match client.poll() {
-                Some(outcome) => self.absorb(outcome, state, &mut acted),
+                Some(outcome) => self.absorb(client, outcome, state, &mut acted),
                 None => self.stats.synthetic_ticks += 1,
             }
         }
@@ -551,51 +580,34 @@ impl ReactorCore {
                 };
                 continue;
             }
-            let u = walkers[i].current();
-            if state.refused.contains(&u.0) {
+            if state.refused.contains(&walkers[i].current().0) {
                 // The node this walker needs was refused (budget) or
-                // abandoned (dead interface): terminate it — unless the
+                // abandoned (dead interface).
+                cells[i].stop = Some(WalkStop::BudgetExhausted);
+            } else {
+                let mut view = PrefetchedClient {
+                    client: &mut *client,
+                    state: &mut *state,
+                    node_attempt_cap: self.node_attempt_cap,
+                };
+                advance_walker(
+                    i,
+                    &mut *walkers[i],
+                    &mut rngs[i],
+                    &mut view,
+                    value,
+                    policy,
+                    &mut cells[i],
+                );
+            }
+            if cells[i].stop.is_some() {
+                // Refused, up front or mid-step: terminate it — unless the
                 // policy rescues it, in which case it re-enters the next
                 // wave (a refusal costs one lost event, exactly as the
                 // serial core charges it one lost round).
-                cells[i].stop = Some(WalkStop::BudgetExhausted);
                 self.fsm[i] = WalkerFsm::Refused;
                 if policy.enabled() {
-                    let cached = |n: NodeId| state.cache.contains_key(&n.0) || client.is_cached(n);
-                    maybe_rescue(
-                        i,
-                        &mut *walkers[i],
-                        &mut cells[i],
-                        policy,
-                        &cached,
-                        restarts,
-                    );
-                    if cells[i].stop.is_none() {
-                        self.fsm[i] = WalkerFsm::NeedNeighbors;
-                        post.push(i);
-                    }
-                }
-                continue;
-            }
-            let mut view = PrefetchedClient {
-                client: &mut *client,
-                state: &mut *state,
-                node_attempt_cap: self.node_attempt_cap,
-            };
-            advance_walker(
-                i,
-                &mut *walkers[i],
-                &mut rngs[i],
-                &mut view,
-                value,
-                policy,
-                &mut cells[i],
-            );
-            if cells[i].stop.is_some() {
-                // Off-protocol refusal surfaced mid-step: same rescue offer.
-                self.fsm[i] = WalkerFsm::Refused;
-                if policy.enabled() {
-                    let cached = |n: NodeId| state.cache.contains_key(&n.0) || client.is_cached(n);
+                    let cached = |n: NodeId| state.delivered.contains(&n.0) || client.is_cached(n);
                     maybe_rescue(
                         i,
                         &mut *walkers[i],
@@ -633,7 +645,7 @@ impl ReactorCore {
                 let before = walkers[i].current();
                 let restarts_before = restarts.len();
                 {
-                    let cached = |n: NodeId| state.cache.contains_key(&n.0) || client.is_cached(n);
+                    let cached = |n: NodeId| state.delivered.contains(&n.0) || client.is_cached(n);
                     let degree_of = |n: NodeId| client.peek_degree(n);
                     maybe_restart(
                         i,
@@ -749,7 +761,8 @@ fn fold_report(
 impl WalkOrchestrator {
     /// Run the fleet on the poll-driven reactor: one event loop drives
     /// every walker as a [`WalkerFsm`] parked on in-flight batches of
-    /// `client` — no threads, no per-walker stack, memory bounded by the
+    /// `client` — no threads, no per-walker stack, one id held per fetched
+    /// node, each list held once, by `client`, and the rest bounded by the
     /// in-flight window (see the [`crate::reactor`] module docs).
     ///
     /// Deterministic given the seed: events are delivered in completion-
@@ -836,8 +849,9 @@ impl WalkOrchestrator {
     }
 
     /// Restore a [`ReactorWalkRun`] from a [`ReactorWalkRun::snapshot`]
-    /// value — dispatcher cache and fetch queues included, so a resumed
-    /// run re-charges nothing and resubmits in the snapshot's queue order.
+    /// value — delivered ids and fetch queues included, so a resumed run
+    /// re-charges nothing and resubmits in the snapshot's queue order. It
+    /// reads the delivered lists back from the endpoint it runs against.
     ///
     /// The orchestrator spec (fleet size, step cap, seed, history backend)
     /// must match the one that produced the snapshot, and `make_walker`
@@ -848,7 +862,8 @@ impl WalkOrchestrator {
     ///
     /// # Errors
     /// On a malformed snapshot, a snapshot of another run kind (the error
-    /// names the kind found), or a spec mismatch.
+    /// names the kind found), or a spec mismatch — including a snapshot
+    /// of neighbor lists from before runs held ids (no `delivered` field).
     pub fn resume_reactor<W>(&self, state: &Value, make_walker: W) -> Result<ReactorWalkRun, String>
     where
         W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
@@ -986,7 +1001,7 @@ impl ReactorWalkRun {
     }
 
     /// Walker-side accounting so far (the serial-shaped `issued` /
-    /// `unique` / `cache_hits` view over the dispatcher cache).
+    /// `unique` / `cache_hits` view over the delivered ids).
     pub fn walker_stats(&self) -> QueryStats {
         self.state.stats
     }
@@ -1059,9 +1074,9 @@ impl ReactorWalkRun {
     /// Notify the fleet that each node in `nodes` had an incident edge
     /// inserted or deleted (through an [`osn_graph::DeltaOverlay`] applied
     /// to the endpoint): every walker drops the circulation state keyed by
-    /// that node, and the dispatcher cache evicts the node's neighbor list
-    /// (plus its `seen` mark) so the next visit re-fetches — and re-charges
-    /// — the post-mutation list honestly. Call between [`Self::run_events`]
+    /// that node, and the run forgets that the node was delivered (plus its
+    /// `seen` mark) so the next visit re-fetches — and re-charges — the
+    /// post-mutation list honestly. Call between [`Self::run_events`]
     /// slices (the endpoint is quiescent there); a ready walker whose node
     /// was evicted re-fetches it on demand through the endpoint's
     /// synchronous fallback at its next act. Returns the total number of
@@ -1075,7 +1090,8 @@ impl ReactorWalkRun {
     pub fn invalidate_nodes(&mut self, nodes: &[NodeId]) -> usize {
         let touched = TouchedNodes::new(nodes);
         for v in touched.iter() {
-            self.state.cache.remove(&v.0);
+            self.state.delivered.remove(&v.0);
+            self.state.copies.remove(&v.0);
             self.state.seen.remove(&v.0);
         }
         self.fleet
@@ -1258,25 +1274,10 @@ fn stats_from_value(value: &Value) -> Result<QueryStats, String> {
 }
 
 fn dispatch_to_value(state: &DispatchState) -> Value {
-    let mut cache: Vec<(&u32, &Vec<NodeId>)> = state.cache.iter().collect();
-    cache.sort_unstable_by_key(|(u, _)| **u);
     let mut attempts: Vec<(&u32, &u32)> = state.node_attempts.iter().collect();
     attempts.sort_unstable_by_key(|(u, _)| **u);
     Value::obj([
-        (
-            "cache",
-            Value::Arr(
-                cache
-                    .into_iter()
-                    .map(|(u, neighbors)| {
-                        Value::obj([
-                            ("node", Value::Uint(u64::from(*u))),
-                            ("neighbors", nodes_to_value(neighbors)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("delivered", sorted_set_value(&state.delivered)),
         ("refused", sorted_set_value(&state.refused)),
         (
             "attempts",
@@ -1307,14 +1308,6 @@ fn dispatch_to_value(state: &DispatchState) -> Value {
 }
 
 fn dispatch_from_value(value: &Value) -> Result<DispatchState, String> {
-    let mut cache = FnvHashMap::default();
-    for entry in value.field("cache")?.as_array()? {
-        let node: u32 = entry.field("node")?.decode()?;
-        let neighbors = nodes_from_value(entry.field("neighbors")?)?;
-        if cache.insert(node, neighbors).is_some() {
-            return Err(format!("duplicate cache entry for node {node}"));
-        }
-    }
     let mut node_attempts = FnvHashMap::default();
     for entry in value.field("attempts")?.as_array()? {
         let node: u32 = entry.field("node")?.decode()?;
@@ -1324,7 +1317,8 @@ fn dispatch_from_value(value: &Value) -> Result<DispatchState, String> {
         }
     }
     Ok(DispatchState {
-        cache,
+        delivered: set_from_value(value.field("delivered")?)?,
+        copies: FnvHashMap::default(),
         refused: set_from_value(value.field("refused")?)?,
         node_attempts,
         seen: set_from_value(value.field("seen")?)?,

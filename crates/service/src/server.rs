@@ -319,7 +319,7 @@ impl SessionServer {
 
     /// Apply edge mutations to the shared endpoint's delta overlay and
     /// invalidate every live job's walkers: each effective mutation
-    /// evicts both endpoints from the dispatcher caches and drops the
+    /// drops both endpoints from every job's delivered ids and drops the
     /// touched nodes' circulation state, so every job's next visit
     /// re-fetches — and re-charges — the post-mutation neighbor list.
     /// Call between scheduling slices (the endpoint is quiescent there);

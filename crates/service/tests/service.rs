@@ -608,6 +608,93 @@ fn resume_refuses_run_snapshots_of_other_kinds() {
 }
 
 #[test]
+fn running_jobs_snapshot_delivered_ids_not_neighbor_lists() {
+    // A running job's run snapshot names the nodes its walkers were
+    // delivered — a sorted id list, like `seen` — and carries no neighbor
+    // lists: the resumed run reads them back from the endpoint. A snapshot
+    // in the old format, with a `cache` of lists in place of `delivered`,
+    // is refused, and the error names the missing field.
+    let endpoint = SimulatedBatchOsn::new(
+        SimulatedOsn::from_graph(test_graph(20)),
+        BatchConfig::new(4),
+    );
+    let mut server = SessionServer::new(endpoint, ServerConfig::new().with_rounds_per_slice(1));
+    let t = server.add_tenant("only", 1.0);
+    server
+        .submit(
+            JobSpec::new(t, Algorithm::Cnrw, NodeId(3))
+                .with_walkers(3)
+                .with_max_steps(100),
+        )
+        .unwrap();
+    for _ in 0..4 {
+        assert!(server.step());
+    }
+    assert_eq!(server.job_state(0), JobState::Running);
+    let snap = server.snapshot().unwrap();
+    let dispatch = run_of(&snap, 0).unwrap().field("dispatch").unwrap();
+    let delivered: Vec<u32> = dispatch.field("delivered").unwrap().decode().unwrap();
+    assert!(!delivered.is_empty(), "a running job was delivered nothing");
+    assert!(
+        delivered.windows(2).all(|w| w[0] < w[1]),
+        "`delivered` is not a sorted id list: {delivered:?}"
+    );
+    assert!(dispatch.field("cache").is_err());
+    // Ids are held in flat lists; a list of neighbor lists would nest one
+    // array inside another.
+    fn array_depth(v: &Value) -> usize {
+        match v {
+            Value::Arr(items) => 1 + items.iter().map(array_depth).max().unwrap_or(0),
+            Value::Obj(fields) => fields
+                .iter()
+                .map(|(_, f)| array_depth(f))
+                .max()
+                .unwrap_or(0),
+            _ => 0,
+        }
+    }
+    assert_eq!(
+        array_depth(dispatch),
+        1,
+        "dispatch nests lists: {dispatch:?}"
+    );
+    assert!(resume_small(&snap).is_ok());
+
+    let mut old = snap.clone();
+    let Value::Obj(fields) =
+        field_mut(field_mut(entry_mut(&mut old, "jobs", 0), "run"), "dispatch")
+    else {
+        panic!("dispatch is not an object");
+    };
+    let slot = fields.iter_mut().find(|(k, _)| k == "delivered").unwrap();
+    *slot = (
+        "cache".into(),
+        Value::Arr(
+            delivered
+                .iter()
+                .map(|&u| {
+                    Value::obj([
+                        ("node", Value::Uint(u64::from(u))),
+                        ("neighbors", Value::Arr(vec![Value::Uint(0)])),
+                    ])
+                })
+                .collect(),
+        ),
+    );
+    let err = resume_small(&old)
+        .err()
+        .expect("an old-format run snapshot resumed");
+    assert!(
+        err.starts_with("job 0: "),
+        "error does not name the job: {err}"
+    );
+    assert!(
+        err.contains("delivered"),
+        "error does not name `delivered`: {err}"
+    );
+}
+
+#[test]
 fn real_snapshots_round_trip_well_inside_the_parser_depth_cap() {
     // The parser refuses nesting past `osn_serde::MAX_DEPTH`; a live
     // server snapshot — tenants, jobs, mid-walk reactor runs — must parse

@@ -11,7 +11,7 @@
 //! — coverage rises with the walker count at no extra query cost. This
 //! example drives the fleet through [`WalkOrchestrator`]: first on the
 //! **reactor** against a budgeted batch endpoint ([`SimulatedBatchOsn`];
-//! walkers park on in-flight batches and share one dispatcher cache) with
+//! walkers park on in-flight batches and share the run's delivered ids) with
 //! the [`Never`] policy, and then on the **serial core** under
 //! [`WorkStealing`], where walkers publish the nodes they walk through
 //! into a [`SharedFrontier`] and stalled or budget-refused walkers restart

@@ -123,7 +123,7 @@ proptest! {
         let (report, interface, client) = batched_report(&network, k, 150, batch_size, window, seed);
         prop_assert_eq!(interface.unique, fetched(&report, k, n).len() as u64);
         // Walker-side and interface-side agree on the charged cost, and the
-        // interface never saw a node twice (the dispatcher cache absorbs
+        // interface never saw a node twice (the run's delivered ids absorb
         // every revisit).
         prop_assert_eq!(report.trace.stats.unique, interface.unique);
         prop_assert_eq!(interface.cache_hits, 0);

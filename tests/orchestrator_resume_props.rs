@@ -1,7 +1,7 @@
 //! Orchestrator-level snapshot/resume: pause a multi-walker reactor run
 //! between completion events, serialize the **whole run** (walker
 //! circulation state, RNG stream words, traces, estimator accumulators,
-//! dispatcher cache, fetch queues) through the `osn-serde` text form, and
+//! delivered ids, fetch queues) through the `osn-serde` text form, and
 //! resume — the completed run must be bit-identical to the uninterrupted
 //! one, and to the serial core's run of the same spec, across both history
 //! backends. [`ReactorWalkRun`] is the one resumable run; this is the
@@ -83,9 +83,10 @@ proptest! {
 
         // Killed after `pause` events: snapshot through the text form (as
         // the job server persists it), then resume against a *fresh*
-        // endpoint — the dispatcher cache rides the snapshot, so nothing
-        // already fetched is re-requested — and drive to completion in
-        // `slice`-event increments.
+        // endpoint — the delivered ids ride the snapshot and their lists
+        // are read back from the fresh endpoint, so nothing already fetched
+        // is re-requested — and drive to completion in `slice`-event
+        // increments.
         let mut endpoint = batch_endpoint();
         let mut run = orch.start_reactor(make_walker);
         run.run_events(&mut endpoint, &value_of, pause);

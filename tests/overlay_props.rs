@@ -25,6 +25,12 @@
 //!   `invalidate_node` per node for every history-keeping walker (count,
 //!   snapshot, later trace), and the reactor's `invalidate_nodes` ignores
 //!   the order and repeats of its input.
+//! * **Compact graphs under mutation** — a reactor run over a
+//!   compact-backed endpoint, with mutation batches, `invalidate_nodes`
+//!   and a kill and resume through the snapshot text, is bit-identical to
+//!   the same run over the decompressed plain CSR. The run reads every
+//!   list back from the endpoint, through the overlay's patches and then
+//!   the decode cache, so a stale decode slot would show here.
 
 use std::sync::Arc;
 
@@ -33,7 +39,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
+use osn_sampling::client::BatchStats;
 use osn_sampling::graph::attributes::{AttributedGraph, NodeAttributes};
+use osn_sampling::graph::compact::CompactCsr;
 use osn_sampling::graph::generators::erdos_renyi;
 use osn_sampling::prelude::*;
 use osn_sampling::walks::{OrchestratorReport, WalkStop};
@@ -362,7 +370,7 @@ proptest! {
 
     /// The reactor's `invalidate_nodes` takes the touched list in any order
     /// and with repeats: a shuffled, duplicated list drops the same count
-    /// and leaves the same run snapshot — fleet, dispatcher cache, `seen`
+    /// and leaves the same run snapshot — fleet, delivered ids, `seen`
     /// marks — as the sorted, deduplicated one.
     #[test]
     fn reactor_invalidation_ignores_order_and_repeats(
@@ -401,6 +409,114 @@ proptest! {
         run_a.run_events(&mut client_a, &value, usize::MAX);
         run_b.run_events(&mut client_b, &value, usize::MAX);
         assert_reports_identical(&run_a.into_report(&client_a), &run_b.into_report(&client_b));
+    }
+}
+
+/// Everything a mutating, killed-and-resumed reactor run leaves behind: the
+/// final report, the endpoint's batch counters and clock bits, the run and
+/// endpoint snapshot texts at the kill, and the final endpoint state.
+type MutatingRun = (OrchestratorReport, BatchStats, u64, [String; 2], String);
+
+/// Drive a reactor fleet over `osn()` in `slice`-event slices. After each
+/// slice the next mutation batch lands on the endpoint and the run drops
+/// the touched nodes; after `kill` slices the run and the endpoint are
+/// snapshotted through their text forms and resumed into a fresh endpoint.
+fn mutating_run(
+    osn: &dyn Fn() -> SimulatedOsn,
+    orch: &WalkOrchestrator,
+    make: &dyn Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
+    batches: &[Vec<EdgeMutation>],
+    slice: usize,
+    kill: usize,
+) -> MutatingRun {
+    let value = |v: NodeId| v.index() as f64;
+    let mut client = endpoint(osn(), 2);
+    let mut run = orch.start_reactor(make);
+    let mut texts = [String::new(), String::new()];
+    let mut slices = 0;
+    loop {
+        if slices == kill {
+            texts = [
+                run.snapshot().to_pretty(),
+                client.export_state().unwrap().to_pretty(),
+            ];
+            client = endpoint(osn(), 2);
+            client
+                .import_state(&Value::parse(&texts[1]).unwrap())
+                .unwrap();
+            run = orch
+                .resume_reactor(&Value::parse(&texts[0]).unwrap(), make)
+                .unwrap();
+        }
+        if run.run_events(&mut client, &value, slice) == 0 {
+            break;
+        }
+        if let Some(batch) = batches.get(slices) {
+            let touched = client.apply_mutations(batch);
+            run.invalidate_nodes(&touched);
+        }
+        slices += 1;
+    }
+    let batch_stats = client.batch_stats();
+    let clock = client.clock().elapsed_secs().to_bits();
+    let state = client.export_state().unwrap().to_compact();
+    (run.into_report(&client), batch_stats, clock, texts, state)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Compact graphs under mutation: the same fleet, mutation batches,
+    /// invalidations and kill point over a compact-backed endpoint and
+    /// over the decompressed plain CSR give bit-identical reports, batch
+    /// counters, clocks, snapshot texts and final endpoint states.
+    #[test]
+    fn compact_reactor_runs_under_mutation_match_plain(
+        g in arb_graph(),
+        events in 1usize..60,
+        seed in 0u64..1000,
+        k in 1usize..6,
+        steps in 4usize..120,
+        slice in 1usize..6,
+        kill in 0usize..8,
+        kind_ix in 0usize..3,
+    ) {
+        let starts = alive_starts(&g);
+        if starts.is_empty() {
+            return Ok(());
+        }
+        let compact = Arc::new(CompactCsr::from_csr(&g));
+        let plain = compact.to_csr().unwrap();
+        prop_assert_eq!(&plain, &g);
+        // Three batches, applied after the first three slices.
+        let all = safe_batch(&g, events, 0.4, seed);
+        let batches: Vec<Vec<EdgeMutation>> =
+            all.chunks(all.len().div_ceil(3).max(1)).map(<[_]>::to_vec).collect();
+        let orch = WalkOrchestrator::new(k, steps, seed);
+        let make = make_fleet(KINDS[kind_ix], starts);
+
+        let over_compact = mutating_run(
+            &|| SimulatedOsn::from_compact(Arc::clone(&compact)),
+            &orch,
+            &make,
+            &batches,
+            slice,
+            kill,
+        );
+        let over_plain = mutating_run(
+            &|| SimulatedOsn::from_graph(plain.clone()),
+            &orch,
+            &make,
+            &batches,
+            slice,
+            kill,
+        );
+        assert_reports_identical(&over_compact.0, &over_plain.0);
+        prop_assert_eq!(over_compact.1, over_plain.1);
+        prop_assert_eq!(over_compact.2, over_plain.2);
+        prop_assert_eq!(&over_compact.3, &over_plain.3);
+        prop_assert_eq!(&over_compact.4, &over_plain.4);
+        prop_assert!(over_compact.0.stops.iter().all(|s| *s == WalkStop::MaxSteps));
     }
 }
 

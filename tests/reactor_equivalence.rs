@@ -22,14 +22,18 @@
 //!   restart for restart.
 //!
 //! Plus seeded determinism (same seed → same run, different seed →
-//! different run) and a 10k-walker case witnessing the O(active batches)
-//! memory bound.
+//! different run), a 10k-walker case witnessing the O(active batches)
+//! memory bound, and the shim for endpoints that cannot read a delivered
+//! list back: a fleet behind such an endpoint runs exactly as it does
+//! directly, and a run resumed over one fetches its lists again.
 
 use proptest::prelude::*;
 
+use osn_sampling::client::batch::{BatchLimits, BatchOutcome, SubmitError, TicketId};
+use osn_sampling::client::QueryStats;
 use osn_sampling::graph::generators::erdos_renyi;
 use osn_sampling::prelude::*;
-use osn_sampling::walks::{OrchestratorReport, WalkStop};
+use osn_sampling::walks::{OrchestratorReport, ReactorStats, WalkStop};
 
 /// A connected random graph with 5..60 nodes (same recipe as
 /// `tests/property_based.rs`).
@@ -128,6 +132,61 @@ fn assert_matches_serial(serial: &OrchestratorReport, reactor: &OrchestratorRepo
     assert_eq!(serial.estimate.count(), reactor.estimate.count());
 }
 
+/// An endpoint that forwards every method except
+/// [`BatchOsnClient::delivered`], as a decorator written before that
+/// method existed does: it cannot read a delivered list back, so the
+/// reactor has to keep its own copy of each list it is delivered.
+struct NoReadBack<B>(B);
+
+impl<B: BatchOsnClient> BatchOsnClient for NoReadBack<B> {
+    fn limits(&self) -> BatchLimits {
+        self.0.limits()
+    }
+    fn in_flight(&self) -> usize {
+        self.0.in_flight()
+    }
+    fn submit(&mut self, ids: &[NodeId]) -> Result<TicketId, SubmitError> {
+        self.0.submit(ids)
+    }
+    fn poll(&mut self) -> Option<BatchOutcome> {
+        self.0.poll()
+    }
+    fn next_ready_at(&self) -> Option<f64> {
+        self.0.next_ready_at()
+    }
+    fn stats(&self) -> QueryStats {
+        self.0.stats()
+    }
+    fn remaining_budget(&self) -> Option<u64> {
+        self.0.remaining_budget()
+    }
+    fn peek_degree(&self, u: NodeId) -> usize {
+        self.0.peek_degree(u)
+    }
+    fn peek_attribute(&self, u: NodeId, name: &str) -> Option<f64> {
+        self.0.peek_attribute(u, name)
+    }
+    fn is_cached(&self, u: NodeId) -> bool {
+        self.0.is_cached(u)
+    }
+}
+
+/// One reactor fleet over `client`, under `WorkStealing` when `steal`.
+fn run_fleet<B: BatchOsnClient>(
+    orch: &WalkOrchestrator,
+    client: &mut B,
+    n: usize,
+    steal: bool,
+) -> (OrchestratorReport, ReactorStats) {
+    let value = |v: NodeId| v.index() as f64;
+    if steal {
+        let policy = WorkStealing::new(1.05, 16, SharedFrontier::with_stripes(8, 16));
+        orch.run_reactor_with_stats(client, make_cnrw(n), value, &policy)
+    } else {
+        orch.run_reactor_with_stats(client, make_cnrw(n), value, &Never)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -154,7 +213,7 @@ proptest! {
             return Ok(());
         }
         assert_matches_serial(&serial, &reactor);
-        // The dispatcher cache absorbs every revisit: the interface
+        // The run's delivered ids absorb every revisit: the interface
         // charged each node the walkers queried exactly once.
         prop_assert_eq!(
             reactor.interface.map(|s| s.unique),
@@ -317,4 +376,108 @@ fn ten_thousand_walkers_match_serial_bit_identically() {
         shape.window
     );
     assert!(stats.peak_parked > 0, "nothing ever parked");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The shim: behind an endpoint that cannot read lists back, the same
+    /// fleet — any endpoint shape, budget or not, `Never` or
+    /// `WorkStealing` — gives the identical report (traces, stops, restart
+    /// schedule, walker- and interface-side accounting, refusals,
+    /// estimate), reactor stats, batch counters and virtual clock as it
+    /// does directly. Without its copies the run would find no list to
+    /// read, so this fails if the shim stops keeping them.
+    #[test]
+    fn endpoints_that_cannot_read_back_run_the_identical_fleet(
+        g in arb_graph(),
+        shape in arb_shape(),
+        k in 1usize..8,
+        steps in 1usize..120,
+        seed in 0u64..500,
+        // 0 runs without a budget.
+        budget in 0u64..40,
+        steal in 0u8..2,
+    ) {
+        let n = g.node_count();
+        let orch = WalkOrchestrator::new(k, steps, seed);
+        let budget = (budget > 0).then_some(budget);
+        let steal = steal == 1;
+        let mut direct = endpoint(&g, &shape, budget);
+        let mut wrapped = NoReadBack(endpoint(&g, &shape, budget));
+        let (expected, expected_stats) = run_fleet(&orch, &mut direct, n, steal);
+        let (report, stats) = run_fleet(&orch, &mut wrapped, n, steal);
+
+        prop_assert_eq!(&report.trace.per_walker, &expected.trace.per_walker);
+        prop_assert_eq!(&report.stops, &expected.stops);
+        prop_assert_eq!(&report.restarts, &expected.restarts);
+        prop_assert_eq!(report.trace.stats, expected.trace.stats);
+        prop_assert_eq!(report.interface, expected.interface);
+        prop_assert_eq!(report.rounds, expected.rounds);
+        prop_assert_eq!(report.refused_nodes, expected.refused_nodes);
+        prop_assert_eq!(report.abandoned_nodes, expected.abandoned_nodes);
+        prop_assert_eq!(
+            report.estimate.mean().map(f64::to_bits),
+            expected.estimate.mean().map(f64::to_bits)
+        );
+        prop_assert_eq!(stats, expected_stats);
+        prop_assert_eq!(wrapped.0.batch_stats(), direct.batch_stats());
+        prop_assert_eq!(
+            wrapped.0.clock().elapsed_secs().to_bits(),
+            direct.clock().elapsed_secs().to_bits()
+        );
+    }
+}
+
+/// A snapshot holds delivered ids, not lists, and the shim's copies do not
+/// ride it: a run resumed over an endpoint that cannot read back finds no
+/// list for those ids, fetches each again on demand, and still finishes on
+/// the uninterrupted run's traces, stops, walker-side accounting and
+/// estimate.
+#[test]
+fn a_run_resumed_over_an_endpoint_that_cannot_read_back_fetches_again() {
+    let g = erdos_renyi(40, 0.15, 3).unwrap();
+    let n = g.node_count();
+    let orch = WalkOrchestrator::new(5, 200, 11);
+    let shape = Shape {
+        batch: 3,
+        window: 2,
+        latency: (0.01, 0.002),
+        per_id: 0.0,
+        failure_every: 0,
+        drop_every: 0,
+    };
+    let value = |v: NodeId| v.index() as f64;
+    let mut reference_client = endpoint(&g, &shape, None);
+    let reference = orch.run_reactor(&mut reference_client, make_cnrw(n), value, &Never);
+
+    let mut client = NoReadBack(endpoint(&g, &shape, None));
+    let mut run = orch.start_reactor(make_cnrw(n));
+    run.run_events(&mut client, &value, 40);
+    let text = run.snapshot().to_pretty();
+    let held = Value::parse(&text)
+        .unwrap()
+        .field("dispatch")
+        .unwrap()
+        .field("delivered")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .len();
+    assert!(held > 0, "the killed run held no delivered ids");
+
+    let mut resumed = orch
+        .resume_reactor(&Value::parse(&text).unwrap(), make_cnrw(n))
+        .unwrap();
+    let mut fresh = NoReadBack(endpoint(&g, &shape, None));
+    while resumed.run_events(&mut fresh, &value, 7) > 0 {}
+    assert!(resumed.done());
+    let report = resumed.into_report(&fresh);
+    assert_eq!(report.trace.per_walker, reference.trace.per_walker);
+    assert_eq!(report.stops, reference.stops);
+    assert_eq!(report.trace.stats, reference.trace.stats);
+    assert_eq!(
+        report.estimate.mean().map(f64::to_bits),
+        reference.estimate.mean().map(f64::to_bits)
+    );
 }
