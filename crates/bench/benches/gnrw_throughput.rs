@@ -1,22 +1,20 @@
 //! Microbenchmark: scratch GNRW vs plan-backed GNRW, per degree profile.
 //!
-//! The plan ablation in vitro — three execution paths for the same
+//! The plan ablation in vitro — two execution paths for the same
 //! `GNRW_By_Degree` walk:
 //!
-//! * **scratch** — the committed-baseline path: partition `N(v)` into a
-//!   hash map of groups on every historied step, two `gen_range` draws
-//!   straight off the stream.
-//! * **plan_exact** — precomputed [`GroupPlan`] (CSR partition, zero
-//!   hashing/allocation per step) with batched draws, constrained to
-//!   consume the RNG stream in scratch order (bit-identical traces).
-//! * **plan_alias** — the production fast path: plan plus alias-table
-//!   group proposals with rejection against the attempted/exhausted sets.
+//! * **scratch** — the planless path: partition `N(v)` by key on every
+//!   historied step, two `gen_range` draws straight off the stream.
+//! * **plan_alias** — the production fast path: a precomputed
+//!   [`GroupPlan`] (CSR partition, zero hashing/allocation per step),
+//!   batched draws, and alias-table group proposals with rejection against
+//!   the attempted/exhausted sets.
 //!
 //! The two dataset stand-ins are the degree profiles: facebook-like keeps
 //! neighborhoods moderate (inline-friendly group sets), gplus-like's heavy
 //! tail exercises wide partitions, sliced plan slots, and the alias
 //! tables' rejection bound. Plans are built once per graph outside the
-//! timed region — `repro perf` records the same arms (alias mode) to
+//! timed region — `repro perf` records the same arms to
 //! `BENCH_walkers.json`, so regressions here show up in the committed
 //! baseline too.
 
@@ -27,9 +25,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use osn_bench::perf::bench_graphs;
 use osn_experiments::runner::TrialPlan;
 use osn_experiments::{Algorithm, GroupingSpec};
-use osn_walks::{HistoryBackend, PlanMode};
 
-/// Full GNRW walks per graph: scratch vs plan-exact vs plan-alias.
+/// Full GNRW walks per graph: scratch vs plan-alias.
 fn gnrw_walks(c: &mut Criterion) {
     let graphs = bench_graphs();
     let alg = Algorithm::Gnrw(GroupingSpec::ByDegree);
@@ -40,22 +37,11 @@ fn gnrw_walks(c: &mut Criterion) {
     for (gname, network) in &graphs {
         // Per-graph precomputation, shared read-only — never timed.
         let plan = Arc::new(alg.build_group_plan(network).expect("GNRW has a plan"));
-        let arms: [(&str, TrialPlan); 3] = [
-            (
-                "scratch",
-                TrialPlan::steps(network.clone(), steps).with_backend(HistoryBackend::Arena),
-            ),
-            (
-                "plan_exact",
-                TrialPlan::steps(network.clone(), steps)
-                    .with_backend(HistoryBackend::Arena)
-                    .with_group_plan(Arc::clone(&plan), PlanMode::Exact),
-            ),
+        let arms: [(&str, TrialPlan); 2] = [
+            ("scratch", TrialPlan::steps(network.clone(), steps)),
             (
                 "plan_alias",
-                TrialPlan::steps(network.clone(), steps)
-                    .with_backend(HistoryBackend::Arena)
-                    .with_group_plan(Arc::clone(&plan), PlanMode::Alias),
+                TrialPlan::steps(network.clone(), steps).with_group_plan(Arc::clone(&plan)),
             ),
         ];
         for (arm, trial) in &arms {

@@ -43,9 +43,9 @@ const STEPS: usize = 20_000;
 fn orchestrator_overhead(c: &mut Criterion) {
     let network = Arc::new(gplus_like(Scale::Test, 2).network);
     let n = network.graph.node_count();
-    let make_walker = |i: usize, backend| {
+    let make_walker = |i: usize, _| {
         let start = NodeId(((i * 31) % n) as u32);
-        Box::new(Cnrw::with_backend(start, backend)) as Box<dyn RandomWalk + Send>
+        Box::new(Cnrw::new(start)) as Box<dyn RandomWalk + Send>
     };
 
     let mut group = c.benchmark_group("orchestrator_overhead");
@@ -85,7 +85,7 @@ fn orchestrator_overhead(c: &mut Criterion) {
                 WalkOrchestrator::new(1, STEPS, seed)
                     .run_serial(
                         &mut client,
-                        |_, b| Box::new(Cnrw::with_backend(NodeId(0), b)) as _,
+                        |_, _| Box::new(Cnrw::new(NodeId(0))) as _,
                         |_| 0.0,
                         &Never,
                     )

@@ -27,10 +27,7 @@ fn endpoint(network: &Arc<osn_graph::attributes::AttributedGraph>) -> SimulatedB
 }
 
 fn make_walker(n: usize) -> impl Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send> + Copy {
-    move |i, backend| {
-        Box::new(Cnrw::with_backend(NodeId(((i * 13) % n) as u32), backend))
-            as Box<dyn RandomWalk + Send>
-    }
+    move |i, _| Box::new(Cnrw::new(NodeId(((i * 13) % n) as u32))) as Box<dyn RandomWalk + Send>
 }
 
 fn reactor_scale(c: &mut Criterion) {

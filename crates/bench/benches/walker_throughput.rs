@@ -3,20 +3,14 @@
 //! The paper's §3.3/§4.2 complexity claims — amortized `O(1)` expected time
 //! per CNRW step, `O(deg)` for GNRW — show up here as steps/second. This is
 //! the ablation that justifies "history costs almost nothing locally while
-//! saving remote queries".
-//!
-//! History-aware walkers run once per [`HistoryBackend`]: `[legacy]` is the
-//! paper's hash-set-per-edge layout, `[arena]` the partial-Fisher–Yates
-//! engine whose draws are exactly `O(1)` and hash-free. The dedicated
-//! `history_backends` bench isolates the same comparison per degree
-//! profile; `repro perf` records it to `BENCH_walkers.json`.
+//! saving remote queries". `repro perf` records the same walkers to
+//! `BENCH_walkers.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use osn_bench::perf::bench_graphs;
 use osn_experiments::runner::TrialPlan;
 use osn_experiments::{Algorithm, GroupingSpec};
-use osn_walks::HistoryBackend;
 
 fn walker_throughput(c: &mut Criterion) {
     let graphs = bench_graphs();
@@ -35,28 +29,14 @@ fn walker_throughput(c: &mut Criterion) {
     group.throughput(Throughput::Elements(steps as u64));
     for (gname, network) in &graphs {
         for alg in &algorithms {
-            // Memoryless walkers have no storage axis; history-aware ones
-            // are benched per backend.
-            let backends: &[HistoryBackend] = if alg.uses_history() {
-                &HistoryBackend::ALL
-            } else {
-                &[HistoryBackend::Arena]
-            };
-            for &backend in backends {
-                let plan = TrialPlan::steps(network.clone(), steps).with_backend(backend);
-                let label = if alg.uses_history() {
-                    format!("{}[{backend}]", alg.label())
-                } else {
-                    alg.label()
-                };
-                group.bench_with_input(BenchmarkId::new(label, gname), &plan, |b, plan| {
-                    let mut seed = 0u64;
-                    b.iter(|| {
-                        seed += 1;
-                        plan.run(alg, seed).len()
-                    });
+            let plan = TrialPlan::steps(network.clone(), steps);
+            group.bench_with_input(BenchmarkId::new(alg.label(), gname), &plan, |b, plan| {
+                let mut seed = 0u64;
+                b.iter(|| {
+                    seed += 1;
+                    plan.run(alg, seed).len()
                 });
-            }
+            });
         }
     }
     group.finish();

@@ -109,10 +109,7 @@ fn endpoint(
 }
 
 fn make_walker(n: usize) -> impl Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send> {
-    move |i, backend| {
-        Box::new(Cnrw::with_backend(NodeId(((i * 13) % n) as u32), backend))
-            as Box<dyn RandomWalk + Send>
-    }
+    move |i, _| Box::new(Cnrw::new(NodeId(((i * 13) % n) as u32))) as Box<dyn RandomWalk + Send>
 }
 
 /// The schedule's events, pre-filtered so no delete strands a walker on a

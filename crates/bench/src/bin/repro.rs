@@ -21,7 +21,7 @@
 //! builder's spill runs).
 //!
 //! `perf` is the throughput-baseline target (not part of `all`): it
-//! measures walker steps/sec per (graph, algorithm, history backend);
+//! measures walker steps/sec per (graph, algorithm, execution path);
 //! `--record PATH` writes the raw JSON (committed as `BENCH_walkers.json`),
 //! `--baseline PATH` diffs the fresh run against a recorded baseline and
 //! prints non-blocking warnings past the 15% tolerance.
@@ -202,39 +202,28 @@ fn run_perf(opts: &Options) -> ExperimentResult {
                 );
             }
         }
-        // Machine-independent pass: arena-over-legacy speedups are computed
-        // within one run, so they stay comparable even when this host and
-        // the baseline's recording machine are different classes.
-        let base_speedups = perf::speedups(&baseline);
+        // Machine-independent pass, GNRW-specific: the plan-over-scratch
+        // ratio is computed within one run, so it stays comparable even when
+        // this host and the baseline's recording machine are different
+        // classes — and it is the headline of the group-plan fast path.
+        // Print it every run (not only on regression) so the perf-smoke log
+        // always shows where GNRW stands, and warn when the within-run ratio
+        // falls below the baseline's.
+        let base_plan = perf::plan_speedups(&baseline);
         let mut speedup_regressions = 0usize;
         let mut speedup_cells = 0usize;
-        for (label, current) in perf::speedups(&result) {
-            let Some((_, base)) = base_speedups.iter().find(|(l, _)| *l == label) else {
-                continue;
-            };
-            speedup_cells += 1;
-            if current < base * (1.0 - perf::REGRESSION_TOLERANCE) {
-                speedup_regressions += 1;
-                println!(
-                    "::warning::perf: arena-over-legacy speedup for {label} fell to {current:.2}x \
-                     (baseline {base:.2}x) — machine-independent signal, likely a real regression"
-                );
-            }
-        }
-        // GNRW-specific callout: the plan-over-scratch ratio is the headline
-        // of the group-plan fast path. Print it every run (not only on
-        // regression) so the perf-smoke log always shows where GNRW stands,
-        // and warn when the within-run ratio falls below the baseline's.
-        let base_plan = perf::plan_speedups(&baseline);
         for (label, current) in perf::plan_speedups(&result) {
             match base_plan.iter().find(|(l, _)| *l == label) {
                 Some((_, base)) if current < base * (1.0 - perf::REGRESSION_TOLERANCE) => {
+                    speedup_cells += 1;
+                    speedup_regressions += 1;
                     println!(
                         "::warning::perf: GNRW plan-over-scratch speedup for {label} fell to \
                          {current:.2}x (baseline {base:.2}x) — the group-plan fast path regressed"
                     );
                 }
                 Some((_, base)) => {
+                    speedup_cells += 1;
                     eprintln!(
                         "perf: GNRW plan-over-scratch {label}: {current:.2}x (baseline {base:.2}x)"
                     );
@@ -248,7 +237,7 @@ fn run_perf(opts: &Options) -> ExperimentResult {
         }
         if regressions > deltas.len() / 2 && speedup_regressions == 0 {
             eprintln!(
-                "perf note: most absolute cells shifted together while every arena-over-legacy \
+                "perf note: most absolute cells shifted together while every plan-over-scratch \
                  speedup held — this usually means a different machine class than the baseline's, \
                  not a code regression"
             );

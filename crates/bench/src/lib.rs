@@ -5,7 +5,7 @@
 //! targets and `src/bin/repro.rs` for the full reproduction CLI.
 //!
 //! The [`perf`] module backs the `repro perf` subcommand: it measures
-//! walker steps/sec per (graph, algorithm, history backend) and records the
+//! walker steps/sec per (graph, algorithm, execution path) and records the
 //! result to `BENCH_walkers.json`, the committed perf baseline that
 //! `scripts/perf_check.sh` diffs against.
 

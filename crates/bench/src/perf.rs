@@ -2,11 +2,10 @@
 //! perf baseline (`BENCH_walkers.json`) and its regression check.
 //!
 //! Criterion benches print human-oriented timings; this module runs the
-//! same backend-vs-backend walker matrix (`history_backends`'s per-graph
-//! half) with plain `Instant` timing and records **steps per second** into
-//! an [`ExperimentResult`] — one series per `graph/algorithm/backend`, one
-//! point per repetition — so the numbers can be committed, diffed, and
-//! trended across PRs. `scripts/perf_check.sh` re-measures in quick mode
+//! same walker matrix as `walker_throughput` with plain `Instant` timing
+//! and records **steps per second** into an [`ExperimentResult`] — one
+//! series per `graph/algorithm/path`, one point per repetition — so the
+//! numbers can be committed, diffed, and trended across PRs. `scripts/perf_check.sh` re-measures in quick mode
 //! and [`compare`]s against the committed baseline, warning (non-blocking)
 //! past [`REGRESSION_TOLERANCE`].
 
@@ -17,13 +16,12 @@ use osn_datasets::{facebook_like, gplus_like, Scale};
 use osn_experiments::runner::TrialPlan;
 use osn_experiments::{Algorithm, ExperimentResult, GroupingSpec, Series};
 use osn_graph::attributes::AttributedGraph;
-use osn_walks::{HistoryBackend, PlanMode};
 
 /// Relative steps/sec drop beyond which [`compare`] emits a warning.
 pub const REGRESSION_TOLERANCE: f64 = 0.15;
 
 /// The two benchmark graphs — the single definition shared by
-/// `walker_throughput`, `history_backends`, and `repro perf`, so the
+/// `walker_throughput`, `gnrw_throughput`, and `repro perf`, so the
 /// committed baseline always measures the same workload the benches print.
 pub fn bench_graphs() -> [(&'static str, Arc<AttributedGraph>); 2] {
     [
@@ -32,22 +30,12 @@ pub fn bench_graphs() -> [(&'static str, Arc<AttributedGraph>); 2] {
     ]
 }
 
-/// The history-backend-sensitive walkers every backend comparison measures
-/// (shared with the `history_backends` bench for the same reason).
-pub fn backend_algorithms() -> Vec<Algorithm> {
-    vec![
-        Algorithm::Cnrw,
-        Algorithm::Gnrw(GroupingSpec::ByDegree),
-        Algorithm::NbCnrw,
-    ]
-}
-
 /// Measurement plan for one `repro perf` run.
 #[derive(Clone, Copy, Debug)]
 pub struct PerfConfig {
     /// Transitions per timed walk.
     pub steps: usize,
-    /// Timed repetitions per (graph, algorithm, backend) cell; the *best*
+    /// Timed repetitions per (graph, algorithm, path) cell; the *best*
     /// rep is what [`compare`] uses (least scheduler noise).
     pub reps: usize,
 }
@@ -79,18 +67,15 @@ impl Default for PerfConfig {
     }
 }
 
-/// The measured matrix: [`backend_algorithms`] × both backends, plus SRW
-/// as the no-history reference.
-fn algorithms() -> Vec<(Algorithm, Vec<HistoryBackend>)> {
-    let both = HistoryBackend::ALL.to_vec();
-    let mut matrix = vec![(Algorithm::Srw, vec![HistoryBackend::Arena])];
-    matrix.extend(backend_algorithms().into_iter().map(|a| (a, both.clone())));
-    matrix
-}
-
-/// Series label for one cell, `graph/ALG/backend`.
-fn label(graph: &str, alg: &Algorithm, backend: HistoryBackend) -> String {
-    format!("{graph}/{}/{backend}", alg.label())
+/// The measured walkers: the history-keeping ones, plus SRW as the
+/// no-history reference.
+fn algorithms() -> [Algorithm; 4] {
+    [
+        Algorithm::Srw,
+        Algorithm::Cnrw,
+        Algorithm::Gnrw(GroupingSpec::ByDegree),
+        Algorithm::NbCnrw,
+    ]
 }
 
 /// Time one trial plan: warm-up walk, then `reps` timed walks, recorded as
@@ -112,51 +97,49 @@ fn time_cell(plan: &TrialPlan, alg: &Algorithm, reps: usize) -> (Vec<f64>, Vec<f
 
 /// Run the full matrix and return the recorded steps/sec document.
 ///
-/// GNRW's arena cells run **plan-backed** (shared [`osn_walks::GroupPlan`],
-/// alias-mode group selection, batched draws) — the production fast path;
-/// the plan is built once per graph outside the timed region, matching how
-/// a fleet amortizes it. The per-step scratch derivation is kept as an
-/// extra `graph/GNRW_By_Degree/scratch` series so the plan-vs-scratch gap
-/// stays visible in the committed baseline; legacy cells stay scratch (the
-/// alias path's circulation state is an arena-engine representation).
+/// Each walker has a `graph/ALG/arena` cell. GNRW's runs **plan-backed**
+/// (shared [`osn_walks::GroupPlan`], alias-table group selection, batched
+/// draws) — the production fast path; the plan is built once per graph
+/// outside the timed region, matching how a fleet amortizes it. The
+/// per-step (planless) partition is kept as an extra
+/// `graph/GNRW_By_Degree/scratch` series so the plan-vs-scratch gap stays
+/// visible in the committed baseline.
 pub fn measure(config: &PerfConfig) -> ExperimentResult {
     let graphs = bench_graphs();
     let mut result = ExperimentResult::new(
         "BENCH_walkers",
-        "Walker throughput baseline: steps/sec per graph, algorithm, and history backend",
+        "Walker throughput baseline: steps/sec per graph, algorithm, and execution path",
         "repetition",
         "steps per second",
     )
     .with_note(format!(
         "steps={} reps={}; best rep is the comparison statistic; \
          regression tolerance {:.0}% (scripts/perf_check.sh, non-blocking); \
-         GNRW arena cells are plan-backed (alias mode), the */scratch series \
+         GNRW arena cells are plan-backed (alias draws), the */scratch series \
          is the per-step partition reference",
         config.steps,
         config.reps,
         REGRESSION_TOLERANCE * 100.0
     ));
     for (gname, network) in &graphs {
-        for (alg, backends) in algorithms() {
+        for alg in algorithms() {
             // Group plans are per-graph precomputation, shared read-only:
             // build once per (graph, grouping), outside the timed region.
             let group_plan = alg.build_group_plan(network).map(Arc::new);
-            for backend in backends {
-                let mut plan =
-                    TrialPlan::steps(network.clone(), config.steps).with_backend(backend);
-                if backend == HistoryBackend::Arena {
-                    if let Some(gp) = &group_plan {
-                        plan = plan.with_group_plan(Arc::clone(gp), PlanMode::Alias);
-                    }
-                }
-                let (xs, ys) = time_cell(&plan, &alg, config.reps);
-                result = result.with_series(Series::new(label(gname, &alg, backend), xs, ys));
+            let mut plan = TrialPlan::steps(network.clone(), config.steps);
+            if let Some(gp) = &group_plan {
+                plan = plan.with_group_plan(Arc::clone(gp));
             }
+            let (xs, ys) = time_cell(&plan, &alg, config.reps);
+            result = result.with_series(Series::new(
+                format!("{gname}/{}/arena", alg.label()),
+                xs,
+                ys,
+            ));
             if group_plan.is_some() {
-                // The scratch reference cell: same walker on the arena
-                // backend, partition re-derived every step.
-                let plan = TrialPlan::steps(network.clone(), config.steps)
-                    .with_backend(HistoryBackend::Arena);
+                // The scratch reference cell: same walker, partition
+                // re-derived every step.
+                let plan = TrialPlan::steps(network.clone(), config.steps);
                 let (xs, ys) = time_cell(&plan, &alg, config.reps);
                 result = result.with_series(Series::new(
                     format!("{gname}/{}/scratch", alg.label()),
@@ -168,7 +151,7 @@ pub fn measure(config: &PerfConfig) -> ExperimentResult {
         // The compact-substrate cell: CNRW over the delta-varint snapshot
         // (bit-identical traces to the `/arena` twin above; the gap is
         // decode overhead). Paired with `graph/CNRW/arena` the ratio is
-        // machine-independent, like the arena-over-legacy speedups.
+        // machine-independent, like the plan-over-scratch speedups.
         let compact = Arc::new(osn_graph::compact::CompactCsr::from_csr(&network.graph));
         let plan = TrialPlan::from_compact(compact).with_max_steps(config.steps);
         let (xs, ys) = time_cell(&plan, &Algorithm::Cnrw, config.reps);
@@ -182,33 +165,13 @@ fn best(series: &Series) -> f64 {
     series.y.iter().copied().fold(f64::NAN, f64::max)
 }
 
-/// Arena-over-legacy speedup per `graph/ALG` cell pair, computed *within*
-/// one document. Both cells of a ratio share the host and the run, so this
-/// statistic is machine-independent — the signal to trust when a fresh run
-/// and the committed baseline come from different machine classes (e.g.
-/// shared CI runners vs the recording machine), where the absolute
-/// steps/sec comparison mostly measures the hardware.
-pub fn speedups(doc: &ExperimentResult) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for series in &doc.series {
-        if let Some(prefix) = series.label.strip_suffix("/arena") {
-            if let Some(legacy) = doc.series_by_label(&format!("{prefix}/legacy")) {
-                let (a, l) = (best(series), best(legacy));
-                if a.is_finite() && l.is_finite() && l > 0.0 {
-                    out.push((prefix.to_string(), a / l));
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Plan-over-scratch speedup per GNRW cell pair, pairing each
 /// `graph/ALG/scratch` reference series with its plan-backed
-/// `graph/ALG/arena` twin. Like [`speedups`], both cells of a ratio come
-/// from one run on one host, so the statistic survives machine-class
-/// changes — this is the number the group-plan work is accountable to
-/// (the committed baseline records it at ~4–5x on the bench graphs).
+/// `graph/ALG/arena` twin. Both cells of a ratio come from one run on one
+/// host, so the statistic survives machine-class changes (where the
+/// absolute steps/sec comparison mostly measures the hardware) — this is
+/// the number the group-plan work is accountable to (the committed
+/// baseline records it at ~4–5x on the bench graphs).
 pub fn plan_speedups(doc: &ExperimentResult) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     for series in &doc.series {
@@ -227,7 +190,7 @@ pub fn plan_speedups(doc: &ExperimentResult) -> Vec<(String, f64)> {
 /// Outcome of one baseline comparison.
 #[derive(Clone, Debug)]
 pub struct PerfDelta {
-    /// `graph/ALG/backend`.
+    /// `graph/ALG/path`.
     pub label: String,
     /// Best steps/sec in the current run.
     pub current: f64,
@@ -287,9 +250,9 @@ mod tests {
             steps: 300,
             reps: 1,
         });
-        // 2 graphs x (1 SRW + 3 history walkers x 2 backends + 1 GNRW
-        // scratch reference + 1 CNRW compact-substrate cell) = 18 series.
-        assert_eq!(result.series.len(), 18);
+        // 2 graphs x (4 walkers + 1 GNRW scratch reference + 1 CNRW
+        // compact-substrate cell) = 12 series.
+        assert_eq!(result.series.len(), 12);
         for s in &result.series {
             assert!(best(s) > 0.0, "{} recorded no throughput", s.label);
         }
@@ -327,7 +290,7 @@ mod tests {
     #[test]
     fn compare_skips_unmatched_series() {
         let baseline = doc("g/CNRW/arena", &[100.0]);
-        let deltas = compare(&doc("g/CNRW/legacy", &[10.0]), &baseline, 0.15);
+        let deltas = compare(&doc("g/CNRW/compact", &[10.0]), &baseline, 0.15);
         assert!(deltas.is_empty());
     }
 
@@ -350,22 +313,5 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].0, "g/GNRW_By_Degree");
         assert!((s[0].1 - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn speedups_pair_arena_with_legacy_cells() {
-        let result = ExperimentResult::new("BENCH_walkers", "t", "x", "y")
-            .with_series(Series::new("g/CNRW/legacy", vec![0.0], vec![50.0]))
-            .with_series(Series::new(
-                "g/CNRW/arena",
-                vec![0.0, 1.0],
-                vec![120.0, 150.0],
-            ))
-            .with_series(Series::new("g/SRW/arena", vec![0.0], vec![999.0]));
-        let s = speedups(&result);
-        // SRW has no legacy twin -> exactly one ratio, best-vs-best.
-        assert_eq!(s.len(), 1);
-        assert_eq!(s[0].0, "g/CNRW");
-        assert!((s[0].1 - 3.0).abs() < 1e-12);
     }
 }

@@ -1,9 +1,10 @@
 //! Arena-backed partial-Fisher–Yates circulation engine.
 //!
-//! This is the storage layer behind [`crate::history`]: the per-edge
+//! This is the one storage layer behind [`crate::history`]: the per-edge
 //! without-replacement "circulation" state of CNRW (Algorithm 1) and GNRW
-//! (Algorithm 2), reworked from one-hash-set-per-edge into compact,
-//! index-based layouts that make the steady-state per-draw hot path
+//! (Algorithm 2). The paper suggests one hash set per edge (§3.3); the
+//! engine replaces it with compact, index-based layouts that make the
+//! steady-state per-draw hot path
 //! **exactly `O(1)`** — no rejection loop, no rank scan, and zero hashing
 //! *inside* a promoted circulation. (Locating the edge's state still costs
 //! the one packed-edge-key map lookup per draw that every layout pays; what
@@ -39,24 +40,23 @@
 //! 1. **Inline** — up to [`INLINE_CAP`] used node ids in a fixed array
 //!    stored directly in the map slot (no heap allocation at all); draws
 //!    use bounded rejection sampling against the tiny array.
-//! 2. **Spill** — a hash set of used ids, one entry per draw (the legacy
+//! 2. **Spill** — a hash set of used ids, one entry per draw (the paper's
 //!    layout, `O(1)` expected draws), entered only when the inline array
 //!    fills before the edge qualifies for promotion.
 //! 3. **Promoted** — the arena slice. An edge is promoted once it has at
 //!    least `promotion_threshold` recorded draws (tunable, see
 //!    [`CirculationEngine::with_threshold`]) **and** the slice would cost
 //!    at most [`PROMOTION_SPAN`]` × draws` — or unconditionally once half
-//!    its population is used, where the slice costs `≤ 2 × draws` and the
-//!    legacy layout would start degrading to rank scans.
+//!    its population is used, where the slice costs `≤ 2 × draws` and a
+//!    hash set would start degrading to rank scans.
 //!
 //! Promotion preserves the already-used set, so the drawn coverage of a
 //! cycle is independent of the threshold; and since a slice never exceeds
 //! `PROMOTION_SPAN ×` the draws recorded on its edge, total memory stays
-//! `O(K)` after `K` steps (within that constant), matching the legacy
-//! backend's bound.
+//! `O(K)` after `K` steps (within that constant), the paper's bound.
 //!
 //! The [`GroupEngine`] used by GNRW applies the same staging: a small
-//! hash-set stage (exactly the legacy probes GNRW would otherwise do)
+//! hash-set stage (the paper's per-edge sets)
 //! until the edge earns its slices, then `O(1)` array-compare membership —
 //! the probe GNRW issues `deg` times per step — via the inverse
 //! permutation.
@@ -68,47 +68,13 @@ use rand::{Rng, RngCore};
 use crate::fnv::{FnvHashMap, FnvHashSet};
 use crate::groupplan::{AliasTable, DrawBatch, NodeGroups};
 
-/// Which storage backs the per-edge circulation history of a walker.
-///
-/// Both backends realize the same without-replacement semantics (same
-/// per-cycle coverage, same uniform marginals, same stationary distribution)
-/// but consume RNG differently, so traces are seed-stable *per backend*, not
-/// bit-identical across backends. The `walker_throughput` and
-/// `history_backends` benches ablate one against the other.
+/// Source-compatibility shim, kept only for the benchmark harness: it still
+/// passes a history backend to `Cnrw::with_backend`, `Gnrw::with_backend`
+/// and the walker factories of the two engines. There is one circulation
+/// engine, so the value carries nothing and no code reads it. The next
+/// change to the benchmark deletes it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum HistoryBackend {
-    /// The paper's suggested layout: a `HashMap` keyed by the directed edge
-    /// whose values are hash *sets* of used neighbors. Draws rejection-sample
-    /// (bounded, falling back to a rank scan) and probe the set per
-    /// candidate.
-    Legacy,
-    /// Arena-backed partial Fisher–Yates (the default): each hot edge owns
-    /// a slice of a shared arena plus a cursor; a draw is one `gen_range`
-    /// and one swap — exactly `O(1)`, with no hashing beyond the edge-key
-    /// lookup — while cold edges stay in `O(draws)` inline/spill states.
-    #[default]
-    Arena,
-}
-
-impl HistoryBackend {
-    /// Both backends, in ablation order — the single definition every
-    /// backend-comparison matrix (benches, `repro perf`, tests) iterates.
-    pub const ALL: [HistoryBackend; 2] = [HistoryBackend::Legacy, HistoryBackend::Arena];
-
-    /// Short lowercase label for bench/series names (`"legacy"`/`"arena"`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            HistoryBackend::Legacy => "legacy",
-            HistoryBackend::Arena => "arena",
-        }
-    }
-}
-
-impl std::fmt::Display for HistoryBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
+pub struct HistoryBackend;
 
 /// Capacity of the inline (pre-spill) used-item array, and therefore the
 /// hard upper bound on [`CirculationEngine`] promotion thresholds.
@@ -131,9 +97,7 @@ pub const MAX_REJECTION_ITERS: usize = 32;
 /// Uniform draw from the items of `population` not matched by `is_used`
 /// (`remaining` of them): up to `max_rejections` rejection-sampling
 /// proposals, then an exact rank scan. The single implementation behind
-/// every pre-promotion draw path — inline, spill, and the legacy
-/// [`crate::history::CirculationSet`] (which passes `max_rejections = 0`
-/// on half-used populations to go straight to the scan).
+/// both pre-promotion draw paths, inline and spill.
 pub(crate) fn draw_excluding<R: Rng + ?Sized>(
     population: &[NodeId],
     remaining: usize,
@@ -178,8 +142,7 @@ fn promotable(used: usize, plen: usize, threshold: usize) -> bool {
 
 /// Remove every entry of a per-edge state map whose circulated node — the
 /// key's low 32 bits — `is_touched` accepts, in one pass; returns how many
-/// were removed. The single invalidation sweep behind both engines and the
-/// legacy history maps.
+/// were removed. The single invalidation sweep behind both engines.
 pub(crate) fn drop_targets<S>(
     slots: &mut FnvHashMap<u64, S>,
     is_touched: impl Fn(u32) -> bool,
@@ -263,7 +226,7 @@ impl CirculationEngine {
     }
 
     /// Total used-items across all keys (the `O(K)` accounting quantity of
-    /// §3.3 — identical to the legacy backend's set-size sum).
+    /// §3.3 — the summed sizes of the paper's per-edge sets).
     pub fn total_entries(&self) -> usize {
         self.slots.values().map(Slot::used_len).sum()
     }
@@ -570,7 +533,7 @@ impl CirculationEngine {
 }
 
 /// Per-edge state of the [`GroupEngine`]: a small hash-backed stage
-/// (`O(draws)` memory, legacy-style probes) until the edge earns its arena
+/// (`O(draws)` memory, hash-set probes) until the edge earns its arena
 /// slices.
 #[derive(Clone, Debug)]
 enum GroupSlot {
@@ -738,7 +701,7 @@ impl GroupEngine {
 
     /// Allocated capacity of the plan-slice arena, in entries. Survives
     /// [`Self::clear`] unchanged — the plan path honors the same
-    /// restart-reuse contract as the scratch path.
+    /// restart-reuse contract as [`Self::view`]'s.
     pub fn plan_arena_capacity(&self) -> usize {
         self.plan_items.capacity()
     }
@@ -872,11 +835,7 @@ impl GroupEngine {
                 pos.len()
             ));
         }
-        // Absent in exports predating the plan path: read as empty.
-        let plan_items: Vec<u32> = match state.field("plan_items") {
-            Ok(v) => v.decode()?,
-            Err(_) => Vec::new(),
-        };
+        let plan_items: Vec<u32> = state.field("plan_items")?.decode()?;
         let mut slots = FnvHashMap::default();
         for entry in state.field("slots")?.as_array()? {
             let key: u64 = entry.field("key")?.decode()?;
@@ -990,7 +949,7 @@ impl GroupEngine {
     /// Mutable view of `key`'s state, created on first touch and promoted
     /// to arena slices once it qualifies. `population_len` must be stable
     /// across visits.
-    pub fn view(&mut self, key: u64, population_len: usize) -> ArenaGroupView<'_> {
+    pub fn view(&mut self, key: u64, population_len: usize) -> GroupEdgeView<'_> {
         let slot = self.slots.entry(key).or_insert_with(|| GroupSlot::Small {
             used: FnvHashSet::default(),
             used_groups: Vec::new(),
@@ -1027,7 +986,7 @@ impl GroupEngine {
             }
         }
         match slot {
-            GroupSlot::Small { used, used_groups } => ArenaGroupView(ViewRepr::Small {
+            GroupSlot::Small { used, used_groups } => GroupEdgeView(ViewRepr::Small {
                 used,
                 used_groups,
                 population_len,
@@ -1043,7 +1002,7 @@ impl GroupEngine {
                     "population changed between visits"
                 );
                 let range = *start as usize..(*start + *len) as usize;
-                ArenaGroupView(ViewRepr::Sliced {
+                GroupEdgeView(ViewRepr::Sliced {
                     len: *len,
                     cursor,
                     used_groups,
@@ -1061,13 +1020,13 @@ impl GroupEngine {
 
     /// Mutable plan-path view of `key`'s state (see [`PlanEdgeView`]),
     /// created on first touch and promoted to a group-major arena slice
-    /// once it qualifies under the same [`PROMOTION_SPAN`] rule as the
-    /// scratch path. `groups` must be the plan slice of the edge's head
+    /// once it qualifies under the same [`PROMOTION_SPAN`] rule as
+    /// [`Self::view`]. `groups` must be the plan slice of the edge's head
     /// node, identical across visits.
     ///
     /// # Panics
-    /// Panics if `key` already holds scratch-path (non-plan) state — one
-    /// edge's history must be driven by exactly one of the two paths.
+    /// Panics if `key` already holds [`Self::view`] state — one edge's
+    /// history must be driven by exactly one of the two views.
     pub fn plan_view(&mut self, key: u64, groups: &NodeGroups<'_>) -> PlanEdgeView<'_> {
         let plen = groups.len();
         let group_count = groups.group_count();
@@ -1080,7 +1039,7 @@ impl GroupEngine {
             len: 0,
             attempted: 0,
         });
-        // Stage transitions first, exactly mirroring the scratch path: no
+        // Stage transitions first, exactly mirroring `view`: no
         // RNG consumed, used set preserved, so per-cycle coverage never
         // depends on when promotion happens.
         let promote = match &*slot {
@@ -1185,8 +1144,11 @@ impl GroupEngine {
     }
 }
 
-/// Borrowed view of one edge's [`GroupEngine`] state.
-pub struct ArenaGroupView<'a>(ViewRepr<'a>);
+/// Borrowed view of one edge's GNRW state in the [`GroupEngine`]: the
+/// global set `b(u, v)` over `N(v)` and the attempted groups `S(u, v)` —
+/// the probes and updates of Algorithm 2's step. Neighbors are named by
+/// their index in `N(v)`.
+pub struct GroupEdgeView<'a>(ViewRepr<'a>);
 
 enum ViewRepr<'a> {
     Small {
@@ -1203,7 +1165,7 @@ enum ViewRepr<'a> {
     },
 }
 
-impl ArenaGroupView<'_> {
+impl GroupEdgeView<'_> {
     /// Has population index `idx` been chosen in the current super-cycle?
     #[inline]
     pub fn is_used(&self, idx: usize) -> bool {
@@ -1297,8 +1259,8 @@ impl ArenaGroupView<'_> {
 /// Group selection proposes from the alias table (∝ **full** group size)
 /// and rejects attempted/exhausted groups, falling back to an exact
 /// remaining-weighted scan after [`MAX_REJECTION_ITERS`]. That reorders and
-/// re-weights draws relative to the scratch path (which scans un-attempted
-/// transitions) — equivalent in stationary distribution by the paper's
+/// re-weights draws relative to GNRW's Algorithm-2 step (which scans
+/// un-attempted transitions) — equivalent in stationary distribution by the paper's
 /// Theorem 4 (per-super-cycle exact coverage is preserved verbatim), not in
 /// trace.
 pub struct PlanEdgeView<'a>(PlanViewRepr<'a>);
@@ -1727,6 +1689,34 @@ mod tests {
         assert!(engine.arena.is_empty());
         // The slab itself is retained for the next walk (restart reuse).
         assert_eq!(engine.arena_capacity(), capacity);
+    }
+
+    #[test]
+    fn inline_rejection_cap_falls_back_to_exact_scan() {
+        // An adversarial RNG that always proposes the same candidate: the
+        // bounded rejection loop must cap out and the rank-scan fallback
+        // still produce a valid unused item.
+        struct StuckRng;
+        impl RngCore for StuckRng {
+            fn next_u32(&mut self) -> u32 {
+                0
+            }
+            fn next_u64(&mut self) -> u64 {
+                // Every proposal is index 0, and so is every rank.
+                0
+            }
+        }
+        let population = pop(9);
+        let mut engine = CirculationEngine::new();
+        // The first draw takes index 0, so every later proposal of the
+        // stuck RNG is rejected.
+        assert_eq!(engine.draw(0, &population, &mut StuckRng), Some(NodeId(0)));
+        let got = engine.draw(0, &population, &mut StuckRng).unwrap();
+        assert_eq!(got, NodeId(1), "fallback must pick the first unused item");
+        assert!(
+            engine.arena.is_empty(),
+            "both draws ran on the inline stage"
+        );
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! Precomputed group plans for GNRW.
 //!
-//! The scratch GNRW step re-derives the neighborhood partition on **every
-//! historied transition**: one strategy `assign` pass, a hash-map
-//! re-bucketing, and a key sort — work proportional to `deg(v)` with heavy
-//! constant factors, repeated millions of times over the same static
-//! snapshot. A [`GroupPlan`] hoists all of it into a one-off streaming pass
-//! over the graph:
+//! The planless GNRW step re-derives the neighborhood partition on **every
+//! historied transition**: one strategy `assign` pass and a partition by
+//! key — work proportional to `deg(v)` with heavy constant factors, repeated
+//! millions of times over the same static snapshot. A [`GroupPlan`] hoists
+//! all of it into a one-off streaming pass over the graph:
 //!
 //! * **Flat CSR-style storage** — per node, `member_perm` holds the local
 //!   neighbor indices grouped contiguously (groups in ascending key order,
-//!   members in ascending index order within a group — the exact order the
-//!   scratch path derives per step), with `adj_offsets`/`group_index`
-//!   offset arrays locating each node's slice. Memory is `O(E)` `u32`s.
+//!   members in ascending index order within a group — the partition
+//!   [`partition_by_key`] gives the planless step too), with
+//!   `adj_offsets`/`group_index` offset arrays locating each node's slice.
+//!   Memory is `O(E)` `u32`s.
 //! * **Alias tables** — size-proportional group selection in `O(1)` per
 //!   draw ([`AliasTable`], integer Vose construction), built lazily on
 //!   first touch of a node or eagerly via
@@ -25,22 +25,23 @@
 //!   block instead of per draw) and serves both the group pick and the
 //!   member pick.
 //!
-//! A plan is immutable and shared (`Arc`) across walkers, backends, and
-//! threads; per-edge circulation state stays in the walker's own
+//! A plan is immutable and shared (`Arc`) across walkers and threads;
+//! per-edge circulation state stays in the walker's own
 //! [`GroupEngine`](crate::circulation::GroupEngine).
 //!
 //! ## Equivalence boundaries
 //!
-//! [`PlanMode::Exact`] preserves the scratch path's RNG consumption *order*
-//! and is pinned bit-identical to it. [`PlanMode::Alias`] deliberately
-//! reorders draws: group proposals come from the alias table (∝ full group
+//! A plan-backed walker deliberately reorders draws relative to the
+//! planless one: group proposals come from the alias table (∝ full group
 //! size, rejecting attempted/exhausted groups) instead of a weighted scan
 //! over not-yet-attempted transitions, so mid-super-cycle group choice has
 //! a different conditional distribution. The super-cycle invariant —
 //! `b(u, v)` covers `N(v)` exactly once per cycle — is untouched, and by
 //! Theorem 4 that is the only property the stationary distribution needs;
 //! the alias path is therefore pinned by per-cycle exact-coverage and
-//! stationarity tests rather than trace equality.
+//! stationarity tests rather than trace equality. A plan with more than 64
+//! groups at some node runs the planless walker's Algorithm-2 step over its
+//! groups, through the batch, and is pinned bit-identical to it.
 //!
 //! [`Cnrw`]: crate::walkers::Cnrw
 
@@ -53,32 +54,6 @@ use osn_graph::NodeId;
 use rand::RngCore;
 
 use crate::grouping::GroupingStrategy;
-
-/// How a plan-backed GNRW walker consumes its plan.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PlanMode {
-    /// Same step algorithm as the scratch path — groups are read from the
-    /// plan instead of re-derived, RNG consumption order is preserved, and
-    /// traces are **bit-identical** to the scratch walker on the same seed
-    /// (pinned by proptest). Roughly removes the per-step partition cost.
-    Exact,
-    /// The fast path (default): `O(1)` alias-table group proposals and
-    /// partial-Fisher–Yates member picks over per-group arena cursors.
-    /// Deliberately reorders RNG draws — equivalent in distribution
-    /// (Theorem 4), not in trace.
-    #[default]
-    Alias,
-}
-
-impl PlanMode {
-    /// Short label for bench/series names (`"exact"` / `"alias"`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            PlanMode::Exact => "exact",
-            PlanMode::Alias => "alias",
-        }
-    }
-}
 
 /// A grouping that makes GNRW collapse to CNRW (paper §4.1's two extremes
 /// of the grouping design space).
@@ -267,7 +242,7 @@ pub struct NodeGroups<'a> {
     /// Per-group end offset (exclusive) into `members`.
     pub ends: &'a [u32],
     /// Per-group strategy key, ascending — the `S(u, v)` identity of each
-    /// group, identical to what the scratch path derives.
+    /// group, identical to what the planless step derives.
     pub keys: &'a [u64],
 }
 
@@ -441,8 +416,8 @@ impl GroupPlan {
     }
 
     /// Largest per-node group count — the alias path's `u64` attempted-set
-    /// bitmask needs this ≤ 64 (the walker downgrades to
-    /// [`PlanMode::Exact`] otherwise).
+    /// bitmask needs this ≤ 64 (the walker runs the Algorithm-2 step over
+    /// the plan's groups otherwise).
     pub fn max_groups(&self) -> usize {
         self.max_groups
     }
@@ -545,8 +520,8 @@ mod tests {
     #[test]
     fn plan_partition_matches_scratch_derivation() {
         // For each node, the plan's (keys, members) must equal what the
-        // scratch path computes per step: sorted keys, ascending member
-        // indices within a group.
+        // planless step computes: sorted keys, ascending member indices
+        // within a group.
         let network = reviews_network();
         let strategy = ByAttribute::quantile("reviews", 2);
         let plan = GroupPlan::build(&network, &strategy);

@@ -26,11 +26,11 @@
 //! chosen group. Both provably preserve SRW's stationary distribution while
 //! never increasing — and usually decreasing — asymptotic variance.
 //!
-//! The circulation state lives behind a [`HistoryBackend`] knob: the default
-//! arena-backed partial-Fisher–Yates engine ([`circulation`]) makes every
-//! draw exactly `O(1)` and hash-free, while the paper's hash-set layout is
-//! retained as [`HistoryBackend::Legacy`] for ablation (see the
-//! `walker_throughput` and `history_backends` benches).
+//! The circulation state lives in one engine ([`circulation`]): an
+//! arena-backed partial-Fisher–Yates layout that makes a hot edge's draw
+//! exactly `O(1)` and hash-free while keeping the paper's `O(K)` memory
+//! bound. The paper's hash-set-per-edge layout survives only as the
+//! reference the property tests compare the engine against.
 //!
 //! GNRW additionally accepts a precomputed [`GroupPlan`] ([`groupplan`]):
 //! the per-node neighbor partition is built once per graph+strategy and
@@ -94,7 +94,7 @@ pub mod walkers;
 pub use circulation::HistoryBackend;
 pub use frontier::{FrontierEntry, FrontierSampler, SharedFrontier};
 pub use grouping::{ByAttribute, ByDegree, ByHash, ByNode, GroupingStrategy, ValueBucketing};
-pub use groupplan::{AliasTable, DegenerateGrouping, DrawBatch, GroupPlan, NodeGroups, PlanMode};
+pub use groupplan::{AliasTable, DegenerateGrouping, DrawBatch, GroupPlan, NodeGroups};
 pub use history::TouchedNodes;
 pub use orchestrator::{
     MultiWalkTrace, Never, OrchestratorReport, RestartEvent, RestartPolicy, RestartReason,

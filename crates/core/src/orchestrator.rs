@@ -723,8 +723,8 @@ impl OrchestratorReport {
 }
 
 /// The entry point to both engines: owns the fleet size, the per-walker
-/// step cap, the SplitMix64-derived per-walker RNG streams, and the
-/// history-backend knob — then runs the fleet on the serial core
+/// step cap and the SplitMix64-derived per-walker RNG streams — then runs
+/// the fleet on the serial core
 /// ([`Self::run_serial`]) or the reactor ([`Self::run_reactor`]) under a
 /// [`RestartPolicy`]. See the module docs for the engine table.
 ///
@@ -737,9 +737,7 @@ impl OrchestratorReport {
 /// let mut client = SimulatedOsn::from_graph(barbell(8, 8).unwrap());
 /// let report = WalkOrchestrator::new(4, 200, 7).run_serial(
 ///     &mut client,
-///     |i, backend| {
-///         Box::new(Cnrw::with_backend(NodeId(i as u32 * 3), backend)) as Box<dyn RandomWalk + Send>
-///     },
+///     |i, _| Box::new(Cnrw::new(NodeId(i as u32 * 3))) as Box<dyn RandomWalk + Send>,
 ///     |v| v.index() as f64,
 ///     &Never,
 /// );
@@ -751,7 +749,6 @@ pub struct WalkOrchestrator {
     walkers: usize,
     max_steps_per_walker: usize,
     seed: u64,
-    backend: HistoryBackend,
 }
 
 impl WalkOrchestrator {
@@ -763,21 +760,7 @@ impl WalkOrchestrator {
             walkers: walkers.max(1),
             max_steps_per_walker,
             seed,
-            backend: HistoryBackend::default(),
         }
-    }
-
-    /// Choose the history backend handed to the walker factory (the
-    /// ablation knob of the backend benches).
-    #[must_use]
-    pub fn with_backend(mut self, backend: HistoryBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The history backend handed to the walker factory.
-    pub fn backend(&self) -> HistoryBackend {
-        self.backend
     }
 
     /// Fleet size.
@@ -805,7 +788,7 @@ impl WalkOrchestrator {
         W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
     {
         let walkers = (0..self.walkers)
-            .map(|i| make_walker(i, self.backend))
+            .map(|i| make_walker(i, HistoryBackend))
             .collect();
         let rngs = (0..self.walkers)
             .map(|i| ChaCha12Rng::seed_from_u64(self.walker_seed(i)))
@@ -815,8 +798,9 @@ impl WalkOrchestrator {
 
     /// Run the fleet round-robin on the calling thread against one client.
     ///
-    /// `make_walker(i, backend)` builds walker `i` on the orchestrator's
-    /// [`HistoryBackend`]; `value(v)` is the quantity being estimated at
+    /// `make_walker(i, _)` builds walker `i` (the second argument is the
+    /// [`HistoryBackend`] shim and carries nothing); `value(v)` is the
+    /// quantity being estimated at
     /// node `v`. Fully deterministic — including the restart schedule —
     /// given the seed.
     pub fn run_serial<C, W, F, P>(
@@ -859,7 +843,6 @@ impl WalkOrchestrator {
             ("walkers", Value::Uint(self.walkers as u64)),
             ("max_steps", Value::Uint(self.max_steps_per_walker as u64)),
             ("seed", Value::Uint(self.seed)),
-            ("backend", Value::Str(self.backend.label().into())),
         ])
     }
 
@@ -867,7 +850,6 @@ impl WalkOrchestrator {
         let walkers: usize = spec.field("walkers")?.decode()?;
         let max_steps: usize = spec.field("max_steps")?.decode()?;
         let seed: u64 = spec.field("seed")?.decode()?;
-        let backend = spec.field("backend")?.as_str()?;
         if walkers != self.walkers {
             return Err(format!(
                 "orchestrator spec mismatch: snapshot has {walkers} walkers, this orchestrator {}",
@@ -884,12 +866,6 @@ impl WalkOrchestrator {
             return Err(format!(
                 "orchestrator spec mismatch: snapshot seed {seed}, this orchestrator {}",
                 self.seed
-            ));
-        }
-        if backend != self.backend.label() {
-            return Err(format!(
-                "orchestrator spec mismatch: snapshot backend `{backend}`, this orchestrator `{}`",
-                self.backend.label()
             ));
         }
         Ok(())
@@ -920,7 +896,7 @@ mod tests {
             let mut client = clustered_client();
             let report = WalkOrchestrator::new(4, 400, 5).run_serial(
                 &mut client,
-                |i, b| Box::new(Cnrw::with_backend(NodeId(i as u32 % 10), b)) as _,
+                |i, _| Box::new(Cnrw::new(NodeId(i as u32 % 10))) as _,
                 |v| v.index() as f64,
                 &policy,
             );
@@ -965,7 +941,7 @@ mod tests {
             let mut client = clustered_client();
             let report = WalkOrchestrator::new(4, 500, 3).run_serial(
                 &mut client,
-                |i, b| Box::new(Cnrw::with_backend(NodeId(i as u32 % 10), b)) as _,
+                |i, _| Box::new(Cnrw::new(NodeId(i as u32 % 10))) as _,
                 |v| v.index() as f64,
                 policy.as_ref(),
             );

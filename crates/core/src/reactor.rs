@@ -853,11 +853,9 @@ impl WalkOrchestrator {
     /// re-charges nothing and resubmits in the snapshot's queue order. It
     /// reads the delivered lists back from the endpoint it runs against.
     ///
-    /// The orchestrator spec (fleet size, step cap, seed, history backend)
-    /// must match the one that produced the snapshot, and `make_walker`
-    /// must rebuild walkers of the same algorithm/strategy — walker state
-    /// import fails loudly on backend mismatches, but the algorithm itself
-    /// is the caller's contract, exactly as for
+    /// The orchestrator spec (fleet size, step cap, seed) must match the one
+    /// that produced the snapshot, and `make_walker` must rebuild walkers of
+    /// the same algorithm/strategy — the caller's contract, exactly as for
     /// [`RandomWalk::import_state`].
     ///
     /// # Errors
@@ -890,7 +888,7 @@ impl WalkOrchestrator {
         }
         let mut fleet = Vec::with_capacity(k);
         for (i, ws) in walker_states.iter().enumerate() {
-            let mut walker = make_walker(i, self.backend());
+            let mut walker = make_walker(i, HistoryBackend);
             walker
                 .import_state(ws)
                 .map_err(|e| format!("walker {i}: {e}"))?;
@@ -1348,11 +1346,8 @@ mod tests {
         )
     }
 
-    fn make_cnrw(i: usize, backend: crate::HistoryBackend) -> Box<dyn RandomWalk + Send> {
-        Box::new(Cnrw::with_backend(
-            osn_graph::NodeId((i as u32 * 7) % 90),
-            backend,
-        )) as Box<dyn RandomWalk + Send>
+    fn make_cnrw(i: usize, _: HistoryBackend) -> Box<dyn RandomWalk + Send> {
+        Box::new(Cnrw::new(osn_graph::NodeId((i as u32 * 7) % 90))) as Box<dyn RandomWalk + Send>
     }
 
     #[test]
@@ -1379,10 +1374,9 @@ mod tests {
     #[test]
     fn reactor_work_stealing_schedule_matches_serial() {
         let orch = WalkOrchestrator::new(6, 200, 9);
-        let make = |i: usize, backend: crate::HistoryBackend| {
+        let make = |i: usize, _: HistoryBackend| {
             // Clumped starts inside one clique force restarts.
-            Box::new(Cnrw::with_backend(osn_graph::NodeId(i as u32), backend))
-                as Box<dyn RandomWalk + Send>
+            Box::new(Cnrw::new(osn_graph::NodeId(i as u32))) as Box<dyn RandomWalk + Send>
         };
         let policy = WorkStealing::new(1.05, 16, SharedFrontier::with_stripes(8, 16));
         let serial = orch.run_serial(&mut clustered(), make, |v| v.index() as f64, &policy);

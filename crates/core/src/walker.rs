@@ -45,8 +45,8 @@ pub trait RandomWalk {
     /// Serialize the walker's resumable state (position, predecessor,
     /// circulation history) to a [`Value`] tree.
     ///
-    /// Construction-time configuration — the algorithm, grouping strategy,
-    /// history backend choice — is **not** part of the state: the
+    /// Construction-time configuration — the algorithm, the grouping
+    /// strategy or plan — is **not** part of the state: the
     /// [`import_state`](Self::import_state) contract is that the receiver
     /// was constructed from the same spec. Given that, a snapshot taken
     /// after `k` steps and restored into a fresh walker continues
@@ -55,12 +55,12 @@ pub trait RandomWalk {
 
     /// Restore state captured by [`export_state`](Self::export_state) into
     /// this walker (which must have been constructed from the same spec —
-    /// same algorithm, same history backend).
+    /// same algorithm, same grouping).
     ///
     /// # Errors
     /// Returns a message when the tree is malformed or does not match this
-    /// walker's configuration (e.g. a history-backend mismatch). The walker
-    /// is left unchanged on error.
+    /// walker's configuration (e.g. buffered draws offered to a walker that
+    /// never buffers). The walker is left unchanged on error.
     fn import_state(&mut self, state: &Value) -> Result<(), String>;
 
     /// Notify the walker that `node`'s neighbor list changed (an edge
@@ -118,23 +118,6 @@ pub(crate) fn prev_from_value(value: &Value) -> Result<Option<NodeId>, String> {
         Value::Null => Ok(None),
         other => Ok(Some(NodeId(other.decode::<u32>()?))),
     }
-}
-
-/// Check that an imported history tree names the backend the walker was
-/// constructed with — the mismatch guard every historied walker applies
-/// before touching its own state.
-pub(crate) fn check_backend(
-    state: &Value,
-    expected: crate::history::HistoryBackend,
-) -> Result<(), String> {
-    let named = state.field("backend")?.as_str()?;
-    if named != expected.label() {
-        return Err(format!(
-            "history backend mismatch: snapshot is `{named}`, walker runs `{}`",
-            expected.label()
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -5,8 +5,9 @@ use osn_graph::NodeId;
 use osn_serde::Value;
 use rand::RngCore;
 
-use crate::history::{EdgeHistory, HistoryBackend, TouchedNodes};
-use crate::walker::{check_backend, prev_from_value, prev_to_value, uniform_pick, RandomWalk};
+use crate::circulation::HistoryBackend;
+use crate::history::{EdgeHistory, TouchedNodes};
+use crate::walker::{prev_from_value, prev_to_value, uniform_pick, RandomWalk};
 
 /// Circulated Neighbors Random Walk (paper §3, Algorithm 1).
 ///
@@ -28,10 +29,9 @@ use crate::walker::{check_backend, prev_from_value, prev_to_value, uniform_pick,
 /// The first step of a walk has no incoming edge; it is performed as a plain
 /// SRW step (the paper assumes `x0 = u, x1 = v` are given).
 ///
-/// Space: `O(K)` after `K` steps. Per-step cost depends on the
-/// [`HistoryBackend`]: exactly `O(1)` on the default arena backend, `O(1)`
-/// amortized expected (degrading to an `O(deg)` rank scan on half-used
-/// circulations) on the legacy hash-set backend the paper describes in §3.3.
+/// Space: `O(K)` after `K` steps. Per-step cost is exactly `O(1)` on a
+/// promoted edge and `O(1)` expected on a cold one (see
+/// [`crate::circulation`]).
 #[derive(Clone, Debug)]
 pub struct Cnrw {
     prev: Option<NodeId>,
@@ -40,24 +40,19 @@ pub struct Cnrw {
 }
 
 impl Cnrw {
-    /// Start a walk at `start` on the default (arena) history backend.
+    /// Start a walk at `start`.
     pub fn new(start: NodeId) -> Self {
-        Self::with_backend(start, HistoryBackend::default())
-    }
-
-    /// Start a walk at `start` with an explicit history backend (the
-    /// ablation knob of the `walker_throughput`/`history_backends` benches).
-    pub fn with_backend(start: NodeId, backend: HistoryBackend) -> Self {
         Cnrw {
             prev: None,
             current: start,
-            history: EdgeHistory::with_backend(backend),
+            history: EdgeHistory::new(),
         }
     }
 
-    /// Which history backend this walker runs on.
-    pub fn backend(&self) -> HistoryBackend {
-        self.history.backend()
+    /// [`Self::new`], for callers that still pass the [`HistoryBackend`]
+    /// shim; the value is ignored.
+    pub fn with_backend(start: NodeId, _backend: HistoryBackend) -> Self {
+        Self::new(start)
     }
 
     /// The live history size (number of recorded outgoing choices) — the
@@ -71,10 +66,9 @@ impl Cnrw {
         self.history.tracked_edges()
     }
 
-    /// Allocated history-arena capacity in entries (`None` on the legacy
-    /// backend). [`RandomWalk::restart`] keeps this unchanged — the slab is
-    /// reused, not re-allocated.
-    pub fn arena_capacity(&self) -> Option<usize> {
+    /// Allocated history-arena capacity in entries. [`RandomWalk::restart`]
+    /// keeps this unchanged — the slab is reused, not re-allocated.
+    pub fn arena_capacity(&self) -> usize {
         self.history.arena_capacity()
     }
 }
@@ -126,11 +120,9 @@ impl RandomWalk for Cnrw {
     }
 
     fn import_state(&mut self, state: &Value) -> Result<(), String> {
-        let history_state = state.field("history")?;
-        check_backend(history_state, self.backend())?;
         let prev = prev_from_value(state.field("prev")?)?;
         let current = NodeId(state.field("current")?.decode()?);
-        let history = EdgeHistory::import_state(history_state)?;
+        let history = EdgeHistory::import_state(state.field("history")?)?;
         self.prev = prev;
         self.current = current;
         self.history = history;
@@ -168,67 +160,56 @@ mod tests {
     #[test]
     fn circulation_covers_all_neighbors_before_repeat() {
         // Force repeated transits of the same directed edge and check the
-        // outgoing choices circulate — on both history backends.
-        for backend in [HistoryBackend::Legacy, HistoryBackend::Arena] {
-            let g = GraphBuilder::new()
-                .add_edge(0, 1) // edge to circulate: 0 -> 1
-                .add_edge(1, 2)
-                .add_edge(1, 3)
-                .add_edge(1, 4)
-                .add_edge(2, 0)
-                .add_edge(3, 0)
-                .add_edge(4, 0)
-                .build()
-                .unwrap();
-            let mut client = SimulatedOsn::from_graph(g);
-            let mut rng = ChaCha12Rng::seed_from_u64(1);
-            let mut w = Cnrw::with_backend(NodeId(0), backend);
-            assert_eq!(w.backend(), backend);
+        // outgoing choices circulate.
+        let g = GraphBuilder::new()
+            .add_edge(0, 1) // edge to circulate: 0 -> 1
+            .add_edge(1, 2)
+            .add_edge(1, 3)
+            .add_edge(1, 4)
+            .add_edge(2, 0)
+            .add_edge(3, 0)
+            .add_edge(4, 0)
+            .build()
+            .unwrap();
+        let mut client = SimulatedOsn::from_graph(g);
+        let mut rng = ChaCha12Rng::seed_from_u64(1);
+        let mut w = Cnrw::new(NodeId(0));
 
-            // Walk long enough to transit 0->1 many times; collect the node
-            // chosen immediately after each 0->1 transit.
-            let mut after: Vec<NodeId> = Vec::new();
-            let mut prev = w.current();
-            for _ in 0..4000 {
-                let curr = w.step(&mut client, &mut rng).unwrap();
-                if prev == NodeId(0) && curr == NodeId(1) {
-                    let nxt = w.step(&mut client, &mut rng).unwrap();
-                    after.push(nxt);
-                    prev = nxt;
-                    continue;
-                }
-                prev = curr;
+        // Walk long enough to transit 0->1 many times; collect the node
+        // chosen immediately after each 0->1 transit.
+        let mut after: Vec<NodeId> = Vec::new();
+        let mut prev = w.current();
+        for _ in 0..4000 {
+            let curr = w.step(&mut client, &mut rng).unwrap();
+            if prev == NodeId(0) && curr == NodeId(1) {
+                let nxt = w.step(&mut client, &mut rng).unwrap();
+                after.push(nxt);
+                prev = nxt;
+                continue;
             }
-            assert!(after.len() >= 12, "too few transits: {}", after.len());
-            // Every consecutive window of 4 choices must cover all of N(1) =
-            // {0, 2, 3, 4} exactly once (alternating path blocks, Fig. 3).
-            for chunk in after.chunks_exact(4) {
-                let mut set: Vec<u32> = chunk.iter().map(|n| n.0).collect();
-                set.sort_unstable();
-                assert_eq!(
-                    set,
-                    vec![0, 2, 3, 4],
-                    "window not a permutation ({backend}): {chunk:?}"
-                );
-            }
+            prev = curr;
+        }
+        assert!(after.len() >= 12, "too few transits: {}", after.len());
+        // Every consecutive window of 4 choices must cover all of N(1) =
+        // {0, 2, 3, 4} exactly once (alternating path blocks, Fig. 3).
+        for chunk in after.chunks_exact(4) {
+            let mut set: Vec<u32> = chunk.iter().map(|n| n.0).collect();
+            set.sort_unstable();
+            assert_eq!(set, vec![0, 2, 3, 4], "window not a permutation: {chunk:?}");
         }
     }
 
     #[test]
-    fn backend_traces_are_seed_stable() {
-        // Same seed + same backend -> same trace; the two backends consume
-        // RNG differently, so cross-backend traces may (and generally do)
-        // diverge while staying distributionally equivalent.
-        let run = |backend: HistoryBackend| {
+    fn traces_are_seed_stable() {
+        let run = || {
             let mut client = star_plus_ring();
             let mut rng = ChaCha12Rng::seed_from_u64(17);
-            let mut w = Cnrw::with_backend(NodeId(0), backend);
+            let mut w = Cnrw::new(NodeId(0));
             (0..500)
                 .map(|_| w.step(&mut client, &mut rng).unwrap())
                 .collect::<Vec<_>>()
         };
-        assert_eq!(run(HistoryBackend::Arena), run(HistoryBackend::Arena));
-        assert_eq!(run(HistoryBackend::Legacy), run(HistoryBackend::Legacy));
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -5,8 +5,8 @@ use osn_graph::NodeId;
 use osn_serde::Value;
 use rand::RngCore;
 
-use crate::history::{EdgeHistory, HistoryBackend, TouchedNodes};
-use crate::walker::{check_backend, prev_from_value, prev_to_value, uniform_pick, RandomWalk};
+use crate::history::{EdgeHistory, TouchedNodes};
+use crate::walker::{prev_from_value, prev_to_value, uniform_pick, RandomWalk};
 
 /// Non-backtracking CNRW — the §5 discussion's composition of the circulated
 /// transition rule with NB-SRW \[11\]:
@@ -25,24 +25,14 @@ pub struct NbCnrw {
 }
 
 impl NbCnrw {
-    /// Start a walk at `start` on the default (arena) history backend.
+    /// Start a walk at `start`.
     pub fn new(start: NodeId) -> Self {
-        Self::with_backend(start, HistoryBackend::default())
-    }
-
-    /// Start a walk at `start` with an explicit history backend.
-    pub fn with_backend(start: NodeId, backend: HistoryBackend) -> Self {
         NbCnrw {
             prev: None,
             current: start,
-            history: EdgeHistory::with_backend(backend),
+            history: EdgeHistory::new(),
             scratch: Vec::new(),
         }
-    }
-
-    /// Which history backend this walker runs on.
-    pub fn backend(&self) -> HistoryBackend {
-        self.history.backend()
     }
 
     /// Total recorded history entries (memory-profile metric).
@@ -110,11 +100,9 @@ impl RandomWalk for NbCnrw {
     }
 
     fn import_state(&mut self, state: &Value) -> Result<(), String> {
-        let history_state = state.field("history")?;
-        check_backend(history_state, self.backend())?;
         let prev = prev_from_value(state.field("prev")?)?;
         let current = NodeId(state.field("current")?.decode()?);
-        let history = EdgeHistory::import_state(history_state)?;
+        let history = EdgeHistory::import_state(state.field("history")?)?;
         self.prev = prev;
         self.current = current;
         self.history = history;
@@ -191,41 +179,38 @@ mod tests {
     fn circulates_over_non_backtracking_set() {
         // From 0->1, candidates are N(1) \ {0} = {2,3,4}; consecutive
         // choices after repeated 0->1 transits must be permutations of
-        // {2,3,4} in windows of 3 — on both history backends.
-        for backend in [HistoryBackend::Legacy, HistoryBackend::Arena] {
-            let mut b = GraphBuilder::new();
-            b.push_edge(0, 1);
-            b.push_edge(1, 2);
-            b.push_edge(1, 3);
-            b.push_edge(1, 4);
-            b.push_edge(2, 0);
-            b.push_edge(3, 0);
-            b.push_edge(4, 0);
-            // Extra edges so the walk can reach 0->1 without backtracking.
-            b.push_edge(2, 3);
-            b.push_edge(3, 4);
-            let mut client = SimulatedOsn::from_graph(b.build().unwrap());
-            let mut rng = ChaCha12Rng::seed_from_u64(2);
-            let mut w = NbCnrw::with_backend(NodeId(0), backend);
-            assert_eq!(w.backend(), backend);
-            let mut after = Vec::new();
-            let mut prev = w.current();
-            for _ in 0..8000 {
-                let curr = w.step(&mut client, &mut rng).unwrap();
-                if prev == NodeId(0) && curr == NodeId(1) {
-                    let nxt = w.step(&mut client, &mut rng).unwrap();
-                    after.push(nxt);
-                    prev = nxt;
-                    continue;
-                }
-                prev = curr;
+        // {2,3,4} in windows of 3.
+        let mut b = GraphBuilder::new();
+        b.push_edge(0, 1);
+        b.push_edge(1, 2);
+        b.push_edge(1, 3);
+        b.push_edge(1, 4);
+        b.push_edge(2, 0);
+        b.push_edge(3, 0);
+        b.push_edge(4, 0);
+        // Extra edges so the walk can reach 0->1 without backtracking.
+        b.push_edge(2, 3);
+        b.push_edge(3, 4);
+        let mut client = SimulatedOsn::from_graph(b.build().unwrap());
+        let mut rng = ChaCha12Rng::seed_from_u64(2);
+        let mut w = NbCnrw::new(NodeId(0));
+        let mut after = Vec::new();
+        let mut prev = w.current();
+        for _ in 0..8000 {
+            let curr = w.step(&mut client, &mut rng).unwrap();
+            if prev == NodeId(0) && curr == NodeId(1) {
+                let nxt = w.step(&mut client, &mut rng).unwrap();
+                after.push(nxt);
+                prev = nxt;
+                continue;
             }
-            assert!(after.len() >= 6, "transits ({backend}): {}", after.len());
-            for win in after.chunks_exact(3) {
-                let mut ids: Vec<u32> = win.iter().map(|n| n.0).collect();
-                ids.sort_unstable();
-                assert_eq!(ids, vec![2, 3, 4], "window ({backend}) {win:?}");
-            }
+            prev = curr;
+        }
+        assert!(after.len() >= 6, "transits: {}", after.len());
+        for win in after.chunks_exact(3) {
+            let mut ids: Vec<u32> = win.iter().map(|n| n.0).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, vec![2, 3, 4], "window {win:?}");
         }
     }
 

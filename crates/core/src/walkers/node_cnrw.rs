@@ -20,14 +20,14 @@ use osn_graph::NodeId;
 use osn_serde::Value;
 use rand::RngCore;
 
-use crate::history::{EdgeHistory, HistoryBackend, TouchedNodes};
-use crate::walker::{check_backend, RandomWalk};
+use crate::history::{EdgeHistory, TouchedNodes};
+use crate::walker::RandomWalk;
 
 /// CNRW variant with **node-keyed** history `b(v)` (ablation of §3.2's
 /// edge-based design decision).
 ///
 /// Storage reuses [`EdgeHistory`] with the degenerate key `(v, v)`, so the
-/// ablation walker gets the same [`HistoryBackend`] knob as CNRW proper.
+/// ablation walker runs on the same circulation engine as CNRW proper.
 #[derive(Clone, Debug, Default)]
 pub struct NodeCnrw {
     current: NodeId,
@@ -35,22 +35,12 @@ pub struct NodeCnrw {
 }
 
 impl NodeCnrw {
-    /// Start a walk at `start` on the default (arena) history backend.
+    /// Start a walk at `start`.
     pub fn new(start: NodeId) -> Self {
-        Self::with_backend(start, HistoryBackend::default())
-    }
-
-    /// Start a walk at `start` with an explicit history backend.
-    pub fn with_backend(start: NodeId, backend: HistoryBackend) -> Self {
         NodeCnrw {
             current: start,
-            history: EdgeHistory::with_backend(backend),
+            history: EdgeHistory::new(),
         }
-    }
-
-    /// Which history backend this walker runs on.
-    pub fn backend(&self) -> HistoryBackend {
-        self.history.backend()
     }
 
     /// Total recorded history entries.
@@ -99,10 +89,8 @@ impl RandomWalk for NodeCnrw {
     }
 
     fn import_state(&mut self, state: &Value) -> Result<(), String> {
-        let history_state = state.field("history")?;
-        check_backend(history_state, self.backend())?;
         let current = NodeId(state.field("current")?.decode()?);
-        let history = EdgeHistory::import_state(history_state)?;
+        let history = EdgeHistory::import_state(state.field("history")?)?;
         self.current = current;
         self.history = history;
         Ok(())

@@ -6,8 +6,7 @@ use std::sync::Arc;
 use osn_graph::attributes::AttributedGraph;
 use osn_graph::NodeId;
 use osn_walks::{
-    ByAttribute, ByDegree, ByHash, Cnrw, Gnrw, GroupPlan, HistoryBackend, Mhrw, NbCnrw, NbSrw,
-    PlanMode, RandomWalk, Srw,
+    ByAttribute, ByDegree, ByHash, Cnrw, Gnrw, GroupPlan, Mhrw, NbCnrw, NbSrw, RandomWalk, Srw,
 };
 
 /// Which grouping GNRW uses (mirrors the paper's Figure 9 variants).
@@ -64,27 +63,15 @@ impl Algorithm {
         }
     }
 
-    /// Instantiate a walker starting at `start` on the default (arena)
-    /// history backend.
+    /// Instantiate a walker starting at `start`.
     pub fn make(&self, start: NodeId) -> Box<dyn RandomWalk + Send> {
-        self.make_with_backend(start, HistoryBackend::default())
-    }
-
-    /// Instantiate a walker starting at `start` with an explicit history
-    /// backend for the history-aware samplers (memoryless samplers ignore
-    /// it).
-    pub fn make_with_backend(
-        &self,
-        start: NodeId,
-        backend: HistoryBackend,
-    ) -> Box<dyn RandomWalk + Send> {
         match self {
             Algorithm::Srw => Box::new(Srw::new(start)),
             Algorithm::Mhrw => Box::new(Mhrw::new(start)),
             Algorithm::NbSrw => Box::new(NbSrw::new(start)),
-            Algorithm::Cnrw => Box::new(Cnrw::with_backend(start, backend)),
-            Algorithm::Gnrw(spec) => Box::new(Gnrw::with_backend(start, spec.strategy(), backend)),
-            Algorithm::NbCnrw => Box::new(NbCnrw::with_backend(start, backend)),
+            Algorithm::Cnrw => Box::new(Cnrw::new(start)),
+            Algorithm::Gnrw(spec) => Box::new(Gnrw::new(start, spec.strategy())),
+            Algorithm::NbCnrw => Box::new(NbCnrw::new(start)),
         }
     }
 
@@ -98,16 +85,10 @@ impl Algorithm {
         }
     }
 
-    /// Instantiate a walker like [`Self::make_with_backend`], but with GNRW
-    /// running plan-backed against the shared `plan` in the given mode.
-    /// Non-GNRW samplers ignore the plan.
-    pub fn make_planned(
-        &self,
-        start: NodeId,
-        plan: Arc<GroupPlan>,
-        mode: PlanMode,
-        backend: HistoryBackend,
-    ) -> Box<dyn RandomWalk + Send> {
+    /// Instantiate a walker like [`Self::make`], but with GNRW running
+    /// plan-backed against the shared `plan`. Non-GNRW samplers ignore the
+    /// plan.
+    pub fn make_planned(&self, start: NodeId, plan: Arc<GroupPlan>) -> Box<dyn RandomWalk + Send> {
         match self {
             Algorithm::Gnrw(_) => {
                 debug_assert_eq!(
@@ -115,19 +96,10 @@ impl Algorithm {
                     self.label(),
                     "group plan built for a different grouping"
                 );
-                Box::new(Gnrw::with_plan_backend(start, plan, mode, backend))
+                Box::new(Gnrw::with_plan(start, plan))
             }
-            _ => self.make_with_backend(start, backend),
+            _ => self.make(start),
         }
-    }
-
-    /// Whether the sampler keeps circulation history (and therefore has a
-    /// meaningful [`HistoryBackend`] ablation axis).
-    pub fn uses_history(&self) -> bool {
-        matches!(
-            self,
-            Algorithm::Cnrw | Algorithm::Gnrw(_) | Algorithm::NbCnrw
-        )
     }
 
     /// Whether the sampler's stationary distribution is uniform (MHRW) as

@@ -121,10 +121,7 @@ fn coalesced_charged(
     );
     let report = WalkOrchestrator::new(k, steps, seed).run_reactor(
         &mut client,
-        |i, backend| {
-            Box::new(Cnrw::with_backend(start_node(seed, i, n), backend))
-                as Box<dyn RandomWalk + Send>
-        },
+        |i, _| Box::new(Cnrw::new(start_node(seed, i, n))) as Box<dyn RandomWalk + Send>,
         |v| v.index() as f64,
         &Never,
     );

@@ -106,10 +106,7 @@ fn run_trial(
     let report = WalkOrchestrator::new(k, max_steps, seed).run_serial(
         &mut client,
         // Clumped adversarial starts: every walker inside the 10-clique.
-        |i, backend| {
-            Box::new(Cnrw::with_backend(NodeId((i % 10) as u32), backend))
-                as Box<dyn RandomWalk + Send>
-        },
+        |i, _| Box::new(Cnrw::new(NodeId((i % 10) as u32))) as Box<dyn RandomWalk + Send>,
         |v| graph.degree(v) as f64,
         policy,
     );

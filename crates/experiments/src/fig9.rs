@@ -17,7 +17,6 @@ use std::time::Instant;
 use osn_datasets::{yelp_like, Scale};
 use osn_estimate::estimators::RatioEstimator;
 use osn_estimate::metrics::relative_error;
-use osn_walks::PlanMode;
 
 use crate::algorithms::{Algorithm, GroupingSpec};
 use crate::output::{ExperimentResult, Series};
@@ -130,8 +129,7 @@ pub fn plan_equal_walltime(config: &Fig9Config, base_steps: &[usize]) -> Experim
     let truth = network.graph.average_degree();
 
     let scratch_arm = TrialPlan::new(network.clone());
-    let alias_arm =
-        TrialPlan::new(network.clone()).with_group_plan(Arc::clone(&plan), PlanMode::Alias);
+    let alias_arm = TrialPlan::new(network.clone()).with_group_plan(Arc::clone(&plan));
 
     // One warm run to settle allocations/caches, then one timed run.
     let calibrate = |arm: &TrialPlan| {

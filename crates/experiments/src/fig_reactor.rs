@@ -111,10 +111,7 @@ impl FigReactorConfig {
 }
 
 fn make_walker(n: usize) -> impl Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send> {
-    move |i, backend| {
-        Box::new(Cnrw::with_backend(NodeId(((i * 13) % n) as u32), backend))
-            as Box<dyn RandomWalk + Send>
-    }
+    move |i, _| Box::new(Cnrw::new(NodeId(((i * 13) % n) as u32))) as Box<dyn RandomWalk + Send>
 }
 
 /// One fleet's measurements.

@@ -8,8 +8,8 @@ use osn_graph::attributes::AttributedGraph;
 use osn_graph::compact::CompactCsr;
 use osn_graph::NodeId;
 use osn_walks::{
-    HistoryBackend, OrchestratorReport, RandomWalk, RestartPolicy, WalkConfig, WalkOrchestrator,
-    WalkSession, WalkTrace,
+    OrchestratorReport, RandomWalk, RestartPolicy, WalkConfig, WalkOrchestrator, WalkSession,
+    WalkTrace,
 };
 
 use crate::algorithms::Algorithm;
@@ -25,7 +25,7 @@ pub fn trial_seed(experiment_seed: u64, trial: u64) -> u64 {
 /// The plan for one budget-limited walk trial over a shared snapshot.
 ///
 /// [`TrialPlan::new`] is the canonical entry point: every knob — budget,
-/// step cap, history backend, dispatch mode, restart policy — is a
+/// step cap, dispatch mode, restart policy, group plan — is a
 /// `with_*` builder on the same surface. [`TrialPlan::budgeted`] and
 /// [`TrialPlan::steps`] remain as documented shorthands that forward to
 /// the builder; nothing is deprecated.
@@ -50,9 +50,6 @@ pub struct TrialPlan {
     /// Hard step cap (protects unlimited-budget walks; also bounds the time
     /// a budget-limited walk spends revisiting cached nodes).
     pub max_steps: usize,
-    /// History backend for the history-aware samplers (arena by default;
-    /// the benches flip this to ablate legacy vs arena storage).
-    pub backend: HistoryBackend,
     /// Dispatch mode: `None` drives the walk synchronously through a
     /// [`WalkSession`]; `Some(config)` routes every neighbor fetch through
     /// a [`SimulatedBatchOsn`] batch endpoint via the reactor. Both modes
@@ -62,10 +59,10 @@ pub struct TrialPlan {
     /// Restart policy for single-walker steal ablations (`None` = the
     /// policy-free fast path). Set via [`Self::with_restarts`].
     pub restarts: Option<Arc<dyn RestartPolicy + Send + Sync>>,
-    /// Precomputed group plan for GNRW trials (`None` = the scratch
+    /// Precomputed group plan for GNRW trials (`None` = the planless
     /// per-step partition). Set via [`Self::with_group_plan`]; non-GNRW
     /// algorithms ignore it.
-    pub group_plan: Option<(Arc<osn_walks::GroupPlan>, osn_walks::PlanMode)>,
+    pub group_plan: Option<Arc<osn_walks::GroupPlan>>,
     /// Compressed snapshot backing every trial's client instead of
     /// [`Self::network`] (which becomes an edgeless placeholder carrying
     /// only the node count). Set via [`Self::from_compact`]; walks decode
@@ -76,14 +73,12 @@ pub struct TrialPlan {
 
 impl TrialPlan {
     /// The canonical constructor: an unbudgeted plan over a snapshot with
-    /// the default step cap, history backend, synchronous dispatch, and no
-    /// restart policy. Layer knobs on with the `with_*` builders.
+    /// the default step cap, synchronous dispatch, and no restart policy. Layer knobs on with the `with_*` builders.
     pub fn new(network: Arc<AttributedGraph>) -> Self {
         TrialPlan {
             network,
             budget: None,
             max_steps: 10_000,
-            backend: HistoryBackend::default(),
             batch: None,
             restarts: None,
             group_plan: None,
@@ -137,13 +132,6 @@ impl TrialPlan {
         self
     }
 
-    /// Same plan on an explicit history backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: HistoryBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Same plan routed through a batch endpoint (the reactor dispatch
     /// mode; see [`Self::batch`]).
     #[must_use]
@@ -165,31 +153,21 @@ impl TrialPlan {
     }
 
     /// Same plan with GNRW trials running against a shared precomputed
-    /// [`osn_walks::GroupPlan`] in the given [`osn_walks::PlanMode`]
-    /// (`Exact` replays the scratch path's traces bit-for-bit; `Alias` is
-    /// the fast path, equivalent in distribution). Build the plan once via
+    /// [`osn_walks::GroupPlan`] (the fast path, equivalent in distribution
+    /// to the planless walk). Build the plan once via
     /// [`Algorithm::build_group_plan`] over [`Self::network`] and share it
     /// across trials.
     #[must_use]
-    pub fn with_group_plan(
-        mut self,
-        plan: Arc<osn_walks::GroupPlan>,
-        mode: osn_walks::PlanMode,
-    ) -> Self {
-        self.group_plan = Some((plan, mode));
+    pub fn with_group_plan(mut self, plan: Arc<osn_walks::GroupPlan>) -> Self {
+        self.group_plan = Some(plan);
         self
     }
 
     /// Construct the walker for one trial, honoring [`Self::group_plan`].
-    fn make_walker(
-        &self,
-        algorithm: &Algorithm,
-        start: NodeId,
-        backend: HistoryBackend,
-    ) -> Box<dyn RandomWalk + Send> {
+    fn make_walker(&self, algorithm: &Algorithm, start: NodeId) -> Box<dyn RandomWalk + Send> {
         match &self.group_plan {
-            Some((plan, mode)) => algorithm.make_planned(start, Arc::clone(plan), *mode, backend),
-            None => algorithm.make_with_backend(start, backend),
+            Some(plan) => algorithm.make_planned(start, Arc::clone(plan)),
+            None => algorithm.make(start),
         }
     }
 
@@ -226,7 +204,7 @@ impl TrialPlan {
                 .unwrap_or_default();
             return WalkTrace::from_parts(start, nodes, report.stops[0], report.trace.stats);
         }
-        let mut walker = self.make_walker(algorithm, start, self.backend);
+        let mut walker = self.make_walker(algorithm, start);
         if let Some(batch) = &self.batch {
             return self.run_batched(walker, start, batch.clone(), seed);
         }
@@ -286,9 +264,8 @@ impl TrialPlan {
             Some(p) => p.as_ref(),
             None => &osn_walks::Never,
         };
-        let orchestrator =
-            WalkOrchestrator::new(1, self.max_steps, seed).with_backend(self.backend);
-        let make = |_i: usize, backend: HistoryBackend| self.make_walker(algorithm, start, backend);
+        let orchestrator = WalkOrchestrator::new(1, self.max_steps, seed);
+        let make = |_, _| self.make_walker(algorithm, start);
         match &self.batch {
             Some(batch) => {
                 let mut client =
@@ -549,9 +526,8 @@ mod tests {
     }
 
     #[test]
-    fn plan_backed_trial_matches_scratch_in_exact_mode() {
+    fn plan_backed_trials_are_deterministic_per_seed() {
         use crate::algorithms::GroupingSpec;
-        use osn_walks::PlanMode;
         let net = shared_net();
         let alg = Algorithm::Gnrw(GroupingSpec::ByDegree);
         let plan = Arc::new(alg.build_group_plan(&net).unwrap());
@@ -559,14 +535,9 @@ mod tests {
             plan.degenerate().is_none(),
             "fixture grouping must be non-degenerate for this comparison"
         );
-        let scratch = TrialPlan::steps(net.clone(), 400).run(&alg, 17);
-        let exact = TrialPlan::steps(net.clone(), 400)
-            .with_group_plan(Arc::clone(&plan), PlanMode::Exact)
-            .run(&alg, 17);
-        assert_eq!(scratch.nodes(), exact.nodes());
-        // Alias mode reorders draws; the trial still runs to the step cap
-        // and stays deterministic per seed.
-        let alias_plan = TrialPlan::steps(net, 400).with_group_plan(plan, PlanMode::Alias);
+        // Alias draws reorder the planless walk's draws; the trial still
+        // runs to the step cap and stays deterministic per seed.
+        let alias_plan = TrialPlan::steps(net, 400).with_group_plan(plan);
         let a = alias_plan.run(&alg, 17);
         let b = alias_plan.run(&alg, 17);
         assert_eq!(a.len(), 400);
@@ -576,7 +547,6 @@ mod tests {
     #[test]
     fn group_plan_is_ignored_by_planless_samplers() {
         use crate::algorithms::GroupingSpec;
-        use osn_walks::PlanMode;
         let net = shared_net();
         let plan = Arc::new(
             Algorithm::Gnrw(GroupingSpec::ByDegree)
@@ -585,7 +555,7 @@ mod tests {
         );
         let bare = TrialPlan::steps(net.clone(), 200).run(&Algorithm::Cnrw, 8);
         let planned = TrialPlan::steps(net, 200)
-            .with_group_plan(plan, PlanMode::Alias)
+            .with_group_plan(plan)
             .run(&Algorithm::Cnrw, 8);
         assert_eq!(bare.nodes(), planned.nodes());
     }

@@ -1,11 +1,11 @@
 //! Flat stable partitions of index ranges by `u64` key.
 //!
-//! GNRW partitions each node's neighbor slice into groups; the group-plan
-//! precomputation in `osn-walks` needs that partition in **CSR-style flat
-//! storage** (a permutation of local indices plus group end offsets) rather
-//! than a hash map of `Vec`s. The routine here is the single source of
-//! truth for the ordering contract both the precomputed plan and the
-//! per-step scratch path rely on:
+//! GNRW partitions each node's neighbor slice into groups, in **CSR-style
+//! flat storage** (a permutation of local indices plus group end offsets)
+//! rather than a hash map of `Vec`s. The routine here is the single source
+//! of truth for the ordering contract both callers in `osn-walks` rely on —
+//! the precomputed group plan, and the planless walker, which partitions
+//! each step's neighbor list into buffers it reuses:
 //!
 //! * groups are emitted in **ascending key order**, and
 //! * within a group, members keep their **original index order**.
@@ -44,8 +44,10 @@ impl FlatPartition {
 /// Partition the index range `0..keys.len()` by key into `out`, replacing
 /// its previous contents.
 ///
-/// Stable: ties keep ascending index order. Cost is one sort of
-/// `keys.len()` `u32`s (the scratch buffer is reused across calls).
+/// Stable: ties keep ascending index order. When the keys span fewer than
+/// `4 × keys.len()` values (degree buckets, hash groups) this is a counting
+/// sort, `O(keys.len())`; otherwise one sort of `keys.len()` `u32`s. The
+/// scratch buffer is reused across calls either way.
 ///
 /// ```
 /// use osn_graph::partition::{partition_by_key, FlatPartition};
@@ -65,6 +67,43 @@ pub fn partition_by_key(keys: &[u64], out: &mut FlatPartition) {
     out.ends.clear();
     out.keys.clear();
     out.scratch.clear();
+    let Some(lo) = keys.iter().copied().min() else {
+        return;
+    };
+    let span = keys.iter().max().map_or(0, |&hi| hi - lo);
+    if span < 4 * keys.len() as u64 {
+        partition_by_counting(keys, lo, span as usize + 1, out);
+    } else {
+        partition_by_sorting(keys, out);
+    }
+}
+
+/// Counting sort over the key range `lo..lo + span`: `scratch` holds each
+/// key's count, then its group's next write offset.
+fn partition_by_counting(keys: &[u64], lo: u64, span: usize, out: &mut FlatPartition) {
+    out.scratch.resize(span, 0);
+    for &key in keys {
+        out.scratch[(key - lo) as usize] += 1;
+    }
+    let mut end = 0;
+    for (offset, slot) in out.scratch.iter_mut().enumerate() {
+        if *slot > 0 {
+            out.keys.push(lo + offset as u64);
+            end += std::mem::replace(slot, end);
+            out.ends.push(end);
+        }
+    }
+    // Scatter the indices in ascending order: stable within each group.
+    out.perm.resize(keys.len(), 0);
+    for (i, &key) in keys.iter().enumerate() {
+        let at = &mut out.scratch[(key - lo) as usize];
+        out.perm[*at as usize] = i as u32;
+        *at += 1;
+    }
+}
+
+/// Sort `scratch` by `(key, index)` and cut it into groups.
+fn partition_by_sorting(keys: &[u64], out: &mut FlatPartition) {
     out.scratch.extend(0..keys.len() as u32);
     // Stable under (key, index): sorting by key alone with `sort_unstable`
     // could reorder equal keys, so tie-break on the index explicitly.
@@ -124,15 +163,17 @@ mod tests {
 
     #[test]
     fn perm_is_a_permutation() {
-        let keys: Vec<u64> = (0..97).map(|i| (i * 31) % 7).collect();
-        let mut p = FlatPartition::default();
-        partition_by_key(&keys, &mut p);
-        let mut seen = vec![false; keys.len()];
-        for &i in &p.perm {
-            assert!(!seen[i as usize], "duplicate index {i}");
-            seen[i as usize] = true;
+        // The same seven groups over a narrow key range (counting sort) and
+        // spread over 2^39 values (sort): both give the stable sort's order.
+        for shift in [0, 36] {
+            let keys: Vec<u64> = (0..97).map(|i| ((i * 31) % 7) << shift).collect();
+            let mut p = FlatPartition::default();
+            partition_by_key(&keys, &mut p);
+            let mut want: Vec<u32> = (0..97).collect();
+            want.sort_by_key(|&i| keys[i as usize]);
+            assert_eq!(p.perm, want, "shift {shift}");
+            assert_eq!(p.keys.len(), 7);
+            assert_eq!(p.ends.last().copied(), Some(keys.len() as u32));
         }
-        assert!(seen.iter().all(|&s| s));
-        assert_eq!(p.ends.last().copied(), Some(keys.len() as u32));
     }
 }

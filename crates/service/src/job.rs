@@ -74,20 +74,16 @@ impl Algorithm {
             .ok_or_else(|| format!("unknown algorithm `{label}`"))
     }
 
-    /// Instantiate a walker at `start` on `backend`.
-    pub fn make(self, start: NodeId, backend: HistoryBackend) -> Box<dyn RandomWalk + Send> {
+    /// Instantiate a walker at `start`.
+    pub fn make(self, start: NodeId) -> Box<dyn RandomWalk + Send> {
         match self {
             Algorithm::Srw => Box::new(Srw::new(start)),
             Algorithm::Mhrw => Box::new(Mhrw::new(start)),
             Algorithm::NbSrw => Box::new(NbSrw::new(start)),
-            Algorithm::Cnrw => Box::new(Cnrw::with_backend(start, backend)),
-            Algorithm::NodeCnrw => Box::new(NodeCnrw::with_backend(start, backend)),
-            Algorithm::NbCnrw => Box::new(NbCnrw::with_backend(start, backend)),
-            Algorithm::GnrwByDegree => Box::new(Gnrw::with_backend(
-                start,
-                Box::new(ByDegree::log2()),
-                backend,
-            )),
+            Algorithm::Cnrw => Box::new(Cnrw::new(start)),
+            Algorithm::NodeCnrw => Box::new(NodeCnrw::new(start)),
+            Algorithm::NbCnrw => Box::new(NbCnrw::new(start)),
+            Algorithm::GnrwByDegree => Box::new(Gnrw::new(start, Box::new(ByDegree::log2()))),
         }
     }
 }
@@ -177,8 +173,6 @@ pub struct JobSpec {
     pub seed: u64,
     /// Start node of every walker in the fleet.
     pub start: NodeId,
-    /// Circulation history backend.
-    pub backend: HistoryBackend,
     /// Virtual-clock time at which the job becomes admissible, in seconds.
     /// The server refuses a spec whose arrival is negative or not finite.
     pub arrival_secs: f64,
@@ -186,7 +180,7 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// A job with library defaults: 2 walkers, 400 steps each, seed 0,
-    /// average-degree estimand, default backend, admissible immediately.
+    /// average-degree estimand, admissible immediately.
     pub fn new(tenant: usize, algorithm: Algorithm, start: NodeId) -> Self {
         JobSpec {
             tenant,
@@ -196,7 +190,6 @@ impl JobSpec {
             max_steps: 400,
             seed: 0,
             start,
-            backend: HistoryBackend::default(),
             arrival_secs: 0.0,
         }
     }
@@ -229,13 +222,6 @@ impl JobSpec {
         self
     }
 
-    /// Set the circulation history backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: HistoryBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Set the virtual arrival time.
     #[must_use]
     pub fn with_arrival(mut self, secs: f64) -> Self {
@@ -245,7 +231,7 @@ impl JobSpec {
 
     /// The orchestrator this spec compiles to.
     pub(crate) fn orchestrator(&self) -> WalkOrchestrator {
-        WalkOrchestrator::new(self.walkers, self.max_steps, self.seed).with_backend(self.backend)
+        WalkOrchestrator::new(self.walkers, self.max_steps, self.seed)
     }
 
     /// The fleet factory this spec compiles to.
@@ -254,7 +240,7 @@ impl JobSpec {
     ) -> impl Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send> {
         let algorithm = self.algorithm;
         let start = self.start;
-        move |_i, backend| algorithm.make(start, backend)
+        move |_, _| algorithm.make(start)
     }
 
     pub(crate) fn to_value(&self) -> Value {
@@ -266,17 +252,11 @@ impl JobSpec {
             ("max_steps", Value::Uint(self.max_steps as u64)),
             ("seed", Value::Uint(self.seed)),
             ("start", Value::Uint(u64::from(self.start.0))),
-            ("backend", Value::Str(self.backend.label().into())),
             ("arrival_secs", Value::Num(self.arrival_secs)),
         ])
     }
 
     pub(crate) fn from_value(value: &Value) -> Result<Self, String> {
-        let backend = match value.field("backend")?.as_str()? {
-            "legacy" => HistoryBackend::Legacy,
-            "arena" => HistoryBackend::Arena,
-            other => return Err(format!("unknown history backend `{other}`")),
-        };
         Ok(JobSpec {
             tenant: value.field("tenant")?.decode()?,
             algorithm: Algorithm::from_label(value.field("algorithm")?.as_str()?)?,
@@ -285,7 +265,6 @@ impl JobSpec {
             max_steps: value.field("max_steps")?.decode()?,
             seed: value.field("seed")?.decode()?,
             start: NodeId(value.field("start")?.decode()?),
-            backend,
             arrival_secs: value.field("arrival_secs")?.decode()?,
         })
     }
@@ -395,7 +374,6 @@ mod tests {
             .with_max_steps(512)
             .with_seed(99)
             .with_estimand(Estimand::MeanNodeIndex)
-            .with_backend(HistoryBackend::Legacy)
             .with_arrival(12.5);
         let back = JobSpec::from_value(&spec.to_value()).unwrap();
         assert_eq!(back.tenant, 3);
@@ -405,14 +383,13 @@ mod tests {
         assert_eq!(back.max_steps, 512);
         assert_eq!(back.seed, 99);
         assert_eq!(back.start, NodeId(17));
-        assert_eq!(back.backend, HistoryBackend::Legacy);
         assert_eq!(back.arrival_secs.to_bits(), 12.5f64.to_bits());
     }
 
     #[test]
     fn every_algorithm_instantiates() {
         for a in Algorithm::ALL {
-            let w = a.make(NodeId(0), HistoryBackend::default());
+            let w = a.make(NodeId(0));
             assert_eq!(w.current(), NodeId(0));
         }
     }

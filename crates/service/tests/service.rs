@@ -274,14 +274,12 @@ fn reactor_jobs_match_serial_runs_of_their_specs_without_budget() {
             continue;
         };
         let spec = server.job_spec(id).clone();
-        let serial = WalkOrchestrator::new(spec.walkers, spec.max_steps, spec.seed)
-            .with_backend(spec.backend)
-            .run_serial(
-                &mut SimulatedOsn::new_shared(network.clone()),
-                |_, backend| spec.algorithm.make(spec.start, backend),
-                spec.estimand.value_fn(&network),
-                &Never,
-            );
+        let serial = WalkOrchestrator::new(spec.walkers, spec.max_steps, spec.seed).run_serial(
+            &mut SimulatedOsn::new_shared(network.clone()),
+            |_, _| spec.algorithm.make(spec.start),
+            spec.estimand.value_fn(&network),
+            &Never,
+        );
         assert_eq!(
             result.estimate.map(f64::to_bits),
             spec.estimand.read(&serial.estimate).map(f64::to_bits),
@@ -692,6 +690,62 @@ fn running_jobs_snapshot_delivered_ids_not_neighbor_lists() {
         err.contains("delivered"),
         "error does not name `delivered`: {err}"
     );
+}
+
+#[test]
+fn running_jobs_snapshot_walker_history_without_a_backend_tag() {
+    // A walker's `history` is the circulation engine's state itself, and
+    // neither the job spec nor the run spec names a history backend. A
+    // snapshot in the old format, whose walkers wrap their history as
+    // `{"backend": …, "engine": …}`, is refused with an error that names
+    // the job and the first engine field it lacks.
+    let endpoint = SimulatedBatchOsn::new(
+        SimulatedOsn::from_graph(test_graph(20)),
+        BatchConfig::new(4),
+    );
+    let mut server = SessionServer::new(endpoint, ServerConfig::new().with_rounds_per_slice(1));
+    let t = server.add_tenant("only", 1.0);
+    server
+        .submit(
+            JobSpec::new(t, Algorithm::GnrwByDegree, NodeId(3))
+                .with_walkers(3)
+                .with_max_steps(100),
+        )
+        .unwrap();
+    for _ in 0..4 {
+        assert!(server.step());
+    }
+    assert_eq!(server.job_state(0), JobState::Running);
+    let snap = server.snapshot().unwrap();
+    let job = &snap.field("jobs").unwrap().as_array().unwrap()[0];
+    assert!(job.field("spec").unwrap().field("backend").is_err());
+    let run = run_of(&snap, 0).unwrap();
+    assert!(run.field("spec").unwrap().field("backend").is_err());
+    for walker in run.field("walkers").unwrap().as_array().unwrap() {
+        let history = walker.field("history").unwrap();
+        assert!(history.field("backend").is_err(), "{history:?}");
+        assert!(history.field("items").is_ok(), "{history:?}");
+    }
+    assert!(resume_small(&snap).is_ok());
+
+    let mut old = snap.clone();
+    let walkers = field_mut(field_mut(entry_mut(&mut old, "jobs", 0), "run"), "walkers");
+    let Value::Arr(walkers) = walkers else {
+        panic!("walkers is not an array");
+    };
+    for walker in walkers {
+        let history = field_mut(walker, "history");
+        let engine = std::mem::replace(history, Value::Null);
+        *history = Value::obj([("backend", Value::Str("arena".into())), ("engine", engine)]);
+    }
+    let err = resume_small(&old)
+        .err()
+        .expect("an old-format walker history resumed");
+    assert!(
+        err.starts_with("job 0: "),
+        "error does not name the job: {err}"
+    );
+    assert!(err.contains("items"), "error does not name `items`: {err}");
 }
 
 #[test]

@@ -58,10 +58,10 @@ fn main() {
         let graph = &network.graph;
         let report = WalkOrchestrator::new(k, 4_000, 99).run_reactor(
             &mut client,
-            |i, backend| {
+            |i, _| {
                 // Spread starts across the clusters.
                 let start = NodeId(((i * 31) % n) as u32);
-                Box::new(Cnrw::with_backend(start, backend)) as Box<dyn RandomWalk + Send>
+                Box::new(Cnrw::new(start)) as Box<dyn RandomWalk + Send>
             },
             |v| graph.degree(v) as f64,
             &Never,
@@ -140,9 +140,8 @@ fn main() {
                 };
                 let report = orch.run_serial(
                     &mut client,
-                    |i, backend| {
-                        Box::new(Cnrw::with_backend(NodeId((i % 10) as u32), backend))
-                            as Box<dyn RandomWalk + Send>
+                    |i, _| {
+                        Box::new(Cnrw::new(NodeId((i % 10) as u32))) as Box<dyn RandomWalk + Send>
                     },
                     |v| graph.degree(v) as f64,
                     policy,

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Quick walker-throughput regression check against the committed baseline.
 #
-# Re-measures the (graph, algorithm, history backend) steps/sec matrix in
+# Re-measures the (graph, algorithm, execution path) steps/sec matrix in
 # quick mode and diffs it against BENCH_walkers.json. Cells more than 15%
 # below the baseline's best rep print a `::warning::` line (rendered as an
 # annotation on GitHub Actions). GNRW is called out specifically: the
 # plan-over-scratch speedup (plan-backed arena cell vs the per-step
 # partition reference cell) is printed for every graph on every run, and
 # warns when that within-run ratio falls below the committed baseline's —
-# it is the machine-independent headline of the group-plan fast path.
+# it is the machine-independent signal of the check, and the headline of
+# the group-plan fast path.
 # The check is NON-BLOCKING by design — CI
 # runners are noisy shared machines — so this script always exits 0 when
 # the measurement itself succeeds; regenerate the baseline on a quiet

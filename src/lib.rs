@@ -117,9 +117,9 @@ pub mod prelude {
     };
     pub use osn_walks::{
         ByAttribute, ByDegree, ByHash, Cnrw, FrontierSampler, Gnrw, GroupPlan, HistoryBackend,
-        Mhrw, NbCnrw, NbSrw, Never, NodeCnrw, OrchestratorReport, PlanMode, RandomWalk,
-        ReactorStats, ReactorWalkRun, RestartEvent, RestartPolicy, RestartReason, SharedFrontier,
-        Srw, TouchedNodes, WalkConfig, WalkOrchestrator, WalkSession, WalkerFsm, WorkStealing,
+        Mhrw, NbCnrw, NbSrw, Never, NodeCnrw, OrchestratorReport, RandomWalk, ReactorStats,
+        ReactorWalkRun, RestartEvent, RestartPolicy, RestartReason, SharedFrontier, Srw,
+        TouchedNodes, WalkConfig, WalkOrchestrator, WalkSession, WalkerFsm, WorkStealing,
     };
 }
 

@@ -39,10 +39,7 @@ fn arb_graph() -> impl Strategy<Value = CsrGraph> {
 }
 
 fn make_cnrw(n: usize) -> impl Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send> {
-    move |i, backend| {
-        Box::new(Cnrw::with_backend(NodeId(((i * 13) % n) as u32), backend))
-            as Box<dyn RandomWalk + Send>
-    }
+    move |i, _| Box::new(Cnrw::new(NodeId(((i * 13) % n) as u32))) as Box<dyn RandomWalk + Send>
 }
 
 fn batched_report(

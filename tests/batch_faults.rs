@@ -49,10 +49,7 @@ fn run_dispatch(
         SimulatedBatchOsn::configured(SimulatedOsn::new_shared(network.clone()), config, budget);
     let report = WalkOrchestrator::new(walkers, steps, seed).run_reactor(
         &mut client,
-        |i, backend| {
-            Box::new(Cnrw::with_backend(NodeId(((i * 17) % n) as u32), backend))
-                as Box<dyn RandomWalk + Send>
-        },
+        |i, _| Box::new(Cnrw::new(NodeId(((i * 17) % n) as u32))) as Box<dyn RandomWalk + Send>,
         |v| v.index() as f64,
         &Never,
     );
@@ -186,9 +183,7 @@ fn always_failing_interface_terminates_cleanly_without_charging() {
             .with_max_retries(0),
     );
     let mut run = WalkOrchestrator::new(3, 100, 0)
-        .start_reactor(|i, backend| {
-            Box::new(Cnrw::with_backend(NodeId(i as u32), backend)) as Box<dyn RandomWalk + Send>
-        })
+        .start_reactor(|i, _| Box::new(Cnrw::new(NodeId(i as u32))) as Box<dyn RandomWalk + Send>)
         .with_node_attempt_cap(4);
     while !run.done() {
         run.run_events(&mut client, &|_| 1.0, usize::MAX);

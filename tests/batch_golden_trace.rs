@@ -35,10 +35,7 @@ fn render_golden() -> String {
     let mut client = SimulatedBatchOsn::new(SimulatedOsn::new_shared(network.clone()), config);
     let report = WalkOrchestrator::new(WALKERS, STEPS, SEED).run_reactor(
         &mut client,
-        |i, backend| {
-            Box::new(Cnrw::with_backend(NodeId(((i * 17) % n) as u32), backend))
-                as Box<dyn RandomWalk + Send>
-        },
+        |i, _| Box::new(Cnrw::new(NodeId(((i * 17) % n) as u32))) as Box<dyn RandomWalk + Send>,
         |v| v.index() as f64,
         &Never,
     );

@@ -1,15 +1,16 @@
-//! Property tests for the circulation engines behind CNRW/GNRW history.
+//! Property tests for the circulation engine behind CNRW/GNRW history.
 //!
 //! The invariants pinned here are exactly what Theorems 1–4 lean on, so they
-//! must hold for **every** backend, population size, and promotion
-//! threshold:
+//! must hold for **every** population size and promotion threshold:
 //!
 //! * each circulation cycle covers the population exactly once;
 //! * the first draw of each cycle is uniform over the population;
-//! * the hybrid promotion threshold changes *when* the arena engine
-//!   materializes slices, never the drawn coverage;
-//! * legacy and arena backends agree on the `O(K)` accounting
-//!   (`tracked_edges` / `total_entries`) under identical draw schedules.
+//! * the hybrid promotion threshold changes *when* the engine materializes
+//!   arena slices, never the drawn coverage;
+//! * the engine agrees with the paper's hash-set layout ([`oracle`]) on
+//!   the `O(K)` accounting (`tracked_edges` / `total_entries`) under
+//!   identical draw schedules, and GNRW's traces equal the oracle's bit for
+//!   bit.
 
 use proptest::prelude::*;
 
@@ -19,6 +20,151 @@ use rand_chacha::ChaCha12Rng;
 use osn_sampling::prelude::*;
 use osn_sampling::walks::circulation::{CirculationEngine, INLINE_CAP};
 use osn_sampling::walks::history::EdgeHistory;
+
+/// The paper's suggested layout for the walk history (§3.3): a hash map
+/// keyed by directed edge whose values are hash sets — the reference the
+/// engine is checked against.
+mod oracle {
+    use std::collections::{BTreeMap, HashMap, HashSet};
+
+    use osn_sampling::prelude::{NodeId, OsnClient};
+    use osn_sampling::walks::GroupingStrategy;
+    use rand::{Rng, RngCore};
+
+    /// CNRW's `b(u, v)`: the neighbors used since the last reset.
+    #[derive(Default)]
+    pub struct Circulation {
+        used: HashMap<(NodeId, NodeId), HashSet<NodeId>>,
+    }
+
+    impl Circulation {
+        /// Draw uniformly from `population \ b(u, v)`, record the draw, and
+        /// reset once the population is covered.
+        pub fn draw(
+            &mut self,
+            u: NodeId,
+            v: NodeId,
+            population: &[NodeId],
+            rng: &mut impl Rng,
+        ) -> NodeId {
+            let used = self.used.entry((u, v)).or_default();
+            let rank = rng.gen_range(0..population.len() - used.len());
+            let pick = *population
+                .iter()
+                .filter(|w| !used.contains(w))
+                .nth(rank)
+                .expect("rank < unused");
+            if used.len() + 1 == population.len() {
+                used.clear();
+            } else {
+                used.insert(pick);
+            }
+            pick
+        }
+
+        pub fn tracked_edges(&self) -> usize {
+            self.used.len()
+        }
+
+        pub fn total_entries(&self) -> usize {
+            self.used.values().map(HashSet::len).sum()
+        }
+
+        pub fn used_len(&self, u: NodeId, v: NodeId) -> Option<usize> {
+            self.used.get(&(u, v)).map(HashSet::len)
+        }
+    }
+
+    /// GNRW (Algorithm 2) with `b(u, v)` and `S(u, v)` as hash sets,
+    /// drawing from the RNG in the order `Gnrw::new` does: one draw for
+    /// the group, one for the member.
+    pub struct Gnrw {
+        prev: Option<NodeId>,
+        current: NodeId,
+        edges: HashMap<(NodeId, NodeId), (HashSet<NodeId>, HashSet<u64>)>,
+    }
+
+    impl Gnrw {
+        pub fn new(start: NodeId) -> Self {
+            Gnrw {
+                prev: None,
+                current: start,
+                edges: HashMap::new(),
+            }
+        }
+
+        pub fn step(
+            &mut self,
+            client: &mut dyn OsnClient,
+            strategy: &dyn GroupingStrategy,
+            rng: &mut dyn RngCore,
+        ) -> NodeId {
+            let v = self.current;
+            let neighbors = client.neighbors(v).expect("unbudgeted").to_vec();
+            let Some(u) = self.prev else {
+                self.prev = Some(v);
+                self.current = neighbors[rng.gen_range(0..neighbors.len())];
+                return self.current;
+            };
+            let mut keys = Vec::new();
+            strategy.assign(&*client, &neighbors, &mut keys);
+            let mut groups: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
+            for (&key, &w) in keys.iter().zip(&neighbors) {
+                groups.entry(key).or_default().push(w);
+            }
+            let (used, attempted) = self.edges.entry((u, v)).or_default();
+            let unvisited =
+                |members: &[NodeId]| members.iter().filter(|w| !used.contains(w)).count();
+            let candidates = |attempted: &HashSet<u64>| -> Vec<(u64, usize)> {
+                groups
+                    .iter()
+                    .filter(|(key, _)| !attempted.contains(key))
+                    .map(|(&key, members)| (key, unvisited(members)))
+                    .filter(|&(_, left)| left > 0)
+                    .collect()
+            };
+            let mut open = candidates(attempted);
+            if open.is_empty() {
+                attempted.clear();
+                open = candidates(attempted);
+            }
+            let mut pick = rng.gen_range(0..open.iter().map(|&(_, left)| left).sum::<usize>());
+            let &(key, left) = open
+                .iter()
+                .find(|&&(_, left)| {
+                    let hit = pick < left;
+                    if !hit {
+                        pick -= left;
+                    }
+                    hit
+                })
+                .expect("pick < total");
+            let rank = rng.gen_range(0..left);
+            let next = *groups[&key]
+                .iter()
+                .filter(|w| !used.contains(w))
+                .nth(rank)
+                .expect("rank < unvisited");
+            attempted.insert(key);
+            used.insert(next);
+            if used.len() == neighbors.len() {
+                used.clear();
+                attempted.clear();
+            }
+            self.prev = Some(v);
+            self.current = next;
+            next
+        }
+
+        pub fn tracked_edges(&self) -> usize {
+            self.edges.len()
+        }
+
+        pub fn history_entries(&self) -> usize {
+            self.edges.values().map(|(used, _)| used.len()).sum()
+        }
+    }
+}
 
 fn population(n: usize) -> Vec<NodeId> {
     (0..n as u32).map(NodeId).collect()
@@ -116,34 +262,34 @@ proptest! {
     ) {
         // Identical draw schedules over several edges with different
         // degrees: the O(K) bookkeeping the memory-profile experiments
-        // read must be storage-independent at every step.
+        // read must match the paper's layout at every step.
         let populations: Vec<Vec<NodeId>> =
             (0..edges).map(|e| population(1 + e * 7)).collect();
-        let mut legacy = EdgeHistory::with_backend(HistoryBackend::Legacy);
-        let mut arena = EdgeHistory::with_backend(HistoryBackend::Arena);
-        let mut rng_l = ChaCha12Rng::seed_from_u64(seed);
-        let mut rng_a = ChaCha12Rng::seed_from_u64(seed ^ 0xabcd);
+        let mut oracle = oracle::Circulation::default();
+        let mut engine = EdgeHistory::new();
+        let mut rng_o = ChaCha12Rng::seed_from_u64(seed);
+        let mut rng_e = ChaCha12Rng::seed_from_u64(seed ^ 0xabcd);
         let mut schedule = ChaCha12Rng::seed_from_u64(seed.wrapping_mul(31));
         for _ in 0..300 {
             let e = schedule.gen_range(0..edges);
             let (u, v) = (NodeId(e as u32), NodeId(e as u32 + 100));
-            legacy.draw(u, v, &populations[e], &mut rng_l).unwrap();
-            arena.draw(u, v, &populations[e], &mut rng_a).unwrap();
-            prop_assert_eq!(legacy.tracked_edges(), arena.tracked_edges());
-            prop_assert_eq!(legacy.total_entries(), arena.total_entries());
-            prop_assert_eq!(legacy.get_used_len(u, v), arena.get_used_len(u, v));
+            oracle.draw(u, v, &populations[e], &mut rng_o);
+            engine.draw(u, v, &populations[e], &mut rng_e).unwrap();
+            prop_assert_eq!(oracle.tracked_edges(), engine.tracked_edges());
+            prop_assert_eq!(oracle.total_entries(), engine.total_entries());
+            prop_assert_eq!(oracle.used_len(u, v), engine.get_used_len(u, v));
         }
     }
 
     #[test]
-    fn cnrw_backends_are_distributionally_interchangeable(
+    fn cnrw_and_the_oracle_circulate_hot_edges_alike(
         seed in 0u64..40,
     ) {
-        // Walk the same graph with both backends: different RNG consumption
-        // means different traces, but the circulation guarantee (windows of
-        // deg(v) choices after repeated (u,v)-transits are permutations of
-        // N(v)) must hold identically. The graph forces every 0->1 transit
-        // through one hot edge.
+        // Walk the same graph with CNRW and with the oracle's circulation:
+        // different RNG consumption means different traces, but windows of
+        // deg(v) choices after repeated (u,v)-transits must be permutations
+        // of N(v) for both. The graph forces every 0->1 transit through one
+        // hot edge.
         let g = osn_sampling::graph::GraphBuilder::new()
             .add_edge(0, 1)
             .add_edge(1, 2)
@@ -154,16 +300,31 @@ proptest! {
             .add_edge(4, 0)
             .build()
             .unwrap();
-        for backend in [HistoryBackend::Legacy, HistoryBackend::Arena] {
+        let mut engine = Cnrw::new(NodeId(0));
+        let mut oracle = oracle::Circulation::default();
+        let mut oracle_at = (None, NodeId(0));
+        for use_oracle in [false, true] {
             let mut client = SimulatedOsn::from_graph(g.clone());
             let mut rng = ChaCha12Rng::seed_from_u64(seed);
-            let mut w = Cnrw::with_backend(NodeId(0), backend);
+            let mut step = |client: &mut SimulatedOsn, rng: &mut ChaCha12Rng| {
+                if !use_oracle {
+                    return engine.step(client, rng).unwrap();
+                }
+                let (prev, v) = oracle_at;
+                let neighbors = client.neighbors(v).unwrap();
+                let next = match prev {
+                    None => neighbors[rng.gen_range(0..neighbors.len())],
+                    Some(u) => oracle.draw(u, v, neighbors, rng),
+                };
+                oracle_at = (Some(v), next);
+                next
+            };
             let mut after = Vec::new();
-            let mut prev = w.current();
+            let mut prev = NodeId(0);
             for _ in 0..1500 {
-                let curr = w.step(&mut client, &mut rng).unwrap();
+                let curr = step(&mut client, &mut rng);
                 if prev == NodeId(0) && curr == NodeId(1) {
-                    let nxt = w.step(&mut client, &mut rng).unwrap();
+                    let nxt = step(&mut client, &mut rng);
                     after.push(nxt);
                     prev = nxt;
                     continue;
@@ -179,29 +340,34 @@ proptest! {
     }
 }
 
-/// GNRW draws the same RNG on both backends, so full traces (not just
-/// distributions) must agree — the strongest possible equivalence witness
-/// for the group engine. Plain test (one seeded graph sweep, no strategies
-/// needed from proptest).
+/// GNRW draws the RNG in the same order as the oracle, so full traces (not
+/// just distributions) must agree — the strongest possible equivalence
+/// witness for the group engine. Plain test (one seeded graph sweep, no
+/// strategies needed from proptest).
 #[test]
 fn gnrw_backends_agree_bit_for_bit_on_random_graphs() {
     use osn_sampling::graph::generators::erdos_renyi;
     for seed in 0..8u64 {
         let g = erdos_renyi(40, 0.2, seed).unwrap();
-        let run = |backend: HistoryBackend| {
+        let walk = |use_oracle: bool| {
             let mut client = SimulatedOsn::from_graph(g.clone());
             let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x5a5a);
-            let mut w = Gnrw::with_backend(NodeId(0), Box::new(ByDegree::new()), backend);
-            let trace: Vec<NodeId> = (0..4000)
-                .map(|_| w.step(&mut client, &mut rng).unwrap())
-                .collect();
-            (trace, w.tracked_edges(), w.history_entries())
+            if use_oracle {
+                let strategy = ByDegree::new();
+                let mut w = oracle::Gnrw::new(NodeId(0));
+                let trace: Vec<NodeId> = (0..4000)
+                    .map(|_| w.step(&mut client, &strategy, &mut rng))
+                    .collect();
+                (trace, w.tracked_edges(), w.history_entries())
+            } else {
+                let mut w = Gnrw::new(NodeId(0), Box::new(ByDegree::new()));
+                let trace: Vec<NodeId> = (0..4000)
+                    .map(|_| w.step(&mut client, &mut rng).unwrap())
+                    .collect();
+                (trace, w.tracked_edges(), w.history_entries())
+            }
         };
-        assert_eq!(
-            run(HistoryBackend::Legacy),
-            run(HistoryBackend::Arena),
-            "seed {seed}"
-        );
+        assert_eq!(walk(true), walk(false), "seed {seed}");
     }
 }
 
@@ -222,7 +388,7 @@ fn arena_slab_is_reused_across_restarts() {
     };
     let mut w = Cnrw::new(NodeId(0));
     walk(&mut w, 11);
-    let capacity = w.arena_capacity().expect("arena backend");
+    let capacity = w.arena_capacity();
     assert!(capacity > 0, "walk long enough to promote edges");
     assert!(w.tracked_edges() > 0);
 
@@ -231,7 +397,7 @@ fn arena_slab_is_reused_across_restarts() {
     assert_eq!(w.tracked_edges(), 0);
     assert_eq!(
         w.arena_capacity(),
-        Some(capacity),
+        capacity,
         "restart() dropped the arena slab instead of reusing it"
     );
 
@@ -239,7 +405,7 @@ fn arena_slab_is_reused_across_restarts() {
     walk(&mut w, 11);
     assert_eq!(
         w.arena_capacity(),
-        Some(capacity),
+        capacity,
         "replaying the same walk re-allocated the arena"
     );
 }
@@ -258,22 +424,21 @@ fn group_arena_slab_is_reused_across_restarts() {
     };
     let mut w = Gnrw::new(NodeId(0), Box::new(ByDegree::new()));
     walk(&mut w, 12);
-    let capacity = w.arena_capacity().expect("arena backend");
+    let capacity = w.arena_capacity();
     assert!(capacity > 0, "walk long enough to promote edges");
 
     w.restart(NodeId(0));
     assert_eq!(w.tracked_edges(), 0);
-    assert_eq!(w.arena_capacity(), Some(capacity));
+    assert_eq!(w.arena_capacity(), capacity);
     walk(&mut w, 12);
     assert_eq!(
         w.arena_capacity(),
-        Some(capacity),
+        capacity,
         "replaying the same walk re-allocated the group arenas"
     );
 }
 
-/// Engine-level pin of the same contract, including the legacy backend's
-/// `None` answer (no arena to reuse there).
+/// Engine-level pin of the same contract.
 #[test]
 fn engine_clear_preserves_arena_capacity() {
     let pop = population(40);
@@ -287,11 +452,5 @@ fn engine_clear_preserves_arena_capacity() {
     engine.clear();
     assert_eq!(engine.tracked(), 0);
     assert_eq!(engine.arena_capacity(), capacity);
-
-    let legacy = EdgeHistory::with_backend(HistoryBackend::Legacy);
-    assert_eq!(legacy.arena_capacity(), None);
-    assert_eq!(
-        EdgeHistory::with_backend(HistoryBackend::Arena).arena_capacity(),
-        Some(0)
-    );
+    assert_eq!(EdgeHistory::new().arena_capacity(), 0);
 }

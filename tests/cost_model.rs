@@ -60,7 +60,7 @@ fn budget_composes_with_rate_limit_and_multiwalk() {
     let trace = WalkOrchestrator::new(3, 2_000, 5)
         .run_serial(
             &mut client,
-            |i, backend| Box::new(Cnrw::with_backend(NodeId(i as u32 * 7), backend)) as _,
+            |i, _| Box::new(Cnrw::new(NodeId(i as u32 * 7))) as _,
             |_| 1.0,
             &Never,
         )

@@ -3,8 +3,8 @@
 //! circulation state, RNG stream words, traces, estimator accumulators,
 //! delivered ids, fetch queues) through the `osn-serde` text form, and
 //! resume — the completed run must be bit-identical to the uninterrupted
-//! one, and to the serial core's run of the same spec, across both history
-//! backends. [`ReactorWalkRun`] is the one resumable run; this is the
+//! one, and to the serial core's run of the same spec. [`ReactorWalkRun`]
+//! is the one resumable run; this is the
 //! contract the `osn-service` job server's kill-and-resume story stands on.
 
 use proptest::prelude::*;
@@ -28,15 +28,11 @@ fn test_graph() -> CsrGraph {
 
 /// A mixed fleet: edge-circulation, group-circulation, and
 /// non-backtracking circulation walkers all ride the same snapshot.
-fn make_walker(i: usize, backend: HistoryBackend) -> Box<dyn RandomWalk + Send> {
+fn make_walker(i: usize, _: HistoryBackend) -> Box<dyn RandomWalk + Send> {
     match i % 3 {
-        0 => Box::new(Cnrw::with_backend(NodeId(i as u32), backend)),
-        1 => Box::new(Gnrw::with_backend(
-            NodeId(i as u32),
-            Box::new(ByDegree::log2()),
-            backend,
-        )),
-        _ => Box::new(NbCnrw::with_backend(NodeId(i as u32), backend)),
+        0 => Box::new(Cnrw::new(NodeId(i as u32))),
+        1 => Box::new(Gnrw::new(NodeId(i as u32), Box::new(ByDegree::log2()))),
+        _ => Box::new(NbCnrw::new(NodeId(i as u32))),
     }
 }
 
@@ -69,13 +65,11 @@ proptest! {
 
     #[test]
     fn reactor_resume_is_bit_identical(
-        backend_idx in 0usize..2,
         pause in 0usize..300,
         slice in 1usize..7,
         seed in 0u64..1000,
     ) {
-        let backend = HistoryBackend::ALL[backend_idx];
-        let orch = WalkOrchestrator::new(4, 250, seed).with_backend(backend);
+        let orch = WalkOrchestrator::new(4, 250, seed);
 
         // Uninterrupted reference run.
         let mut endpoint = batch_endpoint();
@@ -111,14 +105,12 @@ proptest! {
     /// stops, walker-side accounting and estimate.
     #[test]
     fn reactor_resume_matches_the_serial_core(
-        backend_idx in 0usize..2,
         pause in 0usize..300,
         batch_size in 1usize..6,
         window in 1usize..4,
         seed in 0u64..1000,
     ) {
-        let backend = HistoryBackend::ALL[backend_idx];
-        let orch = WalkOrchestrator::new(4, 250, seed).with_backend(backend);
+        let orch = WalkOrchestrator::new(4, 250, seed);
         let mut client = SimulatedOsn::from_graph(test_graph());
         let reference = orch.run_serial(&mut client, make_walker, value_of, &Never);
 
@@ -150,21 +142,19 @@ proptest! {
 
 #[test]
 fn sliced_reactor_run_equals_one_shot() {
-    for backend in HistoryBackend::ALL {
-        let orch = WalkOrchestrator::new(5, 300, 23).with_backend(backend);
-        let mut endpoint = batch_endpoint();
-        let reference = orch.run_reactor(&mut endpoint, make_walker, value_of, &Never);
+    let orch = WalkOrchestrator::new(5, 300, 23);
+    let mut endpoint = batch_endpoint();
+    let reference = orch.run_reactor(&mut endpoint, make_walker, value_of, &Never);
 
-        let mut endpoint = batch_endpoint();
-        let mut run = orch.start_reactor(make_walker);
-        let mut slice = 1;
-        while run.run_events(&mut endpoint, &value_of, slice) > 0 {
-            slice = slice % 5 + 1; // uneven slices: 1,2,…,5,1,…
-        }
-        let report = run.into_report(&endpoint);
-        assert_matches_reference(&report, &reference);
-        assert_eq!(report.interface, reference.interface, "{backend}");
+    let mut endpoint = batch_endpoint();
+    let mut run = orch.start_reactor(make_walker);
+    let mut slice = 1;
+    while run.run_events(&mut endpoint, &value_of, slice) > 0 {
+        slice = slice % 5 + 1; // uneven slices: 1,2,…,5,1,…
     }
+    let report = run.into_report(&endpoint);
+    assert_matches_reference(&report, &reference);
+    assert_eq!(report.interface, reference.interface);
 }
 
 #[test]
@@ -191,7 +181,6 @@ fn resume_rejects_mismatched_spec_and_kind() {
         WalkOrchestrator::new(4, 100, 7), // fleet size
         WalkOrchestrator::new(3, 101, 7), // step cap
         WalkOrchestrator::new(3, 100, 8), // seed
-        WalkOrchestrator::new(3, 100, 7).with_backend(HistoryBackend::Legacy), // backend
     ] {
         let err = wrong.resume_reactor(&snap, make_walker).err().unwrap();
         assert!(err.contains("mismatch"), "unexpected error: {err}");

@@ -55,9 +55,8 @@ fn serial_steal_run(
 ) -> OrchestratorReport {
     let n = network.graph.node_count();
     let graph = &network.graph;
-    let make = |i: usize, b| {
-        Box::new(Cnrw::with_backend(NodeId((i % 10) as u32), b)) as Box<dyn RandomWalk + Send>
-    };
+    let make =
+        |i: usize, _| Box::new(Cnrw::new(NodeId((i % 10) as u32))) as Box<dyn RandomWalk + Send>;
     let orch = WalkOrchestrator::new(k, steps, seed);
     match budget {
         Some(budget) => {
@@ -99,7 +98,7 @@ proptest! {
         let mut client = SimulatedOsn::new_shared(network.clone());
         let report = WalkOrchestrator::new(k, steps, seed).run_serial(
             &mut client,
-            |i, b| Box::new(Cnrw::with_backend(NodeId((i % n) as u32), b)) as _,
+            |i, _| Box::new(Cnrw::new(NodeId((i % n) as u32))) as _,
             |v| graph.degree(v) as f64,
             &policy,
         );
@@ -190,9 +189,8 @@ fn serial_and_reactor_engines_agree_on_traces_and_restart_schedule() {
     // boundaries, streams, and steal outcomes.
     let network = clustered_network();
     let graph = network.graph.clone();
-    let make = |i: usize, b| {
-        Box::new(Cnrw::with_backend(NodeId((i % 10) as u32), b)) as Box<dyn RandomWalk + Send>
-    };
+    let make =
+        |i: usize, _| Box::new(Cnrw::new(NodeId((i % 10) as u32))) as Box<dyn RandomWalk + Send>;
     let orch = WalkOrchestrator::new(5, 400, 21);
 
     let serial_policy = WorkStealing::new(1.1, 16, SharedFrontier::with_stripes(8, 16));
@@ -249,7 +247,7 @@ fn reactor_below_fleet_batch_runs_work_stealing_without_perturbing_accounting() 
         );
         let report = WalkOrchestrator::new(k, 500, 3).run_reactor(
             &mut client,
-            |i, b| Box::new(Cnrw::with_backend(NodeId((i % 10) as u32), b)) as _,
+            |i, _| Box::new(Cnrw::new(NodeId((i % 10) as u32))) as _,
             |v| graph.degree(v) as f64,
             &policy,
         );

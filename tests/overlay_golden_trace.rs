@@ -47,9 +47,8 @@ fn render_golden() -> String {
         .with_seed(13);
     let mut client = SimulatedBatchOsn::new(SimulatedOsn::new_shared(network.clone()), config);
     let orch = WalkOrchestrator::new(WALKERS, STEPS, SEED);
-    let mut run = orch.start_reactor(|i, backend| {
-        Box::new(Cnrw::with_backend(NodeId(((i * 17) % n) as u32), backend))
-            as Box<dyn RandomWalk + Send>
+    let mut run = orch.start_reactor(|i, _| {
+        Box::new(Cnrw::new(NodeId(((i * 17) % n) as u32))) as Box<dyn RandomWalk + Send>
     });
     let value = |v: NodeId| v.index() as f64;
 

@@ -20,11 +20,14 @@
 //! * **Coverage after invalidation** — Theorem 4's exactly-once
 //!   circulation guarantee restarts on the *post-mutation* neighborhood:
 //!   windows of draws after repeated transits of a hot edge are exact
-//!   permutations of the new neighbor set (CNRW and plan-backed GNRW).
+//!   permutations of the new neighbor set (CNRW, planless GNRW, and
+//!   plan-backed GNRW, including a plan past the alias path's 64-group
+//!   bitmask).
 //! * **Batched invalidation** — `invalidate_nodes` over a node set equals
 //!   `invalidate_node` per node for every history-keeping walker (count,
-//!   snapshot, later trace), and the reactor's `invalidate_nodes` ignores
-//!   the order and repeats of its input.
+//!   snapshot, later trace), on random graphs and on a hub with more than
+//!   64 groups whose degree the batch changes, and the reactor's
+//!   `invalidate_nodes` ignores the order and repeats of its input.
 //! * **Compact graphs under mutation** — a reactor run over a
 //!   compact-backed endpoint, with mutation batches, `invalidate_nodes`
 //!   and a kill and resume through the snapshot text, is bit-identical to
@@ -44,6 +47,7 @@ use osn_sampling::graph::attributes::{AttributedGraph, NodeAttributes};
 use osn_sampling::graph::compact::CompactCsr;
 use osn_sampling::graph::generators::erdos_renyi;
 use osn_sampling::prelude::*;
+use osn_sampling::walks::grouping::ValueBucketing;
 use osn_sampling::walks::{OrchestratorReport, WalkStop};
 
 /// A connected-ish random graph with 5..60 nodes (same recipe as
@@ -106,16 +110,12 @@ fn make_fleet(
     kind: Kind,
     starts: Vec<NodeId>,
 ) -> impl Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send> {
-    move |i, backend| {
+    move |i, _| {
         let start = starts[(i * 13) % starts.len()];
         match kind {
-            Kind::Cnrw => Box::new(Cnrw::with_backend(start, backend)) as _,
-            Kind::NbCnrw => Box::new(NbCnrw::with_backend(start, backend)) as _,
-            Kind::Gnrw => Box::new(Gnrw::with_backend(
-                start,
-                Box::new(ByDegree::log2()),
-                backend,
-            )) as _,
+            Kind::Cnrw => Box::new(Cnrw::new(start)) as _,
+            Kind::NbCnrw => Box::new(NbCnrw::new(start)) as _,
+            Kind::Gnrw => Box::new(Gnrw::new(start, Box::new(ByDegree::log2()))) as _,
         }
     }
 }
@@ -200,8 +200,8 @@ proptest! {
         let start = starts[0];
         for kind in KINDS {
             let make = make_fleet(kind, vec![start]);
-            let mut a = make(0, HistoryBackend::Arena);
-            let mut b = make(0, HistoryBackend::Arena);
+            let mut a = make(0, HistoryBackend);
+            let mut b = make(0, HistoryBackend);
             let mut rng_a = ChaCha12Rng::seed_from_u64(seed ^ 0xA11CE);
             let mut rng_b = ChaCha12Rng::seed_from_u64(seed ^ 0xA11CE);
             for step in 0..steps {
@@ -285,7 +285,7 @@ proptest! {
         let mut serial: Vec<SerialWalker> = (0..k)
             .map(|i| {
                 let rng = ChaCha12Rng::seed_from_u64(orch.walker_seed(i));
-                (make(i, orch.backend()), rng, Vec::new())
+                (make(i, HistoryBackend), rng, Vec::new())
             })
             .collect();
         step_fleet(&mut serial, &mut sc, cut);
@@ -340,32 +340,45 @@ proptest! {
         let plan = Arc::new(GroupPlan::build(&network, &ByDegree::log2()));
         let single = Arc::new(GroupPlan::build(&network, &ByHash::new(1)));
         let start = starts[seed as usize % starts.len()];
-        let batched = historied_walkers(start, &plan, &single);
-        let per_node = historied_walkers(start, &plan, &single);
-        for (i, (mut a, mut b)) in batched.into_iter().zip(per_node).enumerate() {
-            let mut client = SimulatedOsn::from_graph(g.clone());
-            let mut rng_a = ChaCha12Rng::seed_from_u64(seed ^ i as u64);
-            let mut rng_b = rng_a.clone();
-            for _ in 0..warm {
-                a.step(&mut client, &mut rng_a).unwrap();
-                b.step(&mut client, &mut rng_b).unwrap();
-            }
-            let mut nodes = client.apply_mutations(&batch);
-            nodes.extend(extra.iter().map(|&v| NodeId(v)));
-            let dropped_a = a.invalidate_nodes(&TouchedNodes::new(&nodes));
-            let dropped_b: usize = nodes.iter().map(|&v| b.invalidate_node(v)).sum();
-            prop_assert_eq!(dropped_a, dropped_b, "walker {} ({})", i, a.name());
-            prop_assert_eq!(
-                a.export_state().to_compact(),
-                b.export_state().to_compact(),
-                "walker {} ({})", i, a.name()
-            );
-            for step in 0..after {
-                let va = a.step(&mut client, &mut rng_a).unwrap();
-                let vb = b.step(&mut client, &mut rng_b).unwrap();
-                prop_assert_eq!(va, vb, "walker {} ({}) diverged at step {}", i, a.name(), step);
-            }
-        }
+        check_batched_invalidation(
+            &SimulatedOsn::from_graph(g),
+            [
+                historied_walkers(start, &plan, &single),
+                historied_walkers(start, &plan, &single),
+            ],
+            &batch,
+            &extra,
+            seed,
+            (warm, after),
+        )?;
+    }
+
+    /// The same over a plan past the alias path's 64-group bitmask, whose
+    /// walker runs the Algorithm-2 step through its draw batch. The batch
+    /// first deletes a hub edge, so the plan no longer covers the hub's live
+    /// list and the plan walker steps there on the one-group partition.
+    #[test]
+    fn batched_invalidation_matches_per_node_past_64_groups(
+        events in 0usize..30,
+        seed in 0u64..1000,
+        spoke in 0u32..HUB,
+        warm in 1usize..400,
+        after in 1usize..200,
+        extra in prop::collection::vec(0u32..100, 0..12),
+    ) {
+        let network = many_groups_network();
+        let plan = Arc::new(GroupPlan::build(&network, &many_groups_strategy()));
+        let mut batch = vec![EdgeMutation::delete(0.0, NodeId(spoke), NodeId(HUB))];
+        batch.extend(safe_batch(&network.graph, events, 0.5, seed));
+        let start = NodeId(seed as u32 % HUB);
+        let walkers = || -> Vec<Box<dyn RandomWalk>> {
+            vec![
+                Box::new(Gnrw::with_plan(start, Arc::clone(&plan))),
+                Box::new(Gnrw::new(start, Box::new(many_groups_strategy()))),
+            ]
+        };
+        let osn = SimulatedOsn::new(network);
+        check_batched_invalidation(&osn, [walkers(), walkers()], &batch, &extra, seed, (warm, after))?;
     }
 
     /// The reactor's `invalidate_nodes` takes the touched list in any order
@@ -410,6 +423,49 @@ proptest! {
         run_b.run_events(&mut client_b, &value, usize::MAX);
         assert_reports_identical(&run_a.into_report(&client_a), &run_b.into_report(&client_b));
     }
+}
+
+/// Pair each walker of `batched` with its twin in `per_node` and walk both
+/// `warm` steps over one copy of `osn`. Then apply `batch` and drop the
+/// touched nodes plus `extra` (ids that may be unvisited, repeated or
+/// outside the graph), through `invalidate_nodes` on one twin and
+/// `invalidate_node` per node on the other. The twins must drop the same
+/// count, export the same snapshot and take the same next `after` steps.
+fn check_batched_invalidation(
+    osn: &SimulatedOsn,
+    [batched, per_node]: [Vec<Box<dyn RandomWalk>>; 2],
+    batch: &[EdgeMutation],
+    extra: &[u32],
+    seed: u64,
+    (warm, after): (usize, usize),
+) -> Result<(), String> {
+    for (i, (mut a, mut b)) in batched.into_iter().zip(per_node).enumerate() {
+        let mut client = osn.clone();
+        let mut rng_a = ChaCha12Rng::seed_from_u64(seed ^ i as u64);
+        let mut rng_b = rng_a.clone();
+        for _ in 0..warm {
+            a.step(&mut client, &mut rng_a).unwrap();
+            b.step(&mut client, &mut rng_b).unwrap();
+        }
+        let mut nodes = client.apply_mutations(batch);
+        nodes.extend(extra.iter().map(|&v| NodeId(v)));
+        let dropped_a = a.invalidate_nodes(&TouchedNodes::new(&nodes));
+        let dropped_b: usize = nodes.iter().map(|&v| b.invalidate_node(v)).sum();
+        prop_assert_eq!(dropped_a, dropped_b, "walker {} ({})", i, a.name());
+        prop_assert_eq!(
+            a.export_state().to_compact(),
+            b.export_state().to_compact(),
+            "walker {} ({})",
+            i,
+            a.name()
+        );
+        for step in 0..after {
+            let va = a.step(&mut client, &mut rng_a).unwrap();
+            let vb = b.step(&mut client, &mut rng_b).unwrap();
+            prop_assert_eq!(va, vb, "walker {} ({}) step {}", i, a.name(), step);
+        }
+    }
+    Ok(())
 }
 
 /// Everything a mutating, killed-and-resumed reactor run leaves behind: the
@@ -521,43 +577,104 @@ proptest! {
 }
 
 /// One walker of every history-keeping configuration: CNRW, NB-CNRW,
-/// node-keyed CNRW, scratch GNRW, exact-mode plan GNRW and a degenerate
-/// (single-group, CNRW-delegating) plan GNRW on both history backends,
-/// plus alias-mode plan GNRW, which runs on the arena only.
+/// node-keyed CNRW, planless GNRW, plan GNRW, and a degenerate
+/// (single-group, CNRW-delegating) plan GNRW.
 fn historied_walkers(
     start: NodeId,
     plan: &Arc<GroupPlan>,
     single: &Arc<GroupPlan>,
 ) -> Vec<Box<dyn RandomWalk>> {
-    let mut walkers: Vec<Box<dyn RandomWalk>> = Vec::new();
-    for backend in HistoryBackend::ALL {
-        walkers.push(Box::new(Cnrw::with_backend(start, backend)));
-        walkers.push(Box::new(NbCnrw::with_backend(start, backend)));
-        walkers.push(Box::new(NodeCnrw::with_backend(start, backend)));
-        walkers.push(Box::new(Gnrw::with_backend(
-            start,
-            Box::new(ByDegree::log2()),
-            backend,
-        )));
-        walkers.push(Box::new(Gnrw::with_plan_backend(
-            start,
-            Arc::clone(plan),
-            PlanMode::Exact,
-            backend,
-        )));
-        walkers.push(Box::new(Gnrw::with_plan_backend(
-            start,
-            Arc::clone(single),
-            PlanMode::Exact,
-            backend,
-        )));
+    vec![
+        Box::new(Cnrw::new(start)),
+        Box::new(NbCnrw::new(start)),
+        Box::new(NodeCnrw::new(start)),
+        Box::new(Gnrw::new(start, Box::new(ByDegree::log2()))),
+        Box::new(Gnrw::with_plan(start, Arc::clone(plan))),
+        Box::new(Gnrw::with_plan(start, Arc::clone(single))),
+    ]
+}
+
+/// The hub of [`many_groups_network`].
+const HUB: u32 = 70;
+
+/// A hub over 70 spokes whose `tag` is `i % 66`: exact bucketing of `tag`
+/// gives the hub 66 groups, four of them with two members — past the alias
+/// path's 64-group bitmask, and not degenerate. Spokes 68 and 69 are
+/// linked, and node 71 hangs off spoke 68, outside `N(hub)`.
+fn many_groups_network() -> AttributedGraph {
+    let mut b = GraphBuilder::new();
+    for i in 0..HUB {
+        b.push_edge(i, HUB);
     }
-    walkers.push(Box::new(Gnrw::with_plan(
-        start,
-        Arc::clone(plan),
-        PlanMode::Alias,
-    )));
-    walkers
+    b.push_edge(68, 69);
+    b.push_edge(71, 68);
+    let g = b.build().unwrap();
+    let mut attrs = NodeAttributes::for_graph(&g);
+    attrs
+        .insert_uint("tag", (0..72).map(|i| i % 66).collect())
+        .unwrap();
+    AttributedGraph::new(g, attrs).unwrap()
+}
+
+fn many_groups_strategy() -> ByAttribute {
+    ByAttribute::with_bucketing("tag", ValueBucketing::Exact)
+}
+
+/// Walk `w` (started at the hot edge's source) `warm` steps over `g`, apply
+/// `mutations` and invalidate the touched nodes. Every step from `hot.1`
+/// with predecessor `hot.0` then draws the next element of the `hot`
+/// circulation: each of the first `windows` windows of `want.len()` such
+/// draws must be a permutation of `want`, the new `N(hot.1)`.
+fn assert_coverage_restarts(
+    g: &CsrGraph,
+    mut w: Box<dyn RandomWalk>,
+    seed: u64,
+    hot: (NodeId, NodeId),
+    mutations: &[EdgeMutation],
+    want: &[u32],
+    (warm, windows): (usize, usize),
+) {
+    let mut client = SimulatedOsn::from_graph(g.clone());
+    let mut rng = ChaCha12Rng::seed_from_u64(seed);
+    // Track (predecessor, position) so a draw from the hot circulation is
+    // recognized even when the invalidation lands while the walker is
+    // already sitting on its target.
+    let mut before = w.current();
+    let mut pos = w.current();
+    // Warm up: populate circulation state on the old neighborhood.
+    for _ in 0..warm {
+        let nxt = w.step(&mut client, &mut rng).unwrap();
+        before = pos;
+        pos = nxt;
+    }
+    let touched = client.apply_mutations(mutations);
+    let mut dropped = 0;
+    for &v in &touched {
+        dropped += w.invalidate_node(v);
+    }
+    assert!(dropped > 0, "warm walk must have had state to drop");
+    // Record every draw off the hot edge, starting from the very first
+    // post-invalidation draw.
+    let mut after = Vec::new();
+    while after.len() < windows * want.len() {
+        let nxt = w.step(&mut client, &mut rng).unwrap();
+        if (before, pos) == hot {
+            after.push(nxt);
+        }
+        before = pos;
+        pos = nxt;
+    }
+    for win in after.chunks_exact(want.len()) {
+        let mut ids: Vec<u32> = win.iter().map(|n| n.0).collect();
+        ids.sort_unstable();
+        assert_eq!(
+            ids,
+            want,
+            "window not a cover of the new N({}) ({}, seed {seed}, {mutations:?})",
+            hot.1 .0,
+            w.name()
+        );
+    }
 }
 
 /// Theorem 4's exactly-once coverage restarts on the **post-mutation**
@@ -565,11 +682,11 @@ fn historied_walkers(
 /// transit through one hot edge (as in `tests/circulation_props.rs`);
 /// after mutating `N(1)` mid-walk and invalidating, windows of draws
 /// following subsequent transits must be exact permutations of the *new*
-/// `N(1)` — for CNRW and for plan-backed GNRW in both plan modes, whose
+/// `N(1)` — for CNRW, for planless GNRW, and for plan-backed GNRW, whose
 /// plan still partitions the pre-mutation neighborhoods.
 #[test]
 fn invalidation_restarts_coverage_on_the_new_neighborhood() {
-    let g = osn_sampling::graph::GraphBuilder::new()
+    let g = GraphBuilder::new()
         .add_edge(0, 1)
         .add_edge(1, 2)
         .add_edge(1, 3)
@@ -583,78 +700,58 @@ fn invalidation_restarts_coverage_on_the_new_neighborhood() {
     // Two mutation shapes: shrink N(1) by deleting {1,4}, grow it by
     // inserting {1,5}. Both change deg(1), so a stale circulation would
     // either repeat a neighbor or never draw the new one.
-    let cases: [(EdgeMutation, Vec<u32>); 2] = [
-        (
-            EdgeMutation::delete(0.5, NodeId(1), NodeId(4)),
-            vec![0, 2, 3],
-        ),
+    let cases: [(EdgeMutation, &[u32]); 2] = [
+        (EdgeMutation::delete(0.5, NodeId(1), NodeId(4)), &[0, 2, 3]),
         (
             EdgeMutation::insert(0.5, NodeId(1), NodeId(5)),
-            vec![0, 2, 3, 4, 5],
+            &[0, 2, 3, 4, 5],
         ),
     ];
     // Degree-log2 groups split N(1) into {0} and {2, 3, 4}: not degenerate,
-    // so the plan walkers run their own group circulation.
+    // so the GNRW walkers run their own group circulation.
     let network = AttributedGraph::new(g.clone(), NodeAttributes::for_graph(&g)).unwrap();
     let plan = Arc::new(GroupPlan::build(&network, &ByDegree::log2()));
     assert!(plan.degenerate().is_none());
     let make = |walker: usize| -> Box<dyn RandomWalk> {
         match walker {
             0 => Box::new(Cnrw::new(NodeId(0))),
-            1 => Box::new(Gnrw::with_plan(
-                NodeId(0),
-                Arc::clone(&plan),
-                PlanMode::Exact,
-            )),
-            _ => Box::new(Gnrw::with_plan(
-                NodeId(0),
-                Arc::clone(&plan),
-                PlanMode::Alias,
-            )),
+            1 => Box::new(Gnrw::new(NodeId(0), Box::new(ByDegree::log2()))),
+            _ => Box::new(Gnrw::with_plan(NodeId(0), Arc::clone(&plan))),
         }
     };
     for (mutation, want) in cases {
         for (walker, seed) in (0..3).flat_map(|w| (0..12u64).map(move |s| (w, s))) {
-            let mut client = SimulatedOsn::from_graph(g.clone());
-            let mut rng = ChaCha12Rng::seed_from_u64(seed);
-            let mut w = make(walker);
-            // Track (predecessor, position) so a draw from the (0,1)
-            // circulation is recognized even when the invalidation lands
-            // while the walker is already sitting on node 1.
-            let mut before = w.current();
-            let mut pos = w.current();
-            // Warm up: populate circulation state on the old neighborhood.
-            for _ in 0..400 {
-                let nxt = w.step(&mut client, &mut rng).unwrap();
-                before = pos;
-                pos = nxt;
-            }
-            let touched = client.apply_mutations(&[mutation]);
-            let mut dropped = 0;
-            for &v in &touched {
-                dropped += w.invalidate_node(v);
-            }
-            assert!(dropped > 0, "warm walk must have had state to drop");
-            // Every step taken from node 1 with predecessor 0 draws the
-            // next element of the (0,1) circulation cycle — record them
-            // all, starting from the very first post-invalidation draw.
-            let mut after = Vec::new();
-            while after.len() < 6 * want.len() {
-                let nxt = w.step(&mut client, &mut rng).unwrap();
-                if before == NodeId(0) && pos == NodeId(1) {
-                    after.push(nxt);
-                }
-                before = pos;
-                pos = nxt;
-            }
-            for win in after.chunks_exact(want.len()) {
-                let mut ids: Vec<u32> = win.iter().map(|n| n.0).collect();
-                ids.sort_unstable();
-                assert_eq!(
-                    ids, want,
-                    "window not a cover of the new N(1) (walker {walker}, seed {seed}, {mutation:?})"
-                );
-            }
+            let hot = (NodeId(0), NodeId(1));
+            assert_coverage_restarts(&g, make(walker), seed, hot, &[mutation], want, (400, 6));
+        }
+    }
+}
+
+/// The same past the alias path's 64-group bitmask, where the plan walker
+/// runs the Algorithm-2 step through its draw batch. Spoke 0 hangs off the
+/// hub alone, so every visit to it is a transit of the hot edge `0 → hub`.
+/// Deleting or adding a hub edge changes `deg(hub)`, and the plan walker
+/// then steps at the hub on the one-group partition of the live list;
+/// swapping one hub edge for another keeps the degree, and it steps on the
+/// planned partition over the new list.
+#[test]
+fn invalidation_restarts_coverage_past_64_groups() {
+    let network = many_groups_network();
+    let plan = Arc::new(GroupPlan::build(&network, &many_groups_strategy()));
+    assert!(plan.max_groups() > 64, "{}", plan.max_groups());
+    assert_eq!(plan.degenerate(), None);
+    let drop_69 = EdgeMutation::delete(0.5, NodeId(69), NodeId(HUB));
+    let add_71 = EdgeMutation::insert(0.5, NodeId(71), NodeId(HUB));
+    let cases: [(Vec<EdgeMutation>, Vec<u32>); 3] = [
+        (vec![drop_69], (0..69).collect()),
+        (vec![add_71], (0..HUB).chain([71]).collect()),
+        (vec![drop_69, add_71], (0..69).chain([71]).collect()),
+    ];
+    for (mutations, want) in &cases {
+        for seed in 0..4u64 {
+            let w = Box::new(Gnrw::with_plan(NodeId(0), Arc::clone(&plan)));
+            let hot = (NodeId(0), NodeId(HUB));
+            assert_coverage_restarts(&network.graph, w, seed, hot, mutations, want, (3000, 3));
         }
     }
 }

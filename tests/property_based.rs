@@ -112,17 +112,17 @@ proptest! {
         g in arb_graph(),
         seed in 0u64..100,
     ) {
-        use osn_sampling::walks::history::CirculationSet;
+        use osn_sampling::walks::history::EdgeHistory;
         use rand::SeedableRng;
         // Pick the highest-degree node's neighbor list as the population.
         let v = g.nodes().max_by_key(|&v| g.degree(v)).unwrap();
         let population = g.neighbors(v);
-        let mut c = CirculationSet::default();
+        let mut c = EdgeHistory::new();
         let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
         for _ in 0..3 {
             let mut seen = std::collections::HashSet::new();
             for _ in 0..population.len() {
-                let d = c.draw(population, &mut rng).unwrap();
+                let d = c.draw(NodeId(0), v, population, &mut rng).unwrap();
                 prop_assert!(seen.insert(d), "repeat within a cycle");
             }
         }

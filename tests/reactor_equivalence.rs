@@ -94,10 +94,7 @@ fn endpoint(g: &CsrGraph, shape: &Shape, budget: Option<u64>) -> SimulatedBatchO
 }
 
 fn make_cnrw(n: usize) -> impl Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send> {
-    move |i, backend| {
-        Box::new(Cnrw::with_backend(NodeId(((i * 13) % n) as u32), backend))
-            as Box<dyn RandomWalk + Send>
-    }
+    move |i, _| Box::new(Cnrw::new(NodeId(((i * 13) % n) as u32))) as Box<dyn RandomWalk + Send>
 }
 
 /// The serial core's run of the same spec over the plain client — the

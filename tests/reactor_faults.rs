@@ -22,10 +22,7 @@ fn clustered_network() -> Arc<AttributedGraph> {
 }
 
 fn make_cnrw(n: usize) -> impl Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send> {
-    move |i, backend| {
-        Box::new(Cnrw::with_backend(NodeId(((i * 17) % n) as u32), backend))
-            as Box<dyn RandomWalk + Send>
-    }
+    move |i, _| Box::new(Cnrw::new(NodeId(((i * 17) % n) as u32))) as Box<dyn RandomWalk + Send>
 }
 
 #[test]
@@ -153,9 +150,7 @@ fn always_failing_endpoint_terminates_with_bounded_attempts() {
             .with_max_retries(0),
     );
     let mut run = orch
-        .start_reactor(|i, backend| {
-            Box::new(Cnrw::with_backend(NodeId(i as u32), backend)) as Box<dyn RandomWalk + Send>
-        })
+        .start_reactor(|i, _| Box::new(Cnrw::new(NodeId(i as u32))) as Box<dyn RandomWalk + Send>)
         .with_node_attempt_cap(4);
     let value = |v: NodeId| v.index() as f64;
     while !run.done() {

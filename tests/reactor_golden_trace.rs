@@ -42,10 +42,7 @@ fn render_golden() -> String {
     let orch = WalkOrchestrator::new(WALKERS, STEPS, SEED);
     let (report, stats) = orch.run_reactor_with_stats(
         &mut client,
-        |i, backend| {
-            Box::new(Cnrw::with_backend(NodeId(((i * 17) % n) as u32), backend))
-                as Box<dyn RandomWalk + Send>
-        },
+        |i, _| Box::new(Cnrw::new(NodeId(((i * 17) % n) as u32))) as Box<dyn RandomWalk + Send>,
         |v| v.index() as f64,
         &Never,
     );
