@@ -1,22 +1,22 @@
-//! Microbenchmark: scratch GNRW vs plan-backed GNRW, per degree profile.
+//! Microbenchmark: planless GNRW vs plan-backed GNRW, per degree profile.
 //!
-//! The plan ablation in vitro — two execution paths for the same
-//! `GNRW_By_Degree` walk:
+//! Both arms run the same walk — `GNRW_By_Degree`, Algorithm 2's step with
+//! two `gen_range` draws on one edge-state layout, bit-identical traces —
+//! and differ only in where a cold edge's neighbor partition comes from:
 //!
-//! * **scratch** — the planless path: partition `N(v)` by key on every
-//!   historied step, two `gen_range` draws straight off the stream.
-//! * **plan_alias** — the production fast path: a precomputed
-//!   [`GroupPlan`] (CSR partition, zero hashing/allocation per step),
-//!   batched draws, and alias-table group proposals with rejection against
-//!   the attempted/exhausted sets.
+//! * **scratch** — the planless path: the strategy and a partition by key
+//!   over a copy of `N(v)`, at every step on a cold edge.
+//! * **plan** — a precomputed [`GroupPlan`] (CSR partition, shared
+//!   read-only): a cold edge reads the node's slice.
 //!
-//! The two dataset stand-ins are the degree profiles: facebook-like keeps
-//! neighborhoods moderate (inline-friendly group sets), gplus-like's heavy
-//! tail exercises wide partitions, sliced plan slots, and the alias
-//! tables' rejection bound. Plans are built once per graph outside the
-//! timed region — `repro perf` records the same arms to
-//! `BENCH_walkers.json`, so regressions here show up in the committed
-//! baseline too.
+//! Once an edge promotes it freezes its partition, so on hot edges the two
+//! arms do the same work; the gap is the cold-edge partition cost. The two
+//! dataset stand-ins are the degree profiles: facebook-like keeps
+//! neighborhoods moderate (edges promote early, inline picks), gplus-like's
+//! heavy tail exercises wide partitions, spilled cold edges and long
+//! frozen group spans. Plans are built once per graph outside the timed
+//! region — `repro perf` records the same arms to `BENCH_walkers.json`, so
+//! regressions here show up in the committed baseline too.
 
 use std::sync::Arc;
 
@@ -26,7 +26,7 @@ use osn_bench::perf::bench_graphs;
 use osn_experiments::runner::TrialPlan;
 use osn_experiments::{Algorithm, GroupingSpec};
 
-/// Full GNRW walks per graph: scratch vs plan-alias.
+/// Full GNRW walks per graph: scratch vs plan.
 fn gnrw_walks(c: &mut Criterion) {
     let graphs = bench_graphs();
     let alg = Algorithm::Gnrw(GroupingSpec::ByDegree);
@@ -40,7 +40,7 @@ fn gnrw_walks(c: &mut Criterion) {
         let arms: [(&str, TrialPlan); 2] = [
             ("scratch", TrialPlan::steps(network.clone(), steps)),
             (
-                "plan_alias",
+                "plan",
                 TrialPlan::steps(network.clone(), steps).with_group_plan(Arc::clone(&plan)),
             ),
         ];

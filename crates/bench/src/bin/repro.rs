@@ -205,7 +205,8 @@ fn run_perf(opts: &Options) -> ExperimentResult {
         // Machine-independent pass, GNRW-specific: the plan-over-scratch
         // ratio is computed within one run, so it stays comparable even when
         // this host and the baseline's recording machine are different
-        // classes — and it is the headline of the group-plan fast path.
+        // classes. Both arms walk identically; the ratio is what the plan
+        // saves on cold edges' partitions.
         // Print it every run (not only on regression) so the perf-smoke log
         // always shows where GNRW stands, and warn when the within-run ratio
         // falls below the baseline's.

@@ -97,13 +97,14 @@ fn time_cell(plan: &TrialPlan, alg: &Algorithm, reps: usize) -> (Vec<f64>, Vec<f
 
 /// Run the full matrix and return the recorded steps/sec document.
 ///
-/// Each walker has a `graph/ALG/arena` cell. GNRW's runs **plan-backed**
-/// (shared [`osn_walks::GroupPlan`], alias-table group selection, batched
-/// draws) — the production fast path; the plan is built once per graph
-/// outside the timed region, matching how a fleet amortizes it. The
-/// per-step (planless) partition is kept as an extra
-/// `graph/GNRW_By_Degree/scratch` series so the plan-vs-scratch gap stays
-/// visible in the committed baseline.
+/// Each walker has a `graph/ALG/arena` cell. GNRW's runs **plan-backed**:
+/// cold edges read their partition from a shared
+/// [`osn_walks::GroupPlan`], built once per graph outside the timed region,
+/// matching how a fleet amortizes it. The planless walk — the same
+/// Algorithm-2 step and trace, with cold edges partitioned by the strategy
+/// at each step — is kept as an extra `graph/GNRW_By_Degree/scratch`
+/// series, so the cost of that partition stays visible in the committed
+/// baseline.
 pub fn measure(config: &PerfConfig) -> ExperimentResult {
     let graphs = bench_graphs();
     let mut result = ExperimentResult::new(
@@ -115,8 +116,9 @@ pub fn measure(config: &PerfConfig) -> ExperimentResult {
     .with_note(format!(
         "steps={} reps={}; best rep is the comparison statistic; \
          regression tolerance {:.0}% (scripts/perf_check.sh, non-blocking); \
-         GNRW arena cells are plan-backed (alias draws), the */scratch series \
-         is the per-step partition reference",
+         GNRW arena cells are plan-backed (cold edges read the plan's partition), \
+         the */scratch series partitions cold edges per step; both run one \
+         Algorithm-2 step with identical traces",
         config.steps,
         config.reps,
         REGRESSION_TOLERANCE * 100.0
@@ -167,11 +169,11 @@ fn best(series: &Series) -> f64 {
 
 /// Plan-over-scratch speedup per GNRW cell pair, pairing each
 /// `graph/ALG/scratch` reference series with its plan-backed
-/// `graph/ALG/arena` twin. Both cells of a ratio come from one run on one
-/// host, so the statistic survives machine-class changes (where the
-/// absolute steps/sec comparison mostly measures the hardware) — this is
-/// the number the group-plan work is accountable to (the committed
-/// baseline records it at ~4–5x on the bench graphs).
+/// `graph/ALG/arena` twin. The two walk identically, so the ratio is what
+/// reading a cold edge's partition from the plan saves over deriving it
+/// per step. Both cells of a ratio come from one run on one host, so the
+/// statistic survives machine-class changes (where the absolute steps/sec
+/// comparison mostly measures the hardware).
 pub fn plan_speedups(doc: &ExperimentResult) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     for series in &doc.series {

@@ -13,8 +13,8 @@
 //! ## Layout
 //!
 //! All touched edges of one walker share a single arena (`Vec<NodeId>` for
-//! the node engine, two `Vec<u32>` for the group engine). Each promoted edge
-//! owns a contiguous slice of it holding a permutation of the edge's
+//! the node engine; the group engine's is laid out below). Each promoted
+//! edge owns a contiguous slice of it holding a permutation of the edge's
 //! candidate population, plus a cursor:
 //!
 //! ```text
@@ -55,18 +55,34 @@
 //! `PROMOTION_SPAN ×` the draws recorded on its edge, total memory stays
 //! `O(K)` after `K` steps (within that constant), the paper's bound.
 //!
-//! The [`GroupEngine`] used by GNRW applies the same staging: a small
-//! hash-set stage (the paper's per-edge sets)
-//! until the edge earns its slices, then `O(1)` array-compare membership —
-//! the probe GNRW issues `deg` times per step — via the inverse
-//! permutation.
+//! ## The group engine
+//!
+//! The [`GroupEngine`] holds GNRW's state — `b(u, v)` and the attempted
+//! groups `S(u, v)` — in the same three stages and under the same promotion
+//! rule, and runs the one GNRW step, Algorithm 2, on all of them (see
+//! [`GroupEdgeView::step`]). A cold edge keeps its picks inline, then in a
+//! hash set, and takes `N(v)`'s partition from the caller at every step.
+//! Promotion freezes that partition into the arena, group-major, with a
+//! cursor per group:
+//!
+//! ```text
+//! members: [ .. | 4  0  8 | 5  1  3 | .. ]   groups {0,4,8} {1,3,5};
+//!                    ^next     ^next         4, 5 picked this super-cycle
+//! ```
+//!
+//! Each group's unvisited members stay in index order after its cursor,
+//! so the `rank`-th one is read directly; a step costs `O(groups)` and no
+//! membership probe, and the edge never needs the partition again until
+//! invalidation drops it. Because the sub-cycle only ever picks from a
+//! group not yet attempted, `S(u, v)` is the set of groups of the current
+//! sub-cycle's picks, which cold stages keep with their picks.
 
 use osn_graph::NodeId;
 use osn_serde::Value;
 use rand::{Rng, RngCore};
 
 use crate::fnv::{FnvHashMap, FnvHashSet};
-use crate::groupplan::{AliasTable, DrawBatch, NodeGroups};
+use crate::groupplan::NodeGroups;
 
 /// Source-compatibility shim, kept only for the benchmark harness: it still
 /// passes a history backend to `Cnrw::with_backend`, `Gnrw::with_backend`
@@ -532,137 +548,94 @@ impl CirculationEngine {
     }
 }
 
-/// Per-edge state of the [`GroupEngine`]: a small hash-backed stage
-/// (`O(draws)` memory, hash-set probes) until the edge earns its arena
-/// slices.
+/// One group of a promoted edge's frozen partition. Its members occupy
+/// positions `begin..end` of the edge's member slice, where `begin` is the
+/// previous group's `end` (0 for the first group): the members picked this
+/// super-cycle before `next`, the unvisited ones from `next` on in
+/// ascending index order.
+#[derive(Clone, Copy, Debug)]
+struct GroupSpan {
+    /// Position of the group's first unvisited member.
+    next: u32,
+    /// End (exclusive) of the group's members.
+    end: u32,
+    /// Whether the group is in `S(u, v)`.
+    attempted: bool,
+}
+
+/// Per-edge state of the [`GroupEngine`], staged like the node engine's
+/// (see the module docs). `S(u, v)` needs no storage of its own before
+/// promotion: a sub-cycle picks from a group not yet attempted, so the
+/// groups of the current sub-cycle's picks are exactly `S(u, v)`.
 #[derive(Clone, Debug)]
 enum GroupSlot {
-    /// Pre-promotion: used population indices + attempted groups.
-    Small {
-        /// Indices into `N(v)` chosen this super-cycle (`b(u, v)`).
-        used: FnvHashSet<u32>,
-        /// Groups attempted in the current sub-cycle (`S(u, v)`).
-        used_groups: Vec<u64>,
-    },
-    /// Promoted: `items`/`pos` slices in the shared arenas.
-    Sliced {
-        start: u32,
-        len: u32,
-        cursor: u32,
-        /// Groups attempted in the current sub-cycle; group counts are a
-        /// handful, so a linear-scan vec beats a hash set.
-        used_groups: Vec<u64>,
-    },
-    /// Plan-path pre-promotion stage: up to [`INLINE_CAP`] used member
-    /// indices in place — heap-free for the short-lived edges that dominate
-    /// a walk — plus the attempted-group bitmask (plan group ordinals are
-    /// dense `0..G`, `G ≤ 64`, so `S(u, v)` is one `u64`).
-    PlanInline {
+    /// Up to [`INLINE_CAP`] used population indices, in place and in pick
+    /// order; those from `sub` on were picked in the current sub-cycle.
+    Inline {
         used: [u32; INLINE_CAP],
         len: u8,
-        attempted: u64,
+        sub: u8,
     },
-    /// Plan-path spill stage: used member indices in a hash set,
-    /// `O(draws)` memory for big populations that cannot promote yet.
-    PlanSpill {
+    /// The used indices, and the current sub-cycle's picks among them.
+    Spill {
         used: FnvHashSet<u32>,
-        attempted: u64,
+        current: Vec<u32>,
     },
-    /// Plan-path promoted stage: `items[start..start+len]` holds the
-    /// node's plan permutation re-permuted in place, **group-major** — each
-    /// group's span has its used members in a prefix tracked by that
-    /// group's cursor. A member draw is one partial-Fisher–Yates step
-    /// inside the group span; remaining counts are `group_len − cursor`,
-    /// `O(1)` per group. (The `pos` arena is not used by plan slots: plan
-    /// draws never membership-test an arbitrary index.)
-    PlanSliced {
+    /// The partition the edge promoted under, frozen: its members,
+    /// group-major, at `members[start..start + len]`, and one span per
+    /// group at `spans[spans..spans + groups]`. `used` counts the members
+    /// picked this super-cycle.
+    Promoted {
         start: u32,
         len: u32,
-        used_total: u32,
-        cursors: GroupCursors,
-        attempted: u64,
+        spans: u32,
+        groups: u32,
+        used: u32,
     },
-}
-
-/// Per-group used-prefix cursors of a [`GroupSlot::PlanSliced`] edge:
-/// inline for the common ≤ [`INLINE_CAP`]-group nodes, heap otherwise.
-#[derive(Clone, Debug)]
-pub(crate) enum GroupCursors {
-    /// Cursor per group, in place (group count ≤ [`INLINE_CAP`]).
-    Inline([u32; INLINE_CAP]),
-    /// Cursor per group, heap-allocated.
-    Heap(Vec<u32>),
-}
-
-impl GroupCursors {
-    fn zeroed(group_count: usize) -> Self {
-        if group_count <= INLINE_CAP {
-            GroupCursors::Inline([0; INLINE_CAP])
-        } else {
-            GroupCursors::Heap(vec![0; group_count])
-        }
-    }
-
-    #[inline]
-    fn as_slice(&self, group_count: usize) -> &[u32] {
-        match self {
-            GroupCursors::Inline(c) => &c[..group_count],
-            GroupCursors::Heap(c) => c,
-        }
-    }
-
-    #[inline]
-    fn as_mut_slice(&mut self, group_count: usize) -> &mut [u32] {
-        match self {
-            GroupCursors::Inline(c) => &mut c[..group_count],
-            GroupCursors::Heap(c) => c,
-        }
-    }
 }
 
 impl GroupSlot {
+    const EMPTY: GroupSlot = GroupSlot::Inline {
+        used: [0; INLINE_CAP],
+        len: 0,
+        sub: 0,
+    };
+
     fn used_len(&self) -> usize {
         match self {
-            GroupSlot::Small { used, .. } => used.len(),
-            GroupSlot::Sliced { cursor, .. } => *cursor as usize,
-            GroupSlot::PlanInline { len, .. } => usize::from(*len),
-            GroupSlot::PlanSpill { used, .. } => used.len(),
-            GroupSlot::PlanSliced { used_total, .. } => *used_total as usize,
+            GroupSlot::Inline { len, .. } => usize::from(*len),
+            GroupSlot::Spill { used, .. } => used.len(),
+            GroupSlot::Promoted { used, .. } => *used as usize,
         }
     }
 
-    fn attempted_groups(&self) -> usize {
+    /// A cold slot's picks of the current sub-cycle.
+    fn current(&self) -> &[u32] {
         match self {
-            GroupSlot::Small { used_groups, .. } | GroupSlot::Sliced { used_groups, .. } => {
-                used_groups.len()
-            }
-            GroupSlot::PlanInline { attempted, .. }
-            | GroupSlot::PlanSpill { attempted, .. }
-            | GroupSlot::PlanSliced { attempted, .. } => attempted.count_ones() as usize,
+            GroupSlot::Inline { used, len, sub } => &used[usize::from(*sub)..usize::from(*len)],
+            GroupSlot::Spill { current, .. } => current,
+            GroupSlot::Promoted { .. } => unreachable!("a promoted slot is not cold"),
         }
     }
 }
 
-/// The arena-backed engine for GNRW's per-edge state (Algorithm 2).
+/// The arena-backed engine for GNRW's per-edge state (Algorithm 2): the
+/// set `b(u, v)` of neighbors picked this super-cycle and the set `S(u, v)`
+/// of groups attempted this sub-cycle.
 ///
-/// Promoted edges own slices of two parallel arenas: `items` holds a
-/// permutation of the population indices `0..len` (used prefix / unused
-/// suffix around a cursor, exactly like [`CirculationEngine`]); `pos` is
-/// the inverse permutation, making "has neighbor *i* been chosen this
-/// super-cycle?" a single array compare — the probe GNRW issues `deg`
-/// times per step. Cold edges stay in an `O(draws)` hash-set stage and are
-/// promoted under the same [`PROMOTION_SPAN`] rule as the node engine, so
-/// group-history memory is `O(K)` too.
+/// A cold edge holds only its picks — inline, then in a hash set — and
+/// takes `N(v)`'s partition from the caller at every step. Once it
+/// qualifies under the [`PROMOTION_SPAN`] rule of the node engine, it
+/// freezes that partition into the arenas: its members group-major in
+/// `members`, one `GroupSpan` per group in `spans`. From then on a step
+/// reads no partition and probes no set: a group's unvisited count is
+/// `end − next`, and its `rank`-th unvisited member is `members[next +
+/// rank]`. So group-history memory is `O(K)` too.
 #[derive(Clone, Debug, Default)]
 pub struct GroupEngine {
     slots: FnvHashMap<u64, GroupSlot>,
-    items: Vec<u32>,
-    pos: Vec<u32>,
-    /// Arena for [`GroupSlot::PlanSliced`] slices (group-major member
-    /// permutations). Separate from `items`/`pos` — plan slices have no
-    /// inverse permutation, so sharing the paired arenas would desync
-    /// their offsets.
-    plan_items: Vec<u32>,
+    members: Vec<u32>,
+    spans: Vec<GroupSpan>,
 }
 
 impl GroupEngine {
@@ -678,9 +651,19 @@ impl GroupEngine {
 
     /// `(used nodes, attempted groups)` for `key` without creating state.
     pub fn probe(&self, key: u64) -> Option<(usize, usize)> {
-        self.slots
-            .get(&key)
-            .map(|s| (s.used_len(), s.attempted_groups()))
+        self.slots.get(&key).map(|slot| {
+            let attempted = match slot {
+                GroupSlot::Inline { .. } | GroupSlot::Spill { .. } => slot.current().len(),
+                GroupSlot::Promoted { spans, groups, .. } => {
+                    let at = *spans as usize;
+                    self.spans[at..at + *groups as usize]
+                        .iter()
+                        .filter(|s| s.attempted)
+                        .count()
+                }
+            };
+            (slot.used_len(), attempted)
+        })
     }
 
     /// Drop all state, **keeping the slab allocations** (both arenas and
@@ -688,862 +671,508 @@ impl GroupEngine {
     /// [`CirculationEngine::clear`].
     pub fn clear(&mut self) {
         self.slots.clear();
-        self.items.clear();
-        self.pos.clear();
-        self.plan_items.clear();
+        self.members.clear();
+        self.spans.clear();
     }
 
-    /// Allocated capacity of the `items` arena, in entries (`pos` always
-    /// mirrors it). Survives [`Self::clear`] unchanged.
+    /// Allocated capacity of the member arena, in entries. Survives
+    /// [`Self::clear`] unchanged.
     pub fn arena_capacity(&self) -> usize {
-        self.items.capacity()
-    }
-
-    /// Allocated capacity of the plan-slice arena, in entries. Survives
-    /// [`Self::clear`] unchanged — the plan path honors the same
-    /// restart-reuse contract as [`Self::view`]'s.
-    pub fn plan_arena_capacity(&self) -> usize {
-        self.plan_items.capacity()
+        self.members.capacity()
     }
 
     /// Drop every slot whose circulated node (low 32 bits of the packed
     /// edge key) `is_touched` accepts — the evolving-graph invalidation
     /// hook, mirroring [`CirculationEngine::invalidate_targets`]: one pass
-    /// over the slot map. This is how "`GroupPlan` slots for `v` rebuild
-    /// lazily": the per-edge plan state (`GroupSlot::PlanInline`/
-    /// `GroupSlot::PlanSpill`/`GroupSlot::PlanSliced`) is dropped here and
-    /// re-created from the plan on the next visit. Arena slices of dropped
-    /// sliced slots leak until the next [`Self::clear`] — bounded, same as
-    /// re-promotion churn. Returns the number of slots dropped.
+    /// over the slot map. A dropped edge starts cold again and takes the
+    /// partition of the live `N(v)` until it promotes anew. Arena slices of
+    /// dropped promoted slots leak until the next [`Self::clear`] —
+    /// bounded, same as re-promotion churn. Returns the number of slots
+    /// dropped.
     pub fn invalidate_targets(&mut self, is_touched: impl Fn(u32) -> bool) -> usize {
         drop_targets(&mut self.slots, is_touched)
     }
 
     /// Serialize the engine's full state to a [`Value`] tree for
-    /// snapshot/resume. Arena slices, inverse permutations, cursors, and
-    /// group-attempt *order* are exported verbatim (they shape future
-    /// behavior); the small-stage used sets are membership-only and
-    /// serialize sorted. Slots are sorted by key.
+    /// snapshot/resume, one entry per edge, sorted by key. A cold edge
+    /// lists its picks of this super-cycle (`used`) and of the current
+    /// sub-cycle (`sub_cycle`), both ascending. A promoted edge lists its
+    /// frozen partition and where each group stands: its member slice
+    /// verbatim, `[end, cursor, attempted]` per group in one flat `groups`
+    /// array — the cursor is the group's used-prefix length, `attempted`
+    /// is 1 for a group in `S(u, v)` — and its `used_count`. Arena offsets
+    /// are not exported, so the tree is a function of the walk alone.
     pub fn export_state(&self) -> Value {
         let mut slots: Vec<(u64, &GroupSlot)> = self.slots.iter().map(|(&k, s)| (k, s)).collect();
         slots.sort_unstable_by_key(|&(k, _)| k);
-        let groups_value =
-            |groups: &[u64]| Value::Arr(groups.iter().map(|&g| Value::Uint(g)).collect());
-        let slots: Vec<Value> = slots
+        let edges: Vec<Value> = slots
             .into_iter()
-            .map(|(key, slot)| match slot {
-                GroupSlot::Small { used, used_groups } => {
-                    let mut used: Vec<u32> = used.iter().copied().collect();
-                    used.sort_unstable();
-                    Value::obj([
-                        ("key", Value::Uint(key)),
-                        ("kind", Value::Str("small".into())),
-                        (
-                            "used",
-                            Value::Arr(
-                                used.into_iter()
-                                    .map(|i| Value::Uint(u64::from(i)))
-                                    .collect(),
-                            ),
-                        ),
-                        ("groups", groups_value(used_groups)),
-                    ])
-                }
-                GroupSlot::Sliced {
+            .map(|(key, slot)| {
+                let key = ("key", Value::Uint(key));
+                if let GroupSlot::Promoted {
                     start,
                     len,
-                    cursor,
-                    used_groups,
-                } => Value::obj([
-                    ("key", Value::Uint(key)),
-                    ("kind", Value::Str("sliced".into())),
-                    ("start", Value::Uint(u64::from(*start))),
-                    ("len", Value::Uint(u64::from(*len))),
-                    ("cursor", Value::Uint(u64::from(*cursor))),
-                    ("groups", groups_value(used_groups)),
-                ]),
-                GroupSlot::PlanInline {
+                    spans,
+                    groups,
                     used,
-                    len,
-                    attempted,
-                } => {
-                    let mut used: Vec<u32> = used[..usize::from(*len)].to_vec();
-                    used.sort_unstable();
+                } = *slot
+                {
+                    let (start, at) = (start as usize, spans as usize);
+                    let spans = &self.spans[at..at + groups as usize];
+                    let mut begin = 0;
+                    let groups: Vec<u32> = spans
+                        .iter()
+                        .flat_map(|s| {
+                            let cursor = s.next - begin;
+                            begin = s.end;
+                            [s.end, cursor, u32::from(s.attempted)]
+                        })
+                        .collect();
                     Value::obj([
-                        ("key", Value::Uint(key)),
-                        ("kind", Value::Str("plan_inline".into())),
-                        ("used", Value::arr(&used)),
-                        ("attempted", Value::Uint(*attempted)),
+                        key,
+                        ("kind", Value::Str("promoted".into())),
+                        (
+                            "members",
+                            Value::arr(&self.members[start..start + len as usize]),
+                        ),
+                        ("groups", Value::arr(&groups)),
+                        ("used_count", Value::Uint(u64::from(used))),
                     ])
-                }
-                GroupSlot::PlanSpill { used, attempted } => {
-                    let mut used: Vec<u32> = used.iter().copied().collect();
-                    used.sort_unstable();
-                    Value::obj([
-                        ("key", Value::Uint(key)),
-                        ("kind", Value::Str("plan_spill".into())),
-                        ("used", Value::arr(&used)),
-                        ("attempted", Value::Uint(*attempted)),
-                    ])
-                }
-                GroupSlot::PlanSliced {
-                    start,
-                    len,
-                    used_total,
-                    cursors,
-                    attempted,
-                } => {
-                    // Inline cursor arrays don't record their group count
-                    // (the plan owns it); exporting all INLINE_CAP entries
-                    // is lossless — trailing zeros are vacuous cursors.
-                    let cursors = match cursors {
-                        GroupCursors::Inline(c) => &c[..],
-                        GroupCursors::Heap(c) => &c[..],
+                } else {
+                    let (kind, mut used): (&str, Vec<u32>) = match slot {
+                        GroupSlot::Inline { used, len, .. } => {
+                            ("inline", used[..usize::from(*len)].to_vec())
+                        }
+                        GroupSlot::Spill { used, .. } => ("spill", used.iter().copied().collect()),
+                        GroupSlot::Promoted { .. } => unreachable!("handled above"),
                     };
+                    let mut current = slot.current().to_vec();
+                    used.sort_unstable();
+                    current.sort_unstable();
                     Value::obj([
-                        ("key", Value::Uint(key)),
-                        ("kind", Value::Str("plan_sliced".into())),
-                        ("start", Value::Uint(u64::from(*start))),
-                        ("len", Value::Uint(u64::from(*len))),
-                        ("used_total", Value::Uint(u64::from(*used_total))),
-                        ("cursors", Value::arr(cursors)),
-                        ("attempted", Value::Uint(*attempted)),
+                        key,
+                        ("kind", Value::Str(kind.into())),
+                        ("used", Value::arr(&used)),
+                        ("sub_cycle", Value::arr(&current)),
                     ])
                 }
             })
             .collect();
-        Value::obj([
-            ("items", Value::arr(&self.items)),
-            ("pos", Value::arr(&self.pos)),
-            ("plan_items", Value::arr(&self.plan_items)),
-            ("slots", Value::Arr(slots)),
-        ])
+        Value::obj([("edges", Value::Arr(edges))])
     }
 
     /// Rebuild an engine from [`export_state`](Self::export_state) output.
     ///
     /// # Errors
     /// Returns a message when the tree is malformed or internally
-    /// inconsistent (mismatched arenas, slice out of bounds, …).
+    /// inconsistent: repeated or misplaced picks, or a promoted edge whose
+    /// members are not a permutation, whose group ends do not ascend to its
+    /// length, whose cursors overrun their groups or do not sum to its used
+    /// count, or whose attempted flags are not 0 or 1.
     pub fn import_state(state: &Value) -> Result<Self, String> {
-        let items: Vec<u32> = state.field("items")?.decode()?;
-        let pos: Vec<u32> = state.field("pos")?.decode()?;
-        if items.len() != pos.len() {
-            return Err(format!(
-                "items/pos arena length mismatch: {} vs {}",
-                items.len(),
-                pos.len()
-            ));
-        }
-        let plan_items: Vec<u32> = state.field("plan_items")?.decode()?;
-        let mut slots = FnvHashMap::default();
-        for entry in state.field("slots")?.as_array()? {
+        let mut engine = GroupEngine::default();
+        for entry in state.field("edges")?.as_array()? {
             let key: u64 = entry.field("key")?.decode()?;
             let kind: String = entry.field("kind")?.decode()?;
             let slot = match kind.as_str() {
-                "small" => GroupSlot::Small {
-                    used: entry
-                        .field("used")?
-                        .decode::<Vec<u32>>()?
-                        .into_iter()
-                        .collect(),
-                    used_groups: entry.field("groups")?.decode()?,
-                },
-                "sliced" => {
-                    let start: u32 = entry.field("start")?.decode()?;
-                    let len: u32 = entry.field("len")?.decode()?;
-                    let cursor: u32 = entry.field("cursor")?.decode()?;
-                    if (start as usize) + (len as usize) > items.len() {
-                        return Err(format!(
-                            "sliced state {start}+{len} exceeds arena of {}",
-                            items.len()
-                        ));
+                "inline" | "spill" => {
+                    let used: Vec<u32> = entry.field("used")?.decode()?;
+                    let current: Vec<u32> = entry.field("sub_cycle")?.decode()?;
+                    let ascending = |ids: &[u32]| ids.windows(2).all(|w| w[0] < w[1]);
+                    if !ascending(&used) || !ascending(&current) {
+                        return Err(format!("edge {key}: picks are not strictly ascending"));
                     }
-                    if len == 0 || cursor >= len {
-                        return Err(format!("sliced cursor {cursor} out of slice of {len}"));
+                    if let Some(m) = current.iter().find(|m| used.binary_search(m).is_err()) {
+                        return Err(format!("edge {key}: sub-cycle pick {m} is not used"));
                     }
-                    GroupSlot::Sliced {
-                        start,
-                        len,
-                        cursor,
-                        used_groups: entry.field("groups")?.decode()?,
-                    }
-                }
-                "plan_inline" => {
-                    let ids: Vec<u32> = entry.field("used")?.decode()?;
-                    if ids.len() > INLINE_CAP {
-                        return Err(format!(
-                            "plan_inline slot holds {} > {INLINE_CAP}",
-                            ids.len()
-                        ));
-                    }
-                    let mut used = [0u32; INLINE_CAP];
-                    used[..ids.len()].copy_from_slice(&ids);
-                    GroupSlot::PlanInline {
-                        used,
-                        len: ids.len() as u8,
-                        attempted: entry.field("attempted")?.decode()?,
-                    }
-                }
-                "plan_spill" => GroupSlot::PlanSpill {
-                    used: entry
-                        .field("used")?
-                        .decode::<Vec<u32>>()?
-                        .into_iter()
-                        .collect(),
-                    attempted: entry.field("attempted")?.decode()?,
-                },
-                "plan_sliced" => {
-                    let start: u32 = entry.field("start")?.decode()?;
-                    let len: u32 = entry.field("len")?.decode()?;
-                    let used_total: u32 = entry.field("used_total")?.decode()?;
-                    let cursor_vals: Vec<u32> = entry.field("cursors")?.decode()?;
-                    if (start as usize) + (len as usize) > plan_items.len() {
-                        return Err(format!(
-                            "plan_sliced state {start}+{len} exceeds plan arena of {}",
-                            plan_items.len()
-                        ));
-                    }
-                    let sum: u64 = cursor_vals.iter().map(|&c| u64::from(c)).sum();
-                    if sum != u64::from(used_total) {
-                        return Err(format!(
-                            "plan_sliced cursors sum to {sum}, used_total is {used_total}"
-                        ));
-                    }
-                    if len == 0 || used_total >= len {
-                        return Err(format!(
-                            "plan_sliced used_total {used_total} out of slice of {len}"
-                        ));
-                    }
-                    // ≤ INLINE_CAP cursors pack inline; per-group bounds are
-                    // validated against the plan on first use.
-                    let cursors = if cursor_vals.len() <= INLINE_CAP {
-                        let mut c = [0u32; INLINE_CAP];
-                        c[..cursor_vals.len()].copy_from_slice(&cursor_vals);
-                        GroupCursors::Inline(c)
+                    let earlier = used.iter().filter(|m| current.binary_search(m).is_err());
+                    if kind == "inline" {
+                        if used.len() > INLINE_CAP {
+                            return Err(format!(
+                                "inline edge {key} holds {} > {INLINE_CAP}",
+                                used.len()
+                            ));
+                        }
+                        let mut slots = [0u32; INLINE_CAP];
+                        for (dst, &m) in slots.iter_mut().zip(earlier.chain(&current)) {
+                            *dst = m;
+                        }
+                        GroupSlot::Inline {
+                            used: slots,
+                            len: used.len() as u8,
+                            sub: (used.len() - current.len()) as u8,
+                        }
                     } else {
-                        GroupCursors::Heap(cursor_vals)
-                    };
-                    GroupSlot::PlanSliced {
-                        start,
-                        len,
-                        used_total,
-                        cursors,
-                        attempted: entry.field("attempted")?.decode()?,
+                        GroupSlot::Spill {
+                            used: used.iter().copied().collect(),
+                            current,
+                        }
                     }
                 }
+                "promoted" => engine
+                    .import_promoted(entry)
+                    .map_err(|e| format!("promoted edge {key}: {e}"))?,
                 other => return Err(format!("unknown slot kind `{other}`")),
             };
-            if slots.insert(key, slot).is_some() {
+            if engine.slots.insert(key, slot).is_some() {
                 return Err(format!("duplicate slot key {key}"));
             }
         }
-        Ok(GroupEngine {
-            slots,
-            items,
-            pos,
-            plan_items,
+        Ok(engine)
+    }
+
+    /// Validate one exported promoted edge and append it to the arenas.
+    fn import_promoted(&mut self, entry: &Value) -> Result<GroupSlot, String> {
+        let members: Vec<u32> = entry.field("members")?.decode()?;
+        let groups: Vec<u32> = entry.field("groups")?.decode()?;
+        let used: u32 = entry.field("used_count")?.decode()?;
+        let len = members.len();
+        let mut seen = vec![false; len];
+        for &m in &members {
+            if m as usize >= len || std::mem::replace(&mut seen[m as usize], true) {
+                return Err(format!("members are not a permutation of 0..{len}"));
+            }
+        }
+        if groups.is_empty() || !groups.len().is_multiple_of(3) {
+            return Err(format!(
+                "{} group entries are not [end, cursor, attempted] triples",
+                groups.len()
+            ));
+        }
+        let (start, at) = (self.members.len(), self.spans.len());
+        let (mut begin, mut sum) = (0u32, 0u64);
+        for (g, group) in groups.chunks_exact(3).enumerate() {
+            let (end, cursor, attempted) = (group[0], group[1], group[2]);
+            if end <= begin || end as usize > len {
+                return Err(format!("group ends do not ascend to {len} at group {g}"));
+            }
+            if cursor > end - begin {
+                return Err(format!(
+                    "cursor {cursor} of group {g} exceeds its {} members",
+                    end - begin
+                ));
+            }
+            if attempted > 1 {
+                return Err(format!(
+                    "attempted flag {attempted} of group {g} is not 0 or 1"
+                ));
+            }
+            let unvisited = &members[(begin + cursor) as usize..end as usize];
+            if unvisited.windows(2).any(|w| w[0] > w[1]) {
+                return Err(format!("unvisited members of group {g} are not ascending"));
+            }
+            self.spans.push(GroupSpan {
+                next: begin + cursor,
+                end,
+                attempted: attempted == 1,
+            });
+            (begin, sum) = (end, sum + u64::from(cursor));
+        }
+        if begin as usize != len {
+            return Err(format!("group ends stop at {begin}, short of {len}"));
+        }
+        if sum != u64::from(used) || used as usize >= len {
+            return Err(format!(
+                "cursors sum to {sum}, used count is {used} of {len}"
+            ));
+        }
+        self.members.extend_from_slice(&members);
+        Ok(GroupSlot::Promoted {
+            start: arena_offset(start),
+            len: len as u32,
+            spans: arena_offset(at),
+            groups: (groups.len() / 3) as u32,
+            used,
         })
     }
 
-    /// Mutable view of `key`'s state, created on first touch and promoted
-    /// to arena slices once it qualifies. `population_len` must be stable
-    /// across visits.
+    /// Mutable view of `key`'s state, created cold on first touch.
+    /// `population_len` (`|N(v)|`) must be stable across visits.
     pub fn view(&mut self, key: u64, population_len: usize) -> GroupEdgeView<'_> {
-        let slot = self.slots.entry(key).or_insert_with(|| GroupSlot::Small {
-            used: FnvHashSet::default(),
-            used_groups: Vec::new(),
-        });
-        if let GroupSlot::Small { used, used_groups } = slot {
-            if promotable(used.len(), population_len, INLINE_CAP) {
-                let start = self.items.len();
-                self.items.extend(0..population_len as u32);
-                self.pos.extend(0..population_len as u32);
-                let items = &mut self.items[start..];
-                let pos = &mut self.pos[start..];
-                // Partition used indices into the prefix, maintaining the
-                // inverse permutation through the same swap discipline the
-                // steady state uses.
-                let mut cursor = 0usize;
-                for i in 0..population_len {
-                    let idx = items[i] as usize;
-                    if used.contains(&(idx as u32)) {
-                        let other = items[cursor] as usize;
-                        items.swap(cursor, i);
-                        pos[idx] = cursor as u32;
-                        pos[other] = i as u32;
-                        cursor += 1;
-                    }
-                }
-                debug_assert_eq!(cursor, used.len(), "used indices ⊆ population");
-                let start = u32::try_from(start).expect("arena exceeds u32::MAX entries");
-                *slot = GroupSlot::Sliced {
-                    start,
-                    len: population_len as u32,
-                    cursor: cursor as u32,
-                    used_groups: std::mem::take(used_groups),
-                };
-            }
-        }
-        match slot {
-            GroupSlot::Small { used, used_groups } => GroupEdgeView(ViewRepr::Small {
-                used,
-                used_groups,
-                population_len,
-            }),
-            GroupSlot::Sliced {
-                start,
-                len,
-                cursor,
-                used_groups,
-            } => {
-                debug_assert_eq!(
-                    *len as usize, population_len,
-                    "population changed between visits"
-                );
-                let range = *start as usize..(*start + *len) as usize;
-                GroupEdgeView(ViewRepr::Sliced {
-                    len: *len,
-                    cursor,
-                    used_groups,
-                    items: &mut self.items[range.clone()],
-                    pos: &mut self.pos[range],
-                })
-            }
-            GroupSlot::PlanInline { .. }
-            | GroupSlot::PlanSpill { .. }
-            | GroupSlot::PlanSliced { .. } => {
-                panic!("group-engine key {key} holds plan-path state; use plan_view")
-            }
-        }
-    }
-
-    /// Mutable plan-path view of `key`'s state (see [`PlanEdgeView`]),
-    /// created on first touch and promoted to a group-major arena slice
-    /// once it qualifies under the same [`PROMOTION_SPAN`] rule as
-    /// [`Self::view`]. `groups` must be the plan slice of the edge's head
-    /// node, identical across visits.
-    ///
-    /// # Panics
-    /// Panics if `key` already holds [`Self::view`] state — one edge's
-    /// history must be driven by exactly one of the two views.
-    pub fn plan_view(&mut self, key: u64, groups: &NodeGroups<'_>) -> PlanEdgeView<'_> {
-        let plen = groups.len();
-        let group_count = groups.group_count();
+        let slot = self.slots.entry(key).or_insert(GroupSlot::EMPTY);
         debug_assert!(
-            group_count <= 64,
-            "plan path requires ≤ 64 groups per node (attempted-set bitmask)"
+            !matches!(*slot, GroupSlot::Promoted { len, .. } if len as usize != population_len),
+            "population changed between visits"
         );
-        let slot = self.slots.entry(key).or_insert(GroupSlot::PlanInline {
-            used: [0; INLINE_CAP],
-            len: 0,
-            attempted: 0,
-        });
-        // Stage transitions first, exactly mirroring `view`: no
-        // RNG consumed, used set preserved, so per-cycle coverage never
-        // depends on when promotion happens.
-        let promote = match &*slot {
-            GroupSlot::PlanInline { len, .. } => promotable(usize::from(*len), plen, INLINE_CAP),
-            GroupSlot::PlanSpill { used, .. } => promotable(used.len(), plen, INLINE_CAP),
-            GroupSlot::PlanSliced { .. } => false,
-            GroupSlot::Small { .. } | GroupSlot::Sliced { .. } => {
-                panic!("group-engine key {key} holds scratch-path state; use view")
-            }
-        };
-        if promote {
-            let is_used = |idx: u32| match &*slot {
-                GroupSlot::PlanInline { used, len, .. } => used[..usize::from(*len)].contains(&idx),
-                GroupSlot::PlanSpill { used, .. } => used.contains(&idx),
-                _ => unreachable!("only pre-promotion slots promote"),
-            };
-            let start = self.plan_items.len();
-            self.plan_items.extend_from_slice(groups.members);
-            let slice = &mut self.plan_items[start..];
-            // Partition each group's used members into its prefix; the
-            // per-group cursor is the prefix length.
-            let mut cursors = GroupCursors::zeroed(group_count);
-            let mut used_total = 0u32;
-            for (g, cursor) in cursors.as_mut_slice(group_count).iter_mut().enumerate() {
-                let (gs, ge) = groups.bounds(g);
-                let mut c = 0usize;
-                for i in gs..ge {
-                    if is_used(slice[i]) {
-                        slice.swap(gs + c, i);
-                        c += 1;
-                    }
-                }
-                *cursor = c as u32;
-                used_total += c as u32;
-            }
-            let attempted = match &*slot {
-                GroupSlot::PlanInline { attempted, .. }
-                | GroupSlot::PlanSpill { attempted, .. } => *attempted,
-                _ => unreachable!("only pre-promotion slots promote"),
-            };
-            debug_assert_eq!(
-                used_total as usize,
-                slot.used_len(),
-                "used set ⊆ population"
-            );
-            let start = u32::try_from(start).expect("plan arena exceeds u32::MAX entries");
-            *slot = GroupSlot::PlanSliced {
-                start,
-                len: plen as u32,
-                used_total,
-                cursors,
-                attempted,
-            };
-        } else if let GroupSlot::PlanInline {
-            used,
-            len,
-            attempted,
-        } = slot
-        {
-            // Inline full but the population too large for the span guard:
-            // spill to a hash set that grows one entry per draw.
-            if usize::from(*len) == INLINE_CAP {
-                *slot = GroupSlot::PlanSpill {
-                    used: used.iter().copied().collect(),
-                    attempted: *attempted,
-                };
-            }
-        }
-        match slot {
-            GroupSlot::PlanInline {
-                used,
-                len,
-                attempted,
-            } => PlanEdgeView(PlanViewRepr::Inline {
-                used,
-                len,
-                attempted,
-            }),
-            GroupSlot::PlanSpill { used, attempted } => {
-                PlanEdgeView(PlanViewRepr::Spill { used, attempted })
-            }
-            GroupSlot::PlanSliced {
-                start,
-                len,
-                used_total,
-                cursors,
-                attempted,
-            } => {
-                debug_assert_eq!(*len as usize, plen, "population changed between visits");
-                let range = *start as usize..(*start + *len) as usize;
-                PlanEdgeView(PlanViewRepr::Sliced {
-                    used_total,
-                    cursors,
-                    attempted,
-                    items: &mut self.plan_items[range],
-                })
-            }
-            GroupSlot::Small { .. } | GroupSlot::Sliced { .. } => {
-                unreachable!("rejected before the stage transition")
-            }
+        GroupEdgeView {
+            slot,
+            members: &mut self.members,
+            spans: &mut self.spans,
         }
     }
 }
 
-/// Borrowed view of one edge's GNRW state in the [`GroupEngine`]: the
-/// global set `b(u, v)` over `N(v)` and the attempted groups `S(u, v)` —
-/// the probes and updates of Algorithm 2's step. Neighbors are named by
-/// their index in `N(v)`.
-pub struct GroupEdgeView<'a>(ViewRepr<'a>);
-
-enum ViewRepr<'a> {
-    Small {
-        used: &'a mut FnvHashSet<u32>,
-        used_groups: &'a mut Vec<u64>,
-        population_len: usize,
-    },
-    Sliced {
-        len: u32,
-        cursor: &'a mut u32,
-        used_groups: &'a mut Vec<u64>,
-        items: &'a mut [u32],
-        pos: &'a mut [u32],
-    },
+/// An arena offset as stored in a slot. Fails loudly rather than silently
+/// aliasing slices if a pathological walk ever grows an arena past `u32`
+/// offsets.
+fn arena_offset(at: usize) -> u32 {
+    u32::try_from(at).expect("arena exceeds u32::MAX entries")
 }
 
-impl GroupEdgeView<'_> {
-    /// Has population index `idx` been chosen in the current super-cycle?
-    #[inline]
-    pub fn is_used(&self, idx: usize) -> bool {
-        match &self.0 {
-            ViewRepr::Small { used, .. } => used.contains(&(idx as u32)),
-            ViewRepr::Sliced { pos, cursor, .. } => pos[idx] < **cursor,
-        }
+/// Algorithm 2's group choice over per-group `(unvisited, attempted)`
+/// counts: weight each group not in `S(u, v)` by its unvisited members —
+/// every group, when none of those has any left (the sub-cycle reset) —
+/// and draw one with a single `gen_range`. Returns the group and whether
+/// the sub-cycle reset.
+fn choose_group<I>(counts: I, rng: &mut dyn RngCore) -> (usize, bool)
+where
+    I: Iterator<Item = (u32, bool)> + Clone,
+{
+    let open = |(left, attempted): (u32, bool)| if attempted { 0 } else { left as usize };
+    let mut total: usize = counts.clone().map(open).sum();
+    let reset = total == 0;
+    if reset {
+        total = counts.clone().map(|(left, _)| left as usize).sum();
     }
-
-    /// Nodes chosen so far in the current super-cycle.
-    pub fn used_count(&self) -> usize {
-        match &self.0 {
-            ViewRepr::Small { used, .. } => used.len(),
-            ViewRepr::Sliced { cursor, .. } => **cursor as usize,
-        }
-    }
-
-    /// Has `group` been attempted in the current group sub-cycle?
-    pub fn group_attempted(&self, group: u64) -> bool {
-        match &self.0 {
-            ViewRepr::Small { used_groups, .. } | ViewRepr::Sliced { used_groups, .. } => {
-                used_groups.contains(&group)
-            }
-        }
-    }
-
-    /// Reset the group sub-cycle (`S(u, v) <- ∅`).
-    pub fn clear_attempted(&mut self) {
-        match &mut self.0 {
-            ViewRepr::Small { used_groups, .. } | ViewRepr::Sliced { used_groups, .. } => {
-                used_groups.clear()
-            }
-        }
-    }
-
-    /// Record the choice of population index `idx` from `group`: mark the
-    /// node used, mark the group attempted, and reset the whole super-cycle
-    /// once every node is covered.
-    pub fn record(&mut self, idx: usize, group: u64) {
-        match &mut self.0 {
-            ViewRepr::Small {
-                used,
-                used_groups,
-                population_len,
-            } => {
-                let inserted = used.insert(idx as u32);
-                debug_assert!(inserted, "index already used this super-cycle");
-                if !used_groups.contains(&group) {
-                    used_groups.push(group);
-                }
-                if used.len() == *population_len {
-                    used.clear(); // super-cycle complete (Algorithm 2 step 4)
-                    used_groups.clear();
-                }
-            }
-            ViewRepr::Sliced {
-                len,
-                cursor,
-                used_groups,
-                items,
-                pos,
-            } => {
-                let c = **cursor as usize;
-                let p = pos[idx] as usize;
-                debug_assert!(p >= c, "index already used this super-cycle");
-                let other = items[c] as usize;
-                items.swap(c, p);
-                pos[idx] = c as u32;
-                pos[other] = p as u32;
-                **cursor += 1;
-                if !used_groups.contains(&group) {
-                    used_groups.push(group);
-                }
-                if **cursor == *len {
-                    **cursor = 0; // super-cycle complete (Algorithm 2 step 4)
-                    used_groups.clear();
-                }
-            }
-        }
-    }
-}
-
-/// Borrowed plan-path view of one edge's [`GroupEngine`] state: the GNRW
-/// fast path. A [`draw`](Self::draw) performs the whole Algorithm-2 step —
-/// group sub-cycle bookkeeping, alias-table group proposal, within-group
-/// partial-Fisher–Yates member pick, super-cycle reset — against the
-/// immutable [`NodeGroups`] slice of a
-/// [`GroupPlan`](crate::groupplan::GroupPlan), consuming RNG only through a
-/// [`DrawBatch`].
-///
-/// Group selection proposes from the alias table (∝ **full** group size)
-/// and rejects attempted/exhausted groups, falling back to an exact
-/// remaining-weighted scan after [`MAX_REJECTION_ITERS`]. That reorders and
-/// re-weights draws relative to GNRW's Algorithm-2 step (which scans
-/// un-attempted transitions) — equivalent in stationary distribution by the paper's
-/// Theorem 4 (per-super-cycle exact coverage is preserved verbatim), not in
-/// trace.
-pub struct PlanEdgeView<'a>(PlanViewRepr<'a>);
-
-enum PlanViewRepr<'a> {
-    Inline {
-        used: &'a mut [u32; INLINE_CAP],
-        len: &'a mut u8,
-        attempted: &'a mut u64,
-    },
-    Spill {
-        used: &'a mut FnvHashSet<u32>,
-        attempted: &'a mut u64,
-    },
-    Sliced {
-        used_total: &'a mut u32,
-        cursors: &'a mut GroupCursors,
-        attempted: &'a mut u64,
-        items: &'a mut [u32],
-    },
-}
-
-impl PlanEdgeView<'_> {
-    /// Nodes chosen so far in the current super-cycle.
-    pub fn used_count(&self) -> usize {
-        match &self.0 {
-            PlanViewRepr::Inline { len, .. } => usize::from(**len),
-            PlanViewRepr::Spill { used, .. } => used.len(),
-            PlanViewRepr::Sliced { used_total, .. } => **used_total as usize,
-        }
-    }
-
-    /// Has population index `idx` been chosen in the current super-cycle?
-    /// (`groups` locates `idx`'s group for the promoted representation.)
-    pub fn is_used(&self, idx: usize, groups: &NodeGroups<'_>) -> bool {
-        match &self.0 {
-            PlanViewRepr::Inline { used, len, .. } => {
-                used[..usize::from(**len)].contains(&(idx as u32))
-            }
-            PlanViewRepr::Spill { used, .. } => used.contains(&(idx as u32)),
-            PlanViewRepr::Sliced { cursors, items, .. } => {
-                // Promoted slices keep used members in each group's prefix;
-                // scan only idx's group span (draws never call this — it
-                // exists for tests and invariant checks).
-                let g = (0..groups.group_count())
-                    .find(|&g| groups.members_of(g).contains(&(idx as u32)))
-                    .expect("index belongs to some group");
-                let (gs, _) = groups.bounds(g);
-                let c = cursors.as_slice(groups.group_count())[g] as usize;
-                items[gs..gs + c].contains(&(idx as u32))
-            }
-        }
-    }
-
-    /// Groups attempted in the current sub-cycle, as a bitmask.
-    pub fn attempted_mask(&self) -> u64 {
-        match &self.0 {
-            PlanViewRepr::Inline { attempted, .. }
-            | PlanViewRepr::Spill { attempted, .. }
-            | PlanViewRepr::Sliced { attempted, .. } => **attempted,
-        }
-    }
-
-    /// Per-group not-yet-chosen counts for the current super-cycle, written
-    /// into `rem` (cleared first). `O(groups)` when promoted, `O(deg)`
-    /// before.
-    pub fn remaining_per_group(&self, groups: &NodeGroups<'_>, rem: &mut Vec<u32>) {
-        rem.clear();
-        let group_count = groups.group_count();
-        match &self.0 {
-            PlanViewRepr::Inline { used, len, .. } => {
-                let used = &used[..usize::from(**len)];
-                rem.extend((0..group_count).map(|g| {
-                    groups
-                        .members_of(g)
-                        .iter()
-                        .filter(|m| !used.contains(m))
-                        .count() as u32
-                }));
-            }
-            PlanViewRepr::Spill { used, .. } => {
-                rem.extend((0..group_count).map(|g| {
-                    groups
-                        .members_of(g)
-                        .iter()
-                        .filter(|m| !used.contains(m))
-                        .count() as u32
-                }));
-            }
-            PlanViewRepr::Sliced { cursors, .. } => {
-                let cursors = cursors.as_slice(group_count);
-                rem.extend((0..group_count).map(|g| groups.group_len(g) as u32 - cursors[g]));
-            }
-        }
-    }
-
-    /// One full GNRW transition on this edge: choose a group (un-attempted,
-    /// non-exhausted — resetting the sub-cycle when none qualifies), choose
-    /// an unvisited member uniformly within it, record both, and reset the
-    /// super-cycle when `N(v)` is covered. Returns the chosen **local
-    /// neighbor index**.
-    ///
-    /// `alias` is the node's table over full group sizes (`None` means a
-    /// single group). `rem` is caller-owned scratch for per-group remaining
-    /// counts.
-    pub fn draw(
-        &mut self,
-        groups: &NodeGroups<'_>,
-        alias: Option<&AliasTable>,
-        batch: &mut DrawBatch,
-        rng: &mut dyn RngCore,
-        rem: &mut Vec<u32>,
-    ) -> usize {
-        let group_count = groups.group_count();
-        debug_assert!((1..=64).contains(&group_count));
-        self.remaining_per_group(groups, rem);
-        debug_assert!(
-            rem.iter().map(|&r| u64::from(r)).sum::<u64>() > 0,
-            "draw on an exhausted super-cycle (reset happens at record time)"
-        );
-        let mut attempted = self.attempted_mask();
-        // Sub-cycle reset (Algorithm 2 step 2): no un-attempted group has
-        // unvisited members left.
-        let candidate =
-            |attempted: u64, g: usize, rem: &[u32]| rem[g] > 0 && attempted & (1 << g) == 0;
-        if !(0..group_count).any(|g| candidate(attempted, g, rem)) {
-            attempted = 0;
-            self.set_attempted(0);
-        }
-        // Group choice. A single candidate consumes no RNG; otherwise alias
-        // proposals ∝ full group size with rejection, then the exact
-        // remaining-weighted scan as a bounded fallback.
-        let mut candidates = (0..group_count).filter(|&g| candidate(attempted, g, rem));
-        let first = candidates.next().expect("some group has members left");
-        let chosen = if candidates.next().is_none() {
-            first
-        } else {
-            let mut pick = None;
-            if let Some(alias) = alias {
-                for _ in 0..MAX_REJECTION_ITERS {
-                    let g = alias.sample(batch.next_u64(rng));
-                    if candidate(attempted, g, rem) {
-                        pick = Some(g);
-                        break;
-                    }
-                }
-            }
-            pick.unwrap_or_else(|| {
-                let total: u64 = (0..group_count)
-                    .filter(|&g| candidate(attempted, g, rem))
-                    .map(|g| u64::from(rem[g]))
-                    .sum();
-                let mut target = batch.range(total as usize, rng) as u64;
-                (0..group_count)
-                    .filter(|&g| candidate(attempted, g, rem))
-                    .find(|&g| {
-                        if target < u64::from(rem[g]) {
-                            true
-                        } else {
-                            target -= u64::from(rem[g]);
-                            false
-                        }
-                    })
-                    .expect("target < total remaining")
-            })
-        };
-        // Member choice within the chosen group, then record + resets.
-        let remaining = rem[chosen] as usize;
-        let (gs, ge) = groups.bounds(chosen);
-        let population_len = groups.len();
-        match &mut self.0 {
-            PlanViewRepr::Sliced {
-                used_total,
-                cursors,
-                attempted,
-                items,
-            } => {
-                // Partial Fisher–Yates inside the group span: one draw, one
-                // swap, exactly O(1).
-                let c = cursors.as_slice(group_count)[chosen] as usize;
-                let j = if remaining == 1 {
-                    0
-                } else {
-                    batch.range(remaining, rng)
-                };
-                items.swap(gs + c, gs + c + j);
-                let pick = items[gs + c] as usize;
-                cursors.as_mut_slice(group_count)[chosen] += 1;
-                **used_total += 1;
-                **attempted |= 1 << chosen;
-                if **used_total as usize == population_len {
-                    // Super-cycle complete (Algorithm 2 step 4): cursor
-                    // rewind per group, groups forgotten.
-                    **used_total = 0;
-                    cursors.as_mut_slice(group_count).fill(0);
-                    **attempted = 0;
-                }
-                pick
-            }
-            PlanViewRepr::Inline {
-                used,
-                len,
-                attempted,
-            } => {
-                let members = &groups.members[gs..ge];
-                let used_slice = &used[..usize::from(**len)];
-                let pick =
-                    plan_member_pick(members, remaining, |m| used_slice.contains(&m), batch, rng);
-                **attempted |= 1 << chosen;
-                if usize::from(**len) + 1 == population_len {
-                    **len = 0; // super-cycle complete -> reset
-                    **attempted = 0;
-                } else {
-                    used[usize::from(**len)] = pick;
-                    **len += 1;
-                }
-                pick as usize
-            }
-            PlanViewRepr::Spill { used, attempted } => {
-                let members = &groups.members[gs..ge];
-                let pick = plan_member_pick(members, remaining, |m| used.contains(&m), batch, rng);
-                **attempted |= 1 << chosen;
-                if used.len() + 1 == population_len {
-                    used.clear();
-                    **attempted = 0;
-                } else {
-                    used.insert(pick);
-                }
-                pick as usize
-            }
-        }
-    }
-
-    fn set_attempted(&mut self, mask: u64) {
-        match &mut self.0 {
-            PlanViewRepr::Inline { attempted, .. }
-            | PlanViewRepr::Spill { attempted, .. }
-            | PlanViewRepr::Sliced { attempted, .. } => **attempted = mask,
-        }
-    }
-}
-
-/// Uniform pick among the unvisited `remaining` members of a group slice
-/// (pre-promotion stages): bounded rejection sampling over the group, then
-/// an exact rank scan — the plan-path twin of [`draw_excluding`], consuming
-/// RNG through the batch.
-fn plan_member_pick(
-    members: &[u32],
-    remaining: usize,
-    is_used: impl Fn(u32) -> bool,
-    batch: &mut DrawBatch,
-    rng: &mut dyn RngCore,
-) -> u32 {
-    debug_assert!(remaining > 0 && remaining <= members.len());
-    if remaining == 1 {
-        return *members
-            .iter()
-            .find(|&&m| !is_used(m))
-            .expect("one member remaining");
-    }
-    if remaining == members.len() {
-        // Untouched group: every member is valid, one direct draw.
-        return members[batch.range(members.len(), rng)];
-    }
-    for _ in 0..MAX_REJECTION_ITERS {
-        let cand = members[batch.range(members.len(), rng)];
-        if !is_used(cand) {
-            return cand;
-        }
-    }
-    let mut rank = batch.range(remaining, rng);
-    *members
-        .iter()
-        .filter(|&&m| !is_used(m))
-        .find(|_| {
-            if rank == 0 {
+    debug_assert!(total > 0, "b(u, v) resets before covering N(v)");
+    let mut pick = rng.gen_range(0..total);
+    let group = counts
+        .map(|c| if reset { c.0 as usize } else { open(c) })
+        .position(|weight| {
+            if pick < weight {
                 true
             } else {
-                rank -= 1;
+                pick -= weight;
                 false
             }
         })
-        .expect("rank < remaining unused members")
+        .expect("pick < total unvisited");
+    (group, reset)
+}
+
+/// Algorithm 2's pick on a cold edge, given `N(v)`'s partition (members
+/// ascending within a group), the current sub-cycle's picks `current` and
+/// the test for a pick of this super-cycle: count the unvisited members of
+/// each group not in `S(u, v)` into `counts` — every group's, on a
+/// sub-cycle reset — choose a group, and take its `rank`-th unvisited
+/// member in index order. Returns the pick and whether the sub-cycle reset.
+fn cold_pick(
+    groups: &NodeGroups<'_>,
+    current: &[u32],
+    is_used: impl Fn(u32) -> bool,
+    counts: &mut Vec<(u32, bool)>,
+    rng: &mut dyn RngCore,
+) -> (u32, bool) {
+    let unvisited = |g: usize| {
+        let members = groups.members_of(g).iter();
+        members.filter(|&&m| !is_used(m)).count() as u32
+    };
+    counts.clear();
+    counts.resize(groups.group_count(), (0, false));
+    // S(u, v) is the groups of the current sub-cycle's picks.
+    for m in current {
+        if let Some(g) = (0..counts.len()).find(|&g| groups.members_of(g).binary_search(m).is_ok())
+        {
+            counts[g].1 = true;
+        }
+    }
+    for (g, (left, attempted)) in counts.iter_mut().enumerate() {
+        if !*attempted {
+            *left = unvisited(g);
+        }
+    }
+    if counts
+        .iter()
+        .all(|&(left, attempted)| attempted || left == 0)
+    {
+        for (g, (left, attempted)) in counts.iter_mut().enumerate() {
+            if *attempted {
+                *left = unvisited(g);
+            }
+        }
+    }
+    let (group, reset) = choose_group(counts.iter().copied(), rng);
+    let rank = rng.gen_range(0..counts[group].0 as usize);
+    let pick = groups
+        .members_of(group)
+        .iter()
+        .copied()
+        .filter(|&m| !is_used(m))
+        .nth(rank)
+        .expect("rank < unvisited");
+    (pick, reset)
+}
+
+/// Borrowed view of one edge's GNRW state in the [`GroupEngine`], through
+/// which the walker runs Algorithm 2's step. Neighbors are named by their
+/// index in `N(v)`.
+pub struct GroupEdgeView<'a> {
+    slot: &'a mut GroupSlot,
+    members: &'a mut Vec<u32>,
+    spans: &'a mut Vec<GroupSpan>,
+}
+
+impl GroupEdgeView<'_> {
+    /// Whether the edge has promoted, freezing its partition: its
+    /// [`step`](Self::step) then needs none.
+    #[inline]
+    pub fn is_frozen(&self) -> bool {
+        matches!(self.slot, GroupSlot::Promoted { .. })
+    }
+
+    /// One step of Algorithm 2 on this edge: count the unvisited members
+    /// of each group not in `S(u, v)`, reset the sub-cycle when none has
+    /// any, pick a group in proportion to its unvisited members, take the
+    /// rank-th unvisited member in index order — two `gen_range` draws —
+    /// and record it, resetting the super-cycle once `N(v)` is covered.
+    /// Returns the pick's index into `N(v)`.
+    ///
+    /// `groups` is `N(v)`'s partition (ascending keys, members ascending by
+    /// index); it is read only while the edge is cold, and may be `None`
+    /// once [`is_frozen`](Self::is_frozen). `counts` is caller-owned
+    /// scratch. A cold edge first moves on if it qualifies: it promotes
+    /// under [`PROMOTION_SPAN`], freezing `groups`, or spills a full inline
+    /// array. Promotion keeps both sets, so it never changes a pick.
+    ///
+    /// # Panics
+    /// Panics if the edge is cold and `groups` is `None`.
+    pub fn step(
+        &mut self,
+        groups: Option<&NodeGroups<'_>>,
+        counts: &mut Vec<(u32, bool)>,
+        rng: &mut dyn RngCore,
+    ) -> usize {
+        if let GroupSlot::Promoted {
+            start,
+            len,
+            spans,
+            groups,
+            used,
+        } = self.slot
+        {
+            let (start, at) = (*start as usize, *spans as usize);
+            let members = &mut self.members[start..start + *len as usize];
+            let spans = &mut self.spans[at..at + *groups as usize];
+            return promoted_step(members, spans, used, rng);
+        }
+        let groups = groups.expect("a cold edge steps on N(v)'s partition");
+        let plen = groups.len();
+        if promotable(self.slot.used_len(), plen, INLINE_CAP) {
+            self.freeze(groups);
+            return self.step(None, counts, rng);
+        }
+        if let GroupSlot::Inline { used, len, .. } = &*self.slot {
+            if usize::from(*len) == INLINE_CAP {
+                *self.slot = GroupSlot::Spill {
+                    used: used.iter().copied().collect(),
+                    current: self.slot.current().to_vec(),
+                };
+            }
+        }
+        let (pick, reset) = match &*self.slot {
+            GroupSlot::Inline { used, len, sub } => {
+                let used = &used[..usize::from(*len)];
+                let current = &used[usize::from(*sub)..];
+                cold_pick(groups, current, |m| used.contains(&m), counts, rng)
+            }
+            GroupSlot::Spill { used, current } => {
+                cold_pick(groups, current, |m| used.contains(&m), counts, rng)
+            }
+            GroupSlot::Promoted { .. } => unreachable!("promoted slots step above"),
+        };
+        match &mut *self.slot {
+            GroupSlot::Inline { used, len, sub } => {
+                if usize::from(*len) + 1 == plen {
+                    // Super-cycle complete (Algorithm 2 step 4).
+                    (*len, *sub) = (0, 0);
+                } else {
+                    if reset {
+                        *sub = *len;
+                    }
+                    used[usize::from(*len)] = pick;
+                    *len += 1;
+                }
+            }
+            GroupSlot::Spill { used, current } => {
+                // Spill implies 2·used < |N(v)| (the half-used rule would
+                // have promoted otherwise): the super-cycle cannot complete
+                // in this stage.
+                debug_assert!(2 * used.len() < plen);
+                if reset {
+                    current.clear();
+                }
+                used.insert(pick);
+                current.push(pick);
+            }
+            GroupSlot::Promoted { .. } => unreachable!("promoted slots step above"),
+        }
+        pick as usize
+    }
+
+    /// Promote a cold edge: freeze `groups` into the arenas, each group's
+    /// picks first and its unvisited members after them in index order, and
+    /// mark the groups of the current sub-cycle's picks attempted.
+    fn freeze(&mut self, groups: &NodeGroups<'_>) {
+        let (start, at) = (self.members.len(), self.spans.len());
+        let slot = &*self.slot;
+        let used = |m: &&u32| match slot {
+            GroupSlot::Inline { used, len, .. } => used[..usize::from(*len)].contains(m),
+            GroupSlot::Spill { used, .. } => used.contains(m),
+            GroupSlot::Promoted { .. } => unreachable!("only a cold edge promotes"),
+        };
+        for g in 0..groups.group_count() {
+            let group = groups.members_of(g);
+            self.members.extend(group.iter().filter(used));
+            let next = (self.members.len() - start) as u32;
+            self.members.extend(group.iter().filter(|m| !used(m)));
+            self.spans.push(GroupSpan {
+                next,
+                end: groups.ends[g],
+                attempted: slot
+                    .current()
+                    .iter()
+                    .any(|m| group.binary_search(m).is_ok()),
+            });
+        }
+        debug_assert_eq!(
+            self.members.len() - start,
+            groups.len(),
+            "used set ⊆ population"
+        );
+        *self.slot = GroupSlot::Promoted {
+            start: arena_offset(start),
+            len: groups.len() as u32,
+            spans: arena_offset(at),
+            groups: groups.group_count() as u32,
+            used: self.slot.used_len() as u32,
+        };
+    }
+}
+
+/// Algorithm 2's step on a promoted edge's frozen partition: `O(groups)`
+/// to choose the group, then the member at its `rank`-th unvisited
+/// position, rotated to the front of the unvisited members so the rest
+/// stay in index order.
+fn promoted_step(
+    members: &mut [u32],
+    spans: &mut [GroupSpan],
+    used: &mut u32,
+    rng: &mut dyn RngCore,
+) -> usize {
+    let (group, reset) = choose_group(spans.iter().map(|s| (s.end - s.next, s.attempted)), rng);
+    if reset {
+        spans.iter_mut().for_each(|s| s.attempted = false);
+    }
+    let span = &mut spans[group];
+    let next = span.next as usize;
+    let rank = rng.gen_range(0..(span.end - span.next) as usize);
+    members[next..=next + rank].rotate_right(1);
+    let pick = members[next];
+    span.next += 1;
+    span.attempted = true;
+    *used += 1;
+    if *used as usize == members.len() {
+        // Super-cycle complete (Algorithm 2 step 4): every group's members
+        // back in index order, none picked, none attempted.
+        *used = 0;
+        let mut begin = 0;
+        for span in spans {
+            members[begin as usize..span.end as usize].sort_unstable();
+            (span.next, span.attempted) = (begin, false);
+            begin = span.end;
+        }
+    }
+    pick as usize
 }
 
 #[cfg(test)]
@@ -1719,312 +1348,232 @@ mod tests {
         );
     }
 
-    #[test]
-    fn group_engine_membership_and_reset() {
-        let mut engine = GroupEngine::default();
-        {
-            let mut view = engine.view(42, 4);
-            assert_eq!(view.used_count(), 0);
-            assert!(!view.is_used(2));
-            view.record(2, 100);
-            assert!(view.is_used(2));
-            assert!(view.group_attempted(100));
-            assert!(!view.group_attempted(200));
-            view.record(0, 200);
-            view.record(3, 100);
-            assert_eq!(view.used_count(), 3);
-            // Completing the super-cycle resets nodes and groups.
-            view.record(1, 200);
-            assert_eq!(view.used_count(), 0);
-            assert!(!view.group_attempted(100));
-            for i in 0..4 {
-                assert!(!view.is_used(i), "index {i} leaked across super-cycles");
-            }
+    // --- group engine ---
+
+    use std::collections::HashSet;
+
+    /// `0..n` split into `k` groups by `m % k`: members ascending within a
+    /// group and interleaved across groups, like a real partition.
+    fn modulo_groups(n: u32, k: u32) -> (Vec<u32>, Vec<u32>, Vec<u64>) {
+        let mut members = Vec::new();
+        let mut ends = Vec::new();
+        for g in 0..k.min(n) {
+            members.extend((0..n).filter(|m| m % k == g));
+            ends.push(members.len() as u32);
         }
-        assert_eq!(engine.tracked(), 1);
-        assert_eq!(engine.total_entries(), 0);
-        assert_eq!(engine.probe(42), Some((0, 0)));
-        assert_eq!(engine.probe(43), None);
+        let keys = (0..ends.len() as u64).collect();
+        (members, ends, keys)
     }
 
-    #[test]
-    fn group_engine_promotes_at_half_used_and_stays_consistent() {
-        // Population 6: records through fresh views (as the walker does,
-        // one view per step) promote the edge at the half-used point; the
-        // membership answers must be identical across the transition.
-        let mut engine = GroupEngine::default();
-        engine.view(9, 6).record(4, 1);
-        engine.view(9, 6).record(1, 2);
-        assert!(engine.items.is_empty(), "too early to promote");
-        // Third record leaves 3 of 6 used; the next view creation crosses
-        // the half-used point and must promote without changing any answer.
-        engine.view(9, 6).record(5, 1);
-        {
-            let view = engine.view(9, 6);
-            assert_eq!(view.used_count(), 3);
-            for idx in [1usize, 4, 5] {
-                assert!(view.is_used(idx), "index {idx} lost in promotion");
-            }
-            for idx in [0usize, 2, 3] {
-                assert!(!view.is_used(idx), "index {idx} wrongly used");
-            }
-            assert!(view.group_attempted(1) && view.group_attempted(2));
-        }
-        assert!(!engine.items.is_empty(), "half-used edge must be promoted");
-        // Finish the super-cycle through the sliced path.
-        let mut view = engine.view(9, 6);
-        view.record(0, 3);
-        view.record(2, 1);
-        view.record(3, 2);
-        assert_eq!(engine.total_entries(), 0); // rewound
-        assert_eq!(engine.probe(9), Some((0, 0)));
-    }
-
-    #[test]
-    fn group_engine_keeps_large_cold_edges_compact() {
-        // One draw on a degree-500 edge must not materialize slices: the
-        // small stage is O(draws), the O(K) guard for GNRW.
-        let mut engine = GroupEngine::default();
-        engine.view(1, 500).record(123, 7);
-        assert!(engine.items.is_empty() && engine.pos.is_empty());
-        assert_eq!(engine.total_entries(), 1);
-        assert!(engine.view(1, 500).is_used(123));
-        assert!(!engine.view(1, 500).is_used(124));
-    }
-
-    #[test]
-    fn group_engine_separate_keys_have_separate_slices() {
-        let mut engine = GroupEngine::default();
-        engine.view(1, 3).record(0, 7);
-        engine.view(2, 5).record(4, 9);
-        assert_eq!(engine.tracked(), 2);
-        assert_eq!(engine.total_entries(), 2);
-        assert!(engine.view(1, 3).is_used(0));
-        assert!(!engine.view(1, 3).is_used(1));
-        assert!(engine.view(2, 5).is_used(4));
-        assert!(!engine.view(2, 5).is_used(0));
-    }
-
-    // --- plan-path slots ---
-
-    use crate::groupplan::{AliasTable, DrawBatch, NodeGroups};
-
-    /// Three groups of sizes 5/4/3 over population 12 (indices in order).
-    fn plan_fixture() -> (Vec<u32>, Vec<u32>, Vec<u64>) {
-        ((0..12).collect(), vec![5, 9, 12], vec![10, 20, 30])
-    }
-
-    #[test]
-    fn plan_draws_cover_population_each_super_cycle() {
-        // Population 12 > INLINE_CAP: the first cycle crosses the
-        // PlanInline -> PlanSliced boundary mid-way; every cycle must still
-        // be a permutation of the population (Theorem 4's invariant).
-        let (members, ends, keys) = plan_fixture();
-        let groups = NodeGroups {
-            members: &members,
-            ends: &ends,
-            keys: &keys,
-        };
-        let alias = AliasTable::new(&[5, 4, 3]);
-        let mut engine = GroupEngine::default();
-        let mut batch = DrawBatch::new();
-        let mut rng = ChaCha12Rng::seed_from_u64(7);
-        let mut rem = Vec::new();
-        for cycle in 0..5 {
-            let mut seen = std::collections::HashSet::new();
-            for _ in 0..12 {
-                let idx = engine.plan_view(5, &groups).draw(
-                    &groups,
-                    Some(&alias),
-                    &mut batch,
-                    &mut rng,
-                    &mut rem,
-                );
-                assert!(seen.insert(idx), "repeat of {idx} in cycle {cycle}");
-            }
-            assert_eq!(seen.len(), 12, "cycle {cycle} incomplete");
-        }
-        // The slot must have promoted into the plan arena by now, and the
-        // completed super-cycle leaves zero recorded entries.
-        assert!(engine.plan_arena_capacity() >= 12);
-        assert_eq!(engine.total_entries(), 0);
-    }
-
-    #[test]
-    fn plan_draws_without_alias_fall_back_to_weighted_scan() {
-        // `alias: None` (single-group nodes or alias construction skipped)
-        // must preserve the same coverage invariant through the linear
-        // remaining-weighted fallback.
-        let (members, ends, keys) = plan_fixture();
-        let groups = NodeGroups {
-            members: &members,
-            ends: &ends,
-            keys: &keys,
-        };
-        let mut engine = GroupEngine::default();
-        let mut batch = DrawBatch::new();
-        let mut rng = ChaCha12Rng::seed_from_u64(8);
-        let mut rem = Vec::new();
-        for _ in 0..3 {
-            let seen: std::collections::HashSet<usize> = (0..12)
-                .map(|_| {
-                    engine
-                        .plan_view(5, &groups)
-                        .draw(&groups, None, &mut batch, &mut rng, &mut rem)
-                })
-                .collect();
-            assert_eq!(seen.len(), 12);
+    fn node_groups<'a>(parts: &'a (Vec<u32>, Vec<u32>, Vec<u64>)) -> NodeGroups<'a> {
+        NodeGroups {
+            members: &parts.0,
+            ends: &parts.1,
+            keys: &parts.2,
         }
     }
 
-    #[test]
-    fn plan_promotion_preserves_used_and_attempted_sets() {
-        // Drive a slot just past the promotion point and check membership
-        // and the attempted mask survive the inline -> sliced transition.
-        let (members, ends, keys) = plan_fixture();
-        let groups = NodeGroups {
-            members: &members,
-            ends: &ends,
-            keys: &keys,
-        };
-        let alias = AliasTable::new(&[5, 4, 3]);
-        let mut engine = GroupEngine::default();
-        let mut batch = DrawBatch::new();
-        let mut rng = ChaCha12Rng::seed_from_u64(9);
-        let mut rem = Vec::new();
-        let mut drawn = Vec::new();
-        for _ in 0..7 {
-            drawn.push(engine.plan_view(5, &groups).draw(
-                &groups,
-                Some(&alias),
-                &mut batch,
-                &mut rng,
-                &mut rem,
-            ));
-        }
-        assert!(
-            engine.plan_arena_capacity() >= 12,
-            "7 of 12 used must have promoted"
-        );
-        let view = engine.plan_view(5, &groups);
-        assert_eq!(view.used_count(), 7);
-        for idx in 0..12usize {
-            assert_eq!(
-                view.is_used(idx, &groups),
-                drawn.contains(&idx),
-                "membership for {idx} changed across promotion"
-            );
-        }
+    /// `steps` engine picks on edge `key`.
+    fn group_picks(
+        engine: &mut GroupEngine,
+        key: u64,
+        groups: &NodeGroups<'_>,
+        steps: usize,
+        rng: &mut ChaCha12Rng,
+    ) -> Vec<usize> {
+        let mut counts = Vec::new();
+        (0..steps)
+            .map(|_| {
+                engine
+                    .view(key, groups.len())
+                    .step(Some(groups), &mut counts, rng)
+            })
+            .collect()
     }
 
-    #[test]
-    fn plan_slots_roundtrip_through_export_import() {
-        // One slot per stage (inline, spill, sliced); the re-imported
-        // engine must agree on counts and membership, and continue to a
-        // full cover.
-        let (members, ends, keys) = plan_fixture();
-        let sliced_groups = NodeGroups {
-            members: &members,
-            ends: &ends,
-            keys: &keys,
-        };
-        let alias = AliasTable::new(&[5, 4, 3]);
-        // A wide population keeps its slot in the spill stage: the inline
-        // cap is exceeded but the slice would break the span bound.
-        let wide_members: Vec<u32> = (0..200).collect();
-        let wide_ends = vec![100, 160, 200];
-        let wide_keys = vec![1, 2, 3];
-        let wide_groups = NodeGroups {
-            members: &wide_members,
-            ends: &wide_ends,
-            keys: &wide_keys,
-        };
-        let wide_alias = AliasTable::new(&[100, 60, 40]);
-        let mut engine = GroupEngine::default();
-        let mut batch = DrawBatch::new();
-        let mut rng = ChaCha12Rng::seed_from_u64(10);
-        let mut rem = Vec::new();
-        let mut draw = |engine: &mut GroupEngine,
-                        key: u64,
-                        groups: &NodeGroups<'_>,
-                        alias: &AliasTable,
-                        n: usize| {
-            for _ in 0..n {
-                engine.plan_view(key, groups).draw(
-                    groups,
-                    Some(alias),
-                    &mut batch,
-                    &mut rng,
-                    &mut rem,
-                );
-            }
-        };
-        draw(&mut engine, 1, &sliced_groups, &alias, 3); // inline
-        draw(&mut engine, 2, &sliced_groups, &alias, 9); // sliced
-        draw(&mut engine, 3, &wide_groups, &wide_alias, 10); // spill
-        let state = engine.export_state();
-        let mut imported = GroupEngine::import_state(&state).unwrap();
-        assert_eq!(imported.tracked(), engine.tracked());
-        assert_eq!(imported.total_entries(), engine.total_entries());
-        for key in [1u64, 2] {
-            let snapshot: Vec<bool> = {
-                let a = engine.plan_view(key, &sliced_groups);
-                (0..12).map(|idx| a.is_used(idx, &sliced_groups)).collect()
+    /// Algorithm 2 over `groups` with `b(u, v)` and `S(u, v)` as hash sets,
+    /// drawing as the engine does: the reference for its picks.
+    fn reference_picks(groups: &NodeGroups<'_>, steps: usize, rng: &mut ChaCha12Rng) -> Vec<usize> {
+        let mut used = HashSet::new();
+        let mut attempted = HashSet::new();
+        let mut picks = Vec::new();
+        for _ in 0..steps {
+            let weights = |used: &HashSet<u32>, attempted: &HashSet<usize>| -> Vec<usize> {
+                (0..groups.group_count())
+                    .map(|g| {
+                        if attempted.contains(&g) {
+                            0
+                        } else {
+                            groups
+                                .members_of(g)
+                                .iter()
+                                .filter(|m| !used.contains(m))
+                                .count()
+                        }
+                    })
+                    .collect()
             };
-            let b = imported.plan_view(key, &sliced_groups);
-            let original = engine.plan_view(key, &sliced_groups);
-            assert_eq!(original.used_count(), b.used_count(), "key {key}");
-            assert_eq!(original.attempted_mask(), b.attempted_mask(), "key {key}");
-            for (idx, &was) in snapshot.iter().enumerate() {
-                assert_eq!(b.is_used(idx, &sliced_groups), was, "key {key}/{idx}");
+            let mut open = weights(&used, &attempted);
+            if open.iter().sum::<usize>() == 0 {
+                attempted.clear();
+                open = weights(&used, &attempted);
+            }
+            let mut pick = rng.gen_range(0..open.iter().sum::<usize>());
+            let g = open
+                .iter()
+                .position(|&w| {
+                    let hit = pick < w;
+                    if !hit {
+                        pick -= w;
+                    }
+                    hit
+                })
+                .unwrap();
+            let rank = rng.gen_range(0..open[g]);
+            let m = *groups
+                .members_of(g)
+                .iter()
+                .filter(|m| !used.contains(m))
+                .nth(rank)
+                .unwrap();
+            attempted.insert(g);
+            used.insert(m);
+            if used.len() == groups.len() {
+                used.clear();
+                attempted.clear();
+            }
+            picks.push(m as usize);
+        }
+        picks
+    }
+
+    #[test]
+    fn group_steps_equal_algorithm2_at_every_stage() {
+        // Small populations stay inline, 12 promotes at its half-used
+        // point, and 200 passes inline -> spill -> promoted: the picks are
+        // Algorithm 2's in every stage and across every transition, with
+        // one group, a few, or more than 64.
+        for n in [1u32, 3, 12, 40, 200] {
+            for k in [1u32, 3, 7, 70] {
+                let parts = modulo_groups(n, k);
+                let groups = node_groups(&parts);
+                for seed in 0..3 {
+                    let steps = 3 * n as usize + 5;
+                    let mut rng = ChaCha12Rng::seed_from_u64(seed);
+                    let want = reference_picks(&groups, steps, &mut rng);
+                    let mut engine = GroupEngine::default();
+                    let mut rng = ChaCha12Rng::seed_from_u64(seed);
+                    let got = group_picks(&mut engine, 9, &groups, steps, &mut rng);
+                    assert_eq!(got, want, "n {n}, k {k}, seed {seed}");
+                    assert_eq!(engine.members.is_empty(), n <= 3, "n {n}: promotion");
+                }
             }
         }
-        {
-            let spill = imported.plan_view(3, &wide_groups);
-            assert_eq!(spill.used_count(), 10);
+    }
+
+    #[test]
+    fn group_steps_cover_the_population_each_super_cycle() {
+        let parts = modulo_groups(200, 5);
+        let groups = node_groups(&parts);
+        let mut engine = GroupEngine::default();
+        let mut rng = ChaCha12Rng::seed_from_u64(4);
+        for cycle in 0..4 {
+            let picks = group_picks(&mut engine, 1, &groups, 200, &mut rng);
+            let seen: HashSet<usize> = picks.into_iter().collect();
+            assert_eq!(seen.len(), 200, "super-cycle {cycle} repeats a pick");
+            assert_eq!(engine.total_entries(), 0, "super-cycle {cycle} not rewound");
         }
-        // The imported sliced slot must finish its super-cycle cleanly: 3
-        // draws cover the remaining 3 members and rewind the cycle.
-        let mut batch2 = DrawBatch::new();
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..3 {
-            let idx = imported.plan_view(2, &sliced_groups).draw(
-                &sliced_groups,
-                Some(&alias),
-                &mut batch2,
-                &mut rng,
-                &mut rem,
+        assert_eq!(engine.members.len(), 200, "one frozen partition");
+    }
+
+    #[test]
+    fn large_cold_group_edges_stay_compact() {
+        // A degree-500 edge holds its picks, not a slice, until the slice
+        // costs at most PROMOTION_SPAN times the picks — the O(K) guard.
+        let parts = modulo_groups(500, 4);
+        let groups = node_groups(&parts);
+        let mut engine = GroupEngine::default();
+        let mut rng = ChaCha12Rng::seed_from_u64(5);
+        group_picks(&mut engine, 1, &groups, 1, &mut rng);
+        assert_eq!(engine.probe(1), Some((1, 1)));
+        assert!(matches!(engine.slots[&1], GroupSlot::Inline { .. }));
+        group_picks(&mut engine, 1, &groups, 9, &mut rng);
+        assert!(matches!(engine.slots[&1], GroupSlot::Spill { .. }));
+        assert!(engine.members.is_empty() && engine.spans.is_empty());
+        assert_eq!(engine.total_entries(), 10);
+        group_picks(&mut engine, 1, &groups, 60, &mut rng);
+        assert!(matches!(engine.slots[&1], GroupSlot::Promoted { .. }));
+        assert!(engine.members.len() <= PROMOTION_SPAN * 70);
+        assert_eq!(engine.probe(2), None);
+        assert_eq!(engine.tracked(), 1);
+    }
+
+    #[test]
+    fn group_state_roundtrips_at_every_stage() {
+        // One edge per stage: inline (3 of 12 picked), promoted (9 of 12),
+        // spill (10 of 200). Export -> import -> export is the identity,
+        // and the imported engine steps on as the original does.
+        let small = modulo_groups(12, 3);
+        let wide = modulo_groups(200, 3);
+        let edges = [
+            (1u64, node_groups(&small), 3),
+            (2, node_groups(&small), 9),
+            (3, node_groups(&wide), 10),
+        ];
+        let mut engine = GroupEngine::default();
+        let mut rng = ChaCha12Rng::seed_from_u64(10);
+        for (key, groups, steps) in &edges {
+            group_picks(&mut engine, *key, groups, *steps, &mut rng);
+        }
+        let state = engine.export_state();
+        let kinds: Vec<String> = state
+            .field("edges")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|e| e.field("kind").unwrap().decode().unwrap())
+            .collect();
+        assert_eq!(kinds, ["inline", "promoted", "spill"]);
+        let mut imported = GroupEngine::import_state(&state).unwrap();
+        assert_eq!(imported.export_state().to_pretty(), state.to_pretty());
+        assert_eq!(imported.probe(2), engine.probe(2));
+        for (key, groups, _) in &edges {
+            let mut twin = rng.clone();
+            let want = group_picks(&mut engine, *key, groups, 30, &mut rng);
+            assert_eq!(
+                group_picks(&mut imported, *key, groups, 30, &mut twin),
+                want,
+                "edge {key}"
             );
-            assert!(seen.insert(idx), "repeat of {idx} closing the cycle");
         }
-        assert_eq!(imported.plan_view(2, &sliced_groups).used_count(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "plan-path state")]
-    fn scratch_view_rejects_plan_slots() {
-        let (members, ends, keys) = plan_fixture();
-        let groups = NodeGroups {
-            members: &members,
-            ends: &ends,
-            keys: &keys,
+    fn group_import_refuses_inconsistent_cold_edges() {
+        let edge = |kind: &str, used: &[u32], sub_cycle: &[u32]| {
+            let edge = Value::obj([
+                ("key", Value::Uint(1)),
+                ("kind", Value::Str(kind.into())),
+                ("used", Value::arr(used)),
+                ("sub_cycle", Value::arr(sub_cycle)),
+            ]);
+            GroupEngine::import_state(&Value::obj([("edges", Value::Arr(vec![edge]))]))
         };
-        let mut engine = GroupEngine::default();
-        let _ = engine.plan_view(5, &groups);
-        let _ = engine.view(5, 12);
-    }
-
-    #[test]
-    #[should_panic(expected = "scratch-path state")]
-    fn plan_view_rejects_scratch_slots() {
-        let (members, ends, keys) = plan_fixture();
-        let groups = NodeGroups {
-            members: &members,
-            ends: &ends,
-            keys: &keys,
-        };
-        let mut engine = GroupEngine::default();
-        let _ = engine.view(5, 12);
-        let _ = engine.plan_view(5, &groups);
+        assert!(edge("inline", &[1, 4], &[4]).is_ok());
+        assert!(edge("spill", &(0..12).collect::<Vec<_>>(), &[3]).is_ok());
+        assert!(edge("inline", &[4, 1], &[]).is_err(), "unsorted");
+        assert!(edge("inline", &[1, 1], &[]).is_err(), "repeated");
+        assert!(
+            edge("inline", &[1, 4], &[2]).is_err(),
+            "sub-cycle pick not used"
+        );
+        assert!(
+            edge("inline", &(0..9).collect::<Vec<_>>(), &[]).is_err(),
+            "over the inline cap"
+        );
+        let err =
+            GroupEngine::import_state(&Value::obj([("slots", Value::Arr(vec![]))])).unwrap_err();
+        assert!(err.contains("missing field `edges`"), "{err}");
     }
 }

@@ -96,12 +96,13 @@ fn assign_by_value<F: FnMut(NodeId) -> f64>(
         Mode::Quantile(k) => {
             let k = k.max(1);
             // Sort indices by (value, id) for deterministic tie-breaking.
+            // `total_cmp` is a total order even over NaN, which `sort_by`
+            // requires: NaN sorts after +∞ (before −∞ when negative).
             let mut idx: Vec<usize> = (0..nodes.len()).collect();
             let values: Vec<f64> = nodes.iter().map(|&n| value(n)).collect();
             idx.sort_by(|&a, &b| {
                 values[a]
-                    .partial_cmp(&values[b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .total_cmp(&values[b])
                     .then(nodes[a].cmp(&nodes[b]))
             });
             out.resize(nodes.len(), 0);
@@ -437,6 +438,45 @@ mod tests {
         let a = groups_of(&s, &c, &[4, 3, 2, 1]);
         let b = groups_of(&s, &c, &[4, 3, 2, 1]);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn quantile_strata_are_total_over_nan() {
+        // A float column with NaNs among finite values: quantile grouping
+        // must not panic, must keep strata monotone in value (NaN above
+        // every finite value), and must repeat itself exactly.
+        for spokes in [8u32, 200] {
+            let mut b = GraphBuilder::new();
+            for i in 1..=spokes {
+                b.push_edge(0, i);
+            }
+            let g = b.build().unwrap();
+            let score: Vec<f64> = (0..=spokes)
+                .map(|i| match i % 5 {
+                    0 => f64::NAN,
+                    1 => -f64::from(i),
+                    _ => f64::from(i * 7 % 13),
+                })
+                .collect();
+            let mut attrs = NodeAttributes::for_graph(&g);
+            attrs.insert_float("score", score.clone()).unwrap();
+            let c = SimulatedOsn::new(AttributedGraph::new(g, attrs).unwrap());
+            let s = ByAttribute::quantile("score", 4);
+            let ids: Vec<u32> = (1..=spokes).rev().collect();
+            let keys = groups_of(&s, &c, &ids);
+            assert_eq!(
+                keys,
+                groups_of(&s, &c, &ids),
+                "{spokes} spokes: not repeatable"
+            );
+            for (a, &ka) in ids.iter().zip(&keys) {
+                for (b, &kb) in ids.iter().zip(&keys) {
+                    if score[*a as usize].total_cmp(&score[*b as usize]).is_lt() {
+                        assert!(ka <= kb, "{spokes} spokes: node {a} above node {b}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

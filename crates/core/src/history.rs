@@ -27,20 +27,25 @@
 //! | draw, promoted (hot edge) | — (never promotes) | `O(1)` **exact**, no membership hashing |
 //! | draw, `≥ ½` population used | `O(deg)` rank scan | `O(1)` **exact** (half-used always promotes) |
 //! | cycle reset | `O(deg)` set clear | `O(1)` cursor rewind |
-//! | GNRW membership probe | hash lookup | hash lookup pre-promotion, array compare after |
+//! | GNRW step | `O(deg)` hash probes | `O(deg)` probes while cold (inline ones hash-free), `O(groups)` and none once promoted |
 //! | per-edge memory after `k` draws | `O(k)` set entries | `O(k)` inline/spill → slice `≤ PROMOTION_SPAN·k` once promoted |
 //!
 //! Space grows by at most one entry per walk step between resets, giving
 //! the `O(K)` bound of §3.3; [`EdgeHistory::total_entries`] and
 //! [`EdgeHistory::tracked_edges`] report it. The hash-set layout survives
 //! as the reference the property tests compare the engine against.
+//!
+//! A GNRW edge's step runs on `N(v)`'s partition. [`GroupHistory`] takes it
+//! from the walker while the edge is cold and freezes it when the edge
+//! promotes, so a hot edge never asks for it again; a snapshot carries the
+//! frozen partition with the rest of the edge's state.
 
 use osn_graph::NodeId;
 use osn_serde::Value;
 use rand::Rng;
 
 use crate::circulation::{CirculationEngine, GroupEngine};
-pub use crate::circulation::{GroupEdgeView, PlanEdgeView, INLINE_CAP};
+pub use crate::circulation::{GroupEdgeView, INLINE_CAP};
 
 #[inline]
 pub(crate) fn edge_key(u: NodeId, v: NodeId) -> u64 {
@@ -242,26 +247,11 @@ impl GroupHistory {
     }
 
     /// Mutable view of directed edge `(u, v)`'s state, created on first
-    /// touch. `population_len` (`|N(v)|`) must be stable across visits.
+    /// touch, through which the walker runs Algorithm 2's step
+    /// ([`GroupEdgeView::step`]). `population_len` (`|N(v)|`) must be
+    /// stable across visits.
     pub fn edge_view(&mut self, u: NodeId, v: NodeId, population_len: usize) -> GroupEdgeView<'_> {
         self.engine.view(edge_key(u, v), population_len)
-    }
-
-    /// Mutable plan-path view of directed edge `(u, v)`'s state (the GNRW
-    /// fast path over a [`GroupPlan`](crate::groupplan::GroupPlan) —
-    /// see [`PlanEdgeView`]). `groups` must be the plan slice of `v`,
-    /// identical across visits.
-    ///
-    /// # Panics
-    /// Panics if the edge already holds [`edge_view`](Self::edge_view)
-    /// state.
-    pub fn plan_view(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        groups: &crate::groupplan::NodeGroups<'_>,
-    ) -> PlanEdgeView<'_> {
-        self.engine.plan_view(edge_key(u, v), groups)
     }
 
     /// The state of `(u, v)` if it exists. Never creates state — use this
@@ -298,9 +288,10 @@ impl GroupHistory {
 
     /// Drop the state of every directed edge `(*, v)` with `v` accepted by
     /// `is_touched`, in one pass — the evolving-graph invalidation rule,
-    /// mirroring [`EdgeHistory::invalidate_targets`]. Plan-backed slots for
-    /// a touched `v` are dropped here and lazily rebuilt from the plan on
-    /// the next visit. Returns the number of edges dropped.
+    /// mirroring [`EdgeHistory::invalidate_targets`]. A dropped edge's
+    /// frozen partition goes with it; the next visit starts the edge cold,
+    /// on the partition of the live `N(v)`. Returns the number of edges
+    /// dropped.
     pub fn invalidate_targets(&mut self, is_touched: impl Fn(NodeId) -> bool) -> usize {
         self.engine.invalidate_targets(|v| is_touched(NodeId(v)))
     }
@@ -444,12 +435,14 @@ mod tests {
     #[test]
     fn group_history_separates_directed_edges() {
         let mut h = GroupHistory::new();
-        {
-            let mut view = h.edge_view(NodeId(0), NodeId(1), 4);
-            view.record(2, 42);
-            assert!(view.group_attempted(42));
-            assert!(view.is_used(2));
-        }
+        let groups = crate::groupplan::NodeGroups {
+            members: &[0, 2, 1, 3],
+            ends: &[2, 4],
+            keys: &[7, 42],
+        };
+        let mut rng = ChaCha12Rng::seed_from_u64(6);
+        h.edge_view(NodeId(0), NodeId(1), 4)
+            .step(Some(&groups), &mut Vec::new(), &mut rng);
         // Read-only probe of the reverse edge: no state is created.
         assert_eq!(h.get(NodeId(1), NodeId(0)), None);
         assert_eq!(h.tracked_edges(), 1);
@@ -480,6 +473,6 @@ mod tests {
             ("engine", GroupHistory::new().export_state()),
         ]);
         let err = GroupHistory::import_state(&wrapped).unwrap_err();
-        assert!(err.contains("items"), "{err}");
+        assert!(err.contains("edges"), "{err}");
     }
 }

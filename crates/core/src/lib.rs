@@ -32,11 +32,12 @@
 //! bound. The paper's hash-set-per-edge layout survives only as the
 //! reference the property tests compare the engine against.
 //!
-//! GNRW additionally accepts a precomputed [`GroupPlan`] ([`groupplan`]):
-//! the per-node neighbor partition is built once per graph+strategy and
-//! shared read-only across walkers, group selection becomes an `O(1)`
-//! alias-table draw, and RNG output is consumed in batches — removing all
-//! per-step hashing, allocation, and partition work from the hot loop (see
+//! GNRW runs one step, Algorithm 2, on every edge. A hot edge freezes its
+//! neighbor partition when it promotes and never re-derives it; a cold
+//! edge partitions `N(v)` with the strategy, or reads it from a
+//! precomputed [`GroupPlan`] ([`groupplan`]) built once per graph+strategy
+//! and shared read-only across walkers. Both sources give the same
+//! partition, so a plan changes the cost of a walk, never its trace (see
 //! the `gnrw_throughput` bench).
 //!
 //! ## Running a walk
@@ -94,7 +95,7 @@ pub mod walkers;
 pub use circulation::HistoryBackend;
 pub use frontier::{FrontierEntry, FrontierSampler, SharedFrontier};
 pub use grouping::{ByAttribute, ByDegree, ByHash, ByNode, GroupingStrategy, ValueBucketing};
-pub use groupplan::{AliasTable, DegenerateGrouping, DrawBatch, GroupPlan, NodeGroups};
+pub use groupplan::{DegenerateGrouping, GroupPlan, NodeGroups};
 pub use history::TouchedNodes;
 pub use orchestrator::{
     MultiWalkTrace, Never, OrchestratorReport, RestartEvent, RestartPolicy, RestartReason,

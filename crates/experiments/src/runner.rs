@@ -153,8 +153,8 @@ impl TrialPlan {
     }
 
     /// Same plan with GNRW trials running against a shared precomputed
-    /// [`osn_walks::GroupPlan`] (the fast path, equivalent in distribution
-    /// to the planless walk). Build the plan once via
+    /// [`osn_walks::GroupPlan`] (cold edges read their partition from it;
+    /// the walk is the planless one, bit for bit). Build the plan once via
     /// [`Algorithm::build_group_plan`] over [`Self::network`] and share it
     /// across trials.
     #[must_use]
@@ -535,13 +535,15 @@ mod tests {
             plan.degenerate().is_none(),
             "fixture grouping must be non-degenerate for this comparison"
         );
-        // Alias draws reorder the planless walk's draws; the trial still
-        // runs to the step cap and stays deterministic per seed.
-        let alias_plan = TrialPlan::steps(net, 400).with_group_plan(plan);
-        let a = alias_plan.run(&alg, 17);
-        let b = alias_plan.run(&alg, 17);
+        // The plan only changes where cold edges get their partition: the
+        // trial runs to the step cap, deterministic per seed, and walks the
+        // planless trial's nodes.
+        let planned = TrialPlan::steps(net.clone(), 400).with_group_plan(plan);
+        let a = planned.run(&alg, 17);
+        let b = planned.run(&alg, 17);
         assert_eq!(a.len(), 400);
         assert_eq!(a.nodes(), b.nodes());
+        assert_eq!(a.nodes(), TrialPlan::steps(net, 400).run(&alg, 17).nodes());
     }
 
     #[test]

@@ -724,7 +724,7 @@ fn running_jobs_snapshot_walker_history_without_a_backend_tag() {
     for walker in run.field("walkers").unwrap().as_array().unwrap() {
         let history = walker.field("history").unwrap();
         assert!(history.field("backend").is_err(), "{history:?}");
-        assert!(history.field("items").is_ok(), "{history:?}");
+        assert!(history.field("edges").is_ok(), "{history:?}");
     }
     assert!(resume_small(&snap).is_ok());
 
@@ -745,7 +745,27 @@ fn running_jobs_snapshot_walker_history_without_a_backend_tag() {
         err.starts_with("job 0: "),
         "error does not name the job: {err}"
     );
-    assert!(err.contains("items"), "error does not name `items`: {err}");
+    assert!(err.contains("edges"), "error does not name `edges`: {err}");
+
+    // A GNRW history in the layout with separate arenas for the planless
+    // and plan slots is refused the same way.
+    let mut old = snap.clone();
+    let walkers = field_mut(field_mut(entry_mut(&mut old, "jobs", 0), "run"), "walkers");
+    let Value::Arr(walkers) = walkers else {
+        panic!("walkers is not an array");
+    };
+    for walker in walkers {
+        *field_mut(walker, "history") = Value::obj(
+            ["items", "pos", "plan_items", "slots"].map(|name| (name, Value::Arr(Vec::new()))),
+        );
+    }
+    let err = resume_small(&old)
+        .err()
+        .expect("an old-format GNRW history resumed");
+    assert!(
+        err.starts_with("job 0: ") && err.contains("missing field `edges`"),
+        "{err}"
+    );
 }
 
 #[test]

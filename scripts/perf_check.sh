@@ -5,11 +5,11 @@
 # quick mode and diffs it against BENCH_walkers.json. Cells more than 15%
 # below the baseline's best rep print a `::warning::` line (rendered as an
 # annotation on GitHub Actions). GNRW is called out specifically: the
-# plan-over-scratch speedup (plan-backed arena cell vs the per-step
-# partition reference cell) is printed for every graph on every run, and
+# plan-over-scratch ratio (plan-backed arena cell vs the planless scratch
+# cell — the same Algorithm-2 walk, differing only in where cold edges get
+# their neighbor partition) is printed for every graph on every run, and
 # warns when that within-run ratio falls below the committed baseline's —
-# it is the machine-independent signal of the check, and the headline of
-# the group-plan fast path.
+# it is the machine-independent signal of the check.
 # The check is NON-BLOCKING by design — CI
 # runners are noisy shared machines — so this script always exits 0 when
 # the measurement itself succeeds; regenerate the baseline on a quiet

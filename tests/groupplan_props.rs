@@ -1,7 +1,7 @@
 //! Property tests for the precomputed [`GroupPlan`] layer behind plan-backed
 //! GNRW.
 //!
-//! The plan is a build-time artifact the hot loop trusts blindly — a wrong
+//! The plan is a build-time artifact the walker trusts blindly — a wrong
 //! partition silently biases every plan-backed walk — so its invariants are
 //! pinned over *arbitrary* graphs and grouping strategies, not just the
 //! hand-built fixtures:
@@ -9,30 +9,28 @@
 //! * each node's flat partition is a valid permutation of its neighbor
 //!   indices, grouped exactly as the live strategy would assign, with keys
 //!   ascending and members ascending within each group (the order the
-//!   planless step derives, which the >64-group fallback's bit-identity
-//!   leans on);
-//! * alias tables sample groups proportionally to their member counts
-//!   (chi-square-ish frequency bound);
-//! * the circulation engine's plan path covers the population exactly once
-//!   per super-cycle — Theorem 4's b(u,v) invariant — with and without an
-//!   alias table, for arbitrary group shapes;
-//! * a plan-backed walker reproduces CNRW draw-for-draw when the grouping
-//!   degenerates (every group a singleton, or one group per
-//!   neighborhood), and otherwise walks the graph's edges.
+//!   planless step derives);
+//! * the circulation engine's GNRW step covers the population exactly once
+//!   per super-cycle — Theorem 4's b(u,v) invariant — for arbitrary group
+//!   shapes;
+//! * a plan-backed walker is the planless walker bit for bit — trace,
+//!   accounting and snapshot — for every grouping arm, past 64 groups at a
+//!   node too, and reproduces CNRW draw-for-draw when the grouping
+//!   degenerates (every group a singleton, or one group per neighborhood).
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 use osn_sampling::graph::attributes::{AttributedGraph, NodeAttributes};
 use osn_sampling::prelude::*;
 use osn_sampling::walks::circulation::GroupEngine;
 use osn_sampling::walks::grouping::{GroupingStrategy, ValueBucketing};
-use osn_sampling::walks::groupplan::{AliasTable, DrawBatch, NodeGroups};
+use osn_sampling::walks::groupplan::NodeGroups;
 
 /// A connected attributed graph: a ring over `n` nodes (no isolated nodes,
 /// no dead ends) plus arbitrary chords, with a small-cardinality uint
@@ -50,6 +48,23 @@ fn build_network(n: usize, extra: &[(u32, u32)], tags: &[u64]) -> AttributedGrap
     let mut attrs = NodeAttributes::for_graph(&g);
     attrs
         .insert_uint("tag", tags.iter().cycle().take(n).copied().collect())
+        .unwrap();
+    AttributedGraph::new(g, attrs).unwrap()
+}
+
+/// A hub over `spokes` ring-linked spokes whose `tag` is `i % tags`:
+/// exact bucketing of `tag` gives the hub `tags` groups, more than 64 and
+/// not all singletons.
+fn hub_network(spokes: u32, tags: u32) -> AttributedGraph {
+    let mut b = GraphBuilder::new();
+    for i in 0..spokes {
+        b.push_edge(i, spokes);
+        b.push_edge(i, (i + 1) % spokes);
+    }
+    let g = b.build().unwrap();
+    let mut attrs = NodeAttributes::for_graph(&g);
+    attrs
+        .insert_uint("tag", (0..=spokes).map(|i| u64::from(i % tags)).collect())
         .unwrap();
     AttributedGraph::new(g, attrs).unwrap()
 }
@@ -124,55 +139,20 @@ proptest! {
                 }
             }
 
-            // An alias table exists exactly when there is a group choice.
-            match plan.alias(v) {
-                Some(table) => prop_assert_eq!(table.len(), groups.group_count()),
-                None => prop_assert!(groups.group_count() < 2),
-            }
         }
         prop_assert_eq!(plan.max_groups(), max_groups);
         prop_assert!(plan.heap_bytes() > 0);
     }
 
     #[test]
-    fn alias_tables_sample_groups_proportionally_to_weight(
-        weights in prop::collection::vec(1u64..40, 1..7),
-        seed in 0u64..512,
-    ) {
-        let table = AliasTable::new(&weights);
-        prop_assert_eq!(table.len(), weights.len());
-        let total: u64 = weights.iter().sum();
-        let draws = 6000usize;
-        let mut rng = ChaCha12Rng::seed_from_u64(0xA11A5 ^ seed);
-        let mut counts = vec![0usize; weights.len()];
-        for _ in 0..draws {
-            let g = table.sample(rng.next_u64());
-            prop_assert!(g < weights.len());
-            counts[g] += 1;
-        }
-        for (g, &w) in weights.iter().enumerate() {
-            let p = w as f64 / total as f64;
-            let f = counts[g] as f64 / draws as f64;
-            // ~6 sigma at 6000 draws — tight enough to catch a mis-built
-            // column, loose enough to never flake across the case sweep.
-            prop_assert!(
-                (f - p).abs() < 0.045 + 0.05 * p,
-                "group {} drew {:.4}, expected {:.4} (weights {:?})",
-                g, f, p, &weights
-            );
-        }
-    }
-
-    #[test]
-    fn plan_path_super_cycles_cover_population_exactly_once(
+    fn group_steps_cover_the_population_exactly_once(
         sizes in prop::collection::vec(1usize..8, 1..6),
         seed in 0u64..512,
-        with_alias in prop::bool::ANY,
     ) {
-        // An arbitrary partition, fed to the circulation engine's plan path
-        // directly: every super-cycle must cover the population exactly
-        // once (Theorem 4's b(u,v) invariant), whether groups are proposed
-        // through the alias table or the remaining-weighted scan.
+        // An arbitrary partition, fed to the circulation engine's GNRW
+        // step directly: every super-cycle must cover the population
+        // exactly once (Theorem 4's b(u,v) invariant), before and after
+        // the edge promotes.
         let total: usize = sizes.iter().sum();
         let members: Vec<u32> = (0..total as u32).collect();
         let mut ends = Vec::new();
@@ -183,20 +163,14 @@ proptest! {
         }
         let keys: Vec<u64> = (1..=sizes.len() as u64).map(|k| 10 * k).collect();
         let groups = NodeGroups { members: &members, ends: &ends, keys: &keys };
-        let weights: Vec<u64> = sizes.iter().map(|&s| s as u64).collect();
-        let alias = AliasTable::new(&weights);
-        let alias_ref = if with_alias { Some(&alias) } else { None };
 
         let mut engine = GroupEngine::default();
-        let mut batch = DrawBatch::new();
-        let mut rem = Vec::new();
+        let mut counts = Vec::new();
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         for cycle in 0..3 {
             let mut drawn = HashSet::new();
             for _ in 0..total {
-                let idx = engine
-                    .plan_view(7, &groups)
-                    .draw(&groups, alias_ref, &mut batch, &mut rng, &mut rem);
+                let idx = engine.view(7, total).step(Some(&groups), &mut counts, &mut rng);
                 prop_assert!(idx < total);
                 prop_assert!(drawn.insert(idx), "repeat in super-cycle {}", cycle);
             }
@@ -205,6 +179,37 @@ proptest! {
             prop_assert_eq!(engine.total_entries(), 0);
         }
     }
+}
+
+/// Walk `steps` steps of `w` from seed `seed` over `network`: the trace,
+/// then `tracked_edges`, `history_entries` and the exported state.
+fn gnrw_walk(
+    network: &AttributedGraph,
+    mut w: Gnrw,
+    steps: usize,
+    seed: u64,
+) -> (Vec<NodeId>, usize, usize, String) {
+    let mut client = SimulatedOsn::new(network.clone());
+    let mut rng = ChaCha12Rng::seed_from_u64(seed);
+    let trace = (0..steps)
+        .map(|_| w.step(&mut client, &mut rng).unwrap())
+        .collect();
+    (
+        trace,
+        w.tracked_edges(),
+        w.history_entries(),
+        w.export_state().to_pretty(),
+    )
+}
+
+/// `steps` CNRW steps over `network` from seed `seed`.
+fn cnrw_trace(network: &AttributedGraph, steps: usize, seed: u64) -> Vec<NodeId> {
+    let mut client = SimulatedOsn::new(network.clone());
+    let mut rng = ChaCha12Rng::seed_from_u64(seed);
+    let mut w = Cnrw::new(NodeId(0));
+    (0..steps)
+        .map(|_| w.step(&mut client, &mut rng).unwrap())
+        .collect()
 }
 
 proptest! {
@@ -218,32 +223,39 @@ proptest! {
         strat in 0usize..3,
         seed in 0u64..256,
     ) {
+        // Degenerate groupings collapse GNRW to CNRW; the plan walker must
+        // reproduce CNRW draw-for-draw. (Other plans are pinned to the
+        // planless walk below.)
         let plan = Arc::new(GroupPlan::build(&network, mk_strategy(strat).as_ref()));
-        let steps = 200usize;
-        let trace = |mut w: Box<dyn RandomWalk + Send>| {
-            let mut client = SimulatedOsn::new(network.clone());
-            let mut rng = ChaCha12Rng::seed_from_u64(seed);
-            let mut out = Vec::with_capacity(steps);
-            for _ in 0..steps {
-                out.push(w.step(&mut client, &mut rng).unwrap());
-            }
-            out
-        };
-        let planned = trace(Box::new(Gnrw::with_plan(NodeId(0), Arc::clone(&plan))));
         if plan.degenerate().is_some() {
-            // Degenerate groupings collapse GNRW to CNRW; the plan walker
-            // must reproduce CNRW draw-for-draw.
-            let cnrw = trace(Box::new(Cnrw::new(NodeId(0))));
-            prop_assert_eq!(planned, cnrw);
-        } else {
-            // Alias draws reorder the planless walk's draws — Theorem 4
-            // keeps the distribution, not the trace — and every transition
-            // still follows an edge.
-            let mut at = NodeId(0);
-            for &v in &planned {
-                prop_assert!(network.graph.neighbors(at).contains(&v), "{:?} -> {:?}", at, v);
-                at = v;
-            }
+            let planned = gnrw_walk(&network, Gnrw::with_plan(NodeId(0), plan), 200, seed);
+            prop_assert_eq!(planned.0, cnrw_trace(&network, 200, seed));
+        }
+    }
+
+    /// A plan only changes where a cold edge's partition comes from, so a
+    /// non-degenerate plan walker equals the planless walker — trace,
+    /// accounting and snapshot — on every grouping arm, and on a hub past
+    /// 64 groups walked long enough for its edges to promote.
+    #[test]
+    fn plan_walks_equal_planless_walks_bit_for_bit(
+        network in network_strategy(),
+        strat in 0usize..4,
+        (spokes, tags) in (66u32..76, 0u32..1000).prop_map(|(s, r)| (s, 65 + r % (s - 65))),
+        seed in 0u64..256,
+    ) {
+        let (network, strategy, steps) = match strat {
+            3 => (hub_network(spokes, tags), mk_strategy(2), 4000),
+            _ => (network, mk_strategy(strat), 200),
+        };
+        let plan = Arc::new(GroupPlan::build(&network, strategy.as_ref()));
+        if strat == 3 {
+            prop_assert!(plan.max_groups() > 64, "{}", plan.max_groups());
+        }
+        if plan.degenerate().is_none() {
+            let planned = gnrw_walk(&network, Gnrw::with_plan(NodeId(0), plan), steps, seed);
+            let planless = gnrw_walk(&network, Gnrw::new(NodeId(0), strategy), steps, seed);
+            prop_assert_eq!(planned, planless);
         }
     }
 }

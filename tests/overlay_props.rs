@@ -21,8 +21,8 @@
 //!   circulation guarantee restarts on the *post-mutation* neighborhood:
 //!   windows of draws after repeated transits of a hot edge are exact
 //!   permutations of the new neighbor set (CNRW, planless GNRW, and
-//!   plan-backed GNRW, including a plan past the alias path's 64-group
-//!   bitmask).
+//!   plan-backed GNRW, including a plan with more than 64 groups at a
+//!   node).
 //! * **Batched invalidation** — `invalidate_nodes` over a node set equals
 //!   `invalidate_node` per node for every history-keeping walker (count,
 //!   snapshot, later trace), on random graphs and on a hub with more than
@@ -353,8 +353,7 @@ proptest! {
         )?;
     }
 
-    /// The same over a plan past the alias path's 64-group bitmask, whose
-    /// walker runs the Algorithm-2 step through its draw batch. The batch
+    /// The same over a plan with more than 64 groups at the hub. The batch
     /// first deletes a hub edge, so the plan no longer covers the hub's live
     /// list and the plan walker steps there on the one-group partition.
     #[test]
@@ -598,8 +597,8 @@ fn historied_walkers(
 const HUB: u32 = 70;
 
 /// A hub over 70 spokes whose `tag` is `i % 66`: exact bucketing of `tag`
-/// gives the hub 66 groups, four of them with two members — past the alias
-/// path's 64-group bitmask, and not degenerate. Spokes 68 and 69 are
+/// gives the hub 66 groups, four of them with two members — more than 64,
+/// and not degenerate. Spokes 68 and 69 are
 /// linked, and node 71 hangs off spoke 68, outside `N(hub)`.
 fn many_groups_network() -> AttributedGraph {
     let mut b = GraphBuilder::new();
@@ -727,13 +726,12 @@ fn invalidation_restarts_coverage_on_the_new_neighborhood() {
     }
 }
 
-/// The same past the alias path's 64-group bitmask, where the plan walker
-/// runs the Algorithm-2 step through its draw batch. Spoke 0 hangs off the
-/// hub alone, so every visit to it is a transit of the hot edge `0 → hub`.
-/// Deleting or adding a hub edge changes `deg(hub)`, and the plan walker
-/// then steps at the hub on the one-group partition of the live list;
-/// swapping one hub edge for another keeps the degree, and it steps on the
-/// planned partition over the new list.
+/// The same on a plan with more than 64 groups at the hub. Spoke 0 hangs
+/// off the hub alone, so every visit to it is a transit of the hot edge
+/// `0 → hub`. Deleting or adding a hub edge changes `deg(hub)`, and the
+/// plan walker then steps at the hub on the one-group partition of the
+/// live list; swapping one hub edge for another keeps the degree, and it
+/// steps on the planned partition over the new list.
 #[test]
 fn invalidation_restarts_coverage_past_64_groups() {
     let network = many_groups_network();

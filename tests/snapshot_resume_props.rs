@@ -336,7 +336,7 @@ fn pre_change_history_snapshots_are_refused_without_mutation() {
         *history = Value::obj([("backend", Value::Str("arena".into())), ("engine", engine)]);
         let err = walker.import_state(&Value::Obj(fields)).unwrap_err();
         assert!(
-            err.contains("missing field `threshold`") || err.contains("missing field `items`"),
+            err.contains("missing field `threshold`") || err.contains("missing field `edges`"),
             "{name}: unexpected error: {err}"
         );
         assert_eq!(
