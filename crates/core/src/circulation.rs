@@ -76,9 +76,22 @@
 //! invalidation drops it. Because the sub-cycle only ever picks from a
 //! group not yet attempted, `S(u, v)` is the set of groups of the current
 //! sub-cycle's picks, which cold stages keep with their picks.
+//!
+//! ## Snapshot columns
+//!
+//! Both engines export their per-edge state column-wise, as a few flat
+//! arrays of integers with one row per edge in ascending key order, not
+//! one object per edge: `keys`, and a `stages` code per edge (0 inline,
+//! 1 spill, 2 promoted). A variable-length part of a row is a count in one
+//! column and a run in the next — a cold edge's `pick_counts` entry and
+//! its `picks`, say — and a promoted row's fixed-width part is a triple.
+//! Import reads every column front to back, runs every per-edge check on
+//! the rows, and refuses a snapshot whose column lengths disagree. The
+//! text of a long walk is then a few long scalar arrays, which the writers
+//! print on one line each and the parser reads without a per-edge object.
 
 use osn_graph::NodeId;
-use osn_serde::Value;
+use osn_serde::{FromValue, Value};
 use rand::{Rng, RngCore};
 
 use crate::fnv::{FnvHashMap, FnvHashSet};
@@ -166,6 +179,92 @@ pub(crate) fn drop_targets<S>(
     let before = slots.len();
     slots.retain(|&key, _| !is_touched(key as u32));
     before - slots.len()
+}
+
+/// Codes of the snapshot's `stages` column, one per edge.
+const INLINE: u8 = 0;
+const SPILL: u8 = 1;
+const PROMOTED: u8 = 2;
+
+/// A slot map's entries sorted by key: the row order of every snapshot
+/// column, which makes an export a function of the state alone.
+fn sorted_by_key<S>(slots: &FnvHashMap<u64, S>) -> Vec<(u64, &S)> {
+    let mut edges: Vec<(u64, &S)> = slots.iter().map(|(&k, s)| (k, s)).collect();
+    edges.sort_unstable_by_key(|&(k, _)| k);
+    edges
+}
+
+/// The `keys` column of sorted entries.
+fn keys_value<S>(edges: &[(u64, &S)]) -> Value {
+    Value::Arr(edges.iter().map(|&(k, _)| Value::Uint(k)).collect())
+}
+
+/// One named column of a history snapshot, decoded. A snapshot without it
+/// — one in an older layout — gives an error naming it.
+fn column<T: FromValue>(state: &Value, name: &str) -> Result<Vec<T>, String> {
+    state
+        .field(name)?
+        .decode()
+        .map_err(|e| format!("column `{name}`: {e}"))
+}
+
+/// Edge keys ascend strictly: the export's order, and no edge twice.
+fn check_keys(keys: &[u64]) -> Result<(), String> {
+    match keys.windows(2).find(|w| w[0] >= w[1]) {
+        Some(w) if w[0] == w[1] => Err(format!("duplicate edge key {}", w[0])),
+        Some(w) => Err(format!("edge keys do not ascend: {} before {}", w[0], w[1])),
+        None => Ok(()),
+    }
+}
+
+fn unknown_stage(key: u64, code: u8) -> String {
+    format!("unknown stage code {code} of edge {key}")
+}
+
+/// One imported column, read front to back: per-edge scalars with
+/// [`one`](Self::one), concatenated runs with [`take`](Self::take). Reading
+/// past the end, or leaving items over ([`finish`](Self::finish)), is an
+/// error naming the column — which is how import checks that the column
+/// lengths agree.
+struct Column<T> {
+    name: &'static str,
+    items: Vec<T>,
+    at: usize,
+}
+
+impl<T: FromValue + Copy> Column<T> {
+    fn read(state: &Value, name: &'static str) -> Result<Self, String> {
+        Ok(Column {
+            name,
+            items: column(state, name)?,
+            at: 0,
+        })
+    }
+
+    fn take(&mut self, n: usize) -> Result<&[T], String> {
+        let left = self.items.len() - self.at;
+        if n > left {
+            return Err(format!("column `{}` is short by {}", self.name, n - left));
+        }
+        self.at += n;
+        Ok(&self.items[self.at - n..self.at])
+    }
+
+    fn one(&mut self) -> Result<T, String> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn triple(&mut self) -> Result<[T; 3], String> {
+        let run = self.take(3)?;
+        Ok([run[0], run[1], run[2]])
+    }
+
+    fn finish(&self) -> Result<(), String> {
+        match self.items.len() - self.at {
+            0 => Ok(()),
+            n => Err(format!("column `{}` has {n} items left over", self.name)),
+        }
+    }
 }
 
 /// Per-edge state of the node engine: staged from inline through spill to
@@ -291,65 +390,49 @@ impl CirculationEngine {
     }
 
     /// Serialize the engine's full state to a [`Value`] tree for
-    /// snapshot/resume.
+    /// snapshot/resume, column-wise (see the module docs' "Snapshot
+    /// columns"): `keys` ascending, a `stages` code per edge, a cold edge's
+    /// `pick_counts` entry and its run of `picks`, a promoted edge's
+    /// `[start, len, cursor]` triple in `promoted`.
     ///
     /// Arena contents and promoted cursors are exported **verbatim** — the
     /// slice permutation determines every future draw, so a resumed engine
     /// continues bit-identically on the same RNG stream. Spill sets are
-    /// membership-only and serialize sorted; slots are sorted by key, making
-    /// the export a deterministic function of the engine state.
+    /// membership-only and serialize sorted, making the export a
+    /// deterministic function of the engine state.
     pub fn export_state(&self) -> Value {
-        let mut slots: Vec<(u64, &Slot)> = self.slots.iter().map(|(&k, s)| (k, s)).collect();
-        slots.sort_unstable_by_key(|&(k, _)| k);
-        let slots: Vec<Value> = slots
-            .into_iter()
-            .map(|(key, slot)| match slot {
-                Slot::Inline { used, len } => Value::obj([
-                    ("key", Value::Uint(key)),
-                    ("kind", Value::Str("inline".into())),
-                    (
-                        "used",
-                        Value::Arr(
-                            used[..usize::from(*len)]
-                                .iter()
-                                .map(|n| Value::Uint(u64::from(n.0)))
-                                .collect(),
-                        ),
-                    ),
-                ]),
-                Slot::Spill(set) => {
-                    let mut used: Vec<u64> = set.iter().map(|n| u64::from(n.0)).collect();
-                    used.sort_unstable();
-                    Value::obj([
-                        ("key", Value::Uint(key)),
-                        ("kind", Value::Str("spill".into())),
-                        (
-                            "used",
-                            Value::Arr(used.into_iter().map(Value::Uint).collect()),
-                        ),
-                    ])
+        let edges = sorted_by_key(&self.slots);
+        let mut stages = Vec::with_capacity(edges.len());
+        let (mut counts, mut picks, mut promoted) = (Vec::new(), Vec::new(), Vec::new());
+        for (_, slot) in &edges {
+            match slot {
+                Slot::Inline { used, len } => {
+                    stages.push(INLINE);
+                    counts.push(u32::from(*len));
+                    picks.extend(used[..usize::from(*len)].iter().map(|n| n.0));
                 }
-                Slot::Promoted { start, len, cursor } => Value::obj([
-                    ("key", Value::Uint(key)),
-                    ("kind", Value::Str("promoted".into())),
-                    ("start", Value::Uint(u64::from(*start))),
-                    ("len", Value::Uint(u64::from(*len))),
-                    ("cursor", Value::Uint(u64::from(*cursor))),
-                ]),
-            })
-            .collect();
+                Slot::Spill(set) => {
+                    stages.push(SPILL);
+                    counts.push(set.len() as u32);
+                    let at = picks.len();
+                    picks.extend(set.iter().map(|n| n.0));
+                    picks[at..].sort_unstable();
+                }
+                Slot::Promoted { start, len, cursor } => {
+                    stages.push(PROMOTED);
+                    promoted.extend([*start, *len, *cursor]);
+                }
+            }
+        }
+        let arena = self.arena.iter().map(|n| Value::Uint(u64::from(n.0)));
         Value::obj([
             ("threshold", Value::Uint(self.promotion_threshold as u64)),
-            (
-                "arena",
-                Value::Arr(
-                    self.arena
-                        .iter()
-                        .map(|n| Value::Uint(u64::from(n.0)))
-                        .collect(),
-                ),
-            ),
-            ("slots", Value::Arr(slots)),
+            ("arena", Value::Arr(arena.collect())),
+            ("keys", keys_value(&edges)),
+            ("stages", Value::arr(&stages)),
+            ("pick_counts", Value::arr(&counts)),
+            ("picks", Value::arr(&picks)),
+            ("promoted", Value::arr(&promoted)),
         ])
     }
 
@@ -357,30 +440,36 @@ impl CirculationEngine {
     ///
     /// # Errors
     /// Returns a message when the tree is malformed or internally
-    /// inconsistent (slice out of arena bounds, oversized inline set, …).
+    /// inconsistent: a missing column (named), columns whose lengths
+    /// disagree, keys not strictly ascending, an unknown stage code, an
+    /// oversized inline set, a promoted slice out of arena bounds or a
+    /// cursor outside its slice.
     pub fn import_state(state: &Value) -> Result<Self, String> {
         let threshold: usize = state.field("threshold")?.decode()?;
         if !(1..=INLINE_CAP).contains(&threshold) {
             return Err(format!("promotion threshold {threshold} out of range"));
         }
-        let arena: Vec<NodeId> = state
-            .field("arena")?
-            .decode::<Vec<u32>>()?
-            .into_iter()
-            .map(NodeId)
-            .collect();
-        let mut slots = FnvHashMap::default();
-        for entry in state.field("slots")?.as_array()? {
-            let key: u64 = entry.field("key")?.decode()?;
-            let kind: String = entry.field("kind")?.decode()?;
-            let slot = match kind.as_str() {
-                "inline" => {
-                    let ids: Vec<u32> = entry.field("used")?.decode()?;
+        let arena: Vec<u32> = column(state, "arena")?;
+        let arena: Vec<NodeId> = arena.into_iter().map(NodeId).collect();
+        let keys: Vec<u64> = column(state, "keys")?;
+        check_keys(&keys)?;
+        let mut stages = Column::<u8>::read(state, "stages")?;
+        let mut counts = Column::<u32>::read(state, "pick_counts")?;
+        let mut picks = Column::<u32>::read(state, "picks")?;
+        let mut promoted = Column::<u32>::read(state, "promoted")?;
+        let mut slots = FnvHashMap::with_capacity_and_hasher(keys.len(), Default::default());
+        for &key in &keys {
+            let slot = match stages.one()? {
+                INLINE => {
+                    let ids = picks.take(counts.one()? as usize)?;
                     if ids.len() > INLINE_CAP {
-                        return Err(format!("inline slot holds {} > {INLINE_CAP}", ids.len()));
+                        return Err(format!(
+                            "inline edge {key} holds {} > {INLINE_CAP}",
+                            ids.len()
+                        ));
                     }
                     let mut used = [NodeId(0); INLINE_CAP];
-                    for (dst, id) in used.iter_mut().zip(&ids) {
+                    for (dst, id) in used.iter_mut().zip(ids) {
                         *dst = NodeId(*id);
                     }
                     Slot::Inline {
@@ -388,35 +477,33 @@ impl CirculationEngine {
                         len: ids.len() as u8,
                     }
                 }
-                "spill" => Slot::Spill(
-                    entry
-                        .field("used")?
-                        .decode::<Vec<u32>>()?
-                        .into_iter()
-                        .map(NodeId)
-                        .collect(),
-                ),
-                "promoted" => {
-                    let start: u32 = entry.field("start")?.decode()?;
-                    let len: u32 = entry.field("len")?.decode()?;
-                    let cursor: u32 = entry.field("cursor")?.decode()?;
+                SPILL => {
+                    let ids = picks.take(counts.one()? as usize)?;
+                    Slot::Spill(ids.iter().map(|&id| NodeId(id)).collect())
+                }
+                PROMOTED => {
+                    let [start, len, cursor] = promoted.triple()?;
                     if (start as usize) + (len as usize) > arena.len() {
                         return Err(format!(
-                            "promoted slice {start}+{len} exceeds arena of {}",
+                            "promoted edge {key}: slice {start}+{len} exceeds arena of {}",
                             arena.len()
                         ));
                     }
                     if len == 0 || cursor >= len {
-                        return Err(format!("promoted cursor {cursor} out of slice of {len}"));
+                        return Err(format!(
+                            "promoted edge {key}: cursor {cursor} out of slice of {len}"
+                        ));
                     }
                     Slot::Promoted { start, len, cursor }
                 }
-                other => return Err(format!("unknown slot kind `{other}`")),
+                other => return Err(unknown_stage(key, other)),
             };
-            if slots.insert(key, slot).is_some() {
-                return Err(format!("duplicate slot key {key}"));
-            }
+            slots.insert(key, slot);
         }
+        stages.finish()?;
+        counts.finish()?;
+        picks.finish()?;
+        promoted.finish()?;
         Ok(CirculationEngine {
             slots,
             arena,
@@ -694,150 +781,159 @@ impl GroupEngine {
     }
 
     /// Serialize the engine's full state to a [`Value`] tree for
-    /// snapshot/resume, one entry per edge, sorted by key. A cold edge
-    /// lists its picks of this super-cycle (`used`) and of the current
-    /// sub-cycle (`sub_cycle`), both ascending. A promoted edge lists its
-    /// frozen partition and where each group stands: its member slice
-    /// verbatim, `[end, cursor, attempted]` per group in one flat `groups`
-    /// array — the cursor is the group's used-prefix length, `attempted`
-    /// is 1 for a group in `S(u, v)` — and its `used_count`. Arena offsets
-    /// are not exported, so the tree is a function of the walk alone.
+    /// snapshot/resume, column-wise (see "Snapshot columns" in the module
+    /// docs), rows sorted by key. A cold edge has a `pick_counts` entry and
+    /// its run of `picks` of this super-cycle, and a `sub_counts` entry and
+    /// its run of `sub_picks` of the current sub-cycle, both ascending. A
+    /// promoted edge lists its frozen partition and where each group
+    /// stands: a `member_counts` entry and its member slice verbatim in
+    /// `members`, a `group_counts` entry and one `[end, cursor, attempted]`
+    /// triple per group in `groups` — the cursor is the group's used-prefix
+    /// length, `attempted` is 1 for a group in `S(u, v)` — and a
+    /// `used_counts` entry. Arena offsets are not exported, so the tree is a
+    /// function of the walk alone.
     pub fn export_state(&self) -> Value {
-        let mut slots: Vec<(u64, &GroupSlot)> = self.slots.iter().map(|(&k, s)| (k, s)).collect();
-        slots.sort_unstable_by_key(|&(k, _)| k);
-        let edges: Vec<Value> = slots
-            .into_iter()
-            .map(|(key, slot)| {
-                let key = ("key", Value::Uint(key));
-                if let GroupSlot::Promoted {
-                    start,
-                    len,
-                    spans,
-                    groups,
-                    used,
-                } = *slot
-                {
-                    let (start, at) = (start as usize, spans as usize);
-                    let spans = &self.spans[at..at + groups as usize];
-                    let mut begin = 0;
-                    let groups: Vec<u32> = spans
-                        .iter()
-                        .flat_map(|s| {
-                            let cursor = s.next - begin;
-                            begin = s.end;
-                            [s.end, cursor, u32::from(s.attempted)]
-                        })
-                        .collect();
-                    Value::obj([
-                        key,
-                        ("kind", Value::Str("promoted".into())),
-                        (
-                            "members",
-                            Value::arr(&self.members[start..start + len as usize]),
-                        ),
-                        ("groups", Value::arr(&groups)),
-                        ("used_count", Value::Uint(u64::from(used))),
-                    ])
-                } else {
-                    let (kind, mut used): (&str, Vec<u32>) = match slot {
-                        GroupSlot::Inline { used, len, .. } => {
-                            ("inline", used[..usize::from(*len)].to_vec())
-                        }
-                        GroupSlot::Spill { used, .. } => ("spill", used.iter().copied().collect()),
-                        GroupSlot::Promoted { .. } => unreachable!("handled above"),
-                    };
-                    let mut current = slot.current().to_vec();
-                    used.sort_unstable();
-                    current.sort_unstable();
-                    Value::obj([
-                        key,
-                        ("kind", Value::Str(kind.into())),
-                        ("used", Value::arr(&used)),
-                        ("sub_cycle", Value::arr(&current)),
-                    ])
+        let edges = sorted_by_key(&self.slots);
+        let mut stages = Vec::with_capacity(edges.len());
+        let (mut pick_counts, mut picks) = (Vec::new(), Vec::new());
+        let (mut sub_counts, mut sub_picks) = (Vec::new(), Vec::new());
+        let (mut member_counts, mut members) = (Vec::new(), Vec::new());
+        let (mut group_counts, mut groups) = (Vec::new(), Vec::new());
+        let mut used_counts = Vec::new();
+        for &(_, slot) in &edges {
+            if let GroupSlot::Promoted {
+                start,
+                len,
+                spans,
+                groups: count,
+                used,
+            } = *slot
+            {
+                stages.push(PROMOTED);
+                member_counts.push(len);
+                let start = start as usize;
+                members.extend_from_slice(&self.members[start..start + len as usize]);
+                group_counts.push(count);
+                let at = spans as usize;
+                let mut begin = 0;
+                for span in &self.spans[at..at + count as usize] {
+                    groups.extend([span.end, span.next - begin, u32::from(span.attempted)]);
+                    begin = span.end;
                 }
-            })
-            .collect();
-        Value::obj([("edges", Value::Arr(edges))])
+                used_counts.push(used);
+            } else {
+                let at = picks.len();
+                match slot {
+                    GroupSlot::Inline { used, len, .. } => {
+                        stages.push(INLINE);
+                        picks.extend_from_slice(&used[..usize::from(*len)]);
+                    }
+                    GroupSlot::Spill { used, .. } => {
+                        stages.push(SPILL);
+                        picks.extend(used.iter().copied());
+                    }
+                    GroupSlot::Promoted { .. } => unreachable!("handled above"),
+                }
+                picks[at..].sort_unstable();
+                pick_counts.push((picks.len() - at) as u32);
+                let at = sub_picks.len();
+                sub_picks.extend_from_slice(slot.current());
+                sub_picks[at..].sort_unstable();
+                sub_counts.push((sub_picks.len() - at) as u32);
+            }
+        }
+        Value::obj([
+            ("keys", keys_value(&edges)),
+            ("stages", Value::arr(&stages)),
+            ("pick_counts", Value::arr(&pick_counts)),
+            ("picks", Value::arr(&picks)),
+            ("sub_counts", Value::arr(&sub_counts)),
+            ("sub_picks", Value::arr(&sub_picks)),
+            ("member_counts", Value::arr(&member_counts)),
+            ("members", Value::arr(&members)),
+            ("group_counts", Value::arr(&group_counts)),
+            ("groups", Value::arr(&groups)),
+            ("used_counts", Value::arr(&used_counts)),
+        ])
     }
 
     /// Rebuild an engine from [`export_state`](Self::export_state) output.
     ///
     /// # Errors
     /// Returns a message when the tree is malformed or internally
-    /// inconsistent: repeated or misplaced picks, or a promoted edge whose
-    /// members are not a permutation, whose group ends do not ascend to its
-    /// length, whose cursors overrun their groups or do not sum to its used
-    /// count, or whose attempted flags are not 0 or 1.
+    /// inconsistent: a missing column (named), columns whose lengths
+    /// disagree, keys not strictly ascending, an unknown stage code,
+    /// repeated or misplaced picks, or a promoted edge whose members are
+    /// not a permutation, whose group ends do not ascend to its length,
+    /// whose cursors overrun their groups or do not sum to its used count,
+    /// or whose attempted flags are not 0 or 1.
     pub fn import_state(state: &Value) -> Result<Self, String> {
-        let mut engine = GroupEngine::default();
-        for entry in state.field("edges")?.as_array()? {
-            let key: u64 = entry.field("key")?.decode()?;
-            let kind: String = entry.field("kind")?.decode()?;
-            let slot = match kind.as_str() {
-                "inline" | "spill" => {
-                    let used: Vec<u32> = entry.field("used")?.decode()?;
-                    let current: Vec<u32> = entry.field("sub_cycle")?.decode()?;
-                    let ascending = |ids: &[u32]| ids.windows(2).all(|w| w[0] < w[1]);
-                    if !ascending(&used) || !ascending(&current) {
-                        return Err(format!("edge {key}: picks are not strictly ascending"));
-                    }
-                    if let Some(m) = current.iter().find(|m| used.binary_search(m).is_err()) {
-                        return Err(format!("edge {key}: sub-cycle pick {m} is not used"));
-                    }
-                    let earlier = used.iter().filter(|m| current.binary_search(m).is_err());
-                    if kind == "inline" {
-                        if used.len() > INLINE_CAP {
-                            return Err(format!(
-                                "inline edge {key} holds {} > {INLINE_CAP}",
-                                used.len()
-                            ));
-                        }
-                        let mut slots = [0u32; INLINE_CAP];
-                        for (dst, &m) in slots.iter_mut().zip(earlier.chain(&current)) {
-                            *dst = m;
-                        }
-                        GroupSlot::Inline {
-                            used: slots,
-                            len: used.len() as u8,
-                            sub: (used.len() - current.len()) as u8,
-                        }
-                    } else {
-                        GroupSlot::Spill {
-                            used: used.iter().copied().collect(),
-                            current,
-                        }
-                    }
+        let keys: Vec<u64> = column(state, "keys")?;
+        check_keys(&keys)?;
+        let mut stages = Column::<u8>::read(state, "stages")?;
+        let mut pick_counts = Column::<u32>::read(state, "pick_counts")?;
+        let mut picks = Column::<u32>::read(state, "picks")?;
+        let mut sub_counts = Column::<u32>::read(state, "sub_counts")?;
+        let mut sub_picks = Column::<u32>::read(state, "sub_picks")?;
+        let mut member_counts = Column::<u32>::read(state, "member_counts")?;
+        let mut members = Column::<u32>::read(state, "members")?;
+        let mut group_counts = Column::<u32>::read(state, "group_counts")?;
+        let mut groups = Column::<u32>::read(state, "groups")?;
+        let mut used_counts = Column::<u32>::read(state, "used_counts")?;
+        let mut engine = GroupEngine {
+            slots: FnvHashMap::with_capacity_and_hasher(keys.len(), Default::default()),
+            members: Vec::with_capacity(members.items.len()),
+            spans: Vec::with_capacity(groups.items.len() / 3),
+        };
+        for &key in &keys {
+            let slot = match stages.one()? {
+                stage @ (INLINE | SPILL) => {
+                    let used = picks.take(pick_counts.one()? as usize)?;
+                    let current = sub_picks.take(sub_counts.one()? as usize)?;
+                    cold_slot(stage == INLINE, used, current)
+                        .map_err(|e| format!("edge {key}: {e}"))?
                 }
-                "promoted" => engine
-                    .import_promoted(entry)
-                    .map_err(|e| format!("promoted edge {key}: {e}"))?,
-                other => return Err(format!("unknown slot kind `{other}`")),
+                PROMOTED => {
+                    let members = members.take(member_counts.one()? as usize)?;
+                    let groups = groups.take(3 * group_counts.one()? as usize)?;
+                    engine
+                        .import_promoted(members, groups, used_counts.one()?)
+                        .map_err(|e| format!("promoted edge {key}: {e}"))?
+                }
+                other => return Err(unknown_stage(key, other)),
             };
-            if engine.slots.insert(key, slot).is_some() {
-                return Err(format!("duplicate slot key {key}"));
-            }
+            engine.slots.insert(key, slot);
         }
+        stages.finish()?;
+        pick_counts.finish()?;
+        picks.finish()?;
+        sub_counts.finish()?;
+        sub_picks.finish()?;
+        member_counts.finish()?;
+        members.finish()?;
+        group_counts.finish()?;
+        groups.finish()?;
+        used_counts.finish()?;
         Ok(engine)
     }
 
-    /// Validate one exported promoted edge and append it to the arenas.
-    fn import_promoted(&mut self, entry: &Value) -> Result<GroupSlot, String> {
-        let members: Vec<u32> = entry.field("members")?.decode()?;
-        let groups: Vec<u32> = entry.field("groups")?.decode()?;
-        let used: u32 = entry.field("used_count")?.decode()?;
+    /// Validate one exported promoted edge — its `members` and its `groups`
+    /// triples — and append it to the arenas.
+    fn import_promoted(
+        &mut self,
+        members: &[u32],
+        groups: &[u32],
+        used: u32,
+    ) -> Result<GroupSlot, String> {
         let len = members.len();
         let mut seen = vec![false; len];
-        for &m in &members {
+        for &m in members {
             if m as usize >= len || std::mem::replace(&mut seen[m as usize], true) {
                 return Err(format!("members are not a permutation of 0..{len}"));
             }
         }
-        if groups.is_empty() || !groups.len().is_multiple_of(3) {
-            return Err(format!(
-                "{} group entries are not [end, cursor, attempted] triples",
-                groups.len()
-            ));
+        if groups.is_empty() {
+            return Err("a promoted edge has no groups".into());
         }
         let (start, at) = (self.members.len(), self.spans.len());
         let (mut begin, mut sum) = (0u32, 0u64);
@@ -876,7 +972,7 @@ impl GroupEngine {
                 "cursors sum to {sum}, used count is {used} of {len}"
             ));
         }
-        self.members.extend_from_slice(&members);
+        self.members.extend_from_slice(members);
         Ok(GroupSlot::Promoted {
             start: arena_offset(start),
             len: len as u32,
@@ -900,6 +996,39 @@ impl GroupEngine {
             spans: &mut self.spans,
         }
     }
+}
+
+/// A cold GNRW edge rebuilt from its imported picks: `used`, this
+/// super-cycle's, and `current`, the current sub-cycle's — both strictly
+/// ascending, `current ⊆ used` — inline (at most [`INLINE_CAP`] picks, the
+/// sub-cycle's last) or spilled.
+fn cold_slot(inline: bool, used: &[u32], current: &[u32]) -> Result<GroupSlot, String> {
+    let ascending = |ids: &[u32]| ids.windows(2).all(|w| w[0] < w[1]);
+    if !ascending(used) || !ascending(current) {
+        return Err("picks are not strictly ascending".into());
+    }
+    if let Some(m) = current.iter().find(|m| used.binary_search(m).is_err()) {
+        return Err(format!("sub-cycle pick {m} is not used"));
+    }
+    if !inline {
+        return Ok(GroupSlot::Spill {
+            used: used.iter().copied().collect(),
+            current: current.to_vec(),
+        });
+    }
+    if used.len() > INLINE_CAP {
+        return Err(format!("inline edge holds {} > {INLINE_CAP}", used.len()));
+    }
+    let earlier = used.iter().filter(|m| current.binary_search(m).is_err());
+    let mut slots = [0u32; INLINE_CAP];
+    for (dst, &m) in slots.iter_mut().zip(earlier.chain(current)) {
+        *dst = m;
+    }
+    Ok(GroupSlot::Inline {
+        used: slots,
+        len: used.len() as u8,
+        sub: (used.len() - current.len()) as u8,
+    })
 }
 
 /// An arena offset as stored in a slot. Fails loudly rather than silently
@@ -1526,15 +1655,8 @@ mod tests {
             group_picks(&mut engine, *key, groups, *steps, &mut rng);
         }
         let state = engine.export_state();
-        let kinds: Vec<String> = state
-            .field("edges")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|e| e.field("kind").unwrap().decode().unwrap())
-            .collect();
-        assert_eq!(kinds, ["inline", "promoted", "spill"]);
+        let stages: Vec<u8> = state.field("stages").unwrap().decode().unwrap();
+        assert_eq!(stages, [INLINE, PROMOTED, SPILL]);
         let mut imported = GroupEngine::import_state(&state).unwrap();
         assert_eq!(imported.export_state().to_pretty(), state.to_pretty());
         assert_eq!(imported.probe(2), engine.probe(2));
@@ -1549,31 +1671,45 @@ mod tests {
         }
     }
 
+    /// A one-edge GNRW snapshot of a cold edge of `stage` with the given
+    /// picks, imported.
+    fn import_cold(stage: u8, used: &[u32], sub_cycle: &[u32]) -> Result<GroupEngine, String> {
+        let mut state = GroupEngine::default().export_state();
+        let Value::Obj(fields) = &mut state else {
+            unreachable!("an export is an object")
+        };
+        for (name, value) in fields.iter_mut() {
+            *value = match name.as_str() {
+                "keys" => Value::arr(&[1u64]),
+                "stages" => Value::arr(&[stage]),
+                "pick_counts" => Value::arr(&[used.len() as u32]),
+                "picks" => Value::arr(used),
+                "sub_counts" => Value::arr(&[sub_cycle.len() as u32]),
+                "sub_picks" => Value::arr(sub_cycle),
+                _ => continue,
+            };
+        }
+        GroupEngine::import_state(&state)
+    }
+
     #[test]
     fn group_import_refuses_inconsistent_cold_edges() {
-        let edge = |kind: &str, used: &[u32], sub_cycle: &[u32]| {
-            let edge = Value::obj([
-                ("key", Value::Uint(1)),
-                ("kind", Value::Str(kind.into())),
-                ("used", Value::arr(used)),
-                ("sub_cycle", Value::arr(sub_cycle)),
-            ]);
-            GroupEngine::import_state(&Value::obj([("edges", Value::Arr(vec![edge]))]))
-        };
-        assert!(edge("inline", &[1, 4], &[4]).is_ok());
-        assert!(edge("spill", &(0..12).collect::<Vec<_>>(), &[3]).is_ok());
-        assert!(edge("inline", &[4, 1], &[]).is_err(), "unsorted");
-        assert!(edge("inline", &[1, 1], &[]).is_err(), "repeated");
+        assert!(import_cold(INLINE, &[1, 4], &[4]).is_ok());
+        assert!(import_cold(SPILL, &(0..12).collect::<Vec<_>>(), &[3]).is_ok());
+        assert!(import_cold(INLINE, &[4, 1], &[]).is_err(), "unsorted");
+        assert!(import_cold(INLINE, &[1, 1], &[]).is_err(), "repeated");
         assert!(
-            edge("inline", &[1, 4], &[2]).is_err(),
+            import_cold(INLINE, &[1, 4], &[2]).is_err(),
             "sub-cycle pick not used"
         );
         assert!(
-            edge("inline", &(0..9).collect::<Vec<_>>(), &[]).is_err(),
+            import_cold(INLINE, &(0..9).collect::<Vec<_>>(), &[]).is_err(),
             "over the inline cap"
         );
+        let err = import_cold(3, &[1], &[]).unwrap_err();
+        assert!(err.contains("unknown stage code 3"), "{err}");
         let err =
-            GroupEngine::import_state(&Value::obj([("slots", Value::Arr(vec![]))])).unwrap_err();
-        assert!(err.contains("missing field `edges`"), "{err}");
+            GroupEngine::import_state(&Value::obj([("edges", Value::Arr(vec![]))])).unwrap_err();
+        assert!(err.contains("missing field `keys`"), "{err}");
     }
 }

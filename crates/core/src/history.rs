@@ -473,6 +473,27 @@ mod tests {
             ("engine", GroupHistory::new().export_state()),
         ]);
         let err = GroupHistory::import_state(&wrapped).unwrap_err();
-        assert!(err.contains("edges"), "{err}");
+        assert!(err.contains("keys"), "{err}");
+        // Later they held one object per edge: CNRW `slots` and GNRW
+        // `edges` of `{key, kind, …}`. Those name the first missing column.
+        let entry = |extra: &[&str]| {
+            let mut fields = vec![
+                ("key", Value::Uint(1)),
+                ("kind", Value::Str("inline".into())),
+                ("used", Value::arr(&[0u32])),
+            ];
+            fields.extend(extra.iter().map(|&name| (name, Value::Arr(Vec::new()))));
+            Value::Arr(vec![Value::obj(fields)])
+        };
+        let per_entry = Value::obj([
+            ("threshold", Value::Uint(INLINE_CAP as u64)),
+            ("arena", Value::Arr(Vec::new())),
+            ("slots", entry(&[])),
+        ]);
+        let err = EdgeHistory::import_state(&per_entry).unwrap_err();
+        assert!(err.contains("missing field `keys`"), "{err}");
+        let per_entry = Value::obj([("edges", entry(&["sub_cycle"]))]);
+        let err = GroupHistory::import_state(&per_entry).unwrap_err();
+        assert!(err.contains("missing field `keys`"), "{err}");
     }
 }

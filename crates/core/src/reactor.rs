@@ -861,7 +861,8 @@ impl WalkOrchestrator {
     /// # Errors
     /// On a malformed snapshot, a snapshot of another run kind (the error
     /// names the kind found), or a spec mismatch — including a snapshot
-    /// of neighbor lists from before runs held ids (no `delivered` field).
+    /// of neighbor lists from before runs held ids (no `delivered` field)
+    /// or one that writes `seen` out (no `delivered_unseen` field).
     pub fn resume_reactor<W>(&self, state: &Value, make_walker: W) -> Result<ReactorWalkRun, String>
     where
         W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
@@ -1175,10 +1176,10 @@ fn nodes_from_value(value: &Value) -> Result<Vec<NodeId>, String> {
 
 /// Hash sets hold membership only — serialize sorted so snapshots are
 /// byte-deterministic.
-fn sorted_set_value(set: &FnvHashSet<u32>) -> Value {
-    let mut ids: Vec<u32> = set.iter().copied().collect();
+fn sorted_ids<'a>(ids: impl Iterator<Item = &'a u32>) -> Value {
+    let mut ids: Vec<u32> = ids.copied().collect();
     ids.sort_unstable();
-    Value::Arr(ids.into_iter().map(|u| Value::Uint(u64::from(u))).collect())
+    Value::arr(&ids)
 }
 
 fn set_from_value(value: &Value) -> Result<FnvHashSet<u32>, String> {
@@ -1271,27 +1272,28 @@ fn stats_from_value(value: &Value) -> Result<QueryStats, String> {
     })
 }
 
+/// A run's dispatch bookkeeping as flat id lists: `attempts` as
+/// `[node, count]` pairs, and `seen` — nearly always equal to `delivered` —
+/// as its two differences from it, `delivered_unseen` (delivered, not yet
+/// read by a walker) and `seen_undelivered` (read, then refused on a
+/// read-back refetch).
 fn dispatch_to_value(state: &DispatchState) -> Value {
-    let mut attempts: Vec<(&u32, &u32)> = state.node_attempts.iter().collect();
-    attempts.sort_unstable_by_key(|(u, _)| **u);
+    let mut attempts: Vec<[u32; 2]> = state.node_attempts.iter().map(|(&u, &n)| [u, n]).collect();
+    attempts.sort_unstable();
+    let attempts: Vec<u32> = attempts.into_iter().flatten().collect();
+    let (delivered, seen) = (&state.delivered, &state.seen);
     Value::obj([
-        ("delivered", sorted_set_value(&state.delivered)),
-        ("refused", sorted_set_value(&state.refused)),
+        ("delivered", sorted_ids(delivered.iter())),
+        ("refused", sorted_ids(state.refused.iter())),
+        ("attempts", Value::arr(&attempts)),
         (
-            "attempts",
-            Value::Arr(
-                attempts
-                    .into_iter()
-                    .map(|(u, n)| {
-                        Value::obj([
-                            ("node", Value::Uint(u64::from(*u))),
-                            ("count", Value::Uint(u64::from(*n))),
-                        ])
-                    })
-                    .collect(),
-            ),
+            "delivered_unseen",
+            sorted_ids(delivered.iter().filter(|u| !seen.contains(u))),
         ),
-        ("seen", sorted_set_value(&state.seen)),
+        (
+            "seen_undelivered",
+            sorted_ids(seen.iter().filter(|u| !delivered.contains(u))),
+        ),
         ("stats", stats_to_value(state.stats)),
         ("refused_nodes", Value::Uint(state.refused_nodes as u64)),
         ("abandoned_nodes", Value::Uint(state.abandoned_nodes as u64)),
@@ -1306,20 +1308,40 @@ fn dispatch_to_value(state: &DispatchState) -> Value {
 }
 
 fn dispatch_from_value(value: &Value) -> Result<DispatchState, String> {
+    let delivered = set_from_value(value.field("delivered")?)?;
+    let unseen = set_from_value(value.field("delivered_unseen")?)?;
+    let undelivered = set_from_value(value.field("seen_undelivered")?)?;
+    if let Some(u) = unseen.iter().find(|u| !delivered.contains(u)) {
+        return Err(format!("`delivered_unseen` id {u} is not delivered"));
+    }
+    if let Some(u) = undelivered.iter().find(|u| delivered.contains(u)) {
+        return Err(format!("`seen_undelivered` id {u} is delivered"));
+    }
+    let mut seen: FnvHashSet<u32> = delivered
+        .iter()
+        .filter(|u| !unseen.contains(u))
+        .copied()
+        .collect();
+    seen.extend(undelivered);
+    let pairs: Vec<u32> = value.field("attempts")?.decode()?;
+    if !pairs.len().is_multiple_of(2) {
+        return Err(format!(
+            "`attempts` holds {} items, not [node, count] pairs",
+            pairs.len()
+        ));
+    }
     let mut node_attempts = FnvHashMap::default();
-    for entry in value.field("attempts")?.as_array()? {
-        let node: u32 = entry.field("node")?.decode()?;
-        let count: u32 = entry.field("count")?.decode()?;
-        if node_attempts.insert(node, count).is_some() {
-            return Err(format!("duplicate attempt entry for node {node}"));
+    for pair in pairs.chunks_exact(2) {
+        if node_attempts.insert(pair[0], pair[1]).is_some() {
+            return Err(format!("duplicate attempt entry for node {}", pair[0]));
         }
     }
     Ok(DispatchState {
-        delivered: set_from_value(value.field("delivered")?)?,
+        delivered,
         copies: FnvHashMap::default(),
         refused: set_from_value(value.field("refused")?)?,
         node_attempts,
-        seen: set_from_value(value.field("seen")?)?,
+        seen,
         stats: stats_from_value(value.field("stats")?)?,
         refused_nodes: value.field("refused_nodes")?.decode()?,
         abandoned_nodes: value.field("abandoned_nodes")?.decode()?,
@@ -1441,5 +1463,53 @@ mod tests {
         );
         assert_eq!(whole_report.stops, resumed_report.stops);
         assert_eq!(whole_report.estimate.mean(), resumed_report.estimate.mean());
+    }
+
+    #[test]
+    fn dispatch_writes_seen_as_its_differences_from_delivered() {
+        let ids = |ids: &[u32]| ids.iter().copied().collect::<FnvHashSet<u32>>();
+        let state = DispatchState {
+            delivered: ids(&[1, 2, 3, 5]),
+            seen: ids(&[2, 3, 5, 8]),
+            node_attempts: [(9, 2), (4, 1)].into_iter().collect(),
+            ..DispatchState::default()
+        };
+        let value = dispatch_to_value(&state);
+        assert!(value.field("seen").is_err());
+        let column = |name: &str| -> Vec<u32> { value.field(name).unwrap().decode().unwrap() };
+        assert_eq!(column("delivered_unseen"), [1]);
+        assert_eq!(column("seen_undelivered"), [8]);
+        assert_eq!(column("attempts"), [4, 1, 9, 2]);
+        let back = dispatch_from_value(&value).unwrap();
+        assert_eq!(back.seen, state.seen);
+        assert_eq!(back.node_attempts, state.node_attempts);
+        assert_eq!(dispatch_to_value(&back), value);
+
+        let edit = |name: &str, ids: &[u32]| {
+            let Value::Obj(mut fields) = value.clone() else {
+                unreachable!("dispatch is an object")
+            };
+            fields.iter_mut().find(|(k, _)| k == name).unwrap().1 = Value::arr(ids);
+            dispatch_from_value(&Value::Obj(fields))
+        };
+        assert!(
+            edit("delivered_unseen", &[1, 4]).is_err(),
+            "unseen, not delivered"
+        );
+        assert!(
+            edit("seen_undelivered", &[3, 8]).is_err(),
+            "delivered twice over"
+        );
+        assert!(edit("attempts", &[4, 1, 9]).is_err(), "half a pair");
+        assert!(edit("attempts", &[4, 1, 4, 2]).is_err(), "a node twice");
+
+        // The layout that wrote `seen` out in full is refused by name.
+        let Value::Obj(mut fields) = value.clone() else {
+            unreachable!("dispatch is an object")
+        };
+        fields.retain(|(k, _)| k != "delivered_unseen" && k != "seen_undelivered");
+        fields.push(("seen".into(), Value::arr(&[2u32, 3, 5, 8])));
+        let err = dispatch_from_value(&Value::Obj(fields)).err().unwrap();
+        assert!(err.contains("missing field `delivered_unseen`"), "{err}");
     }
 }

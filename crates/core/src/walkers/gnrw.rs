@@ -594,37 +594,43 @@ mod tests {
             w.step(&mut client, &mut rng).unwrap();
         }
         let state = w.export_state();
-        let edges = state.field("history").unwrap().field("edges").unwrap();
-        // A promoted edge mid-super-cycle.
-        let at = edges
-            .as_array()
-            .unwrap()
+        let history = state.field("history").unwrap();
+        let column = |name: &str| -> Vec<u32> { history.field(name).unwrap().decode().unwrap() };
+        // A promoted edge mid-super-cycle, and where its runs start in the
+        // concatenated `members` and `groups` columns.
+        let used = column("used_counts");
+        let p = used
             .iter()
-            .position(|e| {
-                e.field("used_count")
-                    .is_ok_and(|n| n.decode::<u32>().unwrap() > 0)
-            })
+            .position(|&n| n > 0)
             .expect("a promoted edge mid-super-cycle");
-        let edit = |name: &str, f: &dyn Fn(&mut Vec<u32>)| {
+        let members_at: u32 = column("member_counts")[..p].iter().sum();
+        let groups_at: u32 = 3 * column("group_counts")[..p].iter().sum::<u32>();
+        let edit = |name: &str, at: u32, f: &dyn Fn(&mut [u32])| {
             let mut tampered = state.clone();
-            let Value::Arr(edges) = field_mut(field_mut(&mut tampered, "history"), "edges") else {
-                panic!("edges is not an array");
-            };
-            let field = field_mut(&mut edges[at], name);
+            let field = field_mut(field_mut(&mut tampered, "history"), name);
             let mut values: Vec<u32> = field.decode().unwrap();
-            f(&mut values);
+            f(&mut values[at as usize..]);
             *field = Value::arr(&values);
             tampered
         };
         // `groups` holds `[end, cursor, attempted]` per group; these edges
         // have two groups over four members.
         let edits = [
-            ("ends", edit("groups", &|g| g[0] = g[3])),
-            ("ends", edit("groups", &|g| g[3] += 1)),
-            ("cursor", edit("groups", &|g| g[1] = 4)),
-            ("sum", edit("groups", &|g| (g[1], g[4]) = (0, 0))),
-            ("attempted", edit("groups", &|g| g[2] = 2)),
-            ("permutation", edit("members", &|m| m[0] = m[1])),
+            ("ends", edit("groups", groups_at, &|g| g[0] = g[3])),
+            ("ends", edit("groups", groups_at, &|g| g[3] += 1)),
+            ("cursor", edit("groups", groups_at, &|g| g[1] = 4)),
+            ("sum", edit("groups", groups_at, &|g| (g[1], g[4]) = (0, 0))),
+            ("attempted", edit("groups", groups_at, &|g| g[2] = 2)),
+            ("permutation", edit("members", members_at, &|m| m[0] = m[1])),
+            ("used count", edit("used_counts", p as u32, &|u| u[0] += 1)),
+            (
+                "member count",
+                edit("member_counts", p as u32, &|c| c[0] -= 1),
+            ),
+            (
+                "group count",
+                edit("group_counts", p as u32, &|c| c[0] += 1),
+            ),
         ];
         for (what, tampered) in edits {
             assert!(w.import_state(&tampered).is_err(), "{what} edit imported");

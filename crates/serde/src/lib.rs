@@ -29,6 +29,18 @@
 //! `f64::`[`FromValue`] accepts that string form back. On trees in
 //! canonical form with finite floats, `parse ∘ write` is the identity for
 //! both writers (pinned by a property test).
+//!
+//! ## Cost
+//!
+//! Snapshots are mostly long arrays of integers and short plain strings,
+//! so those are the cheap cases. The parser reads an integer of up to 19
+//! plain digits, and a string with no escape, as one slice of the input;
+//! every other token takes the general path, and both paths give the same
+//! values and the same errors (pinned by a property test). The writers
+//! format integers on the stack and copy indentation and escape-free
+//! strings whole. A `\u` escape takes exactly four hex digits; a
+//! surrogate pair decodes to one character, and a lone surrogate is
+//! refused.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -198,18 +210,27 @@ impl Value {
     /// Returns a [`ParseError`] carrying the byte offset of the problem —
     /// including containers nested deeper than [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Value, ParseError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err_at(p.pos, "trailing input"));
-        }
-        Ok(v)
+        parse_with::<true>(input)
     }
+}
+
+/// [`Value::parse`], with (`FAST`) or without the single-slice reads of
+/// plain integers and escape-free strings. Both give the same `Value`s and
+/// the same errors; the general path is the reference the fast paths are
+/// tested against.
+fn parse_with<const FAST: bool>(input: &str) -> Result<Value, ParseError> {
+    let mut p = Parser::<FAST> {
+        text: input,
+        bytes: input.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(p.err_at(p.pos, "trailing input"));
+    }
+    Ok(v)
 }
 
 /// A parse failure with the byte offset where it was detected.
@@ -233,28 +254,44 @@ impl std::error::Error for ParseError {}
 // Writers
 // ---------------------------------------------------------------------------
 
+/// Two spaces per level, copied from one static run of spaces.
 fn push_indent(out: &mut String, level: usize) {
-    for _ in 0..level {
-        out.push_str("  ");
+    const SPACES: &str = "                                                                ";
+    let mut width = 2 * level;
+    while width > 0 {
+        let run = width.min(SPACES.len());
+        out.push_str(&SPACES[..run]);
+        width -= run;
     }
+}
+
+/// Append the decimal digits of `u`, formatted on the stack.
+fn push_uint(out: &mut String, mut u: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 fn write_scalar(v: &Value, out: &mut String) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Uint(u) => out.push_str(&u.to_string()),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Num(x) => {
-            if x.is_finite() {
-                out.push_str(&format_float(*x));
-            } else {
-                // Historical convention: non-finite floats as strings.
-                out.push('"');
-                out.push_str(&x.to_string());
-                out.push('"');
+        Value::Uint(u) => push_uint(out, *u),
+        Value::Int(i) => {
+            if *i < 0 {
+                out.push('-');
             }
+            push_uint(out, i.unsigned_abs());
         }
+        Value::Num(x) => push_float(out, *x),
         Value::Str(s) => escape_string(s, out),
         Value::Arr(_) | Value::Obj(_) => unreachable!("containers handled by callers"),
     }
@@ -262,17 +299,33 @@ fn write_scalar(v: &Value, out: &mut String) {
 
 /// Shortest round-trip decimal form, always with a decimal point or
 /// exponent so the value reads back as a float, never an integer.
-fn format_float(x: f64) -> String {
-    let s = format!("{x}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
+/// Non-finite floats are written as strings (the historical convention).
+fn push_float(out: &mut String, x: f64) {
+    use fmt::Write as _;
+    // Writing to a `String` cannot fail.
+    if x.is_finite() {
+        let start = out.len();
+        let _ = write!(out, "{x}");
+        if !out[start..].contains(['.', 'e', 'E']) {
+            out.push_str(".0");
+        }
     } else {
-        format!("{s}.0")
+        let _ = write!(out, "\"{x}\"");
     }
+}
+
+/// Whether `b` must be escaped inside a JSON string.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
 }
 
 fn escape_string(s: &str, out: &mut String) {
     out.push('"');
+    if !s.bytes().any(needs_escape) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -280,7 +333,12 @@ fn escape_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[c as usize >> 4]));
+                out.push(char::from(HEX[c as usize & 0xf]));
+            }
             c => out.push(c),
         }
     }
@@ -376,14 +434,15 @@ fn write_compact(v: &Value, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------------
 
-struct Parser<'a> {
+struct Parser<'a, const FAST: bool> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Containers currently open around `pos`.
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<const FAST: bool> Parser<'_, FAST> {
     fn err_at(&self, offset: usize, message: impl Into<String>) -> ParseError {
         ParseError {
             offset,
@@ -512,6 +571,19 @@ impl Parser<'_> {
 
     fn string_value(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
+        if FAST {
+            // No escape before the closing quote: the string is one slice
+            // of the input (both ends sit next to an ASCII quote, so on
+            // char boundaries).
+            let rest = &self.bytes[self.pos..];
+            if let Some(len) = rest.iter().position(|&b| b == b'"' || b == b'\\') {
+                if rest[len] == b'"' {
+                    let s = self.text[self.pos..self.pos + len].to_owned();
+                    self.pos += len + 1;
+                    return Ok(s);
+                }
+            }
+        }
         let mut out = String::new();
         loop {
             let b = *self
@@ -534,21 +606,7 @@ impl Parser<'_> {
                         b'n' => out.push('\n'),
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err_at(self.pos, "truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err_at(self.pos, "non-utf8 \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|_| {
-                                self.err_at(self.pos, format!("bad \\u escape `{hex}`"))
-                            })?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).ok_or_else(|| {
-                                self.err_at(self.pos, format!("invalid codepoint {code}"))
-                            })?);
-                        }
+                        b'u' => out.push(self.unicode_escape()?),
                         other => {
                             return Err(self
                                 .err_at(self.pos - 1, format!("bad escape `\\{}`", other as char)))
@@ -575,8 +633,63 @@ impl Parser<'_> {
         Ok(out)
     }
 
+    /// The character of a `\u` escape whose hex digits start at `pos`: a
+    /// code point outside the surrogates, or a high surrogate followed by
+    /// an escaped low one, decoded as the pair. A lone surrogate is refused
+    /// at its digits' offset.
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let at = self.pos;
+        let code = match self.hex4()? {
+            high @ 0xD800..=0xDBFF => {
+                if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
+                    return Err(self.lone_surrogate(at));
+                }
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&low) {
+                    return Err(self.lone_surrogate(at));
+                }
+                0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(self.lone_surrogate(at)),
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| self.err_at(at, format!("invalid codepoint {code}")))
+    }
+
+    fn lone_surrogate(&self, at: usize) -> ParseError {
+        self.err_at(
+            at,
+            format!("lone surrogate `\\u{}`", &self.text[at..at + 4]),
+        )
+    }
+
+    /// Four hex digits at `pos` (no sign, no other characters), consumed.
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err_at(self.pos, "truncated \\u escape"))?;
+        let hex =
+            std::str::from_utf8(hex).map_err(|_| self.err_at(self.pos, "non-utf8 \\u escape"))?;
+        let mut code = 0;
+        for c in hex.chars() {
+            let digit = c
+                .to_digit(16)
+                .ok_or_else(|| self.err_at(self.pos, format!("bad \\u escape `{hex}`")))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// A number token at `pos` (whitespace already skipped by `value`).
     fn number(&mut self) -> Result<Value, ParseError> {
-        self.skip_ws();
+        if FAST {
+            if let Some(value) = self.plain_uint() {
+                return Ok(value);
+            }
+        }
         let start = self.pos;
         while matches!(
             self.bytes.get(self.pos),
@@ -584,7 +697,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number bytes");
+        let text = &self.text[start..self.pos];
         let bad = || ParseError {
             offset: start,
             message: format!("bad number `{text}`"),
@@ -603,6 +716,27 @@ impl Parser<'_> {
             return Ok(Value::Uint(u));
         }
         text.parse::<f64>().map(Value::Num).map_err(|_| bad())
+    }
+
+    /// A token of 1 to 19 plain digits not followed by another number
+    /// byte (`-+.eE`), read in place: exactly the tokens the general path
+    /// reads as a `Uint` with room to spare (19 digits never overflow a
+    /// `u64`). `None` leaves `pos` alone for the general path.
+    fn plain_uint(&mut self) -> Option<Value> {
+        let (start, mut value) = (self.pos, 0u64);
+        let mut end = start;
+        while let Some(&digit @ b'0'..=b'9') = self.bytes.get(end) {
+            if end - start == 19 {
+                return None;
+            }
+            value = value * 10 + u64::from(digit - b'0');
+            end += 1;
+        }
+        if end == start || matches!(self.bytes.get(end), Some(b'-' | b'+' | b'.' | b'e' | b'E')) {
+            return None;
+        }
+        self.pos = end;
+        Some(Value::Uint(value))
     }
 }
 
@@ -995,5 +1129,259 @@ mod tests {
         assert!(Value::parse(&at_cap).is_ok());
         let past_cap = format!("[{at_cap}]");
         assert!(Value::parse(&past_cap).is_err());
+    }
+
+    #[test]
+    fn surrogate_pair_escapes_decode_to_one_char() {
+        // `\ud83e\udd80` is the escaped form of U+1F980 (🦀).
+        let v = Value::parse(r#""crab \ud83e\udd80 🦀""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "crab 🦀 🦀");
+    }
+
+    #[test]
+    fn lone_surrogate_escapes_are_refused_with_an_offset() {
+        for (text, offset) in [
+            (r#""\ud83e""#, 3),
+            (r#""ab\ud83e tail""#, 5),
+            (r#""\ud83eA""#, 3),
+            (r#""\ud83e\ud83e""#, 3),
+            (r#""\udd80""#, 3),
+            (r#""\udd80\ud83e""#, 3),
+        ] {
+            let err = Value::parse(text).unwrap_err();
+            assert_eq!(err.offset, offset, "{text}: {err}");
+            assert!(err.message.starts_with("lone surrogate"), "{text}: {err}");
+        }
+        // A bad second escape is reported where it is.
+        let err = Value::parse(r#""\ud83e\uzzzz""#).unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (9, "bad \\u escape `zzzz`")
+        );
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        // `u32::from_str_radix` would read `+041` as 0x41.
+        for (text, digits) in [
+            (r#""\u+041""#, "+041"),
+            (r#""\u-041""#, "-041"),
+            (r#""\u 041""#, " 041"),
+            (r#""\u004g""#, "004g"),
+        ] {
+            let err = Value::parse(text).unwrap_err();
+            assert_eq!(err.offset, 3, "{text}");
+            assert_eq!(err.message, format!("bad \\u escape `{digits}`"));
+        }
+        let v = Value::parse(r#""\u0041\u00E9""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "Aé");
+        let err = Value::parse(r#""\u00""#).unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (3, "truncated \\u escape")
+        );
+    }
+
+    #[test]
+    fn writers_match_the_formatting_machinery() {
+        // Integers, floats and strings are written without temporary
+        // strings; the bytes are what `Display` and the escape table give.
+        for u in [0u64, 7, 10, 99, 1 << 32, u64::MAX] {
+            assert_eq!(Value::Uint(u).to_compact(), u.to_string());
+        }
+        for i in [-1i64, -10, i64::MIN, 0, 42] {
+            assert_eq!(Value::Int(i).to_compact(), i.to_string());
+        }
+        for x in [0.0f64, -0.0, 1.5, 1e300, 3e-7, 20.0, f64::MAX] {
+            let want = format!("{x}");
+            let want = if want.contains(['.', 'e', 'E']) {
+                want
+            } else {
+                want + ".0"
+            };
+            assert_eq!(Value::Num(x).to_compact(), want);
+        }
+        let s = "plain π 🦀".to_value();
+        assert_eq!(s.to_compact(), "\"plain π 🦀\"");
+        assert_eq!(
+            "\u{1}\u{1f}\"".to_value().to_compact(),
+            r#""\u0001\u001f\"""#
+        );
+        let deep = (0..40).fold(Value::Uint(1), |v, _| Value::obj([("k", v)]));
+        let pretty = deep.to_pretty();
+        assert!(pretty.contains(&format!("\n{}\"k\": 1\n", " ".repeat(80))));
+        assert_eq!(Value::parse(&pretty).unwrap(), deep);
+    }
+
+    mod fast_paths {
+        //! The parser's fast paths — plain integers and escape-free strings
+        //! read as one slice — against the general path, on generated
+        //! documents that are well-formed, malformed or cut short.
+
+        use super::super::parse_with;
+        use proptest::prelude::*;
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha12Rng;
+
+        fn digits(rng: &mut ChaCha12Rng, len: usize) -> String {
+            (0..len)
+                .map(|_| char::from(b'0' + rng.gen_range(0..10u8)))
+                .collect()
+        }
+
+        /// A numeric token: plain, signed, padded, at and past the fast
+        /// path's 19 digits and `u64::MAX`, or not a number at all.
+        fn number(rng: &mut ChaCha12Rng) -> String {
+            let n = rng.gen_range(1..24usize);
+            match rng.gen_range(0..14) {
+                0 | 1 => digits(rng, n),
+                2 => format!("{}{}", "0".repeat(rng.gen_range(1..4)), digits(rng, n)),
+                3 => format!("+{}", digits(rng, n)),
+                4 => "-0".into(),
+                5 => rng
+                    .gen_range(1_000_000_000_000_000_000u64..10_000_000_000_000_000_000)
+                    .to_string(),
+                6 => rng
+                    .gen_range(10_000_000_000_000_000_000u64..u64::MAX)
+                    .to_string(),
+                7 => {
+                    let extra = rng.gen_range(0..3);
+                    format!("{}{}", u64::MAX, digits(rng, extra))
+                }
+                8 => "18446744073709551616".into(),
+                9 => format!("{}+{}", digits(rng, n), digits(rng, 1)),
+                10 => format!("{}e{}", digits(rng, n), digits(rng, 1)),
+                11 => "-".into(),
+                12 => format!("-{}", digits(rng, n)),
+                _ => {
+                    let tail = ["-", "+", ".", "e", "E", ".5", "x"][rng.gen_range(0..7usize)];
+                    format!("{}{tail}", digits(rng, n))
+                }
+            }
+        }
+
+        /// A string token, with and without escapes (good, bad and cut),
+        /// raw multi-byte and control characters.
+        fn string(rng: &mut ChaCha12Rng) -> String {
+            let pieces = [
+                "a",
+                "key",
+                " ",
+                "π",
+                "🦀",
+                "\u{1}",
+                "\\n",
+                "\\\"",
+                "\\\\",
+                "\\/",
+                "\\u0041",
+                "\\ud83e\\udd80",
+                "\\ud83e",
+                "\\u+041",
+                "\\x",
+                "\\u00",
+            ];
+            let plain = rng.gen_range(0..2) == 0;
+            let mut s = String::from("\"");
+            for _ in 0..rng.gen_range(0..6) {
+                let upto = if plain { 6 } else { pieces.len() };
+                s.push_str(pieces[rng.gen_range(0..upto)]);
+            }
+            if rng.gen_range(0..10) > 0 {
+                s.push('"');
+            }
+            s
+        }
+
+        fn ws(rng: &mut ChaCha12Rng) -> &'static str {
+            ["", " ", "\n  ", "\t"][rng.gen_range(0..4usize)]
+        }
+
+        fn document(rng: &mut ChaCha12Rng, depth: u32) -> String {
+            match rng.gen_range(0..if depth == 0 { 4 } else { 6 }) {
+                0 | 1 => number(rng),
+                2 => string(rng),
+                3 => ["true", "null", "nul", "x"][rng.gen_range(0..4usize)].into(),
+                4 => {
+                    let items: Vec<String> = (0..rng.gen_range(0..5))
+                        .map(|_| format!("{}{}", ws(rng), document(rng, depth - 1)))
+                        .collect();
+                    format!("[{}{}]", items.join(","), ws(rng))
+                }
+                _ => {
+                    let fields: Vec<String> = (0..rng.gen_range(0..4))
+                        .map(|_| format!("{}:{}{}", string(rng), ws(rng), document(rng, depth - 1)))
+                        .collect();
+                    format!("{{{}}}", fields.join(","))
+                }
+            }
+        }
+
+        /// Cut, drop or insert one character, or leave the text whole.
+        fn damage(rng: &mut ChaCha12Rng, text: String) -> String {
+            let bounds: Vec<usize> = text
+                .char_indices()
+                .map(|(i, _)| i)
+                .chain([text.len()])
+                .collect();
+            let at = bounds[rng.gen_range(0..bounds.len())];
+            match rng.gen_range(0..4) {
+                0 => text[..at].to_string(),
+                1 if at < text.len() => {
+                    let next = bounds
+                        .iter()
+                        .find(|&&b| b > at)
+                        .copied()
+                        .unwrap_or(text.len());
+                    format!("{}{}", &text[..at], &text[next..])
+                }
+                2 => {
+                    let c = ["\"", "\\", "-", "+", ".", "e", "0", ",", "]", "}"]
+                        [rng.gen_range(0..10usize)];
+                    format!("{}{c}{}", &text[..at], &text[at..])
+                }
+                _ => text,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            #[test]
+            fn fast_paths_agree_with_the_general_path(seed in 0u64..u64::MAX, depth in 0u32..4) {
+                let mut rng = ChaCha12Rng::seed_from_u64(seed);
+                let text = document(&mut rng, depth);
+                let text = damage(&mut rng, text);
+                prop_assert_eq!(parse_with::<true>(&text), parse_with::<false>(&text), "{}", text);
+            }
+        }
+
+        #[test]
+        fn named_numeric_tokens_agree() {
+            for token in [
+                "007",
+                "+5",
+                "-0",
+                "0",
+                "1234567890123456789",
+                "12345678901234567890",
+                "18446744073709551615",
+                "18446744073709551616",
+                "99999999999999999999999",
+                "12+3",
+                "1e5",
+                "-",
+                "1.",
+                "9-",
+                "[007,+5,-0]",
+                "[1234567890123456789 ]",
+            ] {
+                assert_eq!(
+                    parse_with::<true>(token),
+                    parse_with::<false>(token),
+                    "{token}"
+                );
+            }
+        }
     }
 }

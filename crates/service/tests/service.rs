@@ -724,7 +724,7 @@ fn running_jobs_snapshot_walker_history_without_a_backend_tag() {
     for walker in run.field("walkers").unwrap().as_array().unwrap() {
         let history = walker.field("history").unwrap();
         assert!(history.field("backend").is_err(), "{history:?}");
-        assert!(history.field("edges").is_ok(), "{history:?}");
+        assert!(history.field("keys").is_ok(), "{history:?}");
     }
     assert!(resume_small(&snap).is_ok());
 
@@ -745,7 +745,7 @@ fn running_jobs_snapshot_walker_history_without_a_backend_tag() {
         err.starts_with("job 0: "),
         "error does not name the job: {err}"
     );
-    assert!(err.contains("edges"), "error does not name `edges`: {err}");
+    assert!(err.contains("keys"), "error does not name `keys`: {err}");
 
     // A GNRW history in the layout with separate arenas for the planless
     // and plan slots is refused the same way.
@@ -763,7 +763,31 @@ fn running_jobs_snapshot_walker_history_without_a_backend_tag() {
         .err()
         .expect("an old-format GNRW history resumed");
     assert!(
-        err.starts_with("job 0: ") && err.contains("missing field `edges`"),
+        err.starts_with("job 0: ") && err.contains("missing field `keys`"),
+        "{err}"
+    );
+
+    // So is a GNRW history that holds one object per edge (`edges`), the
+    // layout before the engine wrote its state column-wise.
+    let mut old = snap.clone();
+    let walkers = field_mut(field_mut(entry_mut(&mut old, "jobs", 0), "run"), "walkers");
+    let Value::Arr(walkers) = walkers else {
+        panic!("walkers is not an array");
+    };
+    for walker in walkers {
+        let entry = Value::obj([
+            ("key", Value::Uint(1)),
+            ("kind", Value::Str("inline".into())),
+            ("used", Value::Arr(Vec::new())),
+            ("sub_cycle", Value::Arr(Vec::new())),
+        ]);
+        *field_mut(walker, "history") = Value::obj([("edges", Value::Arr(vec![entry]))]);
+    }
+    let err = resume_small(&old)
+        .err()
+        .expect("a per-entry GNRW history resumed");
+    assert!(
+        err.starts_with("job 0: ") && err.contains("missing field `keys`"),
         "{err}"
     );
 }

@@ -316,10 +316,11 @@ fn snapshot_text_is_deterministic() {
 
 #[test]
 fn pre_change_history_snapshots_are_refused_without_mutation() {
-    // A walker's `history` is the circulation engine's state. Snapshots
-    // taken before the engine became the only one wrap it as
-    // `{"backend": …, "engine": …}`; such a snapshot gives an `Err` naming
-    // the first engine field it lacks, and the walker is left unchanged.
+    // A walker's `history` is the circulation engine's state, column-wise.
+    // Snapshots taken before the engine became the only one wrap it as
+    // `{"backend": …, "engine": …}`, and later ones hold one object per
+    // edge (CNRW's `slots`, GNRW's `edges`). Either gives an `Err` naming
+    // the first field it lacks, and the walker is left unchanged.
     for (name, make) in walker_zoo().into_iter().skip(3) {
         let mut client = SimulatedOsn::from_graph(test_graph());
         let mut rng = ChaCha12Rng::seed_from_u64(5);
@@ -328,22 +329,140 @@ fn pre_change_history_snapshots_are_refused_without_mutation() {
             walker.step(&mut client, &mut rng).unwrap();
         }
         let state = walker.export_state();
-        let Value::Obj(mut fields) = state.clone() else {
-            panic!("{name}: walker state is not an object");
+        let with_history = |edit: &dyn Fn(&mut Value)| {
+            let Value::Obj(mut fields) = state.clone() else {
+                panic!("{name}: walker state is not an object");
+            };
+            let (_, history) = fields.iter_mut().find(|(k, _)| k == "history").unwrap();
+            edit(history);
+            Value::Obj(fields)
         };
-        let (_, history) = fields.iter_mut().find(|(k, _)| k == "history").unwrap();
-        let engine = std::mem::replace(history, Value::Null);
-        *history = Value::obj([("backend", Value::Str("arena".into())), ("engine", engine)]);
-        let err = walker.import_state(&Value::Obj(fields)).unwrap_err();
-        assert!(
-            err.contains("missing field `threshold`") || err.contains("missing field `edges`"),
-            "{name}: unexpected error: {err}"
-        );
-        assert_eq!(
-            walker.export_state().to_pretty(),
-            state.to_pretty(),
-            "{name}: walker mutated on error"
-        );
+        let wrapped = with_history(&|history| {
+            let engine = std::mem::replace(history, Value::Null);
+            *history = Value::obj([("backend", Value::Str("arena".into())), ("engine", engine)]);
+        });
+        let per_entry = with_history(&|history| {
+            let Value::Obj(columns) = history else {
+                panic!("history is not an object");
+            };
+            let list = if columns.iter().any(|(k, _)| k == "threshold") {
+                "slots"
+            } else {
+                "edges"
+            };
+            columns.retain(|(k, _)| k == "threshold" || k == "arena");
+            let entry = Value::obj([
+                ("key", Value::Uint(1)),
+                ("kind", Value::Str("inline".into())),
+                ("used", Value::Arr(Vec::new())),
+            ]);
+            columns.push((list.into(), Value::Arr(vec![entry])));
+        });
+        for (layout, old, missing) in [
+            ("wrapped", wrapped, ["threshold", "keys"].as_slice()),
+            ("per-entry", per_entry, ["keys"].as_slice()),
+        ] {
+            let err = walker.import_state(&old).unwrap_err();
+            assert!(
+                missing
+                    .iter()
+                    .any(|field| err.contains(&format!("missing field `{field}`"))),
+                "{name}, {layout}: unexpected error: {err}"
+            );
+            assert_eq!(
+                walker.export_state().to_pretty(),
+                state.to_pretty(),
+                "{name}, {layout}: walker mutated on error"
+            );
+        }
+    }
+}
+
+#[test]
+fn history_column_edits_are_refused_without_mutation() {
+    // Each edit of a history's columns that breaks its consistency gives
+    // an `Err` and leaves the walker unchanged, for both engines: CNRW's
+    // (with `promoted` triples into its `arena`) and GNRW's (with frozen
+    // `members`).
+    for (name, make) in walker_zoo().into_iter().skip(3) {
+        let mut client = SimulatedOsn::from_graph(test_graph());
+        let mut rng = ChaCha12Rng::seed_from_u64(9);
+        let mut walker = make();
+        for _ in 0..300 {
+            walker.step(&mut client, &mut rng).unwrap();
+        }
+        let state = walker.export_state();
+        let history = state.field("history").unwrap();
+        let column = |field: &str| -> Vec<u64> { history.field(field).unwrap().decode().unwrap() };
+        let Value::Obj(fields) = history else {
+            panic!("{name}: history is not an object");
+        };
+        // Every column but the shared arena has one row per edge or per
+        // counted item; the arena may hold slices invalidation freed.
+        let per_edge: Vec<&str> = fields
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .filter(|&k| k != "threshold" && k != "arena")
+            .collect();
+        let edit = |field: &str, f: &dyn Fn(&mut Vec<u64>)| {
+            let mut tampered = state.clone();
+            let Value::Obj(fields) = &mut tampered else {
+                unreachable!("checked above")
+            };
+            let (_, history) = fields.iter_mut().find(|(k, _)| k == "history").unwrap();
+            let Value::Obj(columns) = history else {
+                unreachable!("checked above")
+            };
+            let (_, values) = columns.iter_mut().find(|(k, _)| k == field).unwrap();
+            let mut items: Vec<u64> = values.decode().unwrap();
+            f(&mut items);
+            *values = Value::arr(&items);
+            tampered
+        };
+        let mut edits = Vec::new();
+        for &field in &per_edge {
+            edits.push((format!("{field} one longer"), edit(field, &|c| c.push(0))));
+            if !column(field).is_empty() {
+                edits.push((
+                    format!("{field} one shorter"),
+                    edit(field, &|c| {
+                        c.pop();
+                    }),
+                ));
+            }
+        }
+        edits.push((
+            "a pick count past the picks".into(),
+            edit("pick_counts", &|c| *c.last_mut().unwrap() += 1),
+        ));
+        edits.push(("an unknown stage".into(), edit("stages", &|c| c[0] = 3)));
+        edits.push(("a duplicate key".into(), edit("keys", &|c| c[1] = c[0])));
+        if per_edge.contains(&"promoted") {
+            let arena = history.field("arena").unwrap().as_array().unwrap().len() as u64;
+            assert!(!column("promoted").is_empty(), "{name}: no promoted edge");
+            edits.push((
+                "a slice outside the arena".into(),
+                edit("promoted", &|c| c[0] = arena),
+            ));
+        } else {
+            assert!(!column("members").is_empty(), "{name}: no promoted edge");
+            edits.push((
+                "members not a permutation".into(),
+                edit("members", &|c| c[1] = c[0]),
+            ));
+        }
+        for (what, tampered) in edits {
+            assert!(
+                walker.import_state(&tampered).is_err(),
+                "{name}: {what} imported"
+            );
+            assert_eq!(
+                walker.export_state().to_pretty(),
+                state.to_pretty(),
+                "{name}: {what} mutated the walker"
+            );
+        }
+        assert!(walker.import_state(&state).is_ok(), "{name}");
     }
 }
 
