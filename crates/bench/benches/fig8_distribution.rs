@@ -8,7 +8,8 @@ use std::sync::Arc;
 use osn_datasets::{facebook_like, Scale};
 use osn_estimate::metrics::EmpiricalDistribution;
 use osn_experiments::runner::TrialPlan;
-use osn_experiments::{Algorithm, GroupingSpec};
+use osn_experiments::Algorithm;
+use osn_walks::Grouping;
 
 fn fig8_instance(c: &mut Criterion) {
     let network = Arc::new(facebook_like(Scale::Default, 1).network);
@@ -20,7 +21,7 @@ fn fig8_instance(c: &mut Criterion) {
     for alg in [
         Algorithm::Srw,
         Algorithm::Cnrw,
-        Algorithm::Gnrw(GroupingSpec::ByDegree),
+        Algorithm::Gnrw(Grouping::by_degree()),
     ] {
         let plan = TrialPlan::steps(network.clone(), steps);
         group.bench_with_input(BenchmarkId::new(alg.label(), steps), &plan, |b, plan| {

@@ -24,12 +24,13 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use osn_bench::perf::bench_graphs;
 use osn_experiments::runner::TrialPlan;
-use osn_experiments::{Algorithm, GroupingSpec};
+use osn_experiments::Algorithm;
+use osn_walks::Grouping;
 
 /// Full GNRW walks per graph: scratch vs plan.
 fn gnrw_walks(c: &mut Criterion) {
     let graphs = bench_graphs();
-    let alg = Algorithm::Gnrw(GroupingSpec::ByDegree);
+    let alg = Algorithm::Gnrw(Grouping::by_degree());
     let steps = 20_000usize;
 
     let mut group = c.benchmark_group("gnrw_throughput");

@@ -10,7 +10,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use osn_bench::perf::bench_graphs;
 use osn_experiments::runner::TrialPlan;
-use osn_experiments::{Algorithm, GroupingSpec};
+use osn_experiments::Algorithm;
+use osn_walks::Grouping;
 
 fn walker_throughput(c: &mut Criterion) {
     let graphs = bench_graphs();
@@ -19,8 +20,8 @@ fn walker_throughput(c: &mut Criterion) {
         Algorithm::Mhrw,
         Algorithm::NbSrw,
         Algorithm::Cnrw,
-        Algorithm::Gnrw(GroupingSpec::ByDegree),
-        Algorithm::Gnrw(GroupingSpec::ByHash(8)),
+        Algorithm::Gnrw(Grouping::by_degree()),
+        Algorithm::Gnrw(Grouping::by_hash(8)),
         Algorithm::NbCnrw,
     ];
     let steps = 20_000usize;

@@ -173,12 +173,7 @@ fn parse_args() -> Options {
 /// Run the `perf` target: measure, optionally record, optionally diff
 /// against a baseline (warn-only — the perf gate never fails the build).
 fn run_perf(opts: &Options) -> ExperimentResult {
-    let config = if opts.quick {
-        perf::PerfConfig::quick()
-    } else {
-        perf::PerfConfig::new()
-    };
-    let result = perf::measure(&config);
+    let result = perf::measure(&perf::PerfConfig::new());
     if let Some(path) = &opts.record {
         std::fs::write(path, result.to_json()).expect("write perf record");
         eprintln!("perf baseline recorded to {}", path.display());

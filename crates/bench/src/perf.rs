@@ -5,17 +5,19 @@
 //! same walker matrix as `walker_throughput` with plain `Instant` timing
 //! and records **steps per second** into an [`ExperimentResult`] — one
 //! series per `graph/algorithm/path`, one point per repetition — so the
-//! numbers can be committed, diffed, and trended across PRs. `scripts/perf_check.sh` re-measures in quick mode
-//! and [`compare`]s against the committed baseline, warning (non-blocking)
-//! past [`REGRESSION_TOLERANCE`].
+//! numbers can be committed, diffed, and trended across PRs.
+//! `scripts/perf_check.sh` re-measures with the same plan and [`compare`]s
+//! against the committed baseline, warning (non-blocking) past
+//! [`REGRESSION_TOLERANCE`].
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use osn_datasets::{facebook_like, gplus_like, Scale};
 use osn_experiments::runner::TrialPlan;
-use osn_experiments::{Algorithm, ExperimentResult, GroupingSpec, Series};
+use osn_experiments::{Algorithm, ExperimentResult, Series};
 use osn_graph::attributes::AttributedGraph;
+use osn_walks::Grouping;
 
 /// Relative steps/sec drop beyond which [`compare`] emits a warning.
 pub const REGRESSION_TOLERANCE: f64 = 0.15;
@@ -41,22 +43,13 @@ pub struct PerfConfig {
 }
 
 impl PerfConfig {
-    /// Default plan: long enough walks for stable steps/sec.
+    /// The plan `repro perf` records and checks with (about 1.5 s): long
+    /// enough walks for stable steps/sec, and best of 3 reps, so a check
+    /// compares the same statistic the baseline recorded.
     pub fn new() -> Self {
         PerfConfig {
             steps: 200_000,
             reps: 3,
-        }
-    }
-
-    /// CI-sized plan (about a second). Keeps the walk length of the
-    /// default plan — steps/sec depends on it through cache warm-up, so a
-    /// shorter quick walk would read systematically slower than the
-    /// committed baseline — and only drops repetitions.
-    pub fn quick() -> Self {
-        PerfConfig {
-            steps: 200_000,
-            reps: 1,
         }
     }
 }
@@ -73,7 +66,7 @@ fn algorithms() -> [Algorithm; 4] {
     [
         Algorithm::Srw,
         Algorithm::Cnrw,
-        Algorithm::Gnrw(GroupingSpec::ByDegree),
+        Algorithm::Gnrw(Grouping::by_degree()),
         Algorithm::NbCnrw,
     ]
 }

@@ -1146,8 +1146,8 @@ impl GroupEdgeView<'_> {
     /// and record it, resetting the super-cycle once `N(v)` is covered.
     /// Returns the pick's index into `N(v)`.
     ///
-    /// `groups` is `N(v)`'s partition (ascending keys, members ascending by
-    /// index); it is read only while the edge is cold, and may be `None`
+    /// `groups` is `N(v)`'s partition (members ascending by index within a
+    /// group); it is read only while the edge is cold, and may be `None`
     /// once [`is_frozen`](Self::is_frozen). `counts` is caller-owned
     /// scratch. A cold edge first moves on if it qualifies: it promotes
     /// under [`PROMOTION_SPAN`], freezing `groups`, or spills a full inline
@@ -1483,22 +1483,20 @@ mod tests {
 
     /// `0..n` split into `k` groups by `m % k`: members ascending within a
     /// group and interleaved across groups, like a real partition.
-    fn modulo_groups(n: u32, k: u32) -> (Vec<u32>, Vec<u32>, Vec<u64>) {
+    fn modulo_groups(n: u32, k: u32) -> (Vec<u32>, Vec<u32>) {
         let mut members = Vec::new();
         let mut ends = Vec::new();
         for g in 0..k.min(n) {
             members.extend((0..n).filter(|m| m % k == g));
             ends.push(members.len() as u32);
         }
-        let keys = (0..ends.len() as u64).collect();
-        (members, ends, keys)
+        (members, ends)
     }
 
-    fn node_groups<'a>(parts: &'a (Vec<u32>, Vec<u32>, Vec<u64>)) -> NodeGroups<'a> {
+    fn node_groups<'a>(parts: &'a (Vec<u32>, Vec<u32>)) -> NodeGroups<'a> {
         NodeGroups {
             members: &parts.0,
             ends: &parts.1,
-            keys: &parts.2,
         }
     }
 

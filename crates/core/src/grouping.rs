@@ -1,20 +1,23 @@
-//! Grouping strategies for GNRW.
+//! GNRW's grouping `g(·)`.
 //!
 //! GNRW stratifies the neighbors of the current node into groups and
 //! circulates among groups before circulating within them. *Which* grouping
 //! to use is a modelling decision the paper studies directly (§4.1, Figure
 //! 9): group by the attribute you intend to aggregate and the walk
 //! propagates across attribute values faster, improving exactly the estimate
-//! you care about. The evaluated strategies:
+//! you care about. [`Grouping`] is that one function of interface-visible
+//! metadata; its constructors name the evaluated choices:
 //!
-//! * [`ByDegree`] — `GNRW_By_Degree`: similar-degree neighbors together;
-//! * [`ByAttribute`] — `GNRW_By_ReviewsCount` etc.: group by a profile
-//!   attribute (visible as listing metadata, see `osn-client`);
-//! * [`ByHash`] — `GNRW_By_MD5`: pseudorandom attribute-independent groups
-//!   (our stand-in hashes ids with FNV-1a instead of MD5; only uniformity
-//!   matters);
-//! * [`ByNode`] — singleton groups, the degenerate extreme where GNRW
-//!   collapses to CNRW (§4.1).
+//! * [`Grouping::by_degree`] — `GNRW_By_Degree`: similar-degree neighbors
+//!   together;
+//! * [`Grouping::by_attribute`] — `GNRW_By_ReviewsCount` etc.: group by a
+//!   profile attribute (visible as listing metadata, see `osn-client`);
+//! * [`Grouping::by_hash`] — `GNRW_By_MD5`: pseudorandom
+//!   attribute-independent groups (our stand-in hashes ids with FNV-1a
+//!   instead of MD5; only uniformity matters);
+//! * [`Grouping::by_node`] — singleton groups, one extreme of the design
+//!   space; `by_hash(1)`, one group, is the other. At both GNRW walks
+//!   CNRW's transition law (§4.1).
 //!
 //! ## Balanced strata and the singleton-group transient
 //!
@@ -32,8 +35,8 @@
 //! sorted by value and dealt into `k` equal-size strata per neighborhood.
 //! This honors "group similar values together" while keeping strata
 //! balanced, making the early-cycle marginal essentially uniform. The
-//! value-bucketed variants remain available ([`ByDegree::log2`],
-//! [`ByAttribute::with_bucketing`]) — the ablation bench compares them.
+//! value-bucketed variants remain available ([`Grouping::degree_log2`],
+//! [`Grouping::attribute_bucketed`]) — the ablation bench compares them.
 
 use osn_client::OsnClient;
 use osn_graph::NodeId;
@@ -45,7 +48,8 @@ use crate::fnv::hash_node_id;
 pub enum ValueBucketing {
     /// Every distinct value is its own group.
     Exact,
-    /// Fixed-width buckets: `floor(value / width)`.
+    /// Fixed-width buckets: `floor(value / width)`. The [`Grouping`]
+    /// constructors refuse a width that is not finite and positive.
     Linear(f64),
     /// Logarithmic buckets: `floor(log2(1 + value))` — natural for
     /// heavy-tailed attributes like degree or review counts.
@@ -62,16 +66,29 @@ impl ValueBucketing {
         };
         match self {
             ValueBucketing::Exact => v.to_bits(),
-            ValueBucketing::Linear(width) => {
-                debug_assert!(*width > 0.0, "bucket width must be positive");
-                (v / width).floor() as u64
-            }
+            ValueBucketing::Linear(width) => (v / width).floor() as u64,
             ValueBucketing::Log2 => (1.0 + v).log2().floor() as u64,
         }
     }
+
+    /// `self`, once its width is known to be finite and positive.
+    ///
+    /// # Panics
+    /// Panics on a `Linear` width that is zero, negative, NaN or infinite:
+    /// zero would send every positive value to the missing-attribute group
+    /// `u64::MAX`, and the others every value to bucket 0.
+    fn checked(self) -> Self {
+        if let ValueBucketing::Linear(width) = self {
+            assert!(
+                width.is_finite() && width > 0.0,
+                "bucket width must be finite and positive, got {width}"
+            );
+        }
+        self
+    }
 }
 
-/// Grouping mode shared by the value-driven strategies.
+/// Grouping mode shared by the value-driven rules.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Mode {
     /// Group by bucketed value (group key independent of the neighborhood).
@@ -88,7 +105,6 @@ fn assign_by_value<F: FnMut(NodeId) -> f64>(
     out: &mut Vec<u64>,
     mut value: F,
 ) {
-    out.clear();
     match mode {
         Mode::Bucketed(bucketing) => {
             out.extend(nodes.iter().map(|&n| bucketing.bucket(value(n))));
@@ -113,204 +129,155 @@ fn assign_by_value<F: FnMut(NodeId) -> f64>(
     }
 }
 
-/// A deterministic assignment of nodes to groups, computable by the sampler
-/// from interface-visible metadata only.
+/// What a [`Grouping`] reads to key a node.
+#[derive(Clone, Debug, PartialEq)]
+enum Rule {
+    Degree(Mode),
+    /// Nodes missing the attribute read as value 0 under quantile mode and
+    /// fall into the sentinel group `u64::MAX` under bucketed modes.
+    Attribute(String, Mode),
+    Hash(u64),
+    Node,
+}
+
+/// GNRW's grouping `g(·)`: a deterministic assignment of nodes to groups,
+/// computable by the sampler from interface-visible metadata only.
 ///
-/// Strategies assign keys for a whole neighbor list at once
-/// ([`assign`](Self::assign)) because balanced (quantile) strategies need
+/// Keys are assigned for a whole neighbor list at once
+/// ([`assign`](Self::assign)) because balanced (quantile) groupings need
 /// the neighborhood context; the group key of a node may therefore differ
 /// between neighborhoods, which is fine — GNRW's history is keyed per
 /// directed edge, where the neighborhood is fixed.
-pub trait GroupingStrategy {
-    /// Human-readable name for reports (e.g. `"GNRW_By_Degree"`).
-    fn label(&self) -> String;
-
-    /// Fill `out` with one group key per node in `nodes`. Must be
-    /// deterministic for a fixed `nodes` slice (static snapshot).
-    fn assign(&self, client: &dyn OsnClient, nodes: &[NodeId], out: &mut Vec<u64>);
-}
-
-/// Group neighbors by degree — the paper's `GNRW_By_Degree`.
-#[derive(Clone, Debug)]
-pub struct ByDegree {
-    mode: Mode,
-}
-
-impl ByDegree {
-    /// Default: rank-quantile grouping into 4 equal strata per
-    /// neighborhood (see the module discussion of balanced strata).
-    pub fn new() -> Self {
-        ByDegree {
-            mode: Mode::Quantile(4),
-        }
-    }
-
-    /// Rank-quantile grouping into `k` strata.
-    pub fn quantile(k: usize) -> Self {
-        ByDegree {
-            mode: Mode::Quantile(k),
-        }
-    }
-
-    /// Value-bucketed grouping: `floor(log2(1 + degree))`.
-    pub fn log2() -> Self {
-        ByDegree {
-            mode: Mode::Bucketed(ValueBucketing::Log2),
-        }
-    }
-
-    /// Value-bucketed grouping with custom bucketing.
-    pub fn with_bucketing(bucketing: ValueBucketing) -> Self {
-        ByDegree {
-            mode: Mode::Bucketed(bucketing),
-        }
-    }
-}
-
-impl Default for ByDegree {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl GroupingStrategy for ByDegree {
-    fn label(&self) -> String {
-        "GNRW_By_Degree".to_string()
-    }
-
-    fn assign(&self, client: &dyn OsnClient, nodes: &[NodeId], out: &mut Vec<u64>) {
-        assign_by_value(self.mode, nodes, out, |n| client.peek_degree(n) as f64);
-    }
-}
-
-/// Group neighbors by a profile attribute — e.g. the paper's
-/// `GNRW_By_ReviewsCount` on Yelp.
 ///
-/// Nodes missing the attribute read as value 0 under quantile mode and fall
-/// into a sentinel group under bucketed modes.
-#[derive(Clone, Debug)]
-pub struct ByAttribute {
-    name: String,
-    mode: Mode,
-}
-
-impl ByAttribute {
-    /// Group by `name` with the default rank-quantile (4 strata) mode.
-    pub fn new(name: impl Into<String>) -> Self {
-        ByAttribute {
-            name: name.into(),
-            mode: Mode::Quantile(4),
-        }
-    }
-
-    /// Rank-quantile grouping into `k` strata.
-    pub fn quantile(name: impl Into<String>, k: usize) -> Self {
-        ByAttribute {
-            name: name.into(),
-            mode: Mode::Quantile(k),
-        }
-    }
-
-    /// Value-bucketed grouping.
-    pub fn with_bucketing(name: impl Into<String>, bucketing: ValueBucketing) -> Self {
-        ByAttribute {
-            name: name.into(),
-            mode: Mode::Bucketed(bucketing),
-        }
-    }
-
-    /// The attribute name.
-    pub fn attribute(&self) -> &str {
-        &self.name
-    }
-}
-
-impl GroupingStrategy for ByAttribute {
-    fn label(&self) -> String {
-        format!("GNRW_By_{}", self.name)
-    }
-
-    fn assign(&self, client: &dyn OsnClient, nodes: &[NodeId], out: &mut Vec<u64>) {
-        match self.mode {
-            Mode::Bucketed(_) => {
-                out.clear();
-                out.extend(nodes.iter().map(|&n| {
-                    match client.peek_attribute(n, &self.name) {
-                        Some(v) => match self.mode {
-                            Mode::Bucketed(b) => b.bucket(v),
-                            Mode::Quantile(_) => unreachable!(),
-                        },
-                        None => u64::MAX, // sentinel "missing" group
-                    }
-                }));
-            }
-            Mode::Quantile(_) => {
-                assign_by_value(self.mode, nodes, out, |n| {
-                    client.peek_attribute(n, &self.name).unwrap_or(0.0)
-                });
-            }
-        }
-    }
-}
-
-/// Pseudorandom attribute-independent grouping — the paper's `GNRW_By_MD5`
-/// (we hash ids with FNV-1a; only the uniform, attribute-independent
-/// property of the hash is exercised).
+/// A `Grouping` is plain data: walkers, [`GroupPlan`]s and experiment
+/// specs carry it by value and compare it with `==`.
 ///
-/// With enough groups that most neighbors land alone, GNRW degenerates to
-/// CNRW — the paper's "one extreme" of the grouping design space (§4.1).
-#[derive(Clone, Copy, Debug)]
-pub struct ByHash {
-    groups: u64,
-}
+/// [`GroupPlan`]: crate::groupplan::GroupPlan
+#[derive(Clone, Debug, PartialEq)]
+pub struct Grouping(Rule);
 
-impl ByHash {
-    /// Hash into `groups` pseudorandom groups.
+impl Grouping {
+    /// The paper's `GNRW_By_Degree`, as rank-quantile grouping into 4 equal
+    /// strata per neighborhood (see the module discussion of balanced
+    /// strata).
+    pub fn by_degree() -> Self {
+        Self::degree_quantile(4)
+    }
+
+    /// Degree, rank-quantile grouping into `k` strata.
+    pub fn degree_quantile(k: usize) -> Self {
+        Grouping(Rule::Degree(Mode::Quantile(k)))
+    }
+
+    /// Degree, value-bucketed: `floor(log2(1 + degree))`.
+    pub fn degree_log2() -> Self {
+        Self::degree_bucketed(ValueBucketing::Log2)
+    }
+
+    /// Degree, value-bucketed with custom bucketing.
+    ///
+    /// # Panics
+    /// Panics on a `Linear` width that is not finite and positive.
+    pub fn degree_bucketed(bucketing: ValueBucketing) -> Self {
+        Grouping(Rule::Degree(Mode::Bucketed(bucketing.checked())))
+    }
+
+    /// A profile attribute — e.g. the paper's `GNRW_By_ReviewsCount` on
+    /// Yelp — with the default rank-quantile (4 strata) mode. Nodes missing
+    /// the attribute read as value 0.
+    pub fn by_attribute(name: impl Into<String>) -> Self {
+        Self::attribute_quantile(name, 4)
+    }
+
+    /// A profile attribute, rank-quantile grouping into `k` strata.
+    pub fn attribute_quantile(name: impl Into<String>, k: usize) -> Self {
+        Grouping(Rule::Attribute(name.into(), Mode::Quantile(k)))
+    }
+
+    /// A profile attribute, value-bucketed. Nodes missing the attribute
+    /// share the sentinel group `u64::MAX`.
+    ///
+    /// # Panics
+    /// Panics on a `Linear` width that is not finite and positive.
+    pub fn attribute_bucketed(name: impl Into<String>, bucketing: ValueBucketing) -> Self {
+        Grouping(Rule::Attribute(
+            name.into(),
+            Mode::Bucketed(bucketing.checked()),
+        ))
+    }
+
+    /// Pseudorandom attribute-independent grouping into `groups` groups —
+    /// the paper's `GNRW_By_MD5` (we hash ids with FNV-1a; only the
+    /// uniform, attribute-independent property of the hash is exercised).
     ///
     /// # Panics
     /// Panics if `groups == 0`.
-    pub fn new(groups: u64) -> Self {
+    pub fn by_hash(groups: u64) -> Self {
         assert!(groups > 0, "need at least one group");
-        ByHash { groups }
-    }
-}
-
-impl GroupingStrategy for ByHash {
-    fn label(&self) -> String {
-        "GNRW_By_MD5".to_string()
+        Grouping(Rule::Hash(groups))
     }
 
-    fn assign(&self, _client: &dyn OsnClient, nodes: &[NodeId], out: &mut Vec<u64>) {
+    /// Every neighbor in its own group: the group pick is the member pick,
+    /// so GNRW walks CNRW's transition law (§4.1).
+    pub fn by_node() -> Self {
+        Grouping(Rule::Node)
+    }
+
+    /// Human-readable name for reports (e.g. `"GNRW_By_Degree"`).
+    pub fn label(&self) -> String {
+        match &self.0 {
+            Rule::Degree(_) => "GNRW_By_Degree".to_string(),
+            Rule::Attribute(name, _) => format!("GNRW_By_{name}"),
+            Rule::Hash(_) => "GNRW_By_MD5".to_string(),
+            Rule::Node => "GNRW_By_Node".to_string(),
+        }
+    }
+
+    /// Fill `out` with one group key per node in `nodes`, peeking degrees
+    /// and attributes through `client`. Deterministic for a fixed `nodes`
+    /// slice on a static snapshot.
+    pub fn assign(&self, client: &dyn OsnClient, nodes: &[NodeId], out: &mut Vec<u64>) {
         out.clear();
-        out.extend(nodes.iter().map(|&n| hash_node_id(n.0) % self.groups));
+        match &self.0 {
+            Rule::Degree(mode) => {
+                assign_by_value(*mode, nodes, out, |n| client.peek_degree(n) as f64);
+            }
+            Rule::Attribute(name, Mode::Bucketed(bucketing)) => {
+                out.extend(nodes.iter().map(|&n| {
+                    client
+                        .peek_attribute(n, name)
+                        .map_or(u64::MAX, |v| bucketing.bucket(v))
+                }));
+            }
+            Rule::Attribute(name, mode) => {
+                assign_by_value(*mode, nodes, out, |n| {
+                    client.peek_attribute(n, name).unwrap_or(0.0)
+                });
+            }
+            Rule::Hash(groups) => {
+                out.extend(nodes.iter().map(|&n| hash_node_id(n.0) % groups));
+            }
+            Rule::Node => out.extend(nodes.iter().map(|&n| u64::from(n.0))),
+        }
     }
 }
 
-/// Every neighbor in its own group — the *other* extreme of the grouping
-/// design space (§4.1): the group pick is the member pick, so GNRW
-/// collapses to plain CNRW. Mostly useful as a degenerate-grouping probe
-/// (a [`GroupPlan`](crate::groupplan::GroupPlan) built over it reports
-/// [`Singletons`](crate::groupplan::DegenerateGrouping::Singletons) and the
-/// plan-backed walker delegates to the CNRW step, bit-identical to
-/// [`Cnrw`](crate::walkers::Cnrw)).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ByNode;
-
-impl ByNode {
-    /// The singleton-groups strategy.
-    pub fn new() -> Self {
-        ByNode
+/// Lets [`Gnrw::with_backend`](crate::walkers::Gnrw::with_backend) keep
+/// taking a boxed grouping, as its callers pass one.
+impl From<Box<Grouping>> for Grouping {
+    fn from(grouping: Box<Grouping>) -> Self {
+        *grouping
     }
 }
 
-impl GroupingStrategy for ByNode {
-    fn label(&self) -> String {
-        "GNRW_By_Node".to_string()
-    }
+/// A source-compatible spelling of [`Grouping::degree_log2`], for callers
+/// not yet moved to [`Grouping`].
+pub enum ByDegree {}
 
-    fn assign(&self, _client: &dyn OsnClient, nodes: &[NodeId], out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(nodes.iter().map(|&n| u64::from(n.0)));
+impl ByDegree {
+    /// [`Grouping::degree_log2`].
+    pub fn log2() -> Grouping {
+        Grouping::degree_log2()
     }
 }
 
@@ -337,10 +304,10 @@ mod tests {
         SimulatedOsn::new(AttributedGraph::new(g, attrs).unwrap())
     }
 
-    fn groups_of(strategy: &dyn GroupingStrategy, client: &SimulatedOsn, ids: &[u32]) -> Vec<u64> {
+    fn groups_of(grouping: &Grouping, client: &SimulatedOsn, ids: &[u32]) -> Vec<u64> {
         let nodes: Vec<NodeId> = ids.iter().map(|&i| NodeId(i)).collect();
         let mut out = Vec::new();
-        strategy.assign(client, &nodes, &mut out);
+        grouping.assign(client, &nodes, &mut out);
         out
     }
 
@@ -361,7 +328,7 @@ mod tests {
     #[test]
     fn by_degree_log2_groups_hub_apart_from_spokes() {
         let c = client_with_reviews();
-        let s = ByDegree::log2();
+        let s = Grouping::degree_log2();
         let g = groups_of(&s, &c, &[0, 1, 2]);
         assert_ne!(g[0], g[1], "hub and spoke share a log2 bucket");
         assert_eq!(g[1], g[2]);
@@ -371,7 +338,7 @@ mod tests {
     #[test]
     fn quantile_groups_are_balanced() {
         let c = client_with_reviews();
-        let s = ByDegree::quantile(2);
+        let s = Grouping::degree_quantile(2);
         // Neighborhood of 4 spokes (all degree 1) + conceptually the hub:
         // with equal values the split is still into equal halves.
         let g = groups_of(&s, &c, &[1, 2, 3, 4]);
@@ -384,7 +351,7 @@ mod tests {
     #[test]
     fn quantile_orders_by_value() {
         let c = client_with_reviews();
-        let s = ByAttribute::quantile("reviews", 2);
+        let s = Grouping::attribute_quantile("reviews", 2);
         // Reviews: node1=0, node2=1, node3=10, node4=100.
         let g = groups_of(&s, &c, &[1, 2, 3, 4]);
         assert_eq!(g[0], g[1], "low-review nodes together");
@@ -395,9 +362,8 @@ mod tests {
     #[test]
     fn by_attribute_bucketed_reads_reviews() {
         let c = client_with_reviews();
-        let s = ByAttribute::with_bucketing("reviews", ValueBucketing::Log2);
+        let s = Grouping::attribute_bucketed("reviews", ValueBucketing::Log2);
         assert_eq!(s.label(), "GNRW_By_reviews");
-        assert_eq!(s.attribute(), "reviews");
         // reviews 0 -> bucket 0; 1 -> 1; 10 -> 3; 100 -> 6
         assert_eq!(groups_of(&s, &c, &[1, 2, 3, 4]), vec![0, 1, 3, 6]);
     }
@@ -405,9 +371,9 @@ mod tests {
     #[test]
     fn missing_attribute_sentinel_or_zero() {
         let c = client_with_reviews();
-        let bucketed = ByAttribute::with_bucketing("nope", ValueBucketing::Log2);
+        let bucketed = Grouping::attribute_bucketed("nope", ValueBucketing::Log2);
         assert_eq!(groups_of(&bucketed, &c, &[1]), vec![u64::MAX]);
-        let quantile = ByAttribute::new("nope");
+        let quantile = Grouping::by_attribute("nope");
         // All values read 0 -> still dealt into quantile strata.
         let g = groups_of(&quantile, &c, &[1, 2, 3, 4]);
         assert_eq!(g.len(), 4);
@@ -416,7 +382,7 @@ mod tests {
     #[test]
     fn by_hash_spreads_and_is_deterministic() {
         let c = client_with_reviews();
-        let s = ByHash::new(3);
+        let s = Grouping::by_hash(3);
         let a = groups_of(&s, &c, &[1, 2, 3, 4]);
         let b = groups_of(&s, &c, &[1, 2, 3, 4]);
         assert_eq!(a, b);
@@ -427,13 +393,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one group")]
     fn by_hash_zero_groups_panics() {
-        let _ = ByHash::new(0);
+        let _ = Grouping::by_hash(0);
     }
 
     #[test]
     fn quantile_deterministic_under_ties() {
         let c = client_with_reviews();
-        let s = ByDegree::quantile(2);
+        let s = Grouping::degree_quantile(2);
         // All spokes have degree 1: ties broken by node id, stable.
         let a = groups_of(&s, &c, &[4, 3, 2, 1]);
         let b = groups_of(&s, &c, &[4, 3, 2, 1]);
@@ -461,7 +427,7 @@ mod tests {
             let mut attrs = NodeAttributes::for_graph(&g);
             attrs.insert_float("score", score.clone()).unwrap();
             let c = SimulatedOsn::new(AttributedGraph::new(g, attrs).unwrap());
-            let s = ByAttribute::quantile("score", 4);
+            let s = Grouping::attribute_quantile("score", 4);
             let ids: Vec<u32> = (1..=spokes).rev().collect();
             let keys = groups_of(&s, &c, &ids);
             assert_eq!(
@@ -482,16 +448,28 @@ mod tests {
     #[test]
     fn by_node_assigns_singleton_groups() {
         let c = client_with_reviews();
-        let s = ByNode::new();
+        let s = Grouping::by_node();
         let g = groups_of(&s, &c, &[4, 1, 2]);
         assert_eq!(g, vec![4, 1, 2]);
         assert_eq!(s.label(), "GNRW_By_Node");
     }
 
     #[test]
+    #[should_panic(expected = "bucket width must be finite and positive")]
+    fn linear_bucket_width_must_be_finite_and_positive() {
+        for width in [0.0, -1.0, f64::NAN] {
+            let made = std::panic::catch_unwind(|| {
+                Grouping::degree_bucketed(ValueBucketing::Linear(width))
+            });
+            assert!(made.is_err(), "width {width} accepted");
+        }
+        Grouping::attribute_bucketed("reviews", ValueBucketing::Linear(f64::INFINITY));
+    }
+
+    #[test]
     fn linear_bucketing_of_attribute() {
         let c = client_with_reviews();
-        let s = ByAttribute::with_bucketing("reviews", ValueBucketing::Linear(50.0));
+        let s = Grouping::attribute_bucketed("reviews", ValueBucketing::Linear(50.0));
         assert_eq!(groups_of(&s, &c, &[1, 3, 4]), vec![0, 0, 2]);
     }
 }

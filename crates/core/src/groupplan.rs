@@ -1,20 +1,14 @@
 //! Precomputed group plans for GNRW.
 //!
 //! A cold GNRW edge steps on the partition of `N(v)`; the planless walker
-//! re-derives it at every such step — one strategy `assign` pass and a
+//! re-derives it at every such step — one [`Grouping::assign`] pass and a
 //! partition by key, work proportional to `deg(v)`. A [`GroupPlan`]
-//! hoists that work into one streaming pass over a static snapshot:
-//!
-//! * **Flat CSR-style storage** — per node, `member_perm` holds the local
-//!   neighbor indices grouped contiguously (groups in ascending key order,
-//!   members in ascending index order within a group — the partition
-//!   [`partition_by_key`] gives the planless step too), with
-//!   `adj_offsets`/`group_index` offset arrays locating each node's slice.
-//!   Memory is `O(E)` `u32`s.
-//! * **Degenerate-grouping detection** — per-node singleton groups or a
-//!   single group per node make GNRW *equal* to CNRW (paper §4.1's two
-//!   extremes); the plan detects both at build time so the walker can
-//!   delegate to the plain CNRW circulation, bit-identical to [`Cnrw`].
+//! hoists that work into one streaming pass over a static snapshot: per
+//! node, `member_perm` holds the local neighbor indices grouped
+//! contiguously (groups in ascending key order, members in ascending index
+//! order within a group — the partition [`partition_by_key`] gives the
+//! planless step too), with `adj_offsets`/`group_index` offset arrays
+//! locating each node's slice. Memory is `O(E)` `u32`s.
 //!
 //! A plan is immutable and shared (`Arc`) across walkers and threads;
 //! per-edge circulation state stays in the walker's own
@@ -28,42 +22,26 @@
 //! plan's partition of each `N(v)` is the one the planless step derives,
 //! and both walkers run the same Algorithm-2 step on the same edge state,
 //! so on a static snapshot a plan-backed walker's trace, accounting and
-//! snapshots equal the planless walker's bit for bit.
-//!
-//! [`Cnrw`]: crate::walkers::Cnrw
+//! snapshots equal the planless walker's bit for bit — for every grouping,
+//! the two extremes where GNRW walks CNRW's law included.
 
 use osn_client::{BudgetExhausted, OsnClient, QueryStats};
 use osn_graph::attributes::AttributedGraph;
 use osn_graph::partition::{partition_by_key, FlatPartition};
 use osn_graph::NodeId;
 
-use crate::grouping::GroupingStrategy;
-
-/// A grouping that makes GNRW collapse to CNRW (paper §4.1's two extremes
-/// of the grouping design space).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DegenerateGrouping {
-    /// Every node's neighbors fall in one group: group circulation is
-    /// vacuous and the walk is exactly CNRW.
-    SingleGroup,
-    /// Every neighbor is its own group: the group pick *is* the member
-    /// pick, again exactly CNRW.
-    Singletons,
-}
+use crate::grouping::Grouping;
 
 /// The partition of one node's neighbor list in flat form — a node's slice
 /// of a [`GroupPlan`], or what the planless step derives. `members` holds
-/// **local neighbor indices** (positions in `N(v)`), grouped contiguously;
-/// `ends`/`keys` describe the groups.
+/// **local neighbor indices** (positions in `N(v)`), grouped contiguously
+/// in ascending key order; `ends` closes each group.
 #[derive(Clone, Copy, Debug)]
 pub struct NodeGroups<'a> {
     /// Local neighbor indices, group-major; a permutation of `0..deg(v)`.
     pub members: &'a [u32],
     /// Per-group end offset (exclusive) into `members`.
     pub ends: &'a [u32],
-    /// Per-group strategy key, ascending, identical to what the planless
-    /// step derives.
-    pub keys: &'a [u64],
 }
 
 impl NodeGroups<'_> {
@@ -89,13 +67,6 @@ impl NodeGroups<'_> {
         (start, self.ends[g] as usize)
     }
 
-    /// Size of group `g`.
-    #[inline]
-    pub fn group_len(&self, g: usize) -> usize {
-        let (start, end) = self.bounds(g);
-        end - start
-    }
-
     /// The local neighbor indices of group `g`, ascending.
     #[inline]
     pub fn members_of(&self, g: usize) -> &[u32] {
@@ -110,15 +81,14 @@ impl<'a> From<&'a FlatPartition> for NodeGroups<'a> {
         NodeGroups {
             members: &part.perm,
             ends: &part.ends,
-            keys: &part.keys,
         }
     }
 }
 
 /// Free-peek [`OsnClient`] over a borrowed snapshot, used to drive
-/// [`GroupingStrategy::assign`] during plan construction. Neighbor queries
+/// [`Grouping::assign`] during plan construction. Neighbor queries
 /// answer from the graph without accounting — the plan is built by the
-/// *operator* of the snapshot, not by the budget-limited sampler; strategy
+/// *operator* of the snapshot, not by the budget-limited sampler; grouping
 /// peeks (degree, attributes) are free through any client anyway.
 struct PlanProbe<'a> {
     network: &'a AttributedGraph,
@@ -144,36 +114,34 @@ impl OsnClient for PlanProbe<'_> {
     }
 }
 
-/// The per-graph, per-strategy precomputed grouping: every node's neighbor
-/// partition in CSR-style flat storage. See the module docs for layout and
-/// equivalence guarantees.
+/// The per-graph, per-grouping precomputed partitions: every node's
+/// neighbor partition in CSR-style flat storage. See the module docs for
+/// layout and equivalence guarantees.
 #[derive(Debug)]
 pub struct GroupPlan {
-    strategy_label: String,
+    grouping: Grouping,
     /// `node_count + 1` offsets into `member_perm` (== the graph's CSR
     /// offsets, re-derived so the plan is self-contained).
     adj_offsets: Vec<u32>,
     /// Local neighbor indices, group-major per node (see [`NodeGroups`]).
     member_perm: Vec<u32>,
-    /// `node_count + 1` offsets into `group_ends` / `group_keys`.
+    /// `node_count + 1` offsets into `group_ends`.
     group_index: Vec<u32>,
     /// Per-group end offsets, local to the owning node's `members` slice.
     group_ends: Vec<u32>,
-    /// Per-group strategy keys, ascending per node.
-    group_keys: Vec<u64>,
     max_groups: usize,
-    degenerate: Option<DegenerateGrouping>,
 }
 
 impl GroupPlan {
     /// Build the plan: one streaming pass over the adjacency, running the
-    /// strategy's `assign` per neighborhood (attribute peeks answered from
-    /// the snapshot's real columns) and flattening each partition.
+    /// grouping's `assign` per neighborhood (attribute peeks answered from
+    /// the snapshot's real columns) and flattening each partition. The
+    /// plan keeps a copy of `grouping`.
     ///
     /// # Panics
     /// Panics if the graph holds more than `u32::MAX` directed edges (the
     /// flat `u32` offsets assume arc counts fit 32 bits).
-    pub fn build(network: &AttributedGraph, strategy: &dyn GroupingStrategy) -> Self {
+    pub fn build(network: &AttributedGraph, grouping: &Grouping) -> Self {
         let graph = &network.graph;
         let n = graph.node_count();
         assert!(
@@ -185,54 +153,32 @@ impl GroupPlan {
         let mut part = FlatPartition::default();
         let total_arcs = graph.total_degree() as usize;
         let mut plan = GroupPlan {
-            strategy_label: strategy.label(),
+            grouping: grouping.clone(),
             adj_offsets: Vec::with_capacity(n + 1),
             member_perm: Vec::with_capacity(total_arcs),
             group_index: Vec::with_capacity(n + 1),
             group_ends: Vec::new(),
-            group_keys: Vec::new(),
             max_groups: 0,
-            degenerate: None,
         };
         plan.adj_offsets.push(0);
         plan.group_index.push(0);
-        // A grouping is degenerate only if it is so on every node where the
-        // distinction matters (deg ≥ 2); trivial neighborhoods are
-        // compatible with both forms.
-        let mut all_single = true;
-        let mut all_singleton = true;
         for v in 0..n {
             let neighbors = graph.neighbors(NodeId(v as u32));
-            strategy.assign(&probe, neighbors, &mut keys);
+            grouping.assign(&probe, neighbors, &mut keys);
             debug_assert_eq!(keys.len(), neighbors.len(), "assign fills one key per node");
             partition_by_key(&keys, &mut part);
             plan.member_perm.extend_from_slice(&part.perm);
             plan.group_ends.extend_from_slice(&part.ends);
-            plan.group_keys.extend_from_slice(&part.keys);
             plan.adj_offsets.push(plan.member_perm.len() as u32);
             plan.group_index.push(plan.group_ends.len() as u32);
-            let g = part.group_count();
-            plan.max_groups = plan.max_groups.max(g);
-            if neighbors.len() >= 2 {
-                all_single &= g == 1;
-                all_singleton &= g == neighbors.len();
-            }
+            plan.max_groups = plan.max_groups.max(part.group_count());
         }
-        plan.degenerate = if n == 0 {
-            None
-        } else if all_single {
-            Some(DegenerateGrouping::SingleGroup)
-        } else if all_singleton {
-            Some(DegenerateGrouping::Singletons)
-        } else {
-            None
-        };
         plan
     }
 
-    /// The strategy's label (e.g. `GNRW_By_Degree`), for walker naming.
-    pub fn strategy_label(&self) -> &str {
-        &self.strategy_label
+    /// The grouping the plan was built from.
+    pub fn grouping(&self) -> &Grouping {
+        &self.grouping
     }
 
     /// Number of nodes the plan covers.
@@ -243,11 +189,6 @@ impl GroupPlan {
     /// Largest per-node group count.
     pub fn max_groups(&self) -> usize {
         self.max_groups
-    }
-
-    /// The CNRW-equivalent degeneration this grouping exhibits, if any.
-    pub fn degenerate(&self) -> Option<DegenerateGrouping> {
-        self.degenerate
     }
 
     /// Node `v`'s flat partition.
@@ -265,26 +206,22 @@ impl GroupPlan {
         NodeGroups {
             members: &self.member_perm[ms..me],
             ends: &self.group_ends[gs..ge],
-            keys: &self.group_keys[gs..ge],
         }
     }
 
     /// Approximate heap footprint in bytes: the `O(E)` flat arrays.
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
         (self.adj_offsets.capacity()
             + self.member_perm.capacity()
             + self.group_index.capacity()
             + self.group_ends.capacity())
-            * size_of::<u32>()
-            + self.group_keys.capacity() * size_of::<u64>()
+            * std::mem::size_of::<u32>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grouping::{ByAttribute, ByDegree, ByHash};
     use osn_graph::attributes::NodeAttributes;
     use osn_graph::GraphBuilder;
 
@@ -308,31 +245,31 @@ mod tests {
 
     #[test]
     fn plan_partition_matches_scratch_derivation() {
-        // For each node, the plan's (keys, members) must equal what the
-        // planless step computes: sorted keys, ascending member indices
-        // within a group.
+        // For each node, the plan's groups must be what the planless step
+        // computes: one key per group, keys ascending across groups,
+        // ascending member indices within a group.
         let network = reviews_network();
-        let strategy = ByAttribute::quantile("reviews", 2);
-        let plan = GroupPlan::build(&network, &strategy);
-        assert_eq!(plan.strategy_label(), "GNRW_By_reviews");
+        let grouping = Grouping::attribute_quantile("reviews", 2);
+        let plan = GroupPlan::build(&network, &grouping);
+        assert_eq!(plan.grouping(), &grouping);
         let probe = PlanProbe { network: &network };
         for v in 0..network.graph.node_count() {
             let v = NodeId(v as u32);
             let neighbors = network.graph.neighbors(v);
             let mut keys = Vec::new();
-            strategy.assign(&probe, neighbors, &mut keys);
+            grouping.assign(&probe, neighbors, &mut keys);
             let groups = plan.groups(v);
             assert_eq!(groups.len(), neighbors.len());
             let mut sorted_keys: Vec<u64> = keys.clone();
             sorted_keys.sort_unstable();
             sorted_keys.dedup();
-            assert_eq!(groups.keys, &sorted_keys[..], "node {v:?} keys");
-            for g in 0..groups.group_count() {
+            assert_eq!(groups.group_count(), sorted_keys.len(), "node {v:?} groups");
+            for (g, &key) in sorted_keys.iter().enumerate() {
                 let members = groups.members_of(g);
                 assert!(!members.is_empty());
                 assert!(members.windows(2).all(|w| w[0] < w[1]), "ascending");
                 for &m in members {
-                    assert_eq!(keys[m as usize], groups.keys[g], "member in group");
+                    assert_eq!(keys[m as usize], key, "member in group");
                 }
             }
         }
@@ -341,7 +278,7 @@ mod tests {
     #[test]
     fn plan_members_are_permutations() {
         let network = reviews_network();
-        let plan = GroupPlan::build(&network, &ByDegree::new());
+        let plan = GroupPlan::build(&network, &Grouping::by_degree());
         for v in 0..network.graph.node_count() {
             let v = NodeId(v as u32);
             let groups = plan.groups(v);
@@ -353,34 +290,11 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_detection() {
-        let network = reviews_network();
-        assert_eq!(
-            GroupPlan::build(&network, &ByHash::new(1)).degenerate(),
-            Some(DegenerateGrouping::SingleGroup)
-        );
-        // Exact bucketing of distinct per-node values: every neighbor its
-        // own group on every neighborhood of this network.
-        let singleton = ByAttribute::with_bucketing("reviews", crate::ValueBucketing::Exact);
-        assert_eq!(
-            GroupPlan::build(&network, &singleton).degenerate(),
-            Some(DegenerateGrouping::Singletons)
-        );
-        assert_eq!(
-            GroupPlan::build(&network, &ByAttribute::quantile("reviews", 2)).degenerate(),
-            None
-        );
-    }
-
-    #[test]
-    fn edgeless_graph_plan_is_trivially_degenerate() {
+    fn edgeless_graph_plan_is_empty() {
         let g = GraphBuilder::new().with_nodes(3).build().unwrap();
         let network = AttributedGraph::bare(g);
-        let plan = GroupPlan::build(&network, &ByDegree::new());
+        let plan = GroupPlan::build(&network, &Grouping::by_degree());
         assert_eq!(plan.node_count(), 3);
-        // No node has ≥ 2 neighbors, so grouping cannot matter anywhere:
-        // trivially the single-group degeneration.
-        assert_eq!(plan.degenerate(), Some(DegenerateGrouping::SingleGroup));
         assert_eq!(plan.max_groups(), 0);
         assert!(plan.groups(NodeId(0)).is_empty());
     }

@@ -438,7 +438,6 @@ mod tests {
         let groups = crate::groupplan::NodeGroups {
             members: &[0, 2, 1, 3],
             ends: &[2, 4],
-            keys: &[7, 42],
         };
         let mut rng = ChaCha12Rng::seed_from_u64(6);
         h.edge_view(NodeId(0), NodeId(1), 4)

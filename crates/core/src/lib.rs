@@ -22,7 +22,7 @@
 //! sampling **without replacement**, keyed by the incoming directed edge
 //! `(u, v)`: the walk circulates through `N(v)` before re-attempting any
 //! neighbor. GNRW stratifies `N(v)` into groups (by degree, an attribute, or
-//! a hash — see [`grouping`]) and circulates among groups, then within the
+//! a hash — one [`Grouping`]) and circulates among groups, then within the
 //! chosen group. Both provably preserve SRW's stationary distribution while
 //! never increasing — and usually decreasing — asymptotic variance.
 //!
@@ -34,8 +34,8 @@
 //!
 //! GNRW runs one step, Algorithm 2, on every edge. A hot edge freezes its
 //! neighbor partition when it promotes and never re-derives it; a cold
-//! edge partitions `N(v)` with the strategy, or reads it from a
-//! precomputed [`GroupPlan`] ([`groupplan`]) built once per graph+strategy
+//! edge partitions `N(v)` with the grouping, or reads it from a
+//! precomputed [`GroupPlan`] ([`groupplan`]) built once per graph+grouping
 //! and shared read-only across walkers. Both sources give the same
 //! partition, so a plan changes the cost of a walk, never its trace (see
 //! the `gnrw_throughput` bench).
@@ -94,8 +94,8 @@ pub mod walkers;
 
 pub use circulation::HistoryBackend;
 pub use frontier::{FrontierEntry, FrontierSampler, SharedFrontier};
-pub use grouping::{ByAttribute, ByDegree, ByHash, ByNode, GroupingStrategy, ValueBucketing};
-pub use groupplan::{DegenerateGrouping, GroupPlan, NodeGroups};
+pub use grouping::{ByDegree, Grouping, ValueBucketing};
+pub use groupplan::{GroupPlan, NodeGroups};
 pub use history::TouchedNodes;
 pub use orchestrator::{
     MultiWalkTrace, Never, OrchestratorReport, RestartEvent, RestartPolicy, RestartReason,

@@ -855,7 +855,7 @@ impl WalkOrchestrator {
     ///
     /// The orchestrator spec (fleet size, step cap, seed) must match the one
     /// that produced the snapshot, and `make_walker` must rebuild walkers of
-    /// the same algorithm/strategy — the caller's contract, exactly as for
+    /// the same algorithm/grouping — the caller's contract, exactly as for
     /// [`RandomWalk::import_state`].
     ///
     /// # Errors

@@ -9,15 +9,15 @@ use osn_serde::Value;
 use rand::RngCore;
 
 use crate::circulation::HistoryBackend;
-use crate::grouping::GroupingStrategy;
+use crate::grouping::Grouping;
 use crate::groupplan::{GroupPlan, NodeGroups};
-use crate::history::{EdgeHistory, GroupHistory, TouchedNodes};
+use crate::history::{GroupHistory, TouchedNodes};
 use crate::walker::{prev_from_value, prev_to_value, uniform_pick, RandomWalk};
 
 /// GroupBy Neighbors Random Walk (paper §4, Algorithm 2).
 ///
 /// Given the incoming transition `u → v`, the neighbors of `v` are first
-/// partitioned into groups by a [`GroupingStrategy`] `g(·)`; the walk then
+/// partitioned into groups by a [`Grouping`] `g(·)`; the walk then
 ///
 /// 1. maintains a **global** without-replacement set `b(u, v)` over `N(v)`
 ///    (reset once it reaches `N(v)`, as in CNRW — Algorithm 2's step 4):
@@ -37,159 +37,108 @@ use crate::walker::{prev_from_value, prev_to_value, uniform_pick, RandomWalk};
 /// the per-neighbor marginal.
 ///
 /// Theorem 4: same stationary distribution as SRW (`k_v / 2|E|`) for *any*
-/// grouping strategy, and asymptotic variance never above SRW's. When the
-/// grouping is aligned with the aggregate of interest (group by the measure
+/// grouping, and asymptotic variance never above SRW's. When the grouping
+/// is aligned with the aggregate of interest (group by the measure
 /// attribute), GNRW beats CNRW because it alternates between attribute
 /// strata faster.
 ///
-/// With per-node groups or a single group GNRW degenerates to CNRW. The
+/// With per-node groups or a single group GNRW walks CNRW's transition law:
+/// every window of `deg(v)` draws off one edge covers `N(v)`. The
 /// interesting regime is a handful of value-homogeneous groups.
 ///
-/// ## One step, two sources of groups
+/// ## One step, one partition read
 ///
 /// Every historied step is Algorithm 2's, run by the edge's
 /// [`GroupEdgeView::step`](crate::history::GroupEdgeView::step) with two
 /// `gen_range` draws. It needs `N(v)`'s partition only while the edge is
 /// cold: an edge that promotes freezes its partition in the walker's
-/// history, and a hot edge's step reads no strategy and no plan. A cold
-/// edge's partition comes from one of two sources:
-///
-/// * **Planless** ([`Gnrw::new`]) — the strategy and [`partition_by_key`]
-///   partition a copy of `N(v)`, in buffers reused across steps. Always
-///   available; the paper's step as written.
-/// * **Plan-backed** ([`Gnrw::with_plan`]) — the node's slice of a shared
-///   precomputed [`GroupPlan`]: the same partition on a static snapshot, so
-///   the walk is bit-identical to the planless one. Degenerate groupings
-///   (single group / all singletons) are detected by the plan and the
-///   walker then delegates wholesale to the CNRW circulation —
-///   bit-identical to [`Cnrw`](crate::walkers::Cnrw) by construction. On an
-///   evolving graph the plan keeps the partition of each `N(v)` it was
-///   built over: at a node whose live degree no longer matches the plan,
-///   a cold edge steps on the one-group partition of the live `N(v)` (any
-///   grouping keeps Theorem 4), so the walk stays correct after
-///   [`RandomWalk::invalidate_node`] without a rebuilt plan.
+/// history, and a hot edge's step reads no grouping and no plan. A cold
+/// edge reads its partition once: from the node's slice of a shared
+/// precomputed [`GroupPlan`] ([`Gnrw::with_plan`]) when that slice covers
+/// the live `N(v)`, else from the grouping's keys over a copy of `N(v)`
+/// and [`partition_by_key`], in buffers reused across steps. On a static
+/// snapshot the two give the same partition, so a plan walker is the
+/// planless walker ([`Gnrw::new`]) bit for bit. On an evolving graph the
+/// plan keeps the partition of each `N(v)` it was built over: at a node
+/// whose live degree no longer matches it, the walker partitions the live
+/// `N(v)` exactly as the planless walker does, so the walk stays correct
+/// after [`RandomWalk::invalidate_node`] without a rebuilt plan.
 pub struct Gnrw {
     prev: Option<NodeId>,
     current: NodeId,
-    groups: GroupSource,
-    strategy_label: String,
+    grouping: Grouping,
+    plan: Option<Arc<GroupPlan>>,
     history: GroupHistory,
-    /// `Some` when the plan detected a CNRW-degenerate grouping: the step
-    /// replicates `Cnrw::step` against this history verbatim.
-    cnrw: Option<EdgeHistory>,
     label: String,
-    // Per-step buffers, reused across the walk. A cold edge's partition is
-    // built in `scratch_partition` from `scratch_assignments` — the
-    // strategy's keys over a copy of `N(v)`, or the all-zero keys of a
-    // plan's one-group fallback — and `counts` holds its per-group
-    // (unvisited, attempted) counts.
+    // Per-step buffers, reused across the walk. A cold edge off the plan
+    // is partitioned in `scratch_partition` from `scratch_keys`, the
+    // grouping's keys over `scratch_neighbors`, a copy of `N(v)`; `counts`
+    // holds a cold step's per-group (unvisited, attempted) counts.
     scratch_neighbors: Vec<NodeId>,
-    scratch_assignments: Vec<u64>,
+    scratch_keys: Vec<u64>,
     scratch_partition: FlatPartition,
     counts: Vec<(u32, bool)>,
 }
 
-/// Where a cold edge's partition of `N(v)` comes from.
-enum GroupSource {
-    /// The strategy, run over `N(v)` at the step.
-    Strategy(Box<dyn GroupingStrategy + Send>),
-    /// The node's slice of a shared plan.
-    Plan(Arc<GroupPlan>),
-}
-
 impl Gnrw {
-    /// Start a walk at `start` with the given grouping strategy.
-    pub fn new(start: NodeId, strategy: Box<dyn GroupingStrategy + Send>) -> Self {
-        let strategy_label = strategy.label();
-        Self::build(start, GroupSource::Strategy(strategy), strategy_label, None)
+    /// Start a walk at `start` that partitions cold edges' `N(v)` with
+    /// `grouping`.
+    pub fn new(start: NodeId, grouping: Grouping) -> Self {
+        Self::build(start, grouping, None)
     }
 
-    /// [`Self::new`], for callers that still pass the [`HistoryBackend`]
-    /// shim; the value is ignored.
+    /// [`Self::new`], for callers that still pass a boxed grouping and the
+    /// [`HistoryBackend`] shim; the backend is ignored.
     pub fn with_backend(
         start: NodeId,
-        strategy: Box<dyn GroupingStrategy + Send>,
+        grouping: impl Into<Grouping>,
         _backend: HistoryBackend,
     ) -> Self {
-        Self::new(start, strategy)
+        Self::new(start, grouping.into())
     }
 
-    /// Start a plan-backed walk at `start`: cold edges read their
-    /// partition from the plan instead of running the strategy. The plan
-    /// is shared read-only; per-edge circulation state stays in this
-    /// walker. Degenerate groupings delegate to CNRW.
+    /// Start a plan-backed walk at `start` with the plan's grouping: cold
+    /// edges read their partition from the plan where it covers the live
+    /// `N(v)`. The plan is shared read-only; per-edge circulation state
+    /// stays in this walker.
     pub fn with_plan(start: NodeId, plan: Arc<GroupPlan>) -> Self {
-        let cnrw = plan.degenerate().map(|_| EdgeHistory::new());
-        let strategy_label = plan.strategy_label().to_string();
-        Self::build(start, GroupSource::Plan(plan), strategy_label, cnrw)
+        Self::build(start, plan.grouping().clone(), Some(plan))
     }
 
-    fn build(
-        start: NodeId,
-        groups: GroupSource,
-        strategy_label: String,
-        cnrw: Option<EdgeHistory>,
-    ) -> Self {
-        let label = format!("GNRW[{strategy_label}]");
+    fn build(start: NodeId, grouping: Grouping, plan: Option<Arc<GroupPlan>>) -> Self {
         Gnrw {
             prev: None,
             current: start,
-            groups,
-            strategy_label,
+            label: format!("GNRW[{}]", grouping.label()),
+            grouping,
+            plan,
             history: GroupHistory::new(),
-            cnrw,
-            label,
             scratch_neighbors: Vec::new(),
-            scratch_assignments: Vec::new(),
+            scratch_keys: Vec::new(),
             scratch_partition: FlatPartition::default(),
             counts: Vec::new(),
         }
     }
 
-    /// Whether this walker delegates to the CNRW circulation because its
-    /// plan detected a degenerate grouping.
-    pub fn is_cnrw_degenerate(&self) -> bool {
-        self.cnrw.is_some()
-    }
-
-    /// The strategy's own label (e.g. `GNRW_By_Degree`), used by the
-    /// Figure 9 experiment to distinguish variants.
-    pub fn strategy_label(&self) -> String {
-        self.strategy_label.clone()
+    /// The grouping `g(·)` this walker partitions neighborhoods with.
+    pub fn grouping(&self) -> &Grouping {
+        &self.grouping
     }
 
     /// Number of directed edges with live circulation state.
     pub fn tracked_edges(&self) -> usize {
-        match &self.cnrw {
-            Some(cnrw) => cnrw.tracked_edges(),
-            None => self.history.tracked_edges(),
-        }
+        self.history.tracked_edges()
     }
 
     /// Total recorded history entries (memory-profile metric).
     pub fn history_entries(&self) -> usize {
-        match &self.cnrw {
-            Some(cnrw) => cnrw.total_entries(),
-            None => self.history.total_entries(),
-        }
+        self.history.total_entries()
     }
 
     /// Allocated history-arena capacity in entries. [`RandomWalk::restart`]
     /// keeps this unchanged — the slab is reused, not re-allocated.
     pub fn arena_capacity(&self) -> usize {
         self.history.arena_capacity()
-    }
-
-    /// Drop the state of every edge `(*, v)` with `v` accepted by
-    /// `is_touched`: both the group circulation `S(u, v)` and the global set
-    /// `b(u, v)` are populations derived from `N(v)`. On the degenerate plan
-    /// path the state lives in the CNRW delegate instead.
-    fn invalidate_targets(&mut self, is_touched: impl Fn(NodeId) -> bool) -> usize {
-        let mut dropped = self.history.invalidate_targets(&is_touched);
-        if let Some(cnrw) = &mut self.cnrw {
-            dropped += cnrw.invalidate_targets(&is_touched);
-        }
-        dropped
     }
 }
 
@@ -212,54 +161,33 @@ impl RandomWalk for Gnrw {
         if neighbors.is_empty() {
             return Ok(v);
         }
-        let next = match (self.prev, &mut self.cnrw) {
+        let next = match self.prev {
             // No incoming edge yet: plain SRW step.
-            (None, _) => uniform_pick(neighbors, rng),
-            // Degenerate grouping: replicate `Cnrw::step` verbatim (same
-            // draws straight off `rng`), so traces are bit-identical to a
-            // CNRW walker on the same seed.
-            (Some(u), Some(cnrw)) => cnrw
-                .draw(u, v, neighbors, rng)
-                .expect("non-empty neighbor list"),
-            (Some(u), None) => {
+            None => uniform_pick(neighbors, rng),
+            Some(u) => {
                 let mut view = self.history.edge_view(u, v, neighbors.len());
                 if view.is_frozen() {
                     neighbors[view.step(None, &mut self.counts, rng)]
                 } else {
-                    let part = &mut self.scratch_partition;
-                    let keys = &mut self.scratch_assignments;
-                    match &self.groups {
-                        GroupSource::Plan(plan) => {
-                            // The plan partitions `N(v)` as it was when the
-                            // plan was built. If a mutation has since
-                            // changed `deg(v)`, its member indices no
-                            // longer cover the live list: step with the
-                            // one-group partition of the live `N(v)`
-                            // instead. Theorem 4 holds for any grouping,
-                            // and invalidation already dropped the edge
-                            // state built on the old list.
-                            let planned = plan.groups(v);
-                            let groups = if planned.len() == neighbors.len() {
-                                planned
-                            } else {
-                                keys.clear();
-                                keys.resize(neighbors.len(), 0);
-                                partition_by_key(keys, part);
-                                NodeGroups::from(&*part)
-                            };
+                    match self.plan.as_ref().map(|plan| plan.groups(v)) {
+                        // The plan's slice covers the live `N(v)` unless a
+                        // mutation has changed `deg(v)` since the build;
+                        // invalidation then dropped the edge state built
+                        // on the old list.
+                        Some(groups) if groups.len() == neighbors.len() => {
                             neighbors[view.step(Some(&groups), &mut self.counts, rng)]
                         }
-                        GroupSource::Strategy(strategy) => {
-                            // The strategy peeks through the client, so
+                        _ => {
+                            // The grouping peeks through the client, so
                             // partition a copy of the list (metadata peeks
                             // are free).
-                            let neighbors_copy = &mut self.scratch_neighbors;
-                            neighbors_copy.clear();
-                            neighbors_copy.extend_from_slice(neighbors);
-                            strategy.assign(&*client, neighbors_copy, keys);
-                            partition_by_key(keys, part);
-                            let groups = NodeGroups::from(&*part);
-                            neighbors_copy[view.step(Some(&groups), &mut self.counts, rng)]
+                            let copy = &mut self.scratch_neighbors;
+                            copy.clear();
+                            copy.extend_from_slice(neighbors);
+                            self.grouping.assign(&*client, copy, &mut self.scratch_keys);
+                            partition_by_key(&self.scratch_keys, &mut self.scratch_partition);
+                            let groups = NodeGroups::from(&self.scratch_partition);
+                            copy[view.step(Some(&groups), &mut self.counts, rng)]
                         }
                     }
                 }
@@ -274,54 +202,46 @@ impl RandomWalk for Gnrw {
         self.prev = None;
         self.current = start;
         self.history.clear();
-        if let Some(cnrw) = &mut self.cnrw {
-            cnrw.clear();
-        }
     }
 
     fn export_state(&self) -> Value {
-        // The grouping strategy/plan and label are construction-time spec,
-        // and the per-step buffers are transients — the walk position and
-        // the circulation history (frozen partitions included) are the
+        // The grouping, plan and label are construction-time spec, and the
+        // per-step buffers are transients — the walk position and the
+        // circulation history (frozen partitions included) are the
         // resumable state.
-        let history = match &self.cnrw {
-            Some(cnrw) => cnrw.export_state(),
-            None => self.history.export_state(),
-        };
         Value::obj([
             ("prev", prev_to_value(self.prev)),
             ("current", Value::Uint(u64::from(self.current.0))),
-            ("history", history),
+            ("history", self.history.export_state()),
         ])
     }
 
     fn import_state(&mut self, state: &Value) -> Result<(), String> {
-        let history_state = state.field("history")?;
+        let history = state.field("history")?;
         let prev = prev_from_value(state.field("prev")?)?;
         let current = NodeId(state.field("current")?.decode()?);
-        match &mut self.cnrw {
-            Some(cnrw) => *cnrw = EdgeHistory::import_state(history_state)?,
-            None => self.history = GroupHistory::import_state(history_state)?,
-        }
+        self.history = GroupHistory::import_state(history)?;
         self.prev = prev;
         self.current = current;
         Ok(())
     }
 
+    // Both the group circulation `S(u, v)` and the global set `b(u, v)` are
+    // populations derived from `N(v)`: a mutation at `v` drops every edge
+    // `(*, v)`.
     fn invalidate_node(&mut self, node: NodeId) -> usize {
-        self.invalidate_targets(|v| v == node)
+        self.history.invalidate_targets(|v| v == node)
     }
 
     fn invalidate_nodes(&mut self, nodes: &TouchedNodes) -> usize {
-        self.invalidate_targets(|v| nodes.contains(v))
+        self.history.invalidate_targets(|v| nodes.contains(v))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grouping::{ByAttribute, ByDegree, ByHash, ByNode, ValueBucketing};
-    use crate::walkers::Cnrw;
+    use crate::grouping::ValueBucketing;
     use osn_client::SimulatedOsn;
     use osn_graph::attributes::{AttributedGraph, NodeAttributes};
     use osn_graph::GraphBuilder;
@@ -354,7 +274,7 @@ mod tests {
     fn stationary_matches_srw_target() {
         let mut client = two_community_client();
         let mut rng = ChaCha12Rng::seed_from_u64(0);
-        let mut w = Gnrw::new(NodeId(0), Box::new(ByAttribute::new("community")));
+        let mut w = Gnrw::new(NodeId(0), Grouping::by_attribute("community"));
         let steps = 150_000;
         let mut visits = vec![0usize; client.graph().node_count()];
         for _ in 0..steps {
@@ -375,7 +295,7 @@ mod tests {
     fn by_hash_stationary_also_unbiased() {
         let mut client = two_community_client();
         let mut rng = ChaCha12Rng::seed_from_u64(1);
-        let mut w = Gnrw::new(NodeId(0), Box::new(ByHash::new(3)));
+        let mut w = Gnrw::new(NodeId(0), Grouping::by_hash(3));
         let steps = 150_000;
         let mut visits = vec![0usize; client.graph().node_count()];
         for _ in 0..steps {
@@ -391,15 +311,12 @@ mod tests {
     #[test]
     fn plan_stationary_matches_srw_target() {
         // Per-node visit frequencies of a plan-backed walk converge to the
-        // SRW target (Theorem 4). Exact value bucketing keeps the plan
-        // non-degenerate (the default quantile bucketing splits these small
-        // neighborhoods into singletons, which would delegate to CNRW).
+        // SRW target (Theorem 4).
         let network = two_community_network();
         let plan = Arc::new(GroupPlan::build(
             &network,
-            &ByAttribute::with_bucketing("community", ValueBucketing::Exact),
+            &Grouping::attribute_bucketed("community", ValueBucketing::Exact),
         ));
-        assert_eq!(plan.degenerate(), None);
         let mut client = SimulatedOsn::new(network);
         let mut rng = ChaCha12Rng::seed_from_u64(5);
         let mut w = Gnrw::with_plan(NodeId(0), plan);
@@ -441,10 +358,9 @@ mod tests {
         let network = AttributedGraph::bare(b.build().unwrap());
         // Log2 value buckets give the specific partition this test pins
         // down: {0} (deg 4), {2,3} (deg 2), {4} (deg 9).
-        let plan = Arc::new(GroupPlan::build(&network, &ByDegree::log2()));
-        assert_eq!(plan.degenerate(), None);
+        let plan = Arc::new(GroupPlan::build(&network, &Grouping::degree_log2()));
         let walkers = [
-            Gnrw::new(NodeId(0), Box::new(ByDegree::log2())),
+            Gnrw::new(NodeId(0), Grouping::degree_log2()),
             Gnrw::with_plan(NodeId(0), plan),
         ];
         for mut w in walkers {
@@ -491,7 +407,7 @@ mod tests {
     fn restart_clears_group_history() {
         let mut client = two_community_client();
         let mut rng = ChaCha12Rng::seed_from_u64(3);
-        let mut w = Gnrw::new(NodeId(0), Box::new(ByDegree::new()));
+        let mut w = Gnrw::new(NodeId(0), Grouping::by_degree());
         for _ in 0..100 {
             w.step(&mut client, &mut rng).unwrap();
         }
@@ -503,48 +419,14 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_plans_are_bit_identical_to_cnrw() {
-        // Singleton groups (ByNode) and a single group (ByHash(1)) both
-        // collapse GNRW to CNRW; the plan detects it and the walker must
-        // delegate, making traces bit-identical to a CNRW walker — the
-        // planless walk is NOT (it burns two draws per step to CNRW's one),
-        // so delegation is what delivers the paper's §4.1 equivalence.
-        let network = two_community_network();
-        let cnrw_trace = {
-            let mut client = SimulatedOsn::new(two_community_network());
-            let mut rng = ChaCha12Rng::seed_from_u64(33);
-            let mut w = Cnrw::new(NodeId(0));
-            (0..3000)
-                .map(|_| w.step(&mut client, &mut rng).unwrap())
-                .collect::<Vec<_>>()
-        };
-        for strategy in [
-            Box::new(ByNode::new()) as Box<dyn GroupingStrategy>,
-            Box::new(ByHash::new(1)),
-        ] {
-            let plan = Arc::new(GroupPlan::build(&network, strategy.as_ref()));
-            assert!(plan.degenerate().is_some(), "{}", strategy.label());
-            let mut client = SimulatedOsn::new(two_community_network());
-            let mut rng = ChaCha12Rng::seed_from_u64(33);
-            let mut w = Gnrw::with_plan(NodeId(0), plan);
-            assert!(w.is_cnrw_degenerate());
-            let trace: Vec<NodeId> = (0..3000)
-                .map(|_| w.step(&mut client, &mut rng).unwrap())
-                .collect();
-            assert_eq!(trace, cnrw_trace, "{} diverged from CNRW", strategy.label());
-        }
-    }
-
-    #[test]
     fn walker_state_roundtrips_and_plan_exports_equal_planless() {
         // Export mid-walk, import into a fresh walker, and check the two
         // continue bit-identically on the same RNG stream; the plan-backed
         // walker's export equals the planless walker's throughout.
-        let strategy = || ByAttribute::with_bucketing("community", ValueBucketing::Exact);
-        let plan = Arc::new(GroupPlan::build(&two_community_network(), &strategy()));
-        assert_eq!(plan.degenerate(), None);
+        let grouping = Grouping::attribute_bucketed("community", ValueBucketing::Exact);
+        let plan = Arc::new(GroupPlan::build(&two_community_network(), &grouping));
         let mut walkers = [
-            Gnrw::new(NodeId(0), Box::new(strategy())),
+            Gnrw::new(NodeId(0), grouping),
             Gnrw::with_plan(NodeId(0), Arc::clone(&plan)),
         ];
         let mut client = two_community_client();
@@ -588,8 +470,8 @@ mod tests {
         // an `Err` and leaves the walker unchanged.
         let mut client = two_community_client();
         let mut rng = ChaCha12Rng::seed_from_u64(8);
-        let strategy = ByAttribute::with_bucketing("community", ValueBucketing::Exact);
-        let mut w = Gnrw::new(NodeId(0), Box::new(strategy));
+        let grouping = Grouping::attribute_bucketed("community", ValueBucketing::Exact);
+        let mut w = Gnrw::new(NodeId(0), grouping);
         for _ in 0..300 {
             w.step(&mut client, &mut rng).unwrap();
         }
@@ -645,21 +527,25 @@ mod tests {
 
     #[test]
     fn labels() {
-        let w = Gnrw::new(NodeId(0), Box::new(ByDegree::new()));
+        let w = Gnrw::new(NodeId(0), Grouping::by_degree());
         assert_eq!(w.name(), "GNRW[GNRW_By_Degree]");
-        assert_eq!(w.strategy_label(), "GNRW_By_Degree");
+        assert_eq!(w.grouping(), &Grouping::by_degree());
+        // A plan walker walks the plan's grouping; quantile and log2 degree
+        // groupings share a label, not an identity.
         let network = two_community_network();
-        let plan = Arc::new(GroupPlan::build(&network, &ByDegree::new()));
+        let plan = Arc::new(GroupPlan::build(&network, &Grouping::degree_log2()));
         let w = Gnrw::with_plan(NodeId(0), plan);
         assert_eq!(w.name(), "GNRW[GNRW_By_Degree]");
-        assert_eq!(w.strategy_label(), "GNRW_By_Degree");
+        assert_eq!(w.grouping(), &Grouping::degree_log2());
+        assert_ne!(w.grouping(), &Grouping::by_degree());
     }
 
     #[test]
     fn single_group_behaves_like_cnrw() {
-        // ByHash with 1 group: all neighbors in one group -> pure CNRW
-        // circulation. Windows of |N| after-transit choices must be
-        // permutations, as in the CNRW test.
+        // The two extremes of the design space — one group (hash into 1
+        // group) and every neighbor its own group — walk CNRW's law:
+        // windows of |N| after-transit choices must be permutations, as in
+        // the CNRW test.
         let mut b = GraphBuilder::new();
         b.push_edge(0, 1);
         b.push_edge(1, 2);
@@ -667,26 +553,29 @@ mod tests {
         b.push_edge(2, 0);
         b.push_edge(3, 0);
         let g = b.build().unwrap();
-        let mut client = SimulatedOsn::from_graph(g);
-        let mut rng = ChaCha12Rng::seed_from_u64(4);
-        let mut w = Gnrw::new(NodeId(0), Box::new(ByHash::new(1)));
-        let mut after = Vec::new();
-        let mut prev = w.current();
-        for _ in 0..4000 {
-            let curr = w.step(&mut client, &mut rng).unwrap();
-            if prev == NodeId(0) && curr == NodeId(1) {
-                let nxt = w.step(&mut client, &mut rng).unwrap();
-                after.push(nxt);
-                prev = nxt;
-                continue;
+        for grouping in [Grouping::by_hash(1), Grouping::by_node()] {
+            let mut client = SimulatedOsn::from_graph(g.clone());
+            let mut rng = ChaCha12Rng::seed_from_u64(4);
+            let mut w = Gnrw::new(NodeId(0), grouping.clone());
+            let mut after = Vec::new();
+            let mut prev = w.current();
+            for _ in 0..4000 {
+                let curr = w.step(&mut client, &mut rng).unwrap();
+                if prev == NodeId(0) && curr == NodeId(1) {
+                    let nxt = w.step(&mut client, &mut rng).unwrap();
+                    after.push(nxt);
+                    prev = nxt;
+                    continue;
+                }
+                prev = curr;
             }
-            prev = curr;
-        }
-        // N(1) = {0, 2, 3}; windows of 3 must be permutations.
-        for win in after.chunks_exact(3) {
-            let mut ids: Vec<u32> = win.iter().map(|n| n.0).collect();
-            ids.sort_unstable();
-            assert_eq!(ids, vec![0, 2, 3], "window {win:?}");
+            assert!(after.len() > 100, "{grouping:?}");
+            // N(1) = {0, 2, 3}; windows of 3 must be permutations.
+            for win in after.chunks_exact(3) {
+                let mut ids: Vec<u32> = win.iter().map(|n| n.0).collect();
+                ids.sort_unstable();
+                assert_eq!(ids, vec![0, 2, 3], "{grouping:?}: window {win:?}");
+            }
         }
     }
 }

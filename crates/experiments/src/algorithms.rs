@@ -5,31 +5,7 @@ use std::sync::Arc;
 
 use osn_graph::attributes::AttributedGraph;
 use osn_graph::NodeId;
-use osn_walks::{
-    ByAttribute, ByDegree, ByHash, Cnrw, Gnrw, GroupPlan, Mhrw, NbCnrw, NbSrw, RandomWalk, Srw,
-};
-
-/// Which grouping GNRW uses (mirrors the paper's Figure 9 variants).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum GroupingSpec {
-    /// `GNRW_By_Degree`.
-    ByDegree,
-    /// `GNRW_By_MD5` (hash) with the given group count.
-    ByHash(u64),
-    /// `GNRW_By_<attribute>`.
-    ByAttribute(String),
-}
-
-impl GroupingSpec {
-    /// Instantiate the live grouping strategy this spec describes.
-    pub fn strategy(&self) -> Box<dyn osn_walks::GroupingStrategy + Send> {
-        match self {
-            GroupingSpec::ByDegree => Box::new(ByDegree::new()),
-            GroupingSpec::ByHash(groups) => Box::new(ByHash::new(*groups)),
-            GroupingSpec::ByAttribute(name) => Box::new(ByAttribute::new(name.clone())),
-        }
-    }
-}
+use osn_walks::{Cnrw, Gnrw, GroupPlan, Grouping, Mhrw, NbCnrw, NbSrw, RandomWalk, Srw};
 
 /// A sampler under test.
 #[derive(Clone, Debug, PartialEq)]
@@ -42,8 +18,9 @@ pub enum Algorithm {
     NbSrw,
     /// Circulated Neighbors RW (paper §3).
     Cnrw,
-    /// GroupBy Neighbors RW (paper §4) with a grouping choice.
-    Gnrw(GroupingSpec),
+    /// GroupBy Neighbors RW (paper §4) with a grouping choice (the paper's
+    /// Figure 9 variants are `by_degree`, `by_hash` and `by_attribute`).
+    Gnrw(Grouping),
     /// Non-backtracking CNRW (paper §5 extension).
     NbCnrw,
 }
@@ -56,9 +33,7 @@ impl Algorithm {
             Algorithm::Mhrw => "MHRW".to_string(),
             Algorithm::NbSrw => "NB-SRW".to_string(),
             Algorithm::Cnrw => "CNRW".to_string(),
-            Algorithm::Gnrw(GroupingSpec::ByDegree) => "GNRW_By_Degree".to_string(),
-            Algorithm::Gnrw(GroupingSpec::ByHash(_)) => "GNRW_By_MD5".to_string(),
-            Algorithm::Gnrw(GroupingSpec::ByAttribute(a)) => format!("GNRW_By_{a}"),
+            Algorithm::Gnrw(grouping) => grouping.label(),
             Algorithm::NbCnrw => "NB-CNRW".to_string(),
         }
     }
@@ -70,7 +45,7 @@ impl Algorithm {
             Algorithm::Mhrw => Box::new(Mhrw::new(start)),
             Algorithm::NbSrw => Box::new(NbSrw::new(start)),
             Algorithm::Cnrw => Box::new(Cnrw::new(start)),
-            Algorithm::Gnrw(spec) => Box::new(Gnrw::new(start, spec.strategy())),
+            Algorithm::Gnrw(grouping) => Box::new(Gnrw::new(start, grouping.clone())),
             Algorithm::NbCnrw => Box::new(NbCnrw::new(start)),
         }
     }
@@ -80,7 +55,7 @@ impl Algorithm {
     /// Build once per graph, share via `Arc` across trials and walkers.
     pub fn build_group_plan(&self, network: &AttributedGraph) -> Option<GroupPlan> {
         match self {
-            Algorithm::Gnrw(spec) => Some(GroupPlan::build(network, spec.strategy().as_ref())),
+            Algorithm::Gnrw(grouping) => Some(GroupPlan::build(network, grouping)),
             _ => None,
         }
     }
@@ -88,12 +63,15 @@ impl Algorithm {
     /// Instantiate a walker like [`Self::make`], but with GNRW running
     /// plan-backed against the shared `plan`. Non-GNRW samplers ignore the
     /// plan.
+    ///
+    /// # Panics
+    /// Panics if a GNRW algorithm gets a plan built from another grouping.
     pub fn make_planned(&self, start: NodeId, plan: Arc<GroupPlan>) -> Box<dyn RandomWalk + Send> {
         match self {
-            Algorithm::Gnrw(_) => {
-                debug_assert_eq!(
-                    plan.strategy_label(),
-                    self.label(),
+            Algorithm::Gnrw(grouping) => {
+                assert_eq!(
+                    plan.grouping(),
+                    grouping,
                     "group plan built for a different grouping"
                 );
                 Box::new(Gnrw::with_plan(start, plan))
@@ -117,7 +95,7 @@ impl Algorithm {
             Algorithm::Srw,
             Algorithm::NbSrw,
             Algorithm::Cnrw,
-            Algorithm::Gnrw(GroupingSpec::ByDegree),
+            Algorithm::Gnrw(Grouping::by_degree()),
         ]
     }
 
@@ -128,7 +106,7 @@ impl Algorithm {
             Algorithm::Srw,
             Algorithm::NbSrw,
             Algorithm::Cnrw,
-            Algorithm::Gnrw(GroupingSpec::ByDegree),
+            Algorithm::Gnrw(Grouping::by_degree()),
         ]
     }
 }
@@ -142,11 +120,11 @@ mod tests {
         assert_eq!(Algorithm::Srw.label(), "SRW");
         assert_eq!(Algorithm::NbSrw.label(), "NB-SRW");
         assert_eq!(
-            Algorithm::Gnrw(GroupingSpec::ByHash(16)).label(),
+            Algorithm::Gnrw(Grouping::by_hash(16)).label(),
             "GNRW_By_MD5"
         );
         assert_eq!(
-            Algorithm::Gnrw(GroupingSpec::ByAttribute("reviews_count".into())).label(),
+            Algorithm::Gnrw(Grouping::by_attribute("reviews_count")).label(),
             "GNRW_By_reviews_count"
         );
     }
@@ -163,8 +141,8 @@ mod tests {
             Algorithm::Mhrw,
             Algorithm::NbSrw,
             Algorithm::Cnrw,
-            Algorithm::Gnrw(GroupingSpec::ByDegree),
-            Algorithm::Gnrw(GroupingSpec::ByHash(4)),
+            Algorithm::Gnrw(Grouping::by_degree()),
+            Algorithm::Gnrw(Grouping::by_hash(4)),
             Algorithm::NbCnrw,
         ];
         for a in algorithms {
@@ -176,6 +154,18 @@ mod tests {
             }
             assert!(client.stats().issued >= 50, "{}", a.label());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "group plan built for a different grouping")]
+    fn make_planned_refuses_a_plan_of_another_grouping() {
+        // Quantile and log2 degree groupings share the label
+        // `GNRW_By_Degree`; only the groupings tell them apart.
+        let network = AttributedGraph::bare(osn_graph::generators::barbell(5, 5).unwrap());
+        let plan = Arc::new(GroupPlan::build(&network, &Grouping::degree_log2()));
+        let algorithm = Algorithm::Gnrw(Grouping::by_degree());
+        assert_eq!(plan.grouping().label(), algorithm.label());
+        algorithm.make_planned(NodeId(0), plan);
     }
 
     #[test]

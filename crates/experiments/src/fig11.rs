@@ -14,8 +14,9 @@ use std::sync::Arc;
 use osn_datasets::barbell_graph_sized;
 use osn_estimate::estimators::RatioEstimator;
 use osn_estimate::metrics::{l2_distance, relative_error, symmetric_kl, EmpiricalDistribution};
+use osn_walks::Grouping;
 
-use crate::algorithms::{Algorithm, GroupingSpec};
+use crate::algorithms::Algorithm;
 use crate::output::{ExperimentResult, Series};
 use crate::runner::{parallel_map, trial_seed, TrialPlan};
 
@@ -81,7 +82,7 @@ pub fn run(config: &Fig11Config) -> Fig11Results {
     let algorithms = vec![
         Algorithm::Srw,
         Algorithm::Cnrw,
-        Algorithm::Gnrw(GroupingSpec::ByDegree),
+        Algorithm::Gnrw(Grouping::by_degree()),
     ];
     let xs: Vec<f64> = config.sizes.iter().map(|&s| s as f64).collect();
 

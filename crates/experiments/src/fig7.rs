@@ -7,8 +7,9 @@
 use std::sync::Arc;
 
 use osn_datasets::{facebook_like, youtube_like, Scale};
+use osn_walks::Grouping;
 
-use crate::algorithms::{Algorithm, GroupingSpec};
+use crate::algorithms::Algorithm;
 use crate::output::{ExperimentResult, Series};
 use crate::sweeps::{bias_vs_budget, error_vs_budget, AggregateTarget, SweepConfig};
 
@@ -121,7 +122,7 @@ pub fn run(config: &Fig7Config) -> Fig7Results {
     let yt_algorithms = vec![
         Algorithm::Srw,
         Algorithm::Cnrw,
-        Algorithm::Gnrw(GroupingSpec::ByDegree),
+        Algorithm::Gnrw(Grouping::by_degree()),
     ];
     let series = error_vs_budget(
         yt.clone(),

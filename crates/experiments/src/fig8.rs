@@ -10,8 +10,9 @@ use std::sync::Arc;
 use osn_datasets::{facebook_like, Scale};
 use osn_estimate::metrics::EmpiricalDistribution;
 use osn_graph::attributes::AttributedGraph;
+use osn_walks::Grouping;
 
-use crate::algorithms::{Algorithm, GroupingSpec};
+use crate::algorithms::Algorithm;
 use crate::output::{ExperimentResult, Series};
 use crate::runner::{parallel_map, trial_seed, TrialPlan};
 
@@ -76,7 +77,7 @@ pub fn run_panel(
     let algorithms = vec![
         Algorithm::Srw,
         Algorithm::Cnrw,
-        Algorithm::Gnrw(GroupingSpec::ByDegree),
+        Algorithm::Gnrw(Grouping::by_degree()),
     ];
 
     let mut result = ExperimentResult::new(

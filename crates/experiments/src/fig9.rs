@@ -17,8 +17,9 @@ use std::time::Instant;
 use osn_datasets::{yelp_like, Scale};
 use osn_estimate::estimators::RatioEstimator;
 use osn_estimate::metrics::relative_error;
+use osn_walks::Grouping;
 
-use crate::algorithms::{Algorithm, GroupingSpec};
+use crate::algorithms::Algorithm;
 use crate::output::{ExperimentResult, Series};
 use crate::runner::{parallel_map, trial_seed, TrialPlan};
 use crate::sweeps::{error_vs_budget, AggregateTarget, SweepConfig};
@@ -62,9 +63,9 @@ impl Fig9Config {
     fn algorithms(&self) -> Vec<Algorithm> {
         vec![
             Algorithm::Srw,
-            Algorithm::Gnrw(GroupingSpec::ByDegree),
-            Algorithm::Gnrw(GroupingSpec::ByHash(self.hash_groups)),
-            Algorithm::Gnrw(GroupingSpec::ByAttribute("reviews_count".to_string())),
+            Algorithm::Gnrw(Grouping::by_degree()),
+            Algorithm::Gnrw(Grouping::by_hash(self.hash_groups)),
+            Algorithm::Gnrw(Grouping::by_attribute("reviews_count")),
         ]
     }
 }
@@ -126,7 +127,7 @@ pub fn run(config: &Fig9Config) -> Fig9Results {
 /// allowances (the x axis is the implied wall-clock per point).
 pub fn plan_equal_walltime(config: &Fig9Config, base_steps: &[usize]) -> ExperimentResult {
     let network = Arc::new(yelp_like(config.scale, config.sweep.seed).network);
-    let alg = Algorithm::Gnrw(GroupingSpec::ByDegree);
+    let alg = Algorithm::Gnrw(Grouping::by_degree());
     let plan = Arc::new(alg.build_group_plan(&network).expect("GNRW has a plan"));
     let truth = network.graph.average_degree();
 

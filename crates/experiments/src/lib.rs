@@ -50,6 +50,6 @@ pub mod sweeps;
 pub mod table1;
 pub mod theorem3;
 
-pub use algorithms::{Algorithm, GroupingSpec};
+pub use algorithms::Algorithm;
 pub use output::{ExperimentResult, Series};
 pub use runner::{parallel_map, trial_seed, Deadline, TrialPlan};

@@ -389,7 +389,7 @@ impl Deadline {
 mod tests {
     use super::*;
     use osn_datasets::{facebook_like, Scale};
-    use osn_walks::WalkStop;
+    use osn_walks::{Grouping, WalkStop};
 
     fn shared_net() -> Arc<AttributedGraph> {
         Arc::new(facebook_like(Scale::Test, 1).network)
@@ -527,14 +527,9 @@ mod tests {
 
     #[test]
     fn plan_backed_trials_are_deterministic_per_seed() {
-        use crate::algorithms::GroupingSpec;
         let net = shared_net();
-        let alg = Algorithm::Gnrw(GroupingSpec::ByDegree);
+        let alg = Algorithm::Gnrw(Grouping::by_degree());
         let plan = Arc::new(alg.build_group_plan(&net).unwrap());
-        assert!(
-            plan.degenerate().is_none(),
-            "fixture grouping must be non-degenerate for this comparison"
-        );
         // The plan only changes where cold edges get their partition: the
         // trial runs to the step cap, deterministic per seed, and walks the
         // planless trial's nodes.
@@ -548,10 +543,9 @@ mod tests {
 
     #[test]
     fn group_plan_is_ignored_by_planless_samplers() {
-        use crate::algorithms::GroupingSpec;
         let net = shared_net();
         let plan = Arc::new(
-            Algorithm::Gnrw(GroupingSpec::ByDegree)
+            Algorithm::Gnrw(Grouping::by_degree())
                 .build_group_plan(&net)
                 .unwrap(),
         );

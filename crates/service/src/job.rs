@@ -13,7 +13,7 @@ use osn_graph::attributes::AttributedGraph;
 use osn_graph::{CsrGraph, NodeId};
 use osn_serde::Value;
 use osn_walks::{
-    ByDegree, Cnrw, Gnrw, HistoryBackend, Mhrw, NbCnrw, NbSrw, NodeCnrw, RandomWalk, Srw,
+    Cnrw, Gnrw, Grouping, HistoryBackend, Mhrw, NbCnrw, NbSrw, NodeCnrw, RandomWalk, Srw,
     WalkOrchestrator,
 };
 
@@ -83,7 +83,7 @@ impl Algorithm {
             Algorithm::Cnrw => Box::new(Cnrw::new(start)),
             Algorithm::NodeCnrw => Box::new(NodeCnrw::new(start)),
             Algorithm::NbCnrw => Box::new(NbCnrw::new(start)),
-            Algorithm::GnrwByDegree => Box::new(Gnrw::new(start, Box::new(ByDegree::log2()))),
+            Algorithm::GnrwByDegree => Box::new(Gnrw::new(start, Grouping::degree_log2())),
         }
     }
 }

@@ -46,11 +46,11 @@ fn main() {
         ),
         (
             "GNRW grouped by hash     ",
-            Box::new(|s| Box::new(Gnrw::new(s, Box::new(ByHash::new(4))))),
+            Box::new(|s| Box::new(Gnrw::new(s, Grouping::by_hash(4)))),
         ),
         (
             "GNRW grouped by attribute",
-            Box::new(|s| Box::new(Gnrw::new(s, Box::new(ByAttribute::new("reviews_count"))))),
+            Box::new(|s| Box::new(Gnrw::new(s, Grouping::by_attribute("reviews_count")))),
         ),
     ];
 

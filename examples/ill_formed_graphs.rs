@@ -72,7 +72,7 @@ fn main() {
         ("CNRW  ", Box::new(|s| Box::new(Cnrw::new(s)))),
         (
             "GNRW  ",
-            Box::new(|s| Box::new(Gnrw::new(s, Box::new(ByDegree::new())))),
+            Box::new(|s| Box::new(Gnrw::new(s, Grouping::by_degree()))),
         ),
     ];
     for (name, make) in &algorithms {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Quick walker-throughput regression check against the committed baseline.
 #
-# Re-measures the (graph, algorithm, execution path) steps/sec matrix in
-# quick mode and diffs it against BENCH_walkers.json. Cells more than 15%
+# Re-measures the (graph, algorithm, execution path) steps/sec matrix with
+# the plan the baseline was recorded with (best of 3 reps per cell, about
+# 1.5 s) and diffs it against BENCH_walkers.json. Cells more than 15%
 # below the baseline's best rep print a `::warning::` line (rendered as an
 # annotation on GitHub Actions). GNRW is called out specifically: the
 # plan-over-scratch ratio (plan-backed arena cell vs the planless scratch
@@ -24,4 +25,4 @@ if [[ ! -f BENCH_walkers.json ]]; then
   exit 0
 fi
 
-cargo run --release -p osn-bench --bin repro -- perf --quick --baseline BENCH_walkers.json
+cargo run --release -p osn-bench --bin repro -- perf --baseline BENCH_walkers.json

@@ -116,10 +116,10 @@ pub mod prelude {
         TenantStats, TrafficConfig,
     };
     pub use osn_walks::{
-        ByAttribute, ByDegree, ByHash, Cnrw, FrontierSampler, Gnrw, GroupPlan, HistoryBackend,
-        Mhrw, NbCnrw, NbSrw, Never, NodeCnrw, OrchestratorReport, RandomWalk, ReactorStats,
-        ReactorWalkRun, RestartEvent, RestartPolicy, RestartReason, SharedFrontier, Srw,
-        TouchedNodes, WalkConfig, WalkOrchestrator, WalkSession, WalkerFsm, WorkStealing,
+        Cnrw, FrontierSampler, Gnrw, GroupPlan, Grouping, HistoryBackend, Mhrw, NbCnrw, NbSrw,
+        Never, NodeCnrw, OrchestratorReport, RandomWalk, ReactorStats, ReactorWalkRun,
+        RestartEvent, RestartPolicy, RestartReason, SharedFrontier, Srw, TouchedNodes, WalkConfig,
+        WalkOrchestrator, WalkSession, WalkerFsm, WorkStealing,
     };
 }
 

@@ -28,7 +28,7 @@ mod oracle {
     use std::collections::{BTreeMap, HashMap, HashSet};
 
     use osn_sampling::prelude::{NodeId, OsnClient};
-    use osn_sampling::walks::GroupingStrategy;
+    use osn_sampling::walks::Grouping;
     use rand::{Rng, RngCore};
 
     /// CNRW's `b(u, v)`: the neighbors used since the last reset.
@@ -96,7 +96,7 @@ mod oracle {
         pub fn step(
             &mut self,
             client: &mut dyn OsnClient,
-            strategy: &dyn GroupingStrategy,
+            grouping: &Grouping,
             rng: &mut dyn RngCore,
         ) -> NodeId {
             let v = self.current;
@@ -107,7 +107,7 @@ mod oracle {
                 return self.current;
             };
             let mut keys = Vec::new();
-            strategy.assign(&*client, &neighbors, &mut keys);
+            grouping.assign(&*client, &neighbors, &mut keys);
             let mut groups: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
             for (&key, &w) in keys.iter().zip(&neighbors) {
                 groups.entry(key).or_default().push(w);
@@ -353,14 +353,14 @@ fn gnrw_backends_agree_bit_for_bit_on_random_graphs() {
             let mut client = SimulatedOsn::from_graph(g.clone());
             let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x5a5a);
             if use_oracle {
-                let strategy = ByDegree::new();
+                let grouping = Grouping::by_degree();
                 let mut w = oracle::Gnrw::new(NodeId(0));
                 let trace: Vec<NodeId> = (0..4000)
-                    .map(|_| w.step(&mut client, &strategy, &mut rng))
+                    .map(|_| w.step(&mut client, &grouping, &mut rng))
                     .collect();
                 (trace, w.tracked_edges(), w.history_entries())
             } else {
-                let mut w = Gnrw::new(NodeId(0), Box::new(ByDegree::new()));
+                let mut w = Gnrw::new(NodeId(0), Grouping::by_degree());
                 let trace: Vec<NodeId> = (0..4000)
                     .map(|_| w.step(&mut client, &mut rng).unwrap())
                     .collect();
@@ -422,7 +422,7 @@ fn group_arena_slab_is_reused_across_restarts() {
             w.step(&mut client, &mut rng).unwrap();
         }
     };
-    let mut w = Gnrw::new(NodeId(0), Box::new(ByDegree::new()));
+    let mut w = Gnrw::new(NodeId(0), Grouping::by_degree());
     walk(&mut w, 12);
     let capacity = w.arena_capacity();
     assert!(capacity > 0, "walk long enough to promote edges");

@@ -25,7 +25,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use osn_sampling::experiments::{Algorithm, GroupingSpec, TrialPlan};
+use osn_sampling::experiments::{Algorithm, TrialPlan};
 use osn_sampling::graph::attributes::AttributedGraph;
 use osn_sampling::prelude::*;
 
@@ -36,7 +36,7 @@ const FIXTURE: &str = "tests/fixtures/walks_compact_clustered.txt";
 fn algorithms() -> [Algorithm; 3] {
     [
         Algorithm::Cnrw,
-        Algorithm::Gnrw(GroupingSpec::ByDegree),
+        Algorithm::Gnrw(Grouping::by_degree()),
         Algorithm::NbCnrw,
     ]
 }

@@ -162,7 +162,7 @@ proptest! {
         let walkers: [fn(NodeId) -> Box<dyn RandomWalk + Send>; 3] = [
             |s| Box::new(Cnrw::new(s)) as _,
             |s| Box::new(NbCnrw::new(s)) as _,
-            |s| Box::new(Gnrw::new(s, Box::new(ByDegree::log2()))) as _,
+            |s| Box::new(Gnrw::new(s, Grouping::degree_log2())) as _,
         ];
         for make in walkers {
             let mut packed = SimulatedOsn::from_compact(Arc::clone(&compact));

@@ -17,11 +17,11 @@ fn srw_family(start: NodeId) -> Vec<(String, Box<dyn RandomWalk>)> {
         ("CNRW".into(), Box::new(Cnrw::new(start))),
         (
             "GNRW(degree)".into(),
-            Box::new(Gnrw::new(start, Box::new(ByDegree::new()))),
+            Box::new(Gnrw::new(start, Grouping::by_degree())),
         ),
         (
             "GNRW(hash)".into(),
-            Box::new(Gnrw::new(start, Box::new(ByHash::new(5)))),
+            Box::new(Gnrw::new(start, Grouping::by_hash(5))),
         ),
         ("NB-CNRW".into(), Box::new(NbCnrw::new(start))),
     ]

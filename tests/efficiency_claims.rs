@@ -72,7 +72,7 @@ fn gnrw_variance_at_most_srw_on_clustered_graph() {
     let gnrw = batch_means_variance(
         &degree_sequence(
             &network,
-            Box::new(Gnrw::new(NodeId(0), Box::new(ByDegree::new()))),
+            Box::new(Gnrw::new(NodeId(0), Grouping::by_degree())),
             steps,
             2,
         ),

@@ -3,20 +3,20 @@
 //!
 //! The plan is a build-time artifact the walker trusts blindly — a wrong
 //! partition silently biases every plan-backed walk — so its invariants are
-//! pinned over *arbitrary* graphs and grouping strategies, not just the
-//! hand-built fixtures:
+//! pinned over *arbitrary* graphs and groupings, not just the hand-built
+//! fixtures:
 //!
 //! * each node's flat partition is a valid permutation of its neighbor
-//!   indices, grouped exactly as the live strategy would assign, with keys
-//!   ascending and members ascending within each group (the order the
-//!   planless step derives);
+//!   indices, grouped exactly as the live grouping would assign, with keys
+//!   ascending across groups and members ascending within each group (the
+//!   order the planless step derives);
 //! * the circulation engine's GNRW step covers the population exactly once
 //!   per super-cycle — Theorem 4's b(u,v) invariant — for arbitrary group
 //!   shapes;
 //! * a plan-backed walker is the planless walker bit for bit — trace,
-//!   accounting and snapshot — for every grouping arm, past 64 groups at a
-//!   node too, and reproduces CNRW draw-for-draw when the grouping
-//!   degenerates (every group a singleton, or one group per neighborhood).
+//!   accounting and snapshot — for every grouping arm, the two extremes
+//!   where GNRW walks CNRW's law (every group a singleton, or one group per
+//!   neighborhood) included, and past 64 groups at a node.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -29,7 +29,7 @@ use rand_chacha::ChaCha12Rng;
 use osn_sampling::graph::attributes::{AttributedGraph, NodeAttributes};
 use osn_sampling::prelude::*;
 use osn_sampling::walks::circulation::GroupEngine;
-use osn_sampling::walks::grouping::{GroupingStrategy, ValueBucketing};
+use osn_sampling::walks::grouping::ValueBucketing;
 use osn_sampling::walks::groupplan::NodeGroups;
 
 /// A connected attributed graph: a ring over `n` nodes (no isolated nodes,
@@ -78,13 +78,19 @@ fn network_strategy() -> impl Strategy<Value = AttributedGraph> {
         .prop_map(|(n, extra, tags)| build_network(n, &extra, &tags))
 }
 
+/// Number of grouping arms [`mk_grouping`] builds.
+const GROUPINGS: usize = 5;
+
 /// The grouping arms under test: degree quantiles (the paper's default),
-/// hashing, and exact-value attribute grouping.
-fn mk_strategy(idx: usize) -> Box<dyn GroupingStrategy + Send> {
+/// hashing, exact-value attribute grouping, and the two extremes where GNRW
+/// walks CNRW's law — every neighbor its own group, and one group.
+fn mk_grouping(idx: usize) -> Grouping {
     match idx {
-        0 => Box::new(ByDegree::new()),
-        1 => Box::new(ByHash::new(3)),
-        _ => Box::new(ByAttribute::with_bucketing("tag", ValueBucketing::Exact)),
+        0 => Grouping::by_degree(),
+        1 => Grouping::by_hash(3),
+        2 => Grouping::attribute_bucketed("tag", ValueBucketing::Exact),
+        3 => Grouping::by_node(),
+        _ => Grouping::by_hash(1),
     }
 }
 
@@ -94,10 +100,10 @@ proptest! {
     #[test]
     fn plan_partitions_every_neighborhood_validly(
         network in network_strategy(),
-        strat in 0usize..3,
+        strat in 0usize..GROUPINGS,
     ) {
-        let strategy = mk_strategy(strat);
-        let plan = GroupPlan::build(&network, strategy.as_ref());
+        let grouping = mk_grouping(strat);
+        let plan = GroupPlan::build(&network, &grouping);
         prop_assert_eq!(plan.node_count(), network.graph.node_count());
         let client = SimulatedOsn::new(network.clone());
         let mut keys = Vec::new();
@@ -115,13 +121,10 @@ proptest! {
             let expected: Vec<u32> = (0..neighbors.len() as u32).collect();
             prop_assert_eq!(seen, expected);
 
-            // Keys strictly ascending; groups contiguous, non-empty, and
-            // internally ascending (the scratch derivation's order).
+            // Groups contiguous, non-empty, and internally ascending (the
+            // scratch derivation's order).
             let mut prev_end = 0usize;
             for g in 0..groups.group_count() {
-                if g > 0 {
-                    prop_assert!(groups.keys[g - 1] < groups.keys[g]);
-                }
                 let (start, end) = groups.bounds(g);
                 prop_assert_eq!(start, prev_end);
                 prop_assert!(end > start, "group {} of {:?} is empty", g, v);
@@ -131,12 +134,17 @@ proptest! {
             }
             prop_assert_eq!(prev_end, neighbors.len());
 
-            // The partition groups exactly as the live strategy assigns.
-            strategy.assign(&client, neighbors, &mut keys);
+            // The partition groups exactly as the live grouping assigns:
+            // one key per group, keys strictly ascending across groups.
+            grouping.assign(&client, neighbors, &mut keys);
+            let mut prev_key = None;
             for g in 0..groups.group_count() {
+                let key = keys[groups.members_of(g)[0] as usize];
+                prop_assert!(prev_key < Some(key), "group {} of {:?} out of key order", g, v);
                 for &idx in groups.members_of(g) {
-                    prop_assert_eq!(keys[idx as usize], groups.keys[g]);
+                    prop_assert_eq!(keys[idx as usize], key);
                 }
+                prev_key = Some(key);
             }
 
         }
@@ -161,8 +169,7 @@ proptest! {
             acc += s as u32;
             ends.push(acc);
         }
-        let keys: Vec<u64> = (1..=sizes.len() as u64).map(|k| 10 * k).collect();
-        let groups = NodeGroups { members: &members, ends: &ends, keys: &keys };
+        let groups = NodeGroups { members: &members, ends: &ends };
 
         let mut engine = GroupEngine::default();
         let mut counts = Vec::new();
@@ -202,60 +209,39 @@ fn gnrw_walk(
     )
 }
 
-/// `steps` CNRW steps over `network` from seed `seed`.
-fn cnrw_trace(network: &AttributedGraph, steps: usize, seed: u64) -> Vec<NodeId> {
-    let mut client = SimulatedOsn::new(network.clone());
-    let mut rng = ChaCha12Rng::seed_from_u64(seed);
-    let mut w = Cnrw::new(NodeId(0));
-    (0..steps)
-        .map(|_| w.step(&mut client, &mut rng).unwrap())
-        .collect()
-}
-
 proptest! {
     // Full walker traces are the expensive arm; fewer cases, same coverage
-    // of the graph/strategy/seed space across runs.
+    // of the graph/grouping/seed space across runs.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    #[test]
-    fn plan_walks_match_cnrw_when_the_grouping_degenerates(
-        network in network_strategy(),
-        strat in 0usize..3,
-        seed in 0u64..256,
-    ) {
-        // Degenerate groupings collapse GNRW to CNRW; the plan walker must
-        // reproduce CNRW draw-for-draw. (Other plans are pinned to the
-        // planless walk below.)
-        let plan = Arc::new(GroupPlan::build(&network, mk_strategy(strat).as_ref()));
-        if plan.degenerate().is_some() {
-            let planned = gnrw_walk(&network, Gnrw::with_plan(NodeId(0), plan), 200, seed);
-            prop_assert_eq!(planned.0, cnrw_trace(&network, 200, seed));
-        }
-    }
-
     /// A plan only changes where a cold edge's partition comes from, so a
-    /// non-degenerate plan walker equals the planless walker — trace,
-    /// accounting and snapshot — on every grouping arm, and on a hub past
-    /// 64 groups walked long enough for its edges to promote.
+    /// plan walker equals the planless walker — trace, accounting and
+    /// snapshot — on every grouping arm, the two extremes where GNRW walks
+    /// CNRW's law included, and, one case in four, on a hub past 64 groups
+    /// walked long enough for its edges to promote.
     #[test]
     fn plan_walks_equal_planless_walks_bit_for_bit(
         network in network_strategy(),
-        strat in 0usize..4,
+        hub in 0usize..4,
         (spokes, tags) in (66u32..76, 0u32..1000).prop_map(|(s, r)| (s, 65 + r % (s - 65))),
         seed in 0u64..256,
     ) {
-        let (network, strategy, steps) = match strat {
-            3 => (hub_network(spokes, tags), mk_strategy(2), 4000),
-            _ => (network, mk_strategy(strat), 200),
-        };
-        let plan = Arc::new(GroupPlan::build(&network, strategy.as_ref()));
-        if strat == 3 {
+        let mut arms: Vec<_> = (0..GROUPINGS)
+            .map(|i| (network.clone(), GroupPlan::build(&network, &mk_grouping(i)), 200))
+            .collect();
+        if hub == 0 {
+            let network = hub_network(spokes, tags);
+            let plan = GroupPlan::build(&network, &mk_grouping(2));
             prop_assert!(plan.max_groups() > 64, "{}", plan.max_groups());
+            arms.push((network, plan, 4000));
         }
-        if plan.degenerate().is_none() {
-            let planned = gnrw_walk(&network, Gnrw::with_plan(NodeId(0), plan), steps, seed);
-            let planless = gnrw_walk(&network, Gnrw::new(NodeId(0), strategy), steps, seed);
-            prop_assert_eq!(planned, planless);
+        for (network, plan, steps) in arms {
+            let planless = Gnrw::new(NodeId(0), plan.grouping().clone());
+            let planned = Gnrw::with_plan(NodeId(0), Arc::new(plan));
+            prop_assert_eq!(
+                gnrw_walk(&network, planned, steps, seed),
+                gnrw_walk(&network, planless, steps, seed)
+            );
         }
     }
 }

@@ -31,7 +31,7 @@ fn test_graph() -> CsrGraph {
 fn make_walker(i: usize, _: HistoryBackend) -> Box<dyn RandomWalk + Send> {
     match i % 3 {
         0 => Box::new(Cnrw::new(NodeId(i as u32))),
-        1 => Box::new(Gnrw::new(NodeId(i as u32), Box::new(ByDegree::log2()))),
+        1 => Box::new(Gnrw::new(NodeId(i as u32), Grouping::degree_log2())),
         _ => Box::new(NbCnrw::new(NodeId(i as u32))),
     }
 }

@@ -23,6 +23,9 @@
 //!   permutations of the new neighbor set (CNRW, planless GNRW, and
 //!   plan-backed GNRW, including a plan with more than 64 groups at a
 //!   node).
+//! * **Stale plans** — after a mutation that changes `deg(v)`, a plan
+//!   walker partitions the live `N(v)` as the planless walker does, and the
+//!   two stay equal on trace and snapshot.
 //! * **Batched invalidation** — `invalidate_nodes` over a node set equals
 //!   `invalidate_node` per node for every history-keeping walker (count,
 //!   snapshot, later trace), on random graphs and on a hub with more than
@@ -115,7 +118,7 @@ fn make_fleet(
         match kind {
             Kind::Cnrw => Box::new(Cnrw::new(start)) as _,
             Kind::NbCnrw => Box::new(NbCnrw::new(start)) as _,
-            Kind::Gnrw => Box::new(Gnrw::new(start, Box::new(ByDegree::log2()))) as _,
+            Kind::Gnrw => Box::new(Gnrw::new(start, Grouping::degree_log2())) as _,
         }
     }
 }
@@ -337,8 +340,8 @@ proptest! {
             return Ok(());
         }
         let network = AttributedGraph::new(g.clone(), NodeAttributes::for_graph(&g)).unwrap();
-        let plan = Arc::new(GroupPlan::build(&network, &ByDegree::log2()));
-        let single = Arc::new(GroupPlan::build(&network, &ByHash::new(1)));
+        let plan = Arc::new(GroupPlan::build(&network, &Grouping::degree_log2()));
+        let single = Arc::new(GroupPlan::build(&network, &Grouping::by_hash(1)));
         let start = starts[seed as usize % starts.len()];
         check_batched_invalidation(
             &SimulatedOsn::from_graph(g),
@@ -355,7 +358,7 @@ proptest! {
 
     /// The same over a plan with more than 64 groups at the hub. The batch
     /// first deletes a hub edge, so the plan no longer covers the hub's live
-    /// list and the plan walker steps there on the one-group partition.
+    /// list and the plan walker partitions it as the planless walker does.
     #[test]
     fn batched_invalidation_matches_per_node_past_64_groups(
         events in 0usize..30,
@@ -366,14 +369,14 @@ proptest! {
         extra in prop::collection::vec(0u32..100, 0..12),
     ) {
         let network = many_groups_network();
-        let plan = Arc::new(GroupPlan::build(&network, &many_groups_strategy()));
+        let plan = Arc::new(GroupPlan::build(&network, &many_groups_grouping()));
         let mut batch = vec![EdgeMutation::delete(0.0, NodeId(spoke), NodeId(HUB))];
         batch.extend(safe_batch(&network.graph, events, 0.5, seed));
         let start = NodeId(seed as u32 % HUB);
         let walkers = || -> Vec<Box<dyn RandomWalk>> {
             vec![
                 Box::new(Gnrw::with_plan(start, Arc::clone(&plan))),
-                Box::new(Gnrw::new(start, Box::new(many_groups_strategy()))),
+                Box::new(Gnrw::new(start, many_groups_grouping())),
             ]
         };
         let osn = SimulatedOsn::new(network);
@@ -576,8 +579,8 @@ proptest! {
 }
 
 /// One walker of every history-keeping configuration: CNRW, NB-CNRW,
-/// node-keyed CNRW, planless GNRW, plan GNRW, and a degenerate
-/// (single-group, CNRW-delegating) plan GNRW.
+/// node-keyed CNRW, planless GNRW, plan GNRW, and a plan GNRW with one
+/// group per neighborhood.
 fn historied_walkers(
     start: NodeId,
     plan: &Arc<GroupPlan>,
@@ -587,7 +590,7 @@ fn historied_walkers(
         Box::new(Cnrw::new(start)),
         Box::new(NbCnrw::new(start)),
         Box::new(NodeCnrw::new(start)),
-        Box::new(Gnrw::new(start, Box::new(ByDegree::log2()))),
+        Box::new(Gnrw::new(start, Grouping::degree_log2())),
         Box::new(Gnrw::with_plan(start, Arc::clone(plan))),
         Box::new(Gnrw::with_plan(start, Arc::clone(single))),
     ]
@@ -598,8 +601,8 @@ const HUB: u32 = 70;
 
 /// A hub over 70 spokes whose `tag` is `i % 66`: exact bucketing of `tag`
 /// gives the hub 66 groups, four of them with two members — more than 64,
-/// and not degenerate. Spokes 68 and 69 are
-/// linked, and node 71 hangs off spoke 68, outside `N(hub)`.
+/// and not all singletons. Spokes 68 and 69 are linked, and node 71 hangs
+/// off spoke 68, outside `N(hub)`.
 fn many_groups_network() -> AttributedGraph {
     let mut b = GraphBuilder::new();
     for i in 0..HUB {
@@ -615,8 +618,10 @@ fn many_groups_network() -> AttributedGraph {
     AttributedGraph::new(g, attrs).unwrap()
 }
 
-fn many_groups_strategy() -> ByAttribute {
-    ByAttribute::with_bucketing("tag", ValueBucketing::Exact)
+/// The exact `tag` grouping of [`many_groups_network`]: its keys read no
+/// degree.
+fn many_groups_grouping() -> Grouping {
+    Grouping::attribute_bucketed("tag", ValueBucketing::Exact)
 }
 
 /// Walk `w` (started at the hot edge's source) `warm` steps over `g`, apply
@@ -706,15 +711,13 @@ fn invalidation_restarts_coverage_on_the_new_neighborhood() {
             &[0, 2, 3, 4, 5],
         ),
     ];
-    // Degree-log2 groups split N(1) into {0} and {2, 3, 4}: not degenerate,
-    // so the GNRW walkers run their own group circulation.
+    // Degree-log2 groups split N(1) into {0} and {2, 3, 4}.
     let network = AttributedGraph::new(g.clone(), NodeAttributes::for_graph(&g)).unwrap();
-    let plan = Arc::new(GroupPlan::build(&network, &ByDegree::log2()));
-    assert!(plan.degenerate().is_none());
+    let plan = Arc::new(GroupPlan::build(&network, &Grouping::degree_log2()));
     let make = |walker: usize| -> Box<dyn RandomWalk> {
         match walker {
             0 => Box::new(Cnrw::new(NodeId(0))),
-            1 => Box::new(Gnrw::new(NodeId(0), Box::new(ByDegree::log2()))),
+            1 => Box::new(Gnrw::new(NodeId(0), Grouping::degree_log2())),
             _ => Box::new(Gnrw::with_plan(NodeId(0), Arc::clone(&plan))),
         }
     };
@@ -729,15 +732,14 @@ fn invalidation_restarts_coverage_on_the_new_neighborhood() {
 /// The same on a plan with more than 64 groups at the hub. Spoke 0 hangs
 /// off the hub alone, so every visit to it is a transit of the hot edge
 /// `0 → hub`. Deleting or adding a hub edge changes `deg(hub)`, and the
-/// plan walker then steps at the hub on the one-group partition of the
-/// live list; swapping one hub edge for another keeps the degree, and it
-/// steps on the planned partition over the new list.
+/// plan walker then partitions the live list with its grouping, as the
+/// planless walker does; swapping one hub edge for another keeps the
+/// degree, and it steps on the planned partition over the new list.
 #[test]
 fn invalidation_restarts_coverage_past_64_groups() {
     let network = many_groups_network();
-    let plan = Arc::new(GroupPlan::build(&network, &many_groups_strategy()));
+    let plan = Arc::new(GroupPlan::build(&network, &many_groups_grouping()));
     assert!(plan.max_groups() > 64, "{}", plan.max_groups());
-    assert_eq!(plan.degenerate(), None);
     let drop_69 = EdgeMutation::delete(0.5, NodeId(69), NodeId(HUB));
     let add_71 = EdgeMutation::insert(0.5, NodeId(71), NodeId(HUB));
     let cases: [(Vec<EdgeMutation>, Vec<u32>); 3] = [
@@ -750,6 +752,50 @@ fn invalidation_restarts_coverage_past_64_groups() {
             let w = Box::new(Gnrw::with_plan(NodeId(0), Arc::clone(&plan)));
             let hot = (NodeId(0), NodeId(HUB));
             assert_coverage_restarts(&network.graph, w, seed, hot, mutations, want, (3000, 3));
+        }
+    }
+}
+
+/// After a mutation that changes `deg(v)`, a plan walker reads `v`'s
+/// partition exactly as the planless walker does: the grouping's keys over
+/// the live `N(v)`. The exact `tag` grouping reads no degree, so deleting
+/// or inserting one hub edge changes the partition only at the edge's two
+/// ends, both of which change degree, and the two walkers stay equal on
+/// trace and snapshot. A degree-preserving swap (one hub edge out, another
+/// in) is not among the cases: the plan's slice at the hub then has the
+/// live length but partitions the old list, so the two walkers diverge,
+/// both keeping Theorem 4.
+#[test]
+fn degree_changing_mutations_leave_plan_walks_equal_to_planless() {
+    let network = many_groups_network();
+    let plan = Arc::new(GroupPlan::build(&network, &many_groups_grouping()));
+    let mutations = [
+        EdgeMutation::delete(0.5, NodeId(69), NodeId(HUB)),
+        EdgeMutation::insert(0.5, NodeId(71), NodeId(HUB)),
+    ];
+    for mutation in mutations {
+        for seed in 0..6u64 {
+            let walk = |mut w: Gnrw| {
+                let mut client = SimulatedOsn::new(network.clone());
+                let mut rng = ChaCha12Rng::seed_from_u64(seed);
+                let mut trace = Vec::new();
+                for _ in 0..3000 {
+                    trace.push(w.step(&mut client, &mut rng).unwrap());
+                }
+                for v in client.apply_mutations(&[mutation]) {
+                    w.invalidate_node(v);
+                }
+                for _ in 0..3000 {
+                    trace.push(w.step(&mut client, &mut rng).unwrap());
+                }
+                (trace, w.export_state().to_compact())
+            };
+            let planned = walk(Gnrw::with_plan(NodeId(0), Arc::clone(&plan)));
+            let planless = walk(Gnrw::new(NodeId(0), many_groups_grouping()));
+            assert!(
+                planned == planless,
+                "{mutation:?}, seed {seed}: walks diverged"
+            );
         }
     }
 }

@@ -56,7 +56,7 @@ proptest! {
             1 => Box::new(Mhrw::new(start)),
             2 => Box::new(NbSrw::new(start)),
             3 => Box::new(Cnrw::new(start)),
-            4 => Box::new(Gnrw::new(start, Box::new(ByDegree::new()))),
+            4 => Box::new(Gnrw::new(start, Grouping::by_degree())),
             _ => Box::new(NbCnrw::new(start)),
         };
         let mut client = SimulatedOsn::new_shared(network.clone());

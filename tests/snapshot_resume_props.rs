@@ -56,7 +56,7 @@ fn walker_zoo() -> Vec<(String, Make)> {
         ),
         (
             "GNRW".into(),
-            Box::new(|| Box::new(Gnrw::new(NodeId(0), Box::new(ByDegree::log2())))),
+            Box::new(|| Box::new(Gnrw::new(NodeId(0), Grouping::degree_log2()))),
         ),
     ]
 }

@@ -22,7 +22,7 @@ fn all_walkers(start: NodeId) -> Vec<Box<dyn RandomWalk>> {
         Box::new(Mhrw::new(start)),
         Box::new(NbSrw::new(start)),
         Box::new(Cnrw::new(start)),
-        Box::new(Gnrw::new(start, Box::new(ByDegree::new()))),
+        Box::new(Gnrw::new(start, Grouping::by_degree())),
         Box::new(NbCnrw::new(start)),
     ]
 }
@@ -102,7 +102,7 @@ fn cnrw_and_gnrw_visit_frequency_tracks_degree() {
         ("CNRW", Box::new(Cnrw::new(NodeId(0)))),
         (
             "GNRW",
-            Box::new(Gnrw::new(NodeId(0), Box::new(ByDegree::new()))),
+            Box::new(Gnrw::new(NodeId(0), Grouping::by_degree())),
         ),
     ];
     for (name, mut walker) in walkers {
