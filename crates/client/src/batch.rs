@@ -570,14 +570,14 @@ impl SimulatedBatchOsn {
                 self.in_flight.len()
             ));
         }
-        let cached: Vec<Value> = self
-            .inner
-            .queried_flags()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &q)| q)
-            .map(|(i, _)| Value::Uint(i as u64))
-            .collect();
+        let cached = Value::uints(
+            self.inner
+                .queried_flags()
+                .iter()
+                .enumerate()
+                .filter(|&(_, &q)| q)
+                .map(|(i, _)| i as u64),
+        );
         let s = self.inner.stats();
         let bs = self.batch_stats;
         let mutations: Vec<Value> = self
@@ -603,7 +603,7 @@ impl SimulatedBatchOsn {
             })
             .collect();
         Ok(Value::obj([
-            ("cached", Value::Arr(cached)),
+            ("cached", cached),
             ("mutations", Value::Arr(mutations)),
             (
                 "stats",
@@ -660,8 +660,8 @@ impl SimulatedBatchOsn {
         }
         let n = self.inner.network().graph.node_count();
         let mut queried = vec![false; n];
-        for v in state.field("cached")?.as_array()? {
-            let i = v.decode::<u64>()? as usize;
+        for &i in state.field("cached")?.as_uints()?.iter() {
+            let i = i as usize;
             let slot = queried
                 .get_mut(i)
                 .ok_or_else(|| format!("cached node {i} out of range for a {n}-node snapshot"))?;

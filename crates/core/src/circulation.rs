@@ -90,8 +90,11 @@
 //! text of a long walk is then a few long scalar arrays, which the writers
 //! print on one line each and the parser reads without a per-edge object.
 
+use std::borrow::Cow;
+use std::marker::PhantomData;
+
 use osn_graph::NodeId;
-use osn_serde::{FromValue, Value};
+use osn_serde::Value;
 use rand::{Rng, RngCore};
 
 use crate::fnv::{FnvHashMap, FnvHashSet};
@@ -196,16 +199,7 @@ fn sorted_by_key<S>(slots: &FnvHashMap<u64, S>) -> Vec<(u64, &S)> {
 
 /// The `keys` column of sorted entries.
 fn keys_value<S>(edges: &[(u64, &S)]) -> Value {
-    Value::Arr(edges.iter().map(|&(k, _)| Value::Uint(k)).collect())
-}
-
-/// One named column of a history snapshot, decoded. A snapshot without it
-/// — one in an older layout — gives an error naming it.
-fn column<T: FromValue>(state: &Value, name: &str) -> Result<Vec<T>, String> {
-    state
-        .field(name)?
-        .decode()
-        .map_err(|e| format!("column `{name}`: {e}"))
+    Value::uints(edges.iter().map(|&(k, _)| k))
 }
 
 /// Edge keys ascend strictly: the export's order, and no edge twice.
@@ -221,27 +215,48 @@ fn unknown_stage(key: u64, code: u8) -> String {
     format!("unknown stage code {code} of edge {key}")
 }
 
-/// One imported column, read front to back: per-edge scalars with
-/// [`one`](Self::one), concatenated runs with [`take`](Self::take). Reading
-/// past the end, or leaving items over ([`finish`](Self::finish)), is an
-/// error naming the column — which is how import checks that the column
-/// lengths agree.
-struct Column<T> {
+/// One imported column, read in place front to back: per-edge scalars
+/// with [`one`](Self::one), concatenated runs with [`take`](Self::take).
+/// A snapshot without it — one in an older layout — gives an error naming
+/// it, and so does an item that does not fit `T`: every item is checked
+/// once, at [`read`](Self::read), so the runs `take` lends narrow to `T`
+/// losslessly. Reading past the end, or leaving items over
+/// ([`finish`](Self::finish)), is an error naming the column — which is
+/// how import checks that the column lengths agree.
+struct Column<'a, T> {
     name: &'static str,
-    items: Vec<T>,
+    items: Cow<'a, [u64]>,
     at: usize,
+    item: PhantomData<T>,
 }
 
-impl<T: FromValue + Copy> Column<T> {
-    fn read(state: &Value, name: &'static str) -> Result<Self, String> {
-        Ok(Column {
+impl<'a, T: TryFrom<u64>> Column<'a, T> {
+    fn read(state: &'a Value, name: &'static str) -> Result<Self, String> {
+        let items = state
+            .field(name)?
+            .as_uints()
+            .map_err(|e| format!("column `{name}`: {e}"))?;
+        let column = Column {
             name,
-            items: column(state, name)?,
+            items,
             at: 0,
-        })
+            item: PhantomData,
+        };
+        match column.items.iter().find(|&&u| T::try_from(u).is_err()) {
+            Some(&u) => Err(column.out_of_range(u)),
+            None => Ok(column),
+        }
     }
 
-    fn take(&mut self, n: usize) -> Result<&[T], String> {
+    fn out_of_range(&self, u: u64) -> String {
+        format!(
+            "column `{}`: integer {u} out of {} range",
+            self.name,
+            std::any::type_name::<T>()
+        )
+    }
+
+    fn take(&mut self, n: usize) -> Result<&[u64], String> {
         let left = self.items.len() - self.at;
         if n > left {
             return Err(format!("column `{}` is short by {}", self.name, n - left));
@@ -251,12 +266,8 @@ impl<T: FromValue + Copy> Column<T> {
     }
 
     fn one(&mut self) -> Result<T, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn triple(&mut self) -> Result<[T; 3], String> {
-        let run = self.take(3)?;
-        Ok([run[0], run[1], run[2]])
+        let u = self.take(1)?[0];
+        T::try_from(u).map_err(|_| self.out_of_range(u))
     }
 
     fn finish(&self) -> Result<(), String> {
@@ -424,10 +435,12 @@ impl CirculationEngine {
                 }
             }
         }
-        let arena = self.arena.iter().map(|n| Value::Uint(u64::from(n.0)));
         Value::obj([
             ("threshold", Value::Uint(self.promotion_threshold as u64)),
-            ("arena", Value::Arr(arena.collect())),
+            (
+                "arena",
+                Value::uints(self.arena.iter().map(|n| u64::from(n.0))),
+            ),
             ("keys", keys_value(&edges)),
             ("stages", Value::arr(&stages)),
             ("pick_counts", Value::arr(&counts)),
@@ -449,16 +462,16 @@ impl CirculationEngine {
         if !(1..=INLINE_CAP).contains(&threshold) {
             return Err(format!("promotion threshold {threshold} out of range"));
         }
-        let arena: Vec<u32> = column(state, "arena")?;
-        let arena: Vec<NodeId> = arena.into_iter().map(NodeId).collect();
-        let keys: Vec<u64> = column(state, "keys")?;
-        check_keys(&keys)?;
+        let arena = Column::<u32>::read(state, "arena")?;
+        let arena: Vec<NodeId> = arena.items.iter().map(|&n| NodeId(n as u32)).collect();
+        let keys = Column::<u64>::read(state, "keys")?;
+        check_keys(&keys.items)?;
         let mut stages = Column::<u8>::read(state, "stages")?;
         let mut counts = Column::<u32>::read(state, "pick_counts")?;
         let mut picks = Column::<u32>::read(state, "picks")?;
         let mut promoted = Column::<u32>::read(state, "promoted")?;
-        let mut slots = FnvHashMap::with_capacity_and_hasher(keys.len(), Default::default());
-        for &key in &keys {
+        let mut slots = FnvHashMap::with_capacity_and_hasher(keys.items.len(), Default::default());
+        for &key in keys.items.iter() {
             let slot = match stages.one()? {
                 INLINE => {
                     let ids = picks.take(counts.one()? as usize)?;
@@ -469,8 +482,8 @@ impl CirculationEngine {
                         ));
                     }
                     let mut used = [NodeId(0); INLINE_CAP];
-                    for (dst, id) in used.iter_mut().zip(ids) {
-                        *dst = NodeId(*id);
+                    for (dst, &id) in used.iter_mut().zip(ids) {
+                        *dst = NodeId(id as u32);
                     }
                     Slot::Inline {
                         used,
@@ -479,10 +492,10 @@ impl CirculationEngine {
                 }
                 SPILL => {
                     let ids = picks.take(counts.one()? as usize)?;
-                    Slot::Spill(ids.iter().map(|&id| NodeId(id)).collect())
+                    Slot::Spill(ids.iter().map(|&id| NodeId(id as u32)).collect())
                 }
                 PROMOTED => {
-                    let [start, len, cursor] = promoted.triple()?;
+                    let (start, len, cursor) = (promoted.one()?, promoted.one()?, promoted.one()?);
                     if (start as usize) + (len as usize) > arena.len() {
                         return Err(format!(
                             "promoted edge {key}: slice {start}+{len} exceeds arena of {}",
@@ -868,8 +881,8 @@ impl GroupEngine {
     /// whose cursors overrun their groups or do not sum to its used count,
     /// or whose attempted flags are not 0 or 1.
     pub fn import_state(state: &Value) -> Result<Self, String> {
-        let keys: Vec<u64> = column(state, "keys")?;
-        check_keys(&keys)?;
+        let keys = Column::<u64>::read(state, "keys")?;
+        check_keys(&keys.items)?;
         let mut stages = Column::<u8>::read(state, "stages")?;
         let mut pick_counts = Column::<u32>::read(state, "pick_counts")?;
         let mut picks = Column::<u32>::read(state, "picks")?;
@@ -881,11 +894,11 @@ impl GroupEngine {
         let mut groups = Column::<u32>::read(state, "groups")?;
         let mut used_counts = Column::<u32>::read(state, "used_counts")?;
         let mut engine = GroupEngine {
-            slots: FnvHashMap::with_capacity_and_hasher(keys.len(), Default::default()),
+            slots: FnvHashMap::with_capacity_and_hasher(keys.items.len(), Default::default()),
             members: Vec::with_capacity(members.items.len()),
             spans: Vec::with_capacity(groups.items.len() / 3),
         };
-        for &key in &keys {
+        for &key in keys.items.iter() {
             let slot = match stages.one()? {
                 stage @ (INLINE | SPILL) => {
                     let used = picks.take(pick_counts.one()? as usize)?;
@@ -918,11 +931,12 @@ impl GroupEngine {
     }
 
     /// Validate one exported promoted edge — its `members` and its `groups`
-    /// triples — and append it to the arenas.
+    /// triples, `u32` items read from their columns — and append it to the
+    /// arenas.
     fn import_promoted(
         &mut self,
-        members: &[u32],
-        groups: &[u32],
+        members: &[u64],
+        groups: &[u64],
         used: u32,
     ) -> Result<GroupSlot, String> {
         let len = members.len();
@@ -938,7 +952,7 @@ impl GroupEngine {
         let (start, at) = (self.members.len(), self.spans.len());
         let (mut begin, mut sum) = (0u32, 0u64);
         for (g, group) in groups.chunks_exact(3).enumerate() {
-            let (end, cursor, attempted) = (group[0], group[1], group[2]);
+            let [end, cursor, attempted] = [group[0], group[1], group[2]].map(|u| u as u32);
             if end <= begin || end as usize > len {
                 return Err(format!("group ends do not ascend to {len} at group {g}"));
             }
@@ -972,7 +986,7 @@ impl GroupEngine {
                 "cursors sum to {sum}, used count is {used} of {len}"
             ));
         }
-        self.members.extend_from_slice(members);
+        self.members.extend(members.iter().map(|&m| m as u32));
         Ok(GroupSlot::Promoted {
             start: arena_offset(start),
             len: len as u32,
@@ -1002,8 +1016,8 @@ impl GroupEngine {
 /// super-cycle's, and `current`, the current sub-cycle's — both strictly
 /// ascending, `current ⊆ used` — inline (at most [`INLINE_CAP`] picks, the
 /// sub-cycle's last) or spilled.
-fn cold_slot(inline: bool, used: &[u32], current: &[u32]) -> Result<GroupSlot, String> {
-    let ascending = |ids: &[u32]| ids.windows(2).all(|w| w[0] < w[1]);
+fn cold_slot(inline: bool, used: &[u64], current: &[u64]) -> Result<GroupSlot, String> {
+    let ascending = |ids: &[u64]| ids.windows(2).all(|w| w[0] < w[1]);
     if !ascending(used) || !ascending(current) {
         return Err("picks are not strictly ascending".into());
     }
@@ -1012,8 +1026,8 @@ fn cold_slot(inline: bool, used: &[u32], current: &[u32]) -> Result<GroupSlot, S
     }
     if !inline {
         return Ok(GroupSlot::Spill {
-            used: used.iter().copied().collect(),
-            current: current.to_vec(),
+            used: used.iter().map(|&m| m as u32).collect(),
+            current: current.iter().map(|&m| m as u32).collect(),
         });
     }
     if used.len() > INLINE_CAP {
@@ -1022,7 +1036,7 @@ fn cold_slot(inline: bool, used: &[u32], current: &[u32]) -> Result<GroupSlot, S
     let earlier = used.iter().filter(|m| current.binary_search(m).is_err());
     let mut slots = [0u32; INLINE_CAP];
     for (dst, &m) in slots.iter_mut().zip(earlier.chain(current)) {
-        *dst = m;
+        *dst = m as u32;
     }
     Ok(GroupSlot::Inline {
         used: slots,

@@ -98,11 +98,13 @@ enum Mode {
 }
 
 /// Assign group keys for a whole neighbor list under a mode, reading each
-/// node's value through `value`.
+/// node's value through `value`. Quantile modes rank `(value, index)`
+/// pairs in `ranked`, a buffer callers keep across calls.
 fn assign_by_value<F: FnMut(NodeId) -> f64>(
     mode: Mode,
     nodes: &[NodeId],
     out: &mut Vec<u64>,
+    ranked: &mut Vec<(f64, usize)>,
     mut value: F,
 ) {
     match mode {
@@ -111,18 +113,19 @@ fn assign_by_value<F: FnMut(NodeId) -> f64>(
         }
         Mode::Quantile(k) => {
             let k = k.max(1);
-            // Sort indices by (value, id) for deterministic tie-breaking.
-            // `total_cmp` is a total order even over NaN, which `sort_by`
-            // requires: NaN sorts after +∞ (before −∞ when negative).
-            let mut idx: Vec<usize> = (0..nodes.len()).collect();
-            let values: Vec<f64> = nodes.iter().map(|&n| value(n)).collect();
-            idx.sort_by(|&a, &b| {
-                values[a]
-                    .total_cmp(&values[b])
+            // Rank by (value, id, index): a total order, so the in-place
+            // unstable sort ranks exactly as a stable sort by (value, id)
+            // would. `total_cmp` orders NaN after +∞ (before −∞ when
+            // negative).
+            ranked.clear();
+            ranked.extend(nodes.iter().enumerate().map(|(i, &n)| (value(n), i)));
+            ranked.sort_unstable_by(|&(va, a), &(vb, b)| {
+                va.total_cmp(&vb)
                     .then(nodes[a].cmp(&nodes[b]))
+                    .then(a.cmp(&b))
             });
             out.resize(nodes.len(), 0);
-            for (rank, &i) in idx.iter().enumerate() {
+            for (rank, &(_, i)) in ranked.iter().enumerate() {
                 out[i] = (rank * k / nodes.len().max(1)) as u64;
             }
         }
@@ -237,10 +240,23 @@ impl Grouping {
     /// and attributes through `client`. Deterministic for a fixed `nodes`
     /// slice on a static snapshot.
     pub fn assign(&self, client: &dyn OsnClient, nodes: &[NodeId], out: &mut Vec<u64>) {
+        self.assign_ranked(client, nodes, out, &mut Vec::new());
+    }
+
+    /// [`Self::assign`], ranking quantile groupings in `ranked` — a buffer
+    /// a walker keeps, so that a cold step allocates nothing once its
+    /// buffers fit the largest neighborhood seen.
+    pub(crate) fn assign_ranked(
+        &self,
+        client: &dyn OsnClient,
+        nodes: &[NodeId],
+        out: &mut Vec<u64>,
+        ranked: &mut Vec<(f64, usize)>,
+    ) {
         out.clear();
         match &self.0 {
             Rule::Degree(mode) => {
-                assign_by_value(*mode, nodes, out, |n| client.peek_degree(n) as f64);
+                assign_by_value(*mode, nodes, out, ranked, |n| client.peek_degree(n) as f64);
             }
             Rule::Attribute(name, Mode::Bucketed(bucketing)) => {
                 out.extend(nodes.iter().map(|&n| {
@@ -250,7 +266,7 @@ impl Grouping {
                 }));
             }
             Rule::Attribute(name, mode) => {
-                assign_by_value(*mode, nodes, out, |n| {
+                assign_by_value(*mode, nodes, out, ranked, |n| {
                     client.peek_attribute(n, name).unwrap_or(0.0)
                 });
             }

@@ -397,31 +397,37 @@ impl RestartPolicy for WorkStealing {
     }
 }
 
-/// Per-walker bookkeeping shared by both engines: the trace, the running
-/// estimator, and why (if) the walker stopped. This — plus
-/// [`advance_walker`], [`maybe_restart`] and [`maybe_rescue`] below — *is*
-/// the execution core; the engines only schedule calls into it.
+/// Per-walker bookkeeping shared by both engines: the step count, the
+/// trace (when the run records one), the running estimator, and why (if)
+/// the walker stopped. This — plus [`advance_walker`], [`maybe_restart`]
+/// and [`maybe_rescue`] below — *is* the execution core; the engines only
+/// schedule calls into it.
 pub(crate) struct Cell {
-    pub(crate) trace: Vec<NodeId>,
+    /// Transitions performed.
+    pub(crate) steps: usize,
+    /// The visit sequence, one node per transition; `None` when the run
+    /// records none ([`crate::ReactorWalkRun::without_traces`]).
+    pub(crate) trace: Option<Vec<NodeId>>,
     pub(crate) est: RatioEstimator,
     pub(crate) stop: Option<WalkStop>,
 }
 
 impl Cell {
-    /// `capacity_hint = 0` starts the trace empty (multi-walker fleets — a
-    /// budgeted fleet may stop after a few steps, so preallocating
-    /// `max_steps` per walker would waste memory); the single-walker
-    /// session path passes its step cap.
+    /// A traced cell. `capacity_hint = 0` starts the trace empty
+    /// (multi-walker fleets — a budgeted fleet may stop after a few steps,
+    /// so preallocating `max_steps` per walker would waste memory); the
+    /// single-walker session path passes its step cap.
     pub(crate) fn new(capacity_hint: usize) -> Self {
         Cell {
-            trace: Vec::with_capacity(capacity_hint.min(1 << 20)),
+            steps: 0,
+            trace: Some(Vec::with_capacity(capacity_hint.min(1 << 20))),
             est: RatioEstimator::new(),
             stop: None,
         }
     }
 
     pub(crate) fn live(&self, max_steps: usize) -> bool {
-        self.stop.is_none() && self.trace.len() < max_steps
+        self.stop.is_none() && self.steps < max_steps
     }
 }
 
@@ -456,7 +462,10 @@ pub(crate) fn advance_walker<C, R, F, P>(
             } else if policy.enabled() {
                 policy.observe_step(i, from, client.peek_degree(from), v, 0.0);
             }
-            cell.trace.push(v);
+            cell.steps += 1;
+            if let Some(trace) = &mut cell.trace {
+                trace.push(v);
+            }
         }
         Err(_) => cell.stop = Some(WalkStop::BudgetExhausted),
     }
@@ -478,13 +487,13 @@ pub(crate) fn maybe_restart<P>(
 {
     let current = walker.current();
     if let Some((to, reason)) =
-        policy.restart_target(i, cell.trace.len(), current, degree_of(current), cached)
+        policy.restart_target(i, cell.steps, current, degree_of(current), cached)
     {
         walker.restart(to);
         policy.after_restart(i);
         restarts.push(RestartEvent {
             walker: i,
-            step: cell.trace.len(),
+            step: cell.steps,
             from: current,
             to,
             reason,
@@ -510,13 +519,13 @@ pub(crate) fn maybe_rescue<P>(
         return;
     }
     let current = walker.current();
-    if let Some(to) = policy.rescue_target(i, cell.trace.len(), current, cached) {
+    if let Some(to) = policy.rescue_target(i, cell.steps, current, cached) {
         walker.restart(to);
         policy.after_restart(i);
         cell.stop = None;
         restarts.push(RestartEvent {
             walker: i,
-            step: cell.trace.len(),
+            step: cell.steps,
             from: current,
             to,
             reason: RestartReason::Refused,
@@ -632,20 +641,25 @@ where
     }
 }
 
-/// Per-walker visit sequences of a multi-walker run, plus its walker-side
-/// query accounting.
+/// Per-walker visit sequences of a multi-walker run, plus its step counts
+/// and walker-side query accounting.
 #[derive(Clone, Debug)]
 pub struct MultiWalkTrace {
-    /// Per-walker visit sequences (one entry per performed step).
+    /// Per-walker visit sequences (one entry per performed step). Empty
+    /// when the run recorded no traces
+    /// ([`crate::ReactorWalkRun::without_traces`]); [`Self::steps`] counts
+    /// the steps either way.
     pub per_walker: Vec<Vec<NodeId>>,
+    /// Per-walker step counts, in walker order.
+    pub steps: Vec<usize>,
     /// Query statistics of the run (shared across walkers).
     pub stats: QueryStats,
 }
 
 impl MultiWalkTrace {
-    /// Total steps across all walkers.
+    /// Total steps across all walkers, traced or not.
     pub fn total_steps(&self) -> usize {
-        self.per_walker.iter().map(Vec::len).sum()
+        self.steps.iter().sum()
     }
 
     /// Iterator over all samples, pooled across walkers.
@@ -694,7 +708,8 @@ pub struct OrchestratorReport {
 
 impl OrchestratorReport {
     /// Fold per-walker cells into the report shape: estimators merged and
-    /// stops defaulted in walker-index order.
+    /// stops defaulted in walker-index order. A run's cells are all traced
+    /// or all untraced; untraced ones leave `per_walker` empty.
     pub(crate) fn from_cells(
         cells: Vec<Cell>,
         restarts: Vec<RestartEvent>,
@@ -702,15 +717,21 @@ impl OrchestratorReport {
         stats: QueryStats,
     ) -> Self {
         let mut per_walker = Vec::with_capacity(cells.len());
+        let mut steps = Vec::with_capacity(cells.len());
         let mut estimate = RatioEstimator::new();
         let mut stops = Vec::with_capacity(cells.len());
         for cell in cells {
             estimate.merge(&cell.est);
             stops.push(cell.stop.unwrap_or(WalkStop::MaxSteps));
-            per_walker.push(cell.trace);
+            steps.push(cell.steps);
+            per_walker.extend(cell.trace);
         }
         OrchestratorReport {
-            trace: MultiWalkTrace { per_walker, stats },
+            trace: MultiWalkTrace {
+                per_walker,
+                steps,
+                stats,
+            },
             estimate,
             stops,
             restarts,

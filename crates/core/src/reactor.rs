@@ -902,7 +902,13 @@ impl WalkOrchestrator {
         let cells = cell_states
             .iter()
             .map(cell_from_value)
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<Cell>, _>>()?;
+        if cells
+            .iter()
+            .any(|c| c.trace.is_some() != cells[0].trace.is_some())
+        {
+            return Err("reactor snapshot mixes traced and untraced cells".into());
+        }
         let dispatch = dispatch_from_value(state.field("dispatch")?)?;
         let node_attempt_cap: u32 = state.field("attempt_cap")?.decode()?;
         let retry = nodes_from_value(state.field("retry")?)?;
@@ -986,17 +992,58 @@ impl ReactorWalkRun {
         self.core.stats.events
     }
 
-    /// Total transitions performed across the fleet so far.
+    /// Total transitions performed across the fleet so far, traced or
+    /// not.
     pub fn steps_taken(&self) -> usize {
-        self.cells.iter().map(|c| c.trace.len()).sum()
+        self.cells.iter().map(|c| c.steps).sum()
     }
 
     /// Walker `i`'s trajectory so far — grows as completion events land,
     /// so callers can feed event-granularity probes (e.g.
     /// `osn_estimate::WindowedSplitRhat`) between [`Self::run_events`]
-    /// slices.
-    pub fn trace(&self, walker: usize) -> &[NodeId] {
-        &self.cells[walker].trace
+    /// slices. `None` when the run records no traces
+    /// ([`Self::without_traces`]).
+    pub fn trace(&self, walker: usize) -> Option<&[NodeId]> {
+        self.cells[walker].trace.as_deref()
+    }
+
+    /// Stop recording visit sequences, and drop the ones recorded so far:
+    /// each walker then only counts its steps, so the run's memory and its
+    /// [`Self::snapshot`] hold live state — histories, estimators, dispatch
+    /// ids — and no longer grow by one id per step. Estimates, steps and
+    /// schedules are unchanged; [`Self::trace`] reads `None`, the report's
+    /// `trace.per_walker` is empty and its `trace.steps` still counts. A
+    /// snapshot of an untraced run resumes untraced.
+    #[must_use]
+    pub fn without_traces(mut self) -> Self {
+        for cell in &mut self.cells {
+            cell.trace = None;
+        }
+        self
+    }
+
+    /// Check every node id the run will fetch or step from — each walker's
+    /// `current` node and the queued `pending` and `retry` ids — against a
+    /// graph of `node_count` nodes. [`WalkOrchestrator::resume_reactor`]
+    /// cannot: it does not see the graph, and an id past its end resumes
+    /// fine and panics at the first fetch.
+    ///
+    /// # Errors
+    /// Names the field and the id of the first id out of range.
+    pub fn check_node_ids(&self, node_count: usize) -> Result<(), String> {
+        let outside = |u: NodeId| format!("node {u} outside the {node_count}-node graph");
+        for (i, walker) in self.fleet.iter().enumerate() {
+            let u = walker.current();
+            if u.index() >= node_count {
+                return Err(format!("`walkers[{i}].current`: {}", outside(u)));
+            }
+        }
+        for (field, queue) in [("pending", &self.core.pending), ("retry", &self.core.retry)] {
+            if let Some(&u) = queue.iter().find(|u| u.index() >= node_count) {
+                return Err(format!("`{field}`: {}", outside(u)));
+            }
+        }
+        Ok(())
     }
 
     /// Walker-side accounting so far (the serial-shaped `issued` /
@@ -1163,14 +1210,19 @@ impl ReactorWalkRun {
 // ---------------------------------------------------------------------------
 
 fn nodes_to_value(nodes: &[NodeId]) -> Value {
-    Value::Arr(nodes.iter().map(|n| Value::Uint(u64::from(n.0))).collect())
+    Value::uints(nodes.iter().map(|n| u64::from(n.0)))
+}
+
+/// A node id read from an integer column.
+fn id_from(u: u64) -> Result<u32, String> {
+    u32::try_from(u).map_err(|_| format!("integer {u} out of u32 range"))
 }
 
 fn nodes_from_value(value: &Value) -> Result<Vec<NodeId>, String> {
     value
-        .as_array()?
+        .as_uints()?
         .iter()
-        .map(|v| Ok(NodeId(v.decode::<u32>()?)))
+        .map(|&u| id_from(u).map(NodeId))
         .collect()
 }
 
@@ -1183,9 +1235,10 @@ fn sorted_ids<'a>(ids: impl Iterator<Item = &'a u32>) -> Value {
 }
 
 fn set_from_value(value: &Value) -> Result<FnvHashSet<u32>, String> {
-    let mut set = FnvHashSet::default();
-    for v in value.as_array()? {
-        if !set.insert(v.decode::<u32>()?) {
+    let ids = value.as_uints()?;
+    let mut set = FnvHashSet::with_capacity_and_hasher(ids.len(), Default::default());
+    for &u in ids.iter() {
+        if !set.insert(id_from(u)?) {
             return Err("duplicate id in serialized set".into());
         }
     }
@@ -1193,18 +1246,14 @@ fn set_from_value(value: &Value) -> Result<FnvHashSet<u32>, String> {
 }
 
 fn rng_to_value(rng: &ChaCha12Rng) -> Value {
-    Value::Arr(rng.get_state().iter().map(|&w| Value::Uint(w)).collect())
+    Value::arr(&rng.get_state())
 }
 
 fn rng_from_value(value: &Value) -> Result<ChaCha12Rng, String> {
-    let words = value.as_array()?;
-    if words.len() != 4 {
-        return Err(format!("RNG state must hold 4 words, got {}", words.len()));
-    }
-    let mut state = [0u64; 4];
-    for (slot, word) in state.iter_mut().zip(words) {
-        *slot = word.decode()?;
-    }
+    let words = value.as_uints()?;
+    let state: [u64; 4] = words[..]
+        .try_into()
+        .map_err(|_| format!("RNG state must hold 4 words, got {}", words.len()))?;
     Ok(ChaCha12Rng::from_state(state))
 }
 
@@ -1227,10 +1276,16 @@ fn stop_from_value(value: &Value) -> Result<Option<WalkStop>, String> {
     }
 }
 
+/// A walker's cell: its `trace` when the run records one, else its
+/// `steps`, then its estimator and its stop.
 fn cell_to_value(cell: &Cell) -> Value {
     let (weighted_sum, weight_total, count) = cell.est.parts();
+    let walked = match &cell.trace {
+        Some(trace) => ("trace", nodes_to_value(trace)),
+        None => ("steps", Value::Uint(cell.steps as u64)),
+    };
     Value::obj([
-        ("trace", nodes_to_value(&cell.trace)),
+        walked,
         (
             "est",
             Value::obj([
@@ -1245,8 +1300,18 @@ fn cell_to_value(cell: &Cell) -> Value {
 
 fn cell_from_value(value: &Value) -> Result<Cell, String> {
     let est = value.field("est")?;
+    let (steps, trace) = match (value.get("trace"), value.get("steps")) {
+        (Some(trace), None) => {
+            let trace = nodes_from_value(trace)?;
+            (trace.len(), Some(trace))
+        }
+        (None, Some(steps)) => (steps.decode()?, None),
+        (Some(_), Some(_)) => return Err("a cell holds both `trace` and `steps`".into()),
+        (None, None) => return Err("a cell holds neither `trace` nor `steps`".into()),
+    };
     Ok(Cell {
-        trace: nodes_from_value(value.field("trace")?)?,
+        steps,
+        trace,
         est: RatioEstimator::from_parts(
             est.field("weighted_sum")?.decode()?,
             est.field("weight_total")?.decode()?,
@@ -1463,6 +1528,97 @@ mod tests {
         );
         assert_eq!(whole_report.stops, resumed_report.stops);
         assert_eq!(whole_report.estimate.mean(), resumed_report.estimate.mean());
+    }
+
+    #[test]
+    fn untraced_runs_walk_count_and_resume_like_traced_ones() {
+        let orch = WalkOrchestrator::new(5, 80, 17);
+        let value = |v: osn_graph::NodeId| v.index() as f64;
+        let endpoint = || {
+            SimulatedBatchOsn::new(
+                clustered(),
+                BatchConfig::new(3).with_latency(0.02, 0.004).with_seed(2),
+            )
+        };
+        let mut client = endpoint();
+        let mut traced = orch.start_reactor(make_cnrw);
+        while !traced.done() {
+            traced.run_events(&mut client, &value, 9);
+        }
+        let traced = traced.into_report(&client);
+
+        // Untraced from the start, killed and resumed through text midway.
+        let mut client = endpoint();
+        let mut run = orch.start_reactor(make_cnrw).without_traces();
+        run.run_events(&mut client, &value, 7);
+        assert!(run.steps_taken() > 0);
+        assert_eq!(run.trace(0), None);
+        let snap = run.snapshot();
+        let cell = &snap.field("cells").unwrap().as_array().unwrap()[0];
+        assert!(cell.get("trace").is_none());
+        let steps: usize = cell.field("steps").unwrap().decode().unwrap();
+        assert!(steps > 0);
+        let text = snap.to_pretty();
+        let mut resumed = orch
+            .resume_reactor(&Value::parse(&text).unwrap(), make_cnrw)
+            .unwrap();
+        assert_eq!(resumed.snapshot().to_pretty(), text);
+        while !resumed.done() {
+            resumed.run_events(&mut client, &value, 9);
+        }
+        assert_eq!(resumed.trace(0), None);
+        let untraced = resumed.into_report(&client);
+        assert!(untraced.trace.per_walker.is_empty());
+        let lengths: Vec<usize> = traced.trace.per_walker.iter().map(Vec::len).collect();
+        assert_eq!(traced.trace.steps, lengths);
+        assert_eq!(untraced.trace.steps, lengths);
+        assert_eq!(untraced.trace.total_steps(), traced.trace.total_steps());
+        assert_eq!(untraced.stops, traced.stops);
+        assert_eq!(
+            untraced.estimate.mean().map(f64::to_bits),
+            traced.estimate.mean().map(f64::to_bits)
+        );
+
+        // A cell must say how far it walked exactly one way, and a run's
+        // cells must agree on whether they are traced.
+        let mut client = endpoint();
+        let mut run = orch.start_reactor(make_cnrw);
+        run.run_events(&mut client, &value, 7);
+        let traced_snap = run.snapshot();
+        /// The error resuming `snap` gives once cell `i`'s fields are
+        /// edited.
+        fn refused(
+            orch: &WalkOrchestrator,
+            snap: &Value,
+            i: usize,
+            edit: impl Fn(&mut Vec<(String, Value)>),
+        ) -> String {
+            let mut snap = snap.clone();
+            let Value::Obj(fields) = &mut snap else {
+                unreachable!("a run snapshot is an object")
+            };
+            let cells = &mut fields.iter_mut().find(|(k, _)| k == "cells").unwrap().1;
+            let Value::Arr(cells) = cells else {
+                unreachable!("cells are an array")
+            };
+            let Value::Obj(cell) = &mut cells[i] else {
+                unreachable!("a cell is an object")
+            };
+            edit(cell);
+            orch.resume_reactor(&snap, make_cnrw).err().unwrap()
+        }
+        let err = refused(&orch, &traced_snap, 0, |cell| {
+            cell.push(("steps".into(), Value::Uint(3)));
+        });
+        assert!(err.contains("both"), "{err}");
+        let err = refused(&orch, &traced_snap, 0, |cell| {
+            cell.retain(|(k, _)| k != "trace");
+        });
+        assert!(err.contains("neither"), "{err}");
+        let err = refused(&orch, &traced_snap, 1, |cell| {
+            cell[0] = ("steps".into(), Value::Uint(3));
+        });
+        assert!(err.contains("mixes traced and untraced"), "{err}");
     }
 
     #[test]

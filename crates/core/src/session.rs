@@ -181,7 +181,7 @@ impl WalkSession {
         let cell = outcome.cells.into_iter().next().expect("one walker");
         WalkTrace {
             start,
-            nodes: cell.trace,
+            nodes: cell.trace.expect("the serial core records a trace"),
             stop: cell.stop.unwrap_or(WalkStop::MaxSteps),
             stats: client.stats(),
             burn_in: self.config.burn_in,

@@ -72,10 +72,12 @@ pub struct Gnrw {
     label: String,
     // Per-step buffers, reused across the walk. A cold edge off the plan
     // is partitioned in `scratch_partition` from `scratch_keys`, the
-    // grouping's keys over `scratch_neighbors`, a copy of `N(v)`; `counts`
-    // holds a cold step's per-group (unvisited, attempted) counts.
+    // grouping's keys over `scratch_neighbors`, a copy of `N(v)`, which
+    // quantile groupings rank in `scratch_ranks`; `counts` holds a cold
+    // step's per-group (unvisited, attempted) counts.
     scratch_neighbors: Vec<NodeId>,
     scratch_keys: Vec<u64>,
+    scratch_ranks: Vec<(f64, usize)>,
     scratch_partition: FlatPartition,
     counts: Vec<(u32, bool)>,
 }
@@ -115,6 +117,7 @@ impl Gnrw {
             history: GroupHistory::new(),
             scratch_neighbors: Vec::new(),
             scratch_keys: Vec::new(),
+            scratch_ranks: Vec::new(),
             scratch_partition: FlatPartition::default(),
             counts: Vec::new(),
         }
@@ -184,7 +187,12 @@ impl RandomWalk for Gnrw {
                             let copy = &mut self.scratch_neighbors;
                             copy.clear();
                             copy.extend_from_slice(neighbors);
-                            self.grouping.assign(&*client, copy, &mut self.scratch_keys);
+                            self.grouping.assign_ranked(
+                                &*client,
+                                copy,
+                                &mut self.scratch_keys,
+                                &mut self.scratch_ranks,
+                            );
                             partition_by_key(&self.scratch_keys, &mut self.scratch_partition);
                             let groups = NodeGroups::from(&self.scratch_partition);
                             copy[view.step(Some(&groups), &mut self.counts, rng)]

@@ -148,7 +148,7 @@ fn run_fleet(
     while !run.done() {
         run.run_events(endpoint, &value, config.slice_events);
         for c in 0..chains {
-            let trace = run.trace(c);
+            let trace = run.trace(c).expect("a started run records traces");
             for &v in &trace[fed[c]..] {
                 probe.push(c, v.index() as f64);
             }

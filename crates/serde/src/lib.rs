@@ -41,10 +41,26 @@
 //! strings whole. A `\u` escape takes exactly four hex digits; a
 //! surrogate pair decodes to one character, and a lone surrogate is
 //! refused.
+//!
+//! ## Packed integer columns
+//!
+//! A non-empty array of non-negative integers is held as one packed
+//! column, [`Value::Uints`]: one `u64` per item instead of one [`Value`].
+//! [`Value::parse`] produces it for every array whose items are all plain
+//! integers, and [`Value::arr`] (and `Vec::to_value`) over `u8`, `u32`,
+//! `u64` and `usize` items builds it, as does [`Value::uints`]. It is
+//! invisible in text and in comparisons: both writers print it byte for
+//! byte as the [`Value::Arr`] of [`Value::Uint`]s it stands for, and `==`
+//! holds between the two forms. Read it with [`Value::as_uints`], which
+//! borrows the column in place (and collects a hand-built `Arr` of
+//! `Uint`s), or decode it, `decode::<Vec<u32>>()`, which reads both forms.
+//! [`Value::as_array`] cannot lend `&[Value]` over a packed column and
+//! says so.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// The deepest container nesting [`Value::parse`] accepts. Every snapshot
@@ -54,7 +70,7 @@ pub const MAX_DEPTH: usize = 128;
 
 /// A parsed or constructed value tree (the JSON data model, with exact
 /// integers split out from floats).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// Null.
     Null,
@@ -72,15 +88,55 @@ pub enum Value {
     Str(String),
     /// Array.
     Arr(Vec<Value>),
+    /// A non-empty array of non-negative integers, packed (see the crate
+    /// docs): it prints as, and compares equal to, the `Arr` of `Uint`s
+    /// it stands for.
+    Uints(Vec<u64>),
     /// Object as ordered key/value pairs (insertion order is preserved and
     /// duplicate keys are kept verbatim).
     Obj(Vec<(String, Value)>),
+}
+
+/// Structural equality, except that a packed column equals the `Arr` of
+/// `Uint`s with the same items.
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Uint(a), Value::Uint(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Num(a), Value::Num(b)) => a == b,
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Arr(a), Value::Arr(b)) => a == b,
+            (Value::Uints(a), Value::Uints(b)) => a == b,
+            (Value::Uints(packed), Value::Arr(items))
+            | (Value::Arr(items), Value::Uints(packed)) => {
+                packed.len() == items.len()
+                    && packed
+                        .iter()
+                        .zip(items)
+                        .all(|(u, item)| matches!(item, Value::Uint(v) if v == u))
+            }
+            (Value::Obj(a), Value::Obj(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 /// Convert a Rust value into a [`Value`] tree.
 pub trait ToValue {
     /// Build the value tree.
     fn to_value(&self) -> Value;
+
+    /// Build the array of `items`: an [`Value::Arr`] of their trees, or a
+    /// packed column for the unsigned integer types.
+    fn array_value(items: &[Self]) -> Value
+    where
+        Self: Sized,
+    {
+        Value::Arr(items.iter().map(ToValue::to_value).collect())
+    }
 }
 
 /// Reconstruct a Rust value from a [`Value`] tree.
@@ -105,9 +161,21 @@ impl Value {
         )
     }
 
-    /// Build an array by converting each element.
+    /// Build an array by converting each element — a packed column
+    /// ([`Value::Uints`]) when the items are unsigned integers.
     pub fn arr<T: ToValue>(items: &[T]) -> Value {
-        Value::Arr(items.iter().map(ToValue::to_value).collect())
+        T::array_value(items)
+    }
+
+    /// Build the array of `items` as a packed column, or an empty `Arr`
+    /// when there are none.
+    pub fn uints(items: impl IntoIterator<Item = u64>) -> Value {
+        let items: Vec<u64> = items.into_iter().collect();
+        if items.is_empty() {
+            Value::Arr(Vec::new())
+        } else {
+            Value::Uints(items)
+        }
     }
 
     /// Short name of this value's shape, for error messages.
@@ -118,7 +186,7 @@ impl Value {
             Value::Uint(_) | Value::Int(_) => "integer",
             Value::Num(_) => "number",
             Value::Str(_) => "string",
-            Value::Arr(_) => "array",
+            Value::Arr(_) | Value::Uints(_) => "array",
             Value::Obj(_) => "object",
         }
     }
@@ -167,10 +235,33 @@ impl Value {
     /// The array's items.
     ///
     /// # Errors
-    /// Errors when `self` is not an array.
+    /// Errors when `self` is not an array, or is a packed integer column,
+    /// which holds no [`Value`]s to lend: read that with
+    /// [`as_uints`](Self::as_uints) or `decode`.
     pub fn as_array(&self) -> Result<&[Value], String> {
         match self {
             Value::Arr(items) => Ok(items),
+            Value::Uints(_) => Err("expected array of values, got a packed integer column \
+                 (decode it, e.g. `decode::<Vec<u64>>()`, or read it with `as_uints`)"
+                .into()),
+            other => Err(format!("expected array, got {}", other.type_name())),
+        }
+    }
+
+    /// The items of an array of non-negative integers: a packed column
+    /// borrowed in place, or a hand-built `Arr` of integers collected.
+    ///
+    /// # Errors
+    /// Errors when `self` is not an array, or an item is not a
+    /// non-negative integer.
+    pub fn as_uints(&self) -> Result<Cow<'_, [u64]>, String> {
+        match self {
+            Value::Uints(items) => Ok(Cow::Borrowed(items)),
+            Value::Arr(items) => items
+                .iter()
+                .map(u64::from_value)
+                .collect::<Result<Vec<_>, _>>()
+                .map(Cow::Owned),
             other => Err(format!("expected array, got {}", other.type_name())),
         }
     }
@@ -277,7 +368,10 @@ fn push_uint(out: &mut String, mut u: u64) {
             break;
         }
     }
-    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+    match std::str::from_utf8(&digits[at..]) {
+        Ok(text) => out.push_str(text),
+        Err(_) => unreachable!("decimal digits are ASCII"),
+    }
 }
 
 fn write_scalar(v: &Value, out: &mut String) {
@@ -293,7 +387,9 @@ fn write_scalar(v: &Value, out: &mut String) {
         }
         Value::Num(x) => push_float(out, *x),
         Value::Str(s) => escape_string(s, out),
-        Value::Arr(_) | Value::Obj(_) => unreachable!("containers handled by callers"),
+        Value::Arr(_) | Value::Uints(_) | Value::Obj(_) => {
+            unreachable!("containers handled by callers")
+        }
     }
 }
 
@@ -346,7 +442,20 @@ fn escape_string(s: &str, out: &mut String) {
 }
 
 fn is_container(v: &Value) -> bool {
-    matches!(v, Value::Arr(_) | Value::Obj(_))
+    matches!(v, Value::Arr(_) | Value::Uints(_) | Value::Obj(_))
+}
+
+/// The items of a packed column, `separator` between each two, in
+/// brackets: the bytes either writer gives the same `Arr` of `Uint`s.
+fn write_uints(items: &[u64], separator: &str, out: &mut String) {
+    out.push('[');
+    for (i, &u) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(separator);
+        }
+        push_uint(out, u);
+    }
+    out.push(']');
 }
 
 fn write_pretty(v: &Value, out: &mut String, level: usize) {
@@ -398,6 +507,7 @@ fn write_pretty(v: &Value, out: &mut String, level: usize) {
                 out.push(']');
             }
         }
+        Value::Uints(items) => write_uints(items, ", ", out),
         scalar => write_scalar(scalar, out),
     }
 }
@@ -426,6 +536,7 @@ fn write_compact(v: &Value, out: &mut String) {
             }
             out.push(']');
         }
+        Value::Uints(items) => write_uints(items, ",", out),
         scalar => write_scalar(scalar, out),
     }
 }
@@ -451,9 +562,11 @@ impl<const FAST: bool> Parser<'_, FAST> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+        let rest = &self.bytes[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|b| !matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+            .unwrap_or(rest.len());
     }
 
     fn peek(&mut self) -> Result<u8, ParseError> {
@@ -551,21 +664,51 @@ impl<const FAST: bool> Parser<'_, FAST> {
             self.pos += 1;
             return Ok(Value::Arr(items));
         }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                other => {
-                    return Err(self.err_at(
-                        self.pos,
-                        format!("expected `,` or `]`, got `{}`", other as char),
-                    ))
+        if FAST {
+            // Read plain integers straight into a packed column. The first
+            // item that is anything else goes to the general loop below
+            // untouched, so both paths meet every byte the same way.
+            let mut column = Vec::new();
+            loop {
+                self.peek()?;
+                let Some(u) = self.plain_uint() else {
+                    items = column.into_iter().map(Value::Uint).collect();
+                    break;
+                };
+                column.push(u);
+                if self.array_separator()? {
+                    return Ok(Value::Uints(column));
                 }
             }
+        }
+        loop {
+            items.push(self.value()?);
+            if self.array_separator()? {
+                return Ok(if FAST {
+                    packed(items)
+                } else {
+                    Value::Arr(items)
+                });
+            }
+        }
+    }
+
+    /// The `,` after an array item (`false`) or the closing `]` (`true`),
+    /// consumed.
+    fn array_separator(&mut self) -> Result<bool, ParseError> {
+        match self.peek()? {
+            b',' => {
+                self.pos += 1;
+                Ok(false)
+            }
+            b']' => {
+                self.pos += 1;
+                Ok(true)
+            }
+            other => Err(self.err_at(
+                self.pos,
+                format!("expected `,` or `]`, got `{}`", other as char),
+            )),
         }
     }
 
@@ -686,8 +829,8 @@ impl<const FAST: bool> Parser<'_, FAST> {
     /// A number token at `pos` (whitespace already skipped by `value`).
     fn number(&mut self) -> Result<Value, ParseError> {
         if FAST {
-            if let Some(value) = self.plain_uint() {
-                return Ok(value);
+            if let Some(u) = self.plain_uint() {
+                return Ok(Value::Uint(u));
             }
         }
         let start = self.pos;
@@ -722,7 +865,7 @@ impl<const FAST: bool> Parser<'_, FAST> {
     /// byte (`-+.eE`), read in place: exactly the tokens the general path
     /// reads as a `Uint` with room to spare (19 digits never overflow a
     /// `u64`). `None` leaves `pos` alone for the general path.
-    fn plain_uint(&mut self) -> Option<Value> {
+    fn plain_uint(&mut self) -> Option<u64> {
         let (start, mut value) = (self.pos, 0u64);
         let mut end = start;
         while let Some(&digit @ b'0'..=b'9') = self.bytes.get(end) {
@@ -736,7 +879,23 @@ impl<const FAST: bool> Parser<'_, FAST> {
             return None;
         }
         self.pos = end;
-        Some(Value::Uint(value))
+        Some(value)
+    }
+}
+
+/// A parsed array: packed when every item is a `Uint` (the items the fast
+/// column read left to the general loop, such as 20-digit integers).
+fn packed(items: Vec<Value>) -> Value {
+    let column: Option<Vec<u64>> = items
+        .iter()
+        .map(|item| match item {
+            Value::Uint(u) => Some(*u),
+            _ => None,
+        })
+        .collect();
+    match column {
+        Some(column) if !column.is_empty() => Value::Uints(column),
+        _ => Value::Arr(items),
     }
 }
 
@@ -784,6 +943,10 @@ impl ToValue for u64 {
     fn to_value(&self) -> Value {
         Value::Uint(*self)
     }
+
+    fn array_value(items: &[Self]) -> Value {
+        Value::uints(items.iter().copied())
+    }
 }
 
 impl FromValue for u64 {
@@ -803,6 +966,10 @@ impl ToValue for u32 {
     fn to_value(&self) -> Value {
         Value::Uint(u64::from(*self))
     }
+
+    fn array_value(items: &[Self]) -> Value {
+        Value::uints(items.iter().map(|&u| u64::from(u)))
+    }
 }
 
 impl FromValue for u32 {
@@ -816,6 +983,10 @@ impl ToValue for u8 {
     fn to_value(&self) -> Value {
         Value::Uint(u64::from(*self))
     }
+
+    fn array_value(items: &[Self]) -> Value {
+        Value::uints(items.iter().map(|&u| u64::from(u)))
+    }
 }
 
 impl FromValue for u8 {
@@ -828,6 +999,10 @@ impl FromValue for u8 {
 impl ToValue for usize {
     fn to_value(&self) -> Value {
         Value::Uint(*self as u64)
+    }
+
+    fn array_value(items: &[Self]) -> Value {
+        Value::uints(items.iter().map(|&u| u as u64))
     }
 }
 
@@ -901,13 +1076,19 @@ impl ToValue for &str {
 
 impl<T: ToValue> ToValue for Vec<T> {
     fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(ToValue::to_value).collect())
+        T::array_value(self)
     }
 }
 
 impl<T: FromValue> FromValue for Vec<T> {
     fn from_value(value: &Value) -> Result<Self, String> {
-        value.as_array()?.iter().map(T::from_value).collect()
+        match value {
+            Value::Uints(items) => items
+                .iter()
+                .map(|&u| T::from_value(&Value::Uint(u)))
+                .collect(),
+            other => other.as_array()?.iter().map(T::from_value).collect(),
+        }
     }
 }
 
@@ -1213,12 +1394,91 @@ mod tests {
         assert_eq!(Value::parse(&pretty).unwrap(), deep);
     }
 
+    #[test]
+    fn packed_columns_print_and_compare_as_arrays_of_uints() {
+        for items in [vec![0u64], vec![7, 0, 42], vec![u64::MAX, 1 << 32, 10]] {
+            let packed = Value::uints(items.iter().copied());
+            assert!(matches!(packed, Value::Uints(_)));
+            let plain = Value::Arr(items.iter().map(|&u| Value::Uint(u)).collect());
+            assert_eq!(packed, plain);
+            assert_eq!(plain, packed);
+            assert_eq!(packed.to_pretty(), plain.to_pretty());
+            assert_eq!(packed.to_compact(), plain.to_compact());
+            // Nested, a packed column is a container like any array.
+            let nest =
+                |column: Value| Value::obj([("xs", Value::Arr(vec![column.clone(), column]))]);
+            assert_eq!(nest(packed.clone()), nest(plain.clone()));
+            assert_eq!(
+                nest(packed.clone()).to_pretty(),
+                nest(plain.clone()).to_pretty()
+            );
+            assert_eq!(
+                nest(packed.clone()).to_compact(),
+                nest(plain.clone()).to_compact()
+            );
+            // Both forms decode and read alike.
+            assert_eq!(packed.decode::<Vec<u64>>().unwrap(), items);
+            assert_eq!(plain.decode::<Vec<u64>>().unwrap(), items);
+            assert_eq!(&*packed.as_uints().unwrap(), items.as_slice());
+            assert_eq!(&*plain.as_uints().unwrap(), items.as_slice());
+            assert_eq!(packed.type_name(), "array");
+        }
+        // An item of another value, or another count, is not equal.
+        let packed = Value::uints([1, 2]);
+        assert_ne!(packed, Value::Arr(vec![Value::Uint(1), Value::Int(2)]));
+        assert_ne!(packed, Value::Arr(vec![Value::Uint(1)]));
+        assert_ne!(packed, Value::uints([1, 3]));
+        // No items: the one empty array form.
+        assert_eq!(Value::uints([]), Value::Arr(Vec::new()));
+        assert_eq!(Value::arr::<u32>(&[]), Value::Arr(Vec::new()));
+    }
+
+    #[test]
+    fn unsigned_builders_and_the_parser_give_packed_columns() {
+        assert_eq!(Value::arr(&[1u8, 2]), Value::Uints(vec![1, 2]));
+        assert!(matches!(Value::arr(&[1u32, 2]), Value::Uints(_)));
+        assert!(matches!(vec![3usize].to_value(), Value::Uints(_)));
+        assert!(matches!(Value::arr(&[1i64, 2]), Value::Arr(_)));
+        for text in ["[1, 2, 3]", "[ 007 ,4]", "[18446744073709551615, 1]"] {
+            assert!(
+                matches!(Value::parse(text).unwrap(), Value::Uints(_)),
+                "{text}"
+            );
+        }
+        for text in ["[]", "[1, -2]", "[1, 2.5]", "[[1], 2]", "[1, \"2\"]"] {
+            assert!(
+                matches!(Value::parse(text).unwrap(), Value::Arr(_)),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn as_array_refuses_a_packed_column_and_names_the_way_to_read_it() {
+        let err = Value::uints([1, 2]).as_array().unwrap_err();
+        assert!(err.contains("packed integer column"), "{err}");
+        assert!(err.contains("decode"), "{err}");
+        assert_eq!(Value::Arr(Vec::new()).as_array().unwrap(), &[] as &[Value]);
+        let err = Value::Arr(vec![Value::Str("x".into())])
+            .as_uints()
+            .unwrap_err();
+        assert_eq!(err, "expected unsigned integer, got string");
+        assert_eq!(
+            Value::Null.as_uints().unwrap_err(),
+            "expected array, got null"
+        );
+        assert_eq!(
+            Value::uints([300]).decode::<Vec<u8>>().unwrap_err(),
+            "integer 300 out of u8 range"
+        );
+    }
+
     mod fast_paths {
         //! The parser's fast paths — plain integers and escape-free strings
         //! read as one slice — against the general path, on generated
         //! documents that are well-formed, malformed or cut short.
 
-        use super::super::parse_with;
+        use super::super::{parse_with, Value};
         use proptest::prelude::*;
         use rand::{Rng, SeedableRng};
         use rand_chacha::ChaCha12Rng;
@@ -1344,6 +1604,36 @@ mod tests {
             }
         }
 
+        /// An array of integer tokens — mostly plain, sometimes signed,
+        /// fractional, padded or past `u64::MAX` — with varied spacing.
+        fn integer_array(rng: &mut ChaCha12Rng) -> String {
+            let items: Vec<String> = (0..rng.gen_range(0..8))
+                .map(|_| {
+                    let token = if rng.gen_range(0..4) > 0 {
+                        let n = rng.gen_range(1..20);
+                        digits(rng, n)
+                    } else {
+                        number(rng)
+                    };
+                    format!("{}{token}{}", ws(rng), ws(rng))
+                })
+                .collect();
+            format!("[{}]", items.join(","))
+        }
+
+        /// Every array of the tree whose items are all `Uint`s is packed.
+        fn fully_packed(v: &Value) -> bool {
+            match v {
+                Value::Arr(items) => {
+                    let all_uints =
+                        !items.is_empty() && items.iter().all(|i| matches!(i, Value::Uint(_)));
+                    !all_uints && items.iter().all(fully_packed)
+                }
+                Value::Obj(fields) => fields.iter().all(|(_, f)| fully_packed(f)),
+                _ => true,
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(2048))]
 
@@ -1352,7 +1642,48 @@ mod tests {
                 let mut rng = ChaCha12Rng::seed_from_u64(seed);
                 let text = document(&mut rng, depth);
                 let text = damage(&mut rng, text);
-                prop_assert_eq!(parse_with::<true>(&text), parse_with::<false>(&text), "{}", text);
+                let fast = parse_with::<true>(&text);
+                prop_assert!(fast.as_ref().map_or(true, fully_packed), "{}", text);
+                prop_assert_eq!(fast, parse_with::<false>(&text), "{}", text);
+            }
+
+            #[test]
+            fn packed_integer_arrays_agree_with_the_general_path(seed in 0u64..u64::MAX) {
+                let mut rng = ChaCha12Rng::seed_from_u64(seed);
+                let text = integer_array(&mut rng);
+                let text = damage(&mut rng, text);
+                let fast = parse_with::<true>(&text);
+                prop_assert!(fast.as_ref().map_or(true, fully_packed), "{}", text);
+                prop_assert_eq!(fast, parse_with::<false>(&text), "{}", text);
+            }
+        }
+
+        #[test]
+        fn malformed_integer_arrays_fail_alike() {
+            for text in [
+                "[1,",
+                "[1 2]",
+                "[1, -2]",
+                "[1, 2.5]",
+                "[01, 2]",
+                "[]",
+                "[1,]",
+                "[,1]",
+                "[1, 2",
+                "[1, 2 ,",
+                "[12345678901234567890, 1]",
+                "[1, 18446744073709551615]",
+                "[1, 18446744073709551616]",
+                "[1, 99999999999999999999999]",
+                "[1, 2e3]",
+                "[1, 2x]",
+                "[1, 2]]",
+            ] {
+                let (fast, general) = (parse_with::<true>(text), parse_with::<false>(text));
+                assert_eq!(fast, general, "{text}");
+                if let (Err(f), Err(g)) = (&fast, &general) {
+                    assert_eq!((f.offset, &f.message), (g.offset, &g.message), "{text}");
+                }
             }
         }
 

@@ -2,9 +2,10 @@
 //! trees, for both the pretty and the compact writer.
 //!
 //! Canonical form (see the crate docs): non-negative integers are `Uint`,
-//! negative integers are `Int`, floats are finite `Num`. Non-finite floats
-//! are excluded because they intentionally round-trip through their string
-//! forms (`Num(inf)` parses back as `Str("inf")` — covered by unit tests).
+//! or items of a packed `Uints` column, negative integers are `Int`,
+//! floats are finite `Num`. Non-finite floats are excluded because they
+//! intentionally round-trip through their string forms (`Num(inf)` parses
+//! back as `Str("inf")` — covered by unit tests).
 
 use osn_serde::Value;
 use proptest::prelude::*;
@@ -13,11 +14,11 @@ use rand_chacha::ChaCha12Rng;
 
 /// Generate an arbitrary canonical value tree, at most `depth` levels deep.
 fn gen_value(rng: &mut ChaCha12Rng, depth: u32) -> Value {
-    // At depth 0 only scalars; otherwise containers with ~1/3 probability.
+    // At depth 0 only scalars; otherwise containers with ~2/5 probability.
     let variant = if depth == 0 {
         rng.gen_range(0..6)
     } else {
-        rng.gen_range(0..9)
+        rng.gen_range(0..10)
     };
     match variant {
         0 => Value::Null,
@@ -29,6 +30,12 @@ fn gen_value(rng: &mut ChaCha12Rng, depth: u32) -> Value {
         6 | 7 => {
             let n = rng.gen_range(0..5);
             Value::Arr((0..n).map(|_| gen_value(rng, depth - 1)).collect())
+        }
+        8 => {
+            // A packed integer column: written as, and read back equal to,
+            // the `Arr` of `Uint`s.
+            let n = rng.gen_range(1..6);
+            Value::uints((0..n).map(|_| rng.gen()))
         }
         _ => {
             let n = rng.gen_range(0..5);

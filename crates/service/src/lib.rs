@@ -37,5 +37,5 @@ mod server;
 pub mod traffic;
 
 pub use job::{Algorithm, Estimand, JobResult, JobSpec, JobState};
-pub use server::{ServerConfig, SessionServer, TenantSpec, TenantStats};
+pub use server::{ServerConfig, SessionServer, TenantSpec, TenantStats, SNAPSHOT_FORMAT};
 pub use traffic::TrafficConfig;

@@ -38,9 +38,16 @@
 //! [`SessionServer::snapshot`] captures the endpoint state (cache
 //! membership, budget, clock, rate bucket), every tenant's accounting,
 //! every job (spec + lifecycle state + mid-walk run snapshot), and the
-//! scheduler cursors, as one [`Value`]. [`SessionServer::resume`] restores
-//! the lot into a freshly constructed endpoint and continues every job
-//! mid-walk bit-identically.
+//! scheduler cursors, as one [`Value`] that carries its layout's number,
+//! [`SNAPSHOT_FORMAT`]. [`SessionServer::resume`] restores the lot into a
+//! freshly constructed endpoint and continues every job mid-walk
+//! bit-identically.
+//!
+//! Jobs record no visit sequences
+//! ([`ReactorWalkRun::without_traces`]): a running job's snapshot holds
+//! its walkers' histories, estimators and dispatch ids, which stop growing
+//! once the walk has crossed the edges it will cross, and each walker's
+//! step count in place of its trace.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -53,6 +60,12 @@ use osn_serde::Value;
 use osn_walks::ReactorWalkRun;
 
 use crate::job::{JobResult, JobSpec, JobState};
+
+/// The layout number [`SessionServer::snapshot`] writes as its `format`
+/// field, right after `kind`. [`SessionServer::resume`] reads it before
+/// any other field and refuses, by name, a snapshot without it or with
+/// another number.
+pub const SNAPSHOT_FORMAT: u64 = 1;
 
 /// A registered tenant: a display name and a fair-share weight.
 #[derive(Clone, Debug)]
@@ -393,7 +406,8 @@ impl SessionServer {
                 let run = job
                     .spec
                     .orchestrator()
-                    .start_reactor(job.spec.make_walker());
+                    .start_reactor(job.spec.make_walker())
+                    .without_traces();
                 job.live = Some(Live::new(run, &job.spec, &self.network));
                 job.state = JobState::Running;
                 self.index_job(id);
@@ -510,12 +524,10 @@ impl SessionServer {
             .collect();
         Ok(Value::obj([
             ("kind", Value::Str("session-server".into())),
+            ("format", Value::Uint(SNAPSHOT_FORMAT)),
             ("endpoint", self.endpoint.export_state()?),
             ("tenants", Value::Arr(tenants)),
-            (
-                "cursors",
-                Value::Arr(self.cursors.iter().map(|&c| Value::Uint(c)).collect()),
-            ),
+            ("cursors", Value::arr(&self.cursors)),
             ("jobs", Value::Arr(jobs)),
         ]))
     }
@@ -525,14 +537,28 @@ impl SessionServer {
     /// exporting server's). Every mid-walk job resumes bit-identically.
     ///
     /// # Errors
-    /// On a malformed snapshot, a tenant weight that is not finite and
-    /// positive, a job spec [`SessionServer::submit`] would refuse, or any
-    /// spec mismatch between the snapshot and the provided endpoint.
+    /// On a snapshot of another format than [`SNAPSHOT_FORMAT`] or with
+    /// none, a malformed snapshot, a tenant weight that is not finite and
+    /// positive, a job spec [`SessionServer::submit`] would refuse, a
+    /// running job whose walker or fetch queue names a node outside the
+    /// graph, or any spec mismatch between the snapshot and the provided
+    /// endpoint.
     pub fn resume(
         mut endpoint: SimulatedBatchOsn,
         config: ServerConfig,
         state: &Value,
     ) -> Result<Self, String> {
+        let format = state.field("format").map_err(|e| {
+            format!(
+                "snapshot `format`: {e}; a snapshot without one predates format {SNAPSHOT_FORMAT}"
+            )
+        })?;
+        if format.decode::<u64>().ok() != Some(SNAPSHOT_FORMAT) {
+            return Err(format!(
+                "snapshot `format` {} is not {SNAPSHOT_FORMAT}, the format this server reads",
+                format.to_compact()
+            ));
+        }
         let kind = state.field("kind")?.as_str()?;
         if kind != "session-server" {
             return Err(format!("expected a session-server snapshot, got `{kind}`"));
@@ -553,12 +579,7 @@ impl SessionServer {
             tenants.push(TenantSpec { name, weight });
             stats.push(TenantStats::from_value(tv.field("stats")?)?);
         }
-        let cursors: Vec<u64> = state
-            .field("cursors")?
-            .as_array()?
-            .iter()
-            .map(Value::decode)
-            .collect::<Result<_, _>>()?;
+        let cursors = state.field("cursors")?.as_uints()?.into_owned();
         if cursors.len() != tenants.len() {
             return Err(format!(
                 "{} cursors for {} tenants",
@@ -581,6 +602,10 @@ impl SessionServer {
                     let run = spec
                         .orchestrator()
                         .resume_reactor(jv.field("run")?, spec.make_walker())
+                        .and_then(|run| {
+                            run.check_node_ids(network.graph.node_count())?;
+                            Ok(run.without_traces())
+                        })
                         .map_err(|e| format!("job {id}: {e}"))?;
                     Some(Live::new(run, &spec, &network))
                 }

@@ -13,7 +13,7 @@ use osn_graph::{
 };
 use osn_serde::Value;
 use osn_service::traffic::{populate, TrafficConfig};
-use osn_service::{Algorithm, JobSpec, JobState, ServerConfig, SessionServer};
+use osn_service::{Algorithm, JobSpec, JobState, ServerConfig, SessionServer, SNAPSHOT_FORMAT};
 use osn_walks::{Never, WalkOrchestrator};
 
 /// A connected `n`-node graph: ring, chords, and a hub over the even
@@ -378,8 +378,7 @@ fn reference_pick(
 }
 
 fn cursors_of(snapshot: &Value) -> Vec<u64> {
-    let cursors = snapshot.field("cursors").unwrap().as_array().unwrap();
-    cursors.iter().map(|c| c.decode().unwrap()).collect()
+    snapshot.field("cursors").unwrap().decode().unwrap()
 }
 
 fn run_of(snapshot: &Value, id: usize) -> Option<&Value> {
@@ -570,6 +569,162 @@ fn resume_refuses_a_start_node_outside_the_graph() {
 }
 
 #[test]
+fn snapshots_carry_their_format_number_after_their_kind() {
+    let server = soak_server(5);
+    let snap = server.snapshot().unwrap();
+    let keys: Vec<&str> = snap
+        .as_object()
+        .unwrap()
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
+    assert_eq!(keys[..2], ["kind", "format"]);
+    assert_eq!(
+        snap.field("format").unwrap().decode::<u64>().unwrap(),
+        SNAPSHOT_FORMAT
+    );
+    let resumed = SessionServer::resume(
+        soak_endpoint(400, Some(900)),
+        ServerConfig::new().with_rounds_per_slice(6),
+        &snap,
+    );
+    assert!(resumed.is_ok(), "{:?}", resumed.err());
+}
+
+#[test]
+fn resume_refuses_a_snapshot_without_a_format_by_name() {
+    // A snapshot from before the format number — each layout change used
+    // to surface as whichever field the reader met first — is refused
+    // before any other field is read, even `kind`.
+    let mut snap = soak_server(5).snapshot().unwrap();
+    let Value::Obj(fields) = &mut snap else {
+        panic!("a snapshot is an object");
+    };
+    fields.retain(|(k, _)| k != "format" && k != "kind");
+    let err = resume_small(&snap)
+        .err()
+        .expect("a snapshot without a format resumed");
+    assert!(err.contains("`format`"), "{err}");
+    assert!(err.contains("missing field"), "{err}");
+}
+
+#[test]
+fn resume_refuses_a_snapshot_of_another_format_by_name() {
+    let snap = soak_server(5).snapshot().unwrap();
+    for other in [
+        Value::Uint(SNAPSHOT_FORMAT + 1),
+        Value::Uint(0),
+        Value::Str("1".into()),
+    ] {
+        let mut tampered = snap.clone();
+        *field_mut(&mut tampered, "format") = other.clone();
+        let err = resume_small(&tampered)
+            .err()
+            .unwrap_or_else(|| panic!("format {other:?} resumed"));
+        assert!(
+            err.contains("`format`") && err.contains(&other.to_compact()),
+            "format {other:?}: {err}"
+        );
+    }
+}
+
+/// How many integers `v` holds, packed or not.
+fn integers(v: &Value) -> usize {
+    match v {
+        Value::Uint(_) | Value::Int(_) => 1,
+        Value::Uints(items) => items.len(),
+        Value::Arr(items) => items.iter().map(integers).sum(),
+        Value::Obj(fields) => fields.iter().map(|(_, f)| integers(f)).sum(),
+        _ => 0,
+    }
+}
+
+#[test]
+fn running_job_checkpoints_grow_with_live_state_not_steps() {
+    // Over the complete graph K6 every node has 5 neighbors, so every
+    // directed edge a CNRW walker crosses is promoted to an arena slice
+    // after a few visits. Once all 30 are and all 6 lists were delivered,
+    // the job's state stops growing: its run snapshot holds the same
+    // number of integers however many more steps it takes, where a trace
+    // would add one per step.
+    let mut b = GraphBuilder::new();
+    for u in 0..6 {
+        for v in u + 1..6 {
+            b.push_edge(u, v);
+        }
+    }
+    let endpoint = SimulatedBatchOsn::new(
+        SimulatedOsn::from_graph(b.build().unwrap()),
+        BatchConfig::new(4),
+    );
+    let mut server = SessionServer::new(endpoint, ServerConfig::new().with_rounds_per_slice(4));
+    let t = server.add_tenant("only", 1.0);
+    server
+        .submit(
+            JobSpec::new(t, Algorithm::Cnrw, NodeId(0))
+                .with_walkers(2)
+                .with_max_steps(100_000),
+        )
+        .unwrap();
+    let settled = |snap: &Value| {
+        let run = run_of(snap, 0).expect("the job runs");
+        let delivered: Vec<u32> = run
+            .field("dispatch")
+            .unwrap()
+            .field("delivered")
+            .unwrap()
+            .decode()
+            .unwrap();
+        let walkers = run.field("walkers").unwrap().as_array().unwrap();
+        delivered.len() == 6
+            && walkers.iter().all(|w| {
+                let stages: Vec<u8> = w
+                    .field("history")
+                    .unwrap()
+                    .field("stages")
+                    .unwrap()
+                    .decode()
+                    .unwrap();
+                stages.len() == 30 && stages.iter().all(|&s| s == 2)
+            })
+    };
+    let mut slices = 0;
+    loop {
+        assert!(server.step());
+        if settled(&server.snapshot().unwrap()) {
+            break;
+        }
+        slices += 1;
+        assert!(slices < 2_000, "the walk never promoted every edge");
+    }
+    let mut counts = Vec::new();
+    for _ in 0..2 {
+        for _ in 0..50 {
+            assert!(server.step());
+        }
+        let snap = server.snapshot().unwrap();
+        let run = run_of(&snap, 0).unwrap();
+        let steps: Vec<u64> = run
+            .field("cells")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|c| match c.get("trace") {
+                Some(trace) => trace.decode::<Vec<u32>>().unwrap().len() as u64,
+                None => c.field("steps").unwrap().decode().unwrap(),
+            })
+            .collect();
+        counts.push((steps, integers(run)));
+    }
+    assert!(
+        counts[1].0.iter().sum::<u64>() > counts[0].0.iter().sum::<u64>() + 50,
+        "{counts:?}"
+    );
+    assert_eq!(counts[0].1, counts[1].1, "{counts:?}");
+}
+
+#[test]
 fn resume_refuses_run_snapshots_of_other_kinds() {
     // Every running job is a reactor run. A snapshot naming any other run
     // kind — a lockstep `coalesced` run from before the engines were
@@ -643,6 +798,7 @@ fn running_jobs_snapshot_delivered_ids_not_neighbor_lists() {
     fn array_depth(v: &Value) -> usize {
         match v {
             Value::Arr(items) => 1 + items.iter().map(array_depth).max().unwrap_or(0),
+            Value::Uints(_) => 1,
             Value::Obj(fields) => fields
                 .iter()
                 .map(|(_, f)| array_depth(f))
@@ -800,6 +956,7 @@ fn real_snapshots_round_trip_well_inside_the_parser_depth_cap() {
     fn depth(v: &Value) -> usize {
         match v {
             Value::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+            Value::Uints(_) => 1,
             Value::Obj(fields) => 1 + fields.iter().map(|(_, f)| depth(f)).max().unwrap_or(0),
             _ => 0,
         }

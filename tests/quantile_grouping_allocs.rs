@@ -1,0 +1,89 @@
+//! A planless GNRW walker with rank-quantile grouping allocates nothing on
+//! a cold step once its buffers fit the neighborhoods it meets: the ranks
+//! are sorted in a buffer the walker keeps, as it keeps its keys and its
+//! partition. Allocations are counted on this test's thread only, by a
+//! counting global allocator, so the harness's other threads do not add
+//! to them.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use osn_sampling::client::SimulatedOsn;
+use osn_sampling::datasets::{gplus_like, Scale};
+use osn_sampling::graph::NodeId;
+use osn_sampling::walks::{Gnrw, Grouping, RandomWalk};
+use rand::SeedableRng;
+use rand_chacha::ChaCha12Rng;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting the calling thread's allocations and
+/// reallocations.
+struct ThreadCounting;
+
+fn count() {
+    // `try_with`: a thread's allocations after its locals are gone are
+    // not counted.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counter only observes calls.
+unsafe impl GlobalAlloc for ThreadCounting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded unchanged; the caller upholds `alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded unchanged; `ptr` came from this allocator, i.e. `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: forwarded unchanged; the caller upholds `realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: ThreadCounting = ThreadCounting;
+
+fn allocations() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+const WINDOW: u64 = 200_000;
+
+/// Allocations per step over `WINDOW` steps.
+fn per_step(walker: &mut Gnrw, client: &mut SimulatedOsn, rng: &mut ChaCha12Rng) -> f64 {
+    let before = allocations();
+    for _ in 0..WINDOW {
+        walker.step(client, rng).expect("no budget");
+    }
+    (allocations() - before) as f64 / WINDOW as f64
+}
+
+#[test]
+fn quantile_grouping_allocates_nothing_per_cold_step() {
+    let network = gplus_like(Scale::Test, 7).network;
+    let mut client = SimulatedOsn::new(network);
+    let mut walker = Gnrw::new(NodeId(0), Grouping::by_degree());
+    let mut rng = ChaCha12Rng::seed_from_u64(7);
+    let first = per_step(&mut walker, &mut client, &mut rng);
+    let next = per_step(&mut walker, &mut client, &mut rng);
+    assert!(
+        first <= 0.001 && next <= 0.001,
+        "allocations per step: {first:.4} over the first {WINDOW} steps, {next:.4} over the next"
+    );
+}

@@ -458,7 +458,7 @@ fn a_run_resumed_over_an_endpoint_that_cannot_read_back_fetches_again() {
         .unwrap()
         .field("delivered")
         .unwrap()
-        .as_array()
+        .decode::<Vec<u32>>()
         .unwrap()
         .len();
     assert!(held > 0, "the killed run held no delivered ids");

@@ -438,7 +438,7 @@ fn history_column_edits_are_refused_without_mutation() {
         edits.push(("an unknown stage".into(), edit("stages", &|c| c[0] = 3)));
         edits.push(("a duplicate key".into(), edit("keys", &|c| c[1] = c[0])));
         if per_edge.contains(&"promoted") {
-            let arena = history.field("arena").unwrap().as_array().unwrap().len() as u64;
+            let arena = column("arena").len() as u64;
             assert!(!column("promoted").is_empty(), "{name}: no promoted edge");
             edits.push((
                 "a slice outside the arena".into(),
