@@ -5,10 +5,13 @@
 //! reactor_soak [--walkers K] [--steps N] [--seed S] [--max-secs SECS]
 //! ```
 //!
-//! Drives `--walkers` (default 10_000) CNRW walkers as reactor state
-//! machines over a 20k-node Google Plus stand-in through one batch
-//! endpoint (latency, jitter, per-id latency, whole-request failures,
-//! per-id drops — every realism knob on), and **asserts**:
+//! Drives `--walkers` (default 10_000) walkers as reactor state machines,
+//! alternately CNRW and GNRW grouped by log2 degree (the grouping the
+//! service's by-degree jobs run), over a 20k-node Google Plus stand-in
+//! through one batch endpoint (latency, jitter, per-id latency,
+//! whole-request failures, per-id drops — every realism knob on). GNRW's
+//! cold steps peek degrees through the reactor's client view. The soak
+//! **asserts**:
 //!
 //! 1. **completion** — every walker settles with its full step count, no
 //!    walker lost to the event loop's queue discipline;
@@ -29,7 +32,7 @@ use osn_client::{BatchConfig, SimulatedBatchOsn, SimulatedOsn};
 use osn_datasets::{gplus_like, Scale};
 use osn_experiments::Deadline;
 use osn_graph::NodeId;
-use osn_walks::{Cnrw, HistoryBackend, Never, RandomWalk, WalkOrchestrator};
+use osn_walks::{Cnrw, Gnrw, Grouping, HistoryBackend, Never, RandomWalk, WalkOrchestrator};
 
 struct Options {
     walkers: usize,
@@ -95,8 +98,16 @@ fn endpoint(
     SimulatedBatchOsn::new(SimulatedOsn::new_shared(network.clone()), batch)
 }
 
+/// Walker `i`: CNRW when `i` is even, GNRW grouped by log2 degree when odd.
 fn make_walker(n: usize) -> impl Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send> {
-    move |i, _| Box::new(Cnrw::new(NodeId(((i * 13) % n) as u32))) as Box<dyn RandomWalk + Send>
+    move |i, _| {
+        let start = NodeId(((i * 13) % n) as u32);
+        if i % 2 == 0 {
+            Box::new(Cnrw::new(start)) as Box<dyn RandomWalk + Send>
+        } else {
+            Box::new(Gnrw::new(start, Grouping::degree_log2()))
+        }
+    }
 }
 
 fn fail(message: String) -> ! {

@@ -61,9 +61,17 @@
 //! groups `S(u, v)` — in the same three stages and under the same promotion
 //! rule, and runs the one GNRW step, Algorithm 2, on all of them (see
 //! [`GroupEdgeView::step`]). A cold edge keeps its picks inline, then in a
-//! hash set, and takes `N(v)`'s partition from the caller at every step.
-//! Promotion freezes that partition into the arena, group-major, with a
-//! cursor per group:
+//! hash set. Its exact step takes `N(v)`'s partition from the caller. Under
+//! a grouping whose key of a member depends on that member alone, the
+//! caller first tries [`GroupEdgeView::step_by_rejection`], which needs no
+//! partition: Algorithm 2's pick is a uniform draw from the unvisited
+//! members whose group is not in `S(u, v)`, so the step proposes uniform
+//! members of `N(v)` and keys only those it must test — none while
+//! `S(u, v)` is empty, as on an edge's first visit. After
+//! `min(`[`MAX_REJECTION_ITERS`]`, deg(v))` misses it declines, and the
+//! exact step draws from the same set (or resets the sub-cycle), so the
+//! law is Algorithm 2's either way. Promotion freezes the partition into
+//! the arena, group-major, with a cursor per group:
 //!
 //! ```text
 //! members: [ .. | 4  0  8 | 5  1  3 | .. ]   groups {0,4,8} {1,3,5};
@@ -119,12 +127,38 @@ pub const INLINE_CAP: usize = 8;
 pub const PROMOTION_SPAN: usize = 8;
 
 /// Iteration cap for every rejection-sampling draw loop in this crate.
+/// Past it, each loop falls back to an exact draw over the same set, so the
+/// cap bounds a draw's cost and never changes its law: the draw is uniform
+/// over the accepted set whether a proposal or the fallback makes it.
 ///
-/// Acceptance is kept at ≥ ½ by the half-used promotion/scan rules, so 32
-/// failed candidates has probability ≤ 2⁻³²; the cap exists to bound the
-/// worst case on adversarial RNG streams, falling back to an exact
-/// `O(population)` rank scan.
+/// * CNRW's cold draws accept an unused neighbor. The half-used promotion
+///   rule keeps acceptance at ≥ ½, so 32 failed proposals have probability
+///   ≤ 2⁻³²; the cap bounds the worst case on adversarial RNG streams, and
+///   the fallback is an `O(deg)` rank scan.
+/// * GNRW's cold step by rejection
+///   ([`GroupEdgeView::step_by_rejection`]) accepts an unvisited neighbor
+///   whose group is not in `S(u, v)`. Its acceptance is `|U| / deg(v)` for
+///   that set `U`, which can be small — `2/42` with two singleton groups
+///   left beside an attempted group of 40 — and is 0 when the sub-cycle
+///   must reset. It makes at most `min(32, deg(v))` proposals, so its
+///   proposals never key more members than one partition of `N(v)` keys,
+///   and then it declines to the exact partition step
+///   ([`GroupEdgeView::step`]).
 pub const MAX_REJECTION_ITERS: usize = 32;
+
+/// Up to `tries` uniform proposals from `0..len`: the first that `accept`
+/// takes, or `None`. The proposal loop of every rejection-sampling draw in
+/// this crate.
+fn propose<R: Rng + ?Sized>(
+    len: usize,
+    tries: usize,
+    mut accept: impl FnMut(usize) -> bool,
+    rng: &mut R,
+) -> Option<usize> {
+    (0..tries)
+        .map(|_| rng.gen_range(0..len))
+        .find(|&i| accept(i))
+}
 
 /// Uniform draw from the items of `population` not matched by `is_used`
 /// (`remaining` of them): up to `max_rejections` rejection-sampling
@@ -138,11 +172,9 @@ pub(crate) fn draw_excluding<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> NodeId {
     debug_assert!(remaining > 0 && remaining <= population.len());
-    for _ in 0..max_rejections {
-        let cand = population[rng.gen_range(0..population.len())];
-        if !is_used(&cand) {
-            return cand;
-        }
+    let accept = |i: usize| !is_used(&population[i]);
+    if let Some(i) = propose(population.len(), max_rejections, accept, rng) {
+        return population[i];
     }
     let mut rank = rng.gen_range(0..remaining);
     *population
@@ -717,6 +749,60 @@ impl GroupSlot {
             GroupSlot::Promoted { .. } => unreachable!("a promoted slot is not cold"),
         }
     }
+
+    /// Whether a cold slot's super-cycle has picked `m`.
+    #[inline]
+    fn is_used(&self, m: u32) -> bool {
+        match self {
+            GroupSlot::Inline { used, len, .. } => used[..usize::from(*len)].contains(&m),
+            GroupSlot::Spill { used, .. } => used.contains(&m),
+            GroupSlot::Promoted { .. } => unreachable!("a promoted slot is not cold"),
+        }
+    }
+
+    /// Spill a full inline array to a hash set, which grows one entry per
+    /// pick.
+    fn spill_if_full(&mut self) {
+        if let GroupSlot::Inline { used, len, .. } = &*self {
+            if usize::from(*len) == INLINE_CAP {
+                *self = GroupSlot::Spill {
+                    used: used.iter().copied().collect(),
+                    current: self.current().to_vec(),
+                };
+            }
+        }
+    }
+
+    /// Record a cold slot's `pick` out of `plen` members: it starts a new
+    /// sub-cycle when `reset`, and the super-cycle it completes starts over
+    /// (Algorithm 2 step 4).
+    fn record(&mut self, pick: u32, reset: bool, plen: usize) {
+        match self {
+            GroupSlot::Inline { used, len, sub } => {
+                if usize::from(*len) + 1 == plen {
+                    (*len, *sub) = (0, 0);
+                } else {
+                    if reset {
+                        *sub = *len;
+                    }
+                    used[usize::from(*len)] = pick;
+                    *len += 1;
+                }
+            }
+            GroupSlot::Spill { used, current } => {
+                // Spill implies 2·used < |N(v)| (the half-used rule would
+                // have promoted otherwise): the super-cycle cannot complete
+                // in this stage.
+                debug_assert!(2 * used.len() < plen);
+                if reset {
+                    current.clear();
+                }
+                used.insert(pick);
+                current.push(pick);
+            }
+            GroupSlot::Promoted { .. } => unreachable!("a promoted slot is not cold"),
+        }
+    }
 }
 
 /// The arena-backed engine for GNRW's per-edge state (Algorithm 2): the
@@ -724,9 +810,10 @@ impl GroupSlot {
 /// of groups attempted this sub-cycle.
 ///
 /// A cold edge holds only its picks — inline, then in a hash set — and
-/// takes `N(v)`'s partition from the caller at every step. Once it
-/// qualifies under the [`PROMOTION_SPAN`] rule of the node engine, it
-/// freezes that partition into the arenas: its members group-major in
+/// steps by rejection on its members' keys or exactly on `N(v)`'s
+/// partition, both from the caller. Once it qualifies under the
+/// [`PROMOTION_SPAN`] rule of the node engine, it freezes the partition
+/// into the arenas: its members group-major in
 /// `members`, one `GroupSpan` per group in `spans`. From then on a step
 /// reads no partition and probes no set: a group's unvisited count is
 /// `end − next`, and its `rank`-th unvisited member is `members[next +
@@ -1167,6 +1254,11 @@ impl GroupEdgeView<'_> {
     /// under [`PROMOTION_SPAN`], freezing `groups`, or spills a full inline
     /// array. Promotion keeps both sets, so it never changes a pick.
     ///
+    /// This is the exact step every edge can take. A cold edge under a
+    /// grouping that keys each member alone tries
+    /// [`step_by_rejection`](Self::step_by_rejection) first, which needs no
+    /// partition, and takes this step only when that one declines.
+    ///
     /// # Panics
     /// Panics if the edge is cold and `groups` is `None`.
     pub fn step(
@@ -1194,52 +1286,63 @@ impl GroupEdgeView<'_> {
             self.freeze(groups);
             return self.step(None, counts, rng);
         }
-        if let GroupSlot::Inline { used, len, .. } = &*self.slot {
-            if usize::from(*len) == INLINE_CAP {
-                *self.slot = GroupSlot::Spill {
-                    used: used.iter().copied().collect(),
-                    current: self.slot.current().to_vec(),
-                };
-            }
-        }
-        let (pick, reset) = match &*self.slot {
-            GroupSlot::Inline { used, len, sub } => {
-                let used = &used[..usize::from(*len)];
-                let current = &used[usize::from(*sub)..];
-                cold_pick(groups, current, |m| used.contains(&m), counts, rng)
-            }
-            GroupSlot::Spill { used, current } => {
-                cold_pick(groups, current, |m| used.contains(&m), counts, rng)
-            }
-            GroupSlot::Promoted { .. } => unreachable!("promoted slots step above"),
-        };
-        match &mut *self.slot {
-            GroupSlot::Inline { used, len, sub } => {
-                if usize::from(*len) + 1 == plen {
-                    // Super-cycle complete (Algorithm 2 step 4).
-                    (*len, *sub) = (0, 0);
-                } else {
-                    if reset {
-                        *sub = *len;
-                    }
-                    used[usize::from(*len)] = pick;
-                    *len += 1;
-                }
-            }
-            GroupSlot::Spill { used, current } => {
-                // Spill implies 2·used < |N(v)| (the half-used rule would
-                // have promoted otherwise): the super-cycle cannot complete
-                // in this stage.
-                debug_assert!(2 * used.len() < plen);
-                if reset {
-                    current.clear();
-                }
-                used.insert(pick);
-                current.push(pick);
-            }
-            GroupSlot::Promoted { .. } => unreachable!("promoted slots step above"),
-        }
+        self.slot.spill_if_full();
+        let slot = &*self.slot;
+        let (pick, reset) = cold_pick(groups, slot.current(), |m| slot.is_used(m), counts, rng);
+        self.slot.record(pick, reset, plen);
         pick as usize
+    }
+
+    /// Algorithm 2's step on a cold edge by exact rejection, for a grouping
+    /// whose key of a member depends on that member alone: `key(i)` is the
+    /// group key of `N(v)`'s `i`-th member, of `plen`. Algorithm 2 picks a
+    /// group outside `S(u, v)` in proportion to its unvisited members, then
+    /// a uniform unvisited member of it — a uniform draw from the set `U` of
+    /// unvisited members whose group is not in `S(u, v)`. So this step
+    /// proposes uniform indices of `N(v)` and accepts the first one in `U`:
+    /// not in `b(u, v)`, and with a key outside those of the current
+    /// sub-cycle's picks. Those keys are read into `keys` once, at the
+    /// first proposal that needs them; while `S(u, v)` is empty, as on an
+    /// edge's first visit, no key is read at all. An accepted pick is
+    /// recorded as [`step`](Self::step) records one, and returned.
+    ///
+    /// The step makes at most `min(`[`MAX_REJECTION_ITERS`]`, plen)`
+    /// proposals and declines — `None`, with nothing recorded — when all
+    /// fail, which is certain when `U` is empty and the sub-cycle must
+    /// reset. It also declines on a frozen edge and on one that qualifies
+    /// for promotion, after spilling a full inline array as `step` would.
+    /// The caller then takes `step`, an exact draw from the same `U` (or
+    /// the reset), so the mixture walks Algorithm 2's law exactly. Each
+    /// proposal is one `gen_range` draw.
+    pub fn step_by_rejection(
+        &mut self,
+        plen: usize,
+        mut key: impl FnMut(usize) -> u64,
+        keys: &mut Vec<u64>,
+        rng: &mut dyn RngCore,
+    ) -> Option<usize> {
+        if self.is_frozen() || promotable(self.slot.used_len(), plen, INLINE_CAP) {
+            return None;
+        }
+        self.slot.spill_if_full();
+        let slot = &*self.slot;
+        let current = slot.current();
+        keys.clear();
+        let in_u = |i: usize| {
+            if slot.is_used(i as u32) {
+                return false;
+            }
+            if current.is_empty() {
+                return true;
+            }
+            if keys.is_empty() {
+                keys.extend(current.iter().map(|&m| key(m as usize)));
+            }
+            !keys.contains(&key(i))
+        };
+        let pick = propose(plen, MAX_REJECTION_ITERS.min(plen), in_u, rng)?;
+        self.slot.record(pick as u32, false, plen);
+        Some(pick)
     }
 
     /// Promote a cold edge: freeze `groups` into the arenas, each group's
@@ -1248,11 +1351,7 @@ impl GroupEdgeView<'_> {
     fn freeze(&mut self, groups: &NodeGroups<'_>) {
         let (start, at) = (self.members.len(), self.spans.len());
         let slot = &*self.slot;
-        let used = |m: &&u32| match slot {
-            GroupSlot::Inline { used, len, .. } => used[..usize::from(*len)].contains(m),
-            GroupSlot::Spill { used, .. } => used.contains(m),
-            GroupSlot::Promoted { .. } => unreachable!("only a cold edge promotes"),
-        };
+        let used = |m: &&u32| slot.is_used(**m);
         for g in 0..groups.group_count() {
             let group = groups.members_of(g);
             self.members.extend(group.iter().filter(used));
@@ -1702,6 +1801,95 @@ mod tests {
             };
         }
         GroupEngine::import_state(&state)
+    }
+
+    #[test]
+    fn rejection_steps_draw_uniformly_from_the_open_members() {
+        // N(v) of 42: a group of 40 (key 0) beside two singletons (keys 40
+        // and 41). From each cold state, 100k steps — by rejection, then
+        // by the exact step when it declines — must each pick a uniform
+        // member of U, the unvisited members whose group is not in S(u, v),
+        // and nothing else; the exact step takes over with the probability
+        // that 32 proposals all miss U, and the state moves on as under the
+        // exact step alone.
+        let parts = ((0..42).collect::<Vec<u32>>(), vec![40, 41, 42]);
+        let groups = node_groups(&parts);
+        let key_reads = std::cell::Cell::new(0usize);
+        let key = |i: usize| {
+            key_reads.set(key_reads.get() + 1);
+            if i < 40 {
+                0
+            } else {
+                i as u64
+            }
+        };
+        let miss_all = (40.0f64 / 42.0).powi(32);
+        // This super-cycle's picks, the current sub-cycle's among them, U,
+        // the probability that the step by rejection declines, and the
+        // edge's (picks, attempted groups) after one step.
+        let states = [
+            // S(u, v) empty: every member, and no key read.
+            (vec![], vec![], (0..42).collect(), 0.0, (1, 1)),
+            // S(u, v) holds the big group: the two singletons, accepted
+            // 2/42 of the time, so about 21% of steps fall back.
+            (vec![5], vec![5], vec![40, 41], miss_all, (2, 2)),
+            // A sub-cycle picked 3, 40 and 41, one per group, and reset;
+            // the next picked 5. S(u, v) holds every unvisited member's
+            // group, though not those of 40 and 41: every step falls
+            // back, and the sub-cycle restarts with its pick.
+            (
+                vec![3, 5, 40, 41],
+                vec![5],
+                (0..40).filter(|&i| i != 3 && i != 5).collect(),
+                1.0,
+                (5, 1),
+            ),
+        ];
+        const STEPS: usize = 100_000;
+        let within = |count: usize, p: f64| {
+            let (mean, se) = (STEPS as f64 * p, (STEPS as f64 * p * (1.0 - p)).sqrt());
+            (count as f64 - mean).abs() <= 6.0 * se
+        };
+        let mut rng = ChaCha12Rng::seed_from_u64(23);
+        let (mut counts, mut keys) = (Vec::new(), Vec::new());
+        for (picks, sub_cycle, open, decline, moved_on) in states {
+            let cold = import_cold(INLINE, &picks, &sub_cycle).unwrap();
+            let mut exact = cold.clone();
+            exact.view(1, 42).step(Some(&groups), &mut counts, &mut rng);
+            assert_eq!(exact.probe(1), Some(moved_on), "picks {picks:?}");
+            key_reads.set(0);
+            let (mut hits, mut declined) = (vec![0usize; 42], 0usize);
+            for _ in 0..STEPS {
+                let mut engine = cold.clone();
+                let mut view = engine.view(1, 42);
+                let pick = view
+                    .step_by_rejection(42, key, &mut keys, &mut rng)
+                    .unwrap_or_else(|| {
+                        declined += 1;
+                        view.step(Some(&groups), &mut counts, &mut rng)
+                    });
+                hits[pick] += 1;
+                assert_eq!(engine.probe(1), Some(moved_on), "picks {picks:?}");
+            }
+            assert!(
+                within(declined, decline),
+                "picks {picks:?}: {declined} fell back"
+            );
+            for (m, &count) in hits.iter().enumerate() {
+                if open.contains(&m) {
+                    let p = 1.0 / open.len() as f64;
+                    assert!(
+                        within(count, p),
+                        "picks {picks:?}: member {m} came {count} times"
+                    );
+                } else {
+                    assert_eq!(count, 0, "picks {picks:?}: member {m} is not open");
+                }
+            }
+            if picks.is_empty() {
+                assert_eq!(key_reads.get(), 0, "a step with S(u, v) empty read a key");
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,18 @@
 //!   space; `by_hash(1)`, one group, is the other. At both GNRW walks
 //!   CNRW's transition law (§4.1).
 //!
+//! ## Keys of one node, and keys of a neighborhood
+//!
+//! Value buckets of degree or an attribute ([`Grouping::degree_log2`],
+//! [`Grouping::degree_bucketed`], [`Grouping::attribute_bucketed`]), hash
+//! and per-node groupings key a node by that node alone, so a cold GNRW
+//! step can key just the neighbors it proposes instead of all of `N(v)`
+//! (see [`Gnrw`](crate::walkers::Gnrw)). Rank-quantile groupings
+//! ([`Grouping::by_degree`], [`Grouping::degree_quantile`],
+//! [`Grouping::by_attribute`], [`Grouping::attribute_quantile`]) key a
+//! node by its rank in the neighborhood, which takes every neighbor's
+//! value.
+//!
 //! ## Balanced strata and the singleton-group transient
 //!
 //! The paper leaves the bucketing of numeric values unspecified. This
@@ -88,46 +100,79 @@ impl ValueBucketing {
     }
 }
 
-/// Grouping mode shared by the value-driven rules.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Mode {
-    /// Group by bucketed value (group key independent of the neighborhood).
-    Bucketed(ValueBucketing),
-    /// Sort the neighborhood by value and deal into `k` equal strata.
-    Quantile(usize),
+/// The value a rank-quantile [`Grouping`] sorts a neighborhood by.
+#[derive(Clone, Debug, PartialEq)]
+enum Measure {
+    Degree,
+    /// Nodes missing the attribute read as value 0.
+    Attribute(String),
 }
 
-/// Assign group keys for a whole neighbor list under a mode, reading each
-/// node's value through `value`. Quantile modes rank `(value, index)`
-/// pairs in `ranked`, a buffer callers keep across calls.
-fn assign_by_value<F: FnMut(NodeId) -> f64>(
-    mode: Mode,
+impl Measure {
+    fn value(&self, client: &dyn OsnClient, node: NodeId) -> f64 {
+        match self {
+            Measure::Degree => client.peek_degree(node) as f64,
+            Measure::Attribute(name) => client.peek_attribute(node, name).unwrap_or(0.0),
+        }
+    }
+}
+
+/// Sort `nodes` by `measure` and deal them into `k` equal strata, filling
+/// `out` with one stratum key per node. `(value, index)` pairs are ranked
+/// in `ranked`, a buffer callers keep across calls.
+fn assign_quantile(
+    measure: &Measure,
+    k: usize,
+    client: &dyn OsnClient,
     nodes: &[NodeId],
     out: &mut Vec<u64>,
     ranked: &mut Vec<(f64, usize)>,
-    mut value: F,
 ) {
-    match mode {
-        Mode::Bucketed(bucketing) => {
-            out.extend(nodes.iter().map(|&n| bucketing.bucket(value(n))));
-        }
-        Mode::Quantile(k) => {
-            let k = k.max(1);
-            // Rank by (value, id, index): a total order, so the in-place
-            // unstable sort ranks exactly as a stable sort by (value, id)
-            // would. `total_cmp` orders NaN after +∞ (before −∞ when
-            // negative).
-            ranked.clear();
-            ranked.extend(nodes.iter().enumerate().map(|(i, &n)| (value(n), i)));
-            ranked.sort_unstable_by(|&(va, a), &(vb, b)| {
-                va.total_cmp(&vb)
-                    .then(nodes[a].cmp(&nodes[b]))
-                    .then(a.cmp(&b))
-            });
-            out.resize(nodes.len(), 0);
-            for (rank, &(_, i)) in ranked.iter().enumerate() {
-                out[i] = (rank * k / nodes.len().max(1)) as u64;
-            }
+    let k = k.max(1);
+    // Rank by (value, id, index): a total order, so the in-place unstable
+    // sort ranks exactly as a stable sort by (value, id) would. `total_cmp`
+    // orders NaN after +∞ (before −∞ when negative).
+    ranked.clear();
+    ranked.extend(
+        nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (measure.value(client, n), i)),
+    );
+    ranked.sort_unstable_by(|&(va, a), &(vb, b)| {
+        va.total_cmp(&vb)
+            .then(nodes[a].cmp(&nodes[b]))
+            .then(a.cmp(&b))
+    });
+    out.resize(nodes.len(), 0);
+    for (rank, &(_, i)) in ranked.iter().enumerate() {
+        out[i] = (rank * k / nodes.len().max(1)) as u64;
+    }
+}
+
+/// The group key of a node under a grouping whose key depends on that node
+/// alone: [`Grouping::node_key`].
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum NodeKey {
+    Degree(ValueBucketing),
+    /// Nodes missing the attribute share the sentinel group `u64::MAX`.
+    Attribute(String, ValueBucketing),
+    Hash(u64),
+    Id,
+}
+
+impl NodeKey {
+    /// `node`'s group key, peeking its degree or attribute through
+    /// `client`.
+    #[inline]
+    pub(crate) fn of(&self, client: &dyn OsnClient, node: NodeId) -> u64 {
+        match self {
+            NodeKey::Degree(bucketing) => bucketing.bucket(client.peek_degree(node) as f64),
+            NodeKey::Attribute(name, bucketing) => client
+                .peek_attribute(node, name)
+                .map_or(u64::MAX, |v| bucketing.bucket(v)),
+            NodeKey::Hash(groups) => hash_node_id(node.0) % groups,
+            NodeKey::Id => u64::from(node.0),
         }
     }
 }
@@ -135,12 +180,10 @@ fn assign_by_value<F: FnMut(NodeId) -> f64>(
 /// What a [`Grouping`] reads to key a node.
 #[derive(Clone, Debug, PartialEq)]
 enum Rule {
-    Degree(Mode),
-    /// Nodes missing the attribute read as value 0 under quantile mode and
-    /// fall into the sentinel group `u64::MAX` under bucketed modes.
-    Attribute(String, Mode),
-    Hash(u64),
-    Node,
+    /// A key of the node alone.
+    Node(NodeKey),
+    /// The node's rank-quantile stratum, one of `k`, in its neighborhood.
+    Quantile(Measure, usize),
 }
 
 /// GNRW's grouping `g(·)`: a deterministic assignment of nodes to groups,
@@ -169,7 +212,7 @@ impl Grouping {
 
     /// Degree, rank-quantile grouping into `k` strata.
     pub fn degree_quantile(k: usize) -> Self {
-        Grouping(Rule::Degree(Mode::Quantile(k)))
+        Grouping(Rule::Quantile(Measure::Degree, k))
     }
 
     /// Degree, value-bucketed: `floor(log2(1 + degree))`.
@@ -182,7 +225,7 @@ impl Grouping {
     /// # Panics
     /// Panics on a `Linear` width that is not finite and positive.
     pub fn degree_bucketed(bucketing: ValueBucketing) -> Self {
-        Grouping(Rule::Degree(Mode::Bucketed(bucketing.checked())))
+        Grouping(Rule::Node(NodeKey::Degree(bucketing.checked())))
     }
 
     /// A profile attribute — e.g. the paper's `GNRW_By_ReviewsCount` on
@@ -194,7 +237,7 @@ impl Grouping {
 
     /// A profile attribute, rank-quantile grouping into `k` strata.
     pub fn attribute_quantile(name: impl Into<String>, k: usize) -> Self {
-        Grouping(Rule::Attribute(name.into(), Mode::Quantile(k)))
+        Grouping(Rule::Quantile(Measure::Attribute(name.into()), k))
     }
 
     /// A profile attribute, value-bucketed. Nodes missing the attribute
@@ -203,10 +246,10 @@ impl Grouping {
     /// # Panics
     /// Panics on a `Linear` width that is not finite and positive.
     pub fn attribute_bucketed(name: impl Into<String>, bucketing: ValueBucketing) -> Self {
-        Grouping(Rule::Attribute(
+        Grouping(Rule::Node(NodeKey::Attribute(
             name.into(),
-            Mode::Bucketed(bucketing.checked()),
-        ))
+            bucketing.checked(),
+        )))
     }
 
     /// Pseudorandom attribute-independent grouping into `groups` groups —
@@ -217,22 +260,27 @@ impl Grouping {
     /// Panics if `groups == 0`.
     pub fn by_hash(groups: u64) -> Self {
         assert!(groups > 0, "need at least one group");
-        Grouping(Rule::Hash(groups))
+        Grouping(Rule::Node(NodeKey::Hash(groups)))
     }
 
     /// Every neighbor in its own group: the group pick is the member pick,
     /// so GNRW walks CNRW's transition law (§4.1).
     pub fn by_node() -> Self {
-        Grouping(Rule::Node)
+        Grouping(Rule::Node(NodeKey::Id))
     }
 
     /// Human-readable name for reports (e.g. `"GNRW_By_Degree"`).
     pub fn label(&self) -> String {
         match &self.0 {
-            Rule::Degree(_) => "GNRW_By_Degree".to_string(),
-            Rule::Attribute(name, _) => format!("GNRW_By_{name}"),
-            Rule::Hash(_) => "GNRW_By_MD5".to_string(),
-            Rule::Node => "GNRW_By_Node".to_string(),
+            Rule::Node(NodeKey::Degree(_)) | Rule::Quantile(Measure::Degree, _) => {
+                "GNRW_By_Degree".to_string()
+            }
+            Rule::Node(NodeKey::Attribute(name, _))
+            | Rule::Quantile(Measure::Attribute(name), _) => {
+                format!("GNRW_By_{name}")
+            }
+            Rule::Node(NodeKey::Hash(_)) => "GNRW_By_MD5".to_string(),
+            Rule::Node(NodeKey::Id) => "GNRW_By_Node".to_string(),
         }
     }
 
@@ -255,25 +303,22 @@ impl Grouping {
     ) {
         out.clear();
         match &self.0 {
-            Rule::Degree(mode) => {
-                assign_by_value(*mode, nodes, out, ranked, |n| client.peek_degree(n) as f64);
-            }
-            Rule::Attribute(name, Mode::Bucketed(bucketing)) => {
-                out.extend(nodes.iter().map(|&n| {
-                    client
-                        .peek_attribute(n, name)
-                        .map_or(u64::MAX, |v| bucketing.bucket(v))
-                }));
-            }
-            Rule::Attribute(name, mode) => {
-                assign_by_value(*mode, nodes, out, ranked, |n| {
-                    client.peek_attribute(n, name).unwrap_or(0.0)
-                });
-            }
-            Rule::Hash(groups) => {
-                out.extend(nodes.iter().map(|&n| hash_node_id(n.0) % groups));
-            }
-            Rule::Node => out.extend(nodes.iter().map(|&n| u64::from(n.0))),
+            Rule::Node(key) => out.extend(nodes.iter().map(|&n| key.of(client, n))),
+            Rule::Quantile(measure, k) => assign_quantile(measure, *k, client, nodes, out, ranked),
+        }
+    }
+
+    /// The key function of a grouping whose key of a node depends on that
+    /// node alone — degree or attribute buckets, hash, per-node — or `None`
+    /// for a rank-quantile grouping, whose key ranks a node within its
+    /// neighborhood. A cold GNRW step can then key only the neighbors it
+    /// proposes ([`GroupEdgeView::step_by_rejection`]).
+    ///
+    /// [`GroupEdgeView::step_by_rejection`]: crate::history::GroupEdgeView::step_by_rejection
+    pub(crate) fn node_key(&self) -> Option<&NodeKey> {
+        match &self.0 {
+            Rule::Node(key) => Some(key),
+            Rule::Quantile(..) => None,
         }
     }
 }

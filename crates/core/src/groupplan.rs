@@ -1,8 +1,11 @@
 //! Precomputed group plans for GNRW.
 //!
-//! A cold GNRW edge steps on the partition of `N(v)`; the planless walker
-//! re-derives it at every such step — one [`Grouping::assign`] pass and a
-//! partition by key, work proportional to `deg(v)`. A [`GroupPlan`]
+//! A cold GNRW edge's exact step runs on the partition of `N(v)`; the
+//! planless walker re-derives it at every such step — one
+//! [`Grouping::assign`] pass and a partition by key, work proportional to
+//! `deg(v)`. (Under a grouping that keys each node alone, a cold edge
+//! first tries a step by rejection that needs no partition, and reads one
+//! only when that step declines.) A [`GroupPlan`]
 //! hoists that work into one streaming pass over a static snapshot: per
 //! node, `member_perm` holds the local neighbor indices grouped
 //! contiguously (groups in ascending key order, members in ascending index
@@ -20,7 +23,8 @@
 //!
 //! A plan only changes where a cold edge's partition comes from. The
 //! plan's partition of each `N(v)` is the one the planless step derives,
-//! and both walkers run the same Algorithm-2 step on the same edge state,
+//! and both walkers run the same Algorithm-2 steps on the same edge state
+//! — the step by rejection first wherever the grouping allows it,
 //! so on a static snapshot a plan-backed walker's trace, accounting and
 //! snapshots equal the planless walker's bit for bit — for every grouping,
 //! the two extremes where GNRW walks CNRW's law included.

@@ -27,7 +27,7 @@
 //! | draw, promoted (hot edge) | — (never promotes) | `O(1)` **exact**, no membership hashing |
 //! | draw, `≥ ½` population used | `O(deg)` rank scan | `O(1)` **exact** (half-used always promotes) |
 //! | cycle reset | `O(deg)` set clear | `O(1)` cursor rewind |
-//! | GNRW step | `O(deg)` hash probes | `O(deg)` probes while cold (inline ones hash-free), `O(groups)` and none once promoted |
+//! | GNRW step | `O(deg)` hash probes | while cold, `O(1)` expected proposals by rejection under a grouping that keys each node alone, else `O(deg)` probes (inline ones hash-free); `O(groups)` and none once promoted |
 //! | per-edge memory after `k` draws | `O(k)` set entries | `O(k)` inline/spill → slice `≤ PROMOTION_SPAN·k` once promoted |
 //!
 //! Space grows by at most one entry per walk step between resets, giving
@@ -35,10 +35,12 @@
 //! [`EdgeHistory::tracked_edges`] report it. The hash-set layout survives
 //! as the reference the property tests compare the engine against.
 //!
-//! A GNRW edge's step runs on `N(v)`'s partition. [`GroupHistory`] takes it
-//! from the walker while the edge is cold and freezes it when the edge
-//! promotes, so a hot edge never asks for it again; a snapshot carries the
-//! frozen partition with the rest of the edge's state.
+//! A GNRW edge's exact step runs on `N(v)`'s partition. [`GroupHistory`]
+//! takes it from the walker while the edge is cold — unless the edge's
+//! step by rejection, which reads only the keys of the members it
+//! proposes, accepts a pick first — and freezes it when the edge promotes,
+//! so a hot edge never asks for it again; a snapshot carries the frozen
+//! partition with the rest of the edge's state.
 
 use osn_graph::NodeId;
 use osn_serde::Value;

@@ -33,12 +33,14 @@
 //! reference the property tests compare the engine against.
 //!
 //! GNRW runs one step, Algorithm 2, on every edge. A hot edge freezes its
-//! neighbor partition when it promotes and never re-derives it; a cold
-//! edge partitions `N(v)` with the grouping, or reads it from a
-//! precomputed [`GroupPlan`] ([`groupplan`]) built once per graph+grouping
-//! and shared read-only across walkers. Both sources give the same
-//! partition, so a plan changes the cost of a walk, never its trace (see
-//! the `gnrw_throughput` bench).
+//! neighbor partition when it promotes and never re-derives it. A cold
+//! edge under a grouping that keys each node alone first draws by exact
+//! rejection, keying only the neighbors it proposes; otherwise, and when
+//! that step declines, it partitions `N(v)` with the grouping, or reads
+//! the partition from a precomputed [`GroupPlan`] ([`groupplan`]) built
+//! once per graph+grouping and shared read-only across walkers. Both
+//! sources give the same partition, so a plan changes the cost of a walk,
+//! never its trace (see the `gnrw_throughput` bench).
 //!
 //! ## Running a walk
 //!

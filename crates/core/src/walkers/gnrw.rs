@@ -46,23 +46,38 @@ use crate::walker::{prev_from_value, prev_to_value, uniform_pick, RandomWalk};
 /// every window of `deg(v)` draws off one edge covers `N(v)`. The
 /// interesting regime is a handful of value-homogeneous groups.
 ///
-/// ## One step, one partition read
+/// ## One step: by rejection where it can, else on one partition read
 ///
 /// Every historied step is Algorithm 2's, run by the edge's
-/// [`GroupEdgeView::step`](crate::history::GroupEdgeView::step) with two
-/// `gen_range` draws. It needs `N(v)`'s partition only while the edge is
-/// cold: an edge that promotes freezes its partition in the walker's
-/// history, and a hot edge's step reads no grouping and no plan. A cold
-/// edge reads its partition once: from the node's slice of a shared
-/// precomputed [`GroupPlan`] ([`Gnrw::with_plan`]) when that slice covers
-/// the live `N(v)`, else from the grouping's keys over a copy of `N(v)`
-/// and [`partition_by_key`], in buffers reused across steps. On a static
-/// snapshot the two give the same partition, so a plan walker is the
-/// planless walker ([`Gnrw::new`]) bit for bit. On an evolving graph the
-/// plan keeps the partition of each `N(v)` it was built over: at a node
-/// whose live degree no longer matches it, the walker partitions the live
-/// `N(v)` exactly as the planless walker does, so the walk stays correct
-/// after [`RandomWalk::invalidate_node`] without a rebuilt plan.
+/// [`GroupEdgeView`](crate::history::GroupEdgeView). It needs `N(v)`'s
+/// groups only while the edge is cold: an edge that promotes freezes its
+/// partition in the walker's history, and a hot edge's step reads no
+/// grouping and no plan, with two `gen_range` draws.
+///
+/// On a cold edge, a grouping whose key of a node depends on that node
+/// alone — degree or attribute buckets, hash, per-node — first steps by
+/// exact rejection
+/// ([`step_by_rejection`](crate::history::GroupEdgeView::step_by_rejection)):
+/// uniform proposals of `N(v)`, accepting the first that is outside
+/// `b(u, v)` and whose group is not in `S(u, v)`, the groups of the current
+/// sub-cycle's picks. Each proposal is one `gen_range` draw. Keys are read
+/// only for proposals that need them, and
+/// none while the sub-cycle is empty, so a walk over new edges reads almost
+/// no degree where a partition would read all of `N(v)`'s. When the
+/// step declines — after `min(32, deg(v))` misses, certain when the
+/// sub-cycle must reset — and always under a rank-quantile grouping, the
+/// edge takes the exact step on `N(v)`'s partition, with two more draws.
+/// It reads the partition from the node's slice of a shared precomputed
+/// [`GroupPlan`] ([`Gnrw::with_plan`]) when that slice covers the live
+/// `N(v)`, else from the grouping's keys over a copy of `N(v)` and
+/// [`partition_by_key`], in buffers reused across steps. On a static
+/// snapshot the two give the same partition, and plan and planless walkers
+/// try the step by rejection alike, so a plan walker is the planless
+/// walker ([`Gnrw::new`]) bit for bit. On an evolving graph the plan keeps
+/// the partition of each `N(v)` it was built over: at a node whose live
+/// degree no longer matches it, the walker partitions the live `N(v)`
+/// exactly as the planless walker does, so the walk stays correct after
+/// [`RandomWalk::invalidate_node`] without a rebuilt plan.
 pub struct Gnrw {
     prev: Option<NodeId>,
     current: NodeId,
@@ -70,11 +85,13 @@ pub struct Gnrw {
     plan: Option<Arc<GroupPlan>>,
     history: GroupHistory,
     label: String,
-    // Per-step buffers, reused across the walk. A cold edge off the plan
+    // Per-step buffers, reused across the walk. A cold step works on
+    // `scratch_neighbors`, a copy of `N(v)`. The step by rejection reads
+    // the keys of `S(u, v)` into `scratch_keys`; a cold edge off the plan
     // is partitioned in `scratch_partition` from `scratch_keys`, the
-    // grouping's keys over `scratch_neighbors`, a copy of `N(v)`, which
-    // quantile groupings rank in `scratch_ranks`; `counts` holds a cold
-    // step's per-group (unvisited, attempted) counts.
+    // grouping's keys over the copy, which quantile groupings rank in
+    // `scratch_ranks`; `counts` holds an exact cold step's per-group
+    // (unvisited, attempted) counts.
     scratch_neighbors: Vec<NodeId>,
     scratch_keys: Vec<u64>,
     scratch_ranks: Vec<(f64, usize)>,
@@ -172,32 +189,41 @@ impl RandomWalk for Gnrw {
                 if view.is_frozen() {
                     neighbors[view.step(None, &mut self.counts, rng)]
                 } else {
-                    match self.plan.as_ref().map(|plan| plan.groups(v)) {
-                        // The plan's slice covers the live `N(v)` unless a
-                        // mutation has changed `deg(v)` since the build;
-                        // invalidation then dropped the edge state built
-                        // on the old list.
-                        Some(groups) if groups.len() == neighbors.len() => {
-                            neighbors[view.step(Some(&groups), &mut self.counts, rng)]
-                        }
-                        _ => {
-                            // The grouping peeks through the client, so
-                            // partition a copy of the list (metadata peeks
-                            // are free).
-                            let copy = &mut self.scratch_neighbors;
-                            copy.clear();
-                            copy.extend_from_slice(neighbors);
-                            self.grouping.assign_ranked(
-                                &*client,
-                                copy,
-                                &mut self.scratch_keys,
-                                &mut self.scratch_ranks,
-                            );
-                            partition_by_key(&self.scratch_keys, &mut self.scratch_partition);
-                            let groups = NodeGroups::from(&self.scratch_partition);
-                            copy[view.step(Some(&groups), &mut self.counts, rng)]
-                        }
-                    }
+                    // Keys peek through the client, which `N(v)` borrows:
+                    // a cold step works on a copy of the list (metadata
+                    // peeks are free).
+                    let copy = &mut self.scratch_neighbors;
+                    copy.clear();
+                    copy.extend_from_slice(neighbors);
+                    let client = &*client;
+                    let by_rejection = self.grouping.node_key().and_then(|key| {
+                        let key = |i: usize| key.of(client, copy[i]);
+                        view.step_by_rejection(copy.len(), key, &mut self.scratch_keys, rng)
+                    });
+                    let pick = match by_rejection {
+                        Some(pick) => pick,
+                        None => match self.plan.as_ref().map(|plan| plan.groups(v)) {
+                            // The plan's slice covers the live `N(v)` unless
+                            // a mutation has changed `deg(v)` since the
+                            // build; invalidation then dropped the edge
+                            // state built on the old list.
+                            Some(groups) if groups.len() == copy.len() => {
+                                view.step(Some(&groups), &mut self.counts, rng)
+                            }
+                            _ => {
+                                self.grouping.assign_ranked(
+                                    client,
+                                    copy,
+                                    &mut self.scratch_keys,
+                                    &mut self.scratch_ranks,
+                                );
+                                partition_by_key(&self.scratch_keys, &mut self.scratch_partition);
+                                let groups = NodeGroups::from(&self.scratch_partition);
+                                view.step(Some(&groups), &mut self.counts, rng)
+                            }
+                        },
+                    };
+                    copy[pick]
                 }
             }
         };

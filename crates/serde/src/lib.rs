@@ -861,18 +861,21 @@ impl<const FAST: bool> Parser<'_, FAST> {
         text.parse::<f64>().map(Value::Num).map_err(|_| bad())
     }
 
-    /// A token of 1 to 19 plain digits not followed by another number
-    /// byte (`-+.eE`), read in place: exactly the tokens the general path
-    /// reads as a `Uint` with room to spare (19 digits never overflow a
-    /// `u64`). `None` leaves `pos` alone for the general path.
+    /// A token of 1 to 20 plain digits, at most `u64::MAX`, not followed
+    /// by another number byte (`-+.eE`), read in place: tokens the general
+    /// path reads as a `Uint`. A 20th digit is read with overflow checks,
+    /// as RNG state words need it. `None` leaves `pos` alone for the
+    /// general path, which reads a larger token as a float.
     fn plain_uint(&mut self) -> Option<u64> {
         let (start, mut value) = (self.pos, 0u64);
         let mut end = start;
         while let Some(&digit @ b'0'..=b'9') = self.bytes.get(end) {
-            if end - start == 19 {
-                return None;
-            }
-            value = value * 10 + u64::from(digit - b'0');
+            let digit = u64::from(digit - b'0');
+            value = match end - start {
+                0..=18 => value * 10 + digit,
+                19 => value.checked_mul(10)?.checked_add(digit)?,
+                _ => return None,
+            };
             end += 1;
         }
         if end == start || matches!(self.bytes.get(end), Some(b'-' | b'+' | b'.' | b'e' | b'E')) {
@@ -884,7 +887,8 @@ impl<const FAST: bool> Parser<'_, FAST> {
 }
 
 /// A parsed array: packed when every item is a `Uint` (the items the fast
-/// column read left to the general loop, such as 20-digit integers).
+/// column read left to the general loop, such as integers written with
+/// more than 20 digits).
 fn packed(items: Vec<Value>) -> Value {
     let column: Option<Vec<u64>> = items
         .iter()
@@ -1706,12 +1710,17 @@ mod tests {
                 "9-",
                 "[007,+5,-0]",
                 "[1234567890123456789 ]",
+                "[18446744073709551615,1]",
+                "[1,18446744073709551616]",
+                "[00000000000000000001,2]",
+                "[000000000000000000001,2]",
+                "[[1,99999999999999999999],[3,4]]",
             ] {
-                assert_eq!(
-                    parse_with::<true>(token),
-                    parse_with::<false>(token),
-                    "{token}"
-                );
+                let fast = parse_with::<true>(token);
+                assert_eq!(fast, parse_with::<false>(token), "{token}");
+                if let Ok(value) = &fast {
+                    assert!(fully_packed(value), "{token}: {value:?}");
+                }
             }
         }
     }

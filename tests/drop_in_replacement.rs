@@ -20,6 +20,10 @@ fn srw_family(start: NodeId) -> Vec<(String, Box<dyn RandomWalk>)> {
             Box::new(Gnrw::new(start, Grouping::by_degree())),
         ),
         (
+            "GNRW(log2 degree)".into(),
+            Box::new(Gnrw::new(start, Grouping::degree_log2())),
+        ),
+        (
             "GNRW(hash)".into(),
             Box::new(Gnrw::new(start, Grouping::by_hash(5))),
         ),

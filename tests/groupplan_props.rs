@@ -156,11 +156,15 @@ proptest! {
     fn group_steps_cover_the_population_exactly_once(
         sizes in prop::collection::vec(1usize..8, 1..6),
         seed in 0u64..512,
+        rejection in prop::bool::ANY,
     ) {
         // An arbitrary partition, fed to the circulation engine's GNRW
         // step directly: every super-cycle must cover the population
         // exactly once (Theorem 4's b(u,v) invariant), before and after
-        // the edge promotes.
+        // the edge promotes. With `rejection`, each step first tries the
+        // step by rejection, keyed by group index, and takes the exact
+        // step only when that one declines: every pick it accepts must be
+        // unvisited, in a group outside the current sub-cycle's.
         let total: usize = sizes.iter().sum();
         let members: Vec<u32> = (0..total as u32).collect();
         let mut ends = Vec::new();
@@ -170,16 +174,44 @@ proptest! {
             ends.push(acc);
         }
         let groups = NodeGroups { members: &members, ends: &ends };
+        let group_of = |i: usize| ends.iter().position(|&end| i < end as usize).unwrap() as u64;
 
         let mut engine = GroupEngine::default();
-        let mut counts = Vec::new();
+        let (mut counts, mut keys) = (Vec::new(), Vec::new());
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         for cycle in 0..3 {
             let mut drawn = HashSet::new();
+            // S(u, v): the groups of the current sub-cycle's picks.
+            let mut attempted = HashSet::new();
             for _ in 0..total {
-                let idx = engine.view(7, total).step(Some(&groups), &mut counts, &mut rng);
+                let mut view = engine.view(7, total);
+                let accepted = if rejection {
+                    view.step_by_rejection(total, group_of, &mut keys, &mut rng)
+                } else {
+                    None
+                };
+                let idx = match accepted {
+                    Some(idx) => {
+                        prop_assert!(!drawn.contains(&idx), "accepted visited {}", idx);
+                        prop_assert!(
+                            !attempted.contains(&group_of(idx)),
+                            "accepted {} of an attempted group", idx
+                        );
+                        idx
+                    }
+                    None => view.step(Some(&groups), &mut counts, &mut rng),
+                };
                 prop_assert!(idx < total);
+                // The sub-cycle resets when no unvisited member is outside
+                // the attempted groups.
+                if (0..total).all(|m| drawn.contains(&m) || attempted.contains(&group_of(m))) {
+                    attempted.clear();
+                }
                 prop_assert!(drawn.insert(idx), "repeat in super-cycle {}", cycle);
+                attempted.insert(group_of(idx));
+                if drawn.len() < total {
+                    prop_assert_eq!(engine.probe(7), Some((drawn.len(), attempted.len())));
+                }
             }
             prop_assert_eq!(drawn.len(), total);
             // The completing draw rewound the cycle: accounting reads zero.

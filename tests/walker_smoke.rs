@@ -104,6 +104,10 @@ fn cnrw_and_gnrw_visit_frequency_tracks_degree() {
             "GNRW",
             Box::new(Gnrw::new(NodeId(0), Grouping::by_degree())),
         ),
+        (
+            "GNRW(log2 degree)",
+            Box::new(Gnrw::new(NodeId(0), Grouping::degree_log2())),
+        ),
     ];
     for (name, mut walker) in walkers {
         let mut client = SimulatedOsn::new_shared(network.clone());
