@@ -6,13 +6,13 @@
 //! ```
 //!
 //! Streams a multi-million-edge web stand-in (default 4M edges) through
-//! the external-sort [`CompactBuilder`] with a deliberately small chunk
-//! capacity so runs actually spill to disk, then asserts the four claims
-//! the substrate makes:
+//! the partitioned [`CompactBuilder`] with a deliberately small chunk
+//! capacity so its buckets actually spill to disk, then asserts the four
+//! claims the substrate makes:
 //!
 //! 1. **memory bound** — the build's peak-RSS growth (`VmHWM` from
-//!    `/proc/self/status`) stays within the documented budget: the stage
-//!    buffer (`chunk × 8 B`), the offset table (`8 B × (n+1)`), the
+//!    `/proc/self/status`) stays within the documented budget: the staging
+//!    budget (`chunk × 8 B`), the offset table (`8 B × (n+1)`), the
 //!    compressed output (with allocator headroom), and a fixed slack —
 //!    never the `≈12 B/arc` a plain CSR build would need;
 //! 2. **build determinism** — rebuilding the same stream with a different
@@ -23,11 +23,15 @@
 //! 4. **walk bit-identity** — CNRW traces over the compact substrate
 //!    match the decompressed plain CSR step-for-step across seeds.
 //!
-//! Any violated assert exits non-zero. The `--max-secs` wall-clock guard
-//! is polled between phases: a slow runner skips remaining phases with a
-//! notice and exits 0 (inconclusive, never red).
+//! Both builds spill into a private directory that must hold no file once
+//! each build returns, and each build's wall seconds are printed (for
+//! information; no bound applies). Any violated assert exits non-zero.
+//! The `--max-secs` wall-clock guard is polled between phases: a slow
+//! runner skips remaining phases with a notice and exits 0 (inconclusive,
+//! never red).
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use osn_experiments::runner::TrialPlan;
 use osn_experiments::{Algorithm, Deadline};
@@ -125,6 +129,31 @@ fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
 }
 
+/// Stream the stand-in through a builder of `chunk` arcs that spills into
+/// a private directory; fails if a spill file outlives the build.
+fn build(config: &WebGraphConfig, chunk: usize) -> osn_graph::Result<CompactCsr> {
+    let spill_dir = std::env::temp_dir().join(format!("scale_soak_spill_{}", std::process::id()));
+    std::fs::create_dir_all(&spill_dir).unwrap_or_else(|e| fail(format!("spill dir: {e}")));
+    let started = Instant::now();
+    let builder = CompactBuilder::with_chunk_capacity(chunk).with_temp_dir(&spill_dir);
+    let built = web_graph_compact_with(config, builder);
+    eprintln!(
+        "scale_soak: build with chunk {chunk} took {:.2} s",
+        started.elapsed().as_secs_f64()
+    );
+    let left = std::fs::read_dir(&spill_dir)
+        .unwrap_or_else(|e| fail(format!("spill dir: {e}")))
+        .count();
+    if left > 0 {
+        fail(format!(
+            "{left} spill file(s) left in {} after a build",
+            spill_dir.display()
+        ));
+    }
+    std::fs::remove_dir(&spill_dir).unwrap_or_else(|e| fail(format!("spill dir: {e}")));
+    built
+}
+
 fn main() {
     let opts = parse_args();
     let deadline = Deadline::after_secs(opts.max_secs);
@@ -141,16 +170,17 @@ fn main() {
 
     // Phase 1: streaming build under the documented memory bound. The
     // chunk is far smaller than the arc count, so the builder must spill
-    // and k-way-merge; peak-RSS growth may cover the stage buffer, the
-    // offset table, and the compressed output (with allocator headroom +
-    // fixed slack) — never the plain CSR's ≈12 B/arc.
+    // its buckets and read them back one at a time; peak-RSS growth may
+    // cover the staging budget, the offset table, and the compressed
+    // output (with allocator headroom + fixed slack) — never the plain
+    // CSR's ≈12 B/arc.
     let rss_before = peak_rss_bytes();
-    let built = web_graph_compact_with(&config, CompactBuilder::with_chunk_capacity(opts.chunk))
-        .unwrap_or_else(|e| fail(format!("streaming build failed: {e}")));
+    let built =
+        build(&config, opts.chunk).unwrap_or_else(|e| fail(format!("streaming build failed: {e}")));
     let rss_after = peak_rss_bytes();
-    // Duplicate draws collapse during the merge, so the built count sits a
-    // little under the raw stream target — but never above it, and a large
-    // shortfall would mean the spill/merge lost arcs.
+    // Duplicate draws collapse when runs are encoded, so the built count
+    // sits a little under the raw stream target — but never above it, and
+    // a large shortfall would mean the spill lost arcs.
     if built.edge_count() > config.target_edges()
         || (built.edge_count() as f64) < 0.9 * config.target_edges() as f64
     {
@@ -195,8 +225,8 @@ fn main() {
     // spill pattern but must not change a single output byte.
     guard(&deadline, "determinism rebuild");
     let other_chunk = (opts.chunk / 3).max(2) | 1;
-    let rebuilt = web_graph_compact_with(&config, CompactBuilder::with_chunk_capacity(other_chunk))
-        .unwrap_or_else(|e| fail(format!("rebuild failed: {e}")));
+    let rebuilt =
+        build(&config, other_chunk).unwrap_or_else(|e| fail(format!("rebuild failed: {e}")));
     if rebuilt.as_bytes() != built.as_bytes() {
         fail(format!(
             "rebuild with chunk {other_chunk} is not byte-identical to chunk {}",

@@ -585,8 +585,8 @@ impl DecodeCache {
     }
 }
 
-/// Streaming run encoder shared by [`CompactCsr::from_csr`], the
-/// [`CompactBuilder`] merge phase, and overlay rebuilds.
+/// Streaming run encoder shared by [`CompactCsr::from_csr`],
+/// [`CompactBuilder::finish`], and overlay rebuilds.
 pub(crate) struct Encoder {
     node_count: usize,
     offsets: Vec<u64>,
@@ -608,26 +608,22 @@ impl Encoder {
         }
     }
 
-    /// Append the run of the next node. `neighbors` must be sorted strictly
-    /// ascending (checked in debug builds).
+    /// Append the run of the next node. `neighbors` must be sorted
+    /// ascending (checked in debug builds); a repeated id is encoded once.
     pub(crate) fn push_run(&mut self, neighbors: &[NodeId]) {
         debug_assert!(self.prev_node < self.node_count, "more runs than nodes");
-        debug_assert!(
-            neighbors.windows(2).all(|w| w[0] < w[1]),
-            "unsorted or duplicate neighbors"
-        );
+        debug_assert!(neighbors.is_sorted(), "unsorted neighbors");
         self.prev_node += 1;
-        varint::write_u64(&mut self.data, neighbors.len() as u64);
+        let degree = neighbors.len() - neighbors.windows(2).filter(|w| w[0] == w[1]).count();
+        varint::write_u64(&mut self.data, degree as u64);
         let mut prev = None;
         for &NodeId(id) in neighbors {
-            let delta = match prev {
-                None => id,
-                Some(p) => id - p,
-            };
-            varint::write_u64(&mut self.data, u64::from(delta));
-            prev = Some(id);
+            if prev != Some(id) {
+                varint::write_u64(&mut self.data, u64::from(id - prev.unwrap_or(0)));
+                prev = Some(id);
+            }
         }
-        self.arcs += neighbors.len() as u64;
+        self.arcs += degree as u64;
         self.offsets.push(self.data.len() as u64);
     }
 

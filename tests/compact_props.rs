@@ -31,7 +31,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use std::sync::Arc;
 
-use osn_sampling::graph::generators::erdos_renyi;
+use osn_sampling::graph::generators::{barabasi_albert, erdos_renyi};
 use osn_sampling::graph::GraphBuilder;
 use osn_sampling::prelude::*;
 
@@ -42,6 +42,26 @@ fn arb_graph() -> impl Strategy<Value = CsrGraph> {
         let p = (2.0 * (n as f64).ln() / n as f64).min(0.9);
         erdos_renyi(n, p, seed).expect("valid config")
     })
+}
+
+/// The builder's inputs: `arb_graph`'s small graphs, or Barabási–Albert
+/// graphs of 300..3,000 nodes, whose spill buckets hold several sources
+/// each and whose oldest nodes are hubs.
+fn arb_builder_graph() -> impl Strategy<Value = CsrGraph> {
+    (
+        proptest::bool::ANY,
+        arb_graph(),
+        300usize..3_000,
+        1usize..6,
+        0u64..1000,
+    )
+        .prop_map(|(scale_free, small, n, m, seed)| {
+            if scale_free {
+                barabasi_albert(n, m, seed).expect("valid config")
+            } else {
+                small
+            }
+        })
 }
 
 /// The undirected edge list of `g`, one `(u, v)` per edge with `u < v`.
@@ -113,7 +133,7 @@ proptest! {
     /// produces the exact bytes `from_csr` does.
     #[test]
     fn streaming_builder_is_order_and_chunk_invariant(
-        g in arb_graph(),
+        g in arb_builder_graph(),
         chunk in 2usize..64,
         seed in 0u64..1000,
     ) {
