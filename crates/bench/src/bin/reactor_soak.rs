@@ -22,7 +22,12 @@
 //!    serial core produces bit-identical traces, stops, and estimate
 //!    (schedule independence under `Never` with no budget);
 //! 4. **replay determinism** — a second reactor run from the same seed
-//!    reproduces the first bit-for-bit.
+//!    reproduces the first bit-for-bit;
+//! 5. **resume at scale** — the same spec as a pausable `ReactorWalkRun`,
+//!    snapshotted halfway through compact text and `Value::parse`, resumes
+//!    to a snapshot with the same text and runs on to phase 1's traces. By
+//!    then its delivered and seen id sets are bitsets (thousands of ids of
+//!    a 20k range), the form the tests' small runs seldom reach.
 //!
 //! Any violated assert exits non-zero. The `--max-secs` wall-clock guard
 //! is polled between phases: a slow runner skips remaining phases with a
@@ -32,6 +37,7 @@ use osn_client::{BatchConfig, SimulatedBatchOsn, SimulatedOsn};
 use osn_datasets::{gplus_like, Scale};
 use osn_experiments::Deadline;
 use osn_graph::NodeId;
+use osn_serde::Value;
 use osn_walks::{Cnrw, Gnrw, Grouping, HistoryBackend, Never, RandomWalk, WalkOrchestrator};
 
 struct Options {
@@ -211,6 +217,33 @@ fn main() {
         fail("an identical reactor run reached a different state".into());
     }
     eprintln!("reactor_soak: replay determinism OK");
+
+    // Phase 4: resume at scale, halfway through the reference's events.
+    guard(&deadline, "resume");
+    let value = |v: NodeId| v.index() as f64;
+    let mut client = endpoint(&network, &opts);
+    let mut run = orch.start_reactor(make_walker(n));
+    run.run_events(&mut client, &value, stats.events / 2);
+    let text = run.snapshot().to_compact();
+    let parsed = Value::parse(&text).unwrap_or_else(|e| fail(format!("snapshot text: {e}")));
+    let mut resumed = orch
+        .resume_reactor(&parsed, make_walker(n))
+        .unwrap_or_else(|e| fail(format!("resume: {e}")));
+    if resumed.snapshot().to_compact() != text {
+        fail("a resumed run's snapshot differs from the one it resumed".into());
+    }
+    while !resumed.done() {
+        resumed.run_events(&mut client, &value, usize::MAX);
+    }
+    let report = resumed.into_report(&client);
+    if report.trace.per_walker != reference.trace.per_walker {
+        fail("a run resumed halfway diverged from the reference traces".into());
+    }
+    eprintln!(
+        "reactor_soak: resume OK — a {} KiB snapshot at event {} resumed bit-identically",
+        text.len() / 1024,
+        stats.events / 2
+    );
     eprintln!(
         "reactor_soak: all checks passed in {:.1?}",
         deadline.elapsed()

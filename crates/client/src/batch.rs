@@ -53,7 +53,7 @@
 
 use std::fmt;
 
-use osn_graph::{EdgeMutation, MutationOp, NodeId};
+use osn_graph::{EdgeMutation, MutationOp, NodeId, NodeSet};
 use osn_serde::Value;
 
 use crate::budget::BudgetExhausted;
@@ -570,14 +570,7 @@ impl SimulatedBatchOsn {
                 self.in_flight.len()
             ));
         }
-        let cached = Value::uints(
-            self.inner
-                .queried_flags()
-                .iter()
-                .enumerate()
-                .filter(|&(_, &q)| q)
-                .map(|(i, _)| i as u64),
-        );
+        let cached = Value::uints(self.inner.queried().iter().map(u64::from));
         let s = self.inner.stats();
         let bs = self.batch_stats;
         let mutations: Vec<Value> = self
@@ -659,16 +652,15 @@ impl SimulatedBatchOsn {
             ));
         }
         let n = self.inner.network().graph.node_count();
-        let mut queried = vec![false; n];
+        let mut queried = NodeSet::new();
         for &i in state.field("cached")?.as_uints()?.iter() {
-            let i = i as usize;
-            let slot = queried
-                .get_mut(i)
+            let id = u32::try_from(i)
+                .ok()
+                .filter(|&id| (id as usize) < n)
                 .ok_or_else(|| format!("cached node {i} out of range for a {n}-node snapshot"))?;
-            if *slot {
+            if !queried.insert(id) {
                 return Err(format!("duplicate cached node {i}"));
             }
-            *slot = true;
         }
         let sv = state.field("stats")?;
         let stats = QueryStats {

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use osn_graph::attributes::AttributedGraph;
 use osn_graph::compact::{CompactCsr, DecodeCache};
-use osn_graph::{AdjacencyRead, CsrGraph, DeltaOverlay, EdgeMutation, NodeId};
+use osn_graph::{AdjacencyRead, CsrGraph, DeltaOverlay, EdgeMutation, NodeId, NodeSet};
 
 use crate::budget::BudgetExhausted;
 use crate::stats::QueryStats;
@@ -78,6 +78,14 @@ pub trait OsnClient {
 /// node's cached flag is cleared so its next query is **re-charged** as a
 /// fresh unique query — a real interface would have to be re-asked for the
 /// changed listing.
+///
+/// ### Accounting
+///
+/// The queried nodes are one [`NodeSet`], which every query and the batch
+/// endpoint's charge test read: a hash set while few nodes have been
+/// queried, and a bit per node once one in 64 has — 256 KiB over a
+/// 2M-node graph, where a flag byte per node took 2 MiB. A client that
+/// queried a few dozen nodes holds a few dozen ids.
 #[derive(Clone, Debug)]
 pub struct SimulatedOsn {
     network: Arc<AttributedGraph>,
@@ -89,7 +97,8 @@ pub struct SimulatedOsn {
     /// Live edge mutations over the immutable snapshot (empty until the
     /// driver applies a mutation schedule).
     overlay: DeltaOverlay,
-    queried: Vec<bool>,
+    /// The nodes queried so far: the unique queries charged.
+    queried: NodeSet,
     stats: QueryStats,
 }
 
@@ -112,12 +121,11 @@ impl SimulatedOsn {
 
     /// Wrap an already-shared snapshot (no copy).
     pub fn new_shared(network: Arc<AttributedGraph>) -> Self {
-        let n = network.graph.node_count();
         SimulatedOsn {
             network,
             compact: None,
             overlay: DeltaOverlay::new(),
-            queried: vec![false; n],
+            queried: NodeSet::new(),
             stats: QueryStats::default(),
         }
     }
@@ -142,7 +150,7 @@ impl SimulatedOsn {
                 cache: DecodeCache::new(COMPACT_CACHE_SLOTS),
             }),
             overlay: DeltaOverlay::new(),
-            queried: vec![false; n],
+            queried: NodeSet::new(),
             stats: QueryStats::default(),
         }
     }
@@ -216,9 +224,7 @@ impl SimulatedOsn {
     }
 
     fn uncache(&mut self, v: NodeId) {
-        if let Some(flag) = self.queried.get_mut(v.index()) {
-            *flag = false;
-        }
+        self.queried.remove(v.0);
     }
 
     /// Replace the overlay by replaying `log` over the base snapshot — the
@@ -291,7 +297,7 @@ impl SimulatedOsn {
     /// mutations (the overlay is world state, not accounting). Lets one
     /// loaded graph serve many independent trials without rebuilding.
     pub fn reset(&mut self) {
-        self.queried.iter_mut().for_each(|q| *q = false);
+        self.queried.clear();
         self.stats = QueryStats::default();
     }
 
@@ -303,7 +309,7 @@ impl SimulatedOsn {
     /// Whether `u` has been queried before (a further query is free). The
     /// batch endpoint uses this to decide budget charging *before* a fetch.
     pub fn is_cached(&self, u: NodeId) -> bool {
-        self.queried.get(u.index()).copied().unwrap_or(false)
+        self.queried.contains(u.0)
     }
 
     /// The current neighbor list of `u` — through the overlay, and through
@@ -312,7 +318,7 @@ impl SimulatedOsn {
     /// is this read plus the accounting, and the batch endpoint's free
     /// read-back of a delivered list is this read alone.
     pub(crate) fn current_neighbors(&mut self, u: NodeId) -> Option<&[NodeId]> {
-        if u.index() >= self.queried.len() {
+        if u.index() >= self.network.graph.node_count() {
             return None;
         }
         Some(match &mut self.compact {
@@ -326,16 +332,19 @@ impl SimulatedOsn {
         })
     }
 
-    /// The per-node queried flags (cache membership) — used by the batch
+    /// The queried nodes (cache membership) — used by the batch
     /// endpoint's snapshot export.
-    pub(crate) fn queried_flags(&self) -> &[bool] {
+    pub(crate) fn queried(&self) -> &NodeSet {
         &self.queried
     }
 
     /// Overwrite the accounting state — the restore side of the batch
-    /// endpoint's snapshot import. `queried` must be node-count sized.
-    pub(crate) fn restore_accounting(&mut self, queried: Vec<bool>, stats: QueryStats) {
-        debug_assert_eq!(queried.len(), self.network.graph.node_count());
+    /// endpoint's snapshot import. Every id in `queried` must be a node of
+    /// the graph.
+    pub(crate) fn restore_accounting(&mut self, queried: NodeSet, stats: QueryStats) {
+        debug_assert!(queried
+            .max()
+            .is_none_or(|u| (u as usize) < self.network.graph.node_count()));
         self.queried = queried;
         self.stats = stats;
     }
@@ -343,12 +352,10 @@ impl SimulatedOsn {
 
 impl OsnClient for SimulatedOsn {
     fn neighbors(&mut self, u: NodeId) -> Result<&[NodeId], BudgetExhausted> {
-        let seen = &mut self.queried[u.index()];
-        self.stats.record(!*seen);
-        *seen = true;
-        Ok(self
-            .current_neighbors(u)
-            .expect("in range: its queried flag was just set"))
+        let n = self.network.graph.node_count();
+        assert!(u.index() < n, "node {u} outside the {n}-node graph");
+        self.stats.record(self.queried.insert(u.0));
+        Ok(self.current_neighbors(u).expect("in range: checked above"))
     }
 
     fn peek_degree(&self, u: NodeId) -> usize {

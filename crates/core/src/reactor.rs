@@ -7,13 +7,18 @@
 //! reactor loop parks tens of thousands of walkers on in-flight batches and
 //! advances exactly the walkers each completed batch unblocks. Requests
 //! coalesce: a node id is fetched (and charged) once however many walkers
-//! wait on it. The run keeps **one id per fetched node**, not the list: each
-//! list is held once, by the endpoint, and read back through
-//! [`BatchOsnClient::delivered`]. Beyond the fleet and that id set, memory
-//! is bounded by the endpoint's in-flight window (tracked tickets × batch
-//! size) plus the queued-id backlog — there is no per-walker stack, thread,
-//! or round-robin wave slot ([`ReactorStats`] reports the observed peaks so
-//! soak tests can pin the bound).
+//! wait on it. The run keeps **one bit per fetched node**, not the list:
+//! each list is held once, by the endpoint, and read back through
+//! [`BatchOsnClient::delivered`], and the run's id sets (delivered, seen,
+//! refused) are [`NodeSet`]s — bitsets over the id range once they hold
+//! one id per 64 of it, as a large run's do, and hash sets of the few ids
+//! a small run fetches. A parked walker is a link in its node's waiter list
+//! (one `u32` per walker, allocated with the fleet), so parking allocates
+//! nothing. Beyond the fleet and those sets, memory is bounded by the
+//! endpoint's in-flight window (tracked tickets × batch size) plus the
+//! queued-id backlog — there is no per-walker stack, thread, or round-robin
+//! wave slot ([`ReactorStats`] reports the observed peaks so soak tests can
+//! pin the bound).
 //!
 //! ## The event loop
 //!
@@ -58,18 +63,19 @@
 //!
 //! [`VirtualClock`]: osn_client::VirtualClock
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 use osn_client::batch::{BatchNodeError, BatchOsnClient, BatchOutcome, TicketId};
 use osn_client::{BudgetExhausted, OsnClient, QueryStats};
 use osn_estimate::RatioEstimator;
-use osn_graph::NodeId;
+use osn_graph::{NodeId, NodeSet};
 use osn_serde::Value;
 use rand::RngCore;
 use rand_chacha::ChaCha12Rng;
 
 use crate::circulation::HistoryBackend;
-use crate::fnv::{FnvHashMap, FnvHashSet};
+use crate::fnv::FnvHashMap;
 use crate::history::TouchedNodes;
 use crate::orchestrator::{
     advance_walker, maybe_rescue, maybe_restart, Cell, Never, OrchestratorReport, RestartEvent,
@@ -89,18 +95,19 @@ pub const DEFAULT_NODE_ATTEMPT_CAP: u32 = 32;
 #[derive(Default)]
 struct DispatchState {
     /// Ids the endpoint delivered; their lists are read back from it
-    /// ([`BatchOsnClient::delivered`]).
-    delivered: FnvHashSet<u32>,
+    /// ([`BatchOsnClient::delivered`]). Like every id set here, a bitset
+    /// once it holds one id per 64 of its range, a hash set before.
+    delivered: NodeSet,
     /// **Shim**: copies of the lists an endpoint that cannot read back
     /// delivered. Not serialized; delete once every endpoint forwards
     /// [`BatchOsnClient::delivered`].
     copies: FnvHashMap<u32, Vec<NodeId>>,
     /// Nodes the run will never deliver: budget-refused or abandoned.
-    refused: FnvHashSet<u32>,
+    refused: NodeSet,
     /// Dispatcher-level resubmission counts for dropped nodes.
     node_attempts: FnvHashMap<u32, u32>,
     /// Nodes ever queried by any walker (walker-side unique/hit split).
-    seen: FnvHashSet<u32>,
+    seen: NodeSet,
     /// Walker-side accounting (serial-shaped `issued`/`unique`/`hits`).
     stats: QueryStats,
     /// Distinct budget-refused nodes.
@@ -158,7 +165,7 @@ impl DispatchState {
 
     /// Whether `u`'s neighbor list is resolved: delivered or refused.
     fn resolved(&self, u: NodeId) -> bool {
-        self.delivered.contains(&u.0) || self.refused.contains(&u.0)
+        self.delivered.contains(u.0) || self.refused.contains(u.0)
     }
 }
 
@@ -212,13 +219,13 @@ struct PrefetchedClient<'a, B: BatchOsnClient> {
 impl<B: BatchOsnClient> OsnClient for PrefetchedClient<'_, B> {
     fn neighbors(&mut self, u: NodeId) -> Result<&[NodeId], BudgetExhausted> {
         let state = &mut *self.state;
-        if state.delivered.contains(&u.0)
+        if state.delivered.contains(u.0)
             && !state.copies.contains_key(&u.0)
             && self.client.delivered(u).is_none()
         {
             // Nobody holds the list (a run resumed over an endpoint that
             // cannot read back): fetch it again, like an evicted node.
-            state.delivered.remove(&u.0);
+            state.delivered.remove(u.0);
         }
         if !state.resolved(u) {
             // Not prefetched (off-protocol, or evicted by
@@ -238,7 +245,7 @@ impl<B: BatchOsnClient> OsnClient for PrefetchedClient<'_, B> {
         let refused = BudgetExhausted {
             budget: state.budget_in_force.or(remaining).unwrap_or(0),
         };
-        if !state.delivered.contains(&u.0) {
+        if !state.delivered.contains(u.0) {
             return Err(refused);
         }
         state.stats.record(state.seen.insert(u.0));
@@ -267,7 +274,7 @@ impl<B: BatchOsnClient> OsnClient for PrefetchedClient<'_, B> {
     }
 
     fn is_cached(&self, u: NodeId) -> bool {
-        self.state.delivered.contains(&u.0) || self.client.is_cached(u)
+        self.state.delivered.contains(u.0) || self.client.is_cached(u)
     }
 }
 
@@ -322,7 +329,8 @@ pub struct ReactorStats {
     /// Most batches simultaneously in flight.
     pub peak_in_flight: usize,
     /// Most node ids simultaneously queued for fetch (pending + retry +
-    /// in flight).
+    /// in flight): the peak length of the run's waiter-list map, which
+    /// holds one entry per queued id.
     pub peak_queued: usize,
     /// Most walkers simultaneously parked on in-flight or queued batches.
     pub peak_parked: usize,
@@ -331,40 +339,54 @@ pub struct ReactorStats {
 /// The reactor's scheduling state: per-walker FSMs plus the queues that
 /// connect them to the batch endpoint. Owns no walkers, cells, or
 /// dispatcher state — walkers and cells are the serial core's own
-/// structures, which is what keeps the two engines bit-comparable.
+/// structures, which is what keeps the two engines bit-comparable. The
+/// walkers parked on one queued id form a list threaded through
+/// `next_waiter`, headed in `waiters`: parking, waking and unparking move
+/// links and never allocate.
 struct ReactorCore {
     max_steps: usize,
     node_attempt_cap: u32,
     fsm: Vec<WalkerFsm>,
     /// Walkers whose current node resolved, acting at the next event.
     ready: Vec<usize>,
-    /// Walkers parked per node id they need.
-    waiters: FnvHashMap<u32, Vec<usize>>,
+    /// Every id currently in `pending`, `retry`, or in flight (the dedup
+    /// of fetches), each with the first walker parked on it, or [`NO_WALKER`]
+    /// when none is.
+    waiters: FnvHashMap<u32, u32>,
+    /// For each walker, the next walker parked on the same node, or
+    /// [`NO_WALKER`]: with `waiters`, one intrusive list per queued id, so
+    /// parking a walker allocates nothing.
+    next_waiter: Vec<u32>,
     /// Ids awaiting first submission, FIFO.
     pending: VecDeque<NodeId>,
     /// Ids to resubmit after a per-id drop — drained before `pending`.
     retry: VecDeque<NodeId>,
-    /// Every id currently in `pending`, `retry`, or in flight (dedup).
-    queued: FnvHashSet<u32>,
     /// Tickets this reactor submitted, with their id lists — the repair
     /// map for off-protocol synchronous fetches (see [`Self::repair`]).
     inflight: Vec<(TicketId, Vec<NodeId>)>,
-    /// Currently parked walkers (incremental mirror of `waiters` totals).
+    /// Currently parked walkers (the total length of the waiter lists).
     parked: usize,
     stats: ReactorStats,
 }
 
+/// The end of a waiter list: no (further) walker is parked on the node.
+const NO_WALKER: u32 = u32::MAX;
+
 impl ReactorCore {
     fn new(walkers: usize, max_steps: usize, node_attempt_cap: u32) -> Self {
+        assert!(
+            walkers < NO_WALKER as usize,
+            "a fleet of {walkers} walkers does not fit the waiter lists"
+        );
         ReactorCore {
             max_steps,
             node_attempt_cap,
             fsm: vec![WalkerFsm::NeedNeighbors; walkers],
             ready: Vec::new(),
             waiters: FnvHashMap::default(),
+            next_waiter: vec![NO_WALKER; walkers],
             pending: VecDeque::new(),
             retry: VecDeque::new(),
-            queued: FnvHashSet::default(),
             inflight: Vec::new(),
             parked: 0,
             stats: ReactorStats::default(),
@@ -383,19 +405,26 @@ impl ReactorCore {
 
     /// Park walker `i` on its current node `u`: ready now if `u` is
     /// already resolved (delivered or refused — the act phase turns
-    /// refusals into stops), otherwise a waiter, with `u` enqueued once.
+    /// refusals into stops), otherwise the head of `u`'s waiter list, with
+    /// `u` enqueued once.
     fn classify(&mut self, i: usize, u: NodeId, state: &DispatchState) {
         if state.resolved(u) {
             self.fsm[i] = WalkerFsm::Stepping;
             self.ready.push(i);
-        } else {
-            self.fsm[i] = WalkerFsm::AwaitingBatch;
-            self.waiters.entry(u.0).or_default().push(i);
-            self.parked += 1;
-            self.stats.peak_parked = self.stats.peak_parked.max(self.parked);
-            if self.queued.insert(u.0) {
+            return;
+        }
+        self.fsm[i] = WalkerFsm::AwaitingBatch;
+        self.parked += 1;
+        self.stats.peak_parked = self.stats.peak_parked.max(self.parked);
+        // `i < NO_WALKER`, checked when the core was built.
+        let walker = i as u32;
+        match self.waiters.entry(u.0) {
+            Entry::Occupied(mut head) => self.next_waiter[i] = head.insert(walker),
+            Entry::Vacant(slot) => {
+                slot.insert(walker);
+                self.next_waiter[i] = NO_WALKER;
                 self.pending.push_back(u);
-                self.stats.peak_queued = self.stats.peak_queued.max(self.queued.len());
+                self.stats.peak_queued = self.stats.peak_queued.max(self.waiters.len());
             }
         }
     }
@@ -446,14 +475,17 @@ impl ReactorCore {
         }
     }
 
-    /// Move every walker parked on `u` to the act set of this event.
+    /// `u` resolved: it leaves the queue, and every walker parked on it
+    /// moves to the act set of this event (the act phase sorts the set, so
+    /// the order of a waiter list is never observed).
     fn wake(&mut self, u: u32, acted: &mut Vec<usize>) {
-        if let Some(walkers) = self.waiters.remove(&u) {
-            self.parked -= walkers.len();
-            for i in walkers {
-                self.fsm[i] = WalkerFsm::Stepping;
-                acted.push(i);
-            }
+        let mut next = self.waiters.remove(&u).unwrap_or(NO_WALKER);
+        while next != NO_WALKER {
+            let i = next as usize;
+            next = self.next_waiter[i];
+            self.fsm[i] = WalkerFsm::Stepping;
+            self.parked -= 1;
+            acted.push(i);
         }
     }
 
@@ -461,15 +493,25 @@ impl ReactorCore {
     /// the policy while parked). The id itself stays queued — the fetch may
     /// already be in flight — and resolves with no waiters.
     fn unpark(&mut self, i: usize, u: u32) {
-        if let Some(walkers) = self.waiters.get_mut(&u) {
-            if let Some(pos) = walkers.iter().position(|&w| w == i) {
-                walkers.swap_remove(pos);
-                self.parked -= 1;
-                if walkers.is_empty() {
-                    self.waiters.remove(&u);
-                }
+        let Some(head) = self.waiters.get_mut(&u) else {
+            return;
+        };
+        let walker = i as u32;
+        let after = self.next_waiter[i];
+        if *head == walker {
+            *head = after;
+        } else {
+            let mut at = *head;
+            while at != NO_WALKER && self.next_waiter[at as usize] != walker {
+                at = self.next_waiter[at as usize];
             }
+            if at == NO_WALKER {
+                return;
+            }
+            self.next_waiter[at as usize] = after;
         }
+        self.next_waiter[i] = NO_WALKER;
+        self.parked -= 1;
     }
 
     /// Phase 2 bookkeeping: absorb one completed batch into the dispatcher
@@ -487,7 +529,6 @@ impl ReactorCore {
             .retain(|(ticket, _)| *ticket != outcome.ticket);
         for (u, result) in outcome.per_node {
             if state.absorb(client, u, result, self.node_attempt_cap) {
-                self.queued.remove(&u.0);
                 self.wake(u.0, acted);
             } else {
                 self.retry.push_back(u);
@@ -511,7 +552,6 @@ impl ReactorCore {
         for (_, ids) in drained {
             for u in ids {
                 if state.resolved(u) {
-                    self.queued.remove(&u.0);
                     self.wake(u.0, &mut woken);
                 } else {
                     // The side fetch ran to quiescence, so an unresolved id
@@ -580,7 +620,7 @@ impl ReactorCore {
                 };
                 continue;
             }
-            if state.refused.contains(&walkers[i].current().0) {
+            if state.refused.contains(walkers[i].current().0) {
                 // The node this walker needs was refused (budget) or
                 // abandoned (dead interface).
                 cells[i].stop = Some(WalkStop::BudgetExhausted);
@@ -607,7 +647,7 @@ impl ReactorCore {
                 // serial core charges it one lost round).
                 self.fsm[i] = WalkerFsm::Refused;
                 if policy.enabled() {
-                    let cached = |n: NodeId| state.delivered.contains(&n.0) || client.is_cached(n);
+                    let cached = |n: NodeId| state.delivered.contains(n.0) || client.is_cached(n);
                     maybe_rescue(
                         i,
                         &mut *walkers[i],
@@ -645,7 +685,7 @@ impl ReactorCore {
                 let before = walkers[i].current();
                 let restarts_before = restarts.len();
                 {
-                    let cached = |n: NodeId| state.delivered.contains(&n.0) || client.is_cached(n);
+                    let cached = |n: NodeId| state.delivered.contains(n.0) || client.is_cached(n);
                     let degree_of = |n: NodeId| client.peek_degree(n);
                     maybe_restart(
                         i,
@@ -761,9 +801,10 @@ fn fold_report(
 impl WalkOrchestrator {
     /// Run the fleet on the poll-driven reactor: one event loop drives
     /// every walker as a [`WalkerFsm`] parked on in-flight batches of
-    /// `client` — no threads, no per-walker stack, one id held per fetched
-    /// node, each list held once, by `client`, and the rest bounded by the
-    /// in-flight window (see the [`crate::reactor`] module docs).
+    /// `client` — no threads, no per-walker stack, one bit held per fetched
+    /// node once a run is large, each list held once, by `client`, and the
+    /// rest bounded by the in-flight window (see the [`crate::reactor`]
+    /// module docs).
     ///
     /// Deterministic given the seed: events are delivered in completion-
     /// time order with walker-index tiebreaks. Under [`Never`] absent a
@@ -920,10 +961,10 @@ impl WalkOrchestrator {
         let mut core = ReactorCore::new(k, self.max_steps_per_walker(), node_attempt_cap);
         core.stats.events = events;
         // Seed the queues *before* classifying the fleet: classify dedups
-        // against `queued`, so the snapshot's submission order survives the
+        // against `waiters`, so the snapshot's submission order survives the
         // index-order re-parking below.
         for &u in retry.iter().chain(pending.iter()) {
-            if !core.queued.insert(u.0) {
+            if core.waiters.insert(u.0, NO_WALKER).is_some() {
                 return Err(format!("node {} queued twice in reactor snapshot", u.0));
             }
         }
@@ -1022,14 +1063,17 @@ impl ReactorWalkRun {
         self
     }
 
-    /// Check every node id the run will fetch or step from — each walker's
-    /// `current` node and the queued `pending` and `retry` ids — against a
-    /// graph of `node_count` nodes. [`WalkOrchestrator::resume_reactor`]
-    /// cannot: it does not see the graph, and an id past its end resumes
-    /// fine and panics at the first fetch.
+    /// Check every node id the run holds against a graph of `node_count`
+    /// nodes: each walker's `current` node, the queued `pending` and
+    /// `retry` ids, and the dispatch ids — `delivered`, `refused`,
+    /// `seen_undelivered` and the nodes of `attempts`.
+    /// [`WalkOrchestrator::resume_reactor`] cannot: it does not see the
+    /// graph, and an id past its end resumes fine, then panics at the first
+    /// fetch or is written into every later snapshot.
     ///
     /// # Errors
-    /// Names the field and the id of the first id out of range.
+    /// Names the field and the id of the first id out of range (the
+    /// largest one of a dispatch field).
     pub fn check_node_ids(&self, node_count: usize) -> Result<(), String> {
         let outside = |u: NodeId| format!("node {u} outside the {node_count}-node graph");
         for (i, walker) in self.fleet.iter().enumerate() {
@@ -1040,6 +1084,23 @@ impl ReactorWalkRun {
         }
         for (field, queue) in [("pending", &self.core.pending), ("retry", &self.core.retry)] {
             if let Some(&u) = queue.iter().find(|u| u.index() >= node_count) {
+                return Err(format!("`{field}`: {}", outside(u)));
+            }
+        }
+        let state = &self.state;
+        let largest = [
+            ("dispatch.delivered", state.delivered.max()),
+            ("dispatch.refused", state.refused.max()),
+            // `delivered` is checked first, so an id out of range here is
+            // seen and not delivered.
+            ("dispatch.seen_undelivered", state.seen.max()),
+            (
+                "dispatch.attempts",
+                state.node_attempts.keys().copied().max(),
+            ),
+        ];
+        for (field, max) in largest {
+            if let Some(u) = max.map(NodeId).filter(|u| u.index() >= node_count) {
                 return Err(format!("`{field}`: {}", outside(u)));
             }
         }
@@ -1136,9 +1197,9 @@ impl ReactorWalkRun {
     pub fn invalidate_nodes(&mut self, nodes: &[NodeId]) -> usize {
         let touched = TouchedNodes::new(nodes);
         for v in touched.iter() {
-            self.state.delivered.remove(&v.0);
+            self.state.delivered.remove(v.0);
             self.state.copies.remove(&v.0);
-            self.state.seen.remove(&v.0);
+            self.state.seen.remove(v.0);
         }
         self.fleet
             .iter_mut()
@@ -1226,18 +1287,15 @@ fn nodes_from_value(value: &Value) -> Result<Vec<NodeId>, String> {
         .collect()
 }
 
-/// Hash sets hold membership only — serialize sorted so snapshots are
-/// byte-deterministic.
-fn sorted_ids<'a>(ids: impl Iterator<Item = &'a u32>) -> Value {
-    let mut ids: Vec<u32> = ids.copied().collect();
-    ids.sort_unstable();
-    Value::arr(&ids)
+/// An id set's column. [`NodeSet`] iterates in ascending order, so
+/// snapshots are byte-deterministic.
+fn id_column(ids: impl Iterator<Item = u32>) -> Value {
+    Value::uints(ids.map(u64::from))
 }
 
-fn set_from_value(value: &Value) -> Result<FnvHashSet<u32>, String> {
-    let ids = value.as_uints()?;
-    let mut set = FnvHashSet::with_capacity_and_hasher(ids.len(), Default::default());
-    for &u in ids.iter() {
+fn set_from_value(value: &Value) -> Result<NodeSet, String> {
+    let mut set = NodeSet::new();
+    for &u in value.as_uints()?.iter() {
         if !set.insert(id_from(u)?) {
             return Err("duplicate id in serialized set".into());
         }
@@ -1348,16 +1406,16 @@ fn dispatch_to_value(state: &DispatchState) -> Value {
     let attempts: Vec<u32> = attempts.into_iter().flatten().collect();
     let (delivered, seen) = (&state.delivered, &state.seen);
     Value::obj([
-        ("delivered", sorted_ids(delivered.iter())),
-        ("refused", sorted_ids(state.refused.iter())),
+        ("delivered", id_column(delivered.iter())),
+        ("refused", id_column(state.refused.iter())),
         ("attempts", Value::arr(&attempts)),
         (
             "delivered_unseen",
-            sorted_ids(delivered.iter().filter(|u| !seen.contains(u))),
+            id_column(delivered.iter().filter(|&u| !seen.contains(u))),
         ),
         (
             "seen_undelivered",
-            sorted_ids(seen.iter().filter(|u| !delivered.contains(u))),
+            id_column(seen.iter().filter(|&u| !delivered.contains(u))),
         ),
         ("stats", stats_to_value(state.stats)),
         ("refused_nodes", Value::Uint(state.refused_nodes as u64)),
@@ -1376,18 +1434,17 @@ fn dispatch_from_value(value: &Value) -> Result<DispatchState, String> {
     let delivered = set_from_value(value.field("delivered")?)?;
     let unseen = set_from_value(value.field("delivered_unseen")?)?;
     let undelivered = set_from_value(value.field("seen_undelivered")?)?;
-    if let Some(u) = unseen.iter().find(|u| !delivered.contains(u)) {
+    if let Some(u) = unseen.iter().find(|&u| !delivered.contains(u)) {
         return Err(format!("`delivered_unseen` id {u} is not delivered"));
     }
-    if let Some(u) = undelivered.iter().find(|u| delivered.contains(u)) {
+    if let Some(u) = undelivered.iter().find(|&u| delivered.contains(u)) {
         return Err(format!("`seen_undelivered` id {u} is delivered"));
     }
-    let mut seen: FnvHashSet<u32> = delivered
+    let seen: NodeSet = delivered
         .iter()
-        .filter(|u| !unseen.contains(u))
-        .copied()
+        .filter(|&u| !unseen.contains(u))
+        .chain(undelivered.iter())
         .collect();
-    seen.extend(undelivered);
     let pairs: Vec<u32> = value.field("attempts")?.decode()?;
     if !pairs.len().is_multiple_of(2) {
         return Err(format!(
@@ -1622,8 +1679,46 @@ mod tests {
     }
 
     #[test]
+    fn waiter_lists_unpark_any_walker_and_wake_the_rest_once() {
+        let state = DispatchState::default();
+        let u = NodeId(7);
+        // Each case unparks these walkers in turn before the node resolves.
+        let cases: [&[usize]; 4] = [&[3], &[2], &[1], &[3, 2, 1]];
+        for unparked in cases {
+            let mut core = ReactorCore::new(4, 10, DEFAULT_NODE_ATTEMPT_CAP);
+            core.classify(0, NodeId(9), &state);
+            for i in 1..4 {
+                core.classify(i, u, &state);
+            }
+            // Each parks at the head: walker 3 heads `u`'s list, 1 ends it.
+            assert_eq!(core.pending, [NodeId(9), u], "each id queued once");
+            assert_eq!(core.waiters.get(&u.0), Some(&3));
+            assert_eq!(core.parked, 4);
+            for &i in unparked {
+                core.unpark(i, u.0);
+                core.unpark(i, u.0);
+                assert_eq!(core.fsm[i], WalkerFsm::AwaitingBatch);
+            }
+            assert_eq!(core.parked, 4 - unparked.len(), "{unparked:?}");
+            assert!(core.waiters.contains_key(&u.0), "the id stays queued");
+            let mut acted = Vec::new();
+            core.wake(u.0, &mut acted);
+            acted.sort_unstable();
+            let rest: Vec<usize> = (1..4).filter(|i| !unparked.contains(i)).collect();
+            assert_eq!(acted, rest, "{unparked:?}");
+            assert!(rest.iter().all(|&i| core.fsm[i] == WalkerFsm::Stepping));
+            assert_eq!(core.parked, 1, "walker 0 still waits on another node");
+            assert!(!core.waiters.contains_key(&u.0), "the id left the queue");
+            core.wake(9, &mut acted);
+            assert_eq!(acted.last(), Some(&0));
+            assert_eq!(core.parked, 0);
+            assert!(core.waiters.is_empty());
+        }
+    }
+
+    #[test]
     fn dispatch_writes_seen_as_its_differences_from_delivered() {
-        let ids = |ids: &[u32]| ids.iter().copied().collect::<FnvHashSet<u32>>();
+        let ids = |ids: &[u32]| ids.iter().copied().collect::<NodeSet>();
         let state = DispatchState {
             delivered: ids(&[1, 2, 3, 5]),
             seen: ids(&[2, 3, 5, 8]),
@@ -1637,7 +1732,7 @@ mod tests {
         assert_eq!(column("seen_undelivered"), [8]);
         assert_eq!(column("attempts"), [4, 1, 9, 2]);
         let back = dispatch_from_value(&value).unwrap();
-        assert_eq!(back.seen, state.seen);
+        assert!(back.seen.iter().eq(state.seen.iter()));
         assert_eq!(back.node_attempts, state.node_attempts);
         assert_eq!(dispatch_to_value(&back), value);
 

@@ -196,7 +196,7 @@ impl CompactBuilder {
         // Each run and each distinct arc take a byte at least. Reserved
         // before the stage is freed, the output does not grow by copies into
         // freed memory; a reservation the allocator refuses is skipped.
-        let _ = enc.data.try_reserve(2 * self.staged_edges as usize + n);
+        let _ = enc.bytes.try_reserve(2 * self.staged_edges as usize + n);
         // A load's arcs (8 B each) and sorted ids (4 B each) fit the budget.
         let limit = (self.chunk_capacity / 3 * 2).max(1);
         if self.spill.is_some() || self.stage.len() > limit {

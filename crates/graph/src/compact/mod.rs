@@ -586,11 +586,20 @@ impl DecodeCache {
 }
 
 /// Streaming run encoder shared by [`CompactCsr::from_csr`],
-/// [`CompactBuilder::finish`], and overlay rebuilds.
+/// [`CompactBuilder::finish`], and overlay rebuilds. It writes the
+/// snapshot's one buffer in place: the header and a 4-byte offset index
+/// are reserved ahead of the data when the encoder is created and filled
+/// in by [`Self::finish`], so the data section is never copied unless it
+/// outgrows 4-byte offsets.
 pub(crate) struct Encoder {
     node_count: usize,
+    /// The snapshot: header and offset index (zero until `finish`), then
+    /// the data section, appended run by run.
+    bytes: Vec<u8>,
+    /// Where the data section starts in `bytes`.
+    data_at: usize,
+    /// Each run's start in the data section, then the section's end.
     offsets: Vec<u64>,
-    data: Vec<u8>,
     arcs: u64,
     prev_node: usize,
 }
@@ -599,10 +608,12 @@ impl Encoder {
     pub(crate) fn new(node_count: usize) -> Self {
         let mut offsets = Vec::with_capacity(node_count + 1);
         offsets.push(0);
+        let data_at = HEADER_LEN + (node_count + 1) * 4;
         Encoder {
             node_count,
+            bytes: vec![0; data_at],
+            data_at,
             offsets,
-            data: Vec::new(),
             arcs: 0,
             prev_node: 0,
         }
@@ -615,20 +626,26 @@ impl Encoder {
         debug_assert!(neighbors.is_sorted(), "unsorted neighbors");
         self.prev_node += 1;
         let degree = neighbors.len() - neighbors.windows(2).filter(|w| w[0] == w[1]).count();
-        varint::write_u64(&mut self.data, degree as u64);
+        varint::write_u64(&mut self.bytes, degree as u64);
         let mut prev = None;
         for &NodeId(id) in neighbors {
             if prev != Some(id) {
-                varint::write_u64(&mut self.data, u64::from(id - prev.unwrap_or(0)));
+                varint::write_u64(&mut self.bytes, u64::from(id - prev.unwrap_or(0)));
                 prev = Some(id);
             }
         }
         self.arcs += degree as u64;
-        self.offsets.push(self.data.len() as u64);
+        self.offsets.push((self.bytes.len() - self.data_at) as u64);
     }
 
-    /// Assemble the flat buffer.
+    /// Fill in the header and the offset index.
     pub(crate) fn finish(self) -> Result<CompactCsr> {
+        self.finish_within(u64::from(u32::MAX))
+    }
+
+    /// [`Self::finish`] with 4-byte offsets while the data section is at
+    /// most `narrow` bytes long, and 8-byte ones past it.
+    fn finish_within(mut self, narrow: u64) -> Result<CompactCsr> {
         debug_assert_eq!(self.prev_node, self.node_count, "missing runs");
         if self.node_count == 0 {
             return Err(GraphError::EmptyGraph);
@@ -639,31 +656,40 @@ impl Encoder {
                 self.arcs
             )));
         }
-        let data_len = self.data.len() as u64;
-        let offset_width: usize = if data_len <= u64::from(u32::MAX) {
-            4
-        } else {
-            8
-        };
-        let mut bytes =
-            Vec::with_capacity(HEADER_LEN + (self.node_count + 1) * offset_width + self.data.len());
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&(self.node_count as u64).to_le_bytes());
-        bytes.extend_from_slice(&(self.arcs / 2).to_le_bytes());
-        bytes.extend_from_slice(&data_len.to_le_bytes());
-        bytes.extend_from_slice(&(offset_width as u32).to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&crate::fnv::fnv1a(&self.data).to_le_bytes());
-        for &off in &self.offsets {
+        let data_len = (self.bytes.len() - self.data_at) as u64;
+        let offset_width: usize = if data_len <= narrow { 4 } else { 8 };
+        if offset_width == 8 {
+            // The only move of the data: past an index twice as wide.
+            let (from, end) = (self.data_at, self.bytes.len());
+            self.data_at = HEADER_LEN + (self.node_count + 1) * 8;
+            self.bytes.resize(end + self.data_at - from, 0);
+            self.bytes.copy_within(from..end, self.data_at);
+        }
+        let checksum = crate::fnv::fnv1a(&self.bytes[self.data_at..]);
+        let (header, index) = self.bytes[..self.data_at].split_at_mut(HEADER_LEN);
+        let fields: [&[u8]; 7] = [
+            &MAGIC,
+            &(self.node_count as u64).to_le_bytes(),
+            &(self.arcs / 2).to_le_bytes(),
+            &data_len.to_le_bytes(),
+            &(offset_width as u32).to_le_bytes(),
+            &0u32.to_le_bytes(),
+            &checksum.to_le_bytes(),
+        ];
+        let mut at = 0;
+        for field in fields {
+            header[at..at + field.len()].copy_from_slice(field);
+            at += field.len();
+        }
+        debug_assert_eq!(at, HEADER_LEN);
+        for (slot, &off) in index.chunks_exact_mut(offset_width).zip(&self.offsets) {
             if offset_width == 4 {
-                bytes.extend_from_slice(&(off as u32).to_le_bytes());
+                slot.copy_from_slice(&(off as u32).to_le_bytes());
             } else {
-                bytes.extend_from_slice(&off.to_le_bytes());
+                slot.copy_from_slice(&off.to_le_bytes());
             }
         }
-        bytes.extend_from_slice(&self.data);
-        drop(self.data);
-        CompactCsr::parse(mmap::Bytes::Owned(bytes))
+        CompactCsr::parse(mmap::Bytes::Owned(self.bytes))
     }
 }
 
@@ -683,6 +709,37 @@ mod tests {
         b.push_edge(5, 6);
         b.push_edge(7, 0);
         b.build().unwrap()
+    }
+
+    #[test]
+    fn data_past_the_narrow_limit_moves_once_behind_eight_byte_offsets() {
+        let plain = sample();
+        let encode = |narrow: u64| {
+            let mut enc = Encoder::new(plain.node_count());
+            for v in plain.nodes() {
+                enc.push_run(plain.neighbors(v));
+            }
+            enc.finish_within(narrow).unwrap()
+        };
+        let narrow = CompactCsr::from_csr(&plain);
+        let data_len = (narrow.bytes.len() - narrow.data_at) as u64;
+        assert_eq!(narrow.offset_width, 4);
+        assert_eq!(
+            encode(data_len).bytes[..],
+            narrow.bytes[..],
+            "the limit is inclusive"
+        );
+        let wide = encode(data_len - 1);
+        assert_eq!(wide.offset_width, 8);
+        assert_eq!(wide.bytes[wide.data_at..], narrow.bytes[narrow.data_at..]);
+        wide.validate().unwrap();
+        assert_eq!(wide.to_csr().unwrap(), plain);
+        for v in plain.nodes() {
+            assert_eq!(
+                wide.neighbors_iter(v).collect::<Vec<_>>(),
+                plain.neighbors(v)
+            );
+        }
     }
 
     #[test]

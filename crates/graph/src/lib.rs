@@ -78,7 +78,7 @@ pub use compact::{CompactBuilder, CompactCsr, DecodeCache};
 pub use csr::CsrGraph;
 pub use directed::{DirectedCsr, DirectedEdgeList, UndirectedCast};
 pub use error::GraphError;
-pub use ids::NodeId;
+pub use ids::{NodeId, NodeSet};
 pub use overlay::{
     AdjacencyRead, AdjacencySnapshot, DeltaOverlay, EdgeMutation, MutationOp, MutationSchedule,
     ScheduleSpec,

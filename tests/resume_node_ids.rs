@@ -1,8 +1,12 @@
 //! A server snapshot whose running job names a node outside the graph —
-//! as a walker's `current` node or in its run's `pending` or `retry` fetch
-//! queue — is refused by `SessionServer::resume` with an error naming the
-//! job, the field and the id. Such a snapshot used to resume fine and
-//! panic with an index out of bounds at the job's next fetch.
+//! as a walker's `current` node, in its run's `pending` or `retry` fetch
+//! queue, or among its dispatch ids (`delivered`, `refused`,
+//! `seen_undelivered`, or the node of an `attempts` pair) — is refused by
+//! `SessionServer::resume` with an error naming the job, the field and the
+//! id. Such a snapshot used to resume fine, then panic with an index out of
+//! bounds at the job's next fetch or carry the id into every later
+//! checkpoint. Each field is tried with the first id past the graph and
+//! with `u32::MAX`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -51,6 +55,18 @@ fn item_mut(v: &mut Value, i: usize) -> &mut Value {
 /// Write `id` into one field of a run snapshot.
 type Tamper = dyn Fn(&mut Value, u64);
 
+/// Append `ids` to the id list `v`.
+fn append(v: &mut Value, ids: &[u64]) {
+    let mut list: Vec<u64> = v.decode().unwrap();
+    list.extend_from_slice(ids);
+    *v = Value::arr(&list);
+}
+
+/// The id list `name` of a run's dispatch state, mutably.
+fn dispatch<'a>(run: &'a mut Value, name: &str) -> &'a mut Value {
+    field_mut(field_mut(run, "dispatch"), name)
+}
+
 /// Put `id` first in the id list `v`, in place of its first id if it has
 /// one.
 fn put_first(v: &mut Value, id: u64) {
@@ -78,7 +94,9 @@ fn resume_refuses_out_of_range_node_ids_instead_of_panicking() {
         .find(|&id| server.job_state(id) == JobState::Running)
         .expect("a job runs at slice 600");
 
-    let fields: [(&str, &Tamper); 3] = [
+    // Ids join a set at its end, so `delivered_unseen` stays a subset of
+    // `delivered` and `seen_undelivered` stays apart from it.
+    let fields: [(&str, &Tamper); 7] = [
         ("walkers[0].current", &|run, id| {
             *field_mut(item_mut(field_mut(run, "walkers"), 0), "current") = Value::Uint(id);
         }),
@@ -86,6 +104,18 @@ fn resume_refuses_out_of_range_node_ids_instead_of_panicking() {
             put_first(field_mut(run, "pending"), id)
         }),
         ("retry", &|run, id| put_first(field_mut(run, "retry"), id)),
+        ("dispatch.delivered", &|run, id| {
+            append(dispatch(run, "delivered"), &[id])
+        }),
+        ("dispatch.refused", &|run, id| {
+            append(dispatch(run, "refused"), &[id])
+        }),
+        ("dispatch.seen_undelivered", &|run, id| {
+            append(dispatch(run, "seen_undelivered"), &[id])
+        }),
+        ("dispatch.attempts", &|run, id| {
+            append(dispatch(run, "attempts"), &[id, 1])
+        }),
     ];
     for (field, tamper) in fields {
         for id in [n as u64, u64::from(u32::MAX)] {
