@@ -17,8 +17,8 @@
 //!    byte-identical final snapshot;
 //! 3. **resume determinism** — a server killed after `--kill-slices`
 //!    scheduling slices, persisted through the `osn-serde` text form, and
-//!    resumed into a fresh endpoint finishes byte-identical to the
-//!    uninterrupted run.
+//!    resumed into a fresh endpoint snapshots to that same text before it
+//!    runs on, and finishes byte-identical to the uninterrupted run.
 //!
 //! Any violated assert exits non-zero. The `--max-secs` wall-clock guard is
 //! polled between phases: a slow runner skips remaining phases with a
@@ -262,6 +262,16 @@ fn main() {
         &parsed,
     )
     .unwrap_or_else(|e| fail(format!("resume: {e}")));
+    let again = resumed
+        .snapshot()
+        .unwrap_or_else(|e| fail(format!("resumed snapshot before running on: {e}")))
+        .to_pretty();
+    if again != text {
+        fail(format!(
+            "the server resumed after {slices} slices snapshots to other text than \
+             it was resumed from"
+        ));
+    }
     resumed.run_to_completion();
     let resumed_final = resumed
         .snapshot()
@@ -275,7 +285,7 @@ fn main() {
     }
     eprintln!(
         "service_soak: resume determinism OK — killed after {slices} slices \
-         ({} snapshot bytes), resumed bit-identical",
+         ({} snapshot bytes), resumed to the same text and finished bit-identical",
         text.len()
     );
     eprintln!(

@@ -652,16 +652,17 @@ impl SimulatedBatchOsn {
             ));
         }
         let n = self.inner.network().graph.node_count();
-        let mut queried = NodeSet::new();
-        for &i in state.field("cached")?.as_uints()?.iter() {
+        let column = state.field("cached")?.as_uints()?;
+        let mut cached = Vec::with_capacity(column.len());
+        for &i in column.iter() {
             let id = u32::try_from(i)
                 .ok()
                 .filter(|&id| (id as usize) < n)
                 .ok_or_else(|| format!("cached node {i} out of range for a {n}-node snapshot"))?;
-            if !queried.insert(id) {
-                return Err(format!("duplicate cached node {i}"));
-            }
+            cached.push(id);
         }
+        let queried =
+            NodeSet::from_ids(&mut cached).map_err(|i| format!("duplicate cached node {i}"))?;
         let sv = state.field("stats")?;
         let stats = QueryStats {
             issued: sv.field("issued")?.decode()?,

@@ -14,11 +14,15 @@
 //! one id per 64 of it, as a large run's do, and hash sets of the few ids
 //! a small run fetches. A parked walker is a link in its node's waiter list
 //! (one `u32` per walker, allocated with the fleet), so parking allocates
-//! nothing. Beyond the fleet and those sets, memory is bounded by the
-//! endpoint's in-flight window (tracked tickets × batch size) plus the
-//! queued-id backlog — there is no per-walker stack, thread, or round-robin
-//! wave slot ([`ReactorStats`] reports the observed peaks so soak tests can
-//! pin the bound).
+//! nothing, and a turn steps the fleet in place and reuses its act and
+//! classify buffers and the id lists of completed batches, so a
+//! [`ReactorWalkRun`] slice allocates only where the endpoint or a walker
+//! does. A snapshot sorts each id set once; a resume builds each set at
+//! once ([`NodeSet::from_ids`]). Beyond the fleet and those sets, memory
+//! is bounded by the endpoint's in-flight window (tracked tickets × batch
+//! size) plus the queued-id backlog — there is no per-walker stack,
+//! thread, or round-robin wave slot ([`ReactorStats`] reports the observed
+//! peaks so soak tests can pin the bound).
 //!
 //! ## The event loop
 //!
@@ -342,7 +346,10 @@ pub struct ReactorStats {
 /// structures, which is what keeps the two engines bit-comparable. The
 /// walkers parked on one queued id form a list threaded through
 /// `next_waiter`, headed in `waiters`: parking, waking and unparking move
-/// links and never allocate.
+/// links and never allocate. The act and classify sets of a turn and the
+/// id list of each batch live in buffers the core keeps: a turn empties
+/// them and a completed batch hands its list back to `pump`, so none is
+/// allocated again.
 struct ReactorCore {
     max_steps: usize,
     node_attempt_cap: u32,
@@ -364,6 +371,13 @@ struct ReactorCore {
     /// Tickets this reactor submitted, with their id lists — the repair
     /// map for off-protocol synchronous fetches (see [`Self::repair`]).
     inflight: Vec<(TicketId, Vec<NodeId>)>,
+    /// The id lists of completed batches, emptied, for `pump` to fill
+    /// again.
+    spare_batches: Vec<Vec<NodeId>>,
+    /// The act set of the turn in progress (phase 3), and the walkers
+    /// phase 5 classifies: emptied after each turn, never freed.
+    acted: Vec<usize>,
+    post: Vec<usize>,
     /// Currently parked walkers (the total length of the waiter lists).
     parked: usize,
     stats: ReactorStats,
@@ -371,6 +385,25 @@ struct ReactorCore {
 
 /// The end of a waiter list: no (further) walker is parked on the node.
 const NO_WALKER: u32 = u32::MAX;
+
+/// A slot of the fleet a turn steps in place: a borrowed walker
+/// ([`drive_reactor`]) or an owned one ([`ReactorWalkRun`]), so a slice
+/// collects no `Vec` of borrows.
+trait FleetSlot {
+    fn walker(&mut self) -> &mut dyn RandomWalk;
+}
+
+impl FleetSlot for &mut dyn RandomWalk {
+    fn walker(&mut self) -> &mut dyn RandomWalk {
+        &mut **self
+    }
+}
+
+impl FleetSlot for Box<dyn RandomWalk + Send> {
+    fn walker(&mut self) -> &mut dyn RandomWalk {
+        &mut **self
+    }
+}
 
 impl ReactorCore {
     fn new(walkers: usize, max_steps: usize, node_attempt_cap: u32) -> Self {
@@ -388,6 +421,9 @@ impl ReactorCore {
             pending: VecDeque::new(),
             retry: VecDeque::new(),
             inflight: Vec::new(),
+            spare_batches: Vec::new(),
+            acted: Vec::new(),
+            post: Vec::new(),
             parked: 0,
             stats: ReactorStats::default(),
         }
@@ -462,7 +498,10 @@ impl ReactorCore {
         while client.in_flight() < limits.max_in_flight
             && (!self.retry.is_empty() || !self.pending.is_empty())
         {
-            let mut batch: Vec<NodeId> = Vec::with_capacity(limits.max_batch_size);
+            let mut batch = self
+                .spare_batches
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(limits.max_batch_size));
             while batch.len() < limits.max_batch_size {
                 let Some(u) = self.retry.pop_front().or_else(|| self.pending.pop_front()) else {
                     break;
@@ -517,7 +556,7 @@ impl ReactorCore {
     /// Phase 2 bookkeeping: absorb one completed batch into the dispatcher
     /// state ([`DispatchState::absorb`]) — resolved ids (delivered,
     /// refused, or abandoned) wake their waiters, dropped ones queue for
-    /// resubmission.
+    /// resubmission. The batch's id list goes back to `pump`.
     fn absorb<B: BatchOsnClient>(
         &mut self,
         client: &mut B,
@@ -525,8 +564,12 @@ impl ReactorCore {
         state: &mut DispatchState,
         acted: &mut Vec<usize>,
     ) {
-        self.inflight
-            .retain(|(ticket, _)| *ticket != outcome.ticket);
+        let done = self.inflight.iter().position(|(t, _)| *t == outcome.ticket);
+        if let Some(at) = done {
+            let (_, mut batch) = self.inflight.remove(at);
+            batch.clear();
+            self.spare_batches.push(batch);
+        }
         for (u, result) in outcome.per_node {
             if state.absorb(client, u, result, self.node_attempt_cap) {
                 self.wake(u.0, acted);
@@ -566,12 +609,14 @@ impl ReactorCore {
     /// One turn of the loop — one completion event through the five phases
     /// (pump → acquire → act → policy → classify). Returns `false` (doing
     /// nothing) once the reactor is idle. `pump` disables phase 1 for the
-    /// drain turns that quiesce the endpoint before a snapshot.
+    /// drain turns that quiesce the endpoint before a snapshot. The act and
+    /// classify sets reuse the core's buffers, so a turn allocates only
+    /// where the endpoint or a walker does.
     #[allow(clippy::too_many_arguments)]
-    fn turn<B, R, F, P>(
+    fn turn<B, W, R, F, P>(
         &mut self,
         client: &mut B,
-        walkers: &mut [&mut dyn RandomWalk],
+        walkers: &mut [W],
         rngs: &mut [R],
         value: Option<&F>,
         policy: &P,
@@ -582,6 +627,7 @@ impl ReactorCore {
     ) -> bool
     where
         B: BatchOsnClient,
+        W: FleetSlot,
         R: RngCore,
         F: Fn(NodeId) -> f64 + ?Sized,
         P: RestartPolicy + ?Sized,
@@ -596,7 +642,8 @@ impl ReactorCore {
         // Phase 2: acquire one completion event (or a synthetic tick when
         // nothing is in flight and walkers are stepping through delivered
         // territory).
-        let mut acted = std::mem::take(&mut self.ready);
+        let mut acted = std::mem::take(&mut self.acted);
+        std::mem::swap(&mut acted, &mut self.ready);
         if self.inflight.is_empty() {
             self.stats.synthetic_ticks += 1;
         } else {
@@ -611,7 +658,7 @@ impl ReactorCore {
         // joins the *next* wave only after the policy has had its say.
         acted.sort_unstable();
         acted.dedup();
-        let mut post: Vec<usize> = Vec::with_capacity(acted.len());
+        let mut post = std::mem::take(&mut self.post);
         for &i in &acted {
             if !cells[i].live(self.max_steps) {
                 self.fsm[i] = match cells[i].stop {
@@ -620,7 +667,8 @@ impl ReactorCore {
                 };
                 continue;
             }
-            if state.refused.contains(walkers[i].current().0) {
+            let walker = walkers[i].walker();
+            if state.refused.contains(walker.current().0) {
                 // The node this walker needs was refused (budget) or
                 // abandoned (dead interface).
                 cells[i].stop = Some(WalkStop::BudgetExhausted);
@@ -632,7 +680,7 @@ impl ReactorCore {
                 };
                 advance_walker(
                     i,
-                    &mut *walkers[i],
+                    &mut *walker,
                     &mut rngs[i],
                     &mut view,
                     value,
@@ -648,14 +696,7 @@ impl ReactorCore {
                 self.fsm[i] = WalkerFsm::Refused;
                 if policy.enabled() {
                     let cached = |n: NodeId| state.delivered.contains(n.0) || client.is_cached(n);
-                    maybe_rescue(
-                        i,
-                        &mut *walkers[i],
-                        &mut cells[i],
-                        policy,
-                        &cached,
-                        restarts,
-                    );
+                    maybe_rescue(i, walker, &mut cells[i], policy, &cached, restarts);
                     if cells[i].stop.is_none() {
                         self.fsm[i] = WalkerFsm::NeedNeighbors;
                         post.push(i);
@@ -668,6 +709,8 @@ impl ReactorCore {
                 post.push(i);
             }
         }
+        acted.clear();
+        self.acted = acted;
         // Off-protocol side fetches drain the shared in-flight window;
         // reconcile stranded tickets (a no-op for every walker this crate
         // ships).
@@ -682,20 +725,13 @@ impl ReactorCore {
                 if !cells[i].live(self.max_steps) {
                     continue;
                 }
-                let before = walkers[i].current();
+                let walker = walkers[i].walker();
+                let before = walker.current();
                 let restarts_before = restarts.len();
                 {
                     let cached = |n: NodeId| state.delivered.contains(n.0) || client.is_cached(n);
                     let degree_of = |n: NodeId| client.peek_degree(n);
-                    maybe_restart(
-                        i,
-                        &mut *walkers[i],
-                        &cells[i],
-                        policy,
-                        &degree_of,
-                        &cached,
-                        restarts,
-                    );
+                    maybe_restart(i, walker, &cells[i], policy, &degree_of, &cached, restarts);
                 }
                 if restarts.len() > restarts_before {
                     match self.fsm[i] {
@@ -722,9 +758,11 @@ impl ReactorCore {
         post.dedup();
         for &i in &post {
             if self.fsm[i] == WalkerFsm::NeedNeighbors {
-                self.classify(i, walkers[i].current(), state);
+                self.classify(i, walkers[i].walker().current(), state);
             }
         }
+        post.clear();
+        self.post = post;
         self.stats.events += 1;
         true
     }
@@ -1139,14 +1177,12 @@ impl ReactorWalkRun {
         if self.interface_base.is_none() {
             self.interface_base = Some(client.stats());
         }
-        let mut refs: Vec<&mut dyn RandomWalk> =
-            self.fleet.iter_mut().map(|w| w.as_mut() as _).collect();
         let mut no_restarts = Vec::new();
         let mut executed = 0;
         while executed < events
             && self.core.turn(
                 client,
-                &mut refs,
+                &mut self.fleet,
                 &mut self.rngs,
                 Some(value),
                 &Never,
@@ -1163,7 +1199,7 @@ impl ReactorWalkRun {
         while client.in_flight() > 0
             && self.core.turn(
                 client,
-                &mut refs,
+                &mut self.fleet,
                 &mut self.rngs,
                 Some(value),
                 &Never,
@@ -1293,14 +1329,19 @@ fn id_column(ids: impl Iterator<Item = u32>) -> Value {
     Value::uints(ids.map(u64::from))
 }
 
-fn set_from_value(value: &Value) -> Result<NodeSet, String> {
-    let mut set = NodeSet::new();
-    for &u in value.as_uints()?.iter() {
-        if !set.insert(id_from(u)?) {
-            return Err("duplicate id in serialized set".into());
-        }
+/// The ids of a set's column, in the order written.
+fn ids_from_value(value: &Value) -> Result<Vec<u32>, String> {
+    let column = value.as_uints()?;
+    let mut ids = Vec::with_capacity(column.len());
+    for &u in column.iter() {
+        ids.push(id_from(u)?);
     }
-    Ok(set)
+    Ok(ids)
+}
+
+/// The set of `ids`, which are left ascending.
+fn set_from_ids(ids: &mut [u32]) -> Result<NodeSet, String> {
+    NodeSet::from_ids(ids).map_err(|_| "duplicate id in serialized set".into())
 }
 
 fn rng_to_value(rng: &ChaCha12Rng) -> Value {
@@ -1399,24 +1440,33 @@ fn stats_from_value(value: &Value) -> Result<QueryStats, String> {
 /// `[node, count]` pairs, and `seen` — nearly always equal to `delivered` —
 /// as its two differences from it, `delivered_unseen` (delivered, not yet
 /// read by a walker) and `seen_undelivered` (read, then refused on a
-/// read-back refetch).
+/// read-back refetch). `delivered` is sorted once, and `seen` is sorted
+/// only when some id of it is undelivered.
 fn dispatch_to_value(state: &DispatchState) -> Value {
     let mut attempts: Vec<[u32; 2]> = state.node_attempts.iter().map(|(&u, &n)| [u, n]).collect();
     attempts.sort_unstable();
     let attempts: Vec<u32> = attempts.into_iter().flatten().collect();
     let (delivered, seen) = (&state.delivered, &state.seen);
+    let mut delivered_ids = Vec::with_capacity(delivered.len());
+    delivered_ids.extend(delivered.iter().map(u64::from));
+    let unseen: Vec<u64> = delivered_ids
+        .iter()
+        .copied()
+        .filter(|&u| !seen.contains(u as u32))
+        .collect();
+    // `seen` holds `|delivered| − |unseen|` delivered ids; when that is
+    // all of it, none is undelivered.
+    let undelivered = if seen.len() == delivered_ids.len() - unseen.len() {
+        Value::Arr(Vec::new())
+    } else {
+        id_column(seen.iter().filter(|&u| !delivered.contains(u)))
+    };
     Value::obj([
-        ("delivered", id_column(delivered.iter())),
+        ("delivered", Value::uints(delivered_ids)),
         ("refused", id_column(state.refused.iter())),
         ("attempts", Value::arr(&attempts)),
-        (
-            "delivered_unseen",
-            id_column(delivered.iter().filter(|&u| !seen.contains(u))),
-        ),
-        (
-            "seen_undelivered",
-            id_column(seen.iter().filter(|&u| !delivered.contains(u))),
-        ),
+        ("delivered_unseen", Value::uints(unseen)),
+        ("seen_undelivered", undelivered),
         ("stats", stats_to_value(state.stats)),
         ("refused_nodes", Value::Uint(state.refused_nodes as u64)),
         ("abandoned_nodes", Value::Uint(state.abandoned_nodes as u64)),
@@ -1430,21 +1480,33 @@ fn dispatch_to_value(state: &DispatchState) -> Value {
     ])
 }
 
+/// The inverse of [`dispatch_to_value`]. Each set is built at once
+/// ([`NodeSet::from_ids`]), and `seen` is a clone of `delivered` when both
+/// of its differences are empty, as they nearly always are.
 fn dispatch_from_value(value: &Value) -> Result<DispatchState, String> {
-    let delivered = set_from_value(value.field("delivered")?)?;
-    let unseen = set_from_value(value.field("delivered_unseen")?)?;
-    let undelivered = set_from_value(value.field("seen_undelivered")?)?;
-    if let Some(u) = unseen.iter().find(|&u| !delivered.contains(u)) {
+    let mut delivered_ids = ids_from_value(value.field("delivered")?)?;
+    let delivered = set_from_ids(&mut delivered_ids)?;
+    let mut unseen = ids_from_value(value.field("delivered_unseen")?)?;
+    let mut undelivered = ids_from_value(value.field("seen_undelivered")?)?;
+    // Sorted, and refused if an id repeats.
+    set_from_ids(&mut unseen)?;
+    set_from_ids(&mut undelivered)?;
+    if let Some(u) = unseen.iter().find(|&&u| !delivered.contains(u)) {
         return Err(format!("`delivered_unseen` id {u} is not delivered"));
     }
-    if let Some(u) = undelivered.iter().find(|&u| delivered.contains(u)) {
+    if let Some(u) = undelivered.iter().find(|&&u| delivered.contains(u)) {
         return Err(format!("`seen_undelivered` id {u} is delivered"));
     }
-    let seen: NodeSet = delivered
-        .iter()
-        .filter(|&u| !unseen.contains(u))
-        .chain(undelivered.iter())
-        .collect();
+    let seen = if unseen.is_empty() && undelivered.is_empty() {
+        delivered.clone()
+    } else {
+        let mut ids: Vec<u32> = delivered_ids
+            .into_iter()
+            .filter(|u| unseen.binary_search(u).is_err())
+            .chain(undelivered)
+            .collect();
+        set_from_ids(&mut ids)?
+    };
     let pairs: Vec<u32> = value.field("attempts")?.decode()?;
     if !pairs.len().is_multiple_of(2) {
         return Err(format!(
@@ -1461,7 +1523,7 @@ fn dispatch_from_value(value: &Value) -> Result<DispatchState, String> {
     Ok(DispatchState {
         delivered,
         copies: FnvHashMap::default(),
-        refused: set_from_value(value.field("refused")?)?,
+        refused: set_from_ids(&mut ids_from_value(value.field("refused")?)?)?,
         node_attempts,
         seen,
         stats: stats_from_value(value.field("stats")?)?,
@@ -1735,6 +1797,58 @@ mod tests {
         assert!(back.seen.iter().eq(state.seen.iter()));
         assert_eq!(back.node_attempts, state.node_attempts);
         assert_eq!(dispatch_to_value(&back), value);
+
+        // Sparse and dense sets whose differences are both empty (`seen`
+        // is read back as a clone of `delivered`), one-sided, or both
+        // non-empty: the count that skips the `seen_undelivered` pass
+        // never drops an id of it.
+        let run = |ids: std::ops::Range<u32>| ids.collect::<Vec<u32>>();
+        let cases: [(Vec<u32>, Vec<u32>); 7] = [
+            (run(0..300), run(0..300)),
+            (vec![4, 70, 900], vec![4, 70, 900]),
+            (
+                run(0..300),
+                run(5..300).into_iter().chain([301, 4000]).collect(),
+            ),
+            (
+                run(0..300).into_iter().filter(|u| u % 3 > 0).collect(),
+                run(0..280),
+            ),
+            (vec![1, 2, 3], vec![1]),
+            (vec![1, 2, 3], vec![1, 2, 3, 8]),
+            (vec![1, 2, 3], vec![1, 8]),
+        ];
+        for (delivered, seen) in cases {
+            let state = DispatchState {
+                delivered: ids(&delivered),
+                seen: ids(&seen),
+                ..DispatchState::default()
+            };
+            let value = dispatch_to_value(&state);
+            let column = |name: &str| -> Vec<u32> { value.field(name).unwrap().decode().unwrap() };
+            let minus = |a: &[u32], b: &[u32]| -> Vec<u32> {
+                a.iter().copied().filter(|u| !b.contains(u)).collect()
+            };
+            let case = format!("delivered {delivered:?}, seen {seen:?}");
+            assert_eq!(
+                column("delivered_unseen"),
+                minus(&delivered, &seen),
+                "{case}"
+            );
+            assert_eq!(
+                column("seen_undelivered"),
+                minus(&seen, &delivered),
+                "{case}"
+            );
+            let back = dispatch_from_value(&value).unwrap();
+            assert!(
+                back.delivered.iter().eq(delivered.iter().copied()),
+                "{case}"
+            );
+            assert!(back.seen.iter().eq(seen.iter().copied()), "{case}");
+            assert_eq!(back.seen.is_dense(), state.seen.is_dense(), "{case}");
+            assert_eq!(dispatch_to_value(&back), value, "{case}");
+        }
 
         let edit = |name: &str, ids: &[u32]| {
             let Value::Obj(mut fields) = value.clone() else {

@@ -224,11 +224,19 @@ impl CompactCsr {
                 "data checksum mismatch: stored {stored:#x}, computed {actual:#x}"
             ));
         }
+        // The checksum covers the data, not the offset index, so each
+        // offset is checked against the data before it is sliced by.
+        let data_len = self.data().len() as u64;
         let mut arcs = 0u64;
         for v in 0..self.node_count {
             let (start, end) = (self.offset(v), self.offset(v + 1));
             if start > end {
                 return err(format!("offset index not monotone at node {v}"));
+            }
+            if end > data_len {
+                return err(format!(
+                    "node {v}'s run ends at byte {end}, past the {data_len}-byte data section"
+                ));
             }
             let run = &self.data()[start as usize..end as usize];
             let mut pos = 0;
@@ -814,6 +822,23 @@ mod tests {
         assert!(CompactCsr::from_bytes(bad).is_err());
         // Truncated buffer.
         assert!(CompactCsr::from_bytes(good[..good.len() - 1].to_vec()).is_err());
+    }
+
+    #[test]
+    fn an_offset_past_the_data_is_a_format_error() {
+        let mut b = GraphBuilder::new();
+        for i in 0..4u32 {
+            b.push_edge(i, (i + 1) % 4);
+        }
+        let compact = CompactCsr::from_csr(&b.build().unwrap());
+        assert_eq!(compact.offset_width, 4);
+        let mut bytes = compact.as_bytes().to_vec();
+        let data_len = (bytes.len() - compact.data_at) as u32;
+        let at = HEADER_LEN + 4;
+        bytes[at..at + 4].copy_from_slice(&(data_len + 1000).to_le_bytes());
+        let e = CompactCsr::from_bytes(bytes).unwrap_err();
+        assert!(matches!(e, GraphError::Format(_)), "{e}");
+        assert!(e.to_string().contains("past the"), "{e}");
     }
 
     #[test]

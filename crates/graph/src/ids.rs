@@ -75,7 +75,9 @@ impl From<NodeId> for u32 {
 /// or remove right at the threshold can convert it back and forth.
 ///
 /// Ascending iteration scans the bitset of a dense set and sorts a sparse
-/// one.
+/// one. A reader of a serialized id list builds the whole set at once
+/// with [`NodeSet::from_ids`], in its final form, where inserts would grow
+/// (and perhaps convert) it one id at a time.
 #[derive(Clone, Debug, Default)]
 pub struct NodeSet {
     len: usize,
@@ -124,6 +126,38 @@ impl NodeSet {
     /// An empty set; it allocates nothing until its first insert.
     pub fn new() -> Self {
         NodeSet::default()
+    }
+
+    /// The set of `ids`, built at once in the form the type's rule picks
+    /// for their count and largest id. `ids` are sorted in place first,
+    /// unless they already ascend strictly, as a list written from
+    /// [`Self::iter`] does.
+    ///
+    /// # Errors
+    /// The smallest id that `ids` hold more than once.
+    pub fn from_ids(ids: &mut [u32]) -> Result<Self, u32> {
+        if !ids.windows(2).all(|w| w[0] < w[1]) {
+            ids.sort_unstable();
+            if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+                return Err(w[0]);
+            }
+        }
+        let Some(&max) = ids.last() else {
+            return Ok(NodeSet::new());
+        };
+        let words = range_words(max);
+        let form = if ids.len() >= words {
+            Form::Dense(bitset(ids.iter().copied(), words))
+        } else {
+            let mut set = FnvHashSet::with_capacity_and_hasher(ids.len(), Default::default());
+            set.extend(ids.iter().copied());
+            Form::Sparse(set)
+        };
+        Ok(NodeSet {
+            len: ids.len(),
+            max,
+            form,
+        })
     }
 
     /// Whether `id` is a member.
@@ -354,6 +388,20 @@ mod tests {
         assert!(set.remove(u32::MAX));
         assert!(set.is_dense(), "the range narrowed back to 1024 ids");
         assert!(set.iter().eq(0..1000));
+    }
+
+    #[test]
+    fn node_set_from_ids_picks_the_form_once_and_refuses_repeats() {
+        let dense = NodeSet::from_ids(&mut [5, 100, 150, 200]).unwrap();
+        assert!(dense.is_dense() && dense.bitset_bytes() == 32);
+        let sparse = NodeSet::from_ids(&mut [200, 5, 100]).unwrap();
+        assert!(!sparse.is_dense());
+        assert_eq!(sparse.iter().collect::<Vec<_>>(), [5, 100, 200]);
+        assert_eq!((sparse.len(), sparse.max()), (3, Some(200)));
+        let empty = NodeSet::from_ids(&mut []).unwrap();
+        assert!(empty.is_empty() && empty.max().is_none());
+        assert_eq!(NodeSet::from_ids(&mut [3, 9, 9]).err(), Some(9));
+        assert_eq!(NodeSet::from_ids(&mut [9, 3, 7, 3, 9]).err(), Some(3));
     }
 
     #[test]

@@ -36,11 +36,18 @@
 //! so those are the cheap cases. The parser reads an integer of up to 19
 //! plain digits, and a string with no escape, as one slice of the input;
 //! every other token takes the general path, and both paths give the same
-//! values and the same errors (pinned by a property test). The writers
-//! format integers on the stack and copy indentation and escape-free
-//! strings whole. A `\u` escape takes exactly four hex digits; a
-//! surrogate pair decodes to one character, and a lone surrogate is
-//! refused.
+//! values and the same errors (pinned by a property test). It gathers the
+//! fields of the open objects, the items of the open arrays and the
+//! integers of a column on scratch stacks of its own, and moves each
+//! container out as one `Vec` of exact size when it closes, so nothing
+//! grows by doubling; each object key is still one `String`. The writers
+//! format every integer, scalar or column item, with one formatter that
+//! finds the width first and then writes two digits per step. A packed
+//! column is formatted into one byte buffer, reused across the tree's
+//! columns and checked as UTF-8 once per column, since the crate forbids
+//! `unsafe`; indentation and escape-free strings are copied whole. A `\u`
+//! escape takes exactly four hex digits; a surrogate pair decodes to one
+//! character, and a lone surrogate is refused.
 //!
 //! ## Packed integer columns
 //!
@@ -281,16 +288,16 @@ impl Value {
     /// arrays inline) — byte-identical to the historical experiment-artifact
     /// format.
     pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        write_pretty(self, &mut out, 0);
-        out
+        let mut writer = Writer::default();
+        writer.pretty(self, 0);
+        writer.out
     }
 
     /// Render on one line with no whitespace — the snapshot wire form.
     pub fn to_compact(&self) -> String {
-        let mut out = String::new();
-        write_compact(self, &mut out);
-        out
+        let mut writer = Writer::default();
+        writer.compact(self);
+        writer.out
     }
 
     /// Parse a document produced by either writer (or any JSON within this
@@ -315,6 +322,9 @@ fn parse_with<const FAST: bool>(input: &str) -> Result<Value, ParseError> {
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
+        fields: Vec::new(),
+        items: Vec::new(),
+        column: Vec::new(),
     };
     let v = p.value()?;
     p.skip_ws();
@@ -356,21 +366,55 @@ fn push_indent(out: &mut String, level: usize) {
     }
 }
 
-/// Append the decimal digits of `u`, formatted on the stack.
-fn push_uint(out: &mut String, mut u: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (u % 10) as u8;
-        u /= 10;
-        if u == 0 {
-            break;
-        }
+/// The two-digit decimal strings `00` to `99`, back to back.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
     }
-    match std::str::from_utf8(&digits[at..]) {
-        Ok(text) => out.push_str(text),
-        Err(_) => unreachable!("decimal digits are ASCII"),
+    pairs
+};
+
+/// The number of decimal digits of `u`.
+fn decimal_width(u: u64) -> usize {
+    u.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+/// Write the decimal digits of `u` into `digits`, which is exactly
+/// [`decimal_width`]`(u)` bytes long, two digits per step from the back.
+/// The one integer formatter of both writers, for scalars and columns.
+fn format_uint(mut u: u64, digits: &mut [u8]) {
+    let mut at = digits.len();
+    while u >= 100 {
+        let pair = 2 * (u % 100) as usize;
+        u /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if u >= 10 {
+        let pair = 2 * u as usize;
+        digits[..2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        digits[0] = b'0' + u as u8;
+    }
+}
+
+/// Append the decimal digits of `u`, formatted on the stack.
+fn push_uint(out: &mut String, u: u64) {
+    let mut digits = [0u8; 20];
+    let digits = &mut digits[..decimal_width(u)];
+    format_uint(u, digits);
+    out.push_str(ascii(digits));
+}
+
+/// Bytes the writers made of ASCII digits and punctuation, as text.
+fn ascii(bytes: &[u8]) -> &str {
+    match std::str::from_utf8(bytes) {
+        Ok(text) => text,
+        Err(_) => unreachable!("digits and separators are ASCII"),
     }
 }
 
@@ -445,99 +489,115 @@ fn is_container(v: &Value) -> bool {
     matches!(v, Value::Arr(_) | Value::Uints(_) | Value::Obj(_))
 }
 
-/// The items of a packed column, `separator` between each two, in
-/// brackets: the bytes either writer gives the same `Arr` of `Uint`s.
-fn write_uints(items: &[u64], separator: &str, out: &mut String) {
-    out.push('[');
-    for (i, &u) in items.iter().enumerate() {
-        if i > 0 {
-            out.push_str(separator);
-        }
-        push_uint(out, u);
-    }
-    out.push(']');
+/// A writer's output, and the byte buffer it formats each packed column
+/// in: one buffer, reused across the columns of a tree, and checked as
+/// UTF-8 once per column, since the crate forbids `unsafe`.
+#[derive(Default)]
+struct Writer {
+    out: String,
+    column: Vec<u8>,
 }
 
-fn write_pretty(v: &Value, out: &mut String, level: usize) {
-    match v {
-        Value::Obj(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
+impl Writer {
+    /// The items of a packed column, `separator` between each two, in
+    /// brackets: the bytes either writer gives the same `Arr` of `Uint`s.
+    fn uints(&mut self, items: &[u64], separator: &str) {
+        let column = &mut self.column;
+        column.clear();
+        column.push(b'[');
+        for (i, &u) in items.iter().enumerate() {
+            if i > 0 {
+                column.extend_from_slice(separator.as_bytes());
             }
-            out.push_str("{\n");
-            for (i, (key, val)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                push_indent(out, level + 1);
-                escape_string(key, out);
-                out.push_str(": ");
-                write_pretty(val, out, level + 1);
-            }
-            out.push('\n');
-            push_indent(out, level);
-            out.push('}');
+            let at = column.len();
+            column.resize(at + decimal_width(u), 0);
+            format_uint(u, &mut column[at..]);
         }
-        Value::Arr(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-            } else if items.iter().any(is_container) {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, level + 1);
-                    write_pretty(item, out, level + 1);
-                }
-                out.push('\n');
-                push_indent(out, level);
-                out.push(']');
-            } else {
-                // All-scalar arrays inline: `[1, 2, 3]`.
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    write_scalar(item, out);
-                }
-                out.push(']');
-            }
-        }
-        Value::Uints(items) => write_uints(items, ", ", out),
-        scalar => write_scalar(scalar, out),
+        column.push(b']');
+        self.out.push_str(ascii(column));
     }
-}
 
-fn write_compact(v: &Value, out: &mut String) {
-    match v {
-        Value::Obj(fields) => {
-            out.push('{');
-            for (i, (key, val)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+    fn pretty(&mut self, v: &Value, level: usize) {
+        match v {
+            Value::Obj(fields) => {
+                if fields.is_empty() {
+                    self.out.push_str("{}");
+                    return;
                 }
-                escape_string(key, out);
-                out.push(':');
-                write_compact(val, out);
-            }
-            out.push('}');
-        }
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+                self.out.push_str("{\n");
+                for (i, (key, val)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        self.out.push_str(",\n");
+                    }
+                    push_indent(&mut self.out, level + 1);
+                    escape_string(key, &mut self.out);
+                    self.out.push_str(": ");
+                    self.pretty(val, level + 1);
                 }
-                write_compact(item, out);
+                self.out.push('\n');
+                push_indent(&mut self.out, level);
+                self.out.push('}');
             }
-            out.push(']');
+            Value::Arr(items) => {
+                if items.is_empty() {
+                    self.out.push_str("[]");
+                } else if items.iter().any(is_container) {
+                    self.out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            self.out.push(',');
+                        }
+                        self.out.push('\n');
+                        push_indent(&mut self.out, level + 1);
+                        self.pretty(item, level + 1);
+                    }
+                    self.out.push('\n');
+                    push_indent(&mut self.out, level);
+                    self.out.push(']');
+                } else {
+                    // All-scalar arrays inline: `[1, 2, 3]`.
+                    self.out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            self.out.push_str(", ");
+                        }
+                        write_scalar(item, &mut self.out);
+                    }
+                    self.out.push(']');
+                }
+            }
+            Value::Uints(items) => self.uints(items, ", "),
+            scalar => write_scalar(scalar, &mut self.out),
         }
-        Value::Uints(items) => write_uints(items, ",", out),
-        scalar => write_scalar(scalar, out),
+    }
+
+    fn compact(&mut self, v: &Value) {
+        match v {
+            Value::Obj(fields) => {
+                self.out.push('{');
+                for (i, (key, val)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        self.out.push(',');
+                    }
+                    escape_string(key, &mut self.out);
+                    self.out.push(':');
+                    self.compact(val);
+                }
+                self.out.push('}');
+            }
+            Value::Arr(items) => {
+                self.out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        self.out.push(',');
+                    }
+                    self.compact(item);
+                }
+                self.out.push(']');
+            }
+            Value::Uints(items) => self.uints(items, ","),
+            scalar => write_scalar(scalar, &mut self.out),
+        }
     }
 }
 
@@ -551,6 +611,15 @@ struct Parser<'a, const FAST: bool> {
     pos: usize,
     /// Containers currently open around `pos`.
     depth: usize,
+    /// The fields read so far of the objects open around `pos`, innermost
+    /// last: an object that closes moves its own out as one `Vec` of exact
+    /// size, so no object's fields grow by doubling.
+    fields: Vec<(String, Value)>,
+    /// The items read so far of the open arrays, likewise.
+    items: Vec<Value>,
+    /// The integers of the packed column being read; only the innermost
+    /// array reads one, and it reads no other value meanwhile.
+    column: Vec<u64>,
 }
 
 impl<const FAST: bool> Parser<'_, FAST> {
@@ -628,11 +697,11 @@ impl<const FAST: bool> Parser<'_, FAST> {
 
     fn object(&mut self) -> Result<Value, ParseError> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
         if self.peek()? == b'}' {
             self.pos += 1;
-            return Ok(Value::Obj(fields));
+            return Ok(Value::Obj(Vec::new()));
         }
+        let base = self.fields.len();
         loop {
             if self.peek()? != b'"' {
                 return Err(self.err_at(self.pos, "expected string key"));
@@ -640,12 +709,12 @@ impl<const FAST: bool> Parser<'_, FAST> {
             let key = self.string_value()?;
             self.expect(b':')?;
             let val = self.value()?;
-            fields.push((key, val));
+            self.fields.push((key, val));
             match self.peek()? {
                 b',' => self.pos += 1,
                 b'}' => {
                     self.pos += 1;
-                    return Ok(Value::Obj(fields));
+                    return Ok(Value::Obj(self.fields.drain(base..).collect()));
                 }
                 other => {
                     return Err(self.err_at(
@@ -659,31 +728,34 @@ impl<const FAST: bool> Parser<'_, FAST> {
 
     fn array(&mut self) -> Result<Value, ParseError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         if self.peek()? == b']' {
             self.pos += 1;
-            return Ok(Value::Arr(items));
+            return Ok(Value::Arr(Vec::new()));
         }
+        let base = self.items.len();
         if FAST {
             // Read plain integers straight into a packed column. The first
             // item that is anything else goes to the general loop below
             // untouched, so both paths meet every byte the same way.
-            let mut column = Vec::new();
+            self.column.clear();
             loop {
                 self.peek()?;
                 let Some(u) = self.plain_uint() else {
-                    items = column.into_iter().map(Value::Uint).collect();
+                    self.items
+                        .extend(self.column.iter().map(|&u| Value::Uint(u)));
                     break;
                 };
-                column.push(u);
+                self.column.push(u);
                 if self.array_separator()? {
-                    return Ok(Value::Uints(column));
+                    return Ok(Value::Uints(self.column.to_vec()));
                 }
             }
         }
         loop {
-            items.push(self.value()?);
+            let item = self.value()?;
+            self.items.push(item);
             if self.array_separator()? {
+                let items = self.items.drain(base..).collect();
                 return Ok(if FAST {
                     packed(items)
                 } else {
@@ -1122,6 +1194,16 @@ mod tests {
         Value::obj([
             ("id", "figX".to_value()),
             ("count", 3u64.to_value()),
+            // Objects nested in middle fields: the parser's scratch stack
+            // holds the outer fields while the inner ones are read.
+            (
+                "inner",
+                Value::obj([
+                    ("a", Value::uints([2, 3])),
+                    ("b", Value::obj([("deep", Value::Null)])),
+                    ("c", Value::Arr(vec![Value::obj([]), "x".to_value()])),
+                ]),
+            ),
             ("offset", (-7i64).to_value()),
             ("ratio", 0.25f64.to_value()),
             ("flag", true.to_value()),
@@ -1396,6 +1478,40 @@ mod tests {
         let pretty = deep.to_pretty();
         assert!(pretty.contains(&format!("\n{}\"k\": 1\n", " ".repeat(80))));
         assert_eq!(Value::parse(&pretty).unwrap(), deep);
+    }
+
+    #[test]
+    fn integers_of_every_width_print_as_display_does() {
+        let mut items = vec![0, u64::MAX];
+        for k in 1..20 {
+            let power = 10u64.pow(k);
+            items.extend([power - 1, power, power + 1]);
+        }
+        for &u in &items {
+            assert_eq!(Value::Uint(u).to_pretty(), u.to_string());
+            assert_eq!(Value::Uint(u).to_compact(), u.to_string());
+            assert_eq!(decimal_width(u), u.to_string().len(), "{u}");
+        }
+        let want: Vec<String> = items.iter().map(u64::to_string).collect();
+        let column = Value::uints(items.iter().copied());
+        assert_eq!(column.to_compact(), format!("[{}]", want.join(",")));
+        assert_eq!(column.to_pretty(), format!("[{}]", want.join(", ")));
+        // Columns of different lengths in one tree share the writer's
+        // buffer; each prints only its own items.
+        let tree = Value::obj([
+            ("long", column.clone()),
+            ("short", Value::uints([7, 10])),
+            ("one", Value::uints([u64::MAX])),
+        ]);
+        assert_eq!(
+            tree.to_compact(),
+            format!(
+                "{{\"long\":[{}],\"short\":[7,10],\"one\":[{}]}}",
+                want.join(","),
+                u64::MAX
+            )
+        );
+        assert_eq!(Value::parse(&tree.to_pretty()).unwrap(), tree);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! `NodeSet` against a `BTreeSet<u32>` model: random inserts, removes,
-//! membership probes and clears, drawn from three id regimes — ids below
+//! membership probes, clears and bulk rebuilds from the model's ascending
+//! members, drawn from three id regimes — ids below
 //! 256, ids spread over the whole `u32` range, and an ascending run of
 //! small ids ended by one id near `u32::MAX`. After every operation the set
 //! must agree with the model on membership, length, largest member and
@@ -19,16 +20,19 @@ enum Op {
     Remove(u32),
     Contains(u32),
     Clear,
+    /// Replace the set with [`NodeSet::from_ids`] of the model's members.
+    Rebuild,
 }
 
-/// An operation on `id` for a draw `kind` in `0..20`: insert (10 in 20),
-/// remove (6), probe (3) or clear (1).
+/// An operation on `id` for a draw `kind` in `0..21`: insert (10 in 21),
+/// remove (6), probe (3), clear (1) or rebuild (1).
 fn op(kind: u32, id: u32) -> Op {
     match kind {
         0..=9 => Op::Insert(id),
         10..=15 => Op::Remove(id),
         16..=18 => Op::Contains(id),
-        _ => Op::Clear,
+        19 => Op::Clear,
+        _ => Op::Rebuild,
     }
 }
 
@@ -52,6 +56,10 @@ fn check(ops: &[Op]) -> Result<(), String> {
             Op::Clear => {
                 set.clear();
                 model.clear();
+            }
+            Op::Rebuild => {
+                let mut ids: Vec<u32> = model.iter().copied().collect();
+                set = NodeSet::from_ids(&mut ids).map_err(|id| format!("{at}: {id} twice"))?;
             }
         }
         if let Op::Insert(id) | Op::Remove(id) | Op::Contains(id) = op {
@@ -89,7 +97,7 @@ proptest! {
 
     #[test]
     fn node_set_matches_a_model_over_small_ids(
-        draws in prop::collection::vec((0u32..20, 0u32..256), 0..600),
+        draws in prop::collection::vec((0u32..21, 0u32..256), 0..600),
     ) {
         let ops: Vec<Op> = draws.into_iter().map(|(kind, id)| op(kind, id)).collect();
         check(&ops)?;
@@ -97,7 +105,7 @@ proptest! {
 
     #[test]
     fn node_set_matches_a_model_over_the_whole_id_range(
-        draws in prop::collection::vec((0u32..20, 0u64..1 << 32), 0..400),
+        draws in prop::collection::vec((0u32..21, 0u64..1 << 32), 0..400),
     ) {
         let ops: Vec<Op> = draws
             .into_iter()
@@ -111,10 +119,11 @@ proptest! {
         start in 0u32..2_000,
         run in 0u32..1_500,
         top in 0u32..64,
-        draws in prop::collection::vec((0u32..20, 0u32..4_000, prop::bool::ANY), 0..300),
+        draws in prop::collection::vec((0u32..21, 0u32..4_000, prop::bool::ANY), 0..300),
     ) {
         let mut ops: Vec<Op> = (start..start + run).map(Op::Insert).collect();
-        ops.push(Op::Insert(u32::MAX - top));
+        // Rebuilt while the run alone is dense, and once the top id joins.
+        ops.extend([Op::Rebuild, Op::Insert(u32::MAX - top), Op::Rebuild]);
         // Then anything, over the run's ids and the top ones.
         ops.extend(draws.into_iter().map(|(kind, id, high)| {
             op(kind, if high { u32::MAX - id % 64 } else { id })
