@@ -7,8 +7,8 @@
 //! ```
 //!
 //! Each experiment prints its markdown table to stdout and, with `--out`,
-//! also writes `<id>.md`, `<id>.csv` and `<id>.json` artifacts — the files
-//! EXPERIMENTS.md references.
+//! also writes `<id>.md`, `<id>.csv` and `<id>.json` artifacts (README,
+//! "Reproducing the paper's evaluation").
 //!
 //! `--full` runs every scale-aware target at `Scale::Full` (the largest
 //! calibrated stand-ins) under a wall-clock guard: once `--max-secs`
@@ -197,50 +197,8 @@ fn run_perf(opts: &Options) -> ExperimentResult {
                 );
             }
         }
-        // Machine-independent pass, GNRW-specific: the plan-over-scratch
-        // ratio is computed within one run, so it stays comparable even when
-        // this host and the baseline's recording machine are different
-        // classes. Both arms walk identically; the ratio is what the plan
-        // saves on cold edges' partitions.
-        // Print it every run (not only on regression) so the perf-smoke log
-        // always shows where GNRW stands, and warn when the within-run ratio
-        // falls below the baseline's.
-        let base_plan = perf::plan_speedups(&baseline);
-        let mut speedup_regressions = 0usize;
-        let mut speedup_cells = 0usize;
-        for (label, current) in perf::plan_speedups(&result) {
-            match base_plan.iter().find(|(l, _)| *l == label) {
-                Some((_, base)) if current < base * (1.0 - perf::REGRESSION_TOLERANCE) => {
-                    speedup_cells += 1;
-                    speedup_regressions += 1;
-                    println!(
-                        "::warning::perf: GNRW plan-over-scratch speedup for {label} fell to \
-                         {current:.2}x (baseline {base:.2}x) — the group-plan fast path regressed"
-                    );
-                }
-                Some((_, base)) => {
-                    speedup_cells += 1;
-                    eprintln!(
-                        "perf: GNRW plan-over-scratch {label}: {current:.2}x (baseline {base:.2}x)"
-                    );
-                }
-                None => {
-                    eprintln!(
-                        "perf: GNRW plan-over-scratch {label}: {current:.2}x (no baseline ratio)"
-                    );
-                }
-            }
-        }
-        if regressions > deltas.len() / 2 && speedup_regressions == 0 {
-            eprintln!(
-                "perf note: most absolute cells shifted together while every plan-over-scratch \
-                 speedup held — this usually means a different machine class than the baseline's, \
-                 not a code regression"
-            );
-        }
         eprintln!(
-            "perf check vs {}: {} absolute cells ({} beyond the {:.0}% tolerance), \
-             {speedup_cells} speedup ratios ({speedup_regressions} regressed); non-blocking",
+            "perf check vs {}: {} absolute cells ({} beyond the {:.0}% tolerance); non-blocking",
             path.display(),
             deltas.len(),
             regressions,
@@ -384,15 +342,6 @@ fn main() {
                 let r = fig9::run(&config);
                 emit(&r.average_degree, &opts.out);
                 emit(&r.average_reviews, &opts.out);
-                // Panel (c): the plan-vs-scratch NRMSE-at-equal-wall-clock
-                // arm — each execution path gets the steps it completes in
-                // the same time window.
-                let base_steps: &[usize] = if opts.quick {
-                    &[400, 1_200]
-                } else {
-                    &[10_000, 30_000]
-                };
-                emit(&fig9::plan_equal_walltime(&config, base_steps), &opts.out);
             }
             "fig10" => {
                 let config = if opts.quick {

@@ -23,8 +23,8 @@ use osn_walks::Grouping;
 pub const REGRESSION_TOLERANCE: f64 = 0.15;
 
 /// The two benchmark graphs — the single definition shared by
-/// `walker_throughput`, `gnrw_throughput`, and `repro perf`, so the
-/// committed baseline always measures the same workload the benches print.
+/// `walker_throughput` and `repro perf`, so the committed baseline always
+/// measures the same workload the bench prints.
 pub fn bench_graphs() -> [(&'static str, Arc<AttributedGraph>); 2] {
     [
         ("facebook", Arc::new(facebook_like(Scale::Test, 1).network)),
@@ -88,16 +88,9 @@ fn time_cell(plan: &TrialPlan, alg: &Algorithm, reps: usize) -> (Vec<f64>, Vec<f
     (xs, ys)
 }
 
-/// Run the full matrix and return the recorded steps/sec document.
-///
-/// Each walker has a `graph/ALG/arena` cell. GNRW's runs **plan-backed**:
-/// cold edges read their partition from a shared
-/// [`osn_walks::GroupPlan`], built once per graph outside the timed region,
-/// matching how a fleet amortizes it. The planless walk — the same
-/// Algorithm-2 step and trace, with cold edges partitioned by the strategy
-/// at each step — is kept as an extra `graph/GNRW_By_Degree/scratch`
-/// series, so the cost of that partition stays visible in the committed
-/// baseline.
+/// Run the full matrix and return the recorded steps/sec document: a
+/// `graph/ALG/arena` cell per walker, and a `graph/CNRW/compact` cell per
+/// graph.
 pub fn measure(config: &PerfConfig) -> ExperimentResult {
     let graphs = bench_graphs();
     let mut result = ExperimentResult::new(
@@ -109,44 +102,25 @@ pub fn measure(config: &PerfConfig) -> ExperimentResult {
     .with_note(format!(
         "steps={} reps={}; best rep is the comparison statistic; \
          regression tolerance {:.0}% (scripts/perf_check.sh, non-blocking); \
-         GNRW arena cells are plan-backed (cold edges read the plan's partition), \
-         the */scratch series partitions cold edges per step; both run one \
-         Algorithm-2 step with identical traces",
+         GNRW cells read cold edges' partitions from each walker's partition memo",
         config.steps,
         config.reps,
         REGRESSION_TOLERANCE * 100.0
     ));
     for (gname, network) in &graphs {
         for alg in algorithms() {
-            // Group plans are per-graph precomputation, shared read-only:
-            // build once per (graph, grouping), outside the timed region.
-            let group_plan = alg.build_group_plan(network).map(Arc::new);
-            let mut plan = TrialPlan::steps(network.clone(), config.steps);
-            if let Some(gp) = &group_plan {
-                plan = plan.with_group_plan(Arc::clone(gp));
-            }
+            let plan = TrialPlan::steps(network.clone(), config.steps);
             let (xs, ys) = time_cell(&plan, &alg, config.reps);
             result = result.with_series(Series::new(
                 format!("{gname}/{}/arena", alg.label()),
                 xs,
                 ys,
             ));
-            if group_plan.is_some() {
-                // The scratch reference cell: same walker, partition
-                // re-derived every step.
-                let plan = TrialPlan::steps(network.clone(), config.steps);
-                let (xs, ys) = time_cell(&plan, &alg, config.reps);
-                result = result.with_series(Series::new(
-                    format!("{gname}/{}/scratch", alg.label()),
-                    xs,
-                    ys,
-                ));
-            }
         }
         // The compact-substrate cell: CNRW over the delta-varint snapshot
         // (bit-identical traces to the `/arena` twin above; the gap is
         // decode overhead). Paired with `graph/CNRW/arena` the ratio is
-        // machine-independent, like the plan-over-scratch speedups.
+        // machine-independent: both cells come from one run on one host.
         let compact = Arc::new(osn_graph::compact::CompactCsr::from_csr(&network.graph));
         let plan = TrialPlan::from_compact(compact).with_max_steps(config.steps);
         let (xs, ys) = time_cell(&plan, &Algorithm::Cnrw, config.reps);
@@ -158,28 +132,6 @@ pub fn measure(config: &PerfConfig) -> ExperimentResult {
 /// Best (maximum) steps/sec across a series' repetitions.
 fn best(series: &Series) -> f64 {
     series.y.iter().copied().fold(f64::NAN, f64::max)
-}
-
-/// Plan-over-scratch speedup per GNRW cell pair, pairing each
-/// `graph/ALG/scratch` reference series with its plan-backed
-/// `graph/ALG/arena` twin. The two walk identically, so the ratio is what
-/// reading a cold edge's partition from the plan saves over deriving it
-/// per step. Both cells of a ratio come from one run on one host, so the
-/// statistic survives machine-class changes (where the absolute steps/sec
-/// comparison mostly measures the hardware).
-pub fn plan_speedups(doc: &ExperimentResult) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for series in &doc.series {
-        if let Some(prefix) = series.label.strip_suffix("/scratch") {
-            if let Some(arena) = doc.series_by_label(&format!("{prefix}/arena")) {
-                let (a, s) = (best(arena), best(series));
-                if a.is_finite() && s.is_finite() && s > 0.0 {
-                    out.push((prefix.to_string(), a / s));
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Outcome of one baseline comparison.
@@ -245,19 +197,13 @@ mod tests {
             steps: 300,
             reps: 1,
         });
-        // 2 graphs x (4 walkers + 1 GNRW scratch reference + 1 CNRW
-        // compact-substrate cell) = 12 series.
-        assert_eq!(result.series.len(), 12);
+        // 2 graphs x (4 walkers + 1 CNRW compact-substrate cell) = 10
+        // series.
+        assert_eq!(result.series.len(), 10);
         for s in &result.series {
             assert!(best(s) > 0.0, "{} recorded no throughput", s.label);
         }
         for g in ["facebook", "gplus"] {
-            assert!(
-                result
-                    .series_by_label(&format!("{g}/GNRW_By_Degree/scratch"))
-                    .is_some(),
-                "missing {g} scratch reference series"
-            );
             assert!(
                 result
                     .series_by_label(&format!("{g}/CNRW/compact"))
@@ -287,26 +233,5 @@ mod tests {
         let baseline = doc("g/CNRW/arena", &[100.0]);
         let deltas = compare(&doc("g/CNRW/compact", &[10.0]), &baseline, 0.15);
         assert!(deltas.is_empty());
-    }
-
-    #[test]
-    fn plan_speedups_pair_plan_backed_arena_with_scratch_cells() {
-        let result = ExperimentResult::new("BENCH_walkers", "t", "x", "y")
-            .with_series(Series::new(
-                "g/GNRW_By_Degree/scratch",
-                vec![0.0],
-                vec![40.0],
-            ))
-            .with_series(Series::new(
-                "g/GNRW_By_Degree/arena",
-                vec![0.0],
-                vec![200.0],
-            ))
-            .with_series(Series::new("g/CNRW/arena", vec![0.0], vec![999.0]));
-        let s = plan_speedups(&result);
-        // CNRW has no scratch reference -> exactly the GNRW ratio.
-        assert_eq!(s.len(), 1);
-        assert_eq!(s[0].0, "g/GNRW_By_Degree");
-        assert!((s[0].1 - 5.0).abs() < 1e-12);
     }
 }

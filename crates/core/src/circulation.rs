@@ -106,7 +106,6 @@ use osn_serde::Value;
 use rand::{Rng, RngCore};
 
 use crate::fnv::{FnvHashMap, FnvHashSet};
-use crate::groupplan::NodeGroups;
 
 /// Source-compatibility shim, kept only for the benchmark harness: it still
 /// passes a history backend to `Cnrw::with_backend`, `Gnrw::with_backend`
@@ -677,6 +676,49 @@ impl CirculationEngine {
                 Some(pick)
             }
         }
+    }
+}
+
+/// The partition of one node's neighbor list in flat form, as a cold GNRW
+/// step reads it. `members` holds **local neighbor indices** (positions
+/// in `N(v)`), grouped contiguously in ascending key order; `ends` closes
+/// each group.
+#[derive(Clone, Copy, Debug)]
+pub struct NodeGroups<'a> {
+    /// Local neighbor indices, group-major; a permutation of `0..deg(v)`.
+    pub members: &'a [u32],
+    /// Per-group end offset (exclusive) into `members`.
+    pub ends: &'a [u32],
+}
+
+impl NodeGroups<'_> {
+    /// `deg(v)`.
+    pub fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// Whether the node has no neighbors.
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+
+    /// Number of groups.
+    pub fn group_count(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Half-open `members` range of group `g`.
+    #[inline]
+    pub fn bounds(&self, g: usize) -> (usize, usize) {
+        let start = if g == 0 { 0 } else { self.ends[g - 1] as usize };
+        (start, self.ends[g] as usize)
+    }
+
+    /// The local neighbor indices of group `g`, ascending.
+    #[inline]
+    pub fn members_of(&self, g: usize) -> &[u32] {
+        let (start, end) = self.bounds(g);
+        &self.members[start..end]
     }
 }
 

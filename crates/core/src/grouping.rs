@@ -195,10 +195,8 @@ enum Rule {
 /// between neighborhoods, which is fine — GNRW's history is keyed per
 /// directed edge, where the neighborhood is fixed.
 ///
-/// A `Grouping` is plain data: walkers, [`GroupPlan`]s and experiment
-/// specs carry it by value and compare it with `==`.
-///
-/// [`GroupPlan`]: crate::groupplan::GroupPlan
+/// A `Grouping` is plain data: walkers and experiment specs carry it by
+/// value and compare it with `==`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Grouping(Rule);
 

@@ -437,7 +437,7 @@ mod tests {
     #[test]
     fn group_history_separates_directed_edges() {
         let mut h = GroupHistory::new();
-        let groups = crate::groupplan::NodeGroups {
+        let groups = crate::circulation::NodeGroups {
             members: &[0, 2, 1, 3],
             ends: &[2, 4],
         };

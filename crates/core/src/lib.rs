@@ -36,11 +36,10 @@
 //! neighbor partition when it promotes and never re-derives it. A cold
 //! edge under a grouping that keys each node alone first draws by exact
 //! rejection, keying only the neighbors it proposes; otherwise, and when
-//! that step declines, it partitions `N(v)` with the grouping, or reads
-//! the partition from a precomputed [`GroupPlan`] ([`groupplan`]) built
-//! once per graph+grouping and shared read-only across walkers. Both
-//! sources give the same partition, so a plan changes the cost of a walk,
-//! never its trace (see the `gnrw_throughput` bench).
+//! that step declines, it reads `N(v)`'s partition from the walker's own
+//! bounded memo, which derives it with the grouping the first time the
+//! walker needs it at `v`. A hit gives the partition a miss would derive,
+//! so the memo changes the cost of a walk, never its trace.
 //!
 //! ## Running a walk
 //!
@@ -85,7 +84,6 @@ pub use osn_graph::fnv;
 pub mod circulation;
 pub mod frontier;
 pub mod grouping;
-pub mod groupplan;
 pub mod history;
 pub mod markov;
 pub mod orchestrator;
@@ -94,10 +92,9 @@ mod session;
 mod walker;
 pub mod walkers;
 
-pub use circulation::HistoryBackend;
+pub use circulation::{HistoryBackend, NodeGroups};
 pub use frontier::{FrontierEntry, FrontierSampler, SharedFrontier};
 pub use grouping::{ByDegree, Grouping, ValueBucketing};
-pub use groupplan::{GroupPlan, NodeGroups};
 pub use history::TouchedNodes;
 pub use orchestrator::{
     MultiWalkTrace, Never, OrchestratorReport, RestartEvent, RestartPolicy, RestartReason,

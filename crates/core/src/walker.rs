@@ -45,8 +45,8 @@ pub trait RandomWalk {
     /// Serialize the walker's resumable state (position, predecessor,
     /// circulation history) to a [`Value`] tree.
     ///
-    /// Construction-time configuration — the algorithm, the grouping or
-    /// plan — is **not** part of the state: the
+    /// Construction-time configuration — the algorithm, the grouping — and
+    /// caches derived from the graph are **not** part of the state: the
     /// [`import_state`](Self::import_state) contract is that the receiver
     /// was constructed from the same spec. Given that, a snapshot taken
     /// after `k` steps and restored into a fresh walker continues

@@ -1,16 +1,14 @@
 //! GroupBy Neighbors Random Walk (GNRW) — paper §4.
 
-use std::sync::Arc;
-
 use osn_client::{BudgetExhausted, OsnClient};
 use osn_graph::partition::{partition_by_key, FlatPartition};
 use osn_graph::NodeId;
 use osn_serde::Value;
 use rand::RngCore;
 
-use crate::circulation::HistoryBackend;
+use crate::circulation::{HistoryBackend, NodeGroups};
+use crate::fnv::FnvHashMap;
 use crate::grouping::Grouping;
-use crate::groupplan::{GroupPlan, NodeGroups};
 use crate::history::{GroupHistory, TouchedNodes};
 use crate::walker::{prev_from_value, prev_to_value, uniform_pick, RandomWalk};
 
@@ -52,7 +50,7 @@ use crate::walker::{prev_from_value, prev_to_value, uniform_pick, RandomWalk};
 /// [`GroupEdgeView`](crate::history::GroupEdgeView). It needs `N(v)`'s
 /// groups only while the edge is cold: an edge that promotes freezes its
 /// partition in the walker's history, and a hot edge's step reads no
-/// grouping and no plan, with two `gen_range` draws.
+/// grouping and no partition, with two `gen_range` draws.
 ///
 /// On a cold edge, a grouping whose key of a node depends on that node
 /// alone — degree or attribute buckets, hash, per-node — first steps by
@@ -67,28 +65,36 @@ use crate::walker::{prev_from_value, prev_to_value, uniform_pick, RandomWalk};
 /// step declines — after `min(32, deg(v))` misses, certain when the
 /// sub-cycle must reset — and always under a rank-quantile grouping, the
 /// edge takes the exact step on `N(v)`'s partition, with two more draws.
-/// It reads the partition from the node's slice of a shared precomputed
-/// [`GroupPlan`] ([`Gnrw::with_plan`]) when that slice covers the live
-/// `N(v)`, else from the grouping's keys over a copy of `N(v)` and
-/// [`partition_by_key`], in buffers reused across steps. On a static
-/// snapshot the two give the same partition, and plan and planless walkers
-/// try the step by rejection alike, so a plan walker is the planless
-/// walker ([`Gnrw::new`]) bit for bit. On an evolving graph the plan keeps
-/// the partition of each `N(v)` it was built over: at a node whose live
-/// degree no longer matches it, the walker partitions the live `N(v)`
-/// exactly as the planless walker does, so the walk stays correct after
-/// [`RandomWalk::invalidate_node`] without a rebuilt plan.
+///
+/// ## The partition memo
+///
+/// The partition of `N(v)` depends on `v` alone — its list and its
+/// members' keys — not on the incoming edge, so each walker keeps the
+/// partitions its exact cold steps derive in a private memo keyed by `v`.
+/// On a miss the step derives the partition — the grouping's keys over a
+/// copy of `N(v)`, then [`partition_by_key`], in buffers reused across
+/// steps — and stores it. A hit gives the partition a miss would derive,
+/// so the memo changes what a walk costs, never its trace: a quantile
+/// walker ranks each neighborhood it reaches once instead of at every
+/// cold visit.
+///
+/// The memo holds at most 256 KiB, or one larger entry: an insert that
+/// would pass that budget clears it first. Every invalidation clears it
+/// whole, whatever nodes it names, since a quantile or bucket partition of
+/// `N(x)` reads each member's degree and a mutation at `w` can move the
+/// partition of every neighbor of `w`. [`RandomWalk::restart`] keeps it,
+/// as the graph has not changed, and a snapshot never holds it.
 pub struct Gnrw {
     prev: Option<NodeId>,
     current: NodeId,
     grouping: Grouping,
-    plan: Option<Arc<GroupPlan>>,
     history: GroupHistory,
+    memo: PartitionMemo,
     label: String,
     // Per-step buffers, reused across the walk. A cold step works on
     // `scratch_neighbors`, a copy of `N(v)`. The step by rejection reads
-    // the keys of `S(u, v)` into `scratch_keys`; a cold edge off the plan
-    // is partitioned in `scratch_partition` from `scratch_keys`, the
+    // the keys of `S(u, v)` into `scratch_keys`; a memo miss is
+    // partitioned in `scratch_partition` from `scratch_keys`, the
     // grouping's keys over the copy, which quantile groupings rank in
     // `scratch_ranks`; `counts` holds an exact cold step's per-group
     // (unvisited, attempted) counts.
@@ -103,7 +109,19 @@ impl Gnrw {
     /// Start a walk at `start` that partitions cold edges' `N(v)` with
     /// `grouping`.
     pub fn new(start: NodeId, grouping: Grouping) -> Self {
-        Self::build(start, grouping, None)
+        Gnrw {
+            prev: None,
+            current: start,
+            label: format!("GNRW[{}]", grouping.label()),
+            grouping,
+            history: GroupHistory::new(),
+            memo: PartitionMemo::default(),
+            scratch_neighbors: Vec::new(),
+            scratch_keys: Vec::new(),
+            scratch_ranks: Vec::new(),
+            scratch_partition: FlatPartition::default(),
+            counts: Vec::new(),
+        }
     }
 
     /// [`Self::new`], for callers that still pass a boxed grouping and the
@@ -114,30 +132,6 @@ impl Gnrw {
         _backend: HistoryBackend,
     ) -> Self {
         Self::new(start, grouping.into())
-    }
-
-    /// Start a plan-backed walk at `start` with the plan's grouping: cold
-    /// edges read their partition from the plan where it covers the live
-    /// `N(v)`. The plan is shared read-only; per-edge circulation state
-    /// stays in this walker.
-    pub fn with_plan(start: NodeId, plan: Arc<GroupPlan>) -> Self {
-        Self::build(start, plan.grouping().clone(), Some(plan))
-    }
-
-    fn build(start: NodeId, grouping: Grouping, plan: Option<Arc<GroupPlan>>) -> Self {
-        Gnrw {
-            prev: None,
-            current: start,
-            label: format!("GNRW[{}]", grouping.label()),
-            grouping,
-            plan,
-            history: GroupHistory::new(),
-            scratch_neighbors: Vec::new(),
-            scratch_keys: Vec::new(),
-            scratch_ranks: Vec::new(),
-            scratch_partition: FlatPartition::default(),
-            counts: Vec::new(),
-        }
     }
 
     /// The grouping `g(·)` this walker partitions neighborhoods with.
@@ -202,26 +196,19 @@ impl RandomWalk for Gnrw {
                     });
                     let pick = match by_rejection {
                         Some(pick) => pick,
-                        None => match self.plan.as_ref().map(|plan| plan.groups(v)) {
-                            // The plan's slice covers the live `N(v)` unless
-                            // a mutation has changed `deg(v)` since the
-                            // build; invalidation then dropped the edge
-                            // state built on the old list.
-                            Some(groups) if groups.len() == copy.len() => {
-                                view.step(Some(&groups), &mut self.counts, rng)
-                            }
-                            _ => {
-                                self.grouping.assign_ranked(
-                                    client,
-                                    copy,
-                                    &mut self.scratch_keys,
-                                    &mut self.scratch_ranks,
-                                );
-                                partition_by_key(&self.scratch_keys, &mut self.scratch_partition);
-                                let groups = NodeGroups::from(&self.scratch_partition);
-                                view.step(Some(&groups), &mut self.counts, rng)
-                            }
-                        },
+                        None => {
+                            let part = &mut self.scratch_partition;
+                            let groups = self.memo.get_or_derive(v, part, |part| {
+                                let keys = &mut self.scratch_keys;
+                                let ranks = &mut self.scratch_ranks;
+                                self.grouping.assign_ranked(client, copy, keys, ranks);
+                                partition_by_key(keys, part);
+                            });
+                            // Invalidation clears the memo whenever the
+                            // graph changes, so an entry is of the live list.
+                            debug_assert_eq!(groups.len(), copy.len(), "stale memo entry");
+                            view.step(Some(&groups), &mut self.counts, rng)
+                        }
                     };
                     copy[pick]
                 }
@@ -239,8 +226,8 @@ impl RandomWalk for Gnrw {
     }
 
     fn export_state(&self) -> Value {
-        // The grouping, plan and label are construction-time spec, and the
-        // per-step buffers are transients — the walk position and the
+        // The grouping and label are construction-time spec, and the memo
+        // and per-step buffers are transients — the walk position and the
         // circulation history (frozen partitions included) are the
         // resumable state.
         Value::obj([
@@ -257,18 +244,117 @@ impl RandomWalk for Gnrw {
         self.history = GroupHistory::import_state(history)?;
         self.prev = prev;
         self.current = current;
+        self.memo.clear();
         Ok(())
     }
 
     // Both the group circulation `S(u, v)` and the global set `b(u, v)` are
     // populations derived from `N(v)`: a mutation at `v` drops every edge
-    // `(*, v)`.
+    // `(*, v)`. The memo goes whole (see the type docs).
     fn invalidate_node(&mut self, node: NodeId) -> usize {
+        self.memo.clear();
         self.history.invalidate_targets(|v| v == node)
     }
 
     fn invalidate_nodes(&mut self, nodes: &TouchedNodes) -> usize {
+        self.memo.clear();
         self.history.invalidate_targets(|v| nodes.contains(v))
+    }
+}
+
+/// Byte budget of a walker's [`PartitionMemo`].
+const MEMO_BUDGET: usize = 256 * 1024;
+
+/// Where one node's partition sits in a [`PartitionMemo`]'s arrays.
+#[derive(Clone, Copy, Debug)]
+struct MemoSpan {
+    /// Offset of the node's first member index in `members`.
+    members: u32,
+    /// Offset of its first group end in `ends`.
+    ends: u32,
+    /// `deg(v)`.
+    len: u32,
+    /// Its number of groups.
+    groups: u32,
+}
+
+/// The partitions of `N(v)` a walker has derived, keyed by `v`, in the
+/// flat layout [`NodeGroups`] borrows: each node's member indices and
+/// group ends, appended to two arrays shared by all entries.
+#[derive(Debug, Default)]
+struct PartitionMemo {
+    spans: FnvHashMap<u32, MemoSpan>,
+    members: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+/// Counted bytes of `entries` memo entries holding `ids` member indices
+/// and group ends in all: the ids and each entry's map slot.
+fn counted_bytes(ids: usize, entries: usize) -> usize {
+    ids * std::mem::size_of::<u32>() + entries * std::mem::size_of::<(u32, MemoSpan)>()
+}
+
+impl PartitionMemo {
+    /// `v`'s partition: the memo's entry, or on a miss the one `derive`
+    /// leaves in `part`, stored first.
+    fn get_or_derive(
+        &mut self,
+        v: NodeId,
+        part: &mut FlatPartition,
+        derive: impl FnOnce(&mut FlatPartition),
+    ) -> NodeGroups<'_> {
+        let span = match self.span(v) {
+            Some(span) => span,
+            None => {
+                derive(part);
+                self.insert(v, part)
+            }
+        };
+        self.groups(span)
+    }
+
+    /// `v`'s entry, if the memo holds one.
+    fn span(&self, v: NodeId) -> Option<MemoSpan> {
+        self.spans.get(&v.0).copied()
+    }
+
+    /// The partition at `span`.
+    fn groups(&self, span: MemoSpan) -> NodeGroups<'_> {
+        let (m, e) = (span.members as usize, span.ends as usize);
+        NodeGroups {
+            members: &self.members[m..m + span.len as usize],
+            ends: &self.ends[e..e + span.groups as usize],
+        }
+    }
+
+    /// Store `part` as `v`'s partition, first clearing the memo if the
+    /// entry would take it past [`MEMO_BUDGET`].
+    fn insert(&mut self, v: NodeId, part: &FlatPartition) -> MemoSpan {
+        if self.bytes() + counted_bytes(part.perm.len() + part.ends.len(), 1) > MEMO_BUDGET {
+            self.clear();
+        }
+        // The offsets fit `u32`: the arrays hold at most the budget, or one
+        // entry, which `partition_by_key` caps at `u32::MAX` members.
+        let span = MemoSpan {
+            members: self.members.len() as u32,
+            ends: self.ends.len() as u32,
+            len: part.perm.len() as u32,
+            groups: part.ends.len() as u32,
+        };
+        self.members.extend_from_slice(&part.perm);
+        self.ends.extend_from_slice(&part.ends);
+        self.spans.insert(v.0, span);
+        span
+    }
+
+    fn bytes(&self) -> usize {
+        counted_bytes(self.members.len() + self.ends.len(), self.spans.len())
+    }
+
+    fn clear(&mut self) {
+        self.spans.clear();
+        self.members.clear();
+        self.ends.clear();
     }
 }
 
@@ -343,38 +429,10 @@ mod tests {
     }
 
     #[test]
-    fn plan_stationary_matches_srw_target() {
-        // Per-node visit frequencies of a plan-backed walk converge to the
-        // SRW target (Theorem 4).
-        let network = two_community_network();
-        let plan = Arc::new(GroupPlan::build(
-            &network,
-            &Grouping::attribute_bucketed("community", ValueBucketing::Exact),
-        ));
-        let mut client = SimulatedOsn::new(network);
-        let mut rng = ChaCha12Rng::seed_from_u64(5);
-        let mut w = Gnrw::with_plan(NodeId(0), plan);
-        let steps = 150_000;
-        let mut visits = vec![0usize; client.graph().node_count()];
-        for _ in 0..steps {
-            visits[w.step(&mut client, &mut rng).unwrap().index()] += 1;
-        }
-        let pi = client.graph().degree_stationary_distribution();
-        for (i, &c) in visits.iter().enumerate() {
-            let freq = c as f64 / steps as f64;
-            assert!(
-                (freq - pi[i]).abs() < 0.015,
-                "node {i}: freq {freq} vs pi {}",
-                pi[i]
-            );
-        }
-    }
-
-    #[test]
     fn group_circulation_alternates_groups() {
         // Node 1's neighbors from node 0 split into three degree groups;
         // the walk from 0->1 must alternate between groups rather than
-        // repeat — planless and plan-backed alike.
+        // repeat.
         // Graph: 0-1; 1-{2,3} (low degree), 1-4 where 4 is a hub.
         let mut b = GraphBuilder::new();
         b.push_edge(0, 1);
@@ -389,51 +447,44 @@ mod tests {
         b.push_edge(2, 0);
         b.push_edge(3, 0);
         b.push_edge(4, 0);
-        let network = AttributedGraph::bare(b.build().unwrap());
         // Log2 value buckets give the specific partition this test pins
         // down: {0} (deg 4), {2,3} (deg 2), {4} (deg 9).
-        let plan = Arc::new(GroupPlan::build(&network, &Grouping::degree_log2()));
-        let walkers = [
-            Gnrw::new(NodeId(0), Grouping::degree_log2()),
-            Gnrw::with_plan(NodeId(0), plan),
-        ];
-        for mut w in walkers {
-            let mut client = SimulatedOsn::new(network.clone());
-            let mut rng = ChaCha12Rng::seed_from_u64(2);
-            // Gather the first node after each 0->1 transit.
-            let mut after = Vec::new();
-            let mut prev = w.current();
-            for _ in 0..6000 {
-                let curr = w.step(&mut client, &mut rng).unwrap();
-                if prev == NodeId(0) && curr == NodeId(1) {
-                    let nxt = w.step(&mut client, &mut rng).unwrap();
-                    after.push(nxt);
-                    prev = nxt;
-                    continue;
-                }
-                prev = curr;
+        let mut w = Gnrw::new(NodeId(0), Grouping::degree_log2());
+        let mut client = SimulatedOsn::from_graph(b.build().unwrap());
+        let mut rng = ChaCha12Rng::seed_from_u64(2);
+        // Gather the first node after each 0->1 transit.
+        let mut after = Vec::new();
+        let mut prev = w.current();
+        for _ in 0..6000 {
+            let curr = w.step(&mut client, &mut rng).unwrap();
+            if prev == NodeId(0) && curr == NodeId(1) {
+                let nxt = w.step(&mut client, &mut rng).unwrap();
+                after.push(nxt);
+                prev = nxt;
+                continue;
             }
-            assert!(after.len() > 20);
-            // N(1) = {0, 2, 3, 4}: log2 degree buckets give groups {0},
-            // {2,3}, {4} (deg 4 -> 2, deg 2 -> 1, deg 9 -> 3). Each
-            // super-cycle of 4 choices covers N(1) exactly once (Theorem
-            // 4's invariant), and its first 3 choices touch 3 distinct
-            // groups (the stratified alternation).
-            let group = |n: NodeId| match n.0 {
-                0 => 0,
-                2 | 3 => 1,
-                4 => 2,
-                _ => unreachable!(),
-            };
-            for win in after.chunks_exact(4) {
-                let mut ids: Vec<u32> = win.iter().map(|n| n.0).collect();
-                ids.sort_unstable();
-                assert_eq!(ids, vec![0, 2, 3, 4], "super-cycle {win:?} not a cover");
-                let mut gs: Vec<u32> = win[..3].iter().map(|&n| group(n)).collect();
-                gs.sort_unstable();
-                gs.dedup();
-                assert_eq!(gs.len(), 3, "first 3 of {win:?} repeat a group");
-            }
+            prev = curr;
+        }
+        assert!(after.len() > 20);
+        // N(1) = {0, 2, 3, 4}: log2 degree buckets give groups {0},
+        // {2,3}, {4} (deg 4 -> 2, deg 2 -> 1, deg 9 -> 3). Each
+        // super-cycle of 4 choices covers N(1) exactly once (Theorem
+        // 4's invariant), and its first 3 choices touch 3 distinct
+        // groups (the stratified alternation).
+        let group = |n: NodeId| match n.0 {
+            0 => 0,
+            2 | 3 => 1,
+            4 => 2,
+            _ => unreachable!(),
+        };
+        for win in after.chunks_exact(4) {
+            let mut ids: Vec<u32> = win.iter().map(|n| n.0).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, vec![0, 2, 3, 4], "super-cycle {win:?} not a cover");
+            let mut gs: Vec<u32> = win[..3].iter().map(|&n| group(n)).collect();
+            gs.sort_unstable();
+            gs.dedup();
+            assert_eq!(gs.len(), 3, "first 3 of {win:?} repeat a group");
         }
     }
 
@@ -453,41 +504,99 @@ mod tests {
     }
 
     #[test]
-    fn walker_state_roundtrips_and_plan_exports_equal_planless() {
+    fn walker_state_roundtrips() {
         // Export mid-walk, import into a fresh walker, and check the two
-        // continue bit-identically on the same RNG stream; the plan-backed
-        // walker's export equals the planless walker's throughout.
+        // continue bit-identically on the same RNG stream: the resumed
+        // walker starts with an empty memo, the original with a warm one.
         let grouping = Grouping::attribute_bucketed("community", ValueBucketing::Exact);
-        let plan = Arc::new(GroupPlan::build(&two_community_network(), &grouping));
-        let mut walkers = [
-            Gnrw::new(NodeId(0), grouping),
-            Gnrw::with_plan(NodeId(0), Arc::clone(&plan)),
-        ];
+        let mut w = Gnrw::new(NodeId(0), grouping.clone());
         let mut client = two_community_client();
-        let mut rngs = [0, 1].map(|_| ChaCha12Rng::seed_from_u64(77));
-        for (w, rng) in walkers.iter_mut().zip(&mut rngs) {
-            for _ in 0..501 {
-                w.step(&mut client, rng).unwrap();
+        let mut rng = ChaCha12Rng::seed_from_u64(77);
+        for _ in 0..501 {
+            w.step(&mut client, &mut rng).unwrap();
+        }
+        let mut resumed = Gnrw::new(NodeId(3), grouping);
+        resumed.import_state(&w.export_state()).unwrap();
+        let mut resumed_rng = rng.clone();
+        for i in 0..500 {
+            assert_eq!(
+                resumed.step(&mut client, &mut resumed_rng).unwrap(),
+                w.step(&mut client, &mut rng).unwrap(),
+                "step {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn invalidation_clears_the_memo_and_restart_keeps_it() {
+        let mut client = two_community_client();
+        let mut rng = ChaCha12Rng::seed_from_u64(9);
+        let mut w = Gnrw::new(NodeId(0), Grouping::by_degree());
+        for _ in 0..100 {
+            w.step(&mut client, &mut rng).unwrap();
+        }
+        let entries = w.memo.spans.len();
+        assert!(entries > 0);
+        w.restart(NodeId(2));
+        assert_eq!(w.memo.spans.len(), entries);
+        for _ in 0..100 {
+            w.step(&mut client, &mut rng).unwrap();
+        }
+        // An empty node set drops no edge, and still clears the memo.
+        let tracked = w.tracked_edges();
+        assert_eq!(w.invalidate_nodes(&TouchedNodes::new(&[])), 0);
+        assert_eq!(w.tracked_edges(), tracked);
+        assert_eq!(w.memo.bytes(), 0);
+        w.step(&mut client, &mut rng).unwrap();
+        w.invalidate_node(NodeId(77));
+        assert!(w.memo.spans.is_empty());
+    }
+
+    #[test]
+    fn memo_stays_within_its_budget() {
+        // Synthetic partitions of growing neighborhoods, one past the
+        // budget alone: the counted bytes never exceed the larger of the
+        // budget and the largest entry, and each entry reads back as
+        // stored. Entries a full memo cleared miss, and are derived anew.
+        let derive = |v: u32, part: &mut FlatPartition| {
+            let len = if v == 150 {
+                100_000
+            } else {
+                1 + (v * 97) % 2_000
+            };
+            let keys: Vec<u64> = (0..len).map(|i| u64::from((i * 7 + v) % 5)).collect();
+            partition_by_key(&keys, part);
+        };
+        let mut memo = PartitionMemo::default();
+        let mut part = FlatPartition::default();
+        let mut largest = 0;
+        for v in 0..300 {
+            derive(v, &mut part);
+            largest = largest.max(counted_bytes(part.perm.len() + part.ends.len(), 1));
+            let span = memo.insert(NodeId(v), &part);
+            let groups = memo.groups(span);
+            assert_eq!(
+                (groups.members, groups.ends),
+                (&part.perm[..], &part.ends[..])
+            );
+            assert!(
+                memo.bytes() <= MEMO_BUDGET.max(largest),
+                "{} bytes",
+                memo.bytes()
+            );
+            if v == 150 {
+                assert_eq!(
+                    memo.spans.len(),
+                    1,
+                    "an entry past the budget is kept alone"
+                );
             }
         }
-        let state = walkers[0].export_state();
-        assert_eq!(walkers[1].export_state().to_pretty(), state.to_pretty());
-        let mut resumed = Gnrw::with_plan(NodeId(3), plan);
-        resumed.import_state(&state).unwrap();
-        let mut rng = rngs[0].clone();
-        for i in 0..500 {
-            let want = walkers[0].step(&mut client, &mut rngs[0]).unwrap();
-            assert_eq!(
-                walkers[1].step(&mut client, &mut rngs[1]).unwrap(),
-                want,
-                "step {i}"
-            );
-            assert_eq!(
-                resumed.step(&mut client, &mut rng).unwrap(),
-                want,
-                "step {i}"
-            );
-        }
+        assert!(memo.span(NodeId(0)).is_none());
+        derive(0, &mut part);
+        let span = memo.insert(NodeId(0), &part);
+        assert_eq!(memo.span(NodeId(0)).map(|s| s.members), Some(span.members));
+        assert_eq!(memo.groups(span).members, &part.perm[..]);
     }
 
     fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
@@ -564,13 +673,9 @@ mod tests {
         let w = Gnrw::new(NodeId(0), Grouping::by_degree());
         assert_eq!(w.name(), "GNRW[GNRW_By_Degree]");
         assert_eq!(w.grouping(), &Grouping::by_degree());
-        // A plan walker walks the plan's grouping; quantile and log2 degree
-        // groupings share a label, not an identity.
-        let network = two_community_network();
-        let plan = Arc::new(GroupPlan::build(&network, &Grouping::degree_log2()));
-        let w = Gnrw::with_plan(NodeId(0), plan);
+        // Quantile and log2 degree groupings share a label, not an identity.
+        let w = Gnrw::new(NodeId(0), Grouping::degree_log2());
         assert_eq!(w.name(), "GNRW[GNRW_By_Degree]");
-        assert_eq!(w.grouping(), &Grouping::degree_log2());
         assert_ne!(w.grouping(), &Grouping::by_degree());
     }
 

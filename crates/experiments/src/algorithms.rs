@@ -1,11 +1,8 @@
 //! Algorithm selection: a serializable description of every sampler under
 //! test, and the factory turning it into a live walker.
 
-use std::sync::Arc;
-
-use osn_graph::attributes::AttributedGraph;
 use osn_graph::NodeId;
-use osn_walks::{Cnrw, Gnrw, GroupPlan, Grouping, Mhrw, NbCnrw, NbSrw, RandomWalk, Srw};
+use osn_walks::{Cnrw, Gnrw, Grouping, Mhrw, NbCnrw, NbSrw, RandomWalk, Srw};
 
 /// A sampler under test.
 #[derive(Clone, Debug, PartialEq)]
@@ -47,36 +44,6 @@ impl Algorithm {
             Algorithm::Cnrw => Box::new(Cnrw::new(start)),
             Algorithm::Gnrw(grouping) => Box::new(Gnrw::new(start, grouping.clone())),
             Algorithm::NbCnrw => Box::new(NbCnrw::new(start)),
-        }
-    }
-
-    /// Precompute the [`GroupPlan`] for a GNRW algorithm over `network`
-    /// (`None` for every other sampler — they have no grouping to plan).
-    /// Build once per graph, share via `Arc` across trials and walkers.
-    pub fn build_group_plan(&self, network: &AttributedGraph) -> Option<GroupPlan> {
-        match self {
-            Algorithm::Gnrw(grouping) => Some(GroupPlan::build(network, grouping)),
-            _ => None,
-        }
-    }
-
-    /// Instantiate a walker like [`Self::make`], but with GNRW running
-    /// plan-backed against the shared `plan`. Non-GNRW samplers ignore the
-    /// plan.
-    ///
-    /// # Panics
-    /// Panics if a GNRW algorithm gets a plan built from another grouping.
-    pub fn make_planned(&self, start: NodeId, plan: Arc<GroupPlan>) -> Box<dyn RandomWalk + Send> {
-        match self {
-            Algorithm::Gnrw(grouping) => {
-                assert_eq!(
-                    plan.grouping(),
-                    grouping,
-                    "group plan built for a different grouping"
-                );
-                Box::new(Gnrw::with_plan(start, plan))
-            }
-            _ => self.make(start),
         }
     }
 
@@ -154,18 +121,6 @@ mod tests {
             }
             assert!(client.stats().issued >= 50, "{}", a.label());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "group plan built for a different grouping")]
-    fn make_planned_refuses_a_plan_of_another_grouping() {
-        // Quantile and log2 degree groupings share the label
-        // `GNRW_By_Degree`; only the groupings tell them apart.
-        let network = AttributedGraph::bare(osn_graph::generators::barbell(5, 5).unwrap());
-        let plan = Arc::new(GroupPlan::build(&network, &Grouping::degree_log2()));
-        let algorithm = Algorithm::Gnrw(Grouping::by_degree());
-        assert_eq!(plan.grouping().label(), algorithm.label());
-        algorithm.make_planned(NodeId(0), plan);
     }
 
     #[test]

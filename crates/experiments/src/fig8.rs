@@ -134,7 +134,7 @@ pub fn run(config: &Fig8Config) -> Vec<ExperimentResult> {
 }
 
 /// Maximum absolute deviation between an algorithm's series and the
-/// theoretical one — the number EXPERIMENTS.md reports per panel.
+/// theoretical one, per panel.
 pub fn max_deviation(result: &ExperimentResult, label: &str) -> Option<f64> {
     let theo = result.series_by_label("Theo")?;
     let alg = result.series_by_label(label)?;

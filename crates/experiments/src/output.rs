@@ -122,7 +122,7 @@ impl ExperimentResult {
     }
 
     /// Render as a GitHub-flavored markdown table: one row per x value, one
-    /// column per series (the form EXPERIMENTS.md embeds).
+    /// column per series.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("### {} — {}\n\n", self.id, self.title));

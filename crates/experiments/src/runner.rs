@@ -25,8 +25,9 @@ pub fn trial_seed(experiment_seed: u64, trial: u64) -> u64 {
 /// The plan for one budget-limited walk trial over a shared snapshot.
 ///
 /// [`TrialPlan::new`] is the canonical entry point: every knob — budget,
-/// step cap, dispatch mode, restart policy, group plan — is a
-/// `with_*` builder on the same surface. [`TrialPlan::budgeted`] and
+/// step cap, dispatch mode, restart policy — is a `with_*` builder on the
+/// same surface, and [`TrialPlan::from_compact`] swaps the snapshot for a
+/// compressed one. [`TrialPlan::budgeted`] and
 /// [`TrialPlan::steps`] remain as documented shorthands that forward to
 /// the builder; nothing is deprecated.
 ///
@@ -59,10 +60,6 @@ pub struct TrialPlan {
     /// Restart policy for single-walker steal ablations (`None` = the
     /// policy-free fast path). Set via [`Self::with_restarts`].
     pub restarts: Option<Arc<dyn RestartPolicy + Send + Sync>>,
-    /// Precomputed group plan for GNRW trials (`None` = the planless
-    /// per-step partition). Set via [`Self::with_group_plan`]; non-GNRW
-    /// algorithms ignore it.
-    pub group_plan: Option<Arc<osn_walks::GroupPlan>>,
     /// Compressed snapshot backing every trial's client instead of
     /// [`Self::network`] (which becomes an edgeless placeholder carrying
     /// only the node count). Set via [`Self::from_compact`]; walks decode
@@ -81,7 +78,6 @@ impl TrialPlan {
             max_steps: 10_000,
             batch: None,
             restarts: None,
-            group_plan: None,
             compact: None,
         }
     }
@@ -89,8 +85,8 @@ impl TrialPlan {
     /// A plan over a compressed snapshot: clients decode adjacency from
     /// `graph` on demand instead of borrowing a materialized CSR, so
     /// ~10⁸-edge graphs run in the packed footprint. [`Self::network`] is
-    /// an edgeless placeholder (correct node count, no topology); group
-    /// plans and attribute peeks need a plain-network plan.
+    /// an edgeless placeholder (correct node count, no topology); attribute
+    /// peeks need a plain-network plan.
     pub fn from_compact(graph: Arc<CompactCsr>) -> Self {
         let client = SimulatedOsn::from_compact(Arc::clone(&graph));
         let mut plan = Self::new(client.network_shared());
@@ -152,25 +148,6 @@ impl TrialPlan {
         self
     }
 
-    /// Same plan with GNRW trials running against a shared precomputed
-    /// [`osn_walks::GroupPlan`] (cold edges read their partition from it;
-    /// the walk is the planless one, bit for bit). Build the plan once via
-    /// [`Algorithm::build_group_plan`] over [`Self::network`] and share it
-    /// across trials.
-    #[must_use]
-    pub fn with_group_plan(mut self, plan: Arc<osn_walks::GroupPlan>) -> Self {
-        self.group_plan = Some(plan);
-        self
-    }
-
-    /// Construct the walker for one trial, honoring [`Self::group_plan`].
-    fn make_walker(&self, algorithm: &Algorithm, start: NodeId) -> Box<dyn RandomWalk + Send> {
-        match &self.group_plan {
-            Some(plan) => algorithm.make_planned(start, Arc::clone(plan)),
-            None => algorithm.make(start),
-        }
-    }
-
     /// One trial's client over the plan's snapshot: compact-backed when
     /// [`Self::compact`] is set, a zero-copy shared CSR otherwise.
     fn make_client(&self) -> SimulatedOsn {
@@ -204,7 +181,7 @@ impl TrialPlan {
                 .unwrap_or_default();
             return WalkTrace::from_parts(start, nodes, report.stops[0], report.trace.stats);
         }
-        let mut walker = self.make_walker(algorithm, start);
+        let mut walker = algorithm.make(start);
         if let Some(batch) = &self.batch {
             return self.run_batched(walker, start, batch.clone(), seed);
         }
@@ -265,7 +242,7 @@ impl TrialPlan {
             None => &osn_walks::Never,
         };
         let orchestrator = WalkOrchestrator::new(1, self.max_steps, seed);
-        let make = |_, _| self.make_walker(algorithm, start);
+        let make = |_, _| algorithm.make(start);
         match &self.batch {
             Some(batch) => {
                 let mut client =
@@ -389,7 +366,7 @@ impl Deadline {
 mod tests {
     use super::*;
     use osn_datasets::{facebook_like, Scale};
-    use osn_walks::{Grouping, WalkStop};
+    use osn_walks::WalkStop;
 
     fn shared_net() -> Arc<AttributedGraph> {
         Arc::new(facebook_like(Scale::Test, 1).network)
@@ -523,37 +500,6 @@ mod tests {
             .with_batch(osn_client::BatchConfig::new(4).with_in_flight(2));
         let c = batched.run(&Algorithm::Cnrw, 9);
         assert!(!c.is_empty());
-    }
-
-    #[test]
-    fn plan_backed_trials_are_deterministic_per_seed() {
-        let net = shared_net();
-        let alg = Algorithm::Gnrw(Grouping::by_degree());
-        let plan = Arc::new(alg.build_group_plan(&net).unwrap());
-        // The plan only changes where cold edges get their partition: the
-        // trial runs to the step cap, deterministic per seed, and walks the
-        // planless trial's nodes.
-        let planned = TrialPlan::steps(net.clone(), 400).with_group_plan(plan);
-        let a = planned.run(&alg, 17);
-        let b = planned.run(&alg, 17);
-        assert_eq!(a.len(), 400);
-        assert_eq!(a.nodes(), b.nodes());
-        assert_eq!(a.nodes(), TrialPlan::steps(net, 400).run(&alg, 17).nodes());
-    }
-
-    #[test]
-    fn group_plan_is_ignored_by_planless_samplers() {
-        let net = shared_net();
-        let plan = Arc::new(
-            Algorithm::Gnrw(Grouping::by_degree())
-                .build_group_plan(&net)
-                .unwrap(),
-        );
-        let bare = TrialPlan::steps(net.clone(), 200).run(&Algorithm::Cnrw, 8);
-        let planned = TrialPlan::steps(net, 200)
-            .with_group_plan(plan)
-            .run(&Algorithm::Cnrw, 8);
-        assert_eq!(bare.nodes(), planned.nodes());
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub fn run(config: &Theorem3Config) -> ExperimentResult {
     .with_note(
         "the analytical bound concerns the conditional bridge-transition \
          probability with warmed circulation history; cold-start hitting \
-         times improve by a smaller factor (see EXPERIMENTS.md discussion)",
+         times improve by a smaller factor",
     )
     .with_series(Series::new("SRW mean escape steps", xs.clone(), srw_y))
     .with_series(Series::new("CNRW mean escape steps", xs.clone(), cnrw_y))

@@ -30,7 +30,7 @@
 //!   generically over [`CsrGraph`], [`DirectedCsr`], and [`CompactCsr`]
 //!   via [`AdjacencyRead`] / [`AdjacencySnapshot`].
 //! * [`partition`] — flat stable partitions of index ranges by key, the
-//!   storage contract behind the GNRW group-plan precomputation.
+//!   layout GNRW's cold step reads a neighborhood's groups in.
 //! * [`io`] — plain-text edge-list reading/writing.
 //! * [`fnv`] — deterministic FNV-1a hashing, shared by the walkers' history
 //!   maps and the client's lock-striped cache (stripe = `fnv(node) % N`).

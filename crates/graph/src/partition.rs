@@ -2,16 +2,15 @@
 //!
 //! GNRW partitions each node's neighbor slice into groups, in **CSR-style
 //! flat storage** (a permutation of local indices plus group end offsets)
-//! rather than a hash map of `Vec`s. The routine here is the single source
-//! of truth for the ordering contract both callers in `osn-walks` rely on —
-//! the precomputed group plan, and the planless walker, which partitions
-//! each step's neighbor list into buffers it reuses:
+//! rather than a hash map of `Vec`s. Its one caller is the GNRW walker in
+//! `osn-walks`, which partitions a neighbor list into buffers it reuses on
+//! a miss of its partition memo, and relies on the ordering contract:
 //!
 //! * groups are emitted in **ascending key order**, and
 //! * within a group, members keep their **original index order**.
 //!
-//! That pair of invariants is what makes a plan-backed walk bit-identical
-//! to the recompute-per-step walk when RNG draw order is preserved.
+//! So a partition is a function of the keys alone, and the step that reads
+//! it draws the same members whether it was derived now or earlier.
 
 /// Reusable output buffers for [`partition_by_key`] — hold these across
 /// calls to build a whole graph's partition without re-allocating.

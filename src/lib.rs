@@ -116,9 +116,9 @@ pub mod prelude {
         TenantStats, TrafficConfig,
     };
     pub use osn_walks::{
-        Cnrw, FrontierSampler, Gnrw, GroupPlan, Grouping, HistoryBackend, Mhrw, NbCnrw, NbSrw,
-        Never, NodeCnrw, OrchestratorReport, RandomWalk, ReactorStats, ReactorWalkRun,
-        RestartEvent, RestartPolicy, RestartReason, SharedFrontier, Srw, TouchedNodes, WalkConfig,
+        Cnrw, FrontierSampler, Gnrw, Grouping, HistoryBackend, Mhrw, NbCnrw, NbSrw, Never,
+        NodeCnrw, OrchestratorReport, RandomWalk, ReactorStats, ReactorWalkRun, RestartEvent,
+        RestartPolicy, RestartReason, SharedFrontier, Srw, TouchedNodes, WalkConfig,
         WalkOrchestrator, WalkSession, WalkerFsm, WorkStealing,
     };
 }

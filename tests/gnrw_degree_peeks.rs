@@ -6,9 +6,10 @@
 //! almost every edge is new, and the walk reads almost no degree at all;
 //! on a long walk over a small graph, edges come back and their sub-cycles
 //! fill. Rank-quantile `Grouping::by_degree()` ranks a node within its
-//! neighborhood, so its cold steps read every neighbor's degree: its totals
-//! are pinned exactly. Walkers are planless and serial, so every count is
-//! deterministic.
+//! neighborhood, so a cold step reads every neighbor's degree the first
+//! time its walker partitions `N(v)`, and none while the walker's
+//! partition memo holds `N(v)`: its totals are pinned exactly. Walkers are
+//! serial and each keeps its own memo, so every count is deterministic.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -45,7 +46,7 @@ impl OsnClient for CountingPeeks {
     }
 }
 
-/// Degree peeks made by `walkers` planless GNRW walkers under `grouping`,
+/// Degree peeks made by `walkers` GNRW walkers under `grouping`,
 /// started evenly over the `nodes` ids and walked one after another for
 /// `steps` steps each, walker `i` on its own RNG seeded `i`.
 fn degree_peeks(
@@ -110,14 +111,15 @@ fn log2_degree_steps_read_few_degrees_on_revisited_edges() {
 }
 
 #[test]
-fn quantile_degree_steps_read_every_neighbor_as_before() {
+fn quantile_degree_steps_rank_each_neighborhood_once_per_walker() {
     assert_eq!(web_fleet(&Grouping::by_degree()).0, WEB_BY_DEGREE);
     assert_eq!(gplus_walks(&Grouping::by_degree()).0, GPLUS_BY_DEGREE);
 }
 
-/// `by_degree()`'s totals: 20.54 and 16.45 peeks per step. Under
-/// `degree_log2()` the same walks read 265,186 and 2,352,607 degrees
-/// (20.72 and 14.70 per step) when every cold step partitioned all of
-/// `N(v)`.
-const WEB_BY_DEGREE: u64 = 262_950;
-const GPLUS_BY_DEGREE: u64 = 2_631_639;
+/// `by_degree()`'s totals: 16.74 and 0.28 peeks per step. When every cold
+/// step ranked all of `N(v)` anew, the same walks read 262,950 and
+/// 2,631,639 degrees (20.54 and 16.45 per step); under `degree_log2()`
+/// they read 265,186 and 2,352,607 (20.72 and 14.70) when every cold step
+/// partitioned all of `N(v)`.
+const WEB_BY_DEGREE: u64 = 214_215;
+const GPLUS_BY_DEGREE: u64 = 45_309;

@@ -1,25 +1,25 @@
-//! Property tests for the precomputed [`GroupPlan`] layer behind plan-backed
-//! GNRW.
+//! Property tests for the partitions of `N(v)` that GNRW's exact cold
+//! step reads, and for the per-walker memo that keeps them.
 //!
-//! The plan is a build-time artifact the walker trusts blindly — a wrong
-//! partition silently biases every plan-backed walk — so its invariants are
+//! A wrong partition silently biases every walk, and a memo entry is read
+//! back for every later cold visit to its node, so the invariants are
 //! pinned over *arbitrary* graphs and groupings, not just the hand-built
 //! fixtures:
 //!
-//! * each node's flat partition is a valid permutation of its neighbor
-//!   indices, grouped exactly as the live grouping would assign, with keys
-//!   ascending across groups and members ascending within each group (the
-//!   order the planless step derives);
+//! * each node's partition, as the memo stores it — the grouping's keys,
+//!   then `partition_by_key` — is a valid permutation of its neighbor
+//!   indices, grouped exactly as the grouping assigns, with keys ascending
+//!   across groups and members ascending within each group;
 //! * the circulation engine's GNRW step covers the population exactly once
 //!   per super-cycle — Theorem 4's b(u,v) invariant — for arbitrary group
 //!   shapes;
-//! * a plan-backed walker is the planless walker bit for bit — trace,
-//!   accounting and snapshot — for every grouping arm, the two extremes
-//!   where GNRW walks CNRW's law (every group a singleton, or one group per
-//!   neighborhood) included, and past 64 groups at a node.
+//! * a walker that reads its memo is the walker that derives every
+//!   partition anew, bit for bit — trace, accounting and snapshot — for
+//!   every grouping arm, the two extremes where GNRW walks CNRW's law
+//!   (every group a singleton, or one group per neighborhood) included,
+//!   and past 64 groups at a node.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -27,10 +27,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 use osn_sampling::graph::attributes::{AttributedGraph, NodeAttributes};
+use osn_sampling::graph::partition::{partition_by_key, FlatPartition};
 use osn_sampling::prelude::*;
-use osn_sampling::walks::circulation::GroupEngine;
+use osn_sampling::walks::circulation::{GroupEngine, NodeGroups};
 use osn_sampling::walks::grouping::ValueBucketing;
-use osn_sampling::walks::groupplan::NodeGroups;
 
 /// A connected attributed graph: a ring over `n` nodes (no isolated nodes,
 /// no dead ends) plus arbitrary chords, with a small-cardinality uint
@@ -98,22 +98,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn plan_partitions_every_neighborhood_validly(
+    fn partitions_cover_every_neighborhood_validly(
         network in network_strategy(),
         strat in 0usize..GROUPINGS,
     ) {
         let grouping = mk_grouping(strat);
-        let plan = GroupPlan::build(&network, &grouping);
-        prop_assert_eq!(plan.node_count(), network.graph.node_count());
         let client = SimulatedOsn::new(network.clone());
         let mut keys = Vec::new();
-        let mut max_groups = 0usize;
+        let mut part = FlatPartition::default();
         for v in 0..network.graph.node_count() {
             let v = NodeId(v as u32);
             let neighbors = network.graph.neighbors(v);
-            let groups = plan.groups(v);
+            // The derivation a memo miss runs and stores.
+            grouping.assign(&client, neighbors, &mut keys);
+            partition_by_key(&keys, &mut part);
+            let groups = NodeGroups { members: &part.perm, ends: &part.ends };
             prop_assert_eq!(groups.len(), neighbors.len());
-            max_groups = max_groups.max(groups.group_count());
 
             // The flat partition is a permutation of the local indices.
             let mut seen: Vec<u32> = groups.members.to_vec();
@@ -134,9 +134,8 @@ proptest! {
             }
             prop_assert_eq!(prev_end, neighbors.len());
 
-            // The partition groups exactly as the live grouping assigns:
-            // one key per group, keys strictly ascending across groups.
-            grouping.assign(&client, neighbors, &mut keys);
+            // The partition groups exactly as the grouping assigns: one key
+            // per group, keys strictly ascending across groups.
             let mut prev_key = None;
             for g in 0..groups.group_count() {
                 let key = keys[groups.members_of(g)[0] as usize];
@@ -146,10 +145,7 @@ proptest! {
                 }
                 prev_key = Some(key);
             }
-
         }
-        prop_assert_eq!(plan.max_groups(), max_groups);
-        prop_assert!(plan.heap_bytes() > 0);
     }
 
     #[test]
@@ -220,18 +216,29 @@ proptest! {
     }
 }
 
-/// Walk `steps` steps of `w` from seed `seed` over `network`: the trace,
-/// then `tracked_edges`, `history_entries` and the exported state.
+/// Walk `steps` steps of a `grouping` walker from seed `seed` over
+/// `network`: the trace, then `tracked_edges`, `history_entries` and the
+/// exported state. With `uncached`, the walker invalidates an empty node
+/// set before every step, which clears its memo and drops no edge, so each
+/// exact cold step derives its partition anew.
 fn gnrw_walk(
     network: &AttributedGraph,
-    mut w: Gnrw,
+    grouping: &Grouping,
+    uncached: bool,
     steps: usize,
     seed: u64,
 ) -> (Vec<NodeId>, usize, usize, String) {
+    let mut w = Gnrw::new(NodeId(0), grouping.clone());
     let mut client = SimulatedOsn::new(network.clone());
     let mut rng = ChaCha12Rng::seed_from_u64(seed);
+    let nothing = TouchedNodes::new(&[]);
     let trace = (0..steps)
-        .map(|_| w.step(&mut client, &mut rng).unwrap())
+        .map(|_| {
+            if uncached {
+                assert_eq!(w.invalidate_nodes(&nothing), 0);
+            }
+            w.step(&mut client, &mut rng).unwrap()
+        })
         .collect();
     (
         trace,
@@ -246,33 +253,36 @@ proptest! {
     // of the graph/grouping/seed space across runs.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A plan only changes where a cold edge's partition comes from, so a
-    /// plan walker equals the planless walker — trace, accounting and
-    /// snapshot — on every grouping arm, the two extremes where GNRW walks
-    /// CNRW's law included, and, one case in four, on a hub past 64 groups
-    /// walked long enough for its edges to promote.
+    /// A memo hit gives the partition a miss derives, so a walker that
+    /// reads its memo equals one whose memo is cleared before every step —
+    /// trace, accounting and snapshot — on every grouping arm, the two
+    /// extremes where GNRW walks CNRW's law included, and, one case in
+    /// four, on a hub past 64 groups walked long enough for its edges to
+    /// promote.
     #[test]
-    fn plan_walks_equal_planless_walks_bit_for_bit(
+    fn memo_walks_equal_uncached_walks_bit_for_bit(
         network in network_strategy(),
         hub in 0usize..4,
         (spokes, tags) in (66u32..76, 0u32..1000).prop_map(|(s, r)| (s, 65 + r % (s - 65))),
         seed in 0u64..256,
     ) {
         let mut arms: Vec<_> = (0..GROUPINGS)
-            .map(|i| (network.clone(), GroupPlan::build(&network, &mk_grouping(i)), 200))
+            .map(|i| (network.clone(), mk_grouping(i), 200))
             .collect();
         if hub == 0 {
             let network = hub_network(spokes, tags);
-            let plan = GroupPlan::build(&network, &mk_grouping(2));
-            prop_assert!(plan.max_groups() > 64, "{}", plan.max_groups());
-            arms.push((network, plan, 4000));
+            let client = SimulatedOsn::new(network.clone());
+            let mut keys = Vec::new();
+            mk_grouping(2).assign(&client, network.graph.neighbors(NodeId(spokes)), &mut keys);
+            let mut part = FlatPartition::default();
+            partition_by_key(&keys, &mut part);
+            prop_assert!(part.group_count() > 64, "{}", part.group_count());
+            arms.push((network, mk_grouping(2), 4000));
         }
-        for (network, plan, steps) in arms {
-            let planless = Gnrw::new(NodeId(0), plan.grouping().clone());
-            let planned = Gnrw::with_plan(NodeId(0), Arc::new(plan));
+        for (network, grouping, steps) in arms {
             prop_assert_eq!(
-                gnrw_walk(&network, planned, steps, seed),
-                gnrw_walk(&network, planless, steps, seed)
+                gnrw_walk(&network, &grouping, false, steps, seed),
+                gnrw_walk(&network, &grouping, true, steps, seed)
             );
         }
     }

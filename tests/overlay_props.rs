@@ -20,12 +20,13 @@
 //! * **Coverage after invalidation** — Theorem 4's exactly-once
 //!   circulation guarantee restarts on the *post-mutation* neighborhood:
 //!   windows of draws after repeated transits of a hot edge are exact
-//!   permutations of the new neighbor set (CNRW, planless GNRW, and
-//!   plan-backed GNRW, including a plan with more than 64 groups at a
-//!   node).
-//! * **Stale plans** — after a mutation that changes `deg(v)`, a plan
-//!   walker partitions the live `N(v)` as the planless walker does, and the
-//!   two stay equal on trace and snapshot.
+//!   permutations of the new neighbor set (CNRW, and GNRW with its
+//!   partition memo, including more than 64 groups at a node).
+//! * **No stale partitions** — after a mutation and its invalidation, a
+//!   GNRW walker that reads its partition memo equals one that derives
+//!   every partition anew, on trace and snapshot, under a grouping whose
+//!   partitions move with a neighbor's degree and across a
+//!   degree-preserving swap at the hub.
 //! * **Batched invalidation** — `invalidate_nodes` over a node set equals
 //!   `invalidate_node` per node for every history-keeping walker (count,
 //!   snapshot, later trace), on random graphs and on a hub with more than
@@ -339,16 +340,10 @@ proptest! {
         if starts.is_empty() {
             return Ok(());
         }
-        let network = AttributedGraph::new(g.clone(), NodeAttributes::for_graph(&g)).unwrap();
-        let plan = Arc::new(GroupPlan::build(&network, &Grouping::degree_log2()));
-        let single = Arc::new(GroupPlan::build(&network, &Grouping::by_hash(1)));
         let start = starts[seed as usize % starts.len()];
         check_batched_invalidation(
             &SimulatedOsn::from_graph(g),
-            [
-                historied_walkers(start, &plan, &single),
-                historied_walkers(start, &plan, &single),
-            ],
+            [historied_walkers(start), historied_walkers(start)],
             &batch,
             &extra,
             seed,
@@ -356,9 +351,8 @@ proptest! {
         )?;
     }
 
-    /// The same over a plan with more than 64 groups at the hub. The batch
-    /// first deletes a hub edge, so the plan no longer covers the hub's live
-    /// list and the plan walker partitions it as the planless walker does.
+    /// The same with more than 64 groups at the hub, whose degree the batch
+    /// changes: it first deletes a hub edge.
     #[test]
     fn batched_invalidation_matches_per_node_past_64_groups(
         events in 0usize..30,
@@ -369,14 +363,13 @@ proptest! {
         extra in prop::collection::vec(0u32..100, 0..12),
     ) {
         let network = many_groups_network();
-        let plan = Arc::new(GroupPlan::build(&network, &many_groups_grouping()));
         let mut batch = vec![EdgeMutation::delete(0.0, NodeId(spoke), NodeId(HUB))];
         batch.extend(safe_batch(&network.graph, events, 0.5, seed));
         let start = NodeId(seed as u32 % HUB);
         let walkers = || -> Vec<Box<dyn RandomWalk>> {
             vec![
-                Box::new(Gnrw::with_plan(start, Arc::clone(&plan))),
                 Box::new(Gnrw::new(start, many_groups_grouping())),
+                Box::new(Gnrw::new(start, Grouping::by_degree())),
             ]
         };
         let osn = SimulatedOsn::new(network);
@@ -579,20 +572,16 @@ proptest! {
 }
 
 /// One walker of every history-keeping configuration: CNRW, NB-CNRW,
-/// node-keyed CNRW, planless GNRW, plan GNRW, and a plan GNRW with one
-/// group per neighborhood.
-fn historied_walkers(
-    start: NodeId,
-    plan: &Arc<GroupPlan>,
-    single: &Arc<GroupPlan>,
-) -> Vec<Box<dyn RandomWalk>> {
+/// node-keyed CNRW, and GNRW under log2 degree buckets, under one group
+/// per neighborhood, and under degree quantiles.
+fn historied_walkers(start: NodeId) -> Vec<Box<dyn RandomWalk>> {
     vec![
         Box::new(Cnrw::new(start)),
         Box::new(NbCnrw::new(start)),
         Box::new(NodeCnrw::new(start)),
         Box::new(Gnrw::new(start, Grouping::degree_log2())),
-        Box::new(Gnrw::with_plan(start, Arc::clone(plan))),
-        Box::new(Gnrw::with_plan(start, Arc::clone(single))),
+        Box::new(Gnrw::new(start, Grouping::by_hash(1))),
+        Box::new(Gnrw::new(start, Grouping::by_degree())),
     ]
 }
 
@@ -686,8 +675,9 @@ fn assert_coverage_restarts(
 /// transit through one hot edge (as in `tests/circulation_props.rs`);
 /// after mutating `N(1)` mid-walk and invalidating, windows of draws
 /// following subsequent transits must be exact permutations of the *new*
-/// `N(1)` — for CNRW, for planless GNRW, and for plan-backed GNRW, whose
-/// plan still partitions the pre-mutation neighborhoods.
+/// `N(1)` — for CNRW, and for GNRW under log2 degree buckets and under
+/// degree quantiles, whose memos held partitions of the pre-mutation
+/// neighborhoods.
 #[test]
 fn invalidation_restarts_coverage_on_the_new_neighborhood() {
     let g = GraphBuilder::new()
@@ -712,13 +702,11 @@ fn invalidation_restarts_coverage_on_the_new_neighborhood() {
         ),
     ];
     // Degree-log2 groups split N(1) into {0} and {2, 3, 4}.
-    let network = AttributedGraph::new(g.clone(), NodeAttributes::for_graph(&g)).unwrap();
-    let plan = Arc::new(GroupPlan::build(&network, &Grouping::degree_log2()));
     let make = |walker: usize| -> Box<dyn RandomWalk> {
         match walker {
             0 => Box::new(Cnrw::new(NodeId(0))),
             1 => Box::new(Gnrw::new(NodeId(0), Grouping::degree_log2())),
-            _ => Box::new(Gnrw::with_plan(NodeId(0), Arc::clone(&plan))),
+            _ => Box::new(Gnrw::new(NodeId(0), Grouping::by_degree())),
         }
     };
     for (mutation, want) in cases {
@@ -729,17 +717,20 @@ fn invalidation_restarts_coverage_on_the_new_neighborhood() {
     }
 }
 
-/// The same on a plan with more than 64 groups at the hub. Spoke 0 hangs
-/// off the hub alone, so every visit to it is a transit of the hot edge
-/// `0 → hub`. Deleting or adding a hub edge changes `deg(hub)`, and the
-/// plan walker then partitions the live list with its grouping, as the
-/// planless walker does; swapping one hub edge for another keeps the
-/// degree, and it steps on the planned partition over the new list.
+/// The same with more than 64 groups at the hub. Spoke 0 hangs off the
+/// hub alone, so every visit to it is a transit of the hot edge
+/// `0 → hub`. The cases delete a hub edge, add one, and swap one for the
+/// other, which keeps `deg(hub)`; in each the walker partitions the live
+/// list, as invalidation cleared its memo.
 #[test]
 fn invalidation_restarts_coverage_past_64_groups() {
     let network = many_groups_network();
-    let plan = Arc::new(GroupPlan::build(&network, &many_groups_grouping()));
-    assert!(plan.max_groups() > 64, "{}", plan.max_groups());
+    let mut keys = Vec::new();
+    let client = SimulatedOsn::new(network.clone());
+    many_groups_grouping().assign(&client, network.graph.neighbors(NodeId(HUB)), &mut keys);
+    keys.sort_unstable();
+    keys.dedup();
+    assert!(keys.len() > 64, "{} groups at the hub", keys.len());
     let drop_69 = EdgeMutation::delete(0.5, NodeId(69), NodeId(HUB));
     let add_71 = EdgeMutation::insert(0.5, NodeId(71), NodeId(HUB));
     let cases: [(Vec<EdgeMutation>, Vec<u32>); 3] = [
@@ -749,53 +740,56 @@ fn invalidation_restarts_coverage_past_64_groups() {
     ];
     for (mutations, want) in &cases {
         for seed in 0..4u64 {
-            let w = Box::new(Gnrw::with_plan(NodeId(0), Arc::clone(&plan)));
+            let w = Box::new(Gnrw::new(NodeId(0), many_groups_grouping()));
             let hot = (NodeId(0), NodeId(HUB));
             assert_coverage_restarts(&network.graph, w, seed, hot, mutations, want, (3000, 3));
         }
     }
 }
 
-/// After a mutation that changes `deg(v)`, a plan walker reads `v`'s
-/// partition exactly as the planless walker does: the grouping's keys over
-/// the live `N(v)`. The exact `tag` grouping reads no degree, so deleting
-/// or inserting one hub edge changes the partition only at the edge's two
-/// ends, both of which change degree, and the two walkers stay equal on
-/// trace and snapshot. A degree-preserving swap (one hub edge out, another
-/// in) is not among the cases: the plan's slice at the hub then has the
-/// live length but partitions the old list, so the two walkers diverge,
-/// both keeping Theorem 4.
+/// After a mutation and its invalidation, a walker that reads its
+/// partition memo equals one that clears its memo before every step, on
+/// trace and snapshot: invalidation clears the whole memo, so no partition
+/// of the old graph is read. The exact `tag` grouping reads no degree;
+/// under `Grouping::by_degree()` the partition of `N(x)` also moves when a
+/// member of `N(x)` changes degree, at nodes the mutation does not touch.
+/// The cases delete one hub edge, insert one, and swap one for the other in
+/// one batch, which keeps the hub's degree.
 #[test]
-fn degree_changing_mutations_leave_plan_walks_equal_to_planless() {
+fn mutations_leave_memo_walks_equal_to_uncached() {
     let network = many_groups_network();
-    let plan = Arc::new(GroupPlan::build(&network, &many_groups_grouping()));
-    let mutations = [
-        EdgeMutation::delete(0.5, NodeId(69), NodeId(HUB)),
-        EdgeMutation::insert(0.5, NodeId(71), NodeId(HUB)),
-    ];
-    for mutation in mutations {
-        for seed in 0..6u64 {
-            let walk = |mut w: Gnrw| {
-                let mut client = SimulatedOsn::new(network.clone());
-                let mut rng = ChaCha12Rng::seed_from_u64(seed);
-                let mut trace = Vec::new();
-                for _ in 0..3000 {
-                    trace.push(w.step(&mut client, &mut rng).unwrap());
-                }
-                for v in client.apply_mutations(&[mutation]) {
-                    w.invalidate_node(v);
-                }
-                for _ in 0..3000 {
-                    trace.push(w.step(&mut client, &mut rng).unwrap());
-                }
-                (trace, w.export_state().to_compact())
-            };
-            let planned = walk(Gnrw::with_plan(NodeId(0), Arc::clone(&plan)));
-            let planless = walk(Gnrw::new(NodeId(0), many_groups_grouping()));
-            assert!(
-                planned == planless,
-                "{mutation:?}, seed {seed}: walks diverged"
-            );
+    let drop_69 = EdgeMutation::delete(0.5, NodeId(69), NodeId(HUB));
+    let add_71 = EdgeMutation::insert(0.5, NodeId(71), NodeId(HUB));
+    let cases = [vec![drop_69], vec![add_71], vec![drop_69, add_71]];
+    let nothing = TouchedNodes::new(&[]);
+    for grouping in [many_groups_grouping(), Grouping::by_degree()] {
+        for mutations in &cases {
+            for seed in 0..6u64 {
+                let walk = |uncached: bool| {
+                    let mut w = Gnrw::new(NodeId(0), grouping.clone());
+                    let mut client = SimulatedOsn::new(network.clone());
+                    let mut rng = ChaCha12Rng::seed_from_u64(seed);
+                    let mut trace = Vec::new();
+                    for epoch in 0..2 {
+                        if epoch == 1 {
+                            for v in client.apply_mutations(mutations) {
+                                w.invalidate_node(v);
+                            }
+                        }
+                        for _ in 0..3000 {
+                            if uncached {
+                                w.invalidate_nodes(&nothing);
+                            }
+                            trace.push(w.step(&mut client, &mut rng).unwrap());
+                        }
+                    }
+                    (trace, w.export_state().to_compact())
+                };
+                assert!(
+                    walk(false) == walk(true),
+                    "{grouping:?}, {mutations:?}, seed {seed}: walks diverged"
+                );
+            }
         }
     }
 }

@@ -1,9 +1,9 @@
-//! A planless GNRW walker with rank-quantile grouping allocates nothing on
-//! a cold step once its buffers fit the neighborhoods it meets: the ranks
-//! are sorted in a buffer the walker keeps, as it keeps its keys and its
-//! partition. Allocations are counted on this test's thread only, by a
-//! counting global allocator, so the harness's other threads do not add
-//! to them.
+//! A GNRW walker with rank-quantile grouping allocates nothing on a cold
+//! step once its buffers fit the neighborhoods it meets: the ranks are
+//! sorted in a buffer the walker keeps, as it keeps its keys, its partition
+//! and its partition memo. Allocations are counted on this test's thread
+//! only, by a counting global allocator, so the harness's other threads do
+//! not add to them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
