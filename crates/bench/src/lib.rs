@@ -1,8 +1,8 @@
 //! # osn-bench
 //!
-//! Criterion benchmarks and reproduction binaries for every table and figure
-//! of the paper's evaluation. See `benches/` for the per-figure benchmark
-//! targets and `src/bin/repro.rs` for the full reproduction CLI.
+//! Reproduction binaries for every table and figure of the paper's
+//! evaluation: `src/bin/repro.rs` is the full reproduction CLI, and the
+//! `*_soak` binaries are the CI soak checks.
 //!
 //! The [`perf`] module backs the `repro perf` subcommand: it measures
 //! walker steps/sec per (graph, algorithm, execution path) and records the

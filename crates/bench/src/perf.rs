@@ -1,11 +1,10 @@
 //! Walker-throughput measurement behind `repro perf`: the machine-readable
 //! perf baseline (`BENCH_walkers.json`) and its regression check.
 //!
-//! Criterion benches print human-oriented timings; this module runs the
-//! same walker matrix as `walker_throughput` with plain `Instant` timing
-//! and records **steps per second** into an [`ExperimentResult`] — one
-//! series per `graph/algorithm/path`, one point per repetition — so the
-//! numbers can be committed, diffed, and trended across PRs.
+//! This module times a walker matrix with plain `Instant` timing and
+//! records **steps per second** into an [`ExperimentResult`] — one series
+//! per `graph/algorithm/path`, one point per repetition — so the numbers
+//! can be committed, diffed, and trended across PRs.
 //! `scripts/perf_check.sh` re-measures with the same plan and [`compare`]s
 //! against the committed baseline, warning (non-blocking) past
 //! [`REGRESSION_TOLERANCE`].
@@ -22,10 +21,8 @@ use osn_walks::Grouping;
 /// Relative steps/sec drop beyond which [`compare`] emits a warning.
 pub const REGRESSION_TOLERANCE: f64 = 0.15;
 
-/// The two benchmark graphs — the single definition shared by
-/// `walker_throughput` and `repro perf`, so the committed baseline always
-/// measures the same workload the bench prints.
-pub fn bench_graphs() -> [(&'static str, Arc<AttributedGraph>); 2] {
+/// The two benchmark graphs.
+fn bench_graphs() -> [(&'static str, Arc<AttributedGraph>); 2] {
     [
         ("facebook", Arc::new(facebook_like(Scale::Test, 1).network)),
         ("gplus", Arc::new(gplus_like(Scale::Test, 2).network)),

@@ -26,7 +26,9 @@
 //! submit/poll interaction and [`SimulatedBatchOsn`] simulates it over the
 //! same cache/budget/rate-limit machinery (latency + seeded jitter,
 //! deterministic drop-every-`k`-th failure injection, bounded retry, budget
-//! charged at most once per unique node) — see [`batch`]. Walker fleets of
+//! charged at most once per unique node) — see [`batch`]. Both rate limits
+//! follow one token-bucket rule: [`RateLimitedOsn`] charges a token per
+//! unique query, the batch endpoint one per request attempt. Walker fleets of
 //! any size share one batch endpoint through the `osn-walks` reactor, which
 //! parks each walker on the in-flight batch carrying its next neighbor list
 //! and reads delivered lists back through the endpoint's free
@@ -43,8 +45,8 @@ pub mod rate;
 mod stats;
 
 pub use batch::{
-    AdaptiveBatchConfig, BatchConfig, BatchLimits, BatchNodeError, BatchOsnClient, BatchOutcome,
-    BatchStats, SimulatedBatchOsn, SubmitError, TicketId,
+    BatchConfig, BatchLimits, BatchNodeError, BatchOsnClient, BatchOutcome, BatchStats,
+    SimulatedBatchOsn, SubmitError, TicketId,
 };
 pub use budget::{BudgetExhausted, BudgetedClient};
 pub use client::{OsnClient, SimulatedOsn};

@@ -45,6 +45,29 @@ impl RateLimitConfig {
     pub fn secs_per_call(&self) -> f64 {
         self.window_secs / self.calls_per_window as f64
     }
+
+    /// Take one token from a bucket of `tokens` that refills to
+    /// [`Self::calls_per_window`] once per window. An empty bucket jumps
+    /// `clock` to the start of the next window. [`RateLimitedOsn`] charges
+    /// one token per unique query, the batch endpoint one per request
+    /// attempt.
+    pub(crate) fn charge_token(
+        &self,
+        clock: &mut VirtualClock,
+        tokens: &mut u64,
+        window_started: &mut f64,
+    ) {
+        if *tokens == 0 {
+            let next_window = *window_started + self.window_secs;
+            if next_window > clock.elapsed_secs() {
+                let wait = next_window - clock.elapsed_secs();
+                clock.advance(wait);
+            }
+            *window_started = clock.elapsed_secs();
+            *tokens = self.calls_per_window;
+        }
+        *tokens -= 1;
+    }
 }
 
 /// Discrete virtual clock advanced by the rate limiter.
@@ -110,20 +133,6 @@ impl<C: OsnClient> RateLimitedOsn<C> {
     pub fn into_inner(self) -> C {
         self.inner
     }
-
-    fn charge_token(&mut self) {
-        if self.tokens == 0 {
-            // Jump to the start of the next window.
-            let next_window = self.window_started + self.config.window_secs;
-            if next_window > self.clock.elapsed_secs() {
-                let wait = next_window - self.clock.elapsed_secs();
-                self.clock.advance(wait);
-            }
-            self.window_started = self.clock.elapsed_secs();
-            self.tokens = self.config.calls_per_window;
-        }
-        self.tokens -= 1;
-    }
 }
 
 impl<C: OsnClient> OsnClient for RateLimitedOsn<C> {
@@ -137,7 +146,8 @@ impl<C: OsnClient> OsnClient for RateLimitedOsn<C> {
         }
         if !self.seen[idx] {
             self.seen[idx] = true;
-            self.charge_token();
+            self.config
+                .charge_token(&mut self.clock, &mut self.tokens, &mut self.window_started);
         }
         self.inner.neighbors(u)
     }

@@ -1,119 +1,23 @@
-//! Frontier sampling (Ribeiro & Towsley, SIGCOMM 2010 — the paper's \[17\])
-//! and the shared frontier pool built on its idea.
+//! The shared frontier pool, built on the idea of frontier sampling
+//! (Ribeiro & Towsley, SIGCOMM 2010 — the paper's \[17\]).
 //!
-//! [`FrontierSampler`] is the original `m`-dimensional random walk: keep `m`
-//! walker positions; at each step choose one position with probability
-//! proportional to its degree, move it to a uniform neighbor, and emit the
-//! traversed edge. The emitted edge sequence converges to
-//! uniform-over-edges, so emitted *endpoints* are degree-proportional — the
-//! same target distribution as SRW — while the multiple dimensions make the
-//! sampler far less sensitive to where it started (the property the paper's
-//! related work credits it for).
-//!
-//! [`SharedFrontier`] transplants that insight into the multi-walker
-//! orchestrator (`crate::orchestrator`): cooperating walkers **publish** the
-//! high-degree nodes they walk through into a lock-striped pool, and a
-//! walker whose own neighborhood has gone sterile **steals** a position
-//! discovered by another walker instead of burning budget where coverage is
-//! saturated. Degree-biased retention mirrors the frontier sampler's
-//! degree-proportional position choice; the stripes decide which
-//! candidates survive, so the pool's contents are a deterministic function
-//! of the publish sequence.
+//! A frontier sampler keeps `m` walker positions and advances one chosen
+//! with probability proportional to its degree, which makes it far less
+//! sensitive to where it started. [`SharedFrontier`] transplants that
+//! insight into the multi-walker orchestrator (`crate::orchestrator`):
+//! cooperating walkers **publish** the high-degree nodes they walk through
+//! into a striped pool, and a walker whose own neighborhood has gone
+//! sterile **steals** a position discovered by another walker instead of
+//! burning budget where coverage is saturated. Degree-biased retention
+//! mirrors the frontier sampler's degree-proportional position choice. The
+//! stripes are a retention rule, not locks: each keeps its own
+//! highest-degree candidates, so the pool's contents are a deterministic
+//! function of the publish sequence.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use osn_client::{BudgetExhausted, OsnClient, QueryStats};
 use osn_graph::NodeId;
-use rand::{Rng, RngCore, SeedableRng};
-use rand_chacha::ChaCha12Rng;
-
-/// Frontier sampler state: `m` walker positions.
-#[derive(Clone, Debug)]
-pub struct FrontierSampler {
-    positions: Vec<NodeId>,
-}
-
-impl FrontierSampler {
-    /// Start with the given positions (their number is the sampler's
-    /// dimension `m`; Ribeiro & Towsley recommend tens).
-    ///
-    /// # Panics
-    /// Panics if `positions` is empty.
-    pub fn new(positions: Vec<NodeId>) -> Self {
-        assert!(!positions.is_empty(), "frontier needs at least one walker");
-        FrontierSampler { positions }
-    }
-
-    /// Spread `m` walkers over the first `n` node ids deterministically
-    /// (stand-in for the uniform seed nodes the original paper assumes).
-    pub fn spread(m: usize, n: usize) -> Self {
-        assert!(m > 0 && n > 0);
-        let positions = (0..m).map(|i| NodeId(((i * n) / m) as u32)).collect();
-        FrontierSampler { positions }
-    }
-
-    /// Current walker positions.
-    pub fn positions(&self) -> &[NodeId] {
-        &self.positions
-    }
-
-    /// One frontier step: pick a position degree-proportionally, move it to
-    /// a uniform neighbor, return the node arrived at.
-    ///
-    /// # Errors
-    /// [`BudgetExhausted`] if the neighbor query is refused; positions are
-    /// unchanged in that case.
-    pub fn step(
-        &mut self,
-        client: &mut dyn OsnClient,
-        rng: &mut dyn RngCore,
-    ) -> Result<NodeId, BudgetExhausted> {
-        // Degree-proportional choice of which walker advances (degrees are
-        // listing metadata — free, see osn-client's access model).
-        let total: usize = self
-            .positions
-            .iter()
-            .map(|&p| client.peek_degree(p).max(1))
-            .sum();
-        let mut pick = (*rng).gen_range(0..total);
-        let mut chosen = 0usize;
-        for (i, &p) in self.positions.iter().enumerate() {
-            let w = client.peek_degree(p).max(1);
-            if pick < w {
-                chosen = i;
-                break;
-            }
-            pick -= w;
-        }
-        let at = self.positions[chosen];
-        let neighbors = client.neighbors(at)?;
-        if neighbors.is_empty() {
-            return Ok(at);
-        }
-        let next = neighbors[(*rng).gen_range(0..neighbors.len())];
-        self.positions[chosen] = next;
-        Ok(next)
-    }
-
-    /// Run for up to `max_steps`, collecting emitted nodes; stops early on
-    /// budget exhaustion. Deterministic per seed.
-    pub fn run<C: OsnClient>(
-        &mut self,
-        client: &mut C,
-        max_steps: usize,
-        seed: u64,
-    ) -> (Vec<NodeId>, QueryStats) {
-        let mut rng = ChaCha12Rng::seed_from_u64(seed);
-        let mut out = Vec::with_capacity(max_steps.min(1 << 20));
-        for _ in 0..max_steps {
-            match self.step(&mut *client, &mut rng) {
-                Ok(v) => out.push(v),
-                Err(_) => break,
-            }
-        }
-        (out, client.stats())
-    }
-}
 
 /// One restart candidate in a [`SharedFrontier`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,14 +32,14 @@ pub struct FrontierEntry {
     pub owner: usize,
 }
 
-/// A lock-striped stripe of the frontier pool: a small degree-ordered set
-/// of candidates, deduplicated by node.
-#[derive(Debug, Default)]
+/// One stripe of the frontier pool: a small degree-ordered set of
+/// candidates, deduplicated by node.
+#[derive(Clone, Debug, Default)]
 struct FrontierStripe {
     entries: Vec<FrontierEntry>,
 }
 
-/// Lock-striped pool of restart candidates shared by cooperating walkers.
+/// Striped pool of restart candidates shared by cooperating walkers.
 ///
 /// Walkers [`publish`](SharedFrontier::publish) every node they depart from;
 /// each stripe (`fnv(node) % stripes`) retains its
@@ -146,10 +50,10 @@ struct FrontierStripe {
 /// id on ties, cached candidates preferred — which is fully deterministic
 /// given the pool contents.
 ///
-/// Clones share the pool (the handle is an `Arc`).
+/// Clones share one pool (the handle is an `Rc`).
 #[derive(Clone, Debug)]
 pub struct SharedFrontier {
-    stripes: Arc<Vec<Mutex<FrontierStripe>>>,
+    stripes: Rc<RefCell<Vec<FrontierStripe>>>,
     per_stripe_cap: usize,
 }
 
@@ -168,26 +72,16 @@ impl SharedFrontier {
     /// Pool with an explicit stripe count and per-stripe capacity (both
     /// clamped to at least 1).
     pub fn with_stripes(stripes: usize, per_stripe_cap: usize) -> Self {
+        let pool = vec![FrontierStripe::default(); stripes.max(1)];
         SharedFrontier {
-            stripes: Arc::new((0..stripes.max(1)).map(|_| Mutex::default()).collect()),
+            stripes: Rc::new(RefCell::new(pool)),
             per_stripe_cap: per_stripe_cap.max(1),
         }
     }
 
-    /// Number of lock stripes.
+    /// Number of stripes.
     pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
-    }
-
-    fn stripe_of(&self, u: NodeId) -> &Mutex<FrontierStripe> {
-        let i = (osn_graph::fnv::hash_node_id(u.0) % self.stripes.len() as u64) as usize;
-        &self.stripes[i]
-    }
-
-    /// Lock a stripe, recovering from poisoning: the pool holds plain
-    /// copyable data, so a panicked publisher cannot leave it inconsistent.
-    fn lock(m: &Mutex<FrontierStripe>) -> std::sync::MutexGuard<'_, FrontierStripe> {
-        m.lock().unwrap_or_else(PoisonError::into_inner)
+        self.stripes.borrow().len()
     }
 
     /// Offer `(node, degree)` discovered by walker `owner` to the pool.
@@ -195,7 +89,9 @@ impl SharedFrontier {
     /// retained candidate; re-publishing an already-pooled node refreshes
     /// nothing (first discoverer keeps ownership).
     pub fn publish(&self, node: NodeId, degree: usize, owner: usize) {
-        let mut stripe = Self::lock(self.stripe_of(node));
+        let mut stripes = self.stripes.borrow_mut();
+        let count = stripes.len() as u64;
+        let stripe = &mut stripes[(osn_graph::fnv::hash_node_id(node.0) % count) as usize];
         if stripe.entries.iter().any(|e| e.node == node) {
             return;
         }
@@ -241,30 +137,23 @@ impl SharedFrontier {
         mut reject: impl FnMut(NodeId) -> bool,
         mut cached: impl FnMut(NodeId) -> bool,
     ) -> Option<FrontierEntry> {
+        let mut stripes = self.stripes.borrow_mut();
         let mut best: Option<(bool, usize, std::cmp::Reverse<u32>)> = None;
-        let mut best_entry: Option<FrontierEntry> = None;
-        for stripe in self.stripes.iter() {
-            let stripe = Self::lock(stripe);
-            for e in &stripe.entries {
+        let mut at = (0, 0);
+        for (s, stripe) in stripes.iter().enumerate() {
+            for (i, e) in stripe.entries.iter().enumerate() {
                 if e.owner == thief || e.degree < min_degree || reject(e.node) {
                     continue;
                 }
                 let key = (cached(e.node), e.degree, std::cmp::Reverse(e.node.0));
                 if best.is_none_or(|b| key > b) {
                     best = Some(key);
-                    best_entry = Some(*e);
+                    at = (s, i);
                 }
             }
         }
-        let entry = best_entry?;
-        let mut stripe = Self::lock(self.stripe_of(entry.node));
-        // Under concurrent theft the pool may have changed between the scan
-        // and this re-lock: the candidate may be gone, or its slot may hold
-        // a *republished* entry (same node, different owner) the filters
-        // above never vetted. Only remove the exact entry that was chosen;
-        // stealing nothing is the safe outcome.
-        let idx = stripe.entries.iter().position(|e| *e == entry)?;
-        Some(stripe.entries.swap_remove(idx))
+        best?;
+        Some(stripes[at.0].entries.swap_remove(at.1))
     }
 
     /// Non-destructive variant of [`steal`](Self::steal): pick — without
@@ -282,8 +171,7 @@ impl SharedFrontier {
         mut cached: impl FnMut(NodeId) -> bool,
     ) -> Option<FrontierEntry> {
         let mut matches: Vec<(bool, FrontierEntry)> = Vec::new();
-        for stripe in self.stripes.iter() {
-            let stripe = Self::lock(stripe);
+        for stripe in self.stripes.borrow().iter() {
             for e in &stripe.entries {
                 if e.owner == thief || e.degree < min_degree || reject(e.node) {
                     continue;
@@ -300,19 +188,16 @@ impl SharedFrontier {
 
     /// Snapshot of every pooled candidate (diagnostics and tests).
     pub fn entries(&self) -> Vec<FrontierEntry> {
-        let mut out = Vec::new();
-        for stripe in self.stripes.iter() {
-            out.extend(Self::lock(stripe).entries.iter().copied());
-        }
-        out
+        let stripes = self.stripes.borrow();
+        stripes
+            .iter()
+            .flat_map(|s| s.entries.iter().copied())
+            .collect()
     }
 
     /// Total pooled candidates.
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| Self::lock(s).entries.len())
-            .sum()
+        self.stripes.borrow().iter().map(|s| s.entries.len()).sum()
     }
 
     /// Whether the pool holds no candidates.
@@ -324,85 +209,6 @@ impl SharedFrontier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osn_client::{BudgetedClient, SimulatedOsn};
-    use osn_graph::generators::{barbell, erdos_renyi};
-
-    #[test]
-    fn emitted_nodes_are_degree_proportional() {
-        let g = erdos_renyi(60, 0.15, 1).unwrap();
-        let pi = g.degree_stationary_distribution();
-        let mut client = SimulatedOsn::from_graph(g);
-        let mut fs = FrontierSampler::spread(10, 60);
-        let (nodes, _) = fs.run(&mut client, 300_000, 2);
-        let mut counts = vec![0usize; 60];
-        for v in &nodes {
-            counts[v.index()] += 1;
-        }
-        for (i, &c) in counts.iter().enumerate() {
-            let freq = c as f64 / nodes.len() as f64;
-            assert!(
-                (freq - pi[i]).abs() < 0.01,
-                "node {i}: freq {freq} vs pi {}",
-                pi[i]
-            );
-        }
-    }
-
-    #[test]
-    fn respects_budget() {
-        let g = barbell(10, 10).unwrap();
-        let n = g.node_count();
-        let client = SimulatedOsn::from_graph(g);
-        let mut client = BudgetedClient::new(client, 8, n);
-        let mut fs = FrontierSampler::spread(4, n);
-        let (nodes, stats) = fs.run(&mut client, 100_000, 3);
-        assert!(stats.unique <= 8);
-        assert!(!nodes.is_empty());
-    }
-
-    #[test]
-    fn deterministic_per_seed() {
-        let g = barbell(8, 8).unwrap();
-        let run = |seed| {
-            let mut client = SimulatedOsn::from_graph(g.clone());
-            let mut fs = FrontierSampler::spread(3, 16);
-            fs.run(&mut client, 500, seed).0
-        };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7), run(8));
-    }
-
-    #[test]
-    fn multiple_dimensions_reduce_start_sensitivity() {
-        // All walkers start in the left bell vs spread across both bells:
-        // the spread frontier covers the right bell sooner.
-        let g = barbell(25, 25).unwrap();
-        let first_right_visit = |positions: Vec<NodeId>| {
-            let mut client = SimulatedOsn::from_graph(g.clone());
-            let mut fs = FrontierSampler::new(positions);
-            let (nodes, _) = fs.run(&mut client, 50_000, 5);
-            nodes.iter().position(|v| v.index() >= 25).unwrap_or(50_000)
-        };
-        let clumped = first_right_visit(vec![NodeId(0); 8]);
-        let spread = first_right_visit((0..8).map(|i| NodeId(i * 6)).collect());
-        assert!(
-            spread <= clumped,
-            "spread {spread} should reach the right bell no later than clumped {clumped}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one walker")]
-    fn empty_frontier_panics() {
-        let _ = FrontierSampler::new(vec![]);
-    }
-
-    #[test]
-    fn spread_positions_cover_range() {
-        let fs = FrontierSampler::spread(4, 100);
-        let ids: Vec<u32> = fs.positions().iter().map(|n| n.0).collect();
-        assert_eq!(ids, vec![0, 25, 50, 75]);
-    }
 
     #[test]
     fn shared_frontier_dedupes_and_steals_best_other_walker() {

@@ -93,7 +93,7 @@ mod walker;
 pub mod walkers;
 
 pub use circulation::{HistoryBackend, NodeGroups};
-pub use frontier::{FrontierEntry, FrontierSampler, SharedFrontier};
+pub use frontier::{FrontierEntry, SharedFrontier};
 pub use grouping::{ByDegree, Grouping, ValueBucketing};
 pub use history::TouchedNodes;
 pub use orchestrator::{

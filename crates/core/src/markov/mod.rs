@@ -25,4 +25,4 @@ mod variance;
 
 pub use kernel::TransitionKernel;
 pub use linalg::solve_dense;
-pub use variance::{asymptotic_variance, mixing_time_upper, total_variation};
+pub use variance::{asymptotic_variance, mixing_time_upper};

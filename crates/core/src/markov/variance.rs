@@ -1,13 +1,9 @@
 //! Exact asymptotic variance and mixing-time bounds for order-1 chains.
 
+use osn_estimate::metrics::total_variation;
+
 use super::kernel::TransitionKernel;
 use super::linalg::solve_dense;
-
-/// Total variation distance between two distributions.
-pub fn total_variation(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    0.5 * a.iter().zip(b).map(|(&x, &y)| (x - y).abs()).sum::<f64>()
-}
 
 /// Exact asymptotic variance (paper Definition 3) of the ergodic-average
 /// estimator of `f` under an order-1 chain with kernel `p` and stationary
@@ -91,13 +87,6 @@ mod tests {
     use super::*;
     use osn_graph::generators::{barbell, erdos_renyi};
     use osn_graph::GraphBuilder;
-
-    #[test]
-    fn tv_distance_basics() {
-        assert_eq!(total_variation(&[1.0, 0.0], &[1.0, 0.0]), 0.0);
-        assert_eq!(total_variation(&[1.0, 0.0], &[0.0, 1.0]), 1.0);
-        assert!((total_variation(&[0.5, 0.5], &[0.25, 0.75]) - 0.25).abs() < 1e-12);
-    }
 
     #[test]
     fn iid_chain_variance_equals_population_variance() {

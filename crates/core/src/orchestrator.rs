@@ -29,7 +29,7 @@
 //!   equivalence suites); observation hooks are skipped entirely, so the
 //!   core costs nothing a hand-written loop would not pay.
 //! * [`WorkStealing`] — walkers publish the nodes they walk through into a
-//!   lock-striped [`SharedFrontier`]; every `check_every` steps a walker
+//!   striped [`SharedFrontier`]; every `check_every` steps a walker
 //!   whose recent window discovered nothing new (component exhausted) or
 //!   whose chain the online windowed split-R̂
 //!   ([`osn_estimate::WindowedSplitRhat`]) flags as the non-mixing outlier
@@ -47,7 +47,7 @@
 //! engines produce the *same* traces, estimates and restart schedule
 //! (pinned by the `reactor_equivalence` suite).
 
-use std::sync::Mutex;
+use std::cell::RefCell;
 
 use osn_client::{OsnClient, QueryStats};
 use osn_estimate::{RatioEstimator, WindowedSplitRhat};
@@ -96,10 +96,10 @@ pub struct RestartEvent {
 }
 
 /// Decides when a walker should abandon its position and where it should
-/// restart. Methods take `&self` (implementations use interior
-/// mutability); `Sync` lets one policy value ride a trial plan shared
-/// across experiment threads.
-pub trait RestartPolicy: Sync {
+/// restart. Methods take `&self`, so callers can pass a shared `&Never`,
+/// and a policy that keeps state holds it in a `RefCell`. Every engine
+/// drives its policy from the calling thread.
+pub trait RestartPolicy {
     /// Whether this policy can ever request a restart. `false` (only
     /// [`Never`] returns it) lets the engines skip per-step observation
     /// entirely, keeping the policy-free hot loop a plain walk loop.
@@ -192,7 +192,7 @@ struct WalkerDiag {
     steals: u64,
 }
 
-/// Shared interior state of [`WorkStealing`], sized by
+/// Interior state of [`WorkStealing`], sized by
 /// [`RestartPolicy::begin_run`].
 struct StealDiag {
     window: WindowedSplitRhat,
@@ -203,7 +203,7 @@ struct StealDiag {
 /// the paper's \[17\] — see [`crate::frontier`]).
 ///
 /// Walkers publish every node they depart from into the shared
-/// [`frontier`](Self::frontier) pool (each lock stripe retains its
+/// [`frontier`](Self::frontier) pool (each stripe retains its
 /// highest-degree candidates). Every [`check_every`](Self::check_every)
 /// steps, a walker is relocated to a frontier node discovered by *another*
 /// walker when either trigger fires:
@@ -246,7 +246,7 @@ pub struct WorkStealing {
     pub check_every: usize,
     /// The shared candidate pool walkers publish into and steal from.
     pub frontier: SharedFrontier,
-    diag: Mutex<StealDiag>,
+    diag: RefCell<StealDiag>,
 }
 
 impl WorkStealing {
@@ -258,23 +258,17 @@ impl WorkStealing {
             rhat_threshold,
             check_every,
             frontier,
-            diag: Mutex::new(StealDiag {
+            diag: RefCell::new(StealDiag {
                 window: WindowedSplitRhat::new(0, check_every),
                 walkers: Vec::new(),
             }),
         }
     }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, StealDiag> {
-        self.diag
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 }
 
 impl RestartPolicy for WorkStealing {
     fn begin_run(&self, walkers: usize) {
-        let mut d = self.lock();
+        let mut d = self.diag.borrow_mut();
         d.window = WindowedSplitRhat::new(walkers, self.check_every);
         d.walkers = (0..walkers).map(|_| WalkerDiag::default()).collect();
     }
@@ -287,18 +281,15 @@ impl RestartPolicy for WorkStealing {
         to: NodeId,
         value: f64,
     ) {
-        {
-            let mut d = self.lock();
-            d.window.push(walker, value);
-            let w = &mut d.walkers[walker];
-            w.visited.insert(from.0);
-            if w.visited.insert(to.0) {
-                w.fresh_since_check += 1;
-            }
+        let mut d = self.diag.borrow_mut();
+        d.window.push(walker, value);
+        let w = &mut d.walkers[walker];
+        w.visited.insert(from.0);
+        if w.visited.insert(to.0) {
+            w.fresh_since_check += 1;
         }
-        // Publish outside the diagnostic lock (the frontier has its own
-        // stripes): `from`'s neighbor list was fetched by this very step,
-        // so restarting there re-queries nothing.
+        // `from`'s neighbor list was fetched by this very step, so
+        // restarting there re-queries nothing.
         self.frontier.publish(from, from_degree, walker);
     }
 
@@ -313,7 +304,7 @@ impl RestartPolicy for WorkStealing {
         if steps_done == 0 || !steps_done.is_multiple_of(self.check_every) {
             return None;
         }
-        let mut d = self.lock();
+        let mut d = self.diag.borrow_mut();
         if d.walkers[walker].last_check == Some(steps_done) {
             // Already checked at this step count (the walker's step was
             // refused and it was rescued without advancing): one check per
@@ -374,7 +365,7 @@ impl RestartPolicy for WorkStealing {
         // keeps converting already-paid-for queries into samples for free.
         // The rotation spreads repeated rescues across the pool instead of
         // piling every dying walker onto one hub.
-        let mut d = self.lock();
+        let mut d = self.diag.borrow_mut();
         let rotation = d.walkers[walker].rescues;
         d.walkers[walker].rescues += 1;
         let visited = &d.walkers[walker].visited;
@@ -393,7 +384,7 @@ impl RestartPolicy for WorkStealing {
     fn after_restart(&self, walker: usize) {
         // The abandoned position's samples say nothing about the new
         // neighborhood: restart the walker's diagnostic window.
-        self.lock().window.clear_chain(walker);
+        self.diag.borrow_mut().window.clear_chain(walker);
     }
 }
 

@@ -1033,7 +1033,7 @@ impl WalkOrchestrator {
 ///
 /// Policy-free ([`Never`]): [`WorkStealing`] keeps non-serializable
 /// interior diagnostics (the windowed split-R̂ accumulators, per-walker
-/// visit filters, the lock-striped frontier), so a mid-run snapshot could
+/// visit filters, the shared frontier pool), so a mid-run snapshot could
 /// not restore the restart schedule. Use [`WalkOrchestrator::run_reactor`]
 /// or [`WalkOrchestrator::run_serial`] for policy-driven runs.
 ///

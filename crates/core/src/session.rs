@@ -21,43 +21,19 @@ pub struct WalkConfig {
     pub max_steps: usize,
     /// RNG seed; every run is fully deterministic given the seed.
     pub seed: u64,
-    /// Steps discarded from the front when extracting samples (the classical
-    /// burn-in; the paper's estimators use `h`-step warm starts, §2.3).
-    pub burn_in: usize,
-    /// Keep every `thinning`-th step of the post-burn-in trace (1 = all).
-    pub thinning: usize,
 }
 
 impl WalkConfig {
     /// Run for exactly `max_steps` transitions (unless the budget stops the
-    /// walk sooner), no burn-in, no thinning, seed 0.
+    /// walk sooner), seed 0.
     pub fn steps(max_steps: usize) -> Self {
-        WalkConfig {
-            max_steps,
-            seed: 0,
-            burn_in: 0,
-            thinning: 1,
-        }
+        WalkConfig { max_steps, seed: 0 }
     }
 
     /// Set the RNG seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Set the burn-in length.
-    #[must_use]
-    pub fn with_burn_in(mut self, burn_in: usize) -> Self {
-        self.burn_in = burn_in;
-        self
-    }
-
-    /// Set the thinning interval (values below 1 are clamped to 1).
-    #[must_use]
-    pub fn with_thinning(mut self, thinning: usize) -> Self {
-        self.thinning = thinning.max(1);
         self
     }
 }
@@ -83,15 +59,12 @@ pub struct WalkTrace {
     pub stop: WalkStop,
     /// Client accounting at the end of the walk.
     pub stats: QueryStats,
-    burn_in: usize,
-    thinning: usize,
 }
 
 impl WalkTrace {
-    /// Assemble a trace from an external driver's parts (no burn-in, no
-    /// thinning) — used by the batched and restart-policy paths of
-    /// `osn-experiments::TrialPlan`, whose walks run on the reactor or the
-    /// multi-walker orchestrator rather than a [`WalkSession`].
+    /// Assemble a trace from an external driver's parts — used by the
+    /// batched path of `osn-experiments::TrialPlan`, whose walks run on the
+    /// reactor rather than a [`WalkSession`].
     pub fn from_parts(
         start: NodeId,
         nodes: Vec<NodeId>,
@@ -103,8 +76,6 @@ impl WalkTrace {
             nodes,
             stop,
             stats,
-            burn_in: 0,
-            thinning: 1,
         }
     }
 
@@ -118,26 +89,9 @@ impl WalkTrace {
         self.nodes.is_empty()
     }
 
-    /// The full step sequence (no burn-in/thinning applied).
+    /// The step sequence, one node per transition.
     pub fn nodes(&self) -> &[NodeId] {
         &self.nodes
-    }
-
-    /// The sample sequence after burn-in and thinning.
-    pub fn samples(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
-            .iter()
-            .skip(self.burn_in)
-            .step_by(self.thinning)
-            .copied()
-    }
-
-    /// Number of samples [`samples`](Self::samples) will yield.
-    pub fn sample_count(&self) -> usize {
-        self.nodes
-            .len()
-            .saturating_sub(self.burn_in)
-            .div_ceil(self.thinning)
     }
 }
 
@@ -184,8 +138,6 @@ impl WalkSession {
             nodes: cell.trace.expect("the serial core records a trace"),
             stop: cell.stop.unwrap_or(WalkStop::MaxSteps),
             stats: client.stats(),
-            burn_in: self.config.burn_in,
-            thinning: self.config.thinning.max(1),
         }
     }
 }
@@ -238,24 +190,5 @@ mod tests {
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));
-    }
-
-    #[test]
-    fn burn_in_and_thinning_shape_samples() {
-        let mut c = client();
-        let mut w = Srw::new(NodeId(0));
-        let cfg = WalkConfig::steps(20).with_burn_in(10).with_thinning(5);
-        let trace = WalkSession::new(cfg).run(&mut w, &mut c);
-        let samples: Vec<_> = trace.samples().collect();
-        assert_eq!(samples.len(), 2); // steps 10 and 15 (0-indexed post-burn)
-        assert_eq!(trace.sample_count(), 2);
-        assert_eq!(samples[0], trace.nodes()[10]);
-        assert_eq!(samples[1], trace.nodes()[15]);
-    }
-
-    #[test]
-    fn thinning_clamped_to_one() {
-        let cfg = WalkConfig::steps(5).with_thinning(0);
-        assert_eq!(cfg.thinning, 1);
     }
 }

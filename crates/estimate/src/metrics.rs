@@ -172,6 +172,8 @@ mod tests {
         let q = [0.0, 1.0];
         assert!((l2_distance(&p, &q) - 2.0f64.sqrt()).abs() < 1e-12);
         assert_eq!(total_variation(&p, &q), 1.0);
+        assert_eq!(total_variation(&p, &p), 0.0);
+        assert!((total_variation(&[0.5, 0.5], &[0.25, 0.75]) - 0.25).abs() < 1e-12);
         assert_eq!(l2_distance(&p, &p), 0.0);
     }
 

@@ -7,10 +7,7 @@ use osn_client::{BatchConfig, BudgetedClient, SimulatedBatchOsn, SimulatedOsn};
 use osn_graph::attributes::AttributedGraph;
 use osn_graph::compact::CompactCsr;
 use osn_graph::NodeId;
-use osn_walks::{
-    OrchestratorReport, RandomWalk, RestartPolicy, WalkConfig, WalkOrchestrator, WalkSession,
-    WalkTrace,
-};
+use osn_walks::{RandomWalk, WalkConfig, WalkSession, WalkTrace};
 
 use crate::algorithms::Algorithm;
 
@@ -25,23 +22,20 @@ pub fn trial_seed(experiment_seed: u64, trial: u64) -> u64 {
 /// The plan for one budget-limited walk trial over a shared snapshot.
 ///
 /// [`TrialPlan::new`] is the canonical entry point: every knob — budget,
-/// step cap, dispatch mode, restart policy — is a `with_*` builder on the
-/// same surface, and [`TrialPlan::from_compact`] swaps the snapshot for a
-/// compressed one. [`TrialPlan::budgeted`] and
-/// [`TrialPlan::steps`] remain as documented shorthands that forward to
-/// the builder; nothing is deprecated.
+/// step cap, dispatch mode — is a `with_*` builder on the same surface,
+/// and [`TrialPlan::from_compact`] swaps the snapshot for a compressed
+/// one. [`TrialPlan::budgeted`] and [`TrialPlan::steps`] remain as
+/// documented shorthands that forward to the builder; nothing is
+/// deprecated.
 ///
 /// The two dispatch modes run on the two engines of `osn-walks`: the
 /// synchronous path through [`WalkSession`] (the serial core's
 /// single-walker entry point) and the batched path through the reactor
 /// ([`osn_walks::reactor::drive_reactor`]), both under the `Never` restart
 /// policy and over the same raw-seeded RNG stream — which is what keeps
-/// the two modes bit-identical per seed. [`TrialPlan::with_restarts`]
-/// opts a plan into a [`RestartPolicy`] instead (single-walker steal
-/// ablations); that path runs on [`WalkOrchestrator`] and its derived
-/// per-walker RNG stream, so it matches orchestrator runs rather than the
-/// policy-free session stream. Multi-walker experiments with restart
-/// policies (e.g. `fig6_steal`) use [`WalkOrchestrator`] directly.
+/// the two modes bit-identical per seed. Experiments with restart
+/// policies (e.g. `fig6_steal`) use [`osn_walks::WalkOrchestrator`]
+/// directly.
 #[derive(Clone)]
 pub struct TrialPlan {
     /// The snapshot every trial runs against (shared, never copied).
@@ -57,9 +51,6 @@ pub struct TrialPlan {
     /// consume the identical RNG stream, so traces are bit-identical — the
     /// cross-mode equivalence `tests/batch_client_props.rs` pins.
     pub batch: Option<BatchConfig>,
-    /// Restart policy for single-walker steal ablations (`None` = the
-    /// policy-free fast path). Set via [`Self::with_restarts`].
-    pub restarts: Option<Arc<dyn RestartPolicy + Send + Sync>>,
     /// Compressed snapshot backing every trial's client instead of
     /// [`Self::network`] (which becomes an edgeless placeholder carrying
     /// only the node count). Set via [`Self::from_compact`]; walks decode
@@ -70,14 +61,14 @@ pub struct TrialPlan {
 
 impl TrialPlan {
     /// The canonical constructor: an unbudgeted plan over a snapshot with
-    /// the default step cap, synchronous dispatch, and no restart policy. Layer knobs on with the `with_*` builders.
+    /// the default step cap and synchronous dispatch. Layer knobs on with
+    /// the `with_*` builders.
     pub fn new(network: Arc<AttributedGraph>) -> Self {
         TrialPlan {
             network,
             budget: None,
             max_steps: 10_000,
             batch: None,
-            restarts: None,
             compact: None,
         }
     }
@@ -136,18 +127,6 @@ impl TrialPlan {
         self
     }
 
-    /// Same plan under a [`RestartPolicy`] (single-walker steal ablations).
-    ///
-    /// Trials run on [`WalkOrchestrator`] — the serial core or the reactor
-    /// per [`Self::batch`] — with the walker consuming the orchestrator's
-    /// derived RNG stream. Use [`Self::run_report`] to see restart
-    /// diagnostics; [`Self::run`] flattens to the walker's trace.
-    #[must_use]
-    pub fn with_restarts(mut self, policy: impl RestartPolicy + Send + 'static) -> Self {
-        self.restarts = Some(Arc::new(policy));
-        self
-    }
-
     /// One trial's client over the plan's snapshot: compact-backed when
     /// [`Self::compact`] is set, a zero-copy shared CSR otherwise.
     fn make_client(&self) -> SimulatedOsn {
@@ -171,16 +150,6 @@ impl TrialPlan {
     /// synchronous mode (budget cut-off included).
     pub fn run(&self, algorithm: &Algorithm, seed: u64) -> WalkTrace {
         let start = self.start_node(seed);
-        if self.restarts.is_some() {
-            let report = self.run_report(algorithm, seed);
-            let nodes = report
-                .trace
-                .per_walker
-                .into_iter()
-                .next()
-                .unwrap_or_default();
-            return WalkTrace::from_parts(start, nodes, report.stops[0], report.trace.stats);
-        }
         let mut walker = algorithm.make(start);
         if let Some(batch) = &self.batch {
             return self.run_batched(walker, start, batch.clone(), seed);
@@ -228,40 +197,6 @@ impl TrialPlan {
             .next()
             .unwrap_or_default();
         WalkTrace::from_parts(start, nodes, report.stops[0], report.trace.stats)
-    }
-
-    /// Run one trial on the [`WalkOrchestrator`] engine and return the full
-    /// [`OrchestratorReport`] — restart diagnostics included. This is the
-    /// path [`Self::run`] takes when [`Self::with_restarts`] set a policy
-    /// (without one, the report is a policy-free `Never` run); the walker
-    /// consumes the orchestrator's derived RNG stream for `seed`.
-    pub fn run_report(&self, algorithm: &Algorithm, seed: u64) -> OrchestratorReport {
-        let start = self.start_node(seed);
-        let policy: &(dyn RestartPolicy + Send + Sync) = match &self.restarts {
-            Some(p) => p.as_ref(),
-            None => &osn_walks::Never,
-        };
-        let orchestrator = WalkOrchestrator::new(1, self.max_steps, seed);
-        let make = |_, _| algorithm.make(start);
-        match &self.batch {
-            Some(batch) => {
-                let mut client =
-                    SimulatedBatchOsn::configured(self.make_client(), batch.clone(), self.budget);
-                orchestrator.run_reactor(&mut client, make, |_| 1.0, policy)
-            }
-            None => match self.budget {
-                Some(b) => {
-                    let inner = self.make_client();
-                    let n = self.network.graph.node_count();
-                    let mut client = BudgetedClient::new(inner, b, n);
-                    orchestrator.run_serial(&mut client, make, |_| 1.0, policy)
-                }
-                None => {
-                    let mut client = self.make_client();
-                    orchestrator.run_serial(&mut client, make, |_| 1.0, policy)
-                }
-            },
-        }
     }
 }
 
@@ -438,68 +373,6 @@ mod tests {
             short.run(&Algorithm::Srw, 4).nodes(),
             built.run(&Algorithm::Srw, 4).nodes()
         );
-    }
-
-    /// A deliberately simple policy for exercising the hook: teleport home
-    /// on a fixed step cadence.
-    struct TeleportEvery {
-        cadence: usize,
-        home: NodeId,
-    }
-
-    impl osn_walks::RestartPolicy for TeleportEvery {
-        fn restart_target(
-            &self,
-            _walker: usize,
-            steps_done: usize,
-            current: NodeId,
-            _current_degree: usize,
-            _cached: &dyn Fn(NodeId) -> bool,
-        ) -> Option<(NodeId, osn_walks::RestartReason)> {
-            (steps_done.is_multiple_of(self.cadence) && current != self.home)
-                .then_some((self.home, osn_walks::RestartReason::Exhausted))
-        }
-    }
-
-    #[test]
-    fn restart_hook_relocates_and_reports() {
-        let plan = TrialPlan::steps(shared_net(), 200).with_restarts(TeleportEvery {
-            cadence: 25,
-            home: NodeId(0),
-        });
-        let report = plan.run_report(&Algorithm::Srw, 13);
-        assert!(!report.restarts.is_empty(), "the policy never fired");
-        for e in &report.restarts {
-            assert_eq!(e.to, NodeId(0));
-        }
-        // `run` flattens the same orchestrated trace.
-        let trace = plan.run(&Algorithm::Srw, 13);
-        assert_eq!(trace.nodes(), &report.trace.per_walker[0][..]);
-        // And the hook stays deterministic per seed.
-        let again = plan.run_report(&Algorithm::Srw, 13);
-        assert_eq!(report.restarts, again.restarts);
-        assert_eq!(report.trace.per_walker, again.trace.per_walker);
-    }
-
-    #[test]
-    fn restart_hook_supports_work_stealing() {
-        // Single-walker WorkStealing: its own-territory filter means it
-        // rarely (often never) fires, but the hook must run it cleanly in
-        // both dispatch modes and stay deterministic.
-        use osn_walks::{SharedFrontier, WorkStealing};
-        let serial = TrialPlan::budgeted(shared_net(), 40).with_restarts(WorkStealing::new(
-            1.05,
-            8,
-            SharedFrontier::new(),
-        ));
-        let a = serial.run(&Algorithm::Cnrw, 9);
-        let b = serial.run(&Algorithm::Cnrw, 9);
-        assert_eq!(a.nodes(), b.nodes());
-        let batched = serial
-            .clone()
-            .with_batch(osn_client::BatchConfig::new(4).with_in_flight(2));
-        let c = batched.run(&Algorithm::Cnrw, 9);
-        assert!(!c.is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! FNV-1a hashing.
 //!
 //! Three uses across the workspace (the module lives here, at the bottom of
-//! the dependency graph, so both `osn-walks` and `osn-client` can share it):
+//! the dependency graph, so every crate above it can share it):
 //!
 //! * a fast, deterministic `BuildHasher` for the walkers' history hash maps
 //!   keyed by directed edges (the paper's `b(u,v)` and `S(u,v)` structures,
@@ -11,7 +11,7 @@
 //!   user ids with MD5 purely to obtain an attribute-independent pseudorandom
 //!   group assignment; FNV-1a provides the same property without a crypto
 //!   dependency;
-//! * the stripe selector of the lock-striped shared cache in `osn-client`
+//! * the stripe selector of the shared frontier pool in `osn-walks`
 //!   (`stripe = fnv(node) % N`), where the same determinism guarantees that a
 //!   node maps to the same stripe in every run and on every platform.
 

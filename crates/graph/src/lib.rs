@@ -33,7 +33,7 @@
 //!   layout GNRW's cold step reads a neighborhood's groups in.
 //! * [`io`] — plain-text edge-list reading/writing.
 //! * [`fnv`] — deterministic FNV-1a hashing, shared by the walkers' history
-//!   maps and the client's lock-striped cache (stripe = `fnv(node) % N`).
+//!   maps and the frontier pool's stripes (stripe = `fnv(node) % N`).
 //!
 //! All randomized construction is seeded and deterministic.
 //!

@@ -44,7 +44,7 @@
 //! streams, and the stop bookkeeping, parameterized by a
 //! [`walks::RestartPolicy`] — [`walks::Never`] replays the classic runs
 //! bit-identically, while [`walks::WorkStealing`] restarts stalled or
-//! budget-refused walkers from a lock-striped [`walks::SharedFrontier`] of
+//! budget-refused walkers from a striped [`walks::SharedFrontier`] of
 //! territory other walkers discovered, triggered by an online windowed
 //! split-R̂ ([`estimate::WindowedSplitRhat`]). On top sits the **service
 //! layer**: [`service::SessionServer`] multiplexes many tenants' jobs over
@@ -116,10 +116,10 @@ pub mod prelude {
         TenantStats, TrafficConfig,
     };
     pub use osn_walks::{
-        Cnrw, FrontierSampler, Gnrw, Grouping, HistoryBackend, Mhrw, NbCnrw, NbSrw, Never,
-        NodeCnrw, OrchestratorReport, RandomWalk, ReactorStats, ReactorWalkRun, RestartEvent,
-        RestartPolicy, RestartReason, SharedFrontier, Srw, TouchedNodes, WalkConfig,
-        WalkOrchestrator, WalkSession, WalkerFsm, WorkStealing,
+        Cnrw, Gnrw, Grouping, HistoryBackend, Mhrw, NbCnrw, NbSrw, Never, NodeCnrw,
+        OrchestratorReport, RandomWalk, ReactorStats, ReactorWalkRun, RestartEvent, RestartPolicy,
+        RestartReason, SharedFrontier, Srw, TouchedNodes, WalkConfig, WalkOrchestrator,
+        WalkSession, WalkerFsm, WorkStealing,
     };
 }
 
