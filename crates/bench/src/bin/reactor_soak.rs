@@ -17,7 +17,12 @@
 //!    walker lost to the event loop's queue discipline;
 //! 2. **memory bound** — the loop's peak in-flight batches never exceed
 //!    the endpoint's in-flight window: reactor memory is O(active
-//!    batches), not O(fleet);
+//!    batches), not O(fleet). The fleet's own memory, phase 1's peak-RSS
+//!    growth (`VmHWM` from `/proc/self/status`), stays within
+//!    `8 MiB + walkers × steps × 85 B`: 59.9 MiB for the default fleet,
+//!    which grows it by 47.7–47.8 MiB. Walker histories with 48- and
+//!    64-byte map entries grew it by 86.0 MiB. Off Linux the check is
+//!    skipped with a notice;
 //! 3. **equivalence spot-check** — the identical spec replayed on the
 //!    serial core produces bit-identical traces, stops, and estimate
 //!    (schedule independence under `Never` with no budget);
@@ -116,6 +121,33 @@ fn make_walker(n: usize) -> impl Fn(usize, HistoryBackend) -> Box<dyn RandomWalk
     }
 }
 
+/// Phase 1's peak-RSS budget in bytes, `8 MiB + walkers × steps × 85 B`:
+/// the endpoint, the event loop and allocator slack, then per walker step
+/// the history entry of the edge it crossed, its trace and its share of
+/// the dispatch state. The default fleet's budget is 1.25 times the growth
+/// it measures.
+fn fleet_budget(opts: &Options) -> u64 {
+    (8 << 20) + (opts.walkers * opts.steps) as u64 * 85
+}
+
+/// Peak resident set (`VmHWM`) in bytes, from `/proc/self/status`.
+/// `None` off Linux — the memory assert is then skipped as inconclusive.
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: u64 = status
+        .lines()
+        .find(|line| line.starts_with("VmHWM:"))?
+        .split_whitespace()
+        .nth(1)?
+        .parse()
+        .ok()?;
+    Some(kib * 1024)
+}
+
+fn mib(bytes: u64) -> f64 {
+    bytes as f64 / (1024.0 * 1024.0)
+}
+
 fn fail(message: String) -> ! {
     eprintln!("reactor_soak FAIL: {message}");
     std::process::exit(1);
@@ -144,9 +176,11 @@ fn main() {
     );
 
     // Phase 1: the reference reactor run — completion + memory bound.
+    let rss_before = peak_rss_bytes();
     let mut client = endpoint(&network, &opts);
     let (reference, stats) =
         orch.run_reactor_with_stats(&mut client, make_walker(n), |v| v.index() as f64, &Never);
+    let rss_after = peak_rss_bytes();
     if reference.trace.per_walker.len() != opts.walkers {
         fail(format!(
             "{} walkers reported, {} launched",
@@ -188,6 +222,29 @@ fn main() {
         stats.peak_parked,
         client.clock().elapsed_secs()
     );
+    match (rss_before, rss_after) {
+        (Some(before), Some(after)) => {
+            let growth = after.saturating_sub(before);
+            let budget = fleet_budget(&opts);
+            if growth > budget {
+                fail(format!(
+                    "phase 1 grew peak RSS by {:.1} MiB, over its budget of {:.1} MiB \
+                     ({} walkers x {} steps)",
+                    mib(growth),
+                    mib(budget),
+                    opts.walkers,
+                    opts.steps
+                ));
+            }
+            eprintln!(
+                "reactor_soak: fleet memory OK — phase 1 grew peak RSS by {:.1} MiB, \
+                 budget {:.1} MiB",
+                mib(growth),
+                mib(budget)
+            );
+        }
+        _ => eprintln!("reactor_soak: /proc/self/status unavailable — memory bound skipped"),
+    }
 
     // Phase 2: equivalence spot-check against the serial core.
     guard(&deadline, "equivalence");

@@ -12,6 +12,14 @@
 //!
 //! ## Layout
 //!
+//! Each walker's engine keeps its per-edge state in one hash map from the
+//! packed edge key to a small slot: 24 bytes an entry for the node engine,
+//! 32 for the group engine, pinned by compile-time asserts. The map is the
+//! largest thing a walker holds — most of its edges are transited once —
+//! and every draw, invalidation sweep and rehash moves whole entries, so a
+//! slot holds only what a cold edge's first few draws need, and the rest
+//! lives beside the map.
+//!
 //! All touched edges of one walker share a single arena (`Vec<NodeId>` for
 //! the node engine; the group engine's is laid out below). Each promoted
 //! edge owns a contiguous slice of it holding a permutation of the edge's
@@ -37,12 +45,16 @@
 //! bound (§3.3) on heavy-tailed graphs. Per-edge state therefore moves
 //! through three stages, each `O(draws recorded)`:
 //!
-//! 1. **Inline** — up to [`INLINE_CAP`] used node ids in a fixed array
-//!    stored directly in the map slot (no heap allocation at all); draws
-//!    use bounded rejection sampling against the tiny array.
-//! 2. **Spill** — a hash set of used ids, one entry per draw (the paper's
-//!    layout, `O(1)` expected draws), entered only when the inline array
-//!    fills before the edge qualifies for promotion.
+//! 1. **Inline** — up to [`INLINE_CAP`] used node ids in pick order. The
+//!    first 3 (a GNRW edge's first 4) sit in the map slot itself; the pick
+//!    after those moves them all into a chunk of `INLINE_CAP` items from
+//!    the engine's pool, which grows by doubling and takes back the chunks
+//!    of edges that promote, spill or are invalidated. No edge allocates
+//!    in this stage. Draws use bounded rejection sampling against the few
+//!    picks.
+//! 2. **Spill** — a boxed hash set of used ids, one entry per draw (the
+//!    paper's layout, `O(1)` expected draws), entered only when the inline
+//!    stage fills before the edge qualifies for promotion.
 //! 3. **Promoted** — the arena slice. An edge is promoted once it has at
 //!    least `promotion_threshold` recorded draws (tunable, see
 //!    [`CirculationEngine::with_threshold`]) **and** the slice would cost
@@ -60,10 +72,11 @@
 //! The [`GroupEngine`] holds GNRW's state — `b(u, v)` and the attempted
 //! groups `S(u, v)` — in the same three stages and under the same promotion
 //! rule, and runs the one GNRW step, Algorithm 2, on all of them (see
-//! [`GroupEdgeView::step`]). A cold edge keeps its picks inline, then in a
-//! hash set. Its exact step takes `N(v)`'s partition from the caller. Under
-//! a grouping whose key of a member depends on that member alone, the
-//! caller first tries [`GroupEdgeView::step_by_rejection`], which needs no
+//! [`GroupEdgeView::step`]). A cold edge keeps its picks inline — in its
+//! slot, then in a pool chunk — and then in a hash set. Its exact step
+//! takes `N(v)`'s partition from the caller. Under a grouping whose key of
+//! a member depends on that member alone, the caller first tries
+//! [`GroupEdgeView::step_by_rejection`], which needs no
 //! partition: Algorithm 2's pick is a uniform draw from the unvisited
 //! members whose group is not in `S(u, v)`, so the step proposes uniform
 //! members of `N(v)` and keys only those it must test — none while
@@ -115,8 +128,11 @@ use crate::fnv::{FnvHashMap, FnvHashSet};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct HistoryBackend;
 
-/// Capacity of the inline (pre-spill) used-item array, and therefore the
-/// hard upper bound on [`CirculationEngine`] promotion thresholds.
+/// Capacity of the inline stage — the picks an edge records before it
+/// spills to a hash set, unless it promotes first — and therefore the hard
+/// upper bound on [`CirculationEngine`] promotion thresholds. Only the
+/// first few picks sit in the edge's map entry; an edge with more keeps
+/// them in a pool chunk of this many items (see the module docs).
 pub const INLINE_CAP: usize = 8;
 
 /// Maximum ratio between a promoted slice's length and the draws recorded
@@ -204,15 +220,126 @@ fn promotable(used: usize, plen: usize, threshold: usize) -> bool {
 }
 
 /// Remove every entry of a per-edge state map whose circulated node — the
-/// key's low 32 bits — `is_touched` accepts, in one pass; returns how many
-/// were removed. The single invalidation sweep behind both engines.
-pub(crate) fn drop_targets<S>(
+/// key's low 32 bits — `is_touched` accepts, in one pass, handing each
+/// removed slot to `clear` first; returns how many were removed. The single
+/// invalidation sweep behind both engines.
+fn drop_targets<S>(
     slots: &mut FnvHashMap<u64, S>,
+    mut clear: impl FnMut(&mut S),
     is_touched: impl Fn(u32) -> bool,
 ) -> usize {
     let before = slots.len();
-    slots.retain(|&key, _| !is_touched(key as u32));
+    slots.retain(|&key, slot| {
+        let touched = is_touched(key as u32);
+        if touched {
+            clear(slot);
+        }
+        !touched
+    });
     before - slots.len()
+}
+
+/// The chunks of [`INLINE_CAP`] items that hold the picks of inline edges
+/// past their map entry's room, one pool per engine. Chunks are carved
+/// from one `Vec`, which grows by doubling, and a chunk released by
+/// promotion, spill or invalidation goes on a free list for the next edge
+/// that needs one, so no edge allocates.
+#[derive(Clone, Debug, Default)]
+struct ChunkPool {
+    chunks: Vec<[u32; INLINE_CAP]>,
+    free: Vec<u32>,
+}
+
+impl ChunkPool {
+    fn take(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.chunks.push([0; INLINE_CAP]);
+            arena_offset(self.chunks.len() - 1)
+        })
+    }
+
+    /// Release every chunk, keeping both buffers' capacity.
+    fn clear(&mut self) {
+        self.chunks.clear();
+        self.free.clear();
+    }
+}
+
+/// An inline-stage edge's picks, in pick order: up to `N` in the edge's
+/// map entry, and from the `N + 1`-th on all of them in one pool chunk,
+/// so that they are always one slice.
+#[derive(Clone, Copy, Debug)]
+enum Picks<const N: usize> {
+    Entry { ids: [u32; N], len: u8 },
+    Chunk { chunk: u32, len: u8 },
+}
+
+impl<const N: usize> Picks<N> {
+    const EMPTY: Self = Picks::Entry {
+        ids: [0; N],
+        len: 0,
+    };
+
+    fn len(&self) -> usize {
+        match *self {
+            Picks::Entry { len, .. } | Picks::Chunk { len, .. } => usize::from(len),
+        }
+    }
+
+    /// The picks: the one read of an inline edge's state.
+    #[inline]
+    fn get<'a>(&'a self, pool: &'a ChunkPool) -> &'a [u32] {
+        match self {
+            Picks::Entry { ids, len } => &ids[..usize::from(*len)],
+            Picks::Chunk { chunk, len } => &pool.chunks[*chunk as usize][..usize::from(*len)],
+        }
+    }
+
+    /// Append a pick to fewer than [`INLINE_CAP`], moving them all into a
+    /// chunk when the entry is full.
+    fn push(&mut self, pick: u32, pool: &mut ChunkPool) {
+        match self {
+            Picks::Entry { ids, len } if usize::from(*len) < N => {
+                ids[usize::from(*len)] = pick;
+                *len += 1;
+            }
+            Picks::Entry { ids, .. } => {
+                let chunk = pool.take();
+                let items = &mut pool.chunks[chunk as usize];
+                items[..N].copy_from_slice(ids);
+                items[N] = pick;
+                *self = Picks::Chunk {
+                    chunk,
+                    len: N as u8 + 1,
+                };
+            }
+            Picks::Chunk { chunk, len } => {
+                pool.chunks[*chunk as usize][usize::from(*len)] = pick;
+                *len += 1;
+            }
+        }
+    }
+
+    /// Forget the picks, returning their chunk to the pool.
+    fn clear(&mut self, pool: &mut ChunkPool) {
+        if let Picks::Chunk { chunk, .. } = *self {
+            pool.free.push(chunk);
+        }
+        *self = Self::EMPTY;
+    }
+}
+
+/// Swap the items `is_used` accepts to the front of a fresh arena slice,
+/// in one pass; returns how many there were — the promoted cursor.
+fn partition_used(slice: &mut [NodeId], is_used: impl Fn(&NodeId) -> bool) -> usize {
+    let mut cursor = 0;
+    for i in 0..slice.len() {
+        if is_used(&slice[i]) {
+            slice.swap(cursor, i);
+            cursor += 1;
+        }
+    }
+    cursor
 }
 
 /// Codes of the snapshot's `stages` column, one per edge.
@@ -309,26 +436,50 @@ impl<'a, T: TryFrom<u64>> Column<'a, T> {
     }
 }
 
-/// Per-edge state of the node engine: staged from inline through spill to
-/// an owned arena slice (see the module docs).
+/// Per-edge state of the node engine, 16 bytes beside its key: staged from
+/// inline through spill to an owned arena slice (see the module docs).
 #[derive(Clone, Debug)]
 enum Slot {
-    /// Up to `INLINE_CAP` used node ids, stored in place.
-    Inline { used: [NodeId; INLINE_CAP], len: u8 },
-    /// Used ids in a hash set — `O(draws)` memory for edges whose
+    /// Up to `INLINE_CAP` used node ids, the first 3 in place.
+    Inline(Picks<3>),
+    /// Used ids in a boxed hash set — `O(draws)` memory for edges whose
     /// population is too large to promote yet.
-    Spill(FnvHashSet<NodeId>),
+    Spill(Box<FnvHashSet<NodeId>>),
     /// `arena[start..start + len]` is a permutation of the population;
     /// positions `< cursor` are used this cycle.
     Promoted { start: u32, len: u32, cursor: u32 },
 }
 
+const _: () = assert!(std::mem::size_of::<(u64, Slot)>() == 24);
+
 impl Slot {
+    const EMPTY: Slot = Slot::Inline(Picks::EMPTY);
+
     fn used_len(&self) -> usize {
         match self {
-            Slot::Inline { len, .. } => usize::from(*len),
+            Slot::Inline(picks) => picks.len(),
             Slot::Spill(set) => set.len(),
             Slot::Promoted { cursor, .. } => *cursor as usize,
+        }
+    }
+
+    /// Whether a draw on `plen` items can continue this state: a cold
+    /// cycle resets before its picks cover the population — a spill edge
+    /// promotes first — and a promoted slice is a permutation of it. Only
+    /// state imported from elsewhere fails this.
+    fn fits(&self, plen: usize) -> bool {
+        match self {
+            Slot::Inline(picks) => picks.len() < plen,
+            Slot::Spill(set) => set.len() + 1 < plen,
+            Slot::Promoted { len, .. } => *len as usize == plen,
+        }
+    }
+
+    /// Drop the state, returning its chunk to the pool.
+    fn clear(&mut self, pool: &mut ChunkPool) {
+        match self {
+            Slot::Inline(picks) => picks.clear(pool),
+            _ => *self = Slot::EMPTY,
         }
     }
 }
@@ -344,6 +495,7 @@ impl Slot {
 pub struct CirculationEngine {
     slots: FnvHashMap<u64, Slot>,
     arena: Vec<NodeId>,
+    pool: ChunkPool,
     promotion_threshold: usize,
 }
 
@@ -368,6 +520,7 @@ impl CirculationEngine {
         CirculationEngine {
             slots: FnvHashMap::default(),
             arena: Vec::new(),
+            pool: ChunkPool::default(),
             promotion_threshold: threshold.clamp(1, INLINE_CAP),
         }
     }
@@ -395,15 +548,16 @@ impl CirculationEngine {
     }
 
     /// Drop all state, **keeping the slab allocations**: the arena's
-    /// backing buffer and the slot map's buckets are retained at their
-    /// current capacity so the next walk re-promotes into already-owned
-    /// memory. This is the contract `RandomWalk::restart` relies on — a
-    /// restarted walker must not re-allocate its history from scratch
-    /// (pinned by `arena_slab_is_reused_across_restarts` in
+    /// backing buffer, the chunk pool's and the slot map's buckets are
+    /// retained at their current capacity so the next walk re-promotes
+    /// into already-owned memory. This is the contract `RandomWalk::restart`
+    /// relies on — a restarted walker must not re-allocate its history from
+    /// scratch (pinned by `arena_slab_is_reused_across_restarts` in
     /// `tests/circulation_props.rs`, via [`Self::arena_capacity`]).
     pub fn clear(&mut self) {
         self.slots.clear();
         self.arena.clear();
+        self.pool.clear();
     }
 
     /// Allocated capacity of the shared arena, in entries. Survives
@@ -424,11 +578,15 @@ impl CirculationEngine {
     ///
     /// One pass over the slot map, whatever the number of touched nodes:
     /// `O(slots)` predicate probes. Returns the number of slots dropped.
-    /// Arena slices of dropped promoted slots leak until the next
-    /// [`Self::clear`] — bounded by [`PROMOTION_SPAN`], same as
-    /// re-promotion churn.
+    /// Their pool chunks are reused; arena slices of dropped promoted slots
+    /// leak until the next [`Self::clear`] — bounded by [`PROMOTION_SPAN`],
+    /// same as re-promotion churn.
     pub fn invalidate_targets(&mut self, is_touched: impl Fn(u32) -> bool) -> usize {
-        drop_targets(&mut self.slots, is_touched)
+        drop_targets(
+            &mut self.slots,
+            |slot| slot.clear(&mut self.pool),
+            is_touched,
+        )
     }
 
     /// Serialize the engine's full state to a [`Value`] tree for
@@ -448,10 +606,10 @@ impl CirculationEngine {
         let (mut counts, mut picks, mut promoted) = (Vec::new(), Vec::new(), Vec::new());
         for (_, slot) in &edges {
             match slot {
-                Slot::Inline { used, len } => {
+                Slot::Inline(used) => {
                     stages.push(INLINE);
-                    counts.push(u32::from(*len));
-                    picks.extend(used[..usize::from(*len)].iter().map(|n| n.0));
+                    counts.push(used.len() as u32);
+                    picks.extend_from_slice(used.get(&self.pool));
                 }
                 Slot::Spill(set) => {
                     stages.push(SPILL);
@@ -502,6 +660,7 @@ impl CirculationEngine {
         let mut picks = Column::<u32>::read(state, "picks")?;
         let mut promoted = Column::<u32>::read(state, "promoted")?;
         let mut slots = FnvHashMap::with_capacity_and_hasher(keys.items.len(), Default::default());
+        let mut pool = ChunkPool::default();
         for &key in keys.items.iter() {
             let slot = match stages.one()? {
                 INLINE => {
@@ -512,18 +671,15 @@ impl CirculationEngine {
                             ids.len()
                         ));
                     }
-                    let mut used = [NodeId(0); INLINE_CAP];
-                    for (dst, &id) in used.iter_mut().zip(ids) {
-                        *dst = NodeId(id as u32);
+                    let mut used = Picks::EMPTY;
+                    for &id in ids {
+                        used.push(id as u32, &mut pool);
                     }
-                    Slot::Inline {
-                        used,
-                        len: ids.len() as u8,
-                    }
+                    Slot::Inline(used)
                 }
                 SPILL => {
                     let ids = picks.take(counts.one()? as usize)?;
-                    Slot::Spill(ids.iter().map(|&id| NodeId(id as u32)).collect())
+                    Slot::Spill(Box::new(ids.iter().map(|&id| NodeId(id as u32)).collect()))
                 }
                 PROMOTED => {
                     let (start, len, cursor) = (promoted.one()?, promoted.one()?, promoted.one()?);
@@ -551,6 +707,7 @@ impl CirculationEngine {
         Ok(CirculationEngine {
             slots,
             arena,
+            pool,
             promotion_threshold: threshold,
         })
     }
@@ -559,6 +716,12 @@ impl CirculationEngine {
     /// draw, and reset the cycle once the population is exhausted (the
     /// completing draw triggers the reset, so the *next* draw sees the full
     /// population again). Returns `None` only for an empty population.
+    ///
+    /// State that cannot have been recorded on `population` — a promoted
+    /// slice of another length, or a cold cycle that should have reset,
+    /// as an imported snapshot can hold — is dropped first, as
+    /// [`invalidate_targets`](Self::invalidate_targets) drops it after a
+    /// mutation, and the draw starts a fresh cycle.
     pub fn draw<R: Rng + ?Sized>(
         &mut self,
         key: u64,
@@ -570,10 +733,13 @@ impl CirculationEngine {
             return None;
         }
         let threshold = self.promotion_threshold;
-        let slot = self.slots.entry(key).or_insert(Slot::Inline {
-            used: [NodeId(0); INLINE_CAP],
-            len: 0,
-        });
+        let slot = self.slots.entry(key).or_insert(Slot::EMPTY);
+        // State that no draw on this population can have left is of
+        // another population: drop it, as invalidation does after a
+        // mutation, and draw afresh.
+        if !slot.fits(plen) {
+            slot.clear(&mut self.pool);
+        }
         // Stage transitions first (no RNG consumed). Promotion preserves
         // the used set, so a cycle's coverage never depends on when (or
         // whether) it happens.
@@ -584,48 +750,36 @@ impl CirculationEngine {
             // the prefix. One pass; the membership probes are over the
             // O(draws)-sized pre-promotion state.
             let slice = &mut self.arena[start..];
-            let mut cursor = 0usize;
-            match &*slot {
-                Slot::Inline { used, len } => {
-                    let used = &used[..usize::from(*len)];
-                    for i in 0..plen {
-                        if used.contains(&slice[i]) {
-                            slice.swap(cursor, i);
-                            cursor += 1;
-                        }
-                    }
+            let cursor = match &*slot {
+                Slot::Inline(used) => {
+                    let used = used.get(&self.pool);
+                    partition_used(slice, |w| used.contains(&w.0))
                 }
-                Slot::Spill(set) => {
-                    for i in 0..plen {
-                        if set.contains(&slice[i]) {
-                            slice.swap(cursor, i);
-                            cursor += 1;
-                        }
-                    }
-                }
+                Slot::Spill(set) => partition_used(slice, |w| set.contains(w)),
                 Slot::Promoted { .. } => unreachable!("guarded by the !Promoted check above"),
-            }
+            };
             debug_assert_eq!(cursor, slot.used_len(), "used set ⊆ population");
-            // Fail loudly rather than silently aliasing slices if a
-            // pathological walk ever grows the arena past u32 offsets.
-            let start = u32::try_from(start).expect("arena exceeds u32::MAX entries");
+            slot.clear(&mut self.pool);
             *slot = Slot::Promoted {
-                start,
+                start: arena_offset(start),
                 len: plen as u32,
                 cursor: cursor as u32,
             };
-        } else if let Slot::Inline { used, len } = slot {
+        } else if let Slot::Inline(used) = slot {
             // Inline full but the population is too large for the span
             // guard: spill to a hash set that grows one entry per draw.
-            if usize::from(*len) == INLINE_CAP {
-                *slot = Slot::Spill(used.iter().copied().collect());
+            if used.len() == INLINE_CAP {
+                let set = used.get(&self.pool).iter().map(|&id| NodeId(id)).collect();
+                slot.clear(&mut self.pool);
+                *slot = Slot::Spill(Box::new(set));
             }
         }
         match slot {
-            Slot::Inline { used, len } => {
-                let used_len = usize::from(*len);
+            Slot::Inline(picks) => {
+                let used = picks.get(&self.pool);
+                let used_len = used.len();
                 debug_assert!(used_len < plen && used_len < INLINE_CAP);
-                // Bounded rejection against the tiny inline array (probes
+                // Bounded rejection against the few inline picks (probes
                 // are hash-free). Acceptance is > 1/2 below the half-used
                 // promotion point; only the cycle-completing draw of a
                 // small population can sit lower (≥ 1/plen), and the cap
@@ -634,14 +788,13 @@ impl CirculationEngine {
                     population,
                     plen - used_len,
                     MAX_REJECTION_ITERS,
-                    |w| used[..used_len].contains(w),
+                    |w| used.contains(&w.0),
                     rng,
                 );
                 if used_len + 1 == plen {
-                    *len = 0; // circulation complete -> reset
+                    picks.clear(&mut self.pool); // circulation complete -> reset
                 } else {
-                    used[used_len] = pick;
-                    *len += 1;
+                    picks.push(pick.0, &mut self.pool);
                 }
                 Some(pick)
             }
@@ -662,7 +815,6 @@ impl CirculationEngine {
             }
             Slot::Promoted { start, len, cursor } => {
                 let (start, slen) = (*start as usize, *len as usize);
-                debug_assert_eq!(slen, plen, "population changed between draws");
                 let c = *cursor as usize;
                 // Partial Fisher–Yates: uniform position in the unused
                 // suffix, swapped to the cursor. Exactly O(1).
@@ -737,24 +889,19 @@ struct GroupSpan {
     attempted: bool,
 }
 
-/// Per-edge state of the [`GroupEngine`], staged like the node engine's
-/// (see the module docs). `S(u, v)` needs no storage of its own before
-/// promotion: a sub-cycle picks from a group not yet attempted, so the
-/// groups of the current sub-cycle's picks are exactly `S(u, v)`.
+/// Per-edge state of the [`GroupEngine`], 24 bytes beside its key, staged
+/// like the node engine's (see the module docs). `S(u, v)` needs no
+/// storage of its own before promotion: a sub-cycle picks from a group not
+/// yet attempted, so the groups of the current sub-cycle's picks are
+/// exactly `S(u, v)`.
 #[derive(Clone, Debug)]
 enum GroupSlot {
-    /// Up to [`INLINE_CAP`] used population indices, in place and in pick
-    /// order; those from `sub` on were picked in the current sub-cycle.
-    Inline {
-        used: [u32; INLINE_CAP],
-        len: u8,
-        sub: u8,
-    },
+    /// Up to [`INLINE_CAP`] used population indices in pick order, the
+    /// first 4 in place; those from `sub` on were picked in the current
+    /// sub-cycle.
+    Inline { picks: Picks<4>, sub: u8 },
     /// The used indices, and the current sub-cycle's picks among them.
-    Spill {
-        used: FnvHashSet<u32>,
-        current: Vec<u32>,
-    },
+    Spill(Box<GroupSpill>),
     /// The partition the edge promoted under, frozen: its members,
     /// group-major, at `members[start..start + len]`, and one span per
     /// group at `spans[spans..spans + groups]`. `used` counts the members
@@ -768,49 +915,78 @@ enum GroupSlot {
     },
 }
 
+const _: () = assert!(std::mem::size_of::<(u64, GroupSlot)>() == 32);
+
+/// A spilled GNRW edge's picks of this super-cycle, and those of the
+/// current sub-cycle.
+#[derive(Clone, Debug)]
+struct GroupSpill {
+    used: FnvHashSet<u32>,
+    current: Vec<u32>,
+}
+
 impl GroupSlot {
     const EMPTY: GroupSlot = GroupSlot::Inline {
-        used: [0; INLINE_CAP],
-        len: 0,
+        picks: Picks::EMPTY,
         sub: 0,
     };
 
     fn used_len(&self) -> usize {
         match self {
-            GroupSlot::Inline { len, .. } => usize::from(*len),
-            GroupSlot::Spill { used, .. } => used.len(),
+            GroupSlot::Inline { picks, .. } => picks.len(),
+            GroupSlot::Spill(spill) => spill.used.len(),
             GroupSlot::Promoted { used, .. } => *used as usize,
         }
     }
 
     /// A cold slot's picks of the current sub-cycle.
-    fn current(&self) -> &[u32] {
+    fn current<'a>(&'a self, pool: &'a ChunkPool) -> &'a [u32] {
         match self {
-            GroupSlot::Inline { used, len, sub } => &used[usize::from(*sub)..usize::from(*len)],
-            GroupSlot::Spill { current, .. } => current,
+            GroupSlot::Inline { picks, sub } => &picks.get(pool)[usize::from(*sub)..],
+            GroupSlot::Spill(spill) => &spill.current,
             GroupSlot::Promoted { .. } => unreachable!("a promoted slot is not cold"),
         }
     }
 
     /// Whether a cold slot's super-cycle has picked `m`.
     #[inline]
-    fn is_used(&self, m: u32) -> bool {
+    fn is_used(&self, m: u32, pool: &ChunkPool) -> bool {
         match self {
-            GroupSlot::Inline { used, len, .. } => used[..usize::from(*len)].contains(&m),
-            GroupSlot::Spill { used, .. } => used.contains(&m),
+            GroupSlot::Inline { picks, .. } => picks.get(pool).contains(&m),
+            GroupSlot::Spill(spill) => spill.used.contains(&m),
             GroupSlot::Promoted { .. } => unreachable!("a promoted slot is not cold"),
         }
     }
 
-    /// Spill a full inline array to a hash set, which grows one entry per
+    /// Whether a step on `plen` members can continue this state, as
+    /// [`Slot::fits`] asks of the node engine's.
+    fn fits(&self, plen: usize) -> bool {
+        match self {
+            GroupSlot::Inline { picks, .. } => picks.len() < plen,
+            GroupSlot::Spill(spill) => spill.used.len() + 1 < plen,
+            GroupSlot::Promoted { len, .. } => *len as usize == plen,
+        }
+    }
+
+    /// Drop the state, returning its chunk to the pool.
+    fn clear(&mut self, pool: &mut ChunkPool) {
+        if let GroupSlot::Inline { picks, .. } = self {
+            picks.clear(pool);
+        }
+        *self = GroupSlot::EMPTY;
+    }
+
+    /// Spill a full inline edge to a hash set, which grows one entry per
     /// pick.
-    fn spill_if_full(&mut self) {
-        if let GroupSlot::Inline { used, len, .. } = &*self {
-            if usize::from(*len) == INLINE_CAP {
-                *self = GroupSlot::Spill {
-                    used: used.iter().copied().collect(),
-                    current: self.current().to_vec(),
+    fn spill_if_full(&mut self, pool: &mut ChunkPool) {
+        if let GroupSlot::Inline { picks, .. } = &*self {
+            if picks.len() == INLINE_CAP {
+                let spill = GroupSpill {
+                    used: picks.get(pool).iter().copied().collect(),
+                    current: self.current(pool).to_vec(),
                 };
+                self.clear(pool);
+                *self = GroupSlot::Spill(Box::new(spill));
             }
         }
     }
@@ -818,29 +994,28 @@ impl GroupSlot {
     /// Record a cold slot's `pick` out of `plen` members: it starts a new
     /// sub-cycle when `reset`, and the super-cycle it completes starts over
     /// (Algorithm 2 step 4).
-    fn record(&mut self, pick: u32, reset: bool, plen: usize) {
+    fn record(&mut self, pick: u32, reset: bool, plen: usize, pool: &mut ChunkPool) {
         match self {
-            GroupSlot::Inline { used, len, sub } => {
-                if usize::from(*len) + 1 == plen {
-                    (*len, *sub) = (0, 0);
+            GroupSlot::Inline { picks, sub } => {
+                if picks.len() + 1 == plen {
+                    self.clear(pool);
                 } else {
                     if reset {
-                        *sub = *len;
+                        *sub = picks.len() as u8;
                     }
-                    used[usize::from(*len)] = pick;
-                    *len += 1;
+                    picks.push(pick, pool);
                 }
             }
-            GroupSlot::Spill { used, current } => {
+            GroupSlot::Spill(spill) => {
                 // Spill implies 2·used < |N(v)| (the half-used rule would
                 // have promoted otherwise): the super-cycle cannot complete
                 // in this stage.
-                debug_assert!(2 * used.len() < plen);
+                debug_assert!(2 * spill.used.len() < plen);
                 if reset {
-                    current.clear();
+                    spill.current.clear();
                 }
-                used.insert(pick);
-                current.push(pick);
+                spill.used.insert(pick);
+                spill.current.push(pick);
             }
             GroupSlot::Promoted { .. } => unreachable!("a promoted slot is not cold"),
         }
@@ -865,6 +1040,7 @@ pub struct GroupEngine {
     slots: FnvHashMap<u64, GroupSlot>,
     members: Vec<u32>,
     spans: Vec<GroupSpan>,
+    pool: ChunkPool,
 }
 
 impl GroupEngine {
@@ -882,7 +1058,7 @@ impl GroupEngine {
     pub fn probe(&self, key: u64) -> Option<(usize, usize)> {
         self.slots.get(&key).map(|slot| {
             let attempted = match slot {
-                GroupSlot::Inline { .. } | GroupSlot::Spill { .. } => slot.current().len(),
+                GroupSlot::Inline { .. } | GroupSlot::Spill(_) => slot.current(&self.pool).len(),
                 GroupSlot::Promoted { spans, groups, .. } => {
                     let at = *spans as usize;
                     self.spans[at..at + *groups as usize]
@@ -895,13 +1071,14 @@ impl GroupEngine {
         })
     }
 
-    /// Drop all state, **keeping the slab allocations** (both arenas and
-    /// the slot-map buckets) — same restart-reuse contract as
-    /// [`CirculationEngine::clear`].
+    /// Drop all state, **keeping the slab allocations** (both arenas, the
+    /// chunk pool and the slot-map buckets) — same restart-reuse contract
+    /// as [`CirculationEngine::clear`].
     pub fn clear(&mut self) {
         self.slots.clear();
         self.members.clear();
         self.spans.clear();
+        self.pool.clear();
     }
 
     /// Allocated capacity of the member arena, in entries. Survives
@@ -914,12 +1091,16 @@ impl GroupEngine {
     /// edge key) `is_touched` accepts — the evolving-graph invalidation
     /// hook, mirroring [`CirculationEngine::invalidate_targets`]: one pass
     /// over the slot map. A dropped edge starts cold again and takes the
-    /// partition of the live `N(v)` until it promotes anew. Arena slices of
-    /// dropped promoted slots leak until the next [`Self::clear`] —
-    /// bounded, same as re-promotion churn. Returns the number of slots
-    /// dropped.
+    /// partition of the live `N(v)` until it promotes anew. Pool chunks of
+    /// dropped slots are reused; their arena slices leak until the next
+    /// [`Self::clear`] — bounded, same as re-promotion churn. Returns the
+    /// number of slots dropped.
     pub fn invalidate_targets(&mut self, is_touched: impl Fn(u32) -> bool) -> usize {
-        drop_targets(&mut self.slots, is_touched)
+        drop_targets(
+            &mut self.slots,
+            |slot| slot.clear(&mut self.pool),
+            is_touched,
+        )
     }
 
     /// Serialize the engine's full state to a [`Value`] tree for
@@ -966,20 +1147,20 @@ impl GroupEngine {
             } else {
                 let at = picks.len();
                 match slot {
-                    GroupSlot::Inline { used, len, .. } => {
+                    GroupSlot::Inline { picks: used, .. } => {
                         stages.push(INLINE);
-                        picks.extend_from_slice(&used[..usize::from(*len)]);
+                        picks.extend_from_slice(used.get(&self.pool));
                     }
-                    GroupSlot::Spill { used, .. } => {
+                    GroupSlot::Spill(spill) => {
                         stages.push(SPILL);
-                        picks.extend(used.iter().copied());
+                        picks.extend(spill.used.iter().copied());
                     }
                     GroupSlot::Promoted { .. } => unreachable!("handled above"),
                 }
                 picks[at..].sort_unstable();
                 pick_counts.push((picks.len() - at) as u32);
                 let at = sub_picks.len();
-                sub_picks.extend_from_slice(slot.current());
+                sub_picks.extend_from_slice(slot.current(&self.pool));
                 sub_picks[at..].sort_unstable();
                 sub_counts.push((sub_picks.len() - at) as u32);
             }
@@ -1026,13 +1207,14 @@ impl GroupEngine {
             slots: FnvHashMap::with_capacity_and_hasher(keys.items.len(), Default::default()),
             members: Vec::with_capacity(members.items.len()),
             spans: Vec::with_capacity(groups.items.len() / 3),
+            pool: ChunkPool::default(),
         };
         for &key in keys.items.iter() {
             let slot = match stages.one()? {
                 stage @ (INLINE | SPILL) => {
                     let used = picks.take(pick_counts.one()? as usize)?;
                     let current = sub_picks.take(sub_counts.one()? as usize)?;
-                    cold_slot(stage == INLINE, used, current)
+                    cold_slot(stage == INLINE, used, current, &mut engine.pool)
                         .map_err(|e| format!("edge {key}: {e}"))?
                 }
                 PROMOTED => {
@@ -1126,17 +1308,22 @@ impl GroupEngine {
     }
 
     /// Mutable view of `key`'s state, created cold on first touch.
-    /// `population_len` (`|N(v)|`) must be stable across visits.
+    /// `population_len` (`|N(v)|`) must be stable across visits. State
+    /// that cannot have been recorded on `population_len` members — a
+    /// frozen partition of another size, or a cold super-cycle that should
+    /// have reset, as an imported snapshot can hold — is dropped, as
+    /// [`invalidate_targets`](Self::invalidate_targets) drops it after a
+    /// mutation, and the edge starts cold.
     pub fn view(&mut self, key: u64, population_len: usize) -> GroupEdgeView<'_> {
         let slot = self.slots.entry(key).or_insert(GroupSlot::EMPTY);
-        debug_assert!(
-            !matches!(*slot, GroupSlot::Promoted { len, .. } if len as usize != population_len),
-            "population changed between visits"
-        );
+        if !slot.fits(population_len) {
+            slot.clear(&mut self.pool);
+        }
         GroupEdgeView {
             slot,
             members: &mut self.members,
             spans: &mut self.spans,
+            pool: &mut self.pool,
         }
     }
 }
@@ -1145,7 +1332,12 @@ impl GroupEngine {
 /// super-cycle's, and `current`, the current sub-cycle's — both strictly
 /// ascending, `current ⊆ used` — inline (at most [`INLINE_CAP`] picks, the
 /// sub-cycle's last) or spilled.
-fn cold_slot(inline: bool, used: &[u64], current: &[u64]) -> Result<GroupSlot, String> {
+fn cold_slot(
+    inline: bool,
+    used: &[u64],
+    current: &[u64],
+    pool: &mut ChunkPool,
+) -> Result<GroupSlot, String> {
     let ascending = |ids: &[u64]| ids.windows(2).all(|w| w[0] < w[1]);
     if !ascending(used) || !ascending(current) {
         return Err("picks are not strictly ascending".into());
@@ -1154,22 +1346,21 @@ fn cold_slot(inline: bool, used: &[u64], current: &[u64]) -> Result<GroupSlot, S
         return Err(format!("sub-cycle pick {m} is not used"));
     }
     if !inline {
-        return Ok(GroupSlot::Spill {
+        return Ok(GroupSlot::Spill(Box::new(GroupSpill {
             used: used.iter().map(|&m| m as u32).collect(),
             current: current.iter().map(|&m| m as u32).collect(),
-        });
+        })));
     }
     if used.len() > INLINE_CAP {
         return Err(format!("inline edge holds {} > {INLINE_CAP}", used.len()));
     }
     let earlier = used.iter().filter(|m| current.binary_search(m).is_err());
-    let mut slots = [0u32; INLINE_CAP];
-    for (dst, &m) in slots.iter_mut().zip(earlier.chain(current)) {
-        *dst = m as u32;
+    let mut picks = Picks::EMPTY;
+    for &m in earlier.chain(current) {
+        picks.push(m as u32, pool);
     }
     Ok(GroupSlot::Inline {
-        used: slots,
-        len: used.len() as u8,
+        picks,
         sub: (used.len() - current.len()) as u8,
     })
 }
@@ -1272,6 +1463,7 @@ pub struct GroupEdgeView<'a> {
     slot: &'a mut GroupSlot,
     members: &'a mut Vec<u32>,
     spans: &'a mut Vec<GroupSpan>,
+    pool: &'a mut ChunkPool,
 }
 
 impl GroupEdgeView<'_> {
@@ -1328,10 +1520,11 @@ impl GroupEdgeView<'_> {
             self.freeze(groups);
             return self.step(None, counts, rng);
         }
-        self.slot.spill_if_full();
-        let slot = &*self.slot;
-        let (pick, reset) = cold_pick(groups, slot.current(), |m| slot.is_used(m), counts, rng);
-        self.slot.record(pick, reset, plen);
+        self.slot.spill_if_full(self.pool);
+        let (slot, pool) = (&*self.slot, &*self.pool);
+        let is_used = |m| slot.is_used(m, pool);
+        let (pick, reset) = cold_pick(groups, slot.current(pool), is_used, counts, rng);
+        self.slot.record(pick, reset, plen, self.pool);
         pick as usize
     }
 
@@ -1366,12 +1559,12 @@ impl GroupEdgeView<'_> {
         if self.is_frozen() || promotable(self.slot.used_len(), plen, INLINE_CAP) {
             return None;
         }
-        self.slot.spill_if_full();
-        let slot = &*self.slot;
-        let current = slot.current();
+        self.slot.spill_if_full(self.pool);
+        let (slot, pool) = (&*self.slot, &*self.pool);
+        let current = slot.current(pool);
         keys.clear();
         let in_u = |i: usize| {
-            if slot.is_used(i as u32) {
+            if slot.is_used(i as u32, pool) {
                 return false;
             }
             if current.is_empty() {
@@ -1383,7 +1576,7 @@ impl GroupEdgeView<'_> {
             !keys.contains(&key(i))
         };
         let pick = propose(plen, MAX_REJECTION_ITERS.min(plen), in_u, rng)?;
-        self.slot.record(pick as u32, false, plen);
+        self.slot.record(pick as u32, false, plen, self.pool);
         Some(pick)
     }
 
@@ -1392,8 +1585,8 @@ impl GroupEdgeView<'_> {
     /// mark the groups of the current sub-cycle's picks attempted.
     fn freeze(&mut self, groups: &NodeGroups<'_>) {
         let (start, at) = (self.members.len(), self.spans.len());
-        let slot = &*self.slot;
-        let used = |m: &&u32| slot.is_used(**m);
+        let (slot, pool) = (&*self.slot, &*self.pool);
+        let used = |m: &&u32| slot.is_used(**m, pool);
         for g in 0..groups.group_count() {
             let group = groups.members_of(g);
             self.members.extend(group.iter().filter(used));
@@ -1403,7 +1596,7 @@ impl GroupEdgeView<'_> {
                 next,
                 end: groups.ends[g],
                 attempted: slot
-                    .current()
+                    .current(pool)
                     .iter()
                     .any(|m| group.binary_search(m).is_ok()),
             });
@@ -1413,12 +1606,14 @@ impl GroupEdgeView<'_> {
             groups.len(),
             "used set ⊆ population"
         );
+        let used = self.slot.used_len() as u32;
+        self.slot.clear(self.pool);
         *self.slot = GroupSlot::Promoted {
             start: arena_offset(start),
             len: groups.len() as u32,
             spans: arena_offset(at),
             groups: groups.group_count() as u32,
-            used: self.slot.used_len() as u32,
+            used,
         };
     }
 }
@@ -1602,6 +1797,86 @@ mod tests {
         assert!(engine.arena.is_empty());
         // The slab itself is retained for the next walk (restart reuse).
         assert_eq!(engine.arena_capacity(), capacity);
+    }
+
+    #[test]
+    fn released_chunks_are_reused_and_clear_keeps_the_pool() {
+        // An edge's 4th pick moves its picks into a chunk. Promotion, spill
+        // and invalidation each give the chunk back, and the next edge that
+        // needs one takes the same chunk.
+        let mut engine = CirculationEngine::new();
+        let mut rng = ChaCha12Rng::seed_from_u64(8);
+        let mut draws = |engine: &mut CirculationEngine, key: u64, plen: u32, n: usize| {
+            for _ in 0..n {
+                engine.draw(key, &pop(plen), &mut rng).unwrap();
+            }
+        };
+        let chunks =
+            |engine: &CirculationEngine| (engine.pool.chunks.len(), engine.pool.free.clone());
+        draws(&mut engine, 1, 12, 4);
+        assert_eq!(chunks(&engine), (1, vec![]));
+        // 6 of 12 picked: the 7th draw promotes.
+        draws(&mut engine, 1, 12, 3);
+        assert!(matches!(engine.slots[&1], Slot::Promoted { .. }));
+        assert_eq!(chunks(&engine), (1, vec![0]));
+        // 8 of 200 picked: the 9th draw spills.
+        draws(&mut engine, 2, 200, 4);
+        assert_eq!(chunks(&engine), (1, vec![]));
+        draws(&mut engine, 2, 200, 5);
+        assert!(matches!(engine.slots[&2], Slot::Spill(_)));
+        assert_eq!(chunks(&engine), (1, vec![0]));
+        draws(&mut engine, 3, 200, 4);
+        assert_eq!(chunks(&engine), (1, vec![]));
+        assert_eq!(engine.invalidate_targets(|v| v == 3), 1);
+        assert_eq!(chunks(&engine), (1, vec![0]));
+        draws(&mut engine, 4, 200, 4);
+        assert_eq!(chunks(&engine), (1, vec![]));
+        let capacity = (engine.pool.chunks.capacity(), engine.pool.free.capacity());
+        engine.clear();
+        assert_eq!(chunks(&engine), (0, vec![]));
+        assert_eq!(
+            (engine.pool.chunks.capacity(), engine.pool.free.capacity()),
+            capacity
+        );
+    }
+
+    /// A one-edge engine, key 7, imported from its exported text.
+    fn import_text(text: &str) -> CirculationEngine {
+        CirculationEngine::import_state(&Value::parse(text).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn a_draw_on_state_that_does_not_fit_the_population_starts_afresh() {
+        // Picks that already cover N(v), a spill one pick short of it and
+        // a promoted slice of another length: no draw on N(v) leaves any
+        // of them, so each is dropped as invalidation drops it, and the
+        // draw starts a new cycle on N(v).
+        let columns = |stage: u8, picks: &str, arena: &str, promoted: &str| {
+            let counts = if picks.is_empty() {
+                String::new()
+            } else {
+                picks.split(',').count().to_string()
+            };
+            format!(
+                r#"{{"threshold":8,"arena":[{arena}],"keys":[7],"stages":[{stage}],"pick_counts":[{counts}],"picks":[{picks}],"promoted":[{promoted}]}}"#
+            )
+        };
+        let population = [NodeId(1), NodeId(2)];
+        let mut rng = ChaCha12Rng::seed_from_u64(12);
+        for (text, population) in [
+            (columns(INLINE, "1,2", "", ""), &population[..]),
+            (columns(SPILL, "1,2", "", ""), &pop(3)[..]),
+            (columns(PROMOTED, "", "5,6,7", "0,3,1"), &population[..]),
+        ] {
+            let mut engine = import_text(&text);
+            let first = engine.draw(7, population, &mut rng).unwrap();
+            assert!(population.contains(&first), "{text}: drew {first:?}");
+            assert_eq!(engine.used_len(7), Some(1), "{text}");
+            if population.len() == 2 {
+                let second = engine.draw(7, population, &mut rng).unwrap();
+                assert!(population.contains(&second) && second != first, "{text}");
+            }
+        }
     }
 
     #[test]
@@ -1824,25 +2099,31 @@ mod tests {
         }
     }
 
-    /// A one-edge GNRW snapshot of a cold edge of `stage` with the given
-    /// picks, imported.
-    fn import_cold(stage: u8, used: &[u32], sub_cycle: &[u32]) -> Result<GroupEngine, String> {
+    /// A one-edge GNRW snapshot, key 1, with the given columns, imported.
+    fn import_edge(columns: &[(&str, Value)]) -> Result<GroupEngine, String> {
         let mut state = GroupEngine::default().export_state();
         let Value::Obj(fields) = &mut state else {
             unreachable!("an export is an object")
         };
         for (name, value) in fields.iter_mut() {
-            *value = match name.as_str() {
-                "keys" => Value::arr(&[1u64]),
-                "stages" => Value::arr(&[stage]),
-                "pick_counts" => Value::arr(&[used.len() as u32]),
-                "picks" => Value::arr(used),
-                "sub_counts" => Value::arr(&[sub_cycle.len() as u32]),
-                "sub_picks" => Value::arr(sub_cycle),
-                _ => continue,
-            };
+            if let Some((_, column)) = columns.iter().find(|(n, _)| n == name) {
+                *value = column.clone();
+            }
         }
         GroupEngine::import_state(&state)
+    }
+
+    /// A one-edge GNRW snapshot of a cold edge of `stage` with the given
+    /// picks, imported.
+    fn import_cold(stage: u8, used: &[u32], sub_cycle: &[u32]) -> Result<GroupEngine, String> {
+        import_edge(&[
+            ("keys", Value::arr(&[1u64])),
+            ("stages", Value::arr(&[stage])),
+            ("pick_counts", Value::arr(&[used.len() as u32])),
+            ("picks", Value::arr(used)),
+            ("sub_counts", Value::arr(&[sub_cycle.len() as u32])),
+            ("sub_picks", Value::arr(sub_cycle)),
+        ])
     }
 
     #[test]
@@ -1930,6 +2211,63 @@ mod tests {
             }
             if picks.is_empty() {
                 assert_eq!(key_reads.get(), 0, "a step with S(u, v) empty read a key");
+            }
+        }
+    }
+
+    #[test]
+    fn released_group_chunks_are_reused_and_clear_keeps_the_pool() {
+        // A GNRW edge's 5th pick moves its picks into a chunk; promotion,
+        // spill and invalidation give it back for the next edge.
+        let (small, wide) = (modulo_groups(12, 3), modulo_groups(200, 3));
+        let (small, wide) = (node_groups(&small), node_groups(&wide));
+        let mut engine = GroupEngine::default();
+        let mut rng = ChaCha12Rng::seed_from_u64(9);
+        let chunks = |engine: &GroupEngine| (engine.pool.chunks.len(), engine.pool.free.clone());
+        group_picks(&mut engine, 1, &small, 5, &mut rng);
+        assert_eq!(chunks(&engine), (1, vec![]));
+        group_picks(&mut engine, 1, &small, 2, &mut rng);
+        assert!(engine.view(1, 12).is_frozen());
+        assert_eq!(chunks(&engine), (1, vec![0]));
+        group_picks(&mut engine, 2, &wide, 9, &mut rng);
+        assert!(matches!(engine.slots[&2], GroupSlot::Spill(_)));
+        assert_eq!(chunks(&engine), (1, vec![0]));
+        group_picks(&mut engine, 3, &wide, 5, &mut rng);
+        assert_eq!(chunks(&engine), (1, vec![]));
+        assert_eq!(engine.invalidate_targets(|v| v == 3), 1);
+        assert_eq!(chunks(&engine), (1, vec![0]));
+        group_picks(&mut engine, 4, &wide, 5, &mut rng);
+        assert_eq!(chunks(&engine), (1, vec![]));
+        let capacity = engine.pool.chunks.capacity();
+        engine.clear();
+        assert_eq!(chunks(&engine), (0, vec![]));
+        assert_eq!(engine.pool.chunks.capacity(), capacity);
+    }
+
+    #[test]
+    fn a_group_step_on_state_that_does_not_fit_the_population_starts_afresh() {
+        // N(v) of 2 in one group. A cold edge whose picks cover it and a
+        // frozen partition of 3 members are of another population: each is
+        // dropped, and the steps cycle over N(v).
+        let parts = modulo_groups(2, 1);
+        let groups = node_groups(&parts);
+        let frozen = import_edge(&[
+            ("keys", Value::arr(&[1u64])),
+            ("stages", Value::arr(&[PROMOTED])),
+            ("member_counts", Value::arr(&[3u32])),
+            ("members", Value::arr(&[0u32, 1, 2])),
+            ("group_counts", Value::arr(&[1u32])),
+            ("groups", Value::arr(&[3u32, 0, 0])),
+            ("used_counts", Value::arr(&[0u32])),
+        ]);
+        let mut rng = ChaCha12Rng::seed_from_u64(14);
+        for engine in [import_cold(INLINE, &[0, 1], &[1]), frozen] {
+            let mut engine = engine.unwrap();
+            let picks = group_picks(&mut engine, 1, &groups, 4, &mut rng);
+            for cycle in picks.chunks(2) {
+                let mut cycle = cycle.to_vec();
+                cycle.sort_unstable();
+                assert_eq!(cycle, [0, 1], "picks {picks:?}");
             }
         }
     }

@@ -9,8 +9,9 @@
 //! of one shared arena holding a permutation of its candidate population
 //! plus a cursor, so a draw is one partial-Fisher–Yates step (one
 //! `gen_range`, one swap) and a reset is a cursor rewind. Cold edges stage
-//! through heap-free inline then spill states (`O(draws)` memory each) and
-//! promote only once the slice would cost at most
+//! through an inline state that allocates nothing per edge, then a spill
+//! state (`O(draws)` memory each), and promote only once the slice would
+//! cost at most
 //! [`crate::circulation::PROMOTION_SPAN`]` ×` their recorded draws — so
 //! arena memory stays `O(K)` (within that constant) even on heavy-tailed
 //! graphs.
@@ -28,7 +29,7 @@
 //! | draw, `≥ ½` population used | `O(deg)` rank scan | `O(1)` **exact** (half-used always promotes) |
 //! | cycle reset | `O(deg)` set clear | `O(1)` cursor rewind |
 //! | GNRW step | `O(deg)` hash probes | while cold, `O(1)` expected proposals by rejection under a grouping that keys each node alone, else `O(deg)` probes (inline ones hash-free); `O(groups)` and none once promoted |
-//! | per-edge memory after `k` draws | `O(k)` set entries | `O(k)` inline/spill → slice `≤ PROMOTION_SPAN·k` once promoted |
+//! | per-edge memory after `k` draws | `O(k)` set entries behind a 40-byte map entry and a table of its own | a 24-byte map entry (32 for GNRW) holding up to 3 picks (GNRW: 4), then all `k ≤ 8` in a 32-byte pool chunk, then `O(k)` spill-set entries → slice `≤ PROMOTION_SPAN·k` once promoted |
 //!
 //! Space grows by at most one entry per walk step between resets, giving
 //! the `O(K)` bound of §3.3; [`EdgeHistory::total_entries`] and
